@@ -363,27 +363,42 @@ class Partition:
         return merges
 
 
-def compute_representative(problem, bucket: Bucket, duals, banned=frozenset()):
-    """(Re)compute a bucket's representative under the given scaled duals.
+def compute_representative(problem, buckets, duals, banned=frozenset()):
+    """(Re)compute representatives under the given scaled duals.
 
-    Marks the bucket EMPTY -- permanently -- when its box holds no feasible
-    subpath contribution vector at all.
+    ``buckets`` is a lone :class:`Bucket` -- its representative (or None)
+    is returned -- or a list of buckets of one block that share one
+    dominance signature (``labeling.BlockView.modes`` of their boxes),
+    which are filled by a single label search; the list of their
+    representatives is returned.  The shared search prunes with the
+    union of the boxes' upper bounds and sends each completed subpath to
+    the box holding its contribution vector, which yields for every
+    bucket exactly the representative its own search would (see
+    ``labeling.elementary_rcspp``).
+
+    Marks a bucket EMPTY -- permanently -- when its box holds no feasible
+    subpath contribution vector at all; EMPTY buckets are not searched.
     """
-    if bucket.status == EMPTY:
-        return None
-    results = elementary_rcspp(
-        problem,
-        bucket.block,
-        duals,
-        contribution_box=bucket.box,
-        banned=banned,
-        top_k=1,
-    )
-    if not results:
-        bucket.status = EMPTY
-        bucket.rep = None
-        return None
-    subpath, rcost = results[0]
-    bucket.status = COMPUTED
-    bucket.rep = Representative(subpath, rcost)
-    return bucket.rep
+    lone = isinstance(buckets, Bucket)
+    group = [buckets] if lone else list(buckets)
+    if len({b.block for b in group}) > 1:
+        raise BucketError("buckets filled together must share a block")
+    live = [b for b in group if b.status != EMPTY]
+    if live:
+        results = elementary_rcspp(
+            problem,
+            live[0].block,
+            duals,
+            boxes=[b.box for b in live],
+            banned=banned,
+            top_k=1,
+        )
+        for bucket, found in zip(live, results):
+            if found:
+                subpath, rcost = found[0]
+                bucket.status = COMPUTED
+                bucket.rep = Representative(subpath, rcost)
+            else:
+                bucket.status = EMPTY
+                bucket.rep = None
+    return group[0].rep if lone else [b.rep for b in group]

@@ -91,7 +91,7 @@ class Trace:
         }
         for key in (
             "fill", "refinements", "merges", "reuse_hit",
-            "total", "empty", "computed",
+            "total", "empty", "computed", "rep_computations", "fill_searches",
         ):
             if key in self.stats:
                 row[key] = self.stats[key]

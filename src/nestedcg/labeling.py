@@ -1,6 +1,6 @@
 """Label-setting search engines.
 
-Two engines share one dominance core:
+Two engines share one count-based retention core (:func:`_insert`):
 
 * :func:`label_search` -- monodirectional label setting over an explicit
   layered DAG.  Used for path-level pricing over subpath/bucket graphs and
@@ -16,14 +16,28 @@ discarded once at least ``top_k`` stored labels dominate it -- which makes
 the returned result list a prefix of the fully enumerated, rcost-sorted
 solution list.
 
+Bucket fill.  A contribution box fixes the dominance mode of every
+coordinate -- its *dominance signature*: ``EQ`` where the box's lower
+bound exceeds the smallest value the block can reach (so it can bind),
+``LE`` elsewhere.  :func:`elementary_rcspp` answers a whole list of
+disjoint boxes of one signature with a single search, pruning with the
+union of their upper bounds and sending each completed subpath to the
+box that holds it; every box gets exactly the result of its own search
+(the argument is in the function's docstring).  Within a search, each
+node's labels are stored under their ``EQ`` values, because labels with
+different ``EQ`` values never dominate one another.
+
 All arithmetic is integer: callers pass duals through
 ``model.Duals.scaled()`` so reduced costs stay exact.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import add
 
 from .model import Duals, ScaledDuals, Subpath
 
@@ -33,7 +47,7 @@ IGNORE = "ignore"
 
 
 class LabelingError(ValueError):
-    """Raised for inputs the engines cannot handle (e.g. oversize blocks)."""
+    """Raised for inputs the engines cannot handle (e.g. malformed DAGs)."""
 
 
 @dataclass(frozen=True)
@@ -107,63 +121,57 @@ class _Label:
         return tuple(out)
 
 
-def _dominates(a: _Label, b: _Label, modes, elementary) -> bool:
-    if a.rcost > b.rcost:
-        return False
-    if elementary and (a.visited & ~b.visited):
-        return False
-    for m, x, y in zip(modes, a.res, b.res):
-        if m == LE:
-            if x > y:
+def _dominance(modes, elementary):
+    """``dominates(a, b)`` for per-coordinate ``modes`` over ``res``."""
+    le = [i for i, m in enumerate(modes) if m == LE]
+    eq = [i for i, m in enumerate(modes) if m == EQ]
+
+    def dominates(a: _Label, b: _Label) -> bool:
+        if a.rcost > b.rcost:
+            return False
+        if elementary and (a.visited & ~b.visited):
+            return False
+        x, y = a.res, b.res
+        for i in le:
+            if x[i] > y[i]:
                 return False
-        elif m == EQ:
-            if x != y:
+        for i in eq:
+            if x[i] != y[i]:
                 return False
-    return True
+        return True
+
+    return dominates
 
 
-def _sub_dominates(a: _Label, b: _Label, sub_modes) -> bool:
-    for m, x, y in zip(sub_modes, a.sub, b.sub):
-        if m == LE:
-            if x > y:
-                return False
-        elif m == EQ:
-            if x != y:
-                return False
-    return True
-
-
-def _insert(store: list, label: _Label, modes, elementary, top_k, sub_modes=None) -> bool:
+def _insert(store: list, label: _Label, dominates, top_k) -> bool:
     """Count-based retention: keep ``label`` unless top_k stored labels
     dominate it; afterwards drop stored labels that top_k others dominate."""
     dominators = 0
     for other in store:
-        if not other.alive:
-            continue
-        if _dominates(other, label, modes, elementary) and (
-            sub_modes is None or _sub_dominates(other, label, sub_modes)
-        ):
+        if other.alive and dominates(other, label):
             dominators += 1
             if dominators >= top_k:
                 return False
     store.append(label)
+    dropped = False
     for other in store:
-        if other is label or not other.alive:
+        if other is label or not other.alive or not dominates(label, other):
             continue
-        if _dominates(label, other, modes, elementary) and (
-            sub_modes is None or _sub_dominates(label, other, sub_modes)
-        ):
-            count = 0
-            for third in store:
-                if third is other or not third.alive:
-                    continue
-                if _dominates(third, other, modes, elementary) and (
-                    sub_modes is None or _sub_dominates(third, other, sub_modes)
-                ):
-                    count += 1
-                    if count >= top_k:
-                        other.alive = False
-                        break
+        if top_k == 1:
+            # ``label`` itself is the one dominator needed
+            other.alive = False
+            dropped = True
+            continue
+        count = 0
+        for third in store:
+            if third is not other and third.alive and dominates(third, other):
+                count += 1
+                if count >= top_k:
+                    other.alive = False
+                    dropped = True
+                    break
+    if dropped:
+        store[:] = [lab for lab in store if lab.alive]
     return True
 
 
@@ -225,6 +233,7 @@ def label_search(
     for u, v in dag.arcs:
         adjacency.setdefault(u, []).append(v)
 
+    dominates = _dominance(dominance.modes, dominance.elementary)
     store = {source: [_Label(source, 0, tuple(start))]}
     for layer in dag.layers[:-1]:
         for u in layer:
@@ -262,13 +271,7 @@ def label_search(
                         if bad:
                             continue
                     new = _Label(v, lab.rcost + step.rcost, res, pred=lab)
-                    _insert(
-                        store.setdefault(v, []),
-                        new,
-                        dominance.modes,
-                        dominance.elementary,
-                        top_k,
-                    )
+                    _insert(store.setdefault(v, []), new, dominates, top_k)
 
     finals = [lab for lab in store.get(sink, ()) if lab.alive]
     finals.sort(key=lambda l: (l.rcost, l.res, l.sequence()))
@@ -285,20 +288,14 @@ def label_search(
 class BlockView:
     """Precomputed arrays for labeling over one block.
 
-    Elements get local indices 0..m-1 (bit positions of the visited set),
-    path-resource deltas are flattened into the problem's concatenated
-    coordinate space, and adjacency is sorted for determinism.
+    Elements get local indices 0..m-1 (bit positions of the visited set,
+    a Python int, so any block size works), path-resource deltas are
+    flattened into the problem's concatenated coordinate space, and
+    adjacency is sorted for determinism.
     """
-
-    MAX_ELEMENTS = 31
 
     def __init__(self, problem, block_index):
         block = problem.blocks[block_index]
-        if len(block.elements) > self.MAX_ELEMENTS:
-            raise LabelingError(
-                f"block {block_index} has {len(block.elements)} elements; "
-                f"the visited bit-set supports at most {self.MAX_ELEMENTS}"
-            )
         self.problem = problem
         self.index = block_index
         self.elements = block.elements
@@ -308,9 +305,13 @@ class BlockView:
         subs = problem.block_subs[block_index]
         self.sub_resources = subs
         self.n_sub = len(subs)
-        self.floor = tuple(problem.subpath_resources[ri].floor_at_lower for ri in subs)
-        self.windows = [
-            tuple(problem.subpath_resources[ri].window(v) for ri in subs)
+        floor = tuple(problem.subpath_resources[ri].floor_at_lower for ri in subs)
+        # per element: one (floor_at_lower, lo, hi) triple per subpath resource
+        self.sub_checks = [
+            tuple(
+                (fl, *problem.subpath_resources[ri].window(v))
+                for fl, ri in zip(floor, subs)
+            )
             for v in block.elements
         ]
 
@@ -345,7 +346,7 @@ class BlockView:
             )
 
         self.coord_monotone = self._coord_monotone()
-        self.sub_le_safe = self._sub_le_safe()
+        self.sub_modes = tuple(LE if safe else EQ for safe in self._sub_le_safe())
         self._min_achievable = {}
 
     def _coord_monotone(self):
@@ -394,12 +395,19 @@ class BlockView:
             self._min_achievable[coord] = results[0][1] if results else None
         return self._min_achievable[coord]
 
-
-def _flatten(contribs):
-    out = []
-    for vec in contribs:
-        out.extend(vec)
-    return tuple(out)
+    def modes(self, box) -> tuple:
+        """Dominance mode per contribution coordinate under a contribution
+        box (the box's *dominance signature*): a lower bound that can bind
+        -- above the smallest value the block can reach -- forces ``EQ``;
+        every other coordinate is ``LE``."""
+        out = []
+        for c, (lo, _) in enumerate(box):
+            if lo is None:
+                out.append(LE)
+                continue
+            reachable = self.min_achievable(c)
+            out.append(LE if reachable is None or lo <= reachable else EQ)
+        return tuple(out)
 
 
 def block_view(problem, block_index) -> BlockView:
@@ -409,33 +417,68 @@ def block_view(problem, block_index) -> BlockView:
     return views[block_index]
 
 
-def _check_sub_window(view, local, values):
-    for val, (lo, hi) in zip(values, view.windows[local]):
-        if lo is not None and val < lo:
-            return False
-        if hi is not None and val > hi:
-            return False
-    return True
-
-
-def _extend_sub(view, values, deltas, local, extra=None):
+def _extend_sub(checks, values, deltas):
+    """Subpath-resource values after adding ``deltas`` on arrival at an
+    element with window ``checks``; None when a window is violated.
+    Floored resources are lifted to a binding lower bound instead."""
     out = []
-    for j in range(view.n_sub):
-        val = values[j] + deltas[j]
-        if view.floor[j]:
-            lo = view.windows[local][j][0]
-            if lo is not None and val < lo:
-                val = lo
+    for val, d, (floor, lo, hi) in zip(values, deltas, checks):
+        val += d
+        if lo is not None and val < lo:
+            if not floor:
+                return None
+            val = lo
+        if hi is not None and val > hi:
+            return None
         out.append(val)
-    if extra is not None:
-        win = extra.get(view.elements[local])
-        if win is not None:
-            for val, (lo, hi) in zip(out, win):
-                if lo is not None and val < lo:
-                    return None
-                if hi is not None and val > hi:
-                    return None
     return tuple(out)
+
+
+def _box_locator(boxes):
+    """``locate(vec)``: index of the box holding contribution vector
+    ``vec``, or -1.  The boxes are disjoint; they are bisected on the
+    first coordinate, then the candidates whose first-coordinate range
+    can still reach the value are tested in full."""
+    if not boxes[0]:
+        return lambda vec: 0      # no coordinates: the one box holds ()
+
+    def lo0(i):
+        lo = boxes[i][0][0]
+        return -math.inf if lo is None else lo
+
+    order = sorted(range(len(boxes)), key=lo0)
+    starts = [lo0(i) for i in order]
+    reach = []                    # running max of first-coordinate upper ends
+    top = -math.inf
+    for i in order:
+        hi = boxes[i][0][1]
+        top = max(top, math.inf if hi is None else hi)
+        reach.append(top)
+
+    def locate(vec):
+        x = vec[0]
+        k = bisect_right(starts, x) - 1
+        while k >= 0 and reach[k] >= x:
+            i = order[k]
+            for val, (lo, hi) in zip(vec, boxes[i]):
+                if (lo is not None and val < lo) or (hi is not None and val > hi):
+                    break
+            else:
+                return i
+            k -= 1
+        return -1
+
+    return locate
+
+
+def _precedes(rcost, contribs, lab, entry) -> bool:
+    """Whether a candidate sorts before a kept ``entry`` by (rcost,
+    contribs, node sequence); sequences are built only to break ties."""
+    if rcost != entry[0]:
+        return rcost < entry[0]
+    if contribs != entry[1]:
+        return contribs < entry[1]
+    return lab.sequence() < entry[2].sequence()
 
 
 def elementary_rcspp(
@@ -444,8 +487,8 @@ def elementary_rcspp(
     duals=None,
     *,
     contribution_box=None,
+    boxes=None,
     banned=frozenset(),
-    extra_windows=None,
     top_k: int = 1,
     objective="rcost",
 ):
@@ -453,16 +496,46 @@ def elementary_rcspp(
 
     ``contribution_box`` optionally restricts the final contribution
     vector to per-coordinate [lo, hi] ranges (concatenated coordinate
-    space).  ``banned`` elements are skipped entirely.  ``extra_windows``
-    layers additional per-element (lo, hi) bounds over the block's
-    subpath resources.  ``objective`` is "rcost" or ("coord", c) to
-    minimize one contribution coordinate instead (used to decide when a
-    box lower bound can actually bind).
+    space).  ``boxes`` instead takes a list of disjoint boxes that share
+    one dominance signature (:meth:`BlockView.modes`) and answers all of
+    them with a single search; a lone ``contribution_box`` is the
+    one-element case.  ``banned`` elements are skipped entirely.
+    ``objective`` is "rcost" or ("coord", c) to minimize one contribution
+    coordinate instead (used to decide when a box lower bound can
+    actually bind).
+
+    Why one search answers every box exactly as its own search would:
+    labels are only pruned above the union's upper bounds, and a label
+    above a box's upper bound on a monotone coordinate is larger on an
+    ``LE`` or ``EQ`` coordinate than every label that can still end in
+    the box, so it dominates none of them; neither do its descendants,
+    which stay above that bound.  The in-box labels therefore meet the
+    same dominance checks in the same FIFO order as in the box's own
+    search.  Each completed subpath goes to the box holding its
+    contribution vector.
+
+    Each node's labels are stored under their values on the ``EQ``
+    coordinates and subpath resources: labels with different keys can
+    never dominate one another, so insertion compares only within a key.
 
     Returns up to ``top_k`` (Subpath, scaled_rcost) pairs sorted by
-    reduced cost; the scale is ``duals.denom``.
+    (reduced cost, contribution vector, node sequence) -- one such list
+    per box when ``boxes`` is given; the scale is ``duals.denom``.
     """
     view = block_view(problem, block_index)
+    single = boxes is None
+    if single:
+        boxes = [contribution_box]
+    elif contribution_box is not None:
+        raise LabelingError("pass contribution_box or boxes, not both")
+    if not boxes:
+        return []
+    unbounded = ((None, None),) * view.n_coords
+    boxes = [unbounded if box is None else tuple(box) for box in boxes]
+    modes = view.modes(boxes[0])
+    if any(view.modes(box) != modes for box in boxes[1:]):
+        raise LabelingError("boxes searched together must share a dominance signature")
+
     if duals is None:
         duals = ScaledDuals({}, 0, 1)
     elif isinstance(duals, Duals):
@@ -475,116 +548,132 @@ def elementary_rcspp(
         if kind != "coord":
             raise LabelingError(f"unknown objective {objective!r}")
 
-    # dominance modes per contribution coordinate: a box lower bound that
-    # can bind forces exact-match dominance on that coordinate
-    modes = []
-    for c in range(view.n_coords):
-        if contribution_box is None:
-            modes.append(LE)
-            continue
-        lo = contribution_box[c][0]
-        if lo is None:
-            modes.append(LE)
-            continue
-        reachable = view.min_achievable(c)
-        modes.append(LE if reachable is None or lo <= reachable else EQ)
-    modes = tuple(modes)
-    sub_modes = tuple(LE if safe else EQ for safe in view.sub_le_safe)
+    n = view.n_coords
+    eq_coords = [c for c in range(n) if modes[c] == EQ]
+    le_coords = [c for c in range(n) if modes[c] == LE]
+    eq_subs = [j for j, m in enumerate(view.sub_modes) if m == EQ]
+    le_subs = [j for j, m in enumerate(view.sub_modes) if m == LE]
+    # (coordinate, union upper bound) pairs that prune partial labels
+    caps = []
+    for c in range(n):
+        his = [box[c][1] for box in boxes]
+        if view.coord_monotone[c] and None not in his:
+            caps.append((c, max(his)))
+    locate = _box_locator(boxes)
 
     banned_local = {view.local[k] for k in banned if k in view.local}
+    gain = [duals.value(k) for k in view.elements]
+    arcs = [
+        [
+            (t, 1 << t, cost, cost * denom - gain[t], sub_d, coord_d)
+            for t, cost, sub_d, coord_d in outs
+            if t not in banned_local
+        ]
+        for outs in view.arcs_out
+    ]
 
-    def entry_label(local):
-        cost, sub_d, coord_d = view.entry[local]
-        values = _extend_sub(view, (0,) * view.n_sub, sub_d, local, extra_windows)
-        if values is None or not _check_sub_window(view, local, values):
-            return None
-        contribs = coord_d
-        if minimize_coord is None:
-            rcost = cost * denom - duals.value(view.elements[local])
-        else:
-            rcost = contribs[minimize_coord]
-        lab = _Label(local, rcost, contribs, visited=1 << local, cost=cost, sub=values)
-        return lab
-
-    def too_high(contribs):
-        if contribution_box is None:
+    def dominates(a, b):
+        if a.rcost > b.rcost or a.visited & ~b.visited:
             return False
-        for c, val in enumerate(contribs):
-            hi = contribution_box[c][1]
-            if hi is not None and view.coord_monotone[c] and val > hi:
-                return True
-        return False
+        x, y = a.res, b.res
+        for c in le_coords:
+            if x[c] > y[c]:
+                return False
+        x, y = a.sub, b.sub
+        for j in le_subs:
+            if x[j] > y[j]:
+                return False
+        return True
 
-    store = [[] for _ in view.elements]
+    store = [{} for _ in view.elements]   # node -> EQ key -> labels
     queue = deque()
-    candidates = []
+    kept = [[] for _ in boxes]            # per box: best-first candidates
 
-    def complete(lab):
-        cost, sub_d, coord_d = view.exit[lab.node]
-        contribs = tuple(x + d for x, d in zip(lab.res, coord_d))
-        if contribution_box is not None:
-            for c, val in enumerate(contribs):
-                lo, hi = contribution_box[c]
-                if lo is not None and val < lo:
-                    return
-                if hi is not None and val > hi:
-                    return
-        total_cost = lab.cost + cost
+    def offer(lab):
+        """Insert a new label; on success queue and complete it."""
+        key = tuple([lab.res[c] for c in eq_coords] + [lab.sub[j] for j in eq_subs])
+        labels = store[lab.node].get(key)
+        if labels is None:
+            labels = store[lab.node][key] = []
+        if not _insert(labels, lab, dominates, top_k):
+            return
+        queue.append(lab)
+        cost, _, coord_d = view.exit[lab.node]
+        contribs = tuple(map(add, lab.res, coord_d))
+        i = locate(contribs)
+        if i < 0:
+            return
         if minimize_coord is None:
             rcost = lab.rcost + cost * denom
         else:
             rcost = contribs[minimize_coord]
-        candidates.append((rcost, contribs, lab.sequence(), total_cost))
+        best = kept[i]
+        pos = len(best)
+        while pos and _precedes(rcost, contribs, lab, best[pos - 1]):
+            pos -= 1
+        if pos < top_k:
+            best.insert(pos, (rcost, contribs, lab, lab.cost + cost))
+            del best[top_k:]
+
+    def too_high(contribs):
+        for c, hi in caps:
+            if contribs[c] > hi:
+                return True
+        return False
 
     for local in range(len(view.elements)):
         if local in banned_local:
             continue
-        lab = entry_label(local)
-        if lab is None or too_high(lab.res):
+        cost, sub_d, contribs = view.entry[local]
+        values = _extend_sub(view.sub_checks[local], (0,) * view.n_sub, sub_d)
+        if values is None or too_high(contribs):
             continue
-        if _insert(store[local], lab, modes, True, top_k, sub_modes):
-            queue.append(lab)
-            complete(lab)
+        if minimize_coord is None:
+            rcost = cost * denom - gain[local]
+        else:
+            rcost = contribs[minimize_coord]
+        offer(_Label(local, rcost, contribs, visited=1 << local, cost=cost, sub=values))
 
+    sub_checks = view.sub_checks
     while queue:
         lab = queue.popleft()
         if not lab.alive:
             continue
-        for target, cost, sub_d, coord_d in view.arcs_out[lab.node]:
-            if target in banned_local or lab.visited & (1 << target):
+        visited, res, sub = lab.visited, lab.res, lab.sub
+        for target, bit, cost, step, sub_d, coord_d in arcs[lab.node]:
+            if visited & bit:
                 continue
-            values = _extend_sub(view, lab.sub, sub_d, target, extra_windows)
-            if values is None or not _check_sub_window(view, target, values):
+            values = _extend_sub(sub_checks[target], sub, sub_d)
+            if values is None:
                 continue
-            contribs = tuple(x + d for x, d in zip(lab.res, coord_d))
+            contribs = tuple(map(add, res, coord_d))
             if too_high(contribs):
                 continue
             if minimize_coord is None:
-                rcost = lab.rcost + cost * denom - duals.value(view.elements[target])
+                rcost = lab.rcost + step
             else:
                 rcost = contribs[minimize_coord]
-            new = _Label(
-                target, rcost, contribs,
-                visited=lab.visited | (1 << target),
+            offer(_Label(
+                target, rcost, contribs, visited=visited | bit,
                 pred=lab, cost=lab.cost + cost, sub=values,
-            )
-            if _insert(store[target], new, modes, True, top_k, sub_modes):
-                queue.append(new)
-                complete(new)
+            ))
 
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    out = []
-    seen = set()
-    for rcost, contribs, seq, total_cost in candidates:
-        if seq in seen:
-            continue
-        seen.add(seq)
-        nodes = tuple(view.elements[i] for i in seq)
-        contributions = _unflatten(problem, contribs)
-        out.append((Subpath(block_index, nodes, total_cost, contributions), rcost))
-        if len(out) == top_k:
-            break
-    return out
+    out = [
+        [
+            (
+                Subpath(
+                    block_index,
+                    tuple(view.elements[i] for i in lab.sequence()),
+                    total_cost,
+                    _unflatten(problem, contribs),
+                ),
+                rcost,
+            )
+            for rcost, contribs, lab, total_cost in best
+        ]
+        for best in kept
+    ]
+    return out[0] if single else out
 
 
 def _unflatten(problem, flat):

@@ -1,8 +1,12 @@
 """Path pricers over bucket graphs.
 
 The adaptive pricer runs a sandwich loop per call.  Representatives give
-every bucket a cheapest-member subpath; a layered search over buckets
-then prices whole paths twice:
+every bucket a cheapest-member subpath.  The fill that computes them runs
+one label search per block and dominance signature (the ``LE``/``EQ``
+mode per coordinate that a bucket's box implies), not one per bucket;
+the shared search yields each bucket exactly the representative its own
+box-restricted search would (see ``labeling.elementary_rcspp``).  A
+layered search over buckets then prices whole paths twice:
 
 * *optimistic*: buckets contribute their box lower corner.  Lower corners
   underestimate every member's contribution componentwise, predicates are
@@ -40,6 +44,7 @@ from .labeling import (
     ArcStep,
     DominanceRule,
     LayeredDag,
+    block_view,
     label_search,
 )
 from .model import (
@@ -239,6 +244,7 @@ class AdaptivePricer:
         self.refines_per_block = [0] * len(problem.blocks)
         self.totals = {
             "rep_computations": 0,
+            "fill_searches": 0,
             "refinements": 0,
             "merges": 0,
             "reuse_hits": 0,
@@ -265,13 +271,21 @@ class AdaptivePricer:
             self.banned = banned
 
     def _compute_fresh(self, scaled, banned):
+        """Fill every stale bucket with one label search per block and
+        dominance signature."""
+        groups = {}
         for bucket in self.partition.all_buckets():
             if bucket.status == FRESH or (
                 bucket.status == COMPUTED
                 and banned.intersection(bucket.rep.subpath.nodes)
             ):
-                compute_representative(self.problem, bucket, scaled, banned)
-                self.totals["rep_computations"] += 1
+                view = block_view(self.problem, bucket.block)
+                key = (bucket.block, view.modes(bucket.box))
+                groups.setdefault(key, []).append(bucket)
+        for group in groups.values():
+            compute_representative(self.problem, group, scaled, banned)
+            self.totals["rep_computations"] += len(group)
+            self.totals["fill_searches"] += 1
 
     def _live(self):
         """Non-empty buckets per block, or the index of a dead block."""

@@ -19,11 +19,10 @@ from nestedcg.model import (
     SUM,
     Arc,
     Block,
-    Boundary,
     NestedProblem,
     PathResource,
-    SubpathResource,
 )
+from nestedcg.pricing import _enumerate_subpaths
 
 
 def _diamond():
@@ -128,11 +127,32 @@ def test_dominance_eq_mode_protects_lower_bounded_coordinates():
     assert best.contributions == ((7,),)
 
 
-def test_block_view_caps_element_count():
-    block = Block(elements=tuple(range(40)))
-    problem = NestedProblem([block])
-    with pytest.raises(LabelingError):
-        block_view(problem, 0)
+def test_blocks_past_31_elements_match_enumeration():
+    # visited sets are Python ints, so element 32 needs bit 32; arcs run
+    # both ways along the chain, so elementarity is what stops walks
+    # from turning back
+    m = 33
+    arcs = {}
+    for i in range(m - 1):
+        arcs[(i, i + 1)] = Arc(cost=1 + i % 3, path_deltas=((1 + i % 4,),))
+        arcs[(i + 1, i)] = Arc(cost=2, path_deltas=((2,),))
+    block = Block(elements=tuple(range(m)), arcs=arcs)
+    problem = NestedProblem(
+        [block],
+        path_resources=[PathResource(dim=1, agg=SUM, a=(1,), b=10**6, box=((0, 200),))],
+    )
+    scaled = synth.random_duals(problem, 7).scaled()
+    subpaths = _enumerate_subpaths(problem, 0, frozenset())
+    assert len(subpaths) == m * m
+    want = sorted(
+        (sp.cost * scaled.denom - sum(scaled.value(k) for k in sp.nodes),
+         sp.contributions, sp.nodes, sp.cost)
+        for sp in subpaths
+    )
+    got = elementary_rcspp(problem, 0, scaled, top_k=len(subpaths))
+    assert [(rc, sp.contributions, sp.nodes, sp.cost) for sp, rc in got] == want
+    # a short prefix of the same order
+    assert elementary_rcspp(problem, 0, scaled, top_k=5) == got[:5]
 
 
 def _brute_min(problem, block_index, scaled, box=None, banned=frozenset()):
@@ -206,27 +226,6 @@ def test_banned_elements_are_skipped():
     hits = elementary_rcspp(problem, 0, banned={victim}, top_k=50)
     assert hits, "other elements keep the block alive"
     assert all(victim not in sp.nodes for sp, _ in hits)
-
-
-def test_extra_windows_tighten_the_block():
-    block = Block(
-        elements=(1, 2),
-        arcs={(1, 2): Arc(sub_deltas=(1,))},
-        entry={1: Boundary(sub_deltas=(1,)), 2: Boundary(sub_deltas=(1,))},
-    )
-    problem = NestedProblem(
-        [block],
-        subpath_resources=[
-            SubpathResource(block=0, windows={1: (None, 5), 2: (None, 5)})
-        ],
-    )
-    assert len(elementary_rcspp(problem, 0, top_k=10)) == 3
-    # one unit is consumed on arrival everywhere, so a zero cap kills all
-    extra = {1: ((None, 0),), 2: ((None, 0),)}
-    assert elementary_rcspp(problem, 0, extra_windows=extra) == []
-    # capping only element 2 still admits the single-element subpath (1,)
-    partial = elementary_rcspp(problem, 0, extra_windows={2: ((None, 0),)}, top_k=10)
-    assert [sp.nodes for sp, _ in partial] == [(1,)]
 
 
 def test_coordinate_objective_minimizes_that_coordinate():
