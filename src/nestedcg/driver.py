@@ -73,6 +73,7 @@ class Trace:
     misprice: bool
     pool_size: int
     stats: dict = field(default_factory=dict)
+    pivots: int = 0               # simplex pivots of this iteration's solve
 
     def to_dict(self):
         def num(x):
@@ -88,6 +89,7 @@ class Trace:
             "alpha": float(self.alpha),
             "misprice": self.misprice,
             "pool_size": self.pool_size,
+            "pivots": self.pivots,
         }
         for key in (
             "fill", "refinements", "merges", "reuse_hit",
@@ -192,6 +194,7 @@ def _cg_loop(problem, config, rmp, pricer, smoother, counters, traces, phase):
             traces.append(Trace(
                 it, phase, sol.status, sol.lp_value, 0, None,
                 smoother.alpha, False, len(rmp.pool), outcome.stats,
+                rmp.last_pivots,
             ))
             return "infeasible", sol, best_bound
 
@@ -213,6 +216,7 @@ def _cg_loop(problem, config, rmp, pricer, smoother, counters, traces, phase):
                     traces.append(Trace(
                         it, phase, sol.status, sol.lp_value, 0, None,
                         smoother.alpha, True, len(rmp.pool), outcome.stats,
+                        rmp.last_pivots,
                     ))
                     return "infeasible", sol, best_bound
                 if outcome.columns:
@@ -232,6 +236,7 @@ def _cg_loop(problem, config, rmp, pricer, smoother, counters, traces, phase):
                         it, phase, sol.status, sol.lp_value, 0,
                         outcome.optimistic, smoother.alpha, misprice,
                         len(rmp.pool), outcome.stats,
+                        rmp.last_pivots,
                     ))
                     status = "optimal" if sol.status == "optimal" else "infeasible"
                     return status, sol, best_bound
@@ -245,6 +250,7 @@ def _cg_loop(problem, config, rmp, pricer, smoother, counters, traces, phase):
         traces.append(Trace(
             it, phase, sol.status, sol.lp_value, added, outcome.optimistic,
             smoother.alpha, misprice, len(rmp.pool), outcome.stats,
+            rmp.last_pivots,
         ))
         if config.pool_period and it % config.pool_period == 0:
             rmp.manage_pool(it)

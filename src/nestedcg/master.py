@@ -19,11 +19,10 @@ right-hand side shrinks by one per fixed path.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import COVER, PARTITION, Duals, Path
+from .model import PARTITION, Duals, Path
 from .simplex import LpResult, solve_lp
 
 POOL_PERIOD = 5
@@ -64,8 +63,8 @@ class Rmp:
         self.fixed: list[Path] = []
         self.satisfied = set()
         self._basis = None
-        self._basis_sig = None
         self.solves = 0
+        self.last_pivots = 0            # simplex pivots of the latest solve
 
     # -- pool ----------------------------------------------------------------
 
@@ -107,7 +106,6 @@ class Rmp:
             del self.by_key[e.path.node_key]
             del self.by_serial[e.serial]
         self._basis = None
-        self._basis_sig = None
         return len(evict)
 
     # -- diving --------------------------------------------------------------
@@ -139,7 +137,6 @@ class Rmp:
         self.fixed.append(path)
         self.satisfied.update(path.covered)
         self._basis = None
-        self._basis_sig = None
         return path
 
     # -- solving ---------------------------------------------------------------
@@ -179,21 +176,14 @@ class Rmp:
             costs.append(e.path.cost)
             columns.append(tuple(coeffs))
 
-        peak = max((abs(c) for c in costs), default=0)
-        big_m = max(10 * peak, 10**6)
-
-        sig = (tuple(rows), tuple(rhs), len(entries))
-        basis = self._basis if self._basis_sig == sig or (
-            self._basis_sig is not None
-            and self._basis_sig[:2] == sig[:2]
-            and self._basis_sig[2] <= sig[2]
-        ) else None
+        # the pool only grows between evictions and fixes, which drop the
+        # basis, so the last factorization's columns keep their indices
         result: LpResult = solve_lp(
-            costs, columns, rhs, senses, basis=basis, big_m=big_m
+            costs, columns, rhs, senses, basis=self._basis
         )
         self._basis = result.basis
-        self._basis_sig = sig
         self.solves += 1
+        self.last_pivots = result.pivots
 
         by_element = {k: result.duals[i] for i, k in enumerate(rows)}
         convexity = result.duals[card_row] if card_row is not None else Fraction(0)
@@ -275,45 +265,3 @@ def lagrangian_bound(problem, rmp: Rmp, duals: Duals, optimistic: Fraction):
     else:
         multiplier = len(rows)
     return value + multiplier * min(Fraction(0), optimistic)
-
-
-# ---------------------------------------------------------------------------
-# MPS export (debug / interop)
-# ---------------------------------------------------------------------------
-
-
-def write_mps(rmp: Rmp, name="master") -> str:
-    """Serialize the current master as free-format MPS (minimization,
-    millicost objective).  Mostly useful for eyeballing a failing LP in
-    an external solver."""
-    problem = rmp.problem
-    rows = rmp._active_rows()
-    remaining = rmp.remaining_cardinality
-    out = io.StringIO()
-    out.write(f"NAME {name}\n")
-    out.write("ROWS\n")
-    out.write(" N COST\n")
-    sense = "E" if problem.sense == PARTITION else "G"
-    for k in rows:
-        out.write(f" {sense} R{k}\n")
-    if remaining is not None:
-        out.write(" E CARD\n")
-    out.write("COLUMNS\n")
-    for e in rmp.pool:
-        if not rmp._usable(e):
-            continue
-        col = f"X{e.serial}"
-        out.write(f" {col} COST {e.path.cost}\n")
-        for k in sorted(e.path.covered):
-            if k in rmp.satisfied:
-                continue
-            out.write(f" {col} R{k} 1\n")
-        if remaining is not None:
-            out.write(f" {col} CARD 1\n")
-    out.write("RHS\n")
-    for k in rows:
-        out.write(f" RHS R{k} 1\n")
-    if remaining is not None:
-        out.write(f" RHS CARD {remaining}\n")
-    out.write("BOUNDS\nENDATA\n")
-    return out.getvalue()

@@ -32,7 +32,6 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .labeling import elementary_rcspp
 from .model import (
     MILLI,
     PARTITION,
@@ -180,14 +179,6 @@ def build_nested(instance: MpcvrpInstance) -> NestedProblem:
         cardinality=instance.vehicles,
         name=instance.name,
     )
-
-
-def cheapest_routes(problem, day, duals=None, *, window=None, top_k=1):
-    """Least-reduced-cost routes of one day, optionally within a distance
-    window [lo, hi].  Thin veneer over the block labeling search; the
-    cardinality-row dual is charged at schedule assembly, not here."""
-    box = (tuple(window),) if window is not None else None
-    return elementary_rcspp(problem, day, duals, contribution_box=box, top_k=top_k)
 
 
 # ---------------------------------------------------------------------------

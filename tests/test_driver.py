@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from nestedcg import synth
+from nestedcg import master, synth
 from nestedcg.driver import (
     DriverConfig,
     DriverError,
@@ -168,6 +168,24 @@ def test_trace_bookkeeping_is_consistent():
         assert last_root.columns_added == 0
         assert last_root.optimistic is not None
         assert last_root.optimistic >= -DriverConfig().eps
+
+
+@pytest.mark.parametrize("pricer", ("exact", "adaptive"))
+def test_trace_pivots_sum_to_the_simplex_pivots(monkeypatch, pricer):
+    pivots = []
+    original = master.solve_lp
+
+    def counting(*args, **kwargs):
+        result = original(*args, **kwargs)
+        pivots.append(result.pivots)
+        return result
+
+    monkeypatch.setattr(master, "solve_lp", counting)
+    problem = synth.random_chain_instance(6)
+    report = solve(problem, _config(problem, pricer=pricer, dive=True))
+    rows = [json.loads(line) for line in report.trace_lines()]
+    assert len(rows) == len(pivots)
+    assert sum(row["pivots"] for row in rows) == sum(pivots) > 0
 
 
 def test_smoothing_off_never_misprices():

@@ -1,6 +1,7 @@
 """Restricted master: pool bookkeeping, exact covering/partitioning LPs,
 diving state, dual smoothing, Lagrangian bound, MPS export."""
 
+import io
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from nestedcg.master import (
     Rmp,
     SmoothingState,
     lagrangian_bound,
-    write_mps,
 )
 from nestedcg.model import (
     COVER,
@@ -264,6 +264,43 @@ def test_zero_alpha_returns_pure_duals():
     state.recentre(Duals({1: Fraction(100)}))
     pure = Duals({1: Fraction(1)})
     assert state.smoothed(pure) is pure
+
+
+def write_mps(rmp: Rmp, name="master") -> str:
+    """Serialize the current master as free-format MPS (minimization,
+    millicost objective).  Useful for eyeballing a failing LP in an
+    external solver."""
+    problem = rmp.problem
+    rows = rmp._active_rows()
+    remaining = rmp.remaining_cardinality
+    out = io.StringIO()
+    out.write(f"NAME {name}\n")
+    out.write("ROWS\n")
+    out.write(" N COST\n")
+    sense = "E" if problem.sense == PARTITION else "G"
+    for k in rows:
+        out.write(f" {sense} R{k}\n")
+    if remaining is not None:
+        out.write(" E CARD\n")
+    out.write("COLUMNS\n")
+    for e in rmp.pool:
+        if not rmp._usable(e):
+            continue
+        col = f"X{e.serial}"
+        out.write(f" {col} COST {e.path.cost}\n")
+        for k in sorted(e.path.covered):
+            if k in rmp.satisfied:
+                continue
+            out.write(f" {col} R{k} 1\n")
+        if remaining is not None:
+            out.write(f" {col} CARD 1\n")
+    out.write("RHS\n")
+    for k in rows:
+        out.write(f" RHS R{k} 1\n")
+    if remaining is not None:
+        out.write(f" RHS CARD {remaining}\n")
+    out.write("BOUNDS\nENDATA\n")
+    return out.getvalue()
 
 
 def test_mps_export_shape():

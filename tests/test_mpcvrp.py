@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from nestedcg.labeling import elementary_rcspp
 from nestedcg.model import (
     MILLI,
     PARTITION,
@@ -21,7 +22,6 @@ from nestedcg.mpcvrp import (
     MpcvrpInstance,
     build_nested,
     calibrate_caps,
-    cheapest_routes,
     euclidean,
     generate_instance,
     instance_from_json,
@@ -34,6 +34,14 @@ from nestedcg.mpcvrp import (
     save_instance,
     solve_day,
 )
+
+
+def cheapest_routes(problem, day, duals=None, *, window=None, top_k=1):
+    """Least-reduced-cost routes of one day, optionally within a distance
+    window [lo, hi], by the block labeling search; the cardinality-row
+    dual is charged at schedule assembly, not here."""
+    box = (tuple(window),) if window is not None else None
+    return elementary_rcspp(problem, day, duals, contribution_box=box, top_k=top_k)
 
 
 def _instance(**over):

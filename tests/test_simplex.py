@@ -1,5 +1,5 @@
-"""Exact rational simplex vs an independent basic-solution enumerator and
-scipy's HiGHS, plus warm-start and degeneracy behaviour."""
+"""Exact simplex vs an independent basic-solution enumerator and scipy's
+HiGHS, plus warm-start token soundness and degeneracy behaviour."""
 
 import random
 from fractions import Fraction
@@ -7,6 +7,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from nestedcg.simplex import LpError, LpResult, solve_lp
@@ -284,3 +286,154 @@ def test_result_is_a_frozen_record():
     assert isinstance(out, LpResult)
     with pytest.raises(AttributeError):
         out.status = "other"
+
+
+# ---------------------------------------------------------------------------
+# warm-start token soundness (property tests)
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(
+    max_examples=60, deadline=None, derandomize=True, database=None
+)
+
+
+def _check_exact(out, costs, columns, rhs, senses):
+    """``out`` agrees with the enumeration oracle; an optimal one carries
+    a feasible primal and dual-feasible duals with y.b equal to its value."""
+    feasible, best = _enum_oracle(costs, columns, rhs, senses)
+    if not feasible:
+        assert out.status == "infeasible"
+        return
+    assert out.status == "optimal"
+    assert out.value == best
+    assert sum(Fraction(costs[j]) * v for j, v in out.primal.items()) == best
+    for r, (b, s) in enumerate(zip(rhs, senses)):
+        lhs = sum(
+            Fraction(a) * out.primal.get(j, 0)
+            for j, col in enumerate(columns)
+            for row, a in col
+            if row == r
+        )
+        assert lhs == b if s == "=" else lhs >= b
+    y = out.duals
+    assert sum(yy * Fraction(b) for yy, b in zip(y, rhs)) == out.value
+    for cost, col in zip(costs, columns):
+        assert Fraction(cost) - sum(y[r] * a for r, a in col) >= 0
+    for r, s in enumerate(senses):
+        if s == ">=":
+            assert y[r] >= 0
+
+
+def _check_chain(lp, cuts):
+    """Solve growing column prefixes, each warm from the previous token,
+    and compare every step with a cold solve and with the oracle."""
+    costs, columns, rhs, senses = lp
+    token = None
+    for k in cuts:
+        step = (costs[:k], columns[:k], rhs, senses)
+        warm = solve_lp(*step, basis=token)
+        cold = solve_lp(*step)
+        assert (warm.status, warm.value) == (cold.status, cold.value)
+        _check_exact(warm, *step)
+        token = warm.basis
+
+
+@st.composite
+def _set_lps(draw, min_rows=1):
+    """A 0/1 partitioning or covering LP over 1-3 element rows with
+    nonnegative integer costs, sometimes with a cardinality row (the last
+    row).  Yields the LP and its number of element rows."""
+    m = draw(st.integers(min_rows, 3))
+    sense = draw(st.sampled_from(("=", ">=")))
+    card = draw(st.none() | st.integers(1, m))
+    tail = () if card is None else ((m, 1),)
+    subsets = st.sets(st.integers(0, m - 1), min_size=1).map(sorted)
+    columns = [
+        tuple((r, 1) for r in rows) + tail
+        for rows in draw(st.lists(subsets, min_size=1, max_size=7))
+    ]
+    costs = draw(st.lists(
+        st.integers(0, 30), min_size=len(columns), max_size=len(columns)
+    ))
+    rhs = [1] * m + ([] if card is None else [card])
+    senses = [sense] * m + ([] if card is None else ["="])
+    return (costs, columns, rhs, senses), m
+
+
+@st.composite
+def _fractional_lps(draw):
+    """Rows of either sense with fractional coefficients, right-hand sides
+    and costs."""
+    m = draw(st.integers(1, 3))
+    coeff = st.sampled_from(
+        (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), 1, Fraction(3, 2), 2)
+    )
+    n = draw(st.integers(1, 6))
+    columns = []
+    for _ in range(n):
+        rows = draw(st.sets(st.integers(0, m - 1), min_size=1))
+        columns.append(tuple((r, draw(coeff)) for r in sorted(rows)))
+    fraction = st.builds(Fraction, st.integers(0, 20), st.integers(1, 6))
+    costs = draw(st.lists(fraction, min_size=n, max_size=n))
+    rhs = draw(st.lists(
+        st.builds(Fraction, st.integers(1, 6), st.integers(1, 4)),
+        min_size=m, max_size=m,
+    ))
+    senses = draw(st.lists(st.sampled_from(("=", ">=")), min_size=m, max_size=m))
+    return costs, columns, rhs, senses
+
+
+def _cuts(data, n):
+    """Increasing column counts ending at ``n``."""
+    return sorted(data.draw(st.sets(st.integers(1, n), max_size=3)) | {n})
+
+
+@PROPERTY
+@given(_set_lps(), st.data())
+def test_token_chain_over_appended_columns_matches_cold_and_oracle(case, data):
+    lp, _ = case
+    _check_chain(lp, _cuts(data, len(lp[1])))
+
+
+@PROPERTY
+@given(_fractional_lps(), st.data())
+def test_token_chain_stays_exact_on_fractional_data(lp, data):
+    _check_chain(lp, _cuts(data, len(lp[1])))
+
+
+@PROPERTY
+@given(_set_lps(min_rows=2), st.data())
+def test_token_is_not_reused_when_a_basic_column_changed(case, data):
+    (costs, columns, rhs, senses), m = case
+    first = solve_lp(costs, columns, rhs, senses)
+    if not first.primal:
+        return          # no caller column is basic at a positive value
+    j = data.draw(st.sampled_from(sorted(first.primal)))
+    tail = tuple(e for e in columns[j] if e[0] >= m)
+    others = [
+        rows
+        for k in range(1, m + 1)
+        for rows in combinations(range(m), k)
+        if tuple((r, 1) for r in rows) + tail != columns[j]
+    ]
+    rows = data.draw(st.sampled_from(others))
+    changed = list(columns)
+    changed[j] = tuple((r, 1) for r in rows) + tail
+    again = solve_lp(costs, changed, rhs, senses, basis=first.basis)
+    assert again == solve_lp(costs, changed, rhs, senses)
+    _check_exact(again, costs, changed, rhs, senses)
+
+
+@PROPERTY
+@given(_fractional_lps(), st.data())
+def test_token_under_another_right_hand_side_matches_cold(lp, data):
+    costs, columns, rhs, senses = lp
+    first = solve_lp(costs, columns, rhs, senses)
+    other = data.draw(st.lists(
+        st.builds(Fraction, st.integers(0, 6), st.integers(1, 4)),
+        min_size=len(rhs), max_size=len(rhs),
+    ))
+    again = solve_lp(costs, columns, other, senses, basis=first.basis)
+    cold = solve_lp(costs, columns, other, senses)
+    assert (again.status, again.value) == (cold.status, cold.value)
+    _check_exact(again, costs, columns, other, senses)
