@@ -23,14 +23,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .master import (
-    POOL_FLOOR,
-    POOL_MAX_AGE,
-    POOL_PERIOD,
-    Rmp,
-    SmoothingState,
-    lagrangian_bound,
-)
+from .master import POOL_PERIOD, Rmp, SmoothingState, lagrangian_bound
 from .pricing import AdaptivePricer, ExactPricer, PricingConfig, PricingError
 
 DIVE_THRESHOLD = Fraction(3, 5)
@@ -48,9 +41,6 @@ class DriverConfig:
     eps: Fraction = Fraction(1, 10**6)        # millicost units
     smoothing: bool = True
     dive: bool = False
-    pool_period: int = POOL_PERIOD
-    pool_max_age: int = POOL_MAX_AGE
-    pool_floor: int = POOL_FLOOR
 
 
 def make_pricer(problem, config: DriverConfig):
@@ -252,7 +242,7 @@ def _cg_loop(problem, config, rmp, pricer, smoother, counters, traces, phase):
             smoother.alpha, misprice, len(rmp.pool), outcome.stats,
             rmp.last_pivots,
         ))
-        if config.pool_period and it % config.pool_period == 0:
+        if it % POOL_PERIOD == 0:
             rmp.manage_pool(it)
     return "iteration_limit", sol, best_bound
 
@@ -261,13 +251,18 @@ def _integral(sol) -> bool:
     return all(v.denominator == 1 for v in sol.primal.values())
 
 
+def _smoother(config):
+    return SmoothingState() if config.smoothing else SmoothingState(Fraction(0))
+
+
 def _dive(problem, config, rmp, pricer, counters, traces, root_sol):
+    """Fix columns of the optimal ``root_sol`` until the master is integral;
+    ``dive_failed`` when a residual master is not optimal or the guard
+    runs out."""
     sol = root_sol
-    smoother = SmoothingState() if config.smoothing else SmoothingState(Fraction(0))
+    smoother = _smoother(config)
     guard = len(problem.elements) + 5
     for _ in range(guard):
-        if sol.status != "optimal":
-            return DiveReport("dive_failed", None, len(rmp.fixed), None)
         if _integral(sol):
             residual = sol.lp_value
             return DiveReport(
@@ -285,10 +280,8 @@ def _dive(problem, config, rmp, pricer, counters, traces, root_sol):
         status, sol, _ = _cg_loop(
             problem, config, rmp, pricer, smoother, counters, traces, "dive"
         )
-        if status == "infeasible":
-            return DiveReport("dive_failed", None, len(rmp.fixed), None)
-        if status == "iteration_limit":
-            return DiveReport("dive_failed", None, len(rmp.fixed), None)
+        if status != "optimal":
+            break
     return DiveReport("dive_failed", None, len(rmp.fixed), None)
 
 
@@ -297,9 +290,9 @@ def solve(problem, config: DriverConfig | None = None) -> RunReport:
     optionally dive for an integral solution."""
     config = config or DriverConfig()
     t0 = time.perf_counter()
-    rmp = Rmp(problem, pool_floor=config.pool_floor, max_age=config.pool_max_age)
+    rmp = Rmp(problem)
     pricer = make_pricer(problem, config)
-    smoother = SmoothingState() if config.smoothing else SmoothingState(Fraction(0))
+    smoother = _smoother(config)
     counters = _Counters(config.max_iterations)
     traces = []
 

@@ -2,19 +2,23 @@
 
 Two engines share one count-based retention core (:func:`_insert`):
 
-* :func:`label_search` -- monodirectional label setting over an explicit
-  layered DAG.  Used for path-level pricing over subpath/bucket graphs and
-  generic enough for direct use in tests.
+* :func:`label_search` -- a layer-by-layer search over per-block item
+  lists: every path takes one item (a bucket or a subpath) from each
+  block, and the items' contribution vectors aggregate per coordinate by
+  sum or max.  The pricers run it with bucket lower corners (optimistic
+  bound), with representatives (pessimistic bound) and over Pareto-kept
+  subpaths (enumerative benchmark); :func:`through_values` runs the same
+  pass forward and over the reversed block list for the merge criterion.
 * :func:`elementary_rcspp` -- elementary resource-constrained search over
   one block of a nested problem, used to compute bucket representatives
   and as the default per-block subpath pricer.
 
 Dominance is configured per resource coordinate: ``LE`` (smaller-or-equal
-dominates), ``EQ`` (values must match), or ``IGNORE``.  Both engines keep
-up to ``top_k`` mutually non-dominated labels per node -- a label is only
-discarded once at least ``top_k`` stored labels dominate it -- which makes
-the returned result list a prefix of the fully enumerated, rcost-sorted
-solution list.
+dominates) or ``EQ`` (values must match); the layered search uses ``LE``
+throughout.  Both engines keep up to ``top_k`` mutually non-dominated
+labels per node -- a label is only discarded once at least ``top_k``
+stored labels dominate it -- which makes the returned result list a
+prefix of the fully enumerated, rcost-sorted solution list.
 
 Bucket fill.  A contribution box fixes the dominance mode of every
 coordinate -- its *dominance signature*: ``EQ`` where the box's lower
@@ -37,63 +41,21 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from operator import add
+from operator import add, mul
 
-from .model import Duals, ScaledDuals, Subpath
+from .model import SUM, Duals, ScaledDuals, Subpath
 
 LE = "le"
 EQ = "eq"
-IGNORE = "ignore"
 
 
 class LabelingError(ValueError):
-    """Raised for inputs the engines cannot handle (e.g. malformed DAGs)."""
-
-
-@dataclass(frozen=True)
-class DominanceRule:
-    modes: tuple            # one of LE / EQ / IGNORE per resource coordinate
-    elementary: bool = False
-
-
-@dataclass(frozen=True)
-class ArcStep:
-    """Extension applied when an arc is traversed.
-
-    ``ops`` holds one (kind, value) pair per resource coordinate:
-    ``("add", d)`` for additive deltas, ``("max", c)`` for running maxima,
-    ``("set", c)`` to overwrite (used on first-layer arcs so maxima never
-    need a neutral element).
-    """
-
-    rcost: int
-    ops: tuple
-
-
-@dataclass(frozen=True)
-class LayeredDag:
-    """Explicit layered DAG; arcs only connect consecutive layers."""
-
-    layers: tuple   # tuple of tuples of node ids; layers[0] = (source,), layers[-1] = (sink,)
-    arcs: tuple     # tuple of (u, v) pairs
-
-    def __post_init__(self):
-        pos = {}
-        for li, layer in enumerate(self.layers):
-            for v in layer:
-                if v in pos:
-                    raise LabelingError(f"node {v} appears in two layers")
-                pos[v] = li
-        for u, v in self.arcs:
-            if u not in pos or v not in pos:
-                raise LabelingError(f"arc ({u}, {v}) uses an unknown node")
-            if pos[v] != pos[u] + 1:
-                raise LabelingError(f"arc ({u}, {v}) skips layers")
+    """Raised for inputs the engines cannot handle."""
 
 
 @dataclass(frozen=True)
 class SearchResult:
-    nodes: tuple
+    nodes: tuple        # one item per block
     rcost: int
     resources: tuple
 
@@ -119,28 +81,6 @@ class _Label:
             lab = lab.pred
         out.reverse()
         return tuple(out)
-
-
-def _dominance(modes, elementary):
-    """``dominates(a, b)`` for per-coordinate ``modes`` over ``res``."""
-    le = [i for i, m in enumerate(modes) if m == LE]
-    eq = [i for i, m in enumerate(modes) if m == EQ]
-
-    def dominates(a: _Label, b: _Label) -> bool:
-        if a.rcost > b.rcost:
-            return False
-        if elementary and (a.visited & ~b.visited):
-            return False
-        x, y = a.res, b.res
-        for i in le:
-            if x[i] > y[i]:
-                return False
-        for i in eq:
-            if x[i] != y[i]:
-                return False
-        return True
-
-    return dominates
 
 
 def _insert(store: list, label: _Label, dominates, top_k) -> bool:
@@ -176,108 +116,141 @@ def _insert(store: list, label: _Label, dominates, top_k) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# layered DAG search
+# layered search over per-block item lists
 # ---------------------------------------------------------------------------
 
 
-def _apply_ops(ops, res):
-    out = list(res)
-    for i, (kind, val) in enumerate(ops):
-        if kind == "add":
-            out[i] += val
-        elif kind == "set":
-            out[i] = val
-        elif kind == "max":
-            if val > out[i]:
-                out[i] = val
-        else:
-            raise LabelingError(f"unknown ref op {kind!r}")
-    return tuple(out)
+def _within(checks):
+    """``ok(res)``: whether ``res`` satisfies every (weights, bound)."""
+
+    def ok(res):
+        for weights, bound in checks:
+            if sum(map(mul, weights, res)) > bound:
+                return False
+        return True
+
+    return ok
 
 
-def label_search(
-    dag: LayeredDag,
-    refs,
-    dominance: DominanceRule,
-    windows=None,
-    top_k: int = 1,
-    *,
-    start=None,
-    sink_checks=(),
-    prune_checks=(),
-):
-    """Find up to ``top_k`` cheapest feasible source-to-sink paths.
+def _layer_rules(aggs, checks, prune):
+    """(combine, dominates, admits, partial_ok) for flat vectors whose
+    coordinates aggregate by ``aggs`` (``SUM`` or ``MAX``)."""
+    ops = [add if agg == SUM else max for agg in aggs]
+    if all(op is add for op in ops):
+        def combine(x, y):
+            return tuple(map(add, x, y))
+    else:
+        def combine(x, y):
+            return tuple([op(a, b) for op, a, b in zip(ops, x, y)])
+    coords = range(len(aggs))
 
-    ``refs`` maps each arc (u, v) to its :class:`ArcStep`.  ``windows``
-    optionally maps a node to per-coordinate (lo, hi) bounds checked on
-    arrival (None = unbounded).  ``sink_checks`` is a sequence of
-    (weights, bound) linear predicates enforced on the final resource
-    vector; ``prune_checks`` is a same-length sequence of bools marking
-    which of them may also prune partial labels (only sound when the
-    weighted value cannot decrease along any extension).
+    def dominates(a: _Label, b: _Label) -> bool:
+        if a.rcost > b.rcost:
+            return False
+        x, y = a.res, b.res
+        for i in coords:
+            if x[i] > y[i]:
+                return False
+        return True
 
-    Returns :class:`SearchResult` objects sorted by (rcost, resources,
-    node sequence); the rcost sequence is a prefix of the sorted rcosts of
-    all feasible paths.
+    partial = [check for check, flag in zip(checks, prune) if flag]
+    return combine, dominates, _within(checks), _within(partial)
+
+
+def _forward(layers, rules, top_k):
+    """Label stores of every item, one list of stores per layer.
+
+    A first-layer label takes its item's vector as it is; a later label
+    extends a stored label of the previous layer by one item.  Labels are
+    offered in a fixed order -- the previous layer's items in list order,
+    each item's labels in store order, the new layer's items in list
+    order -- so ties between equal labels always resolve the same way.
+    """
+    combine, dominates, _, partial_ok = rules
+    stores = [[
+        [_Label(item, rcost, tuple(vec))] if partial_ok(vec) else []
+        for item, rcost, vec in layers[0]
+    ]]
+    for layer in layers[1:]:
+        new = [[] for _ in layer]
+        for store in stores[-1]:
+            for lab in store:
+                rcost, res = lab.rcost, lab.res
+                for (item, step, vec), target in zip(layer, new):
+                    ext = combine(res, vec)
+                    if partial_ok(ext):
+                        _insert(target, _Label(item, rcost + step, ext, pred=lab),
+                                dominates, top_k)
+        stores.append(new)
+    return stores
+
+
+def label_search(layers, aggs, checks, prune=(), top_k: int = 1):
+    """Up to ``top_k`` cheapest paths taking one item from every layer.
+
+    ``layers`` holds one list per block of (item, rcost, vector) triples:
+    any item token, its scaled reduced cost and its flat contribution
+    vector.  Coordinate c of a path's vector is the sum or the max
+    (``aggs[c]``) of its items' values.  ``checks`` holds (weights, bound)
+    predicates every path's vector must satisfy; those that ``prune``
+    marks also prune partial paths (only sound when the weighted value
+    cannot decrease as blocks are added).
+
+    Returns :class:`SearchResult` objects sorted by (rcost, vector,
+    items); the rcost sequence is a prefix of the sorted rcosts of all
+    feasible paths.
     """
     if top_k < 1:
         raise LabelingError("top_k must be positive")
-    n_coords = len(dominance.modes)
-    if start is None:
-        start = (0,) * n_coords
-    windows = windows or {}
-    source = dag.layers[0][0]
-    sink = dag.layers[-1][0]
+    rules = _layer_rules(aggs, checks, prune)
+    _, dominates, admits, _ = rules
+    sink = []
+    for store in _forward(layers, rules, top_k)[-1]:
+        for lab in store:
+            if admits(lab.res):
+                _insert(sink, lab, dominates, top_k)
+    sink.sort(key=lambda l: (l.rcost, l.res, l.sequence()))
+    return [SearchResult(lab.sequence(), lab.rcost, lab.res) for lab in sink[:top_k]]
 
-    adjacency = {}
-    for u, v in dag.arcs:
-        adjacency.setdefault(u, []).append(v)
 
-    dominates = _dominance(dominance.modes, dominance.elementary)
-    store = {source: [_Label(source, 0, tuple(start))]}
-    for layer in dag.layers[:-1]:
-        for u in layer:
-            for lab in store.get(u, ()):
-                if not lab.alive:
+def through_values(layers, aggs, checks, prune=()):
+    """Smallest rcost of a feasible path through each item, one list per
+    layer (``math.inf`` where no feasible path passes the item).
+
+    An item's labels from the forward pass are joined with the labels
+    that a pass over the reversed layers keeps at the next layer's items;
+    Pareto dominance on both sides loses no minimum, since extending a
+    dominating label keeps it dominating.
+    """
+    rules = _layer_rules(aggs, checks, prune)
+    combine, _, admits, _ = rules
+    fwd = _forward(layers, rules, 1)
+    bwd = _forward(layers[::-1], rules, 1)[::-1]
+    out = []
+    for bi, stores in enumerate(fwd):
+        tails = None
+        if bi + 1 < len(layers):
+            tails = sorted(
+                ((lab.rcost, lab.res) for store in bwd[bi + 1] for lab in store),
+                key=lambda t: t[0],
+            )
+        values = []
+        for store in stores:
+            best = math.inf
+            for lab in store:
+                if tails is None:
+                    if lab.rcost < best and admits(lab.res):
+                        best = lab.rcost
                     continue
-                for v in adjacency.get(u, ()):
-                    step = refs[(u, v)]
-                    res = _apply_ops(step.ops, lab.res)
-                    win = windows.get(v)
-                    if win is not None:
-                        bad = False
-                        for (lo, hi), val in zip(win, res):
-                            if lo is not None and val < lo:
-                                bad = True
-                                break
-                            if hi is not None and val > hi:
-                                bad = True
-                                break
-                        if bad:
-                            continue
-                    if v == sink:
-                        ok = all(
-                            sum(w * x for w, x in zip(weights, res)) <= bound
-                            for weights, bound in sink_checks
-                        )
-                        if not ok:
-                            continue
-                    elif prune_checks:
-                        bad = False
-                        for (weights, bound), prune in zip(sink_checks, prune_checks):
-                            if prune and sum(w * x for w, x in zip(weights, res)) > bound:
-                                bad = True
-                                break
-                        if bad:
-                            continue
-                    new = _Label(v, lab.rcost + step.rcost, res, pred=lab)
-                    _insert(store.setdefault(v, []), new, dominates, top_k)
-
-    finals = [lab for lab in store.get(sink, ()) if lab.alive]
-    finals.sort(key=lambda l: (l.rcost, l.res, l.sequence()))
-    return [
-        SearchResult(lab.sequence(), lab.rcost, lab.res) for lab in finals[:top_k]
-    ]
+                for rcost, res in tails:
+                    total = lab.rcost + rcost
+                    if total >= best:
+                        break
+                    if admits(combine(lab.res, res)):
+                        best = total
+            values.append(best)
+        out.append(values)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -39,22 +39,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .buckets import COMPUTED, EMPTY, FRESH, Partition, compute_representative
-from .labeling import (
-    LE,
-    ArcStep,
-    DominanceRule,
-    LayeredDag,
-    block_view,
-    label_search,
-)
+from .labeling import block_view, label_search, through_values
 from .model import (
-    SUM,
     Duals,
     Path,
     ScaledDuals,
     Subpath,
     check_path_feasible,
 )
+
+
+# merge evaluates exact through-values while no block has more buckets
+MERGE_EXACT_LIMIT = 64
 
 
 class PricingError(RuntimeError):
@@ -69,7 +65,6 @@ class PricingConfig:
     reuse: bool = False
     columns_per_call: int = 10
     until: str = "column"                # stop refining at first column, or "closure"
-    merge_exact_limit: int = 64          # per-block bucket count for the exact criterion
 
 
 @dataclass
@@ -90,132 +85,40 @@ def _scaled(duals) -> ScaledDuals:
     return duals
 
 
-def _agg_of_coords(problem):
-    return tuple(r.agg for r in problem.path_resources for _ in range(r.dim))
-
-
-def _sink_checks(problem):
+def _path_rules(problem):
+    """Per-coordinate aggregators, sink predicates and prune flags of the
+    layered search (``labeling.label_search``)."""
+    aggs = tuple(r.agg for r in problem.path_resources for _ in range(r.dim))
     d = problem.total_coords
     checks = []
     for r, off in zip(problem.path_resources, problem.coord_offset):
         weights = [0] * d
         weights[off:off + r.dim] = list(r.a)
         checks.append((tuple(weights), r.b))
-    return tuple(checks)
+    return aggs, tuple(checks), problem.monotone
 
 
-def _combine(aggs, left, right):
-    if left is None:
-        return tuple(right)
-    return tuple(
-        x + y if agg == SUM else max(x, y)
-        for agg, x, y in zip(aggs, left, right)
-    )
-
-
-def _admits(problem, vec):
-    for r, off in zip(problem.path_resources, problem.coord_offset):
-        if sum(w * vec[off + i] for i, w in enumerate(r.a)) > r.b:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# layered search over per-block item lists (buckets or subpaths)
-# ---------------------------------------------------------------------------
-
-
-def _search_items(problem, items_per_block, vec_of, rcost_of, convexity, top_k):
-    """Price paths choosing one item per block.
-
-    Items are arbitrary hashable tokens; ``vec_of`` maps an item to the
-    contribution vector it adds (flat), ``rcost_of`` to its scaled reduced
-    cost.  Returns labeling.SearchResult objects whose node sequences are
-    ("src", item, ..., item, "snk").
-    """
-    aggs = _agg_of_coords(problem)
-    layers = [("src",)] + [tuple(items) for items in items_per_block] + [("snk",)]
-    arcs = []
-    refs = {}
-    for i, items in enumerate(items_per_block):
-        prev = layers[i]
-        for item in items:
-            vec = vec_of(item)
-            if i == 0:
-                ops = tuple(("set", v) for v in vec)
-                step = ArcStep(rcost_of(item) - convexity, ops)
-            else:
-                ops = tuple(
-                    ("add" if agg == SUM else "max", v)
-                    for agg, v in zip(aggs, vec)
-                )
-                step = ArcStep(rcost_of(item), ops)
-            for u in prev:
-                arcs.append((u, item))
-                refs[(u, item)] = step
-    noop = ArcStep(0, tuple(("add", 0) for _ in aggs))
-    for u in layers[-2]:
-        arcs.append((u, "snk"))
-        refs[(u, "snk")] = noop
-
-    dag = LayeredDag(tuple(layers), tuple(arcs))
-    dominance = DominanceRule(modes=(LE,) * problem.total_coords)
-    return label_search(
-        dag,
-        refs,
-        dominance,
-        top_k=top_k,
-        sink_checks=_sink_checks(problem),
-        prune_checks=problem.monotone,
-    )
+def _layers(items_per_block, vec_of, rcost_of, convexity):
+    """One (item, scaled rcost, flat vector) list per block for the
+    layered search; the first block carries the convexity dual."""
+    layers = [
+        [(item, rcost_of(item), vec_of(item)) for item in items]
+        for items in items_per_block
+    ]
+    layers[0] = [(item, rc - convexity, vec) for item, rc, vec in layers[0]]
+    return layers
 
 
 def _through_values(problem, items_per_block, vec_of, rcost_of, convexity):
-    """Exact optimistic through-value per item, by combining Pareto sets
-    of prefix and suffix block combinations around each block."""
-    aggs = _agg_of_coords(problem)
-    n = len(items_per_block)
-
-    def prune(states):
-        states = sorted(set(states))
-        kept = []
-        for r, v in states:
-            if not any(r2 <= r and all(x <= y for x, y in zip(v2, v)) for r2, v2 in kept):
-                kept.append((r, v))
-        return kept
-
-    fwd = [[(0, None)]]
-    for items in items_per_block:
-        nxt = []
-        for r, v in fwd[-1]:
-            for item in items:
-                nxt.append((r + rcost_of(item), _combine(aggs, v, vec_of(item))))
-        fwd.append(prune([(r, v) for r, v in nxt]))
-    bwd = [[(0, None)]]
-    for items in reversed(items_per_block):
-        nxt = []
-        for r, v in bwd[-1]:
-            for item in items:
-                nxt.append((r + rcost_of(item), _combine(aggs, v, vec_of(item))))
-        bwd.append(prune([(r, v) for r, v in nxt]))
-    bwd.reverse()
-
-    out = {}
-    for bi, items in enumerate(items_per_block):
-        for item in items:
-            best = math.inf
-            base = rcost_of(item)
-            vec = vec_of(item)
-            for r1, v1 in fwd[bi]:
-                for r2, v2 in bwd[bi + 1]:
-                    total = _combine(aggs, _combine(aggs, v1, vec), v2) \
-                        if v2 is not None else _combine(aggs, v1, vec)
-                    if _admits(problem, total):
-                        val = r1 + base + r2 - convexity
-                        if val < best:
-                            best = val
-            out[item] = best
-    return out
+    """Exact optimistic through-value per item: the cheapest feasible path
+    through it (``labeling.through_values``)."""
+    layers = _layers(items_per_block, vec_of, rcost_of, convexity)
+    values = through_values(layers, *_path_rules(problem))
+    return {
+        item: value
+        for layer, row in zip(layers, values)
+        for (item, _, _), value in zip(layer, row)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +142,7 @@ class AdaptivePricer:
         self.config = config or PricingConfig()
         if self.config.strategy not in ("representative", "midpoint"):
             raise PricingError(f"unknown strategy {self.config.strategy!r}")
+        self.rules = _path_rules(problem)
         self.partition: Partition | None = None
         self.banned = frozenset()
         self.refines_per_block = [0] * len(problem.blocks)
@@ -275,10 +179,7 @@ class AdaptivePricer:
         dominance signature."""
         groups = {}
         for bucket in self.partition.all_buckets():
-            if bucket.status == FRESH or (
-                bucket.status == COMPUTED
-                and banned.intersection(bucket.rep.subpath.nodes)
-            ):
+            if bucket.status == FRESH:
                 view = block_view(self.problem, bucket.block)
                 key = (bucket.block, view.modes(bucket.box))
                 groups.setdefault(key, []).append(bucket)
@@ -306,7 +207,7 @@ class AdaptivePricer:
         for res in results:
             if res.rcost >= 0:
                 continue
-            subpaths = tuple(b.rep.subpath for b in res.nodes[1:-1])
+            subpaths = tuple(b.rep.subpath for b in res.nodes)
             path = check_path_feasible(self.problem, subpaths)
             if not isinstance(path, Path):
                 raise PricingError("pessimistic assembly produced an infeasible path")
@@ -332,7 +233,7 @@ class AdaptivePricer:
         merges = 0
         exact_through = {}
         use_exact = all(
-            len(self.partition.buckets(bi)) <= self.config.merge_exact_limit
+            len(self.partition.buckets(bi)) <= MERGE_EXACT_LIMIT
             for bi in range(len(self.problem.blocks))
         )
         if use_exact:
@@ -389,13 +290,10 @@ class AdaptivePricer:
                             scaled.value(k) for k in sp.nodes
                         )
                 tick = time.perf_counter()
-                results = _search_items(
-                    self.problem,
-                    live,
-                    lambda b: b.rep.vector,
-                    lambda b: stale_rc[b],
-                    scaled.convexity,
-                    cfg.columns_per_call,
+                results = label_search(
+                    _layers(live, lambda b: b.rep.vector, stale_rc.__getitem__,
+                            scaled.convexity),
+                    *self.rules, top_k=cfg.columns_per_call,
                 )
                 self.timers["pessimistic"] += time.perf_counter() - tick
                 self.totals["pessimistic_runs"] += 1
@@ -431,10 +329,10 @@ class AdaptivePricer:
                 break
 
             tick = time.perf_counter()
-            opt = _search_items(
-                self.problem, live,
-                lambda b: b.lo, lambda b: b.rep.rcost,
-                scaled.convexity, 1,
+            opt = label_search(
+                _layers(live, lambda b: b.lo, lambda b: b.rep.rcost,
+                        scaled.convexity),
+                *self.rules,
             )
             self.timers["optimistic"] += time.perf_counter() - tick
             self.totals["optimistic_runs"] += 1
@@ -453,10 +351,10 @@ class AdaptivePricer:
                 break
 
             tick = time.perf_counter()
-            pes = _search_items(
-                self.problem, live,
-                lambda b: b.rep.vector, lambda b: b.rep.rcost,
-                scaled.convexity, cfg.columns_per_call,
+            pes = label_search(
+                _layers(live, lambda b: b.rep.vector, lambda b: b.rep.rcost,
+                        scaled.convexity),
+                *self.rules, top_k=cfg.columns_per_call,
             )
             self.timers["pessimistic"] += time.perf_counter() - tick
             self.totals["pessimistic_runs"] += 1
@@ -475,7 +373,7 @@ class AdaptivePricer:
                 )
                 break
 
-            targets = [b for b in opt[0].nodes[1:-1] if not b.pinned]
+            targets = [b for b in opt[0].nodes if not b.pinned]
             if not targets:
                 raise PricingError(
                     "optimistic path fully pinned yet the sandwich is open"
@@ -599,6 +497,7 @@ class ExactPricer:
     def __init__(self, problem, config: PricingConfig | None = None):
         self.problem = problem
         self.config = config or PricingConfig()
+        self.rules = _path_rules(problem)
         self.totals = {"enumerated": 0, "kept": 0, "calls": 0}
 
     def price(self, duals, banned=frozenset(), exclude=frozenset()) -> PricingOutcome:
@@ -608,10 +507,8 @@ class ExactPricer:
         stats = {}
         self.totals["calls"] += 1
 
-        items_per_block = []
-        rcost = {}
-        vec = {}
-        subpath_of = {}
+        layers = []
+        kept_subpaths = []
         for bi in range(len(self.problem.blocks)):
             subpaths = _enumerate_subpaths(self.problem, bi, banned)
             if not subpaths:
@@ -635,23 +532,11 @@ class ExactPricer:
                 ):
                     kept.append((rc, flat, sp))
             self.totals["kept"] += len(kept)
-            items = []
-            for j, (rc, flat, sp) in enumerate(kept):
-                token = (bi, j)
-                rcost[token] = rc
-                vec[token] = flat
-                subpath_of[token] = sp
-                items.append(token)
-            items_per_block.append(items)
+            layers.append([(j, rc, flat) for j, (rc, flat, _) in enumerate(kept)])
+            kept_subpaths.append([sp for _, _, sp in kept])
+        layers[0] = [(j, rc - scaled.convexity, flat) for j, rc, flat in layers[0]]
 
-        results = _search_items(
-            self.problem,
-            items_per_block,
-            vec.__getitem__,
-            rcost.__getitem__,
-            scaled.convexity,
-            self.config.columns_per_call,
-        )
+        results = label_search(layers, *self.rules, top_k=self.config.columns_per_call)
         if not results:
             stats.update(self.totals)
             return PricingOutcome([], None, None, infeasible=True, stats=stats)
@@ -661,7 +546,7 @@ class ExactPricer:
         for res in results:
             if res.rcost >= 0:
                 continue
-            chain = tuple(subpath_of[token] for token in res.nodes[1:-1])
+            chain = tuple(subs[j] for subs, j in zip(kept_subpaths, res.nodes))
             path = check_path_feasible(self.problem, chain)
             if not isinstance(path, Path):
                 raise PricingError("exact pricer assembled an infeasible path")

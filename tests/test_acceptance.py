@@ -17,7 +17,8 @@ import pytest
 from nestedcg import driver, mpcvrp, synth
 from nestedcg.buckets import COMPUTED, Partition, compute_representative
 from nestedcg.cli import ExperimentSpec, run_experiment
-from nestedcg.pricing import AdaptivePricer, PricingConfig, _search_items
+from nestedcg.labeling import label_search
+from nestedcg.pricing import AdaptivePricer, PricingConfig, _layers, _path_rules
 
 REL_TOL = 1e-6
 
@@ -119,19 +120,21 @@ def _frozen_trajectory(problem, duals):
             for bi in range(len(problem.blocks))
         ]
         assert all(live)
-        opt = _search_items(
-            problem, live, lambda b: b.lo, lambda b: b.rep.rcost,
-            scaled.convexity, 1,
+        opt = label_search(
+            _layers(live, lambda b: b.lo, lambda b: b.rep.rcost,
+                    scaled.convexity),
+            *_path_rules(problem),
         )
-        pes = _search_items(
-            problem, live, lambda b: b.rep.vector, lambda b: b.rep.rcost,
-            scaled.convexity, 1,
+        pes = label_search(
+            _layers(live, lambda b: b.rep.vector, lambda b: b.rep.rcost,
+                    scaled.convexity),
+            *_path_rules(problem),
         )
         opts.append(opt[0].rcost)
         pess.append(pes[0].rcost if pes else None)
         if pes and opt[0].rcost == pes[0].rcost:
             return opts, pess, oracle[0] * scaled.denom
-        targets = [b for b in opt[0].nodes[1:-1] if not b.pinned]
+        targets = [b for b in opt[0].nodes if not b.pinned]
         assert targets, "an open sandwich must leave something to refine"
         for bucket in targets:
             for child in partition.refine_bucket(bucket, "representative"):

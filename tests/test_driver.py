@@ -3,10 +3,11 @@ plus trace integrity, determinism, and failure-path behaviour."""
 
 import json
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from nestedcg import master, synth
+from nestedcg import driver, master, synth
 from nestedcg.driver import (
     DriverConfig,
     DriverError,
@@ -239,13 +240,13 @@ def test_make_pricer_dispatch():
         make_pricer(problem, DriverConfig(pricer="cplex"))
 
 
-def test_pool_management_keeps_the_run_exact():
+def test_pool_management_keeps_the_run_exact(monkeypatch):
+    # a short period, age and floor force evictions on a small instance
+    monkeypatch.setattr(driver, "POOL_PERIOD", 2)
+    monkeypatch.setattr(driver, "Rmp", partial(master.Rmp, pool_floor=5, max_age=3))
     problem = synth.random_chain_instance(9)
     oracle = synth.oracle_lp(problem)
-    report = solve(
-        problem,
-        _config(problem, pool_period=2, pool_max_age=3, pool_floor=5),
-    )
+    report = solve(problem, _config(problem))
     sizes = [t.pool_size for t in report.traces]
     assert any(b < a for a, b in zip(sizes, sizes[1:])), "no eviction happened"
     assert report.status == oracle.status == "optimal"

@@ -1,21 +1,22 @@
-"""Labeling engine: DAG search semantics and block-level elementary search
-cross-checked against exhaustive enumeration."""
+"""Labeling engines: the layered search over item lists and the
+block-level elementary search, cross-checked against exhaustive
+enumeration."""
+
+import itertools
+import math
+import random
 
 import pytest
 
 from nestedcg import synth
 from nestedcg.labeling import (
-    EQ,
-    LE,
-    ArcStep,
-    DominanceRule,
-    LabelingError,
-    LayeredDag,
     block_view,
     elementary_rcspp,
     label_search,
+    through_values,
 )
 from nestedcg.model import (
+    MAX,
     SUM,
     Arc,
     Block,
@@ -26,81 +27,94 @@ from nestedcg.pricing import _enumerate_subpaths
 
 
 def _diamond():
-    dag = LayeredDag(
-        layers=(("s",), ("a", "b"), ("t",)),
-        arcs=(("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")),
-    )
-    refs = {
-        ("s", "a"): ArcStep(3, (("add", 1),)),
-        ("s", "b"): ArcStep(1, (("add", 5),)),
-        ("a", "t"): ArcStep(0, (("add", 0),)),
-        ("b", "t"): ArcStep(0, (("add", 0),)),
-    }
-    return dag, refs
+    # one block, two items: "a" costs 3 with vector (1,), "b" 1 with (5,)
+    return [[("a", 3, (1,)), ("b", 1, (5,))]]
 
 
 def test_label_search_picks_cheapest():
-    dag, refs = _diamond()
-    out = label_search(dag, refs, DominanceRule((LE,)))
+    out = label_search(_diamond(), (SUM,), ())
     assert len(out) == 1
-    assert out[0].nodes == ("s", "b", "t")
+    assert out[0].nodes == ("b",)
     assert out[0].rcost == 1
     assert out[0].resources == (5,)
 
 
 def test_label_search_top_k_is_sorted_prefix():
-    dag, refs = _diamond()
-    out = label_search(dag, refs, DominanceRule((LE,)), top_k=5)
+    out = label_search(_diamond(), (SUM,), (), top_k=5)
     assert [r.rcost for r in out] == [1, 3]
 
 
-def test_label_search_windows_filter_on_arrival():
-    dag, refs = _diamond()
-    out = label_search(
-        dag, refs, DominanceRule((LE,)), windows={"b": ((None, 4),)}
-    )
-    assert out[0].nodes == ("s", "a", "t")
-
-
 def test_label_search_sink_checks_and_pruning():
-    dag, refs = _diamond()
-    out = label_search(
-        dag, refs, DominanceRule((LE,)), sink_checks=(((1,), 2),)
-    )
-    assert out[0].nodes == ("s", "a", "t")
+    out = label_search(_diamond(), (SUM,), (((1,), 2),))
+    assert out[0].nodes == ("a",)
     # same predicate allowed to prune partial labels: identical answer
-    pruned = label_search(
-        dag,
-        refs,
-        DominanceRule((LE,)),
-        sink_checks=(((1,), 2),),
-        prune_checks=(True,),
-    )
+    pruned = label_search(_diamond(), (SUM,), (((1,), 2),), (True,))
     assert pruned == out
 
 
 def test_label_search_max_and_set_ops():
-    dag = LayeredDag(
-        layers=(("s",), ("a",), ("t",)), arcs=(("s", "a"), ("a", "t"))
-    )
-    refs = {
-        ("s", "a"): ArcStep(0, (("set", 7),)),
-        ("a", "t"): ArcStep(0, (("max", 3),)),
-    }
-    out = label_search(dag, refs, DominanceRule((LE,)))
-    assert out[0].resources == (7,)
-    refs[("a", "t")] = ArcStep(0, (("max", 11),))
-    out = label_search(dag, refs, DominanceRule((LE,)))
-    assert out[0].resources == (11,)
+    # the first block's vector is taken as it is; later blocks take maxima
+    layers = [[("a", 0, (7,))], [("t", 0, (3,))]]
+    assert label_search(layers, (MAX,), ())[0].resources == (7,)
+    layers[1] = [("t", 0, (11,))]
+    assert label_search(layers, (MAX,), ())[0].resources == (11,)
 
 
-def test_layered_dag_validation():
-    with pytest.raises(LabelingError):
-        LayeredDag(layers=(("s",), ("s",)), arcs=())
-    with pytest.raises(LabelingError):
-        LayeredDag(layers=(("s",), ("a",), ("t",)), arcs=(("s", "t"),))
-    with pytest.raises(LabelingError):
-        LayeredDag(layers=(("s",), ("t",)), arcs=(("s", "x"),))
+def _random_layers(rng):
+    """Small random layers, aggregators, predicates and sound prune flags.
+    ``MAX`` coordinates and unpruned ``SUM`` coordinates may go negative."""
+    n = rng.randint(1, 3)
+    aggs = tuple(rng.choice((SUM, MAX)) for _ in range(n))
+    signed = [agg == MAX or rng.random() < 0.3 for agg in aggs]
+    layers = [
+        [
+            ((li, j), rng.randint(-10, 10),
+             tuple(rng.randint(-5 if s else 0, 6) for s in signed))
+            for j in range(rng.randint(1, 4))
+        ]
+        for li in range(rng.randint(1, 4))
+    ]
+    checks, prune = [], []
+    for _ in range(rng.randint(0, 2)):
+        weights = tuple(rng.randint(0, 2) for _ in aggs)
+        checks.append((weights, rng.randint(-2, 12)))
+        sound = all(
+            w == 0 or agg == MAX or not s for w, agg, s in zip(weights, aggs, signed)
+        )
+        prune.append(sound and rng.random() < 0.7)
+    return layers, aggs, tuple(checks), tuple(prune)
+
+
+def _aggregate(aggs, vectors):
+    out = list(vectors[0])
+    for vec in vectors[1:]:
+        out = [x + y if agg == SUM else max(x, y) for agg, x, y in zip(aggs, out, vec)]
+    return tuple(out)
+
+
+def test_layered_search_matches_brute_force():
+    for seed in range(300):
+        rng = random.Random(seed)
+        layers, aggs, checks, prune = _random_layers(rng)
+        paths = []
+        for combo in itertools.product(*layers):
+            vec = _aggregate(aggs, [v for _, _, v in combo])
+            if all(sum(w * x for w, x in zip(ws, vec)) <= b for ws, b in checks):
+                paths.append((sum(rc for _, rc, _ in combo), vec,
+                              tuple(item for item, _, _ in combo)))
+        paths.sort()
+        for top_k in range(1, 5):
+            got = label_search(layers, aggs, checks, prune, top_k)
+            assert len(got) == min(top_k, len(paths)), seed
+            assert [r.rcost for r in got] == [p[0] for p in paths[: len(got)]], seed
+            assert all((r.rcost, r.resources, r.nodes) in paths for r in got), seed
+            if got:
+                assert (got[0].rcost, got[0].resources) == paths[0][:2], seed
+        through = through_values(layers, aggs, checks, prune)
+        for li, (layer, values) in enumerate(zip(layers, through)):
+            for (item, _, _), value in zip(layer, values):
+                want = min((p[0] for p in paths if p[2][li] == item), default=math.inf)
+                assert value == want, (seed, item)
 
 
 def test_dominance_eq_mode_protects_lower_bounded_coordinates():

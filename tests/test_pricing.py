@@ -7,13 +7,15 @@ import pytest
 
 from nestedcg import synth
 from nestedcg.buckets import COMPUTED, Partition, compute_representative
+from nestedcg.labeling import label_search
 from nestedcg.model import Duals, reduced_cost
 from nestedcg.pricing import (
     AdaptivePricer,
     ExactPricer,
     PricingConfig,
     PricingError,
-    _search_items,
+    _layers,
+    _path_rules,
 )
 
 SEEDS = range(1, 13)
@@ -117,19 +119,21 @@ def test_refinement_is_monotone_under_frozen_duals(seed):
             for bi in range(len(problem.blocks))
         ]
         assert all(live), "oracle found a path, so every block is alive"
-        opt = _search_items(
-            problem, live, lambda b: b.lo, lambda b: b.rep.rcost,
-            scaled.convexity, 1,
+        opt = label_search(
+            _layers(live, lambda b: b.lo, lambda b: b.rep.rcost,
+                    scaled.convexity),
+            *_path_rules(problem),
         )
-        pes = _search_items(
-            problem, live, lambda b: b.rep.vector, lambda b: b.rep.rcost,
-            scaled.convexity, 1,
+        pes = label_search(
+            _layers(live, lambda b: b.rep.vector, lambda b: b.rep.rcost,
+                    scaled.convexity),
+            *_path_rules(problem),
         )
         opts.append(opt[0].rcost)
         pess.append(pes[0].rcost)
         if opt[0].rcost == pes[0].rcost:
             break
-        targets = [b for b in opt[0].nodes[1:-1] if not b.pinned]
+        targets = [b for b in opt[0].nodes if not b.pinned]
         assert targets, "an open sandwich must leave something to refine"
         for bucket in targets:
             for child in part.refine_bucket(bucket, "representative"):
