@@ -16,7 +16,7 @@ coordinate space (``problem.total_coords`` entries).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from .labeling import elementary_rcspp
@@ -224,21 +224,6 @@ class Partition:
                     b.status = FRESH
                     b.rep = None
 
-    def dump(self):
-        return [
-            [
-                {
-                    "lo": list(b.lo),
-                    "hi": list(b.hi),
-                    "status": b.status,
-                    "rep_nodes": list(b.rep.subpath.nodes) if b.rep else None,
-                    "rep_rcost": b.rep.rcost if b.rep else None,
-                }
-                for b in bs
-            ]
-            for bs in self.per_block
-        ]
-
     # -- refinement ---------------------------------------------------------
 
     def refine_bucket(self, bucket: Bucket, strategy: str):
@@ -366,21 +351,19 @@ class Partition:
 def compute_representative(problem, buckets, duals, banned=frozenset()):
     """(Re)compute representatives under the given scaled duals.
 
-    ``buckets`` is a lone :class:`Bucket` -- its representative (or None)
-    is returned -- or a list of buckets of one block that share one
-    dominance signature (``labeling.BlockView.modes`` of their boxes),
-    which are filled by a single label search; the list of their
-    representatives is returned.  The shared search prunes with the
-    union of the boxes' upper bounds and sends each completed subpath to
-    the box holding its contribution vector, which yields for every
-    bucket exactly the representative its own search would (see
+    ``buckets`` lists buckets of one block that share one dominance
+    signature (``labeling.BlockView.modes`` of their boxes); a single
+    label search fills them all, and the list of their representatives is
+    returned.  The shared search prunes with the union of the boxes'
+    upper bounds and sends each completed subpath to the box holding its
+    contribution vector, which yields for every bucket exactly the
+    representative its own search would (see
     ``labeling.elementary_rcspp``).
 
     Marks a bucket EMPTY -- permanently -- when its box holds no feasible
     subpath contribution vector at all; EMPTY buckets are not searched.
     """
-    lone = isinstance(buckets, Bucket)
-    group = [buckets] if lone else list(buckets)
+    group = list(buckets)
     if len({b.block for b in group}) > 1:
         raise BucketError("buckets filled together must share a block")
     live = [b for b in group if b.status != EMPTY]
@@ -401,4 +384,4 @@ def compute_representative(problem, buckets, duals, banned=frozenset()):
             else:
                 bucket.status = EMPTY
                 bucket.rep = None
-    return group[0].rep if lone else [b.rep for b in group]
+    return [b.rep for b in group]

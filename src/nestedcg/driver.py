@@ -2,7 +2,7 @@
 
 Root solve: alternate exact restricted-master solves with pricing under
 (optionally smoothed) duals until the pricer certifies, under the pure
-master duals, that no path prices out below -eps.  Smoothing follows
+master duals, that no path prices out below -EPS.  Smoothing follows
 Wentges: duals sent to the pricer are a convex mix of the incumbent
 center and the fresh master duals; a misprice shrinks the mix weight and
 falls back to the pure duals in the same iteration, and the center moves
@@ -27,6 +27,8 @@ from .master import POOL_PERIOD, Rmp, SmoothingState, lagrangian_bound
 from .pricing import AdaptivePricer, ExactPricer, PricingConfig, PricingError
 
 DIVE_THRESHOLD = Fraction(3, 5)
+# pricing certifies optimality once no path prices below -EPS (millicost)
+EPS = Fraction(1, 10**6)
 
 
 class DriverError(RuntimeError):
@@ -38,7 +40,6 @@ class DriverConfig:
     pricer: str = "adaptive"                  # "adaptive" | "exact"
     pricing: PricingConfig = field(default_factory=PricingConfig)
     max_iterations: int = 50_000
-    eps: Fraction = Fraction(1, 10**6)        # millicost units
     smoothing: bool = True
     dive: bool = False
 
@@ -47,7 +48,7 @@ def make_pricer(problem, config: DriverConfig):
     if config.pricer == "adaptive":
         return AdaptivePricer(problem, config.pricing)
     if config.pricer == "exact":
-        return ExactPricer(problem, config.pricing)
+        return ExactPricer(problem)
     raise DriverError(f"unknown pricer {config.pricer!r}")
 
 
@@ -162,7 +163,6 @@ class _Counters:
 def _cg_loop(problem, config, rmp, pricer, smoother, counters, traces, phase):
     """Run column generation to optimality of the current (residual)
     master.  Returns (status, final RmpSolution or None, best bound)."""
-    eps = config.eps
     banned = rmp.banned
     best_bound = None
     sol = None
@@ -221,7 +221,7 @@ def _cg_loop(problem, config, rmp, pricer, smoother, counters, traces, phase):
                     raise PricingError(
                         "pricer certified nothing and offered nothing new"
                     )
-                if outcome.optimistic >= -eps:
+                if outcome.optimistic >= -EPS:
                     traces.append(Trace(
                         it, phase, sol.status, sol.lp_value, 0,
                         outcome.optimistic, smoother.alpha, misprice,

@@ -1,6 +1,6 @@
-"""Label-setting search engines.
+"""Label-setting search engines and the compiled block they run on.
 
-Two engines share one count-based retention core (:func:`_insert`):
+Two searches share one count-based retention core (:func:`_insert`):
 
 * :func:`label_search` -- a layer-by-layer search over per-block item
   lists: every path takes one item (a bucket or a subpath) from each
@@ -10,12 +10,18 @@ Two engines share one count-based retention core (:func:`_insert`):
   subpaths (enumerative benchmark); :func:`through_values` runs the same
   pass forward and over the reversed block list for the merge criterion.
 * :func:`elementary_rcspp` -- elementary resource-constrained search over
-  one block of a nested problem, used to compute bucket representatives
-  and as the default per-block subpath pricer.
+  one block of a nested problem under a list of contribution boxes: the
+  bucket fill.
+
+Both the fill and the enumerative pricer work on :class:`BlockView`, the
+one compiled form of a block (local element indices, padded subpath
+deltas, flat contribution deltas, sorted adjacency);
+:meth:`BlockView.subpaths` enumerates every feasible subpath of a block
+for the enumerative pricer.
 
 Dominance is configured per resource coordinate: ``LE`` (smaller-or-equal
 dominates) or ``EQ`` (values must match); the layered search uses ``LE``
-throughout.  Both engines keep up to ``top_k`` mutually non-dominated
+throughout.  Both searches keep up to ``top_k`` mutually non-dominated
 labels per node -- a label is only discarded once at least ``top_k``
 stored labels dominate it -- which makes the returned result list a
 prefix of the fully enumerated, rcost-sorted solution list.
@@ -43,7 +49,7 @@ from collections import deque
 from dataclasses import dataclass
 from operator import add, mul
 
-from .model import SUM, Duals, ScaledDuals, Subpath
+from .model import SUM, Subpath, as_scaled
 
 LE = "le"
 EQ = "eq"
@@ -321,6 +327,7 @@ class BlockView:
         self.coord_monotone = self._coord_monotone()
         self.sub_modes = tuple(LE if safe else EQ for safe in self._sub_le_safe())
         self._min_achievable = {}
+        self._subpaths = {}       # block-local banned mask -> subpaths
 
     def _coord_monotone(self):
         mono = [True] * self.n_coords
@@ -361,12 +368,54 @@ class BlockView:
         """Smallest contribution value on one coordinate over all feasible
         subpaths of the block; None when the block admits none at all."""
         if coord not in self._min_achievable:
+            unbounded = ((None, None),) * self.n_coords
             results = elementary_rcspp(
-                self.problem, self.index, objective=("coord", coord)
-            )
+                self.problem, self.index, boxes=[unbounded],
+                objective=("coord", coord),
+            )[0]
             # when minimizing a coordinate the reported rcost is its value
             self._min_achievable[coord] = results[0][1] if results else None
         return self._min_achievable[coord]
+
+    def subpaths(self, banned=frozenset()):
+        """Every feasible elementary subpath of the block that avoids
+        ``banned``, as (Subpath, flat contribution vector) pairs sorted by
+        node sequence.  Dual-independent, so cached per block-local ban
+        set."""
+        mask = 0
+        for k in banned:
+            if k in self.local:
+                mask |= 1 << self.local[k]
+        if mask in self._subpaths:
+            return self._subpaths[mask]
+        elements, sub_checks = self.elements, self.sub_checks
+        stack = []
+        for v, (cost, sub_d, flat) in enumerate(self.entry):
+            if mask >> v & 1:
+                continue
+            values = _extend_sub(sub_checks[v], (0,) * self.n_sub, sub_d)
+            if values is not None:
+                stack.append((v, (elements[v],), mask | 1 << v, values, cost, flat))
+        found = []
+        while stack:
+            u, nodes, visited, values, cost, flat = stack.pop()
+            exit_cost, _, exit_flat = self.exit[u]
+            contribs = tuple(map(add, flat, exit_flat))
+            found.append((
+                Subpath(self.index, nodes, cost + exit_cost,
+                        _unflatten(self.problem, contribs)),
+                contribs,
+            ))
+            for t, arc_cost, sub_d, arc_flat in self.arcs_out[u]:
+                if visited >> t & 1:
+                    continue
+                nxt = _extend_sub(sub_checks[t], values, sub_d)
+                if nxt is not None:
+                    stack.append((t, nodes + (elements[t],), visited | 1 << t, nxt,
+                                  cost + arc_cost, tuple(map(add, flat, arc_flat))))
+        found.sort(key=lambda pair: pair[0].nodes)
+        self._subpaths[mask] = tuple(found)
+        return self._subpaths[mask]
 
     def modes(self, box) -> tuple:
         """Dominance mode per contribution coordinate under a contribution
@@ -459,20 +508,19 @@ def elementary_rcspp(
     block_index: int,
     duals=None,
     *,
-    contribution_box=None,
-    boxes=None,
+    boxes,
     banned=frozenset(),
     top_k: int = 1,
     objective="rcost",
 ):
-    """Cheapest elementary subpaths of one block under per-element duals.
+    """Cheapest elementary subpaths of one block under per-element duals,
+    for each of a list of contribution boxes.
 
-    ``contribution_box`` optionally restricts the final contribution
+    ``boxes`` holds disjoint boxes that share one dominance signature
+    (:meth:`BlockView.modes`); each restricts the final contribution
     vector to per-coordinate [lo, hi] ranges (concatenated coordinate
-    space).  ``boxes`` instead takes a list of disjoint boxes that share
-    one dominance signature (:meth:`BlockView.modes`) and answers all of
-    them with a single search; a lone ``contribution_box`` is the
-    one-element case.  ``banned`` elements are skipped entirely.
+    space; None leaves an end open), and a single search answers them
+    all.  ``banned`` elements are skipped entirely.
     ``objective`` is "rcost" or ("coord", c) to minimize one contribution
     coordinate instead (used to decide when a box lower bound can
     actually bind).
@@ -491,28 +539,19 @@ def elementary_rcspp(
     coordinates and subpath resources: labels with different keys can
     never dominate one another, so insertion compares only within a key.
 
-    Returns up to ``top_k`` (Subpath, scaled_rcost) pairs sorted by
-    (reduced cost, contribution vector, node sequence) -- one such list
-    per box when ``boxes`` is given; the scale is ``duals.denom``.
+    Returns one list per box of up to ``top_k`` (Subpath, scaled_rcost)
+    pairs sorted by (reduced cost, contribution vector, node sequence);
+    the scale is ``duals.denom``.
     """
     view = block_view(problem, block_index)
-    single = boxes is None
-    if single:
-        boxes = [contribution_box]
-    elif contribution_box is not None:
-        raise LabelingError("pass contribution_box or boxes, not both")
     if not boxes:
         return []
-    unbounded = ((None, None),) * view.n_coords
-    boxes = [unbounded if box is None else tuple(box) for box in boxes]
+    boxes = [tuple(box) for box in boxes]
     modes = view.modes(boxes[0])
     if any(view.modes(box) != modes for box in boxes[1:]):
         raise LabelingError("boxes searched together must share a dominance signature")
 
-    if duals is None:
-        duals = ScaledDuals({}, 0, 1)
-    elif isinstance(duals, Duals):
-        duals = duals.scaled()
+    duals = as_scaled(duals)
     denom = duals.denom
 
     minimize_coord = None
@@ -631,7 +670,7 @@ def elementary_rcspp(
                 pred=lab, cost=lab.cost + cost, sub=values,
             ))
 
-    out = [
+    return [
         [
             (
                 Subpath(
@@ -646,7 +685,6 @@ def elementary_rcspp(
         ]
         for best in kept
     ]
-    return out[0] if single else out
 
 
 def _unflatten(problem, flat):

@@ -232,7 +232,11 @@ class ScaledDuals:
         return self.by_element.get(k, 0)
 
 
-ZERO_DUALS = Duals({}, 0)
+def as_scaled(duals) -> ScaledDuals:
+    """``Duals`` scaled, ``ScaledDuals`` as they are, None as all zero."""
+    if duals is None:
+        return ScaledDuals({}, 0, 1)
+    return duals.scaled() if isinstance(duals, Duals) else duals
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +258,7 @@ class NestedProblem:
     def __post_init__(self):
         self._validate()
         self._index()
-        self._views = {}       # labeling caches, keyed by block index
-        self._enum_cache = {}  # enumerative pricer caches
+        self._views = {}       # labeling block views, keyed by block index
 
     # -- validation ---------------------------------------------------
 
@@ -416,8 +419,7 @@ def _sub_step(problem, block_index, values, deltas, node):
     return tuple(out), bad
 
 
-def _contrib_step(problem, contribs, deltas):
-    n = len(problem.path_resources)
+def _contrib_step(contribs, deltas):
     if not deltas:
         return contribs
     return tuple(
@@ -452,7 +454,7 @@ def replay_subpath(problem: NestedProblem, block_index: int, nodes: Iterable):
     entry = block.entry_at(nodes[0])
     cost = entry.cost
     values, bad = _sub_step(problem, block_index, values, entry.sub_deltas, nodes[0])
-    contribs = _contrib_step(problem, contribs, entry.path_deltas)
+    contribs = _contrib_step(contribs, entry.path_deltas)
     if bad is not None:
         return cost, contribs, Violation("subpath_resource", bad, 1)
 
@@ -463,7 +465,7 @@ def replay_subpath(problem: NestedProblem, block_index: int, nodes: Iterable):
             raise ModelError(f"missing arc ({u}, {v}) in block {block_index}")
         cost += arc.cost
         values, bad = _sub_step(problem, block_index, values, arc.sub_deltas, v)
-        contribs = _contrib_step(problem, contribs, arc.path_deltas)
+        contribs = _contrib_step(contribs, arc.path_deltas)
         if bad is not None:
             return cost, contribs, Violation("subpath_resource", bad, pos + 1)
 
@@ -474,7 +476,7 @@ def replay_subpath(problem: NestedProblem, block_index: int, nodes: Iterable):
     subs = problem.block_subs[block_index]
     deltas = _padded(exit_.sub_deltas, len(subs))
     values = tuple(v + d for v, d in zip(values, deltas))
-    contribs = _contrib_step(problem, contribs, exit_.path_deltas)
+    contribs = _contrib_step(contribs, exit_.path_deltas)
     return cost, contribs, None
 
 
@@ -566,7 +568,7 @@ def reduced_cost(obj, duals: Duals):
 # declaration order, then every path-resource coordinate in order.
 
 
-def _flatten_deltas(problem_like, block_index, sub_deltas, path_deltas, n_sub, n_coords):
+def _flatten_deltas(sub_deltas, path_deltas, n_sub, n_coords):
     flat = list(_padded(sub_deltas, n_sub))
     if path_deltas:
         for vec in path_deltas:
@@ -600,7 +602,7 @@ def problem_to_json(problem: NestedProblem) -> dict:
         n_sub = len(problem.block_subs[bi])
         arcs = [
             [u, v, a.cost,
-             _flatten_deltas(problem, bi, a.sub_deltas, a.path_deltas, n_sub, n_coords)]
+             _flatten_deltas(a.sub_deltas, a.path_deltas, n_sub, n_coords)]
             for (u, v), a in sorted(block.arcs.items())
         ]
         blocks.append({"elements": list(block.elements), "arcs": arcs})
@@ -608,12 +610,12 @@ def problem_to_json(problem: NestedProblem) -> dict:
             e = block.entry_at(v)
             source_arcs.append(
                 [v, e.cost,
-                 _flatten_deltas(problem, bi, e.sub_deltas, e.path_deltas, n_sub, n_coords)]
+                 _flatten_deltas(e.sub_deltas, e.path_deltas, n_sub, n_coords)]
             )
             x = block.exit_at(v)
             sink_arcs.append(
                 [v, x.cost,
-                 _flatten_deltas(problem, bi, x.sub_deltas, x.path_deltas, n_sub, n_coords)]
+                 _flatten_deltas(x.sub_deltas, x.path_deltas, n_sub, n_coords)]
             )
     return {
         "name": problem.name,

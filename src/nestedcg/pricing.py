@@ -26,7 +26,8 @@ vector, so a block never sees more splits than it has distinct feasible
 contribution vectors.
 
 The enumerative pricer is the benchmark: enumerate every feasible
-subpath per block once (dual-independent, cached), keep the per-block
+subpath per block once (``labeling.BlockView.subpaths``;
+dual-independent, cached per block-local ban set), keep the per-block
 Pareto front under the current duals, and run the same layered search
 over individual subpaths.  Its bound is exact by construction.
 """
@@ -40,17 +41,13 @@ from fractions import Fraction
 
 from .buckets import COMPUTED, EMPTY, FRESH, Partition, compute_representative
 from .labeling import block_view, label_search, through_values
-from .model import (
-    Duals,
-    Path,
-    ScaledDuals,
-    Subpath,
-    check_path_feasible,
-)
+from .model import Path, as_scaled, check_path_feasible
 
 
 # merge evaluates exact through-values while no block has more buckets
 MERGE_EXACT_LIMIT = 64
+# path searches return at most this many columns per pricing call
+COLUMNS_PER_CALL = 10
 
 
 class PricingError(RuntimeError):
@@ -63,7 +60,6 @@ class PricingConfig:
     strategy: str = "representative"     # bucket splitting: representative | midpoint
     merge: bool = False
     reuse: bool = False
-    columns_per_call: int = 10
     until: str = "column"                # stop refining at first column, or "closure"
 
 
@@ -75,14 +71,6 @@ class PricingOutcome:
     infeasible: bool = False             # no feasible path exists under current bans
     infeasible_block: int | None = None  # a block with no feasible subpath, if that's why
     stats: dict = field(default_factory=dict)
-
-
-def _scaled(duals) -> ScaledDuals:
-    if duals is None:
-        return ScaledDuals({}, 0, 1)
-    if isinstance(duals, Duals):
-        return duals.scaled()
-    return duals
 
 
 def _path_rules(problem):
@@ -270,7 +258,7 @@ class AdaptivePricer:
     # -- main entry -----------------------------------------------------------
 
     def price(self, duals, banned=frozenset(), exclude=frozenset()) -> PricingOutcome:
-        scaled = _scaled(duals)
+        scaled = as_scaled(duals)
         denom = scaled.denom
         cfg = self.config
         banned = frozenset(banned)
@@ -293,7 +281,7 @@ class AdaptivePricer:
                 results = label_search(
                     _layers(live, lambda b: b.rep.vector, stale_rc.__getitem__,
                             scaled.convexity),
-                    *self.rules, top_k=cfg.columns_per_call,
+                    *self.rules, top_k=COLUMNS_PER_CALL,
                 )
                 self.timers["pessimistic"] += time.perf_counter() - tick
                 self.totals["pessimistic_runs"] += 1
@@ -354,7 +342,7 @@ class AdaptivePricer:
             pes = label_search(
                 _layers(live, lambda b: b.rep.vector, lambda b: b.rep.rcost,
                         scaled.convexity),
-                *self.rules, top_k=cfg.columns_per_call,
+                *self.rules, top_k=COLUMNS_PER_CALL,
             )
             self.timers["pessimistic"] += time.perf_counter() - tick
             self.totals["pessimistic_runs"] += 1
@@ -411,82 +399,6 @@ class AdaptivePricer:
 # ---------------------------------------------------------------------------
 
 
-def _enumerate_subpaths(problem, block_index, banned):
-    """All feasible elementary subpaths of a block, iteratively (explicit
-    stack).  Dual-independent; cached on the problem per banned set."""
-    key = (block_index, banned)
-    cache = problem._enum_cache
-    if key in cache:
-        return cache[key]
-    block = problem.blocks[block_index]
-    subs = problem.block_subs[block_index]
-    resources = [problem.subpath_resources[ri] for ri in subs]
-    d = problem.total_coords
-
-    def pad(deltas):
-        return deltas + (0,) * (len(subs) - len(deltas))
-
-    def flat(item):
-        if not item.path_deltas:
-            return (0,) * d
-        out = []
-        for vec in item.path_deltas:
-            out.extend(vec)
-        return tuple(out)
-
-    def advance(values, deltas, node):
-        out = []
-        for res, val, delta in zip(resources, values, pad(deltas)):
-            val += delta
-            lo, hi = res.window(node)
-            if res.floor_at_lower and lo is not None and val < lo:
-                val = lo
-            if (lo is not None and val < lo) or (hi is not None and val > hi):
-                return None
-            out.append(val)
-        return tuple(out)
-
-    adjacency = {u: [] for u in block.elements}
-    for (u, v), arc in sorted(block.arcs.items()):
-        adjacency[u].append((v, arc))
-
-    found = []
-    stack = []
-    for start in sorted(block.elements):
-        if start in banned:
-            continue
-        entry = block.entry_at(start)
-        values = advance((0,) * len(subs), entry.sub_deltas, start)
-        if values is not None:
-            stack.append(((start,), values, entry.cost, flat(entry)))
-    while stack:
-        seq, values, cost, contrib = stack.pop()
-        exit_ = block.exit_at(seq[-1])
-        found.append(
-            (seq, cost + exit_.cost,
-             tuple(c + e for c, e in zip(contrib, flat(exit_))))
-        )
-        for v, arc in adjacency[seq[-1]]:
-            if v in seq or v in banned:
-                continue
-            nxt = advance(values, arc.sub_deltas, v)
-            if nxt is None:
-                continue
-            stack.append(
-                (seq + (v,), nxt, cost + arc.cost,
-                 tuple(c + a for c, a in zip(contrib, flat(arc))))
-            )
-
-    out = []
-    for seq, cost, contrib in sorted(found):
-        vectors = []
-        for r, off in zip(problem.path_resources, problem.coord_offset):
-            vectors.append(tuple(contrib[off:off + r.dim]))
-        out.append(Subpath(block_index, seq, cost, tuple(vectors)))
-    cache[key] = tuple(out)
-    return cache[key]
-
-
 class ExactPricer:
     """Benchmark pricer: full per-block enumeration, per-call Pareto
     filter under the duals, then the same layered path search.  The bound
@@ -494,23 +406,22 @@ class ExactPricer:
     for one that dominates it keeps a path feasible and no dearer, so the
     Pareto front always contains an optimal path's subpaths)."""
 
-    def __init__(self, problem, config: PricingConfig | None = None):
+    def __init__(self, problem):
         self.problem = problem
-        self.config = config or PricingConfig()
         self.rules = _path_rules(problem)
         self.totals = {"enumerated": 0, "kept": 0, "calls": 0}
 
     def price(self, duals, banned=frozenset(), exclude=frozenset()) -> PricingOutcome:
-        scaled = _scaled(duals)
+        scaled = as_scaled(duals)
         denom = scaled.denom
-        banned = frozenset(banned)
         stats = {}
         self.totals["calls"] += 1
 
+        value = scaled.value
         layers = []
         kept_subpaths = []
         for bi in range(len(self.problem.blocks)):
-            subpaths = _enumerate_subpaths(self.problem, bi, banned)
+            subpaths = block_view(self.problem, bi).subpaths(banned)
             if not subpaths:
                 stats.update(self.totals)
                 return PricingOutcome(
@@ -518,11 +429,10 @@ class ExactPricer:
                     stats=stats,
                 )
             self.totals["enumerated"] += len(subpaths)
-            priced = []
-            for sp in subpaths:
-                rc = sp.cost * denom - sum(scaled.value(k) for k in sp.nodes)
-                flat = tuple(x for v in sp.contributions for x in v)
-                priced.append((rc, flat, sp))
+            priced = [
+                (sp.cost * denom - sum(map(value, sp.nodes)), flat, sp)
+                for sp, flat in subpaths
+            ]
             priced.sort(key=lambda t: (t[0], t[1], t[2].nodes))
             kept = []
             for rc, flat, sp in priced:
@@ -536,7 +446,7 @@ class ExactPricer:
             kept_subpaths.append([sp for _, _, sp in kept])
         layers[0] = [(j, rc - scaled.convexity, flat) for j, rc, flat in layers[0]]
 
-        results = label_search(layers, *self.rules, top_k=self.config.columns_per_call)
+        results = label_search(layers, *self.rules, top_k=COLUMNS_PER_CALL)
         if not results:
             stats.update(self.totals)
             return PricingOutcome([], None, None, infeasible=True, stats=stats)

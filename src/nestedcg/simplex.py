@@ -48,6 +48,7 @@ from fractions import Fraction
 from operator import mul
 
 _DEGENERATE_STREAK = 40
+_PIVOT_ALLOWANCE = 10_000   # pivot limit: this plus 50 per row and column
 
 
 class LpError(RuntimeError):
@@ -80,8 +81,7 @@ def _rational(x):
     return x if isinstance(x, int) else Fraction(x)
 
 
-def solve_lp(costs, columns, rhs, senses, *, basis=None, big_m=None,
-             max_pivots=None) -> LpResult:
+def solve_lp(costs, columns, rhs, senses, *, basis=None) -> LpResult:
     """Minimize ``costs . x`` s.t. the sparse system, x >= 0.
 
     ``columns[j]`` is an iterable of (row, coeff) pairs; ``senses`` holds
@@ -100,10 +100,8 @@ def solve_lp(costs, columns, rhs, senses, *, basis=None, big_m=None,
         raise LpError("cost/column length mismatch")
     rhs = [_rational(b) for b in rhs]
 
-    if big_m is None:
-        peak = max((abs(c) for c in costs), default=0)
-        big_m = max(10 * peak, 10**6)
-    big_m = _rational(big_m)
+    peak = max((abs(c) for c in costs), default=0)
+    big_m = _rational(max(10 * peak, 10**6))
 
     # -- integer data: scale each row, then the costs ------------------------
     row_scale = [b.denominator for b in rhs]
@@ -136,8 +134,7 @@ def solve_lp(costs, columns, rhs, senses, *, basis=None, big_m=None,
         + [int(c * cost_scale) for c in costs]
     )
     n_total = len(column)
-    if max_pivots is None:
-        max_pivots = 10_000 + 50 * (m + n_total)
+    pivot_limit = _PIVOT_ALLOWANCE + 50 * (m + n_total)
 
     # -- initial basis -----------------------------------------------------
     def values(adj):
@@ -175,8 +172,8 @@ def solve_lp(costs, columns, rhs, senses, *, basis=None, big_m=None,
     pivots = 0
     degen = 0
     while True:
-        if pivots > max_pivots:
-            raise LpError(f"pivot limit {max_pivots} exceeded")
+        if pivots > pivot_limit:
+            raise LpError(f"pivot limit {pivot_limit} exceeded")
         # u = c_B . A, so the reduced cost of j times det is c_j.det - u.a_j
         c_b = [cost[j] for j in base]
         u = [sum(map(mul, c_b, col)) for col in zip(*adj)]

@@ -111,7 +111,7 @@ def _frozen_trajectory(problem, duals):
     scaled = duals.scaled()
     partition = Partition.initial(problem, 10**9)
     for bucket in partition.all_buckets():
-        compute_representative(problem, bucket, scaled)
+        compute_representative(problem, [bucket], scaled)
 
     opts, pess = [], []
     for _ in range(500):
@@ -139,7 +139,7 @@ def _frozen_trajectory(problem, duals):
         for bucket in targets:
             for child in partition.refine_bucket(bucket, "representative"):
                 if child.rep is None:
-                    compute_representative(problem, child, scaled)
+                    compute_representative(problem, [child], scaled)
     pytest.fail("sandwich did not close within the step budget")
 
 

@@ -258,7 +258,7 @@ def test_representatives_match_enumeration(seed):
     for bi in range(len(problem.blocks)):
         subs = synth.enumerate_block_subpaths(problem, bi)
         for bucket in part.buckets(bi):
-            rep = compute_representative(problem, bucket, duals)
+            [rep] = compute_representative(problem, [bucket], duals)
             inside = []
             for sp in subs:
                 flat = tuple(x for vec in sp.contributions for x in vec)
@@ -282,7 +282,7 @@ def test_empty_is_permanent_across_recomputes():
     # contributions reachable: () -> 0 for single nodes, 10 for the pair;
     # the (500, 749) tile can hold nothing
     bucket = next(b for b in part.buckets(0) if b.lo == (500,))
-    assert compute_representative(problem, bucket, duals) is None
+    assert compute_representative(problem, [bucket], duals) == [None]
     assert bucket.status == EMPTY
-    assert compute_representative(problem, bucket, duals) is None
+    assert compute_representative(problem, [bucket], duals) == [None]
     assert bucket.status == EMPTY

@@ -168,7 +168,7 @@ def test_trace_bookkeeping_is_consistent():
         last_root = root[-1]
         assert last_root.columns_added == 0
         assert last_root.optimistic is not None
-        assert last_root.optimistic >= -DriverConfig().eps
+        assert last_root.optimistic >= -driver.EPS
 
 
 @pytest.mark.parametrize("pricer", ("exact", "adaptive"))

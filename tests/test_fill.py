@@ -15,7 +15,6 @@ from nestedcg.buckets import (
     FRESH,
     Partition,
     Representative,
-    compute_representative,
 )
 from nestedcg.labeling import elementary_rcspp
 from nestedcg.pricing import AdaptivePricer, PricingConfig
@@ -27,8 +26,8 @@ def _reference_fill(problem, buckets, duals, banned=frozenset()):
         if b.status == EMPTY:
             continue
         found = elementary_rcspp(
-            problem, b.block, duals, contribution_box=b.box, banned=banned, top_k=1
-        )
+            problem, b.block, duals, boxes=[b.box], banned=banned, top_k=1
+        )[0]
         if found:
             b.status, b.rep = COMPUTED, Representative(*found[0])
         else:
@@ -74,8 +73,8 @@ def _fill_and_compare(problem, pricer, scaled, banned):
     want = {}
     for b in _stale(pricer, banned):
         found = elementary_rcspp(
-            problem, b.block, scaled, contribution_box=b.box, banned=banned, top_k=1
-        )
+            problem, b.block, scaled, boxes=[b.box], banned=banned, top_k=1
+        )[0]
         want[b] = None if not found else (
             found[0][0].nodes, found[0][0].cost, found[0][0].contributions,
             found[0][1],
@@ -127,18 +126,6 @@ def test_shared_fill_matches_per_bucket_search(family):
                 pricer.partition.merge_pass(bi, lambda lo, up: rng.random() < 0.5)
             pricer.partition.validate()
     assert searches < filled, "no two buckets ever shared a search"
-
-
-def test_lone_bucket_and_list_calls_agree():
-    problem = _span(1)
-    scaled = synth.random_duals(problem, 5).scaled()
-    width = _quarter(problem)
-    one, many = Partition.initial(problem, width), Partition.initial(problem, width)
-    for lone, b in zip(one.all_buckets(), many.all_buckets()):
-        assert compute_representative(problem, [b], scaled) == [
-            compute_representative(problem, lone, scaled)
-        ]
-        assert b.status == lone.status
 
 
 @pytest.mark.parametrize("build", [lambda: _span(1), lambda: mpcvrp.build_nested(

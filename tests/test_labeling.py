@@ -1,14 +1,15 @@
-"""Labeling engines: the layered search over item lists and the
-block-level elementary search, cross-checked against exhaustive
-enumeration."""
+"""Labeling engines: the layered search over item lists, the
+block-level elementary search and the block enumeration, cross-checked
+against exhaustive enumeration."""
 
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from nestedcg import synth
+from nestedcg import mpcvrp, synth
 from nestedcg.labeling import (
     block_view,
     elementary_rcspp,
@@ -20,10 +21,16 @@ from nestedcg.model import (
     SUM,
     Arc,
     Block,
+    Boundary,
     NestedProblem,
     PathResource,
+    SubpathResource,
 )
-from nestedcg.pricing import _enumerate_subpaths
+
+
+def _open(problem):
+    """The unbounded contribution box."""
+    return ((None, None),) * problem.total_coords
 
 
 def _diamond():
@@ -134,7 +141,7 @@ def test_dominance_eq_mode_protects_lower_bounded_coordinates():
         [block],
         path_resources=[PathResource(dim=1, agg=SUM, a=(1,), b=100, box=((0, 100),))],
     )
-    hits = elementary_rcspp(problem, 0, contribution_box=((7, 10),), top_k=3)
+    hits = elementary_rcspp(problem, 0, boxes=[((7, 10),)], top_k=3)[0]
     assert hits, "the lower-bounded region is reachable"
     best, rcost = hits[0]
     assert rcost == 2
@@ -156,17 +163,22 @@ def test_blocks_past_31_elements_match_enumeration():
         path_resources=[PathResource(dim=1, agg=SUM, a=(1,), b=10**6, box=((0, 200),))],
     )
     scaled = synth.random_duals(problem, 7).scaled()
-    subpaths = _enumerate_subpaths(problem, 0, frozenset())
+    subpaths = synth.enumerate_block_subpaths(problem, 0)
     assert len(subpaths) == m * m
     want = sorted(
         (sp.cost * scaled.denom - sum(scaled.value(k) for k in sp.nodes),
          sp.contributions, sp.nodes, sp.cost)
         for sp in subpaths
     )
-    got = elementary_rcspp(problem, 0, scaled, top_k=len(subpaths))
+    got = elementary_rcspp(problem, 0, scaled, boxes=[_open(problem)],
+                           top_k=len(subpaths))[0]
     assert [(rc, sp.contributions, sp.nodes, sp.cost) for sp, rc in got] == want
     # a short prefix of the same order
-    assert elementary_rcspp(problem, 0, scaled, top_k=5) == got[:5]
+    assert elementary_rcspp(
+        problem, 0, scaled, boxes=[_open(problem)], top_k=5
+    ) == [got[:5]]
+    # and the block enumeration holds the same subpaths
+    assert [sp for sp, _ in block_view(problem, 0).subpaths()] == subpaths
 
 
 def _brute_min(problem, block_index, scaled, box=None, banned=frozenset()):
@@ -190,7 +202,7 @@ def test_elementary_search_matches_enumeration(seed):
     duals = synth.random_duals(problem, seed + 100)
     scaled = duals.scaled()
     for block_index in range(len(problem.blocks)):
-        got = elementary_rcspp(problem, block_index, duals)
+        got = elementary_rcspp(problem, block_index, duals, boxes=[_open(problem)])[0]
         want = _brute_min(problem, block_index, scaled)
         if want is None:
             assert got == []
@@ -207,7 +219,7 @@ def test_box_restricted_search_matches_enumeration(seed):
     # halve each coordinate range to make the box genuinely binding
     box = tuple((lo, lo + (hi - lo) // 2) for lo, hi in full)
     for block_index in range(len(problem.blocks)):
-        got = elementary_rcspp(problem, block_index, duals, contribution_box=box)
+        got = elementary_rcspp(problem, block_index, duals, boxes=[box])[0]
         want = _brute_min(problem, block_index, scaled, box=box)
         if want is None:
             assert got == []
@@ -228,7 +240,9 @@ def test_top_k_rcosts_are_a_sorted_prefix(seed):
             sp.cost * scaled.denom - sum(scaled.value(k) for k in sp.nodes)
             for sp in synth.enumerate_block_subpaths(problem, block_index)
         )
-        got = elementary_rcspp(problem, block_index, duals, top_k=4)
+        got = elementary_rcspp(
+            problem, block_index, duals, boxes=[_open(problem)], top_k=4
+        )[0]
         assert [rc for _, rc in got] == all_rcosts[: len(got)]
         assert len(got) == min(4, len(all_rcosts))
 
@@ -237,7 +251,9 @@ def test_banned_elements_are_skipped():
     problem = synth.random_tiny_instance(2)
     block = problem.blocks[0]
     victim = block.elements[0]
-    hits = elementary_rcspp(problem, 0, banned={victim}, top_k=50)
+    hits = elementary_rcspp(
+        problem, 0, boxes=[_open(problem)], banned={victim}, top_k=50
+    )[0]
     assert hits, "other elements keep the block alive"
     assert all(victim not in sp.nodes for sp, _ in hits)
 
@@ -254,3 +270,78 @@ def test_coordinate_objective_minimizes_that_coordinate():
                 )
                 view = block_view(problem, block_index)
                 assert view.min_achievable(coord) == want
+
+
+def _routing(n, seed):
+    return mpcvrp.build_nested(mpcvrp.generate_instance(
+        n=n, days=2, vehicles=2, delta=Fraction(1, 2), seed=seed
+    ))
+
+
+FAMILIES = {
+    "tiny": synth.random_tiny_instance,
+    "chain": synth.random_chain_instance,
+    "span": lambda seed: synth.build_span_problem(synth.random_span_instance(seed)),
+    "mpcvrp4": lambda seed: _routing(4, seed),
+    "mpcvrp5": lambda seed: _routing(5, seed),
+}
+
+
+def _oracle_subpaths(problem, block_index, banned):
+    return tuple(
+        (sp, tuple(x for vec in sp.contributions for x in vec))
+        for sp in synth.enumerate_block_subpaths(problem, block_index, banned)
+    )
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_block_enumeration_matches_the_oracle(family):
+    blocks = 0
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        problem = FAMILIES[family](seed)
+        banned = frozenset()
+        for _ in range(4):
+            for bi, block in enumerate(problem.blocks):
+                view = block_view(problem, bi)
+                got = view.subpaths(banned)
+                assert got == _oracle_subpaths(problem, bi, banned), (seed, bi)
+                # the cache is keyed by the bans inside the block only
+                outside = frozenset(problem.elements) - set(block.elements)
+                assert view.subpaths(banned | outside) is got
+                blocks += 1
+            banned |= {rng.choice(problem.elements)}
+    assert blocks
+
+
+@pytest.mark.parametrize("floor", (False, True))
+def test_block_enumeration_with_lower_windows(floor):
+    # entering 1 gives 2 < 5 and entering 2 gives 3 < 6: hard windows
+    # reject every subpath starting there, floored ones lift the value to
+    # the lower bound (then 5 + 2 = 7 fits 2's window, where the unlifted
+    # 2 + 2 = 4 would not); entering 3 gives 9, inside every window met
+    block = Block(
+        elements=(1, 2, 3),
+        arcs={
+            (1, 2): Arc(cost=1, sub_deltas=(2,), path_deltas=((1,),)),
+            (2, 3): Arc(cost=2, sub_deltas=(1,), path_deltas=((2,),)),
+            (3, 1): Arc(cost=4, sub_deltas=(0,), path_deltas=((4,),)),
+        },
+        entry={1: Boundary(sub_deltas=(2,)), 2: Boundary(sub_deltas=(3,)),
+               3: Boundary(sub_deltas=(9,))},
+        exit={3: Boundary(cost=5, path_deltas=((8,),))},
+    )
+    problem = NestedProblem(
+        [block],
+        [SubpathResource(
+            block=0, windows={1: (5, 10), 2: (6, 20), 3: (None, 9)},
+            floor_at_lower=floor,
+        )],
+        path_resources=[PathResource(dim=1, agg=SUM, a=(1,), b=100, box=((0, 50),))],
+    )
+    got = block_view(problem, 0).subpaths()
+    assert got == _oracle_subpaths(problem, 0, frozenset())
+    want = {(3,), (3, 1), (3, 1, 2)}
+    if floor:
+        want |= {(1,), (1, 2), (1, 2, 3), (2,), (2, 3), (2, 3, 1)}
+    assert {sp.nodes for sp, _ in got} == want

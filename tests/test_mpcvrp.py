@@ -40,8 +40,8 @@ def cheapest_routes(problem, day, duals=None, *, window=None, top_k=1):
     """Least-reduced-cost routes of one day, optionally within a distance
     window [lo, hi], by the block labeling search; the cardinality-row
     dual is charged at schedule assembly, not here."""
-    box = (tuple(window),) if window is not None else None
-    return elementary_rcspp(problem, day, duals, contribution_box=box, top_k=top_k)
+    box = (tuple(window) if window is not None else (None, None),)
+    return elementary_rcspp(problem, day, duals, boxes=[box], top_k=top_k)[0]
 
 
 def _instance(**over):

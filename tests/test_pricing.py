@@ -2,6 +2,7 @@
 sandwich, closure exactness, refinement budgets, merge safety, reuse."""
 
 import itertools
+import random
 
 import pytest
 
@@ -91,14 +92,20 @@ def test_column_mode_bounds_sandwich_the_oracle(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_exact_pricer_reports_the_oracle_bound(seed):
     problem, duals = _case(seed)
-    oracle = synth.oracle_min_rcost(problem, duals)
-    out = ExactPricer(problem).price(duals)
-    if oracle is None:
-        assert out.infeasible
-        return
-    assert out.optimistic == oracle[0]
-    for path in out.columns:
-        assert reduced_cost(path, duals) < 0
+    pricer = ExactPricer(problem)
+    rng = random.Random(seed)
+    banned = frozenset()
+    for _ in range(3):      # no bans, then growing ban sets
+        oracle = synth.oracle_min_rcost(problem, duals, banned=banned)
+        out = pricer.price(duals, banned)
+        if oracle is None:
+            assert out.infeasible
+        else:
+            assert out.optimistic == oracle[0]
+            for path in out.columns:
+                assert reduced_cost(path, duals) < 0
+                assert banned.isdisjoint(path.covered)
+        banned |= {rng.choice(problem.elements)}
 
 
 @pytest.mark.parametrize("seed", (1, 4, 7, 9))
@@ -110,7 +117,7 @@ def test_refinement_is_monotone_under_frozen_duals(seed):
     scaled = duals.scaled()
     part = Partition.initial(problem, 10**9)  # one bucket per block to start
     for b in part.all_buckets():
-        compute_representative(problem, b, scaled)
+        compute_representative(problem, [b], scaled)
 
     opts, pess = [], []
     for _ in range(200):
@@ -138,7 +145,7 @@ def test_refinement_is_monotone_under_frozen_duals(seed):
         for bucket in targets:
             for child in part.refine_bucket(bucket, "representative"):
                 if child.rep is None:
-                    compute_representative(problem, child, scaled)
+                    compute_representative(problem, [child], scaled)
     else:
         pytest.fail("sandwich did not close")
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from nestedcg import simplex
 from nestedcg.simplex import LpError, LpResult, solve_lp
 
 
@@ -242,10 +243,14 @@ def test_input_validation():
         solve_lp([1, 2], [((0, 1),)], [1], ["="])
 
 
-def test_pivot_limit_raises():
+def test_pivot_limit_raises(monkeypatch):
     costs, columns, rhs, senses = _random_case(random.Random(5), 2)
-    with pytest.raises(LpError, match="pivot limit"):
-        solve_lp(costs, columns, rhs, senses, max_pivots=0)
+    # a limit of 0 (the allowance plus 50 per row and internal column):
+    # the guard fires on the first pivot past it
+    n_total = len(rhs) + senses.count(">=") + len(costs)
+    monkeypatch.setattr(simplex, "_PIVOT_ALLOWANCE", -50 * (len(rhs) + n_total))
+    with pytest.raises(LpError, match="pivot limit 0 exceeded"):
+        solve_lp(costs, columns, rhs, senses)
 
 
 def test_degenerate_lp_terminates():
