@@ -42,10 +42,7 @@ class Representative:
 
     @property
     def vector(self):
-        out = []
-        for vec in self.subpath.contributions:
-            out.extend(vec)
-        return tuple(out)
+        return self.subpath.contributions
 
 
 @dataclass(eq=False)  # identity semantics: buckets are stateful, unique objects
@@ -133,7 +130,7 @@ class Partition:
                 )
         if any(w < 1 for w in widths):
             raise BucketError("bucket widths must be positive")
-        box = [w for r in problem.path_resources for w in r.box]
+        box = problem.contribution_box()
         axes = [_tiles(lo, hi, w) for (lo, hi), w in zip(box, widths)]
         count = 1
         for ax in axes:
@@ -169,7 +166,7 @@ class Partition:
         return s
 
     def validate(self):
-        box = [w for r in self.problem.path_resources for w in r.box]
+        box = self.problem.contribution_box()
         full_volume = 1
         for lo, hi in box:
             full_volume *= hi - lo + 1

@@ -23,6 +23,8 @@ def _load_any(path):
     """A problem file is either a nested problem or a routing instance;
     tell them apart by shape."""
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ModelError(f"{path}: expected a JSON object")
     if "blocks" in data:
         return problem_from_json(data)
     if data.get("kind") == "mpcvrp" or "day_of" in data:

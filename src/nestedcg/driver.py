@@ -166,6 +166,22 @@ def _cg_loop(problem, config, rmp, pricer, smoother, counters, traces, phase):
     banned = rmp.banned
     best_bound = None
     sol = None
+
+    def price(duals):
+        """One pricing call: pool its columns and fold its bound into the
+        best Lagrangian bound.  Returns (outcome, columns added)."""
+        nonlocal best_bound
+        outcome = pricer.price(duals, banned, exclude)
+        if outcome.infeasible:
+            return outcome, 0
+        added = rmp.add_columns(outcome.columns, it) if outcome.columns else 0
+        if outcome.optimistic is not None:
+            bound = lagrangian_bound(problem, rmp, duals, outcome.optimistic)
+            if best_bound is None or bound > best_bound:
+                best_bound = bound
+                smoother.recentre(duals)
+        return outcome, added
+
     while counters.iteration < counters.limit:
         counters.iteration += 1
         it = counters.iteration
@@ -173,75 +189,38 @@ def _cg_loop(problem, config, rmp, pricer, smoother, counters, traces, phase):
         pure = sol.duals
         used = smoother.smoothed(pure) if config.smoothing else pure
         smoothed_call = config.smoothing and smoother.center is not None
-
         exclude = frozenset(rmp.by_key)
-        outcome = pricer.price(used, banned, exclude)
-        misprice = False
-        added = 0
-        if not outcome.infeasible and outcome.columns:
-            added = rmp.add_columns(outcome.columns, it)
+
+        outcome, added = price(used)
+        # misprice: the smoothed duals found nothing new; ask again with
+        # the pure duals before drawing any conclusion
+        misprice = smoothed_call and not outcome.infeasible and added == 0
+        if misprice:
+            counters.misprices += 1
+            smoother.on_misprice()
+            outcome, added = price(pure)
+        elif added:
+            smoother.on_success()
+
+        status = None
         if outcome.infeasible:
-            traces.append(Trace(
-                it, phase, sol.status, sol.lp_value, 0, None,
-                smoother.alpha, False, len(rmp.pool), outcome.stats,
-                rmp.last_pivots,
-            ))
-            return "infeasible", sol, best_bound
-
-        if outcome.optimistic is not None:
-            bound = lagrangian_bound(problem, rmp, used, outcome.optimistic)
-            if best_bound is None or bound > best_bound:
-                best_bound = bound
-                smoother.recentre(used)
-
-        if added == 0:
-            if smoothed_call:
-                # misprice: the smoothed duals found nothing new; ask again
-                # with the pure duals before drawing any conclusion
-                misprice = True
-                counters.misprices += 1
-                smoother.on_misprice()
-                outcome = pricer.price(pure, banned, exclude)
-                if outcome.infeasible:
-                    traces.append(Trace(
-                        it, phase, sol.status, sol.lp_value, 0, None,
-                        smoother.alpha, True, len(rmp.pool), outcome.stats,
-                        rmp.last_pivots,
-                    ))
-                    return "infeasible", sol, best_bound
-                if outcome.columns:
-                    added = rmp.add_columns(outcome.columns, it)
-                if outcome.optimistic is not None:
-                    bound = lagrangian_bound(problem, rmp, pure, outcome.optimistic)
-                    if best_bound is None or bound > best_bound:
-                        best_bound = bound
-                        smoother.recentre(pure)
-            if added == 0:
-                if outcome.optimistic is None:
-                    raise PricingError(
-                        "pricer certified nothing and offered nothing new"
-                    )
-                if outcome.optimistic >= -EPS:
-                    traces.append(Trace(
-                        it, phase, sol.status, sol.lp_value, 0,
-                        outcome.optimistic, smoother.alpha, misprice,
-                        len(rmp.pool), outcome.stats,
-                        rmp.last_pivots,
-                    ))
-                    status = "optimal" if sol.status == "optimal" else "infeasible"
-                    return status, sol, best_bound
+            status = "infeasible"
+        elif added == 0:
+            if outcome.optimistic is None:
+                raise PricingError("pricer certified nothing and offered nothing new")
+            if outcome.optimistic < -EPS:
                 raise PricingError(
                     "pricing reports an improving path that is already pooled"
                 )
-        else:
-            smoother.on_success()
+            status = "optimal" if sol.status == "optimal" else "infeasible"
         counters.columns += added
-
         traces.append(Trace(
             it, phase, sol.status, sol.lp_value, added, outcome.optimistic,
             smoother.alpha, misprice, len(rmp.pool), outcome.stats,
             rmp.last_pivots,
         ))
+        if status is not None:
+            return status, sol, best_bound
         if it % POOL_PERIOD == 0:
             rmp.manage_pool(it)
     return "iteration_limit", sol, best_bound

@@ -379,9 +379,8 @@ class BlockView:
 
     def subpaths(self, banned=frozenset()):
         """Every feasible elementary subpath of the block that avoids
-        ``banned``, as (Subpath, flat contribution vector) pairs sorted by
-        node sequence.  Dual-independent, so cached per block-local ban
-        set."""
+        ``banned``, sorted by node sequence.  Dual-independent, so cached
+        per block-local ban set."""
         mask = 0
         for k in banned:
             if k in self.local:
@@ -400,12 +399,8 @@ class BlockView:
         while stack:
             u, nodes, visited, values, cost, flat = stack.pop()
             exit_cost, _, exit_flat = self.exit[u]
-            contribs = tuple(map(add, flat, exit_flat))
-            found.append((
-                Subpath(self.index, nodes, cost + exit_cost,
-                        _unflatten(self.problem, contribs)),
-                contribs,
-            ))
+            found.append(Subpath(self.index, nodes, cost + exit_cost,
+                                 tuple(map(add, flat, exit_flat))))
             for t, arc_cost, sub_d, arc_flat in self.arcs_out[u]:
                 if visited >> t & 1:
                     continue
@@ -413,7 +408,7 @@ class BlockView:
                 if nxt is not None:
                     stack.append((t, nodes + (elements[t],), visited | 1 << t, nxt,
                                   cost + arc_cost, tuple(map(add, flat, arc_flat))))
-        found.sort(key=lambda pair: pair[0].nodes)
+        found.sort(key=lambda sp: sp.nodes)
         self._subpaths[mask] = tuple(found)
         return self._subpaths[mask]
 
@@ -677,7 +672,7 @@ def elementary_rcspp(
                     block_index,
                     tuple(view.elements[i] for i in lab.sequence()),
                     total_cost,
-                    _unflatten(problem, contribs),
+                    contribs,
                 ),
                 rcost,
             )
@@ -685,10 +680,3 @@ def elementary_rcspp(
         ]
         for best in kept
     ]
-
-
-def _unflatten(problem, flat):
-    out = []
-    for r, off in zip(problem.path_resources, problem.coord_offset):
-        out.append(tuple(flat[off:off + r.dim]))
-    return tuple(out)

@@ -19,6 +19,15 @@ Two resource families constrain paths:
   (componentwise sum or componentwise max) and tested against a single
   downward-closed linear predicate ``a . v <= b`` (``a >= 0``) at the sink.
 
+Contribution data is flat: a subpath's contributions and a path's
+aggregate are single vectors in the concatenated coordinate space (every
+path resource's coordinates in declaration order).  The problem derives
+once, in that space, the aggregator of each coordinate, the predicates as
+(weights, bound) pairs and the contribution box; path assembly
+(:func:`check_path_feasible`) and the pricers' path searches use them.
+Window semantics -- stepping subpath resources along a node sequence --
+live in ``labeling.BlockView``.
+
 Costs live in integer millicost units and resource values are integers, so
 every feasibility and reduced-cost comparison in the package is exact.
 """
@@ -26,10 +35,12 @@ every feasibility and reduced-cost comparison in the package is exact.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping
+from operator import mul
+from typing import Mapping
 
 SUM = "sum"
 MAX = "max"
@@ -135,9 +146,6 @@ class PathResource:
     b: int
     box: tuple[tuple[int, int], ...]
 
-    def admits(self, aggregate: tuple[int, ...]) -> bool:
-        return sum(w * v for w, v in zip(self.a, aggregate)) <= self.b
-
 
 # ---------------------------------------------------------------------------
 # solutions
@@ -149,23 +157,26 @@ class Subpath:
     """A feasible element sequence within one block.
 
     ``cost`` includes the entry and exit boundary legs.  ``contributions``
-    holds one integer vector per path resource, accumulated along the same
-    trajectory.
+    is the flat contribution vector in the problem's concatenated
+    coordinate space (every path resource's coordinates in declaration
+    order), accumulated along the same trajectory.
     """
 
     block: int
     nodes: tuple[int, ...]
     cost: int
-    contributions: tuple[tuple[int, ...], ...]
+    contributions: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class Path:
-    """One subpath per block; the master problem prices these as columns."""
+    """One subpath per block; the master problem prices these as columns.
+    ``aggregate`` is the subpaths' contributions folded coordinate by
+    coordinate."""
 
     subpaths: tuple[Subpath, ...]
     cost: int
-    aggregate: tuple[tuple[int, ...], ...]
+    aggregate: tuple[int, ...]
 
     @property
     def covered(self) -> frozenset:
@@ -175,19 +186,6 @@ class Path:
     def node_key(self) -> tuple:
         """Identity used for column deduplication."""
         return tuple(sp.nodes for sp in self.subpaths)
-
-
-@dataclass(frozen=True)
-class Violation:
-    """First failed feasibility check.
-
-    ``position`` is the 1-based index of the offending element in the node
-    sequence for subpath resources, and None for path-level predicates.
-    """
-
-    kind: str          # "subpath_resource" | "path_resource"
-    resource: int      # index into the problem's resource list
-    position: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +338,21 @@ class NestedProblem:
             [ri for ri, r in enumerate(self.subpath_resources) if r.block == bi]
             for bi in range(len(self.blocks))
         ]
-        # concatenated path-resource coordinate layout
+        # concatenated path-resource coordinate layout; the path predicate
+        # in it: each coordinate's aggregator, one (weights, bound) per
+        # resource, and the per-coordinate contribution box
         self.coord_offset = []
         off = 0
         for r in self.path_resources:
             self.coord_offset.append(off)
             off += r.dim
         self.total_coords = off
+        self.aggs = tuple(r.agg for r in self.path_resources for _ in range(r.dim))
+        self.predicates = tuple(
+            ((0,) * o + tuple(r.a) + (0,) * (off - o - r.dim), r.b)
+            for r, o in zip(self.path_resources, self.coord_offset)
+        )
+        self._box = tuple(iv for r in self.path_resources for iv in r.box)
         self.monotone = tuple(self._monotone(ri) for ri in range(len(self.path_resources)))
 
     def _monotone(self, ri: int) -> bool:
@@ -378,136 +384,21 @@ class NestedProblem:
 
     def contribution_box(self) -> tuple[tuple[int, int], ...]:
         """Per-coordinate (lo, hi) over the concatenated coordinate space."""
-        out = []
-        for r in self.path_resources:
-            out.extend(r.box)
-        return tuple(out)
+        return self._box
 
 
 # ---------------------------------------------------------------------------
-# trajectory replay and feasibility
+# path assembly
 # ---------------------------------------------------------------------------
-
-
-def _padded(deltas: tuple, n: int) -> tuple:
-    if len(deltas) == n:
-        return deltas
-    return deltas + (0,) * (n - len(deltas))
-
-
-def _sub_step(problem, block_index, values, deltas, node):
-    """Extend subpath-resource values by one hop and check windows at node.
-
-    Returns (new_values, violated_resource_index or None).
-    """
-    subs = problem.block_subs[block_index]
-    deltas = _padded(deltas, len(subs))
-    out = []
-    bad = None
-    for j, ri in enumerate(subs):
-        res = problem.subpath_resources[ri]
-        val = values[j] + deltas[j]
-        lo, hi = res.window(node)
-        if res.floor_at_lower and lo is not None and val < lo:
-            val = lo
-        if bad is None:
-            if lo is not None and val < lo:
-                bad = ri
-            elif hi is not None and val > hi:
-                bad = ri
-        out.append(val)
-    return tuple(out), bad
-
-
-def _contrib_step(contribs, deltas):
-    if not deltas:
-        return contribs
-    return tuple(
-        tuple(c + d for c, d in zip(vec, delta))
-        for vec, delta in zip(contribs, deltas)
-    )
-
-
-def replay_subpath(problem: NestedProblem, block_index: int, nodes: Iterable):
-    """Replay the trajectory of a node sequence within one block.
-
-    Returns (cost, contributions, violation) where violation is None when
-    every window check passed.  Structural mistakes (unknown elements,
-    missing arcs) raise ModelError; resource infeasibility is a reported
-    outcome, not an error.
-    """
-    nodes = tuple(nodes)
-    if not nodes:
-        raise ModelError("a subpath must visit at least one element")
-    block = problem.blocks[block_index]
-    elems = set(block.elements)
-    for v in nodes:
-        if v not in elems:
-            raise ModelError(f"element {v} is not in block {block_index}")
-    if len(set(nodes)) != len(nodes):
-        raise ModelError("subpaths are elementary; repeated element")
-
-    n_sub = len(problem.block_subs[block_index])
-    values = (0,) * n_sub
-    contribs = tuple((0,) * r.dim for r in problem.path_resources)
-
-    entry = block.entry_at(nodes[0])
-    cost = entry.cost
-    values, bad = _sub_step(problem, block_index, values, entry.sub_deltas, nodes[0])
-    contribs = _contrib_step(contribs, entry.path_deltas)
-    if bad is not None:
-        return cost, contribs, Violation("subpath_resource", bad, 1)
-
-    for pos in range(1, len(nodes)):
-        u, v = nodes[pos - 1], nodes[pos]
-        arc = block.arcs.get((u, v))
-        if arc is None:
-            raise ModelError(f"missing arc ({u}, {v}) in block {block_index}")
-        cost += arc.cost
-        values, bad = _sub_step(problem, block_index, values, arc.sub_deltas, v)
-        contribs = _contrib_step(contribs, arc.path_deltas)
-        if bad is not None:
-            return cost, contribs, Violation("subpath_resource", bad, pos + 1)
-
-    exit_ = block.exit_at(nodes[-1])
-    cost += exit_.cost
-    # the exit half extends values/contributions but there is no element
-    # left to check a window at
-    subs = problem.block_subs[block_index]
-    deltas = _padded(exit_.sub_deltas, len(subs))
-    values = tuple(v + d for v, d in zip(values, deltas))
-    contribs = _contrib_step(contribs, exit_.path_deltas)
-    return cost, contribs, None
-
-
-def check_subpath_feasible(problem: NestedProblem, block_index: int, nodes):
-    """Build a Subpath from a node sequence, or report the first violation."""
-    cost, contribs, violation = replay_subpath(problem, block_index, nodes)
-    if violation is not None:
-        return violation
-    return Subpath(block_index, tuple(nodes), cost, contribs)
-
-
-def aggregate_contributions(resource: PathResource, vectors):
-    """Fold per-block contribution vectors with the resource's aggregator."""
-    vectors = list(vectors)
-    if not vectors:
-        raise ModelError("cannot aggregate zero blocks")
-    agg = vectors[0]
-    for vec in vectors[1:]:
-        if resource.agg == SUM:
-            agg = tuple(x + y for x, y in zip(agg, vec))
-        else:
-            agg = tuple(max(x, y) for x, y in zip(agg, vec))
-    return agg
 
 
 def check_path_feasible(problem: NestedProblem, subpaths):
-    """Assemble one subpath per block into a Path, or report a violation.
+    """Assemble one subpath per block into a Path; None when the folded
+    contribution vector fails a path predicate.
 
-    Subpaths are assumed individually feasible (as produced by
-    check_subpath_feasible); only the ordering and the path-level
-    predicates are checked here.
+    Subpaths are assumed individually feasible (as enumerated by
+    ``labeling.BlockView.subpaths``); only the ordering and the
+    path-level predicates are checked here.
     """
     subpaths = tuple(subpaths)
     if len(subpaths) != len(problem.blocks):
@@ -518,27 +409,16 @@ def check_path_feasible(problem: NestedProblem, subpaths):
     for bi, sp in enumerate(subpaths):
         if sp.block != bi:
             raise ModelError("subpaths out of block order")
-    aggregate = tuple(
-        aggregate_contributions(res, [sp.contributions[ri] for sp in subpaths])
-        for ri, res in enumerate(problem.path_resources)
-    )
-    for ri, res in enumerate(problem.path_resources):
-        if not res.admits(aggregate[ri]):
-            return Violation("path_resource", ri, None)
+    aggregate = subpaths[0].contributions
+    for sp in subpaths[1:]:
+        aggregate = tuple([
+            x + y if agg == SUM else max(x, y)
+            for agg, x, y in zip(problem.aggs, aggregate, sp.contributions)
+        ])
+    for weights, bound in problem.predicates:
+        if sum(map(mul, weights, aggregate)) > bound:
+            return None
     return Path(subpaths, sum(sp.cost for sp in subpaths), aggregate)
-
-
-def reduced_cost(obj, duals: Duals):
-    """Cost minus covered-element duals; paths also pay the convexity dual."""
-    if isinstance(obj, Subpath):
-        covered = obj.nodes
-        convexity = 0
-    elif isinstance(obj, Path):
-        covered = [k for sp in obj.subpaths for k in sp.nodes]
-        convexity = duals.convexity
-    else:
-        raise ModelError(f"cannot price a {type(obj).__name__}")
-    return obj.cost - sum(duals.value(k) for k in covered) - convexity
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +449,7 @@ def reduced_cost(obj, duals: Duals):
 
 
 def _flatten_deltas(sub_deltas, path_deltas, n_sub, n_coords):
-    flat = list(_padded(sub_deltas, n_sub))
+    flat = list(sub_deltas) + [0] * (n_sub - len(sub_deltas))
     if path_deltas:
         for vec in path_deltas:
             flat.extend(vec)
@@ -579,7 +459,7 @@ def _flatten_deltas(sub_deltas, path_deltas, n_sub, n_coords):
 
 
 def _split_deltas(flat, n_sub, dims):
-    flat = list(flat)
+    flat = [_int(x) for x in flat]
     expected = n_sub + sum(dims)
     if len(flat) != expected:
         raise ModelError(f"expected {expected} deltas, got {len(flat)}")
@@ -642,67 +522,104 @@ def problem_to_json(problem: NestedProblem) -> dict:
     }
 
 
+@contextmanager
+def _entry(where):
+    """Report a malformed part of a problem document as a ModelError
+    that names it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ModelError(f"{where}: missing key {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ModelError(f"{where}: {exc}") from None
+
+
+def _int(value):
+    """An integral JSON number as an int; ModelError for anything else."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ModelError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _bound(value):
+    return None if value is None else _int(value)
+
+
 def problem_from_json(data: dict) -> NestedProblem:
-    dims = [int(r["dim"]) for r in data.get("path_resources", [])]
-    raw_blocks = data["blocks"]
+    """Build a problem from its JSON form (schema above).  A malformed
+    document raises a ModelError that names the offending entry."""
+    with _entry("problem"):
+        raw_blocks = list(data["blocks"])
+        cardinality = _bound(data.get("cardinality"))
+    path_resources = []
+    for ri, r in enumerate(data.get("path_resources", [])):
+        with _entry(f"path_resources[{ri}]"):
+            path_resources.append(PathResource(
+                dim=_int(r["dim"]),
+                agg=r["agg"],
+                a=tuple(_int(w) for w in r["a"]),
+                b=_int(r["b"]),
+                box=tuple((_int(lo), _int(hi)) for lo, hi in r["box"]),
+            ))
+    dims = [r.dim for r in path_resources]
+
+    elements = []
     block_of = {}
     for bi, rb in enumerate(raw_blocks):
-        for k in rb["elements"]:
-            block_of[int(k)] = bi
+        with _entry(f"blocks[{bi}]"):
+            elements.append(tuple(_int(k) for k in rb["elements"]))
+        for k in elements[-1]:
+            block_of[k] = bi
 
-    sub_resources = [
-        SubpathResource(
-            block=int(r["block"]),
-            windows={
-                int(v): (None if lo is None else int(lo),
-                         None if hi is None else int(hi))
-                for v, (lo, hi) in r.get("windows", {}).items()
-            },
-            floor_at_lower=bool(r.get("floor", False)),
-        )
-        for r in data.get("subpath_resources", [])
-    ]
+    sub_resources = []
+    for ri, r in enumerate(data.get("subpath_resources", [])):
+        with _entry(f"subpath_resources[{ri}]"):
+            sub_resources.append(SubpathResource(
+                block=_int(r["block"]),
+                windows={
+                    int(v): (_bound(lo), _bound(hi))
+                    for v, (lo, hi) in r.get("windows", {}).items()
+                },
+                floor_at_lower=bool(r.get("floor", False)),
+            ))
     n_sub_of = [
         sum(1 for r in sub_resources if r.block == bi) for bi in range(len(raw_blocks))
     ]
 
-    entry = [dict() for _ in raw_blocks]
-    exit_ = [dict() for _ in raw_blocks]
-    for v, cost, flat in data.get("source_arcs", []):
-        bi = block_of[int(v)]
-        sub, path = _split_deltas(flat, n_sub_of[bi], dims)
-        entry[bi][int(v)] = Boundary(int(cost), sub, path)
-    for u, cost, flat in data.get("sink_arcs", []):
-        bi = block_of[int(u)]
-        sub, path = _split_deltas(flat, n_sub_of[bi], dims)
-        exit_[bi][int(u)] = Boundary(int(cost), sub, path)
+    halves = {"source_arcs": [{} for _ in raw_blocks],
+              "sink_arcs": [{} for _ in raw_blocks]}
+    for key, per_block in halves.items():
+        for i, item in enumerate(data.get(key, [])):
+            with _entry(f"{key}[{i}]"):
+                v, cost, flat = item
+                v = _int(v)
+                if v not in block_of:
+                    raise ModelError(f"element {v} is in no block")
+                bi = block_of[v]
+                per_block[bi][v] = Boundary(
+                    _int(cost), *_split_deltas(flat, n_sub_of[bi], dims)
+                )
 
     blocks = []
     for bi, rb in enumerate(raw_blocks):
         arcs = {}
-        for u, v, cost, flat in rb.get("arcs", []):
-            sub, path = _split_deltas(flat, n_sub_of[bi], dims)
-            arcs[(int(u), int(v))] = Arc(int(cost), sub, path)
-        blocks.append(
-            Block(tuple(int(k) for k in rb["elements"]), arcs, entry[bi], exit_[bi])
-        )
-
-    path_resources = [
-        PathResource(
-            dim=int(r["dim"]),
-            agg=r["agg"],
-            a=tuple(int(w) for w in r["a"]),
-            b=int(r["b"]),
-            box=tuple((int(lo), int(hi)) for lo, hi in r["box"]),
-        )
-        for r in data.get("path_resources", [])
-    ]
+        for i, item in enumerate(rb.get("arcs", [])):
+            with _entry(f"blocks[{bi}].arcs[{i}]"):
+                u, v, cost, flat = item
+                arcs[(_int(u), _int(v))] = Arc(
+                    _int(cost), *_split_deltas(flat, n_sub_of[bi], dims)
+                )
+        blocks.append(Block(
+            elements[bi], arcs, halves["source_arcs"][bi], halves["sink_arcs"][bi]
+        ))
     return NestedProblem(
         blocks=blocks,
         subpath_resources=sub_resources,
         path_resources=path_resources,
         sense=data.get("sense", COVER),
-        cardinality=data.get("cardinality"),
+        cardinality=cardinality,
         name=data.get("name", "instance"),
     )
 

@@ -395,16 +395,6 @@ def load_points(path=None):
     return parse_points(text)
 
 
-def random_points(count: int, seed: int, *, grid: int = 1000, demand_range=(1, 10)):
-    """Uniform fallback pool: ``count`` distinct integer points with
-    demands, reproducible from ``seed``."""
-    rng = random.Random(seed)
-    cells = rng.sample(range((grid + 1) * (grid + 1)), count)
-    coords = tuple((c % (grid + 1), c // (grid + 1)) for c in cells)
-    demands = tuple(rng.randint(*demand_range) for _ in range(count))
-    return coords, demands
-
-
 # ---------------------------------------------------------------------------
 # generation
 # ---------------------------------------------------------------------------
@@ -538,7 +528,3 @@ def instance_from_json(data: dict) -> MpcvrpInstance:
 
 def save_instance(instance: MpcvrpInstance, path) -> None:
     Path(path).write_text(json.dumps(instance_to_json(instance), indent=2) + "\n")
-
-
-def load_instance(path) -> MpcvrpInstance:
-    return instance_from_json(json.loads(Path(path).read_text()))

@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from .buckets import COMPUTED, EMPTY, FRESH, Partition, compute_representative
 from .labeling import block_view, label_search, through_values
-from .model import Path, as_scaled, check_path_feasible
+from .model import as_scaled, check_path_feasible
 
 
 # merge evaluates exact through-values while no block has more buckets
@@ -76,14 +76,7 @@ class PricingOutcome:
 def _path_rules(problem):
     """Per-coordinate aggregators, sink predicates and prune flags of the
     layered search (``labeling.label_search``)."""
-    aggs = tuple(r.agg for r in problem.path_resources for _ in range(r.dim))
-    d = problem.total_coords
-    checks = []
-    for r, off in zip(problem.path_resources, problem.coord_offset):
-        weights = [0] * d
-        weights[off:off + r.dim] = list(r.a)
-        checks.append((tuple(weights), r.b))
-    return aggs, tuple(checks), problem.monotone
+    return problem.aggs, problem.predicates, problem.monotone
 
 
 def _layers(items_per_block, vec_of, rcost_of, convexity):
@@ -95,6 +88,23 @@ def _layers(items_per_block, vec_of, rcost_of, convexity):
     ]
     layers[0] = [(item, rc - convexity, vec) for item, rc, vec in layers[0]]
     return layers
+
+
+def _assemble(problem, results, chain_of, denom, exclude):
+    """(rcost, Path) for every negative-rcost search result, skipping node
+    keys the caller already holds.  ``chain_of`` maps a result's items to
+    its subpaths."""
+    columns = []
+    for res in results:
+        if res.rcost >= 0:
+            continue
+        path = check_path_feasible(problem, chain_of(res.nodes))
+        if path is None:
+            raise PricingError("a priced path fails the path predicates")
+        if path.node_key in exclude:
+            continue
+        columns.append((Fraction(res.rcost, denom), path))
+    return columns
 
 
 def _through_values(problem, items_per_block, vec_of, rcost_of, convexity):
@@ -187,22 +197,13 @@ class AdaptivePricer:
         return live, None
 
     def _assemble(self, results, denom, exclude):
-        """Negative-rcost representative paths, skipping node keys the
-        caller already holds -- a representative stays the same until its
-        bucket refines, so the master would otherwise see the same column
-        offered over and over."""
-        columns = []
-        for res in results:
-            if res.rcost >= 0:
-                continue
-            subpaths = tuple(b.rep.subpath for b in res.nodes)
-            path = check_path_feasible(self.problem, subpaths)
-            if not isinstance(path, Path):
-                raise PricingError("pessimistic assembly produced an infeasible path")
-            if path.node_key in exclude:
-                continue
-            columns.append((Fraction(res.rcost, denom), path))
-        return columns
+        """Columns from representative paths.  A representative stays the
+        same until its bucket refines, so without ``exclude`` the master
+        would see the same column offered over and over."""
+        return _assemble(
+            self.problem, results,
+            lambda buckets: tuple(b.rep.subpath for b in buckets), denom, exclude,
+        )
 
     # -- merge criterion ------------------------------------------------------
 
@@ -418,8 +419,8 @@ class ExactPricer:
         self.totals["calls"] += 1
 
         value = scaled.value
-        layers = []
-        kept_subpaths = []
+        kept = []                   # (rcost, vector, subpath), block after block
+        items_per_block = []
         for bi in range(len(self.problem.blocks)):
             subpaths = block_view(self.problem, bi).subpaths(banned)
             if not subpaths:
@@ -430,39 +431,35 @@ class ExactPricer:
                 )
             self.totals["enumerated"] += len(subpaths)
             priced = [
-                (sp.cost * denom - sum(map(value, sp.nodes)), flat, sp)
-                for sp, flat in subpaths
+                (sp.cost * denom - sum(map(value, sp.nodes)), sp.contributions, sp)
+                for sp in subpaths
             ]
             priced.sort(key=lambda t: (t[0], t[1], t[2].nodes))
-            kept = []
-            for rc, flat, sp in priced:
+            front = []
+            for rc, vec, sp in priced:
                 if not any(
-                    rc2 <= rc and all(x <= y for x, y in zip(f2, flat))
-                    for rc2, f2, _ in kept
+                    rc2 <= rc and all(x <= y for x, y in zip(v2, vec))
+                    for rc2, v2, _ in front
                 ):
-                    kept.append((rc, flat, sp))
-            self.totals["kept"] += len(kept)
-            layers.append([(j, rc, flat) for j, (rc, flat, _) in enumerate(kept)])
-            kept_subpaths.append([sp for _, _, sp in kept])
-        layers[0] = [(j, rc - scaled.convexity, flat) for j, rc, flat in layers[0]]
+                    front.append((rc, vec, sp))
+            self.totals["kept"] += len(front)
+            # items are indices into ``kept``: ints, so the search's
+            # tie-break on item sequences stays well defined
+            items_per_block.append(range(len(kept), len(kept) + len(front)))
+            kept += front
 
+        layers = _layers(items_per_block, lambda j: kept[j][1], lambda j: kept[j][0],
+                         scaled.convexity)
         results = label_search(layers, *self.rules, top_k=COLUMNS_PER_CALL)
         if not results:
             stats.update(self.totals)
             return PricingOutcome([], None, None, infeasible=True, stats=stats)
 
-        columns = []
         best = Fraction(results[0].rcost, denom)
-        for res in results:
-            if res.rcost >= 0:
-                continue
-            chain = tuple(subs[j] for subs, j in zip(kept_subpaths, res.nodes))
-            path = check_path_feasible(self.problem, chain)
-            if not isinstance(path, Path):
-                raise PricingError("exact pricer assembled an infeasible path")
-            if path.node_key in exclude:
-                continue
-            columns.append(path)
+        columns = [path for _, path in _assemble(
+            self.problem, results, lambda items: tuple(kept[j][2] for j in items),
+            denom, exclude,
+        )]
         stats.update(self.totals)
         return PricingOutcome(
             columns=columns,

@@ -42,7 +42,6 @@ from .model import (
     PathResource,
     Subpath,
     SubpathResource,
-    check_path_feasible,
 )
 
 
@@ -59,9 +58,10 @@ def enumerate_block_subpaths(problem, block_index, banned=frozenset(), max_subpa
     """Every feasible elementary subpath of one block, by exhaustive DFS.
 
     Deliberately dominance-free: this is the reference the labeling and
-    bucket machinery is validated against.  Window stepping is done
-    incrementally (same semantics as model.replay_subpath, reimplemented
-    here so a replay bug cannot hide itself).
+    bucket machinery is validated against, and the independent statement
+    of window semantics (``labeling.BlockView.subpaths`` implements them
+    for the solver).  Contributions are flat vectors in the concatenated
+    coordinate space.
     """
     block = problem.blocks[block_index]
     subs = problem.block_subs[block_index]
@@ -136,13 +136,10 @@ def enumerate_block_subpaths(problem, block_index, banned=frozenset(), max_subpa
             continue
         extend([start], {start}, values, entry.cost, flat(entry))
 
-    out = []
-    for seq, cost, flat_contrib in sorted(found, key=lambda f: (f[0],)):
-        contribs = []
-        for r, off in zip(problem.path_resources, problem.coord_offset):
-            contribs.append(tuple(flat_contrib[off:off + r.dim]))
-        out.append(Subpath(block_index, seq, cost, tuple(contribs)))
-    return out
+    return [
+        Subpath(block_index, seq, cost, contribs)
+        for seq, cost, contribs in sorted(found, key=lambda f: f[0])
+    ]
 
 
 def _aggregate(problem, vectors):
@@ -156,13 +153,6 @@ def _aggregate(problem, vectors):
                 else:
                     agg[c] = max(agg[c], vec[c])
     return tuple(agg)
-
-
-def _flat(subpath):
-    out = []
-    for vec in subpath.contributions:
-        out.extend(vec)
-    return tuple(out)
 
 
 def _admits(problem, agg):
@@ -196,7 +186,7 @@ def oracle_min_rcost(problem, duals: Duals, banned=frozenset(), guard=1_000_000)
 
     priced = [
         [
-            (sp.cost - sum(duals.value(k) for k in sp.nodes), _flat(sp), sp.nodes)
+            (sp.cost - sum(map(duals.value, sp.nodes)), sp.contributions, sp.nodes)
             for sp in subs
         ]
         for subs in per_block
@@ -236,7 +226,7 @@ def oracle_min_rcost_recursive(problem, duals: Duals, banned=frozenset(), guard=
                     best[0] = entry
             return
         for sp in per_block[bi]:
-            flat = _flat(sp)
+            flat = sp.contributions
             if agg is None:
                 nxt = flat
             else:
@@ -271,9 +261,9 @@ def enumerate_paths(problem, banned=frozenset(), guard=1_000_000):
         raise OracleGuard("path cross product exceeds the oracle guard")
     paths = []
     for combo in itertools.product(*per_block):
-        path = check_path_feasible(problem, combo)
-        if isinstance(path, Path):
-            paths.append(path)
+        agg = _aggregate(problem, [sp.contributions for sp in combo])
+        if _admits(problem, agg):
+            paths.append(Path(combo, sum(sp.cost for sp in combo), agg))
     return paths
 
 
@@ -510,7 +500,7 @@ def random_span_instance(seed, n_scenarios=None, tasks_range=(4, 10)) -> SpanIns
     )
     problem = build_span_problem(probe)
     duty_lists = [
-        [_flat(sp) for sp in enumerate_block_subpaths(problem, bi)]
+        [sp.contributions for sp in enumerate_block_subpaths(problem, bi)]
         for bi in range(n_scenarios)
     ]
 
@@ -540,7 +530,7 @@ def random_span_instance(seed, n_scenarios=None, tasks_range=(4, 10)) -> SpanIns
         block = problem.blocks[si]
         for v in block.elements:
             local = [
-                _flat(sp)
+                sp.contributions
                 for sp in enumerate_block_subpaths(problem, si)
                 if v in sp.nodes
             ]
@@ -618,7 +608,7 @@ def random_chain_instance(seed, n_blocks=None, elements_range=(2, 4)) -> NestedP
         name=f"chain-{seed}",
     )
     per_block = [
-        [_flat(sp)[0] for sp in enumerate_block_subpaths(probe, bi)]
+        [sp.contributions[0] for sp in enumerate_block_subpaths(probe, bi)]
         for bi in range(n_blocks)
     ]
     weights = sorted(
@@ -630,7 +620,7 @@ def random_chain_instance(seed, n_blocks=None, elements_range=(2, 4)) -> NestedP
         others = sum(min(per_block[bj]) for bj in range(n_blocks) if bj != bi)
         for v in probe.blocks[bi].elements:
             own = min(
-                _flat(sp)[0]
+                sp.contributions[0]
                 for sp in enumerate_block_subpaths(probe, bi)
                 if v in sp.nodes
             )

@@ -18,6 +18,7 @@ from nestedcg import driver, mpcvrp, synth
 from nestedcg.buckets import COMPUTED, Partition, compute_representative
 from nestedcg.cli import ExperimentSpec, run_experiment
 from nestedcg.labeling import label_search
+from nestedcg.model import check_path_feasible
 from nestedcg.pricing import AdaptivePricer, PricingConfig, _layers, _path_rules
 
 REL_TOL = 1e-6
@@ -304,7 +305,7 @@ def test_criterion_7_refinement_budget():
         assert not out.infeasible
         budgets = [
             len({
-                tuple(x for vec in sp.contributions for x in vec)
+                sp.contributions
                 for sp in synth.enumerate_block_subpaths(problem, bi)
             })
             for bi in range(len(problem.blocks))
@@ -377,7 +378,6 @@ def test_criterion_9_span_feasibility_predicate():
     for name, instance in _span_corpus():
         problem = synth.build_span_problem(instance)
         times = _span_times(instance)
-        resource = problem.path_resources[0]
         per_block = [
             synth.enumerate_block_subpaths(problem, bi)
             for bi in range(len(problem.blocks))
@@ -385,13 +385,15 @@ def test_criterion_9_span_feasibility_predicate():
         for combo in itertools.product(*per_block):
             vectors = [_duty_vector(times, sp.nodes) for sp in combo]
             for sp, vector in zip(combo, vectors):
-                assert sp.contributions == (vector,), name
+                assert sp.contributions == vector, name
             aggregate = tuple(max(coord) for coord in zip(*vectors))
             all_nodes = [v for sp in combo for v in sp.nodes]
             span = max(times[v][1] for v in all_nodes) - min(
                 times[v][0] for v in all_nodes
             )
-            assert resource.admits(aggregate) == (span <= instance.span_cap), name
+            path = check_path_feasible(problem, combo)
+            assert (path is not None) == (span <= instance.span_cap), name
+            assert path is None or path.aggregate == aggregate, name
 
 
 def test_criterion_9_downward_closure_perturbation():

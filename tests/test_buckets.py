@@ -44,7 +44,7 @@ def _line_problem(span=1000, dim=1):
 
 
 def _rep(nodes, rcost, vector):
-    return Representative(Subpath(0, nodes, 0, (vector,)), rcost)
+    return Representative(Subpath(0, nodes, 0, vector), rcost)
 
 
 def test_initial_tiling_last_tile_absorbs_remainder():
@@ -261,8 +261,7 @@ def test_representatives_match_enumeration(seed):
             [rep] = compute_representative(problem, [bucket], duals)
             inside = []
             for sp in subs:
-                flat = tuple(x for vec in sp.contributions for x in vec)
-                if bucket.contains(flat):
+                if bucket.contains(sp.contributions):
                     rc = sp.cost * duals.denom - sum(
                         duals.value(k) for k in sp.nodes
                     )

@@ -12,6 +12,10 @@ from nestedcg.cli import ExperimentSpec, main, run_experiment
 from nestedcg.model import ModelError, problem_to_json
 
 
+def _load_instance(path):
+    return mpcvrp.instance_from_json(json.loads(path.read_text()))
+
+
 def _generate(tmp_path, *, delta="1", seed="11", name="inst.json"):
     path = tmp_path / name
     rc = main(
@@ -33,7 +37,7 @@ def _generate(tmp_path, *, delta="1", seed="11", name="inst.json"):
 
 def test_generate_writes_instance(tmp_path, capsys):
     path = _generate(tmp_path)
-    inst = mpcvrp.load_instance(path)
+    inst = _load_instance(path)
     assert inst.days == 2 and inst.vehicles == 2
     assert inst.derivation.delta == 1
     out = capsys.readouterr().out
@@ -91,7 +95,7 @@ def test_solve_report_matches_direct_call(tmp_path, capsys):
     assert rc == 0
     data = json.loads(report_path.read_text())
 
-    problem = mpcvrp.build_nested(mpcvrp.load_instance(path))
+    problem = mpcvrp.build_nested(_load_instance(path))
     direct = driver.solve(problem, driver.DriverConfig())
     assert data["status"] == direct.status
     assert Fraction(data["lp_value_exact"]) == direct.lp_value
@@ -137,6 +141,16 @@ def test_solve_invalid_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["solve", "--instance", str(path)]) == 1
+
+
+def test_solve_malformed_problem_file(tmp_path, capsys):
+    data = problem_to_json(synth.random_tiny_instance(1))
+    data["source_arcs"].append([999, 1, []])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", "--instance", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "element 999" in err
 
 
 def test_solve_unrecognized_shape(tmp_path, capsys):

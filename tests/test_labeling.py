@@ -145,7 +145,7 @@ def test_dominance_eq_mode_protects_lower_bounded_coordinates():
     assert hits, "the lower-bounded region is reachable"
     best, rcost = hits[0]
     assert rcost == 2
-    assert best.contributions == ((7,),)
+    assert best.contributions == (7,)
 
 
 def test_blocks_past_31_elements_match_enumeration():
@@ -178,16 +178,15 @@ def test_blocks_past_31_elements_match_enumeration():
         problem, 0, scaled, boxes=[_open(problem)], top_k=5
     ) == [got[:5]]
     # and the block enumeration holds the same subpaths
-    assert [sp for sp, _ in block_view(problem, 0).subpaths()] == subpaths
+    assert list(block_view(problem, 0).subpaths()) == subpaths
 
 
 def _brute_min(problem, block_index, scaled, box=None, banned=frozenset()):
     """Reference: enumerate every feasible subpath, filter, take the min."""
     best = None
     for sp in synth.enumerate_block_subpaths(problem, block_index, banned):
-        flat = [x for vec in sp.contributions for x in vec]
         if box is not None and any(
-            not lo <= v <= hi for (lo, hi), v in zip(box, flat)
+            not lo <= v <= hi for (lo, hi), v in zip(box, sp.contributions)
         ):
             continue
         rc = sp.cost * scaled.denom - sum(scaled.value(k) for k in sp.nodes)
@@ -226,8 +225,7 @@ def test_box_restricted_search_matches_enumeration(seed):
         else:
             assert got[0][1] == want
             sp = got[0][0]
-            flat = [x for vec in sp.contributions for x in vec]
-            assert all(lo <= v <= hi for (lo, hi), v in zip(box, flat))
+            assert all(lo <= v <= hi for (lo, hi), v in zip(box, sp.contributions))
 
 
 @pytest.mark.parametrize("seed", (3, 8, 12))
@@ -264,10 +262,7 @@ def test_coordinate_objective_minimizes_that_coordinate():
         for block_index in range(len(problem.blocks)):
             subs = synth.enumerate_block_subpaths(problem, block_index)
             for coord in range(problem.total_coords):
-                want = min(
-                    [x for vec in sp.contributions for x in vec][coord]
-                    for sp in subs
-                )
+                want = min(sp.contributions[coord] for sp in subs)
                 view = block_view(problem, block_index)
                 assert view.min_achievable(coord) == want
 
@@ -288,10 +283,7 @@ FAMILIES = {
 
 
 def _oracle_subpaths(problem, block_index, banned):
-    return tuple(
-        (sp, tuple(x for vec in sp.contributions for x in vec))
-        for sp in synth.enumerate_block_subpaths(problem, block_index, banned)
-    )
+    return tuple(synth.enumerate_block_subpaths(problem, block_index, banned))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -344,4 +336,4 @@ def test_block_enumeration_with_lower_windows(floor):
     want = {(3,), (3, 1), (3, 1, 2)}
     if floor:
         want |= {(1,), (1, 2), (1, 2, 3), (2,), (2, 3), (2, 3, 1)}
-    assert {sp.nodes for sp, _ in got} == want
+    assert {sp.nodes for sp in got} == want

@@ -1,9 +1,13 @@
-"""Core model semantics: trajectories, windows, aggregation, serialization."""
+"""Core model semantics: trajectories, windows, path predicates, serialization."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from helpers import reduced_cost
 
+from nestedcg import synth
+from nestedcg.labeling import block_view
 from nestedcg.model import (
     COVER,
     MAX,
@@ -19,17 +23,13 @@ from nestedcg.model import (
     PathResource,
     Subpath,
     SubpathResource,
-    Violation,
-    aggregate_contributions,
     check_path_feasible,
-    check_subpath_feasible,
     load_problem,
     problem_from_json,
     problem_to_json,
-    reduced_cost,
-    replay_subpath,
     save_problem,
 )
+from nestedcg.synth import enumerate_block_subpaths
 
 
 @pytest.fixture
@@ -64,33 +64,25 @@ def two_blocks():
     return NestedProblem([b0, b1], subs, resources, sense=COVER)
 
 
+def _subpaths(problem, block_index):
+    """Both enumerations of a block, as {nodes: (cost, contributions)};
+    they must agree."""
+    got = {sp.nodes: (sp.cost, sp.contributions)
+           for sp in block_view(problem, block_index).subpaths()}
+    want = {sp.nodes: (sp.cost, sp.contributions)
+            for sp in enumerate_block_subpaths(problem, block_index)}
+    assert got == want
+    return got
+
+
 def test_replay_accumulates_boundary_arc_exit(two_blocks):
-    cost, contribs, violation = replay_subpath(two_blocks, 0, (1, 2))
-    assert violation is None
-    # entry 10 + arc 5 + exit 2
-    assert cost == 17
-    # sum coordinate: 1 + 2 + 3; max coordinate trajectory: 2 + 1 + 0
-    assert contribs == ((6,), (3,))
+    # entry 10 + arc 5 + exit 2; sum coordinate: 1 + 2 + 3, max
+    # coordinate trajectory: 2 + 1 + 0
+    assert _subpaths(two_blocks, 0)[(1, 2)] == (17, (6, 3))
 
 
 def test_replay_single_element(two_blocks):
-    cost, contribs, violation = replay_subpath(two_blocks, 1, (7,))
-    assert violation is None
-    assert cost == 4
-    assert contribs == ((2,), (1,))
-
-
-def test_replay_rejects_structural_mistakes(two_blocks):
-    with pytest.raises(ModelError):
-        replay_subpath(two_blocks, 0, ())
-    with pytest.raises(ModelError):
-        replay_subpath(two_blocks, 0, (7,))          # wrong block
-    with pytest.raises(ModelError):
-        replay_subpath(two_blocks, 0, (1, 2, 1))     # not elementary
-    b0 = two_blocks.blocks[0]
-    del b0.arcs[(2, 1)]
-    with pytest.raises(ModelError):
-        replay_subpath(two_blocks, 0, (2, 1))        # missing arc
+    assert _subpaths(two_blocks, 1) == {(7,): (4, (2, 1))}
 
 
 def test_window_upper_violation_position():
@@ -102,8 +94,8 @@ def test_window_upper_violation_position():
     problem = NestedProblem(
         [block], [SubpathResource(block=0, windows={1: (None, 3), 2: (None, 3)})]
     )
-    out = check_subpath_feasible(problem, 0, (1, 2))
-    assert out == Violation("subpath_resource", 0, 2)
+    # 2 at the first stop, 4 > 3 at the second
+    assert set(_subpaths(problem, 0)) == {(1,), (2,)}
 
 
 def test_window_lower_bound_vs_floor():
@@ -120,11 +112,10 @@ def test_window_lower_bound_vs_floor():
             )],
         )
 
-    hard = check_subpath_feasible(build(False), 0, (1, 2))
-    assert hard == Violation("subpath_resource", 0, 1)   # 2 < 5 at entry
-    soft = check_subpath_feasible(build(True), 0, (1, 2))
+    # hard: 2 < 5 at the entry to 1, and 0 < 6 at an entry to 2
+    assert _subpaths(build(False), 0) == {}
     # floored to 5 at the first stop, then 5 + 2 = 7 >= 6
-    assert isinstance(soft, Subpath)
+    assert set(_subpaths(build(True), 0)) == {(1,), (2,), (1, 2)}
 
 
 def test_exit_half_is_not_window_checked():
@@ -136,56 +127,77 @@ def test_exit_half_is_not_window_checked():
     problem = NestedProblem(
         [block], [SubpathResource(block=0, windows={1: (None, 5)})]
     )
-    sp = check_subpath_feasible(problem, 0, (1,))
-    assert isinstance(sp, Subpath)
+    assert set(_subpaths(problem, 0)) == {(1,)}
 
 
 def test_path_assembly_and_predicates(two_blocks):
-    sp0 = check_subpath_feasible(two_blocks, 0, (1, 2))
-    sp1 = check_subpath_feasible(two_blocks, 1, (7,))
+    sp0 = Subpath(0, (1, 2), 17, (6, 3))
+    sp1 = Subpath(1, (7,), 4, (2, 1))
     path = check_path_feasible(two_blocks, [sp0, sp1])
     assert isinstance(path, Path)
     assert path.cost == 21
-    assert path.aggregate == ((8,), (3,))     # sum and componentwise max
+    assert path.aggregate == (8, 3)     # sum and componentwise max
     assert path.covered == {1, 2, 7}
     assert path.node_key == ((1, 2), (7,))
 
 
 def test_path_predicate_violation(two_blocks):
-    sp0 = check_subpath_feasible(two_blocks, 0, (2, 1))
-    assert isinstance(sp0, Subpath)
-    assert sp0.contributions == ((2,), (1,))
-    fat = Subpath(1, (7,), 4, ((11,), (1,)))
-    out = check_path_feasible(two_blocks, [sp0, fat])
-    assert out == Violation("path_resource", 0, None)   # 2 + 11 > 12
+    assert _subpaths(two_blocks, 0)[(2, 1)] == (28, (2, 1))
+    sp0 = Subpath(0, (2, 1), 28, (2, 1))
+    fat = Subpath(1, (7,), 4, (11, 1))
+    assert check_path_feasible(two_blocks, [sp0, fat]) is None   # 2 + 11 > 12
+    tall = Subpath(1, (7,), 4, (2, 5))
+    assert check_path_feasible(two_blocks, [sp0, tall]) is None  # 2 * 5 > 8
 
 
 def test_path_needs_one_subpath_per_block_in_order(two_blocks):
-    sp0 = check_subpath_feasible(two_blocks, 0, (1,))
+    sp0 = Subpath(0, (1,), 11, (2, 2))
     with pytest.raises(ModelError):
         check_path_feasible(two_blocks, [sp0])
     with pytest.raises(ModelError):
         check_path_feasible(two_blocks, [sp0, sp0])
 
 
-def test_aggregate_contributions_modes():
-    sum_res = PathResource(dim=2, agg=SUM, a=(1, 1), b=99, box=((0, 9), (0, 9)))
-    max_res = PathResource(dim=2, agg=MAX, a=(1, 1), b=99, box=((0, 9), (0, 9)))
-    vecs = [(1, 5), (4, 2), (0, 3)]
-    assert aggregate_contributions(sum_res, vecs) == (5, 10)
-    assert aggregate_contributions(max_res, vecs) == (4, 5)
-    with pytest.raises(ModelError):
-        aggregate_contributions(sum_res, [])
+@pytest.mark.parametrize("make", [
+    "two_blocks",
+    *(f"tiny{seed}" for seed in range(1, 5)),
+    *(f"chain{seed}" for seed in range(1, 4)),
+    *(f"span{seed}" for seed in range(1, 3)),
+])
+def test_path_predicate_matches_oracle(make, two_blocks):
+    """check_path_feasible accepts exactly the subpath combinations that
+    the oracle's own aggregation and predicate accept."""
+    if make == "two_blocks":
+        problem = two_blocks
+    elif make.startswith("tiny"):
+        problem = synth.random_tiny_instance(int(make[4:]))
+    elif make.startswith("chain"):
+        problem = synth.random_chain_instance(int(make[5:]))
+    else:
+        problem = synth.build_span_problem(synth.random_span_instance(int(make[4:])))
+    per_block = [
+        enumerate_block_subpaths(problem, bi) for bi in range(len(problem.blocks))
+    ]
+    accepted = 0
+    for combo in itertools.product(*per_block):
+        agg = synth._aggregate(problem, [sp.contributions for sp in combo])
+        path = check_path_feasible(problem, combo)
+        assert (path is not None) == synth._admits(problem, agg)
+        if path is not None:
+            accepted += 1
+            assert path.aggregate == agg
+            assert path.cost == sum(sp.cost for sp in combo)
+    assert accepted > 0
 
 
 def test_reduced_cost_charges_convexity_on_paths_only(two_blocks):
     duals = Duals({1: 3, 2: 4, 7: 5}, convexity=2)
-    sp0 = check_subpath_feasible(two_blocks, 0, (1, 2))
-    sp1 = check_subpath_feasible(two_blocks, 1, (7,))
+    sp0 = Subpath(0, (1, 2), 17, (6, 3))
+    sp1 = Subpath(1, (7,), 4, (2, 1))
     path = check_path_feasible(two_blocks, [sp0, sp1])
     assert reduced_cost(sp0, duals) == 17 - 7
     assert reduced_cost(path, duals) == 21 - 12 - 2
-    with pytest.raises(ModelError):
+    with pytest.raises(TypeError):
         reduced_cost("not a column", duals)
 
 
@@ -283,14 +295,53 @@ def test_json_round_trip(two_blocks, tmp_path):
     assert problem_to_json(again) == data
     assert again.monotone == two_blocks.monotone
     assert again.elements == two_blocks.elements
-    for nodes in ((1, 2), (2, 1), (1,), (2,)):
-        assert replay_subpath(again, 0, nodes) == replay_subpath(
-            two_blocks, 0, nodes
-        )
+    for bi in range(len(two_blocks.blocks)):
+        assert block_view(again, bi).subpaths() == block_view(two_blocks, bi).subpaths()
 
     target = tmp_path / "instance.json"
     save_problem(two_blocks, target)
     assert problem_to_json(load_problem(target)) == data
+
+
+def _set(path, value):
+    """Edit for a problem document: set the item at ``path``."""
+    def edit(data):
+        *head, last = path
+        for key in head:
+            data = data[key]
+        data[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["source_arcs"].append([9, 1, []]),
+     r"source_arcs\[3\]: element 9 is in no block"),
+    (lambda d: d["path_resources"][0].pop("b"),
+     r"path_resources\[0\]: missing key 'b'"),
+    (_set(("blocks", 0, "arcs", 0, 2), 5.5),
+     r"blocks\[0\]\.arcs\[0\]: expected an integer, got 5\.5"),
+    (_set(("sink_arcs", 1, 2, 0), 0.5),
+     r"sink_arcs\[1\]: expected an integer, got 0\.5"),
+    (_set(("sink_arcs", 1, 1), "3"),
+     r"sink_arcs\[1\]: expected an integer, got '3'"),
+    (_set(("source_arcs", 0), [1, 10]),
+     r"source_arcs\[0\]: not enough values"),
+    (_set(("subpath_resources", 0, "windows", "1"), [None, 6.5]),
+     r"subpath_resources\[0\]: expected an integer, got 6\.5"),
+    (_set(("path_resources", 1, "box"), [[0, True]]),
+     r"path_resources\[1\]: expected an integer, got True"),
+    (_set(("blocks", 1), [7]),
+     r"blocks\[1\]:"),
+    (_set(("cardinality",), 1.5),
+     r"problem: expected an integer, got 1\.5"),
+    (lambda d: d.pop("blocks"),
+     r"problem: missing key 'blocks'"),
+])
+def test_json_rejects_malformed_documents(two_blocks, edit, message):
+    data = problem_to_json(two_blocks)
+    edit(data)
+    with pytest.raises(ModelError, match=message):
+        problem_from_json(data)
 
 
 def test_json_round_trip_partition_with_cardinality(two_blocks):

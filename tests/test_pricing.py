@@ -5,11 +5,12 @@ import itertools
 import random
 
 import pytest
+from helpers import reduced_cost
 
 from nestedcg import synth
 from nestedcg.buckets import COMPUTED, Partition, compute_representative
 from nestedcg.labeling import label_search
-from nestedcg.model import Duals, reduced_cost
+from nestedcg.model import Duals
 from nestedcg.pricing import (
     AdaptivePricer,
     ExactPricer,
@@ -37,7 +38,7 @@ def _case(seed):
 
 def _distinct_vectors(problem, block_index):
     return {
-        tuple(x for vec in sp.contributions for x in vec)
+        sp.contributions
         for sp in synth.enumerate_block_subpaths(problem, block_index)
     }
 

@@ -49,8 +49,8 @@ def test_span_predicate_is_latest_end_minus_earliest_start():
     (path,) = paths
     # componentwise max of (end, -start) vectors: (1040, -480); the linear
     # predicate sums them to the 560-minute overall span
-    assert path.aggregate == ((1040, -480),)
-    assert sum(path.aggregate[0]) == 560
+    assert path.aggregate == (1040, -480)
+    assert sum(path.aggregate) == 560
     # each duty pays base cost plus elapsed time at the time rate
     assert path.cost == 2 * (30 * MILLI + 540 * MILLI)
 
@@ -91,7 +91,7 @@ def test_span_encoding_matches_task_arithmetic(seed):
             assert elapsed <= instance.duty_cap
             assert sp.cost == instance.base_cost + instance.time_rate * elapsed
             # the contribution pair is (latest end, negated earliest start)
-            assert sp.contributions == ((seq[-1][1], -seq[0][0]),)
+            assert sp.contributions == (seq[-1][1], -seq[0][0])
 
 
 @pytest.mark.parametrize("seed", (1, 4, 7))
@@ -106,14 +106,14 @@ def test_max_aggregation_matches_direct_recomputation(seed):
 
     manual = 0
     for combo in itertools.product(*per_block):
-        vecs = [sp.contributions[0] for sp in combo]
+        vecs = [sp.contributions for sp in combo]
         agg = tuple(max(v[c] for v in vecs) for c in range(2))
         if sum(agg) <= instance.span_cap:
             manual += 1
     assert manual == len(enumerate_paths(problem))
     for path in enumerate_paths(problem):
-        vecs = [sp.contributions[0] for sp in path.subpaths]
-        assert path.aggregate[0] == tuple(
+        vecs = [sp.contributions for sp in path.subpaths]
+        assert path.aggregate == tuple(
             max(v[c] for v in vecs) for c in range(2)
         )
 
@@ -235,6 +235,5 @@ def test_contribution_boxes_enclose_every_feasible_contribution():
             box = problem.contribution_box()
             for bi in range(len(problem.blocks)):
                 for sp in enumerate_block_subpaths(problem, bi):
-                    flat = [x for vec in sp.contributions for x in vec]
-                    for (lo, hi), v in zip(box, flat):
+                    for (lo, hi), v in zip(box, sp.contributions):
                         assert lo <= v <= hi
