@@ -292,12 +292,6 @@ def solve(problem, config: DriverConfig | None = None) -> RunReport:
                 dive_report.ip_value - lp_value, 1
             ) / lp_value
 
-    stats = {}
-    if isinstance(pricer, AdaptivePricer):
-        stats = pricer._snapshot()
-    elif isinstance(pricer, ExactPricer):
-        stats = dict(pricer.totals)
-
     return RunReport(
         name=problem.name,
         status=status,
@@ -307,7 +301,7 @@ def solve(problem, config: DriverConfig | None = None) -> RunReport:
         columns_generated=counters.columns,
         misprices=counters.misprices,
         wall_time=time.perf_counter() - t0,
-        pricer_stats=stats,
+        pricer_stats=pricer._snapshot(),
         dive=dive_report,
         traces=traces,
     )

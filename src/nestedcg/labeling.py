@@ -16,8 +16,9 @@ Two searches share one count-based retention core (:func:`_insert`):
 Both the fill and the enumerative pricer work on :class:`BlockView`, the
 one compiled form of a block (local element indices, padded subpath
 deltas, flat contribution deltas, sorted adjacency);
-:meth:`BlockView.subpaths` enumerates every feasible subpath of a block
-for the enumerative pricer.
+:meth:`BlockView.table` enumerates every feasible subpath of a block
+once, as data for the enumerative pricer (:class:`SubpathTable`), and
+filters it per ban set.
 
 Dominance is configured per resource coordinate: ``LE`` (smaller-or-equal
 dominates) or ``EQ`` (values must match); the layered search uses ``LE``
@@ -323,11 +324,22 @@ class BlockView:
             self.arcs_out[self.local[u]].append(
                 (self.local[v], arc.cost, padded_sub(arc), flat_coords(arc))
             )
+        # what a step adds to a subpath's cost, exit leg included: step t
+        # starts a subpath at element t, step (u + 1) * m + t extends one
+        # that ends at u to t (see ``SubpathTable``)
+        m = len(block.elements)
+        self._step_costs = [0] * ((m + 1) * m)
+        for t, (cost, _, _) in enumerate(self.entry):
+            self._step_costs[t] = cost + self.exit[t][0]
+        for u, outs in enumerate(self.arcs_out):
+            for t, cost, _, _ in outs:
+                self._step_costs[(u + 1) * m + t] = cost + self.exit[t][0] - self.exit[u][0]
 
         self.coord_monotone = self._coord_monotone()
         self.sub_modes = tuple(LE if safe else EQ for safe in self._sub_le_safe())
         self._min_achievable = {}
-        self._subpaths = {}       # block-local banned mask -> subpaths
+        self._tables = {}         # block-local banned mask -> SubpathTable
+        self._subpaths = {}       # block-local banned mask -> subpaths by nodes
 
     def _coord_monotone(self):
         mono = [True] * self.n_coords
@@ -377,40 +389,91 @@ class BlockView:
             self._min_achievable[coord] = results[0][1] if results else None
         return self._min_achievable[coord]
 
-    def subpaths(self, banned=frozenset()):
-        """Every feasible elementary subpath of the block that avoids
-        ``banned``, sorted by node sequence.  Dual-independent, so cached
-        per block-local ban set."""
+    def _mask(self, banned) -> int:
         mask = 0
         for k in banned:
             if k in self.local:
                 mask |= 1 << self.local[k]
-        if mask in self._subpaths:
-            return self._subpaths[mask]
+        return mask
+
+    def table(self, banned=frozenset()) -> "SubpathTable":
+        """Every feasible elementary subpath of the block that avoids
+        ``banned``, as a :class:`SubpathTable` in (contribution vector,
+        node sequence) order.  Dual-independent, so cached per
+        block-local ban set.
+
+        The block is searched once, without bans; a ban set filters that
+        table by element mask.  This is exact: a ban removes elements and
+        never changes whether a subpath that avoids them is feasible, and
+        the filter keeps the order."""
+        mask = self._mask(banned)
+        if mask not in self._tables:
+            if 0 not in self._tables:
+                self._tables[0] = self._enumerate()
+            self._tables[mask] = self._tables[0].without(mask)
+        return self._tables[mask]
+
+    def subpaths(self, banned=frozenset()):
+        """The subpaths of :meth:`table`, sorted by node sequence; cached
+        per block-local ban set."""
+        mask = self._mask(banned)
+        if mask not in self._subpaths:
+            self._subpaths[mask] = tuple(
+                sorted(self.table(banned).subpaths, key=lambda sp: sp.nodes)
+            )
+        return self._subpaths[mask]
+
+    def reduced_costs(self, table, duals) -> list:
+        """Scaled reduced cost of every subpath of ``table``, one of this
+        block's tables, under scaled ``duals``: one addition per subpath,
+        to its prefix's value."""
+        m = len(self.elements)
+        gain = [duals.value(k) for k in self.elements]
+        return table.sums([
+            cost * duals.denom - gain[step % m]
+            for step, cost in enumerate(self._step_costs)
+        ])
+
+    def _enumerate(self) -> "SubpathTable":
+        """Depth-first search over every feasible elementary subpath."""
         elements, sub_checks = self.elements, self.sub_checks
+        m = len(elements)
         stack = []
         for v, (cost, sub_d, flat) in enumerate(self.entry):
-            if mask >> v & 1:
-                continue
             values = _extend_sub(sub_checks[v], (0,) * self.n_sub, sub_d)
             if values is not None:
-                stack.append((v, (elements[v],), mask | 1 << v, values, cost, flat))
-        found = []
+                stack.append((v, (elements[v],), 1 << v, values, cost, flat, -1, v))
+        found = []          # (vector, nodes, cost, mask, prefix row, step)
         while stack:
-            u, nodes, visited, values, cost, flat = stack.pop()
+            u, nodes, visited, values, cost, flat, prefix, step = stack.pop()
             exit_cost, _, exit_flat = self.exit[u]
-            found.append(Subpath(self.index, nodes, cost + exit_cost,
-                                 tuple(map(add, flat, exit_flat))))
+            row = len(found)
+            found.append((tuple(map(add, flat, exit_flat)), nodes, cost + exit_cost,
+                          visited, prefix, step))
             for t, arc_cost, sub_d, arc_flat in self.arcs_out[u]:
                 if visited >> t & 1:
                     continue
                 nxt = _extend_sub(sub_checks[t], values, sub_d)
                 if nxt is not None:
                     stack.append((t, nodes + (elements[t],), visited | 1 << t, nxt,
-                                  cost + arc_cost, tuple(map(add, flat, arc_flat))))
-        found.sort(key=lambda sp: sp.nodes)
-        self._subpaths[mask] = tuple(found)
-        return self._subpaths[mask]
+                                  cost + arc_cost, tuple(map(add, flat, arc_flat)),
+                                  row, (u + 1) * m + t))
+        if not found:
+            return SubpathTable()
+        # (vector, nodes) pairs are distinct, so the sort never looks further
+        ranked = sorted(range(len(found)), key=found.__getitem__)
+        rank = [-1] * (len(found) + 1)  # search row -> table row; -1 stays -1
+        for row, i in enumerate(ranked):
+            rank[i] = row
+        vectors, nodes, costs, masks, prefixes, steps = zip(*found)
+        return SubpathTable(
+            tuple([Subpath(self.index, nodes[i], costs[i], vectors[i]) for i in ranked]),
+            tuple([vectors[i] for i in ranked]),
+            tuple([masks[i] for i in ranked]),
+            tuple(rank[:-1]),
+            tuple([rank[p] for p in prefixes]),
+            steps,
+        )
 
     def modes(self, box) -> tuple:
         """Dominance mode per contribution coordinate under a contribution
@@ -425,6 +488,62 @@ class BlockView:
             reachable = self.min_achievable(c)
             out.append(LE if reachable is None or lo <= reachable else EQ)
         return tuple(out)
+
+
+class SubpathTable:
+    """A block's feasible subpaths in (contribution vector, node sequence)
+    order, with each one's ``vectors`` (its contributions) and ``masks``
+    (its local elements as a bit set) beside it.
+
+    Every prefix of a subpath is a subpath too, so the table also lists
+    its rows in search order, each after its prefix: row ``order[i]``
+    extends row ``parents[i]`` (-1 for none) by step ``steps[i]``, the
+    index of its last element (plus ``(u + 1) * m`` when it follows
+    local element u of a block of m elements).  A sum along subpaths then
+    takes one addition per row (:meth:`sums`)."""
+
+    __slots__ = ("subpaths", "vectors", "masks", "order", "parents", "steps")
+
+    def __init__(self, subpaths=(), vectors=(), masks=(),
+                 order=(), parents=(), steps=()):
+        self.subpaths = subpaths
+        self.vectors = vectors
+        self.masks = masks
+        self.order = order
+        self.parents = parents
+        self.steps = steps
+
+    def __len__(self):
+        return len(self.subpaths)
+
+    def without(self, mask) -> "SubpathTable":
+        """The subpaths that visit no element of local ``mask``, in order.
+        A kept subpath's prefixes are kept too."""
+        if not mask:
+            return self
+        keep = [i for i, m in enumerate(self.masks) if not m & mask]
+        new = [-1] * (len(self) + 1)    # old row -> new row; -1 stays -1
+        for row, i in enumerate(keep):
+            new[i] = row
+        search = [
+            (new[i], new[p], step)
+            for i, p, step in zip(self.order, self.parents, self.steps)
+            if new[i] >= 0
+        ]
+        return SubpathTable(
+            *(tuple([column[i] for i in keep])
+              for column in (self.subpaths, self.vectors, self.masks)),
+            *zip(*search),
+        )
+
+    def sums(self, values) -> list:
+        """Per row, the sum of ``values[s]`` over the steps s of its
+        subpath."""
+        out = [0] * (len(self) + 1)
+        for i, p, step in zip(self.order, self.parents, self.steps):
+            out[i] = out[p] + values[step]
+        out.pop()
+        return out
 
 
 def block_view(problem, block_index) -> BlockView:

@@ -43,6 +43,9 @@ from .model import (
     NestedProblem,
     PathResource,
     SubpathResource,
+    _bound,
+    _entry,
+    _int,
 )
 
 # Exact calibration enumerates customer subsets per day; 2^14 masks is
@@ -502,25 +505,40 @@ def instance_to_json(instance: MpcvrpInstance) -> dict:
     return data
 
 
+def _point(value):
+    x, y = value
+    return _int(x), _int(y)
+
+
 def instance_from_json(data: dict) -> MpcvrpInstance:
+    """Build an instance from its JSON form (:func:`instance_to_json`).  A
+    malformed document raises a ModelError that names the offending
+    field."""
+
+    def field(key, parse=_int):
+        with _entry(key):
+            return parse(data[key])
+
     derivation = None
     if data.get("derivation"):
-        d = data["derivation"]
-        derivation = CapDerivation(
-            d_min=Fraction(d["d_min"]),
-            d_max=int(d["d_max"]),
-            delta=Fraction(d["delta"]),
-            seed=d.get("seed"),
-        )
+        with _entry("derivation"):
+            d = data["derivation"]
+            derivation = CapDerivation(
+                # as calibrate_caps reads them: a float 0.3 is 3/10
+                d_min=Fraction(str(d["d_min"])),
+                d_max=_int(d["d_max"]),
+                delta=Fraction(str(d["delta"])),
+                seed=_bound(d.get("seed")),
+            )
     return MpcvrpInstance(
-        days=int(data["days"]),
-        vehicles=int(data["vehicles"]),
-        capacity=int(data["capacity"]),
-        depot=tuple(data["depot"]),
-        customers=tuple(tuple(c) for c in data["customers"]),
-        demands=tuple(int(d) for d in data["demands"]),
-        day_of=tuple(int(t) for t in data["day_of"]),
-        distance_cap=int(data["distance_cap"]),
+        days=field("days"),
+        vehicles=field("vehicles"),
+        capacity=field("capacity"),
+        depot=field("depot", _point),
+        customers=field("customers", lambda cs: tuple(map(_point, cs))),
+        demands=field("demands", lambda ds: tuple(map(_int, ds))),
+        day_of=field("day_of", lambda ts: tuple(map(_int, ts))),
+        distance_cap=field("distance_cap"),
         derivation=derivation,
         name=data.get("name", "mpcvrp"),
     )

@@ -26,10 +26,14 @@ vector, so a block never sees more splits than it has distinct feasible
 contribution vectors.
 
 The enumerative pricer is the benchmark: enumerate every feasible
-subpath per block once (``labeling.BlockView.subpaths``;
-dual-independent, cached per block-local ban set), keep the per-block
-Pareto front under the current duals, and run the same layered search
-over individual subpaths.  Its bound is exact by construction.
+subpath per block once, as a dual-independent table
+(``labeling.BlockView.table``; searched once per block, filtered per
+block-local ban set), keep the per-block Pareto front under the current
+duals, and run the same layered search over individual subpaths.  Its
+bound is exact by construction.  Per call, the work is linear in the
+table when the problem has at most one contribution coordinate (one
+addition per subpath for its reduced cost, one pass for the front; see
+:class:`ExactPricer`).
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import le
 
 from .buckets import COMPUTED, EMPTY, FRESH, Partition, compute_representative
 from .labeling import block_view, label_search, through_values
@@ -405,43 +410,58 @@ class ExactPricer:
     filter under the duals, then the same layered path search.  The bound
     it reports is the exact minimum reduced cost (swapping any subpath
     for one that dominates it keeps a path feasible and no dearer, so the
-    Pareto front always contains an optimal path's subpaths)."""
+    Pareto front always contains an optimal path's subpaths).
+
+    Each block's subpaths come from its dual-independent table
+    (``labeling.BlockView.table``), already in (contribution vector,
+    node sequence) order.  A call only prices them and keeps the front:
+
+    * reduced costs take one addition per subpath.  Every prefix of a
+      subpath is in the table, so a subpath's rcost is its prefix's plus
+      the scaled cost of its last step less the dual of the element it
+      reaches; those step values are listed once per call.
+    * the front comes out in (rcost, vector, nodes) order.  Taken in that
+      order, a subpath is dominated exactly when some earlier subpath has
+      a componentwise smaller-or-equal vector: an earlier dominated one
+      would have its own dominator earlier still.
+    * with at most one coordinate, a subpath is kept when it is the first
+      cheapest of its run of equal vectors and strictly cheaper than
+      every smaller vector.  In table order those are the strict prefix
+      minima of the rcosts that the next prefix minimum does not share a
+      vector with: one pass, no sort.  The kept rcosts fall as the
+      vectors rise, so the reversed list is in order.
+    * with more, a stable sort by rcost alone gives (rcost, vector,
+      nodes) order, and each subpath is tested against the kept ones.
+    """
 
     def __init__(self, problem):
         self.problem = problem
         self.rules = _path_rules(problem)
         self.totals = {"enumerated": 0, "kept": 0, "calls": 0}
+        # wall time per phase, for reporting only
+        self.timers = {"enumerate": 0.0, "front": 0.0, "search": 0.0}
 
     def price(self, duals, banned=frozenset(), exclude=frozenset()) -> PricingOutcome:
         scaled = as_scaled(duals)
         denom = scaled.denom
-        stats = {}
         self.totals["calls"] += 1
 
-        value = scaled.value
         kept = []                   # (rcost, vector, subpath), block after block
         items_per_block = []
         for bi in range(len(self.problem.blocks)):
-            subpaths = block_view(self.problem, bi).subpaths(banned)
-            if not subpaths:
-                stats.update(self.totals)
+            tick = time.perf_counter()
+            view = block_view(self.problem, bi)
+            table = view.table(banned)
+            self.timers["enumerate"] += time.perf_counter() - tick
+            if not table:
                 return PricingOutcome(
                     [], None, None, infeasible=True, infeasible_block=bi,
-                    stats=stats,
+                    stats=self._snapshot(),
                 )
-            self.totals["enumerated"] += len(subpaths)
-            priced = [
-                (sp.cost * denom - sum(map(value, sp.nodes)), sp.contributions, sp)
-                for sp in subpaths
-            ]
-            priced.sort(key=lambda t: (t[0], t[1], t[2].nodes))
-            front = []
-            for rc, vec, sp in priced:
-                if not any(
-                    rc2 <= rc and all(x <= y for x, y in zip(v2, vec))
-                    for rc2, v2, _ in front
-                ):
-                    front.append((rc, vec, sp))
+            self.totals["enumerated"] += len(table)
+            tick = time.perf_counter()
+            front = _front(view, table, scaled)
+            self.timers["front"] += time.perf_counter() - tick
             self.totals["kept"] += len(front)
             # items are indices into ``kept``: ints, so the search's
             # tie-break on item sequences stays well defined
@@ -450,20 +470,65 @@ class ExactPricer:
 
         layers = _layers(items_per_block, lambda j: kept[j][1], lambda j: kept[j][0],
                          scaled.convexity)
+        tick = time.perf_counter()
         results = label_search(layers, *self.rules, top_k=COLUMNS_PER_CALL)
+        self.timers["search"] += time.perf_counter() - tick
         if not results:
-            stats.update(self.totals)
-            return PricingOutcome([], None, None, infeasible=True, stats=stats)
+            return PricingOutcome([], None, None, infeasible=True,
+                                  stats=self._snapshot())
 
         best = Fraction(results[0].rcost, denom)
         columns = [path for _, path in _assemble(
             self.problem, results, lambda items: tuple(kept[j][2] for j in items),
             denom, exclude,
         )]
-        stats.update(self.totals)
         return PricingOutcome(
             columns=columns,
             optimistic=best,
             pessimistic=best if columns else None,
-            stats=stats,
+            stats=self._snapshot(),
         )
+
+    def _snapshot(self):
+        snap = dict(self.totals)
+        for phase, secs in self.timers.items():
+            snap[f"time_{phase}"] = secs
+        return snap
+
+
+def _front(view, table, scaled):
+    """The Pareto front of ``table``, a ``labeling.SubpathTable`` of block
+    ``view``, under scaled duals, as (scaled rcost, vector, subpath)
+    triples in (rcost, vector, nodes) order."""
+    rcosts = view.reduced_costs(table, scaled)
+    return [
+        (rcosts[j], table.vectors[j], table.subpaths[j])
+        for j in _pareto_keep(table.vectors, rcosts)
+    ]
+
+
+def _pareto_keep(vectors, rcosts):
+    """Indices of the Pareto front of (rcost, vector) pairs listed in
+    (vector, node sequence) order, in (rcost, vector, nodes) order; see
+    :class:`ExactPricer`."""
+    if not vectors:
+        return []
+    if len(vectors[0]) <= 1:
+        lows = []                   # strict prefix minima of the rcosts
+        floor = math.inf
+        for j, rc in enumerate(rcosts):
+            if rc < floor:
+                lows.append(j)
+                floor = rc
+        out = [j for j, nxt in zip(lows, lows[1:]) if vectors[j] != vectors[nxt]]
+        out.append(lows[-1])
+        out.reverse()
+        return out
+    out = []
+    skyline = []
+    for j in sorted(range(len(rcosts)), key=rcosts.__getitem__):
+        vec = vectors[j]
+        if not any(all(map(le, v, vec)) for v in skyline):
+            skyline.append(vec)
+            out.append(j)
+    return out

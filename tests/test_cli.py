@@ -131,6 +131,18 @@ def test_solve_dive_prints_summary(tmp_path, capsys):
     assert "dive:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"kind": "mpcvrp", "days": 2}, "vehicles"),
+    ({"kind": "mpcvrp", "days": 2, "vehicles": 2, "capacity": 10.5}, "capacity"),
+])
+def test_solve_malformed_routing_instance(tmp_path, capsys, doc, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["solve", "--instance", str(path)])
+    assert rc == 1
+    assert f"error: {field}: " in capsys.readouterr().err
+
+
 def test_solve_missing_file(tmp_path, capsys):
     rc = main(["solve", "--instance", str(tmp_path / "nope.json")])
     assert rc == 1

@@ -11,6 +11,7 @@ import pytest
 
 from nestedcg import mpcvrp, synth
 from nestedcg.labeling import (
+    BlockView,
     block_view,
     elementary_rcspp,
     label_search,
@@ -304,6 +305,34 @@ def test_block_enumeration_matches_the_oracle(family):
                 blocks += 1
             banned |= {rng.choice(problem.elements)}
     assert blocks
+
+
+def test_block_is_searched_once_across_ban_sets(monkeypatch):
+    calls = []
+    search = BlockView._enumerate
+
+    def counted(view):
+        calls.append(view.index)
+        return search(view)
+
+    monkeypatch.setattr(BlockView, "_enumerate", counted)
+    problem = _routing(5, 2)
+    rng = random.Random(2)
+    banned = frozenset()
+    for _ in range(4):
+        for bi in range(len(problem.blocks)):
+            view = block_view(problem, bi)
+            table = view.table(banned)
+            # the filtered table keeps the order of the unbanned one
+            assert table.subpaths == tuple(
+                sp for sp in view.table().subpaths if banned.isdisjoint(sp.nodes)
+            )
+            keys = [(sp.contributions, sp.nodes) for sp in table.subpaths]
+            assert keys == sorted(keys)
+            assert table.vectors == tuple(vec for vec, _ in keys)
+            assert set(table.subpaths) == set(view.subpaths(banned))
+        banned |= {rng.choice(problem.elements)}
+    assert sorted(calls) == list(range(len(problem.blocks)))
 
 
 @pytest.mark.parametrize("floor", (False, True))

@@ -615,3 +615,48 @@ def test_save_and_load(tmp_path):
     path = tmp_path / "inst.json"
     save_instance(inst, path)
     assert instance_from_json(json.loads(path.read_text())) == inst
+
+
+def _with(data, **changes):
+    """A copy of an instance document with top-level keys replaced (a
+    value of None drops the key)."""
+    out = dict(data)
+    for key, value in changes.items():
+        if value is None:
+            out.pop(key)
+        else:
+            out[key] = value
+    return out
+
+
+_DOC = instance_to_json(generate_instance(n=4, days=2, vehicles=2, delta=0.3, seed=11))
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"kind": "mpcvrp", "days": 2}, "vehicles"),
+    (_with(_DOC, capacity=None), "capacity"),
+    (_with(_DOC, capacity=10.5), "capacity"),
+    (_with(_DOC, vehicles="2"), "vehicles"),
+    (_with(_DOC, distance_cap=True), "distance_cap"),
+    (_with(_DOC, depot=[0]), "depot"),
+    (_with(_DOC, customers=[[0, 0.5]] * 4), "customers"),
+    (_with(_DOC, demands=[1, 2, 3.25, 4]), "demands"),
+    (_with(_DOC, day_of=None), "day_of"),
+    (_with(_DOC, derivation={"d_min": "1/2", "delta": "3/10"}), "derivation"),
+    (_with(_DOC, derivation={**_DOC["derivation"], "d_max": 7.5}), "derivation"),
+    (_with(_DOC, derivation={**_DOC["derivation"], "delta": "x"}), "derivation"),
+    (_with(_DOC, derivation=[1, 2]), "derivation"),
+])
+def test_malformed_json_names_the_field(data, field):
+    with pytest.raises(ModelError, match=f"^{field}: "):
+        instance_from_json(data)
+
+
+def test_integral_floats_are_accepted():
+    data = _with(_DOC, capacity=float(_DOC["capacity"]))
+    assert instance_from_json(data) == instance_from_json(_DOC)
+
+
+def test_derivation_floats_read_as_decimals():
+    data = _with(_DOC, derivation={**_DOC["derivation"], "delta": 0.3})
+    assert instance_from_json(data).derivation.delta == Fraction(3, 10)

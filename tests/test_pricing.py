@@ -3,20 +3,23 @@ sandwich, closure exactness, refinement budgets, merge safety, reuse."""
 
 import itertools
 import random
+from collections import defaultdict
 
 import pytest
 from helpers import reduced_cost
 
-from nestedcg import synth
+from nestedcg import driver, synth
 from nestedcg.buckets import COMPUTED, Partition, compute_representative
-from nestedcg.labeling import label_search
-from nestedcg.model import Duals
+from nestedcg.labeling import block_view, label_search
+from nestedcg.model import Arc, Block, Duals, NestedProblem
 from nestedcg.pricing import (
     AdaptivePricer,
     ExactPricer,
     PricingConfig,
     PricingError,
+    _front,
     _layers,
+    _pareto_keep,
     _path_rules,
 )
 
@@ -286,3 +289,140 @@ def test_adaptive_and_exact_agree_on_every_dual_vector():
         assert a.infeasible == e.infeasible
         if not a.infeasible:
             assert a.optimistic == e.optimistic
+
+
+# ---------------------------------------------------------------------------
+# the enumerative pricer's Pareto keep against a brute-force reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_front(problem, block_index, scaled, banned):
+    """The keep by definition: price the oracle's subpaths, sort them by
+    (rcost, vector, nodes), keep each one no kept subpath dominates."""
+    priced = sorted(
+        (
+            (sp.cost * scaled.denom - sum(map(scaled.value, sp.nodes)),
+             sp.contributions, sp)
+            for sp in synth.enumerate_block_subpaths(problem, block_index, banned)
+        ),
+        key=lambda t: (t[0], t[1], t[2].nodes),
+    )
+    front = []
+    for rc, vec, sp in priced:
+        if not any(
+            rc2 <= rc and all(x <= y for x, y in zip(v2, vec))
+            for rc2, v2, _ in front
+        ):
+            front.append((rc, vec, sp))
+    return front
+
+
+def _tying_duals(problem, seed):
+    """Integer duals under which chosen pairs of subpaths -- one pair of
+    equal vectors and one arbitrary pair per block where possible -- get
+    equal reduced costs.  Each tie is set through an element that no
+    earlier pair visits, so later ties keep the earlier ones."""
+    rng = random.Random(seed)
+    lam = {}
+    fixed = set()
+    for bi in range(len(problem.blocks)):
+        subs = synth.enumerate_block_subpaths(problem, bi)
+        by_vec = defaultdict(list)
+        for sp in subs:
+            by_vec[sp.contributions].append(sp)
+        pairs = [rng.sample(g, 2) for g in by_vec.values() if len(g) > 1][:1]
+        if len(subs) > 1:
+            pairs.append(rng.sample(subs, 2))
+        for a, b in pairs:
+            free = sorted((set(a.nodes) ^ set(b.nodes)) - fixed)
+            if not free:
+                continue
+            k = rng.choice(free)
+            if k not in a.nodes:
+                a, b = b, a
+            rest_a = sum(lam.get(v, 0) for v in a.nodes if v != k)
+            rest_b = sum(lam.get(v, 0) for v in b.nodes)
+            # a.cost - (lam_k + rest_a) == b.cost - rest_b
+            lam[k] = a.cost - b.cost - rest_a + rest_b
+            fixed |= set(a.nodes) | set(b.nodes)
+    return Duals(lam)
+
+
+def _zero_coordinate_problem(seed):
+    rng = random.Random(seed)
+    elements = tuple(range(1, 6))
+    arcs = {
+        (u, v): Arc(cost=rng.randint(0, 3))
+        for u in elements for v in elements if u != v and rng.random() < 0.6
+    }
+    return NestedProblem([Block(elements=elements, arcs=arcs)], name="nocoords")
+
+
+KEEP_FAMILIES = {
+    "tiny": synth.random_tiny_instance,
+    "chain": synth.random_chain_instance,
+    "span": lambda seed: synth.build_span_problem(synth.random_span_instance(seed)),
+    "nocoords": _zero_coordinate_problem,
+}
+
+
+@pytest.mark.parametrize("family", sorted(KEEP_FAMILIES))
+@pytest.mark.parametrize("duals_kind", ("random", "zero", "tying"))
+def test_front_matches_the_reference_keep(family, duals_kind):
+    blocks = 0
+    for seed in range(1, 9):
+        problem = KEEP_FAMILIES[family](seed)
+        duals = {
+            "random": lambda: synth.random_duals(problem, seed + 500),
+            "zero": lambda: Duals({}),
+            "tying": lambda: _tying_duals(problem, seed),
+        }[duals_kind]()
+        scaled = duals.scaled()
+        rng = random.Random(seed)
+        banned = frozenset()
+        for _ in range(3):      # no bans, then growing ban sets
+            for bi in range(len(problem.blocks)):
+                view = block_view(problem, bi)
+                got = _front(view, view.table(banned), scaled)
+                assert got == _reference_front(problem, bi, scaled, banned), (
+                    seed, bi, sorted(banned))
+                blocks += 1
+            banned |= {rng.choice(problem.elements)}
+    assert blocks
+
+
+def test_pareto_keep_on_dense_ties():
+    # few distinct values on both axes: equal vectors, equal rcosts and
+    # rcosts that tie across vectors are all common
+    rng = random.Random(3)
+    for dims in (0, 1, 2, 3):
+        for _ in range(300):
+            n = rng.randint(0, 12)
+            rows = sorted(
+                (tuple(rng.randint(0, 3) for _ in range(dims)), j, rng.randint(-2, 2))
+                for j in range(n)
+            )
+            vectors = [vec for vec, _, _ in rows]
+            rcosts = [rc for _, _, rc in rows]
+            # reference: (rcost, vector, position) order, kept unless an
+            # earlier kept entry is componentwise no larger
+            want = []
+            for j in sorted(range(n), key=lambda j: (rcosts[j], vectors[j], j)):
+                if not any(
+                    all(x <= y for x, y in zip(vectors[i], vectors[j])) for i in want
+                ):
+                    want.append(j)
+            assert _pareto_keep(vectors, rcosts) == want, (vectors, rcosts)
+
+
+def test_exact_pricer_reports_phase_times_outside_the_trace():
+    reports = [
+        driver.solve(problem, driver.DriverConfig(pricer="exact", dive=True))
+        for problem in (synth.random_tiny_instance(4), synth.random_tiny_instance(4))
+    ]
+    for report in reports:
+        for key in ("time_enumerate", "time_front", "time_search"):
+            assert isinstance(report.pricer_stats[key], float)
+    lines = reports[0].trace_lines()
+    assert lines == reports[1].trace_lines()
+    assert not any("time_" in line for line in lines)
