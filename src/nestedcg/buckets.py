@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .labeling import elementary_rcspp
+from .model import ModelError
 
 FRESH = "fresh"
 COMPUTED = "computed"
@@ -128,16 +129,17 @@ class Partition:
                 raise BucketError(
                     f"expected {d} widths, got {len(widths)}"
                 )
-        if any(w < 1 for w in widths):
-            raise BucketError("bucket widths must be positive")
         box = problem.contribution_box()
+        if any(w < 1 for w in widths):
+            raise ModelError(f"bucket width {width} over box {box}: must be positive")
         axes = [_tiles(lo, hi, w) for (lo, hi), w in zip(box, widths)]
         count = 1
         for ax in axes:
             count *= len(ax)
         if count > MAX_BUCKETS_PER_BLOCK:
-            raise BucketError(
-                f"{count} buckets per block exceeds the limit; use a larger width"
+            raise ModelError(
+                f"bucket width {width} over box {box}: {count} buckets per block "
+                f"exceed the limit {MAX_BUCKETS_PER_BLOCK}; use a larger width"
             )
         per_block = []
         serial = 0
@@ -350,11 +352,11 @@ def compute_representative(problem, buckets, duals, banned=frozenset()):
 
     ``buckets`` lists buckets of one block that share one dominance
     signature (``labeling.BlockView.modes`` of their boxes); a single
-    label search fills them all, and the list of their representatives is
-    returned.  The shared search prunes with the union of the boxes'
-    upper bounds and sends each completed subpath to the box holding its
-    contribution vector, which yields for every bucket exactly the
-    representative its own search would (see
+    label search fills them all, and each bucket's representative is
+    returned (None for an EMPTY one).  The shared search prunes with the
+    union of the boxes' upper bounds and sends each completed subpath to
+    the box holding its contribution vector, which yields for every
+    bucket exactly the representative its own search would (see
     ``labeling.elementary_rcspp``).
 
     Marks a bucket EMPTY -- permanently -- when its box holds no feasible
@@ -371,13 +373,11 @@ def compute_representative(problem, buckets, duals, banned=frozenset()):
             duals,
             boxes=[b.box for b in live],
             banned=banned,
-            top_k=1,
         )
         for bucket, found in zip(live, results):
-            if found:
-                subpath, rcost = found[0]
+            if found is not None:
                 bucket.status = COMPUTED
-                bucket.rep = Representative(subpath, rcost)
+                bucket.rep = Representative(*found)
             else:
                 bucket.status = EMPTY
                 bucket.rep = None

@@ -102,7 +102,8 @@ class DiveReport:
 @dataclass
 class RunReport:
     name: str
-    status: str                    # "optimal" | "infeasible" | "iteration_limit"
+    # "optimal" | "infeasible" | "iteration_limit" | "unbounded" (no finite optimum)
+    status: str
     lp_value: Fraction | None      # root LP optimum, millicost
     bound: Fraction | None         # best Lagrangian lower bound seen
     iterations: int
@@ -186,6 +187,10 @@ def _cg_loop(problem, config, rmp, pricer, smoother, counters, traces, phase):
         counters.iteration += 1
         it = counters.iteration
         sol = rmp.solve(it)
+        if sol.status == "unbounded":
+            traces.append(Trace(it, phase, sol.status, None, 0, None, smoother.alpha,
+                                False, len(rmp.pool), {}, rmp.last_pivots))
+            return "unbounded", sol, best_bound
         pure = sol.duals
         used = smoother.smoothed(pure) if config.smoothing else pure
         smoothed_call = config.smoothing and smoother.center is not None

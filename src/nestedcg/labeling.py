@@ -22,10 +22,12 @@ filters it per ban set.
 
 Dominance is configured per resource coordinate: ``LE`` (smaller-or-equal
 dominates) or ``EQ`` (values must match); the layered search uses ``LE``
-throughout.  Both searches keep up to ``top_k`` mutually non-dominated
-labels per node -- a label is only discarded once at least ``top_k``
-stored labels dominate it -- which makes the returned result list a
-prefix of the fully enumerated, rcost-sorted solution list.
+throughout.  The layered search keeps up to ``top_k`` mutually
+non-dominated labels per item -- a label is only discarded once at least
+``top_k`` stored labels dominate it -- which makes its result list a
+prefix of the fully enumerated, rcost-sorted solution list.  The bucket
+fill needs one cheapest subpath per box, so it keeps the Pareto labels
+(``top_k`` = 1).
 
 Bucket fill.  A contribution box fixes the dominance mode of every
 coordinate -- its *dominance signature*: ``EQ`` where the box's lower
@@ -339,7 +341,6 @@ class BlockView:
         self.sub_modes = tuple(LE if safe else EQ for safe in self._sub_le_safe())
         self._min_achievable = {}
         self._tables = {}         # block-local banned mask -> SubpathTable
-        self._subpaths = {}       # block-local banned mask -> subpaths by nodes
 
     def _coord_monotone(self):
         mono = [True] * self.n_coords
@@ -381,12 +382,12 @@ class BlockView:
         subpaths of the block; None when the block admits none at all."""
         if coord not in self._min_achievable:
             unbounded = ((None, None),) * self.n_coords
-            results = elementary_rcspp(
+            found = elementary_rcspp(
                 self.problem, self.index, boxes=[unbounded],
                 objective=("coord", coord),
             )[0]
             # when minimizing a coordinate the reported rcost is its value
-            self._min_achievable[coord] = results[0][1] if results else None
+            self._min_achievable[coord] = None if found is None else found[1]
         return self._min_achievable[coord]
 
     def _mask(self, banned) -> int:
@@ -412,16 +413,6 @@ class BlockView:
                 self._tables[0] = self._enumerate()
             self._tables[mask] = self._tables[0].without(mask)
         return self._tables[mask]
-
-    def subpaths(self, banned=frozenset()):
-        """The subpaths of :meth:`table`, sorted by node sequence; cached
-        per block-local ban set."""
-        mask = self._mask(banned)
-        if mask not in self._subpaths:
-            self._subpaths[mask] = tuple(
-                sorted(self.table(banned).subpaths, key=lambda sp: sp.nodes)
-            )
-        return self._subpaths[mask]
 
     def reduced_costs(self, table, duals) -> list:
         """Scaled reduced cost of every subpath of ``table``, one of this
@@ -624,11 +615,10 @@ def elementary_rcspp(
     *,
     boxes,
     banned=frozenset(),
-    top_k: int = 1,
     objective="rcost",
 ):
-    """Cheapest elementary subpaths of one block under per-element duals,
-    for each of a list of contribution boxes.
+    """The cheapest elementary subpath of one block under per-element
+    duals, for each of a list of contribution boxes.
 
     ``boxes`` holds disjoint boxes that share one dominance signature
     (:meth:`BlockView.modes`); each restricts the final contribution
@@ -653,13 +643,12 @@ def elementary_rcspp(
     coordinates and subpath resources: labels with different keys can
     never dominate one another, so insertion compares only within a key.
 
-    Returns one list per box of up to ``top_k`` (Subpath, scaled_rcost)
-    pairs sorted by (reduced cost, contribution vector, node sequence);
-    the scale is ``duals.denom``.
+    Returns one entry per box: the (Subpath, scaled_rcost) pair that
+    sorts first by (reduced cost, contribution vector, node sequence), or
+    None when no feasible subpath lies in the box; the scale is
+    ``duals.denom``.
     """
     view = block_view(problem, block_index)
-    if not boxes:
-        return []
     boxes = [tuple(box) for box in boxes]
     modes = view.modes(boxes[0])
     if any(view.modes(box) != modes for box in boxes[1:]):
@@ -713,7 +702,7 @@ def elementary_rcspp(
 
     store = [{} for _ in view.elements]   # node -> EQ key -> labels
     queue = deque()
-    kept = [[] for _ in boxes]            # per box: best-first candidates
+    kept = [None] * len(boxes)            # per box: the best candidate
 
     def offer(lab):
         """Insert a new label; on success queue and complete it."""
@@ -721,7 +710,7 @@ def elementary_rcspp(
         labels = store[lab.node].get(key)
         if labels is None:
             labels = store[lab.node][key] = []
-        if not _insert(labels, lab, dominates, top_k):
+        if not _insert(labels, lab, dominates, 1):
             return
         queue.append(lab)
         cost, _, coord_d = view.exit[lab.node]
@@ -733,13 +722,8 @@ def elementary_rcspp(
             rcost = lab.rcost + cost * denom
         else:
             rcost = contribs[minimize_coord]
-        best = kept[i]
-        pos = len(best)
-        while pos and _precedes(rcost, contribs, lab, best[pos - 1]):
-            pos -= 1
-        if pos < top_k:
-            best.insert(pos, (rcost, contribs, lab, lab.cost + cost))
-            del best[top_k:]
+        if kept[i] is None or _precedes(rcost, contribs, lab, kept[i]):
+            kept[i] = (rcost, contribs, lab, lab.cost + cost)
 
     def too_high(contribs):
         for c, hi in caps:
@@ -784,18 +768,11 @@ def elementary_rcspp(
                 pred=lab, cost=lab.cost + cost, sub=values,
             ))
 
-    return [
-        [
-            (
-                Subpath(
-                    block_index,
-                    tuple(view.elements[i] for i in lab.sequence()),
-                    total_cost,
-                    contribs,
-                ),
-                rcost,
-            )
-            for rcost, contribs, lab, total_cost in best
-        ]
-        for best in kept
-    ]
+    out = []
+    for best in kept:
+        if best is not None:
+            rcost, contribs, lab, total_cost = best
+            nodes = tuple(view.elements[i] for i in lab.sequence())
+            best = (Subpath(block_index, nodes, total_cost, contribs), rcost)
+        out.append(best)
+    return out

@@ -44,7 +44,7 @@ class PoolEntry:
 
 @dataclass(frozen=True)
 class RmpSolution:
-    status: str                      # "optimal" | "infeasible"
+    status: str                      # "optimal" | "infeasible" | "unbounded"
     lp_value: Fraction | None        # residual LP value, excludes fixed paths
     duals: Duals                     # per-element duals + convexity charge
     primal: dict                     # pool serial -> Fraction, nonzero only
@@ -52,10 +52,8 @@ class RmpSolution:
 
 
 class Rmp:
-    def __init__(self, problem, *, pool_floor=POOL_FLOOR, max_age=POOL_MAX_AGE):
+    def __init__(self, problem):
         self.problem = problem
-        self.pool_floor = pool_floor
-        self.max_age = max_age
         self.pool: list[PoolEntry] = []
         self.by_key = {}
         self.by_serial = {}
@@ -63,7 +61,6 @@ class Rmp:
         self.fixed: list[Path] = []
         self.satisfied = set()
         self._basis = None
-        self.solves = 0
         self.last_pivots = 0            # simplex pivots of the latest solve
 
     # -- pool ----------------------------------------------------------------
@@ -85,16 +82,17 @@ class Rmp:
         return added
 
     def manage_pool(self, iteration) -> int:
-        """Evict long-unused columns once the pool outgrows its floor.
+        """Evict columns unused for over ``POOL_MAX_AGE`` iterations once
+        the pool outgrows ``POOL_FLOOR``.
 
         Oldest-by-last-use go first, insertion order breaking ties.  Any
         eviction invalidates the warm basis.
         """
-        excess = len(self.pool) - self.pool_floor
+        excess = len(self.pool) - POOL_FLOOR
         if excess <= 0:
             return 0
         candidates = sorted(
-            (e for e in self.pool if iteration - e.last_used > self.max_age),
+            (e for e in self.pool if iteration - e.last_used > POOL_MAX_AGE),
             key=lambda e: (e.last_used, e.serial),
         )
         evict = candidates[:excess]
@@ -182,7 +180,6 @@ class Rmp:
             costs, columns, rhs, senses, basis=self._basis
         )
         self._basis = result.basis
-        self.solves += 1
         self.last_pivots = result.pivots
 
         by_element = {k: result.duals[i] for i, k in enumerate(rows)}

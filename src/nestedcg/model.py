@@ -137,7 +137,11 @@ class PathResource:
     ``agg`` is "sum" or "max" (componentwise).  ``box`` gives, per
     coordinate, the integer range that per-block contributions can take;
     it seeds the bucket partition and is not itself a feasibility
-    constraint.
+    constraint.  The adaptive pricer sees only subpaths inside it: it
+    rejects a block that can reach below ``lo`` (predicates are downward
+    closed, so such a subpath is always usable), and it treats subpaths
+    above ``hi`` as unusable, which is safe only where no feasible path
+    can hold one (in the routing encoding ``hi`` is the distance cap).
     """
 
     dim: int
@@ -329,10 +333,6 @@ class NestedProblem:
     # -- derived indexes ----------------------------------------------
 
     def _index(self):
-        self._block_of = {}
-        for bi, block in enumerate(self.blocks):
-            for k in block.elements:
-                self._block_of[k] = bi
         # subpath resources per block, in declaration order
         self.block_subs = [
             [ri for ri, r in enumerate(self.subpath_resources) if r.block == bi]
@@ -376,12 +376,6 @@ class NestedProblem:
     def elements(self) -> tuple:
         return tuple(k for b in self.blocks for k in b.elements)
 
-    def block_of(self, k) -> int:
-        try:
-            return self._block_of[k]
-        except KeyError:
-            raise ModelError(f"unknown element {k}") from None
-
     def contribution_box(self) -> tuple[tuple[int, int], ...]:
         """Per-coordinate (lo, hi) over the concatenated coordinate space."""
         return self._box
@@ -397,7 +391,7 @@ def check_path_feasible(problem: NestedProblem, subpaths):
     contribution vector fails a path predicate.
 
     Subpaths are assumed individually feasible (as enumerated by
-    ``labeling.BlockView.subpaths``); only the ordering and the
+    ``labeling.BlockView.table``); only the ordering and the
     path-level predicates are checked here.
     """
     subpaths = tuple(subpaths)

@@ -111,17 +111,6 @@ class MpcvrpInstance:
         return tuple(i for i, t in enumerate(self.day_of) if t == day)
 
 
-def route_distance(instance: MpcvrpInstance, route) -> int:
-    """Total rounded-Euclidean length of depot -> route... -> depot."""
-    route = list(route)
-    if not route:
-        return 0
-    legs = euclidean(instance.depot, instance.customers[route[0]])
-    for u, w in zip(route, route[1:]):
-        legs += euclidean(instance.customers[u], instance.customers[w])
-    return legs + euclidean(instance.customers[route[-1]], instance.depot)
-
-
 # ---------------------------------------------------------------------------
 # nested-problem encoding
 # ---------------------------------------------------------------------------
@@ -189,14 +178,12 @@ def build_nested(instance: MpcvrpInstance) -> NestedProblem:
 # ---------------------------------------------------------------------------
 
 
-def _day_tables(instance: MpcvrpInstance, day: int):
-    """Held-Karp tables for one day.
-
-    Returns (members, dist, leg, dp, route_cost): the local distance
-    matrix, depot legs, the open-path table dp[mask][j] (cheapest
-    depot-start path visiting exactly ``mask`` and ending at local j),
-    and route_cost[mask], the cheapest closed route over ``mask`` or inf
-    when the mask's demand exceeds capacity.
+def _route_costs(instance: MpcvrpInstance, day: int):
+    """route_cost[mask] for one day: the length of the cheapest closed
+    route over the day's customers in ``mask`` (local bit positions), or
+    inf when their demand exceeds capacity.  Held-Karp over the open-path
+    table dp[mask][j], the cheapest depot-start path visiting exactly
+    ``mask`` and ending at local j.
     """
     members = instance.day_members(day)
     m = len(members)
@@ -240,39 +227,19 @@ def _day_tables(instance: MpcvrpInstance, day: int):
             if mask & (1 << j) and row[j] + leg[j] < best:
                 best = row[j] + leg[j]
         route_cost[mask] = best
-    return members, dist, leg, dp, route_cost
+    return route_cost
 
 
-def _order_route(members, dist, leg, dp, mask):
-    """Walk the Held-Karp table backwards to one cheapest visit order
-    (deterministic: lowest local index wins every tie)."""
-    m = len(members)
-    end, best = -1, _INF
-    for j in range(m):
-        if mask & (1 << j) and dp[mask][j] + leg[j] < best:
-            end, best = j, dp[mask][j] + leg[j]
-    order = [members[end]]
-    while mask != 1 << end:
-        prev_mask = mask ^ (1 << end)
-        for j in range(m):
-            if prev_mask & (1 << j) and dp[prev_mask][j] + dist[j][end] == dp[mask][end]:
-                break
-        end, mask = j, prev_mask
-        order.append(members[end])
-    order.reverse()
-    return tuple(order)
-
-
-def solve_day(instance: MpcvrpInstance, day: int, *, routes: int | None = None):
+def solve_day(instance: MpcvrpInstance, day: int):
     """Exact daily routing: cheapest partition of the day's customers into
-    exactly ``routes`` capacity-feasible routes (default: the fleet size).
+    exactly one capacity-feasible route per vehicle.
 
-    Returns (total_distance, route_tuple) with each route a customer-index
-    visit sequence.  Raises ModelError when no such partition exists.
+    Returns (total_distance, route_lengths), one length per route.
+    Raises ModelError when no such partition exists.
     """
-    k = instance.vehicles if routes is None else routes
-    members, dist, leg, dp, route_cost = _day_tables(instance, day)
-    m = len(members)
+    k = instance.vehicles
+    route_cost = _route_costs(instance, day)
+    m = len(instance.day_members(day))
     full = (1 << m) - 1
     if k > m:
         raise ModelError(f"day {day}: {k} routes need at least {k} customers")
@@ -301,13 +268,13 @@ def solve_day(instance: MpcvrpInstance, day: int, *, routes: int | None = None):
             f"day {day}: no partition into {k} capacity-feasible routes"
         )
 
-    routes_out = []
+    lengths = []
     mask = full
     for r in range(k, 0, -1):
         sub = choice[r][mask]
-        routes_out.append(_order_route(members, dist, leg, dp, sub))
+        lengths.append(route_cost[sub])
         mask ^= sub
-    return int(part[k][full]), tuple(reversed(routes_out))
+    return int(part[k][full]), tuple(reversed(lengths))
 
 
 def calibrate_caps(instance: MpcvrpInstance, delta, seed=None) -> CapDerivation:
@@ -323,9 +290,9 @@ def calibrate_caps(instance: MpcvrpInstance, delta, seed=None) -> CapDerivation:
     day_routes = []
     total = 0
     for day in range(instance.days):
-        cost, routes = solve_day(instance, day)
+        cost, lengths = solve_day(instance, day)
         total += cost
-        day_routes.append([route_distance(instance, r) for r in routes])
+        day_routes.append(lengths)
 
     best = _INF
     tail = [list(itertools.permutations(range(k))) for _ in day_routes[1:]]

@@ -46,7 +46,7 @@ from operator import le
 
 from .buckets import COMPUTED, EMPTY, FRESH, Partition, compute_representative
 from .labeling import block_view, label_search, through_values
-from .model import as_scaled, check_path_feasible
+from .model import ModelError, as_scaled, check_path_feasible
 
 
 # merge evaluates exact through-values while no block has more buckets
@@ -165,6 +165,7 @@ class AdaptivePricer:
 
     def _ensure_partition(self, banned):
         if self.partition is None:
+            self._check_box()
             self.partition = Partition.initial(self.problem, self.config.width)
             self.banned = frozenset(banned)
             return
@@ -176,6 +177,19 @@ class AdaptivePricer:
                 # bans shrank: emptiness markings are no longer valid
                 self.partition = Partition.initial(self.problem, self.config.width)
             self.banned = banned
+
+    def _check_box(self):
+        """Raise a ModelError when a block reaches below the contribution
+        box: no bucket holds such a subpath, yet it is always usable."""
+        for bi in range(len(self.problem.blocks)):
+            view = block_view(self.problem, bi)
+            for c, (lo, _) in enumerate(self.problem.contribution_box()):
+                low = view.min_achievable(c)
+                if low is not None and low < lo:
+                    raise ModelError(
+                        f"block {bi} reaches {low} on contribution coordinate {c}, "
+                        f"below the box's lower end {lo}"
+                    )
 
     def _compute_fresh(self, scaled, banned):
         """Fill every stale bucket with one label search per block and

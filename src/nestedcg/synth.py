@@ -59,7 +59,7 @@ def enumerate_block_subpaths(problem, block_index, banned=frozenset(), max_subpa
 
     Deliberately dominance-free: this is the reference the labeling and
     bucket machinery is validated against, and the independent statement
-    of window semantics (``labeling.BlockView.subpaths`` implements them
+    of window semantics (``labeling.BlockView.table`` implements them
     for the solver).  Contributions are flat vectors in the concatenated
     coordinate space.
     """

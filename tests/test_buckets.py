@@ -18,6 +18,7 @@ from nestedcg.model import (
     SUM,
     Arc,
     Block,
+    ModelError,
     NestedProblem,
     PathResource,
     Subpath,
@@ -67,12 +68,13 @@ def test_initial_per_coordinate_widths():
 
 
 def test_initial_rejects_bad_widths():
+    # widths are input: they fail with a ModelError naming width and box
     problem = _line_problem()
-    with pytest.raises(BucketError):
+    with pytest.raises(ModelError, match=r"width 0 over box \(\(0, 1000\),\)"):
         Partition.initial(problem, 0)
     with pytest.raises(BucketError):
         Partition.initial(problem, (250, 250))  # dim mismatch
-    with pytest.raises(BucketError):
+    with pytest.raises(ModelError, match="width 1 over box .*90000 buckets"):
         Partition.initial(_line_problem(span=299, dim=2), 1)  # 90000 cells
 
 

@@ -9,7 +9,16 @@ import pytest
 
 from nestedcg import driver, mpcvrp, synth
 from nestedcg.cli import ExperimentSpec, main, run_experiment
-from nestedcg.model import ModelError, problem_to_json
+from nestedcg.model import (
+    MILLI,
+    SUM,
+    Block,
+    Boundary,
+    ModelError,
+    NestedProblem,
+    PathResource,
+    problem_to_json,
+)
 
 
 def _load_instance(path):
@@ -163,6 +172,22 @@ def test_solve_malformed_problem_file(tmp_path, capsys):
     assert main(["solve", "--instance", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "element 999" in err
+
+
+def test_solve_rejects_unusable_bucket_widths(tmp_path, capsys):
+    # width 0 tiles nothing; width 1 would need 60001 buckets per block
+    entry = Boundary(cost=MILLI, path_deltas=((1,),))
+    problem = NestedProblem(
+        [Block(elements=(1,), entry={1: entry})],
+        path_resources=[PathResource(dim=1, agg=SUM, a=(1,), b=10**6, box=((0, 60_000),))],
+    )
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(problem_to_json(problem)))
+    for width, why in (("0", "must be positive"), ("1", "60001 buckets")):
+        assert main(["solve", "--instance", str(path), "--width", width]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bucket width {width} over box ((0, 60000),)")
+        assert why in err
 
 
 def test_solve_unrecognized_shape(tmp_path, capsys):

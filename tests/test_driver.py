@@ -3,7 +3,6 @@ plus trace integrity, determinism, and failure-path behaviour."""
 
 import json
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -16,8 +15,11 @@ from nestedcg.driver import (
     solve,
 )
 from nestedcg.model import (
+    COVER,
+    MILLI,
     Arc,
     Block,
+    Boundary,
     NestedProblem,
     PARTITION,
     SubpathResource,
@@ -152,6 +154,19 @@ def test_structurally_dead_block_reports_infeasible():
     assert report.traces, "the failing iteration still leaves a trace"
 
 
+@pytest.mark.parametrize("pricer", ("exact", "adaptive"))
+def test_unbounded_lp_is_a_status(pricer):
+    # covering without a cardinality row: the path {1} costs -5, so taking
+    # it ever more often is a ray and the LP has no finite optimum
+    entry = {1: Boundary(cost=-5 * MILLI), 2: Boundary(cost=3 * MILLI)}
+    problem = NestedProblem([Block(elements=(1, 2), entry=entry)], sense=COVER)
+    report = solve(problem, _config(problem, pricer=pricer))
+    assert report.status == "unbounded"
+    assert report.lp_value is None
+    assert report.traces[-1].rmp_status == "unbounded"
+    assert report.iterations == len(report.traces)
+
+
 def test_trace_bookkeeping_is_consistent():
     problem = synth.random_chain_instance(6)
     report = solve(problem, _config(problem, dive=True))
@@ -243,7 +258,8 @@ def test_make_pricer_dispatch():
 def test_pool_management_keeps_the_run_exact(monkeypatch):
     # a short period, age and floor force evictions on a small instance
     monkeypatch.setattr(driver, "POOL_PERIOD", 2)
-    monkeypatch.setattr(driver, "Rmp", partial(master.Rmp, pool_floor=5, max_age=3))
+    monkeypatch.setattr(master, "POOL_FLOOR", 5)
+    monkeypatch.setattr(master, "POOL_MAX_AGE", 3)
     problem = synth.random_chain_instance(9)
     oracle = synth.oracle_lp(problem)
     report = solve(problem, _config(problem))

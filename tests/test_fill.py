@@ -25,11 +25,9 @@ def _reference_fill(problem, buckets, duals, banned=frozenset()):
     for b in buckets:
         if b.status == EMPTY:
             continue
-        found = elementary_rcspp(
-            problem, b.block, duals, boxes=[b.box], banned=banned, top_k=1
-        )[0]
-        if found:
-            b.status, b.rep = COMPUTED, Representative(*found[0])
+        found = elementary_rcspp(problem, b.block, duals, boxes=[b.box], banned=banned)[0]
+        if found is not None:
+            b.status, b.rep = COMPUTED, Representative(*found)
         else:
             b.status, b.rep = EMPTY, None
     return [b.rep for b in buckets]
@@ -72,12 +70,9 @@ def _fill_and_compare(problem, pricer, scaled, banned):
     its own search; returns (searches, buckets filled)."""
     want = {}
     for b in _stale(pricer, banned):
-        found = elementary_rcspp(
-            problem, b.block, scaled, boxes=[b.box], banned=banned, top_k=1
-        )[0]
-        want[b] = None if not found else (
-            found[0][0].nodes, found[0][0].cost, found[0][0].contributions,
-            found[0][1],
+        found = elementary_rcspp(problem, b.block, scaled, boxes=[b.box], banned=banned)[0]
+        want[b] = None if found is None else (
+            found[0].nodes, found[0].cost, found[0].contributions, found[1],
         )
     searches = pricer.totals["fill_searches"]
     pricer._compute_fresh(scaled, banned)

@@ -34,6 +34,12 @@ def _open(problem):
     return ((None, None),) * problem.total_coords
 
 
+def _by_nodes(view, banned=frozenset()):
+    """The subpaths of a block's table, sorted by node sequence as the
+    oracle enumeration lists them."""
+    return tuple(sorted(view.table(banned).subpaths, key=lambda sp: sp.nodes))
+
+
 def _diamond():
     # one block, two items: "a" costs 3 with vector (1,), "b" 1 with (5,)
     return [[("a", 3, (1,)), ("b", 1, (5,))]]
@@ -142,9 +148,9 @@ def test_dominance_eq_mode_protects_lower_bounded_coordinates():
         [block],
         path_resources=[PathResource(dim=1, agg=SUM, a=(1,), b=100, box=((0, 100),))],
     )
-    hits = elementary_rcspp(problem, 0, boxes=[((7, 10),)], top_k=3)[0]
-    assert hits, "the lower-bounded region is reachable"
-    best, rcost = hits[0]
+    hit = elementary_rcspp(problem, 0, boxes=[((7, 10),)])[0]
+    assert hit is not None, "the lower-bounded region is reachable"
+    best, rcost = hit
     assert rcost == 2
     assert best.contributions == (7,)
 
@@ -171,15 +177,18 @@ def test_blocks_past_31_elements_match_enumeration():
          sp.contributions, sp.nodes, sp.cost)
         for sp in subpaths
     )
-    got = elementary_rcspp(problem, 0, scaled, boxes=[_open(problem)],
-                           top_k=len(subpaths))[0]
-    assert [(rc, sp.contributions, sp.nodes, sp.cost) for sp, rc in got] == want
-    # a short prefix of the same order
-    assert elementary_rcspp(
-        problem, 0, scaled, boxes=[_open(problem)], top_k=5
-    ) == [got[:5]]
+    view = block_view(problem, 0)
+    table = view.table()
+    got = sorted(
+        (rc, sp.contributions, sp.nodes, sp.cost)
+        for sp, rc in zip(table.subpaths, view.reduced_costs(table, scaled))
+    )
+    assert got == want
+    # the search finds the first of them
+    sp, rc = elementary_rcspp(problem, 0, scaled, boxes=[_open(problem)])[0]
+    assert (rc, sp.contributions, sp.nodes, sp.cost) == want[0]
     # and the block enumeration holds the same subpaths
-    assert list(block_view(problem, 0).subpaths()) == subpaths
+    assert list(_by_nodes(view)) == subpaths
 
 
 def _brute_min(problem, block_index, scaled, box=None, banned=frozenset()):
@@ -205,9 +214,9 @@ def test_elementary_search_matches_enumeration(seed):
         got = elementary_rcspp(problem, block_index, duals, boxes=[_open(problem)])[0]
         want = _brute_min(problem, block_index, scaled)
         if want is None:
-            assert got == []
+            assert got is None
         else:
-            assert got[0][1] == want
+            assert got[1] == want
 
 
 @pytest.mark.parametrize("seed", range(1, 11))
@@ -222,39 +231,23 @@ def test_box_restricted_search_matches_enumeration(seed):
         got = elementary_rcspp(problem, block_index, duals, boxes=[box])[0]
         want = _brute_min(problem, block_index, scaled, box=box)
         if want is None:
-            assert got == []
+            assert got is None
         else:
-            assert got[0][1] == want
-            sp = got[0][0]
+            sp, rcost = got
+            assert rcost == want
             assert all(lo <= v <= hi for (lo, hi), v in zip(box, sp.contributions))
-
-
-@pytest.mark.parametrize("seed", (3, 8, 12))
-def test_top_k_rcosts_are_a_sorted_prefix(seed):
-    problem = synth.random_tiny_instance(seed)
-    duals = synth.random_duals(problem, seed)
-    scaled = duals.scaled()
-    for block_index in range(len(problem.blocks)):
-        all_rcosts = sorted(
-            sp.cost * scaled.denom - sum(scaled.value(k) for k in sp.nodes)
-            for sp in synth.enumerate_block_subpaths(problem, block_index)
-        )
-        got = elementary_rcspp(
-            problem, block_index, duals, boxes=[_open(problem)], top_k=4
-        )[0]
-        assert [rc for _, rc in got] == all_rcosts[: len(got)]
-        assert len(got) == min(4, len(all_rcosts))
 
 
 def test_banned_elements_are_skipped():
     problem = synth.random_tiny_instance(2)
     block = problem.blocks[0]
     victim = block.elements[0]
-    hits = elementary_rcspp(
-        problem, 0, boxes=[_open(problem)], banned={victim}, top_k=50
-    )[0]
-    assert hits, "other elements keep the block alive"
-    assert all(victim not in sp.nodes for sp, _ in hits)
+    hit = elementary_rcspp(problem, 0, boxes=[_open(problem)], banned={victim})[0]
+    assert hit is not None, "other elements keep the block alive"
+    assert victim not in hit[0].nodes
+    table = block_view(problem, 0).table({victim})
+    assert table, "other elements keep the block alive"
+    assert all(victim not in sp.nodes for sp in table.subpaths)
 
 
 def test_coordinate_objective_minimizes_that_coordinate():
@@ -297,11 +290,11 @@ def test_block_enumeration_matches_the_oracle(family):
         for _ in range(4):
             for bi, block in enumerate(problem.blocks):
                 view = block_view(problem, bi)
-                got = view.subpaths(banned)
+                got = _by_nodes(view, banned)
                 assert got == _oracle_subpaths(problem, bi, banned), (seed, bi)
                 # the cache is keyed by the bans inside the block only
                 outside = frozenset(problem.elements) - set(block.elements)
-                assert view.subpaths(banned | outside) is got
+                assert view.table(banned | outside) is view.table(banned)
                 blocks += 1
             banned |= {rng.choice(problem.elements)}
     assert blocks
@@ -330,7 +323,7 @@ def test_block_is_searched_once_across_ban_sets(monkeypatch):
             keys = [(sp.contributions, sp.nodes) for sp in table.subpaths]
             assert keys == sorted(keys)
             assert table.vectors == tuple(vec for vec, _ in keys)
-            assert set(table.subpaths) == set(view.subpaths(banned))
+            assert set(table.subpaths) == set(_oracle_subpaths(problem, bi, banned))
         banned |= {rng.choice(problem.elements)}
     assert sorted(calls) == list(range(len(problem.blocks)))
 
@@ -360,7 +353,7 @@ def test_block_enumeration_with_lower_windows(floor):
         )],
         path_resources=[PathResource(dim=1, agg=SUM, a=(1,), b=100, box=((0, 50),))],
     )
-    got = block_view(problem, 0).subpaths()
+    got = _by_nodes(block_view(problem, 0))
     assert got == _oracle_subpaths(problem, 0, frozenset())
     want = {(3,), (3, 1), (3, 1, 2)}
     if floor:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from nestedcg import master
 from nestedcg.master import (
     MasterError,
     Rmp,
@@ -191,9 +192,15 @@ def test_partition_infeasible_pool_is_a_status():
     assert sol.primal == {}
 
 
-def test_pool_eviction_prefers_stale_columns():
+def _pool_limits(monkeypatch, floor, age):
+    monkeypatch.setattr(master, "POOL_FLOOR", floor)
+    monkeypatch.setattr(master, "POOL_MAX_AGE", age)
+
+
+def test_pool_eviction_prefers_stale_columns(monkeypatch):
     problem = _problem()
-    rmp = Rmp(problem, pool_floor=2, max_age=3)
+    _pool_limits(monkeypatch, floor=2, age=3)
+    rmp = Rmp(problem)
     paths = _cover_pool(problem)
     rmp.add_columns(paths.values(), iteration=0)  # five columns, serials 0..4
     rmp.add_columns([paths["p123"]], iteration=9)  # refresh one (serial 4)
@@ -205,19 +212,22 @@ def test_pool_eviction_prefers_stale_columns():
     assert len(rmp.by_key) == 2
 
 
-def test_pool_eviction_noops_below_floor_or_when_everything_is_warm():
+def test_pool_eviction_noops_below_floor_or_when_everything_is_warm(monkeypatch):
     problem = _problem()
-    rmp = Rmp(problem, pool_floor=10, max_age=3)
+    _pool_limits(monkeypatch, floor=10, age=3)
+    rmp = Rmp(problem)
     rmp.add_columns(_cover_pool(problem).values(), iteration=0)
     assert rmp.manage_pool(iteration=100) == 0  # under the floor
-    tight = Rmp(problem, pool_floor=2, max_age=50)
+    _pool_limits(monkeypatch, floor=2, age=50)
+    tight = Rmp(problem)
     tight.add_columns(_cover_pool(problem).values(), iteration=0)
     assert tight.manage_pool(iteration=10) == 0  # nothing old enough
 
 
-def test_solve_after_eviction_and_new_columns_stays_exact():
+def test_solve_after_eviction_and_new_columns_stays_exact(monkeypatch):
     problem = _problem()
-    rmp = Rmp(problem, pool_floor=2, max_age=1)
+    _pool_limits(monkeypatch, floor=2, age=1)
+    rmp = Rmp(problem)
     paths = _cover_pool(problem)
     rmp.add_columns([paths["p1"], paths["p2"], paths["p3"]], iteration=0)
     first = rmp.solve(iteration=0)

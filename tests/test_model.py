@@ -68,7 +68,7 @@ def _subpaths(problem, block_index):
     """Both enumerations of a block, as {nodes: (cost, contributions)};
     they must agree."""
     got = {sp.nodes: (sp.cost, sp.contributions)
-           for sp in block_view(problem, block_index).subpaths()}
+           for sp in block_view(problem, block_index).table().subpaths}
     want = {sp.nodes: (sp.cost, sp.contributions)
             for sp in enumerate_block_subpaths(problem, block_index)}
     assert got == want
@@ -281,9 +281,6 @@ def test_validation_checks_delta_shapes():
 
 def test_element_lookup_and_box(two_blocks):
     assert two_blocks.elements == (1, 2, 7)
-    assert two_blocks.block_of(7) == 1
-    with pytest.raises(ModelError):
-        two_blocks.block_of(42)
     assert two_blocks.contribution_box() == ((0, 12), (0, 4))
 
 
@@ -296,7 +293,7 @@ def test_json_round_trip(two_blocks, tmp_path):
     assert again.monotone == two_blocks.monotone
     assert again.elements == two_blocks.elements
     for bi in range(len(two_blocks.blocks)):
-        assert block_view(again, bi).subpaths() == block_view(two_blocks, bi).subpaths()
+        assert block_view(again, bi).table().subpaths == block_view(two_blocks, bi).table().subpaths
 
     target = tmp_path / "instance.json"
     save_problem(two_blocks, target)

@@ -10,13 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from nestedcg.labeling import elementary_rcspp
+from nestedcg.labeling import block_view, elementary_rcspp
 from nestedcg.model import (
     MILLI,
     PARTITION,
     SUM,
     Duals,
     ModelError,
+    as_scaled,
 )
 from nestedcg.mpcvrp import (
     MAX_DAY_SIZE,
@@ -30,7 +31,6 @@ from nestedcg.mpcvrp import (
     instance_to_json,
     load_points,
     parse_points,
-    route_distance,
     save_instance,
     solve_day,
 )
@@ -46,12 +46,24 @@ def random_points(count: int, seed: int, *, grid: int = 1000, demand_range=(1, 1
     return coords, demands
 
 
-def cheapest_routes(problem, day, duals=None, *, window=None, top_k=1):
-    """Least-reduced-cost routes of one day, optionally within a distance
-    window [lo, hi], by the block labeling search; the cardinality-row
-    dual is charged at schedule assembly, not here."""
+def route_distance(instance: MpcvrpInstance, route) -> int:
+    """Total rounded-Euclidean length of depot -> route... -> depot."""
+    route = list(route)
+    if not route:
+        return 0
+    legs = euclidean(instance.depot, instance.customers[route[0]])
+    for u, w in zip(route, route[1:]):
+        legs += euclidean(instance.customers[u], instance.customers[w])
+    return legs + euclidean(instance.customers[route[-1]], instance.depot)
+
+
+def cheapest_route(problem, day, duals=None, *, window=None):
+    """The least-reduced-cost route of one day as (Subpath, rcost),
+    optionally within a distance window [lo, hi], by the block labeling
+    search; the cardinality-row dual is charged at schedule assembly, not
+    here."""
     box = (tuple(window) if window is not None else (None, None),)
-    return elementary_rcspp(problem, day, duals, boxes=[box], top_k=top_k)[0]
+    return elementary_rcspp(problem, day, duals, boxes=[box])[0]
 
 
 def _instance(**over):
@@ -140,7 +152,7 @@ def test_day_members_in_index_order():
 
 
 # ---------------------------------------------------------------------------
-# route distance
+# route distance (the tests' own helper)
 # ---------------------------------------------------------------------------
 
 
@@ -231,12 +243,17 @@ def test_build_nested_distance_resource():
 
 
 def test_nested_subpaths_replay_route_distance():
-    """Any route the labeling search returns prices exactly as its
-    geometric length in millicost, coordinate included."""
+    """Every route of a day's block enumeration, and the one the labeling
+    search returns, prices exactly as its geometric length in millicost,
+    coordinate included."""
     inst = _instance()
     problem = build_nested(inst)
     for day in range(inst.days):
-        for sp, rcost in cheapest_routes(problem, day, top_k=20):
+        view = block_view(problem, day)
+        table = view.table()
+        hits = list(zip(table.subpaths, view.reduced_costs(table, as_scaled(None))))
+        assert len(hits) > 3
+        for sp, rcost in hits + [cheapest_route(problem, day)]:
             dist = route_distance(inst, sp.nodes)
             assert sp.cost == dist * MILLI
             assert sp.contributions == (dist,)
@@ -273,15 +290,11 @@ def _brute_force_day(inst, day, k):
 @pytest.mark.parametrize("day", [0, 1])
 def test_solve_day_matches_brute_force(day):
     inst = _instance()
-    cost, routes = solve_day(inst, day)
+    cost, lengths = solve_day(inst, day)
     assert cost == _brute_force_day(inst, day, inst.vehicles)
-    assert len(routes) == inst.vehicles
-    visited = [u for r in routes for u in r]
-    assert sorted(visited) == list(inst.day_members(day))
-    for r in routes:
-        assert r
-        assert sum(inst.demands[u] for u in r) <= inst.capacity
-    assert sum(route_distance(inst, r) for r in routes) == cost
+    assert len(lengths) == inst.vehicles
+    assert all(length > 0 for length in lengths)
+    assert sum(lengths) == cost
 
 
 def test_solve_day_matches_brute_force_random():
@@ -299,24 +312,15 @@ def test_solve_day_matches_brute_force_random():
             day_of=(0,) * 5,
             distance_cap=1000,
         )
-        cost, routes = solve_day(inst, 0)
+        cost, lengths = solve_day(inst, 0)
         assert cost == _brute_force_day(inst, 0, 2), f"trial {trial}"
-
-
-def test_solve_day_route_count_override():
-    inst = _instance()
-    cost3, routes3 = solve_day(inst, 0, routes=3)
-    assert len(routes3) == 3
-    assert cost3 == _brute_force_day(inst, 0, 3)
-    # splitting further can never be cheaper than the 2-route optimum
-    cost2, _ = solve_day(inst, 0)
-    assert cost3 >= cost2
+        assert sum(lengths) == cost, f"trial {trial}"
 
 
 def test_solve_day_more_routes_than_customers():
-    inst = _instance()
+    inst = _instance(vehicles=4)
     with pytest.raises(ModelError, match="need at least"):
-        solve_day(inst, 0, routes=4)
+        solve_day(inst, 0)
 
 
 def test_solve_day_capacity_infeasible():
@@ -368,8 +372,8 @@ def test_calibrate_d_max_by_enumeration():
     der = calibrate_caps(inst, 0)
     day_lengths = []
     for d in range(inst.days):
-        _, routes = solve_day(inst, d)
-        day_lengths.append([route_distance(inst, r) for r in routes])
+        _, lengths = solve_day(inst, d)
+        day_lengths.append(lengths)
     k = inst.vehicles
     best = math.inf
     for perm in itertools.permutations(range(k)):
@@ -543,17 +547,16 @@ def test_cheapest_routes_matches_subset_brute_force():
         for combo in itertools.permutations(members, r):
             if sum(inst.demands[u] for u in combo) <= inst.capacity:
                 feasible.append(route_distance(inst, combo))
-    ((sp, rcost),) = cheapest_routes(problem, 0)
+    sp, rcost = cheapest_route(problem, 0)
     assert rcost == min(feasible) * MILLI
 
 
 def test_cheapest_routes_window_restricts_distance():
     inst = _instance()
     problem = build_nested(inst)
-    hits = cheapest_routes(problem, 0, window=(18, 40), top_k=50)
-    assert hits
-    for sp, _ in hits:
-        assert 18 <= sp.contributions[0] <= 40
+    hit = cheapest_route(problem, 0, window=(18, 40))
+    assert hit is not None
+    assert 18 <= hit[0].contributions[0] <= 40
     # and it is the cheapest such route
     members = inst.day_members(0)
     in_window = []
@@ -564,15 +567,14 @@ def test_cheapest_routes_window_restricts_distance():
             d = route_distance(inst, combo)
             if 18 <= d <= 40:
                 in_window.append(d)
-    assert hits[0][1] == min(in_window) * MILLI
+    assert hit[1] == min(in_window) * MILLI
 
 
 def test_cheapest_routes_charges_duals():
     inst = _instance()
     problem = build_nested(inst)
     duals = Duals({0: Fraction(40 * MILLI), 1: Fraction(2 * MILLI)})
-    hits = cheapest_routes(problem, 0, duals, top_k=5)
-    sp, rcost = hits[0]
+    sp, rcost = cheapest_route(problem, 0, duals)
     assert 0 in sp.nodes  # the big dual pulls customer 0 in
     covered = sum(
         (40 * MILLI if u == 0 else 2 * MILLI if u == 1 else 0)

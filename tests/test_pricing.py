@@ -11,7 +11,18 @@ from helpers import reduced_cost
 from nestedcg import driver, synth
 from nestedcg.buckets import COMPUTED, Partition, compute_representative
 from nestedcg.labeling import block_view, label_search
-from nestedcg.model import Arc, Block, Duals, NestedProblem
+from nestedcg.model import (
+    COVER,
+    MILLI,
+    SUM,
+    Arc,
+    Block,
+    Boundary,
+    Duals,
+    ModelError,
+    NestedProblem,
+    PathResource,
+)
 from nestedcg.pricing import (
     AdaptivePricer,
     ExactPricer,
@@ -289,6 +300,25 @@ def test_adaptive_and_exact_agree_on_every_dual_vector():
         assert a.infeasible == e.infeasible
         if not a.infeasible:
             assert a.optimistic == e.optimistic
+
+
+def test_adaptive_rejects_a_box_that_blocks_undershoot():
+    # each block's one subpath contributes (1, -3), below the box's lower
+    # end on coordinate 1: usable (predicates are downward closed), but no
+    # bucket could hold it, so the adaptive pricer would miss every path
+    def block(k):
+        entry = Boundary(cost=11 * MILLI, path_deltas=((1, -3),))
+        return Block(elements=(k,), entry={k: entry})
+
+    resource = PathResource(dim=2, agg=SUM, a=(1, 1), b=100, box=((0, 5), (0, 5)))
+    problem = NestedProblem([block(1), block(2)], path_resources=[resource], sense=COVER)
+    exact = driver.solve(problem, driver.DriverConfig(pricer="exact"))
+    assert (exact.status, exact.lp_value) == ("optimal", 22 * MILLI)
+    with pytest.raises(ModelError, match=(
+        r"block 0 reaches -3 on contribution coordinate 1, "
+        r"below the box's lower end 0"
+    )):
+        driver.solve(problem, driver.DriverConfig(pricer="adaptive"))
 
 
 # ---------------------------------------------------------------------------
