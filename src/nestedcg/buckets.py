@@ -350,14 +350,13 @@ class Partition:
 def compute_representative(problem, buckets, duals, banned=frozenset()):
     """(Re)compute representatives under the given scaled duals.
 
-    ``buckets`` lists buckets of one block that share one dominance
-    signature (``labeling.BlockView.modes`` of their boxes); a single
-    label search fills them all, and each bucket's representative is
-    returned (None for an EMPTY one).  The shared search prunes with the
-    union of the boxes' upper bounds and sends each completed subpath to
-    the box holding its contribution vector, which yields for every
-    bucket exactly the representative its own search would (see
-    ``labeling.elementary_rcspp``).
+    ``buckets`` lists buckets of one block; a single label search fills
+    them all, and each bucket's representative is returned (None for an
+    EMPTY one).  The shared search prunes with the union of the boxes'
+    upper ends, stores labels under their whole contribution vector and
+    sends each completed subpath to the box holding its vector, which
+    yields for every bucket exactly the representative its own search
+    would (see ``labeling.elementary_rcspp``).
 
     Marks a bucket EMPTY -- permanently -- when its box holds no feasible
     subpath contribution vector at all; EMPTY buckets are not searched.

@@ -20,25 +20,20 @@ deltas, flat contribution deltas, sorted adjacency);
 once, as data for the enumerative pricer (:class:`SubpathTable`), and
 filters it per ban set.
 
-Dominance is configured per resource coordinate: ``LE`` (smaller-or-equal
-dominates) or ``EQ`` (values must match); the layered search uses ``LE``
-throughout.  The layered search keeps up to ``top_k`` mutually
-non-dominated labels per item -- a label is only discarded once at least
-``top_k`` stored labels dominate it -- which makes its result list a
-prefix of the fully enumerated, rcost-sorted solution list.  The bucket
-fill needs one cheapest subpath per box, so it keeps the Pareto labels
-(``top_k`` = 1).
+The layered search keeps up to ``top_k`` mutually non-dominated labels
+per item -- a label is only discarded once at least ``top_k`` stored
+labels dominate it (smaller-or-equal rcost and vector) -- which makes
+its result list a prefix of the fully enumerated, rcost-sorted solution
+list.  The bucket fill needs one cheapest subpath per box, so it keeps
+the Pareto labels (``top_k`` = 1).
 
-Bucket fill.  A contribution box fixes the dominance mode of every
-coordinate -- its *dominance signature*: ``EQ`` where the box's lower
-bound exceeds the smallest value the block can reach (so it can bind),
-``LE`` elsewhere.  :func:`elementary_rcspp` answers a whole list of
-disjoint boxes of one signature with a single search, pruning with the
-union of their upper bounds and sending each completed subpath to the
-box that holds it; every box gets exactly the result of its own search
-(the argument is in the function's docstring).  Within a search, each
-node's labels are stored under their ``EQ`` values, because labels with
-different ``EQ`` values never dominate one another.
+Bucket fill.  :func:`elementary_rcspp` answers every bucket box of one
+block with a single search: it prunes with the union of their upper
+ends and sends each completed subpath to the box that holds it.  Each
+node's labels are stored under their whole contribution vector, so a
+label only ever meets labels that end in the same boxes, and every box
+gets exactly the result of its own search (the argument is in the
+function's docstring).
 
 All arithmetic is integer: callers pass duals through
 ``model.Duals.scaled()`` so reduced costs stay exact.
@@ -52,10 +47,7 @@ from collections import deque
 from dataclasses import dataclass
 from operator import add, mul
 
-from .model import SUM, Subpath, as_scaled
-
-LE = "le"
-EQ = "eq"
+from .model import SUM, ModelError, Subpath, as_scaled
 
 
 class LabelingError(ValueError):
@@ -338,7 +330,7 @@ class BlockView:
                 self._step_costs[(u + 1) * m + t] = cost + self.exit[t][0] - self.exit[u][0]
 
         self.coord_monotone = self._coord_monotone()
-        self.sub_modes = tuple(LE if safe else EQ for safe in self._sub_le_safe())
+        self.sub_le = self._sub_le_safe()
         self._min_achievable = {}
         self._tables = {}         # block-local banned mask -> SubpathTable
 
@@ -465,20 +457,6 @@ class BlockView:
             tuple([rank[p] for p in prefixes]),
             steps,
         )
-
-    def modes(self, box) -> tuple:
-        """Dominance mode per contribution coordinate under a contribution
-        box (the box's *dominance signature*): a lower bound that can bind
-        -- above the smallest value the block can reach -- forces ``EQ``;
-        every other coordinate is ``LE``."""
-        out = []
-        for c, (lo, _) in enumerate(box):
-            if lo is None:
-                out.append(LE)
-                continue
-            reachable = self.min_achievable(c)
-            out.append(LE if reachable is None or lo <= reachable else EQ)
-        return tuple(out)
 
 
 class SubpathTable:
@@ -620,28 +598,31 @@ def elementary_rcspp(
     """The cheapest elementary subpath of one block under per-element
     duals, for each of a list of contribution boxes.
 
-    ``boxes`` holds disjoint boxes that share one dominance signature
-    (:meth:`BlockView.modes`); each restricts the final contribution
+    ``boxes`` holds disjoint boxes; each restricts the final contribution
     vector to per-coordinate [lo, hi] ranges (concatenated coordinate
     space; None leaves an end open), and a single search answers them
     all.  ``banned`` elements are skipped entirely.
     ``objective`` is "rcost" or ("coord", c) to minimize one contribution
-    coordinate instead (used to decide when a box lower bound can
-    actually bind).
+    coordinate instead (``BlockView.min_achievable``), which compares
+    coordinates smaller-or-equal.
 
-    Why one search answers every box exactly as its own search would:
-    labels are only pruned above the union's upper bounds, and a label
-    above a box's upper bound on a monotone coordinate is larger on an
-    ``LE`` or ``EQ`` coordinate than every label that can still end in
-    the box, so it dominates none of them; neither do its descendants,
-    which stay above that bound.  The in-box labels therefore meet the
-    same dominance checks in the same FIFO order as in the box's own
-    search.  Each completed subpath goes to the box holding its
-    contribution vector.
+    Each node's labels are stored under their whole contribution vector
+    and the values of the subpath resources whose lower windows can bind
+    (``BlockView.sub_le``); labels with one key compare on reduced cost,
+    visited set and the other subpath resources.  So a label only meets
+    labels that end in the same boxes, and a dominating label reaches
+    every completion of the dominated one at the same vector and no
+    higher reduced cost.  Labels are pruned above the union's upper ends;
+    a label above one box's upper end on a monotone coordinate, and its
+    descendants, never meet a label that can end in that box, so those
+    meet the same checks in the same FIFO order as in the box's own
+    search.  Each completed subpath goes to the box holding its vector.
 
-    Each node's labels are stored under their values on the ``EQ``
-    coordinates and subpath resources: labels with different keys can
-    never dominate one another, so insertion compares only within a key.
+    No bucket holds a subpath above the problem's box, so the search
+    raises a ModelError when a label pruned at the union's upper ends,
+    or completed outside every box, has a completion above it on a
+    coordinate where a feasible path could hold one
+    (``NestedProblem.above_box_usable``).
 
     Returns one entry per box: the (Subpath, scaled_rcost) pair that
     sorts first by (reduced cost, contribution vector, node sequence), or
@@ -650,10 +631,6 @@ def elementary_rcspp(
     """
     view = block_view(problem, block_index)
     boxes = [tuple(box) for box in boxes]
-    modes = view.modes(boxes[0])
-    if any(view.modes(box) != modes for box in boxes[1:]):
-        raise LabelingError("boxes searched together must share a dominance signature")
-
     duals = as_scaled(duals)
     denom = duals.denom
 
@@ -664,10 +641,9 @@ def elementary_rcspp(
             raise LabelingError(f"unknown objective {objective!r}")
 
     n = view.n_coords
-    eq_coords = [c for c in range(n) if modes[c] == EQ]
-    le_coords = [c for c in range(n) if modes[c] == LE]
-    eq_subs = [j for j, m in enumerate(view.sub_modes) if m == EQ]
-    le_subs = [j for j, m in enumerate(view.sub_modes) if m == LE]
+    le_coords = range(n) if minimize_coord is not None else ()
+    eq_subs = [j for j, le in enumerate(view.sub_le) if not le]
+    le_subs = [j for j, le in enumerate(view.sub_le) if le]
     # (coordinate, union upper bound) pairs that prune partial labels
     caps = []
     for c in range(n):
@@ -675,6 +651,9 @@ def elementary_rcspp(
         if view.coord_monotone[c] and None not in his:
             caps.append((c, max(his)))
     locate = _box_locator(boxes)
+    # (coordinate, box upper end) pairs where a subpath above the end is usable
+    watch = [(c, box[1]) for c, box in enumerate(problem.contribution_box())
+             if problem.above_box_usable[c]]
 
     banned_local = {view.local[k] for k in banned if k in view.local}
     gain = [duals.value(k) for k in view.elements]
@@ -700,13 +679,13 @@ def elementary_rcspp(
                 return False
         return True
 
-    store = [{} for _ in view.elements]   # node -> EQ key -> labels
+    store = [{} for _ in view.elements]   # node -> key -> labels
     queue = deque()
     kept = [None] * len(boxes)            # per box: the best candidate
 
     def offer(lab):
         """Insert a new label; on success queue and complete it."""
-        key = tuple([lab.res[c] for c in eq_coords] + [lab.sub[j] for j in eq_subs])
+        key = (lab.res if minimize_coord is None else (), *[lab.sub[j] for j in eq_subs])
         labels = store[lab.node].get(key)
         if labels is None:
             labels = store[lab.node][key] = []
@@ -717,6 +696,7 @@ def elementary_rcspp(
         contribs = tuple(map(add, lab.res, coord_d))
         i = locate(contribs)
         if i < 0:
+            check_above(contribs)
             return
         if minimize_coord is None:
             rcost = lab.rcost + cost * denom
@@ -725,9 +705,22 @@ def elementary_rcspp(
         if kept[i] is None or _precedes(rcost, contribs, lab, kept[i]):
             kept[i] = (rcost, contribs, lab, lab.cost + cost)
 
-    def too_high(contribs):
+    def check_above(contribs):
+        for c, hi in watch:
+            if contribs[c] > hi:
+                raise ModelError(
+                    f"block {block_index} reaches {contribs[c]} on contribution "
+                    f"coordinate {c}, above the box's upper end {hi}, which "
+                    f"the path predicate does not rule out"
+                )
+
+    def too_high(node, contribs):
+        """Whether a label at ``node`` is above the union's upper ends; the
+        completion of a pruned label is checked against the box."""
         for c, hi in caps:
             if contribs[c] > hi:
+                if watch:
+                    check_above(tuple(map(add, contribs, view.exit[node][2])))
                 return True
         return False
 
@@ -736,7 +729,7 @@ def elementary_rcspp(
             continue
         cost, sub_d, contribs = view.entry[local]
         values = _extend_sub(view.sub_checks[local], (0,) * view.n_sub, sub_d)
-        if values is None or too_high(contribs):
+        if values is None or too_high(local, contribs):
             continue
         if minimize_coord is None:
             rcost = cost * denom - gain[local]
@@ -757,7 +750,7 @@ def elementary_rcspp(
             if values is None:
                 continue
             contribs = tuple(map(add, res, coord_d))
-            if too_high(contribs):
+            if too_high(target, contribs):
                 continue
             if minimize_coord is None:
                 rcost = lab.rcost + step

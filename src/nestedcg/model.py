@@ -140,8 +140,11 @@ class PathResource:
     constraint.  The adaptive pricer sees only subpaths inside it: it
     rejects a block that can reach below ``lo`` (predicates are downward
     closed, so such a subpath is always usable), and it treats subpaths
-    above ``hi`` as unusable, which is safe only where no feasible path
-    can hold one (in the routing encoding ``hi`` is the distance cap).
+    above ``hi`` as unusable.  That is safe where ``a . v <= b`` excludes
+    them even with every other block and coordinate at its lower end
+    (``NestedProblem.above_box_usable``; in the routing encoding ``hi``
+    is the distance cap); elsewhere the adaptive pricer raises a
+    ModelError when it meets a subpath above ``hi``.
     """
 
     dim: int
@@ -354,6 +357,9 @@ class NestedProblem:
         )
         self._box = tuple(iv for r in self.path_resources for iv in r.box)
         self.monotone = tuple(self._monotone(ri) for ri in range(len(self.path_resources)))
+        self.above_box_usable = tuple(
+            flag for r in self.path_resources for flag in self._usable_above(r)
+        )
 
     def _monotone(self, ri: int) -> bool:
         """True when the aggregate is componentwise non-decreasing in the
@@ -369,6 +375,21 @@ class NestedProblem:
                 if item.path_deltas and any(d < 0 for d in item.path_deltas[ri]):
                     return False
         return True
+
+    def _usable_above(self, res):
+        """Per coordinate of ``res``: whether ``a . v <= b`` admits a path
+        holding a subpath above the box's upper end there.  With every
+        block at or above the box's lower ends (the adaptive pricer checks
+        this), such a path's aggregate is at least ``hi + 1`` on that
+        coordinate plus, for ``SUM``, the other blocks' lower ends, and at
+        least the lower ends (times the block count for ``SUM``) elsewhere."""
+        blocks = len(self.blocks) if res.agg == SUM else 1
+        floor = [lo * blocks for lo, _ in res.box]
+        out = []
+        for c, (lo, hi) in enumerate(res.box):
+            least = floor[:c] + [hi + 1 + (blocks - 1) * lo] + floor[c + 1:]
+            out.append(sum(map(mul, res.a, least)) <= res.b)
+        return out
 
     # -- conveniences ---------------------------------------------------
 

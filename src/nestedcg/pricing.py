@@ -2,8 +2,8 @@
 
 The adaptive pricer runs a sandwich loop per call.  Representatives give
 every bucket a cheapest-member subpath.  The fill that computes them runs
-one label search per block and dominance signature (the ``LE``/``EQ``
-mode per coordinate that a bucket's box implies), not one per bucket;
+one label search per block over all of its stale buckets, not one per
+bucket; labels meet only labels with their own contribution vector, so
 the shared search yields each bucket exactly the representative its own
 box-restricted search would (see ``labeling.elementary_rcspp``).  A
 layered search over buckets then prices whole paths twice:
@@ -167,16 +167,15 @@ class AdaptivePricer:
         if self.partition is None:
             self._check_box()
             self.partition = Partition.initial(self.problem, self.config.width)
-            self.banned = frozenset(banned)
-            return
-        banned = frozenset(banned)
-        if banned != self.banned:
-            if banned >= self.banned:
-                self.partition.invalidate(banned - self.banned)
-            else:
-                # bans shrank: emptiness markings are no longer valid
-                self.partition = Partition.initial(self.problem, self.config.width)
-            self.banned = banned
+        elif banned != self.banned:
+            if not banned > self.banned:
+                # emptiness markings are permanent only while bans grow
+                raise PricingError(
+                    "bans shrank: an adaptive pricer serves one solve, "
+                    "whose bans only grow"
+                )
+            self.partition.invalidate(banned - self.banned)
+        self.banned = banned
 
     def _check_box(self):
         """Raise a ModelError when a block reaches below the contribution
@@ -192,18 +191,13 @@ class AdaptivePricer:
                     )
 
     def _compute_fresh(self, scaled, banned):
-        """Fill every stale bucket with one label search per block and
-        dominance signature."""
-        groups = {}
-        for bucket in self.partition.all_buckets():
-            if bucket.status == FRESH:
-                view = block_view(self.problem, bucket.block)
-                key = (bucket.block, view.modes(bucket.box))
-                groups.setdefault(key, []).append(bucket)
-        for group in groups.values():
-            compute_representative(self.problem, group, scaled, banned)
-            self.totals["rep_computations"] += len(group)
-            self.totals["fill_searches"] += 1
+        """Fill every stale bucket with one label search per block."""
+        for bi in range(len(self.problem.blocks)):
+            fresh = [b for b in self.partition.buckets(bi) if b.status == FRESH]
+            if fresh:
+                compute_representative(self.problem, fresh, scaled, banned)
+                self.totals["rep_computations"] += len(fresh)
+                self.totals["fill_searches"] += 1
 
     def _live(self):
         """Non-empty buckets per block, or the index of a dead block."""

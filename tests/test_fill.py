@@ -1,6 +1,6 @@
-"""Shared bucket fill: one label search per block and dominance signature
-must give every bucket exactly the representative that its own
-box-restricted search gives."""
+"""Shared bucket fill: one label search per block must give every bucket
+exactly the representative that its own box-restricted search gives, and
+the cheapest in-box subpath of the exhaustive enumeration."""
 
 import json
 import random
@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from nestedcg import driver, mpcvrp, pricing, synth
+from nestedcg import buckets, driver, mpcvrp, pricing, synth
 from nestedcg.buckets import (
     COMPUTED,
     EMPTY,
@@ -20,9 +20,9 @@ from nestedcg.labeling import elementary_rcspp
 from nestedcg.pricing import AdaptivePricer, PricingConfig
 
 
-def _reference_fill(problem, buckets, duals, banned=frozenset()):
+def _reference_fill(problem, group, duals, banned=frozenset()):
     """Per-bucket fill: one box-restricted search for every bucket."""
-    for b in buckets:
+    for b in group:
         if b.status == EMPTY:
             continue
         found = elementary_rcspp(problem, b.block, duals, boxes=[b.box], banned=banned)[0]
@@ -30,7 +30,7 @@ def _reference_fill(problem, buckets, duals, banned=frozenset()):
             b.status, b.rep = COMPUTED, Representative(*found)
         else:
             b.status, b.rep = EMPTY, None
-    return [b.rep for b in buckets]
+    return [b.rep for b in group]
 
 
 def _quarter(problem):
@@ -65,25 +65,52 @@ def _stale(pricer, banned):
     ]
 
 
+def _oracle_best(problem, bucket, scaled, banned):
+    """(rcost, contributions) of the cheapest enumerated subpath in the
+    bucket's box, or None when the box holds none."""
+    return min((
+        (sp.cost * scaled.denom - sum(scaled.value(k) for k in sp.nodes),
+         sp.contributions)
+        for sp in synth.enumerate_block_subpaths(problem, bucket.block, banned)
+        if bucket.contains(sp.contributions)
+    ), default=None)
+
+
 def _fill_and_compare(problem, pricer, scaled, banned):
     """Run the pricer's shared fill and check every filled bucket against
-    its own search; returns (searches, buckets filled)."""
+    its own search and against the enumeration; returns (searches,
+    buckets filled)."""
     want = {}
     for b in _stale(pricer, banned):
         found = elementary_rcspp(problem, b.block, scaled, boxes=[b.box], banned=banned)[0]
         want[b] = None if found is None else (
             found[0].nodes, found[0].cost, found[0].contributions, found[1],
         )
+    fresh_blocks = {b.block for b in pricer.partition.all_buckets() if b.status == FRESH}
+    searched = []                   # the block of every search the fill runs
+
+    def search(problem, block, *args, **kwargs):
+        searched.append(block)
+        return elementary_rcspp(problem, block, *args, **kwargs)
+
     searches = pricer.totals["fill_searches"]
-    pricer._compute_fresh(scaled, banned)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(buckets, "elementary_rcspp", search)
+        pricer._compute_fresh(scaled, banned)
     for b, expected in want.items():
+        oracle = _oracle_best(problem, b, scaled, banned)
         if expected is None:
             assert b.status == EMPTY and b.rep is None
+            assert oracle is None
         else:
             assert b.status == COMPUTED
             sp = b.rep.subpath
             assert (sp.nodes, sp.cost, sp.contributions, b.rep.rcost) == expected
-    return pricer.totals["fill_searches"] - searches, len(want)
+            assert (b.rep.rcost, sp.contributions) == oracle
+    searches = pricer.totals["fill_searches"] - searches
+    assert sorted(searched) == sorted(fresh_blocks), "one search per stale block"
+    assert searches == len(searched)
+    return searches, len(want)
 
 
 @pytest.mark.parametrize("family", sorted(PROBLEMS))

@@ -13,6 +13,7 @@ from nestedcg.buckets import COMPUTED, Partition, compute_representative
 from nestedcg.labeling import block_view, label_search
 from nestedcg.model import (
     COVER,
+    MAX,
     MILLI,
     SUM,
     Arc,
@@ -251,19 +252,15 @@ def test_banning_a_whole_block_reports_the_dead_block():
     assert out.columns == [] and out.optimistic is None
 
 
-def test_shrinking_bans_rebuilds_the_partition():
+def test_shrinking_bans_are_an_error():
+    # one pricer serves one solve, whose bans only grow; emptiness
+    # markings made under more bans would be wrong under fewer
     problem = synth.random_tiny_instance(4)
     pricer = AdaptivePricer(problem, PricingConfig(width=_rel_width(problem, 2)))
     victim = problem.blocks[0].elements[0]
     pricer.price(synth.random_duals(problem, 1), banned=frozenset({victim}))
-    banned_partition = pricer.partition
-    out = pricer.price(synth.random_duals(problem, 2))
-    assert pricer.partition is not banned_partition
-    oracle = synth.oracle_min_rcost(problem, synth.random_duals(problem, 2))
-    if oracle is None:
-        assert out.infeasible
-    elif out.optimistic is not None and out.pessimistic is None:
-        assert out.optimistic <= oracle[0]
+    with pytest.raises(PricingError, match="bans shrank"):
+        pricer.price(synth.random_duals(problem, 2))
 
 
 def test_growing_bans_invalidate_in_place():
@@ -319,6 +316,63 @@ def test_adaptive_rejects_a_box_that_blocks_undershoot():
         r"below the box's lower end 0"
     )):
         driver.solve(problem, driver.DriverConfig(pricer="adaptive"))
+
+
+@pytest.mark.parametrize("exit_delta, value", [(0, 7), (-1, 6)])
+def test_adaptive_rejects_a_usable_subpath_above_the_box(exit_delta, value):
+    # each block's one subpath enters with contribution 7 and leaves with
+    # ``exit_delta``, above the box's upper end 5; with b = 100 a path can
+    # hold it, so no bucket may drop it.  The label is pruned at the cap
+    # (exit 0, monotone) or completes outside every box (exit -1)
+    def block(k):
+        entry = Boundary(cost=11 * MILLI, path_deltas=((7,),))
+        leave = Boundary(path_deltas=((exit_delta,),))
+        return Block(elements=(k,), entry={k: entry}, exit={k: leave})
+
+    resource = PathResource(dim=1, agg=SUM, a=(1,), b=100, box=((0, 5),))
+    problem = NestedProblem([block(1), block(2)], path_resources=[resource], sense=COVER)
+    assert problem.above_box_usable == (True,)
+    exact = driver.solve(problem, driver.DriverConfig(pricer="exact"))
+    assert (exact.status, exact.lp_value) == ("optimal", 22 * MILLI)
+    with pytest.raises(ModelError, match=(
+        rf"block 0 reaches {value} on contribution coordinate 0, "
+        r"above the box's upper end 5"
+    )):
+        driver.solve(problem, driver.DriverConfig(pricer="adaptive"))
+
+
+@pytest.mark.parametrize("agg, b, usable", [
+    # SUM over two blocks: coordinate 0 at least (5 + 1) + 0, coordinate
+    # 1 at least 2 * 1; coordinate 1 at least (9 + 1) + 1, coordinate 0 at
+    # least 2 * 0
+    (SUM, 8, (True, False)), (SUM, 7, (False, False)), (SUM, 11, (True, True)),
+    # MAX: (5 + 1) + 1 and 0 + (9 + 1)
+    (MAX, 7, (True, False)), (MAX, 6, (False, False)), (MAX, 10, (True, True)),
+])
+def test_above_box_usable_puts_everything_else_at_its_lower_end(agg, b, usable):
+    def block(k):
+        return Block(elements=(k,), entry={k: Boundary(path_deltas=((1, 1),))})
+
+    resource = PathResource(dim=2, agg=agg, a=(1, 1), b=b, box=((0, 5), (1, 9)))
+    problem = NestedProblem([block(1), block(2)], path_resources=[resource])
+    assert problem.above_box_usable == usable
+
+
+def test_pricers_agree_where_the_bound_excludes_the_overshoot():
+    # subpaths (k) and (k + 1) contribute 1, (k, k + 1) contributes 7,
+    # above the box's upper end 5; with b = 5 no path can hold it
+    def block(k):
+        entry = Boundary(cost=11 * MILLI, path_deltas=((1,),))
+        return Block(elements=(k, k + 1), arcs={(k, k + 1): Arc(path_deltas=((6,),))},
+                     entry={k: entry, k + 1: entry})
+
+    resource = PathResource(dim=1, agg=SUM, a=(1,), b=5, box=((0, 5),))
+    problem = NestedProblem([block(1), block(3)], path_resources=[resource], sense=COVER)
+    assert problem.above_box_usable == (False,)
+    exact = driver.solve(problem, driver.DriverConfig(pricer="exact"))
+    adaptive = driver.solve(problem, driver.DriverConfig(pricer="adaptive"))
+    assert (exact.status, exact.lp_value) == ("optimal", 44 * MILLI)
+    assert (adaptive.status, adaptive.lp_value) == (exact.status, exact.lp_value)
 
 
 # ---------------------------------------------------------------------------
