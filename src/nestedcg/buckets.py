@@ -347,7 +347,8 @@ class Partition:
         return merges
 
 
-def compute_representative(problem, buckets, duals, banned=frozenset()):
+def compute_representative(problem, buckets, duals, banned=frozenset(),
+                           usable_above=()):
     """(Re)compute representatives under the given scaled duals.
 
     ``buckets`` lists buckets of one block; a single label search fills
@@ -360,6 +361,7 @@ def compute_representative(problem, buckets, duals, banned=frozenset()):
 
     Marks a bucket EMPTY -- permanently -- when its box holds no feasible
     subpath contribution vector at all; EMPTY buckets are not searched.
+    ``usable_above`` is passed on to ``labeling.elementary_rcspp``.
     """
     group = list(buckets)
     if len({b.block for b in group}) > 1:
@@ -372,6 +374,7 @@ def compute_representative(problem, buckets, duals, banned=frozenset()):
             duals,
             boxes=[b.box for b in live],
             banned=banned,
+            usable_above=usable_above,
         )
         for bucket, found in zip(live, results):
             if found is not None:

@@ -594,6 +594,7 @@ def elementary_rcspp(
     boxes,
     banned=frozenset(),
     objective="rcost",
+    usable_above=(),
 ):
     """The cheapest elementary subpath of one block under per-element
     duals, for each of a list of contribution boxes.
@@ -620,9 +621,11 @@ def elementary_rcspp(
 
     No bucket holds a subpath above the problem's box, so the search
     raises a ModelError when a label pruned at the union's upper ends,
-    or completed outside every box, has a completion above it on a
-    coordinate where a feasible path could hold one
-    (``NestedProblem.above_box_usable``).
+    or completed outside every box, has a completion that a feasible
+    path could hold above it: ``usable_above`` lists (coordinate, box
+    upper end, top) triples, and a completion whose value on the
+    coordinate lies above the end and at most at top is usable
+    (``pricing.AdaptivePricer._check_box`` derives them).
 
     Returns one entry per box: the (Subpath, scaled_rcost) pair that
     sorts first by (reduced cost, contribution vector, node sequence), or
@@ -651,9 +654,6 @@ def elementary_rcspp(
         if view.coord_monotone[c] and None not in his:
             caps.append((c, max(his)))
     locate = _box_locator(boxes)
-    # (coordinate, box upper end) pairs where a subpath above the end is usable
-    watch = [(c, box[1]) for c, box in enumerate(problem.contribution_box())
-             if problem.above_box_usable[c]]
 
     banned_local = {view.local[k] for k in banned if k in view.local}
     gain = [duals.value(k) for k in view.elements]
@@ -705,13 +705,19 @@ def elementary_rcspp(
         if kept[i] is None or _precedes(rcost, contribs, lab, kept[i]):
             kept[i] = (rcost, contribs, lab, lab.cost + cost)
 
-    def check_above(contribs):
-        for c, hi in watch:
-            if contribs[c] > hi:
+    def check_above(contribs, floor=None):
+        """Raise when a completion above the box may be usable.  For a
+        pruned label, ``floor`` is its own vector: the completions of its
+        descendants do not fall below it on a monotone coordinate."""
+        for c, hi, top in usable_above:
+            low = contribs[c] if floor is None else (
+                floor[c] if view.coord_monotone[c] else -math.inf
+            )
+            if hi < contribs[c] and low <= top:
                 raise ModelError(
                     f"block {block_index} reaches {contribs[c]} on contribution "
-                    f"coordinate {c}, above the box's upper end {hi}, which "
-                    f"the path predicate does not rule out"
+                    f"coordinate {c}, above the box's upper end {hi}, where "
+                    f"a feasible path may hold a subpath"
                 )
 
     def too_high(node, contribs):
@@ -719,8 +725,9 @@ def elementary_rcspp(
         completion of a pruned label is checked against the box."""
         for c, hi in caps:
             if contribs[c] > hi:
-                if watch:
-                    check_above(tuple(map(add, contribs, view.exit[node][2])))
+                if usable_above:
+                    exit_d = view.exit[node][2]
+                    check_above(tuple(map(add, contribs, exit_d)), contribs)
                 return True
         return False
 

@@ -2,10 +2,11 @@
 
 One covering/partitioning row per element, an optional cardinality row
 (its dual is the convexity charge each path pays once), and a pool of
-path columns deduplicated by node sequence.  Solves are exact -- the LP
-runs on the bundled rational simplex -- so the reported value is a
-Fraction in millicost and identical across pricer configurations that
-reach the same optimum.
+path columns deduplicated by node sequence.  Every datum of the LP is an
+int -- path costs in millicost, coefficients of 1, right-hand sides of 1
+or the remaining cardinality -- as the bundled integer simplex requires,
+and solves are exact: the reported value is a Fraction in millicost,
+identical across pricer configurations that reach the same optimum.
 
 Infeasibility is reported as a status.  The big-M artificials that keep
 intermediate masters solvable never leak into values: when artificials

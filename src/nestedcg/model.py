@@ -141,10 +141,10 @@ class PathResource:
     rejects a block that can reach below ``lo`` (predicates are downward
     closed, so such a subpath is always usable), and it treats subpaths
     above ``hi`` as unusable.  That is safe where ``a . v <= b`` excludes
-    them even with every other block and coordinate at its lower end
-    (``NestedProblem.above_box_usable``; in the routing encoding ``hi``
-    is the distance cap); elsewhere the adaptive pricer raises a
-    ModelError when it meets a subpath above ``hi``.
+    them even with every other block and coordinate at the least it can
+    reach (in the routing encoding ``hi`` is the distance cap); elsewhere
+    the adaptive pricer raises a ModelError when it meets a subpath above
+    ``hi``.
     """
 
     dim: int
@@ -249,6 +249,16 @@ def as_scaled(duals) -> ScaledDuals:
 # ---------------------------------------------------------------------------
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_data(item) -> bool:
+    """Whether an Arc or Boundary has an integer cost and integer deltas."""
+    return {type(item.cost), *map(type, item.sub_deltas),
+            *(type(x) for v in item.path_deltas for x in v)} <= {int}
+
+
 @dataclass
 class NestedProblem:
     """A nested path problem instance.  Treat as immutable once built."""
@@ -272,8 +282,12 @@ class NestedProblem:
             raise ModelError("a problem needs at least one block")
         if self.sense not in (COVER, PARTITION):
             raise ModelError(f"unknown sense {self.sense!r}")
-        if self.cardinality is not None and self.cardinality < 1:
-            raise ModelError("cardinality row needs a positive right-hand side")
+        if self.cardinality is not None and (
+            not _is_int(self.cardinality) or self.cardinality < 1
+        ):
+            raise ModelError(
+                "cardinality row needs a positive integer right-hand side"
+            )
         seen = set()
         for bi, block in enumerate(self.blocks):
             if not block.elements:
@@ -291,21 +305,39 @@ class NestedProblem:
             for v in list(block.entry) + list(block.exit):
                 if v not in elems:
                     raise ModelError(f"boundary data for {v} outside block {bi}")
+            for what, data in (("arc", block.arcs),
+                               ("entry boundary of element", block.entry),
+                               ("exit boundary of element", block.exit)):
+                for key, item in data.items():
+                    if not _int_data(item):
+                        raise ModelError(
+                            f"{what} {key} needs an integer cost and integer deltas"
+                        )
         for ri, res in enumerate(self.subpath_resources):
             if not 0 <= res.block < len(self.blocks):
                 raise ModelError(f"subpath resource {ri} references block {res.block}")
             elems = set(self.blocks[res.block].elements)
-            for v in res.windows:
+            for v, bounds in res.windows.items():
                 if v not in elems:
                     raise ModelError(
                         f"subpath resource {ri} has a window on {v}, "
                         f"outside its block"
+                    )
+                if not all(x is None or _is_int(x) for x in bounds):
+                    raise ModelError(
+                        f"subpath resource {ri} has a non-integer window "
+                        f"bound on element {v}: {bounds!r}"
                     )
         for ri, res in enumerate(self.path_resources):
             if res.agg not in (SUM, MAX):
                 raise ModelError(f"unknown aggregator {res.agg!r}")
             if len(res.a) != res.dim or len(res.box) != res.dim:
                 raise ModelError(f"path resource {ri} has inconsistent dimension")
+            values = (*res.a, res.b, *(x for iv in res.box for x in iv))
+            if not all(map(_is_int, values)):
+                raise ModelError(
+                    f"path resource {ri} needs integer weights, bound and box"
+                )
             if any(w < 0 for w in res.a):
                 raise ModelError("predicate weights must be nonnegative")
             if any(lo > hi for lo, hi in res.box):
@@ -357,9 +389,6 @@ class NestedProblem:
         )
         self._box = tuple(iv for r in self.path_resources for iv in r.box)
         self.monotone = tuple(self._monotone(ri) for ri in range(len(self.path_resources)))
-        self.above_box_usable = tuple(
-            flag for r in self.path_resources for flag in self._usable_above(r)
-        )
 
     def _monotone(self, ri: int) -> bool:
         """True when the aggregate is componentwise non-decreasing in the
@@ -375,21 +404,6 @@ class NestedProblem:
                 if item.path_deltas and any(d < 0 for d in item.path_deltas[ri]):
                     return False
         return True
-
-    def _usable_above(self, res):
-        """Per coordinate of ``res``: whether ``a . v <= b`` admits a path
-        holding a subpath above the box's upper end there.  With every
-        block at or above the box's lower ends (the adaptive pricer checks
-        this), such a path's aggregate is at least ``hi + 1`` on that
-        coordinate plus, for ``SUM``, the other blocks' lower ends, and at
-        least the lower ends (times the block count for ``SUM``) elsewhere."""
-        blocks = len(self.blocks) if res.agg == SUM else 1
-        floor = [lo * blocks for lo, _ in res.box]
-        out = []
-        for c, (lo, hi) in enumerate(res.box):
-            least = floor[:c] + [hi + 1 + (blocks - 1) * lo] + floor[c + 1:]
-            out.append(sum(map(mul, res.a, least)) <= res.b)
-        return out
 
     # -- conveniences ---------------------------------------------------
 

@@ -42,15 +42,13 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import le
+from operator import le, mul
 
 from .buckets import COMPUTED, EMPTY, FRESH, Partition, compute_representative
 from .labeling import block_view, label_search, through_values
-from .model import ModelError, as_scaled, check_path_feasible
+from .model import SUM, ModelError, as_scaled, check_path_feasible
 
 
-# merge evaluates exact through-values while no block has more buckets
-MERGE_EXACT_LIMIT = 64
 # path searches return at most this many columns per pricing call
 COLUMNS_PER_CALL = 10
 
@@ -76,12 +74,6 @@ class PricingOutcome:
     infeasible: bool = False             # no feasible path exists under current bans
     infeasible_block: int | None = None  # a block with no feasible subpath, if that's why
     stats: dict = field(default_factory=dict)
-
-
-def _path_rules(problem):
-    """Per-coordinate aggregators, sink predicates and prune flags of the
-    layered search (``labeling.label_search``)."""
-    return problem.aggs, problem.predicates, problem.monotone
 
 
 def _layers(items_per_block, vec_of, rcost_of, convexity):
@@ -112,18 +104,6 @@ def _assemble(problem, results, chain_of, denom, exclude):
     return columns
 
 
-def _through_values(problem, items_per_block, vec_of, rcost_of, convexity):
-    """Exact optimistic through-value per item: the cheapest feasible path
-    through it (``labeling.through_values``)."""
-    layers = _layers(items_per_block, vec_of, rcost_of, convexity)
-    values = through_values(layers, *_path_rules(problem))
-    return {
-        item: value
-        for layer, row in zip(layers, values)
-        for (item, _, _), value in zip(layer, row)
-    }
-
-
 # ---------------------------------------------------------------------------
 # adaptive bucket pricer
 # ---------------------------------------------------------------------------
@@ -145,7 +125,8 @@ class AdaptivePricer:
         self.config = config or PricingConfig()
         if self.config.strategy not in ("representative", "midpoint"):
             raise PricingError(f"unknown strategy {self.config.strategy!r}")
-        self.rules = _path_rules(problem)
+        self.rules = problem.aggs, problem.predicates, problem.monotone
+        self.usable_above = self._check_box()
         self.partition: Partition | None = None
         self.banned = frozenset()
         self.refines_per_block = [0] * len(problem.blocks)
@@ -165,7 +146,6 @@ class AdaptivePricer:
 
     def _ensure_partition(self, banned):
         if self.partition is None:
-            self._check_box()
             self.partition = Partition.initial(self.problem, self.config.width)
         elif banned != self.banned:
             if not banned > self.banned:
@@ -179,23 +159,55 @@ class AdaptivePricer:
 
     def _check_box(self):
         """Raise a ModelError when a block reaches below the contribution
-        box: no bucket holds such a subpath, yet it is always usable."""
-        for bi in range(len(self.problem.blocks)):
-            view = block_view(self.problem, bi)
-            for c, (lo, _) in enumerate(self.problem.contribution_box()):
-                low = view.min_achievable(c)
+        box: no bucket holds such a subpath, yet it is always usable.
+
+        Return per block the (coordinate, box upper end, top) triples where
+        a subpath above the end and at most at ``top`` is usable with every
+        block at its least: the fill raises on one, as no bucket holds it.
+        With every block at its least the predicates leave a coordinate
+        ``rise`` of headroom, above the block's least under ``SUM`` and
+        above the largest least under ``MAX``.
+        """
+        problem = self.problem
+        box = problem.contribution_box()
+        mins = []
+        for bi in range(len(problem.blocks)):
+            view = block_view(problem, bi)
+            mins.append([view.min_achievable(c) for c in range(len(box))])
+            for c, ((lo, _), low) in enumerate(zip(box, mins[-1])):
                 if low is not None and low < lo:
                     raise ModelError(
                         f"block {bi} reaches {low} on contribution coordinate {c}, "
                         f"below the box's lower end {lo}"
                     )
+        if any(None in low for low in mins):
+            return [()] * len(mins)     # a block without subpaths: no paths
+        least = [sum(col) if agg == SUM else max(col)
+                 for agg, col in zip(problem.aggs, zip(*mins))]
+        slack = [(weights, bound - sum(map(mul, weights, least)))
+                 for weights, bound in problem.predicates]
+        if any(s < 0 for _, s in slack):
+            return [()] * len(mins)     # not even the least path is feasible
+        rise = [min((s // w[c] for w, s in slack if w[c]), default=math.inf)
+                for c in range(len(box))]
+        windows = []
+        for low in mins:
+            found = []
+            for c, (_, hi) in enumerate(box):
+                top = rise[c] + (low[c] if problem.aggs[c] == SUM else least[c])
+                if top > hi:
+                    found.append((c, hi, top))
+            windows.append(tuple(found))
+        return windows
 
     def _compute_fresh(self, scaled, banned):
         """Fill every stale bucket with one label search per block."""
         for bi in range(len(self.problem.blocks)):
             fresh = [b for b in self.partition.buckets(bi) if b.status == FRESH]
             if fresh:
-                compute_representative(self.problem, fresh, scaled, banned)
+                compute_representative(
+                    self.problem, fresh, scaled, banned, self.usable_above[bi]
+                )
                 self.totals["rep_computations"] += len(fresh)
                 self.totals["fill_searches"] += 1
 
@@ -226,48 +238,30 @@ class AdaptivePricer:
         A pair may merge when no optimistic path through the merged bucket
         could be negative: the merged bucket inherits the lower box corner
         and the cheaper representative, so its best through-value equals
-        the lower bucket's plus the representative discount.  Small blocks
-        evaluate through-values exactly by combining prefix/suffix Pareto
-        sets; large blocks fall back to a resource-free bound (dropping
-        the predicate only lowers the value, so it stays admissible).
-        Pairs of empty buckets merge unconditionally.
+        the lower bucket's plus the representative discount.  Through-values
+        are exact: the cheapest feasible optimistic path through each live
+        bucket (``labeling.through_values``).  Pairs of empty buckets merge
+        unconditionally.
         """
-        merges = 0
-        exact_through = {}
-        use_exact = all(
-            len(self.partition.buckets(bi)) <= MERGE_EXACT_LIMIT
-            for bi in range(len(self.problem.blocks))
-        )
-        if use_exact:
-            exact_through = _through_values(
-                self.problem,
-                live,
-                lambda b: b.lo,
-                lambda b: b.rep.rcost,
-                scaled.convexity,
-            )
-        else:
-            mins = [min(b.rep.rcost for b in bs) for bs in live]
-            prefix = [0]
-            for m in mins:
-                prefix.append(prefix[-1] + m)
-            total = prefix[-1]
-            for bi, bs in enumerate(live):
-                for b in bs:
-                    exact_through[b] = (
-                        total - mins[bi] + b.rep.rcost - scaled.convexity
-                    )
+        layers = _layers(live, lambda b: b.lo, lambda b: b.rep.rcost,
+                         scaled.convexity)
+        through = {
+            bucket: value
+            for layer, row in zip(layers, through_values(layers, *self.rules))
+            for (bucket, _, _), value in zip(layer, row)
+        }
 
         def can_merge(lower, upper):
             if lower.status == EMPTY or upper.status == EMPTY:
                 keep = lower if lower.status == COMPUTED else upper
-                return exact_through.get(keep, math.inf) >= 0
+                return through.get(keep, math.inf) >= 0
             delta = upper.rep.rcost - lower.rep.rcost
-            return exact_through.get(lower, math.inf) + min(0, delta) >= 0
+            return through.get(lower, math.inf) + min(0, delta) >= 0
 
-        for bi in range(len(self.problem.blocks)):
-            merges += self.partition.merge_pass(bi, can_merge)
-        return merges
+        return sum(
+            self.partition.merge_pass(bi, can_merge)
+            for bi in range(len(self.problem.blocks))
+        )
 
     # -- main entry -----------------------------------------------------------
 
@@ -279,9 +273,7 @@ class AdaptivePricer:
         self._ensure_partition(banned)
         stats = {"refinements": 0, "merges": 0, "reuse_hit": False}
 
-        if cfg.reuse and any(
-            b.status == COMPUTED for b in self.partition.all_buckets()
-        ):
+        if cfg.reuse:
             live, _ = self._live()
             if live is not None:
                 stale_rc = {}
@@ -444,7 +436,7 @@ class ExactPricer:
 
     def __init__(self, problem):
         self.problem = problem
-        self.rules = _path_rules(problem)
+        self.rules = problem.aggs, problem.predicates, problem.monotone
         self.totals = {"enumerated": 0, "kept": 0, "calls": 0}
         # wall time per phase, for reporting only
         self.timers = {"enumerate": 0.0, "front": 0.0, "search": 0.0}

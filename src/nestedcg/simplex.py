@@ -6,13 +6,13 @@ column coefficients.  The returned objective value, primal solution and
 row duals are exact Fractions, so two solvers given the same column set
 must agree bit for bit.
 
-Representation.  Costs are scaled once by the lcm of their denominators,
-and each row by the lcm of the denominators of its coefficients and its
-right-hand side; row scaling moves neither x nor the reduced costs, and
-the duals are unscaled on return.  Everything inside the pivot loop is a
-Python int.  The basis inverse is held fraction-free, as an integer
-matrix A and a positive integer d with B^-1 = A/d (A = +-adj(B) and
-d = |det(B)|), and the basic values as the integer vector A.b.
+Representation.  Costs, coefficients and right-hand sides are Python
+ints (the master's data is: millicost costs, 0/1 coefficients and
+integer right-hand sides), and so is everything inside the pivot loop.
+The basis inverse is held fraction-free, as an integer matrix A and a
+positive integer d with B^-1 = A/d (A = +-adj(B) and d = |det(B)|), and
+the basic values as the integer vector A.b.  The duals u/d and the value
+come back as Fractions over d.
 
 Pricing evaluates c_j.d - u.a_j with u = c_B.A: the true reduced cost
 times a positive factor, so Dantzig's argmin, Bland's first negative and
@@ -32,7 +32,7 @@ basic indices, the basic columns as they were factored, and A and d.  A
 later solve reuses A and d as they stand when the columns at those
 indices are unchanged -- the case when columns are only appended -- so a
 warm start never refactors; any other token starts cold from the
-all-artificial basis.
+all-artificial basis, B = I.
 
 Feasibility comes from one big-M phase: each row carries an artificial
 column, and an artificial that stays basic at positive value at
@@ -42,7 +42,6 @@ as an M-dependent objective value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -57,8 +56,8 @@ class LpError(RuntimeError):
 
 @dataclass(frozen=True)
 class Basis:
-    """Warm-start token: basic internal indices, the scaled basic columns
-    they were factored from, and B^-1 = adj / det in integers (the rows of
+    """Warm-start token: basic internal indices, the basic columns they
+    were factored from, and B^-1 = adj / det in integers (the rows of
     ``adj`` are never mutated)."""
 
     base: tuple
@@ -77,69 +76,43 @@ class LpResult:
     pivots: int = 0
 
 
-def _rational(x):
-    return x if isinstance(x, int) else Fraction(x)
-
-
 def solve_lp(costs, columns, rhs, senses, *, basis=None) -> LpResult:
     """Minimize ``costs . x`` s.t. the sparse system, x >= 0.
 
     ``columns[j]`` is an iterable of (row, coeff) pairs; ``senses`` holds
-    "=" or ">=" per row, ``rhs`` must be nonnegative.  ``basis`` is the
+    "=" or ">=" per row, ``rhs`` must be nonnegative.  Costs,
+    coefficients and right-hand sides must be ints.  ``basis`` is the
     ``LpResult.basis`` of a previous solve; it is used when its basic
     columns are still the columns at the same indices.
     """
     m = len(rhs)
+    cols = [tuple(col) for col in columns]
+    if len(cols) != len(costs):
+        raise LpError("cost/column length mismatch")
+    kinds = {type(a) for col in cols for _, a in col}
+    kinds.update(map(type, costs), map(type, rhs))
+    if kinds - {int}:
+        raise LpError("costs, coefficients and right-hand sides must be ints")
     if any(b < 0 for b in rhs):
         raise LpError("rhs entries must be nonnegative")
     if any(s not in ("=", ">=") for s in senses):
         raise LpError("row senses must be '=' or '>='")
-    costs = [_rational(c) for c in costs]
-    cols = [tuple(col) for col in columns]
-    if len(cols) != len(costs):
-        raise LpError("cost/column length mismatch")
-    rhs = [_rational(b) for b in rhs]
-
-    peak = max((abs(c) for c in costs), default=0)
-    big_m = _rational(max(10 * peak, 10**6))
-
-    # -- integer data: scale each row, then the costs ------------------------
-    row_scale = [b.denominator for b in rhs]
-    integral = all(s == 1 for s in row_scale)
-    for col in cols:
-        for r, c in col:
-            if type(c) is not int:
-                integral = False
-                row_scale[r] = math.lcm(row_scale[r], Fraction(c).denominator)
-    if not integral:
-        cols = [
-            tuple((r, int(Fraction(c) * row_scale[r])) for r, c in col)
-            for col in cols
-        ]
-    b = [int(v * s) for v, s in zip(rhs, row_scale)]
-    cost_scale = math.lcm(big_m.denominator, *(c.denominator for c in costs))
+    big_m = max(10 * max(map(abs, costs), default=0), 10**6)
 
     # internal columns: artificials, then surplus, then caller columns, so
     # indices stay put as caller columns are appended between solves
     surplus_rows = [r for r, s in enumerate(senses) if s == ">="]
     n_fixed = m + len(surplus_rows)
     column = (
-        [((r, row_scale[r]),) for r in range(m)]
-        + [((r, -row_scale[r]),) for r in surplus_rows]
+        [((r, 1),) for r in range(m)]
+        + [((r, -1),) for r in surplus_rows]
         + cols
     )
-    cost = (
-        [int(big_m * cost_scale)] * m
-        + [0] * len(surplus_rows)
-        + [int(c * cost_scale) for c in costs]
-    )
+    cost = [big_m] * m + [0] * len(surplus_rows) + list(costs)
     n_total = len(column)
     pivot_limit = _PIVOT_ALLOWANCE + 50 * (m + n_total)
 
     # -- initial basis -----------------------------------------------------
-    def values(adj):
-        return [sum(map(mul, row, b)) for row in adj]
-
     base = None
     if (
         isinstance(basis, Basis)
@@ -150,24 +123,19 @@ def solve_lp(costs, columns, rhs, senses, *, basis=None) -> LpResult:
         )
     ):
         base, adj, det = list(basis.base), list(basis.adj), basis.det
-        x = values(adj)
+        x = [sum(map(mul, row, rhs)) for row in adj]
         if any(v < 0 for v in x):
             base = None         # primal infeasible for this right-hand side
-    if base is None:            # the artificials, B = diag(row_scale)
-        base, det = list(range(m)), math.prod(row_scale)
-        adj = [[0] * m for _ in range(m)]
-        for r in range(m):
-            adj[r][r] = det // row_scale[r]
-        x = values(adj)
+    if base is None:            # the artificials, B = I
+        base, det = list(range(m)), 1
+        adj = [[int(r == i) for i in range(m)] for r in range(m)]
+        x = list(rhs)
 
-    def token():
-        return Basis(
-            tuple(base), tuple(column[j] for j in base), tuple(adj), det
-        )
-
-    def duals(u):
-        denom = cost_scale * det
-        return tuple(Fraction(v * s, denom) for v, s in zip(u, row_scale))
+    def result(status, u, value=None, primal=None):
+        """The LpResult of the current basis, with duals u / det."""
+        token = Basis(tuple(base), tuple(column[j] for j in base), tuple(adj), det)
+        duals = tuple(Fraction(v, det) for v in u)
+        return LpResult(status, value, primal or {}, duals, token, pivots)
 
     pivots = 0
     degen = 0
@@ -186,22 +154,17 @@ def solve_lp(costs, columns, rhs, senses, *, basis=None) -> LpResult:
         best = min(reduced, default=0)
         if best >= 0:
             # optimal for the big-M program
-            for i, j in enumerate(base):
-                if j < m and x[i] > 0:
-                    return LpResult(
-                        "infeasible", None, {}, duals(u), token(), pivots
-                    )
+            if any(j < m and x[i] > 0 for i, j in enumerate(base)):
+                return result("infeasible", u)
             value = Fraction(
                 sum(cost[j] * x[i] for i, j in enumerate(base) if j >= m),
-                cost_scale * det,
+                det,
             )
             primal = {}
             for i, j in enumerate(base):
                 if j >= n_fixed and x[i] != 0:
                     primal[j - n_fixed] = Fraction(x[i], det)
-            return LpResult(
-                "optimal", value, primal, duals(u), token(), pivots
-            )
+            return result("optimal", u, value, primal)
 
         if degen >= _DEGENERATE_STREAK:
             entering = next(j for j, d in enumerate(reduced) if d < 0)
@@ -223,9 +186,7 @@ def solve_lp(costs, columns, rhs, senses, *, basis=None) -> LpResult:
                 if here < there or (here == there and base[i] < base[leave]):
                     leave = i
         if leave is None:
-            return LpResult(
-                "unbounded", None, {}, duals(u), token(), pivots
-            )
+            return result("unbounded", u)
         degen = degen + 1 if x[leave] == 0 else 0
 
         # fraction-free pivot: every row but the pivot row is rescaled to

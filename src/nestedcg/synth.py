@@ -15,6 +15,8 @@ The oracles enumerate -- no dominance, no buckets, no column generation --
 and exist solely to check the clever code paths: two independent
 minimum-reduced-cost enumerators, a full-enumeration LP oracle backed by
 scipy's HiGHS, and an integer-programming oracle for gap measurements.
+Those two import numpy and scipy when called, so the solver itself runs
+without either.
 """
 
 from __future__ import annotations
@@ -23,9 +25,6 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
-from scipy import optimize, sparse
 
 from .model import (
     COVER,
@@ -280,6 +279,9 @@ class LpOutcome:
 
 
 def _column_matrix(problem, paths):
+    import numpy as np
+    from scipy import sparse
+
     elements = list(problem.elements)
     row_of = {k: i for i, k in enumerate(elements)}
     rows, cols = [], []
@@ -297,6 +299,9 @@ def _column_matrix(problem, paths):
 def oracle_lp(problem, banned=frozenset(), guard=1_000_000) -> LpOutcome:
     """LP relaxation value over the *full* path set -- the reference the
     column-generation loop must reproduce."""
+    import numpy as np
+    from scipy import optimize, sparse
+
     paths = enumerate_paths(problem, banned, guard)
     if not paths:
         return LpOutcome("infeasible", None, 0)
@@ -327,6 +332,9 @@ def oracle_lp(problem, banned=frozenset(), guard=1_000_000) -> LpOutcome:
 
 def oracle_ip(problem, banned=frozenset(), guard=1_000_000) -> LpOutcome:
     """Integer optimum over the full path set (HiGHS MILP)."""
+    import numpy as np
+    from scipy import optimize, sparse
+
     paths = enumerate_paths(problem, banned, guard)
     if not paths:
         return LpOutcome("infeasible", None, 0)

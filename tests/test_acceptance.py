@@ -19,7 +19,7 @@ from nestedcg.buckets import COMPUTED, Partition, compute_representative
 from nestedcg.cli import ExperimentSpec, run_experiment
 from nestedcg.labeling import label_search
 from nestedcg.model import check_path_feasible
-from nestedcg.pricing import AdaptivePricer, PricingConfig, _layers, _path_rules
+from nestedcg.pricing import AdaptivePricer, PricingConfig, _layers
 
 REL_TOL = 1e-6
 
@@ -124,12 +124,12 @@ def _frozen_trajectory(problem, duals):
         opt = label_search(
             _layers(live, lambda b: b.lo, lambda b: b.rep.rcost,
                     scaled.convexity),
-            *_path_rules(problem),
+            problem.aggs, problem.predicates, problem.monotone,
         )
         pes = label_search(
             _layers(live, lambda b: b.rep.vector, lambda b: b.rep.rcost,
                     scaled.convexity),
-            *_path_rules(problem),
+            problem.aggs, problem.predicates, problem.monotone,
         )
         opts.append(opt[0].rcost)
         pess.append(pes[0].rcost if pes else None)
@@ -234,8 +234,9 @@ def test_criterion_5_merge_safety():
 
 
 def test_criterion_5_merge_safety_beyond_exact_limit():
-    """Bucket counts above the exact-criterion limit switch merging to the
-    resource-free bound; the final value must not move."""
+    """Merge safety at about 80 buckets per block, above the counts the
+    other merge tests reach: the exact through-values must not move the
+    final value."""
     instance = mpcvrp.generate_instance(
         n=4, days=2, vehicles=2, delta=Fraction(9, 10), seed=1
     )

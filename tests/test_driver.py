@@ -20,8 +20,10 @@ from nestedcg.model import (
     Arc,
     Block,
     Boundary,
-    NestedProblem,
     PARTITION,
+    SUM,
+    NestedProblem,
+    PathResource,
     SubpathResource,
 )
 from nestedcg.pricing import AdaptivePricer, ExactPricer, PricingConfig
@@ -124,6 +126,29 @@ def test_dive_on_an_already_integral_root_fixes_nothing():
     if base.status == "optimal" and base.dive and base.dive.n_fixed == 0:
         assert base.dive.status == "integral"
         assert base.dive.ip_value == base.lp_value
+
+
+@pytest.mark.parametrize("pricer", ["exact", "adaptive"])
+def test_dive_fails_when_a_residual_master_is_infeasible(pricer):
+    # elements 1, 2, 3 in one block: a stop window of two elements and a
+    # SUM resource of -1 per element with b = -2 leave the three pairs as
+    # the only paths, an odd cycle under partitioning.  The root LP takes
+    # each pair at 1/2; fixing one pair leaves an element no path covers
+    entry = Boundary(cost=MILLI, sub_deltas=(1,), path_deltas=((-1,),))
+    step = Arc(cost=MILLI, sub_deltas=(1,), path_deltas=((-1,),))
+    block = Block(
+        elements=(1, 2, 3),
+        arcs={(1, 2): step, (2, 3): step, (1, 3): step},
+        entry={k: entry for k in (1, 2, 3)},
+    )
+    stop = SubpathResource(block=0, windows={k: (None, 2) for k in (1, 2, 3)})
+    count = PathResource(dim=1, agg=SUM, a=(1,), b=-2, box=((-2, -1),))
+    problem = NestedProblem([block], [stop], [count], sense=PARTITION)
+    report = solve(problem, _config(problem, pricer=pricer, dive=True))
+    pair = 2 * MILLI
+    assert (report.status, report.lp_value) == ("optimal", Fraction(3, 2) * pair)
+    dive = report.dive
+    assert (dive.status, dive.ip_value, dive.n_fixed) == ("dive_failed", None, 1)
 
 
 def test_iteration_limit_is_a_status():

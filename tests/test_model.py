@@ -266,6 +266,27 @@ def test_validation_rejects_malformed_problems(two_blocks):
         )
 
 
+def test_validation_names_non_integer_data():
+    # the master LP takes ints only, so fractional data stops here
+    res = PathResource(dim=1, agg=SUM, a=(1,), b=9, box=((0, 9),))
+    cases = [
+        (Block(elements=(1, 2), arcs={(1, 2): Arc(cost=Fraction(1, 2))}), [], [],
+         r"arc \(1, 2\) needs an integer cost and integer deltas"),
+        (Block(elements=(1,), exit={1: Boundary(path_deltas=((0.5,),))}), [], [res],
+         r"exit boundary of element 1 needs an integer cost"),
+        (Block(elements=(1,)), [SubpathResource(block=0, windows={1: (0, 2.5)})], [],
+         r"subpath resource 0 has a non-integer window bound on element 1"),
+        (Block(elements=(1,)), [],
+         [PathResource(dim=1, agg=SUM, a=(1,), b=Fraction(9, 2), box=((0, 9),))],
+         r"path resource 0 needs integer weights, bound and box"),
+    ]
+    for block, subs, paths, message in cases:
+        with pytest.raises(ModelError, match=message):
+            NestedProblem([block], subs, paths)
+    with pytest.raises(ModelError, match="positive integer right-hand side"):
+        NestedProblem([Block(elements=(1,))], cardinality=1.5)
+
+
 def test_validation_checks_delta_shapes():
     with pytest.raises(ModelError):
         NestedProblem(

@@ -4,6 +4,7 @@ sandwich, closure exactness, refinement budgets, merge safety, reuse."""
 import itertools
 import random
 from collections import defaultdict
+from fractions import Fraction
 
 import pytest
 from helpers import reduced_cost
@@ -32,7 +33,6 @@ from nestedcg.pricing import (
     _front,
     _layers,
     _pareto_keep,
-    _path_rules,
 )
 
 SEEDS = range(1, 13)
@@ -145,12 +145,12 @@ def test_refinement_is_monotone_under_frozen_duals(seed):
         opt = label_search(
             _layers(live, lambda b: b.lo, lambda b: b.rep.rcost,
                     scaled.convexity),
-            *_path_rules(problem),
+            problem.aggs, problem.predicates, problem.monotone,
         )
         pes = label_search(
             _layers(live, lambda b: b.rep.vector, lambda b: b.rep.rcost,
                     scaled.convexity),
-            *_path_rules(problem),
+            problem.aggs, problem.predicates, problem.monotone,
         )
         opts.append(opt[0].rcost)
         pess.append(pes[0].rcost)
@@ -331,7 +331,8 @@ def test_adaptive_rejects_a_usable_subpath_above_the_box(exit_delta, value):
 
     resource = PathResource(dim=1, agg=SUM, a=(1,), b=100, box=((0, 5),))
     problem = NestedProblem([block(1), block(2)], path_resources=[resource], sense=COVER)
-    assert problem.above_box_usable == (True,)
+    # with the other block at its least, value, a path holds values up to 100 - value
+    assert AdaptivePricer(problem).usable_above == [((0, 5, 100 - value),)] * 2
     exact = driver.solve(problem, driver.DriverConfig(pricer="exact"))
     assert (exact.status, exact.lp_value) == ("optimal", 22 * MILLI)
     with pytest.raises(ModelError, match=(
@@ -341,38 +342,94 @@ def test_adaptive_rejects_a_usable_subpath_above_the_box(exit_delta, value):
         driver.solve(problem, driver.DriverConfig(pricer="adaptive"))
 
 
+def test_adaptive_rejects_a_usable_descendant_of_a_pruned_label():
+    # (1) contributes 6 + 3 = 9, (2) 1 and (1, 2) 6, above the box's upper
+    # end 5; with b = 7 a path holds (1, 2) but not (1).  The label at 1 is
+    # pruned at 6, and its own completion 9 is unusable, but its
+    # descendant (1, 2) is not: no bucket holds it, so the fill must raise
+    entry = {1: Boundary(cost=11 * MILLI, path_deltas=((6,),)),
+             2: Boundary(cost=11 * MILLI, path_deltas=((1,),))}
+    block = Block(elements=(1, 2), arcs={(1, 2): Arc(path_deltas=((0,),))},
+                  entry=entry, exit={1: Boundary(path_deltas=((3,),))})
+    resource = PathResource(dim=1, agg=SUM, a=(1,), b=7, box=((0, 5),))
+    problem = NestedProblem([block], path_resources=[resource], sense=COVER)
+    assert AdaptivePricer(problem).usable_above == [((0, 5, 7),)]
+    exact = driver.solve(problem, driver.DriverConfig(pricer="exact"))
+    assert (exact.status, exact.lp_value) == ("optimal", 11 * MILLI)
+    with pytest.raises(ModelError, match=(
+        r"block 0 reaches 9 on contribution coordinate 0, "
+        r"above the box's upper end 5"
+    )):
+        driver.solve(problem, driver.DriverConfig(pricer="adaptive"))
+
+
 @pytest.mark.parametrize("agg, b, usable", [
-    # SUM over two blocks: coordinate 0 at least (5 + 1) + 0, coordinate
-    # 1 at least 2 * 1; coordinate 1 at least (9 + 1) + 1, coordinate 0 at
-    # least 2 * 0
-    (SUM, 8, (True, False)), (SUM, 7, (False, False)), (SUM, 11, (True, True)),
-    # MAX: (5 + 1) + 1 and 0 + (9 + 1)
-    (MAX, 7, (True, False)), (MAX, 6, (False, False)), (MAX, 10, (True, True)),
+    # block 0's one subpath contributes (0, 1), block 1's (1, 2); with both
+    # at that least, SUM leaves a coordinate b - 4 of headroom, so block 0
+    # may reach (b - 4, b - 3) and block 1 (b - 3, b - 2).  At the box's
+    # lower ends, (0, 1) for both, b = 8 would let coordinate 0 rise to 6
+    (SUM, 8, ((False, False), (False, False))),
+    (SUM, 7, ((False, False), (False, False))),
+    (SUM, 11, ((True, False), (True, True))),
+    # MAX leaves b - 3 above the largest least (1, 2): both blocks may
+    # reach (b - 2, b - 1); at the lower ends b = 7 would admit 6 there
+    (MAX, 7, ((False, False), (False, False))),
+    (MAX, 6, ((False, False), (False, False))),
+    (MAX, 10, ((True, True), (True, True))),
 ])
 def test_above_box_usable_puts_everything_else_at_its_lower_end(agg, b, usable):
-    def block(k):
-        return Block(elements=(k,), entry={k: Boundary(path_deltas=((1, 1),))})
+    # "its lower end": the least each block can reach, not the box's
+    def block(k, vec):
+        return Block(elements=(k,), entry={k: Boundary(path_deltas=(vec,))})
 
-    resource = PathResource(dim=2, agg=agg, a=(1, 1), b=b, box=((0, 5), (1, 9)))
-    problem = NestedProblem([block(1), block(2)], path_resources=[resource])
-    assert problem.above_box_usable == usable
+    resource = PathResource(dim=2, agg=agg, a=(1, 1), b=b, box=((0, 5), (1, 8)))
+    problem = NestedProblem([block(1, (0, 1)), block(2, (1, 2))],
+                            path_resources=[resource])
+    windows = AdaptivePricer(problem).usable_above
+    assert tuple(
+        tuple(any(w[0] == c for w in found) for c in range(2)) for found in windows
+    ) == usable
 
 
-def test_pricers_agree_where_the_bound_excludes_the_overshoot():
-    # subpaths (k) and (k + 1) contribute 1, (k, k + 1) contributes 7,
-    # above the box's upper end 5; with b = 5 no path can hold it
+def _overshoot_problem(b):
+    """Subpaths (k) and (k + 1) contribute 1, (k, k + 1) contributes 7,
+    above the box's upper end 5; the other block adds at least 1."""
     def block(k):
         entry = Boundary(cost=11 * MILLI, path_deltas=((1,),))
         return Block(elements=(k, k + 1), arcs={(k, k + 1): Arc(path_deltas=((6,),))},
                      entry={k: entry, k + 1: entry})
 
-    resource = PathResource(dim=1, agg=SUM, a=(1,), b=5, box=((0, 5),))
-    problem = NestedProblem([block(1), block(3)], path_resources=[resource], sense=COVER)
-    assert problem.above_box_usable == (False,)
+    resource = PathResource(dim=1, agg=SUM, a=(1,), b=b, box=((0, 5),))
+    return NestedProblem([block(1), block(3)], path_resources=[resource], sense=COVER)
+
+
+def test_pricers_agree_where_the_bound_excludes_the_overshoot():
+    # with b = 5 no path can hold the 7
+    problem = _overshoot_problem(5)
+    assert AdaptivePricer(problem).usable_above == [(), ()]
     exact = driver.solve(problem, driver.DriverConfig(pricer="exact"))
     adaptive = driver.solve(problem, driver.DriverConfig(pricer="adaptive"))
     assert (exact.status, exact.lp_value) == ("optimal", 44 * MILLI)
     assert (adaptive.status, adaptive.lp_value) == (exact.status, exact.lp_value)
+
+
+@pytest.mark.parametrize("b", [6, 7, 8])
+def test_overshoot_is_judged_with_the_other_blocks_at_their_least(b):
+    # at b = 6 and 7 the 7 plus the other block's least 1 exceeds b, so
+    # the adaptive pricer may drop it; at b = 8 a path holds it
+    problem = _overshoot_problem(b)
+    exact = driver.solve(problem, driver.DriverConfig(pricer="exact"))
+    if b < 8:
+        adaptive = driver.solve(problem, driver.DriverConfig(pricer="adaptive"))
+        assert (exact.status, exact.lp_value) == ("optimal", 44 * MILLI)
+        assert (adaptive.status, adaptive.lp_value) == (exact.status, exact.lp_value)
+    else:
+        assert (exact.status, exact.lp_value) == ("optimal", Fraction(88 * MILLI, 3))
+        with pytest.raises(ModelError, match=(
+            r"block 0 reaches 7 on contribution coordinate 0, "
+            r"above the box's upper end 5"
+        )):
+            driver.solve(problem, driver.DriverConfig(pricer="adaptive"))
 
 
 # ---------------------------------------------------------------------------
