@@ -347,8 +347,7 @@ class Partition:
         return merges
 
 
-def compute_representative(problem, buckets, duals, banned=frozenset(),
-                           usable_above=()):
+def compute_representative(problem, buckets, duals, banned=frozenset()):
     """(Re)compute representatives under the given scaled duals.
 
     ``buckets`` lists buckets of one block; a single label search fills
@@ -361,7 +360,9 @@ def compute_representative(problem, buckets, duals, banned=frozenset(),
 
     Marks a bucket EMPTY -- permanently -- when its box holds no feasible
     subpath contribution vector at all; EMPTY buckets are not searched.
-    ``usable_above`` is passed on to ``labeling.elementary_rcspp``.
+    A subpath outside every box is dropped: the pricer that owns the
+    partition refuses, when it is built, any problem where a feasible
+    path may hold such a subpath (``pricing.AdaptivePricer._check_box``).
     """
     group = list(buckets)
     if len({b.block for b in group}) > 1:
@@ -374,7 +375,6 @@ def compute_representative(problem, buckets, duals, banned=frozenset(),
             duals,
             boxes=[b.box for b in live],
             banned=banned,
-            usable_above=usable_above,
         )
         for bucket, found in zip(live, results):
             if found is not None:

@@ -47,7 +47,7 @@ from collections import deque
 from dataclasses import dataclass
 from operator import add, mul
 
-from .model import SUM, ModelError, Subpath, as_scaled
+from .model import SUM, Subpath, as_scaled
 
 
 class LabelingError(ValueError):
@@ -594,7 +594,6 @@ def elementary_rcspp(
     boxes,
     banned=frozenset(),
     objective="rcost",
-    usable_above=(),
 ):
     """The cheapest elementary subpath of one block under per-element
     duals, for each of a list of contribution boxes.
@@ -618,14 +617,6 @@ def elementary_rcspp(
     descendants, never meet a label that can end in that box, so those
     meet the same checks in the same FIFO order as in the box's own
     search.  Each completed subpath goes to the box holding its vector.
-
-    No bucket holds a subpath above the problem's box, so the search
-    raises a ModelError when a label pruned at the union's upper ends,
-    or completed outside every box, has a completion that a feasible
-    path could hold above it: ``usable_above`` lists (coordinate, box
-    upper end, top) triples, and a completion whose value on the
-    coordinate lies above the end and at most at top is usable
-    (``pricing.AdaptivePricer._check_box`` derives them).
 
     Returns one entry per box: the (Subpath, scaled_rcost) pair that
     sorts first by (reduced cost, contribution vector, node sequence), or
@@ -696,7 +687,6 @@ def elementary_rcspp(
         contribs = tuple(map(add, lab.res, coord_d))
         i = locate(contribs)
         if i < 0:
-            check_above(contribs)
             return
         if minimize_coord is None:
             rcost = lab.rcost + cost * denom
@@ -705,29 +695,10 @@ def elementary_rcspp(
         if kept[i] is None or _precedes(rcost, contribs, lab, kept[i]):
             kept[i] = (rcost, contribs, lab, lab.cost + cost)
 
-    def check_above(contribs, floor=None):
-        """Raise when a completion above the box may be usable.  For a
-        pruned label, ``floor`` is its own vector: the completions of its
-        descendants do not fall below it on a monotone coordinate."""
-        for c, hi, top in usable_above:
-            low = contribs[c] if floor is None else (
-                floor[c] if view.coord_monotone[c] else -math.inf
-            )
-            if hi < contribs[c] and low <= top:
-                raise ModelError(
-                    f"block {block_index} reaches {contribs[c]} on contribution "
-                    f"coordinate {c}, above the box's upper end {hi}, where "
-                    f"a feasible path may hold a subpath"
-                )
-
-    def too_high(node, contribs):
-        """Whether a label at ``node`` is above the union's upper ends; the
-        completion of a pruned label is checked against the box."""
+    def too_high(contribs):
+        """Whether a label is above the union's upper ends."""
         for c, hi in caps:
             if contribs[c] > hi:
-                if usable_above:
-                    exit_d = view.exit[node][2]
-                    check_above(tuple(map(add, contribs, exit_d)), contribs)
                 return True
         return False
 
@@ -736,7 +707,7 @@ def elementary_rcspp(
             continue
         cost, sub_d, contribs = view.entry[local]
         values = _extend_sub(view.sub_checks[local], (0,) * view.n_sub, sub_d)
-        if values is None or too_high(local, contribs):
+        if values is None or too_high(contribs):
             continue
         if minimize_coord is None:
             rcost = cost * denom - gain[local]
@@ -757,7 +728,7 @@ def elementary_rcspp(
             if values is None:
                 continue
             contribs = tuple(map(add, res, coord_d))
-            if too_high(target, contribs):
+            if too_high(contribs):
                 continue
             if minimize_coord is None:
                 rcost = lab.rcost + step

@@ -137,14 +137,14 @@ class PathResource:
     ``agg`` is "sum" or "max" (componentwise).  ``box`` gives, per
     coordinate, the integer range that per-block contributions can take;
     it seeds the bucket partition and is not itself a feasibility
-    constraint.  The adaptive pricer sees only subpaths inside it: it
-    rejects a block that can reach below ``lo`` (predicates are downward
-    closed, so such a subpath is always usable), and it treats subpaths
-    above ``hi`` as unusable.  That is safe where ``a . v <= b`` excludes
-    them even with every other block and coordinate at the least it can
-    reach (in the routing encoding ``hi`` is the distance cap); elsewhere
-    the adaptive pricer raises a ModelError when it meets a subpath above
-    ``hi``.
+    constraint.  The adaptive pricer sees only subpaths inside it, so
+    when it is built it raises a ModelError for a block that can reach
+    below ``lo`` (predicates are downward closed, so such a subpath is
+    always usable), or above ``hi`` where ``a . v <= b`` admits the
+    subpath with every other block and coordinate at the least it can
+    reach; one exact search per such coordinate and block decides this.
+    Any other subpath above ``hi`` is unusable (in the routing encoding
+    ``hi`` is the distance cap, and no search runs).
     """
 
     dim: int

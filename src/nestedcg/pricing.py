@@ -45,7 +45,7 @@ from fractions import Fraction
 from operator import le, mul
 
 from .buckets import COMPUTED, EMPTY, FRESH, Partition, compute_representative
-from .labeling import block_view, label_search, through_values
+from .labeling import block_view, elementary_rcspp, label_search, through_values
 from .model import SUM, ModelError, as_scaled, check_path_feasible
 
 
@@ -126,7 +126,7 @@ class AdaptivePricer:
         if self.config.strategy not in ("representative", "midpoint"):
             raise PricingError(f"unknown strategy {self.config.strategy!r}")
         self.rules = problem.aggs, problem.predicates, problem.monotone
-        self.usable_above = self._check_box()
+        self._check_box()
         self.partition: Partition | None = None
         self.banned = frozenset()
         self.refines_per_block = [0] * len(problem.blocks)
@@ -159,14 +159,16 @@ class AdaptivePricer:
 
     def _check_box(self):
         """Raise a ModelError when a block reaches below the contribution
-        box: no bucket holds such a subpath, yet it is always usable.
+        box, or above it where a feasible path may hold the subpath: no
+        bucket holds either, so the pricer would miss the paths through it.
 
-        Return per block the (coordinate, box upper end, top) triples where
-        a subpath above the end and at most at ``top`` is usable with every
-        block at its least: the fill raises on one, as no bucket holds it.
         With every block at its least the predicates leave a coordinate
-        ``rise`` of headroom, above the block's least under ``SUM`` and
-        above the largest least under ``MAX``.
+        ``rise`` of headroom (infinite where no predicate weighs it) above
+        the block's least under ``SUM`` and above the largest least under
+        ``MAX``, up to ``top``.  One dual-independent fill per (coordinate,
+        box upper end, top) window looks for a subpath above the end and at
+        most at ``top``; fill labels are keyed by their whole vector, so the
+        answer is exact.  Return the windows checked, per block.
         """
         problem = self.problem
         box = problem.contribution_box()
@@ -191,11 +193,20 @@ class AdaptivePricer:
         rise = [min((s // w[c] for w, s in slack if w[c]), default=math.inf)
                 for c in range(len(box))]
         windows = []
-        for low in mins:
+        for bi, low in enumerate(mins):
             found = []
             for c, (_, hi) in enumerate(box):
                 top = rise[c] + (low[c] if problem.aggs[c] == SUM else least[c])
                 if top > hi:
+                    window = [(None, None)] * len(box)
+                    window[c] = (hi + 1, None if top == math.inf else top)
+                    hit = elementary_rcspp(problem, bi, boxes=[window])[0]
+                    if hit is not None:
+                        raise ModelError(
+                            f"block {bi} reaches {hit[0].contributions[c]} on "
+                            f"contribution coordinate {c}, above the box's upper "
+                            f"end {hi}, where a feasible path may hold a subpath"
+                        )
                     found.append((c, hi, top))
             windows.append(tuple(found))
         return windows
@@ -205,9 +216,7 @@ class AdaptivePricer:
         for bi in range(len(self.problem.blocks)):
             fresh = [b for b in self.partition.buckets(bi) if b.status == FRESH]
             if fresh:
-                compute_representative(
-                    self.problem, fresh, scaled, banned, self.usable_above[bi]
-                )
+                compute_representative(self.problem, fresh, scaled, banned)
                 self.totals["rep_computations"] += len(fresh)
                 self.totals["fill_searches"] += 1
 

@@ -20,13 +20,12 @@ from nestedcg.labeling import elementary_rcspp
 from nestedcg.pricing import AdaptivePricer, PricingConfig
 
 
-def _reference_fill(problem, group, duals, banned=frozenset(), usable_above=()):
+def _reference_fill(problem, group, duals, banned=frozenset()):
     """Per-bucket fill: one box-restricted search for every bucket."""
     for b in group:
         if b.status == EMPTY:
             continue
-        found = elementary_rcspp(problem, b.block, duals, boxes=[b.box], banned=banned,
-                                 usable_above=usable_above)[0]
+        found = elementary_rcspp(problem, b.block, duals, boxes=[b.box], banned=banned)[0]
         if found is not None:
             b.status, b.rep = COMPUTED, Representative(*found)
         else:

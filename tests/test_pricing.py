@@ -5,9 +5,12 @@ import itertools
 import random
 from collections import defaultdict
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from helpers import reduced_cost
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from nestedcg import driver, synth
 from nestedcg.buckets import COMPUTED, Partition, compute_representative
@@ -321,9 +324,9 @@ def test_adaptive_rejects_a_box_that_blocks_undershoot():
 @pytest.mark.parametrize("exit_delta, value", [(0, 7), (-1, 6)])
 def test_adaptive_rejects_a_usable_subpath_above_the_box(exit_delta, value):
     # each block's one subpath enters with contribution 7 and leaves with
-    # ``exit_delta``, above the box's upper end 5; with b = 100 a path can
-    # hold it, so no bucket may drop it.  The label is pruned at the cap
-    # (exit 0, monotone) or completes outside every box (exit -1)
+    # ``exit_delta``, above the box's upper end 5; with the other block at
+    # its least, value, a path holds values up to 100 - value, so no bucket
+    # may drop it.  The coordinate is monotone (exit 0) or not (exit -1)
     def block(k):
         entry = Boundary(cost=11 * MILLI, path_deltas=((7,),))
         leave = Boundary(path_deltas=((exit_delta,),))
@@ -331,36 +334,50 @@ def test_adaptive_rejects_a_usable_subpath_above_the_box(exit_delta, value):
 
     resource = PathResource(dim=1, agg=SUM, a=(1,), b=100, box=((0, 5),))
     problem = NestedProblem([block(1), block(2)], path_resources=[resource], sense=COVER)
-    # with the other block at its least, value, a path holds values up to 100 - value
-    assert AdaptivePricer(problem).usable_above == [((0, 5, 100 - value),)] * 2
     exact = driver.solve(problem, driver.DriverConfig(pricer="exact"))
     assert (exact.status, exact.lp_value) == ("optimal", 22 * MILLI)
     with pytest.raises(ModelError, match=(
         rf"block 0 reaches {value} on contribution coordinate 0, "
         r"above the box's upper end 5"
     )):
-        driver.solve(problem, driver.DriverConfig(pricer="adaptive"))
+        AdaptivePricer(problem)
+
+
+def _six_and_one(arc):
+    """One block: (1) contributes 6 + 3 = 9 and (2) 1, with the single arc
+    ``arc`` adding 0; b = 7 and the box's upper end is 5."""
+    entry = {1: Boundary(cost=11 * MILLI, path_deltas=((6,),)),
+             2: Boundary(cost=11 * MILLI, path_deltas=((1,),))}
+    block = Block(elements=(1, 2), arcs={arc: Arc(path_deltas=((0,),))},
+                  entry=entry, exit={1: Boundary(path_deltas=((3,),))})
+    resource = PathResource(dim=1, agg=SUM, a=(1,), b=7, box=((0, 5),))
+    return NestedProblem([block], path_resources=[resource], sense=COVER)
 
 
 def test_adaptive_rejects_a_usable_descendant_of_a_pruned_label():
-    # (1) contributes 6 + 3 = 9, (2) 1 and (1, 2) 6, above the box's upper
-    # end 5; with b = 7 a path holds (1, 2) but not (1).  The label at 1 is
-    # pruned at 6, and its own completion 9 is unusable, but its
-    # descendant (1, 2) is not: no bucket holds it, so the fill must raise
-    entry = {1: Boundary(cost=11 * MILLI, path_deltas=((6,),)),
-             2: Boundary(cost=11 * MILLI, path_deltas=((1,),))}
-    block = Block(elements=(1, 2), arcs={(1, 2): Arc(path_deltas=((0,),))},
-                  entry=entry, exit={1: Boundary(path_deltas=((3,),))})
-    resource = PathResource(dim=1, agg=SUM, a=(1,), b=7, box=((0, 5),))
-    problem = NestedProblem([block], path_resources=[resource], sense=COVER)
-    assert AdaptivePricer(problem).usable_above == [((0, 5, 7),)]
+    # (1, 2) contributes 6, above the box; a path holds it but not (1).  The
+    # label at 1 is above the box, and its own completion 9 is unusable,
+    # but its descendant (1, 2) is not: no bucket holds it, so the pricer
+    # must raise
+    problem = _six_and_one((1, 2))
     exact = driver.solve(problem, driver.DriverConfig(pricer="exact"))
     assert (exact.status, exact.lp_value) == ("optimal", 11 * MILLI)
     with pytest.raises(ModelError, match=(
-        r"block 0 reaches 9 on contribution coordinate 0, "
+        r"block 0 reaches 6 on contribution coordinate 0, "
         r"above the box's upper end 5"
     )):
-        driver.solve(problem, driver.DriverConfig(pricer="adaptive"))
+        AdaptivePricer(problem)
+
+
+def test_an_unusable_completion_above_the_box_is_not_refused():
+    # (2, 1) contributes 1 + 3 = 4; no path holds the 9 and no subpath lies
+    # in (5, 7], so nothing a path can use is above the box, and the
+    # adaptive pricer must answer as exact does
+    problem = _six_and_one((2, 1))
+    exact = driver.solve(problem, driver.DriverConfig(pricer="exact"))
+    adaptive = driver.solve(problem, driver.DriverConfig(pricer="adaptive"))
+    assert (exact.status, exact.lp_value) == ("optimal", 11 * MILLI)
+    assert (adaptive.status, adaptive.lp_value) == (exact.status, exact.lp_value)
 
 
 @pytest.mark.parametrize("agg, b, usable", [
@@ -385,7 +402,7 @@ def test_above_box_usable_puts_everything_else_at_its_lower_end(agg, b, usable):
     resource = PathResource(dim=2, agg=agg, a=(1, 1), b=b, box=((0, 5), (1, 8)))
     problem = NestedProblem([block(1, (0, 1)), block(2, (1, 2))],
                             path_resources=[resource])
-    windows = AdaptivePricer(problem).usable_above
+    windows = AdaptivePricer(problem)._check_box()
     assert tuple(
         tuple(any(w[0] == c for w in found) for c in range(2)) for found in windows
     ) == usable
@@ -406,7 +423,7 @@ def _overshoot_problem(b):
 def test_pricers_agree_where_the_bound_excludes_the_overshoot():
     # with b = 5 no path can hold the 7
     problem = _overshoot_problem(5)
-    assert AdaptivePricer(problem).usable_above == [(), ()]
+    assert AdaptivePricer(problem)._check_box() == [(), ()]
     exact = driver.solve(problem, driver.DriverConfig(pricer="exact"))
     adaptive = driver.solve(problem, driver.DriverConfig(pricer="adaptive"))
     assert (exact.status, exact.lp_value) == ("optimal", 44 * MILLI)
@@ -430,6 +447,101 @@ def test_overshoot_is_judged_with_the_other_blocks_at_their_least(b):
             r"above the box's upper end 5"
         )):
             driver.solve(problem, driver.DriverConfig(pricer="adaptive"))
+
+
+@st.composite
+def _box_models(draw):
+    """A one- or two-block model of 1-3 elements per block and one path
+    resource, as plain data: per block (entry costs, entry deltas, exit
+    deltas, arc deltas), then the aggregator, weights, bound and box."""
+    dim = draw(st.integers(1, 2))
+
+    def vectors(lo, hi, n):
+        vec = st.tuples(*[st.integers(lo, hi)] * dim)
+        return draw(st.lists(vec, min_size=n, max_size=n))
+
+    blocks = []
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(1, 3))
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arcs = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        costs = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
+        blocks.append((costs, vectors(0, 6, n), vectors(-3, 3, n),
+                       dict(zip(arcs, vectors(0, 4, len(arcs))))))
+    los = vectors(-3, 1, 1)[0]
+    box = tuple((lo, draw(st.integers(lo, 8))) for lo in los)
+    return (blocks, draw(st.sampled_from([SUM, MAX])), vectors(0, 2, 1)[0],
+            draw(st.integers(0, 16)), box)
+
+
+def _build_box_model(spec):
+    blocks, agg, weights, b, box = spec
+    built, first = [], 1
+    for costs, entry_d, exit_d, arcs in blocks:
+        ids = tuple(range(first, first + len(costs)))
+        first += len(costs)
+        built.append(Block(
+            elements=ids,
+            arcs={(ids[u], ids[v]): Arc(path_deltas=(d,)) for (u, v), d in arcs.items()},
+            entry={k: Boundary(cost=c * MILLI, path_deltas=(d,))
+                   for k, c, d in zip(ids, costs, entry_d)},
+            exit={k: Boundary(path_deltas=(d,)) for k, d in zip(ids, exit_d)},
+        ))
+    resource = PathResource(dim=len(box), agg=agg, a=weights, b=b, box=box)
+    return NestedProblem(built, path_resources=[resource], sense=COVER)
+
+
+def _box_refusal(problem):
+    """(block, coordinate, side, values) of the refusal the adaptive pricer
+    must raise, from the exhaustive enumeration, or None: a block's least
+    below the box's lower end, else the values above the box's upper end
+    on the coordinate that a feasible path may hold with every other block
+    and coordinate at the least it can reach."""
+    (resource,) = problem.path_resources
+    vecs = [[s.contributions for s in synth.enumerate_block_subpaths(problem, bi)]
+            for bi in range(len(problem.blocks))]
+    mins = [[min(col) for col in zip(*vs)] for vs in vecs]
+    for bi, low in enumerate(mins):
+        for c, ((lo, _), least) in enumerate(zip(resource.box, low)):
+            if least < lo:
+                return bi, c, "below", {least}
+    fold = sum if resource.agg == SUM else max
+    for bi, vs in enumerate(vecs):
+        for c, (_, hi) in enumerate(resource.box):
+            usable = set()
+            for v in {v[c] for v in vs if v[c] > hi}:
+                at_least = [list(low) for low in mins]
+                at_least[bi][c] = v
+                path = [fold(col) for col in zip(*at_least)]
+                if sum(map(mul, resource.a, path)) <= resource.b:
+                    usable.add(v)
+            if usable:
+                return bi, c, "above", usable
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_box_models())
+@example((
+    # a subpath at 9 above the box (0, 5) on a coordinate no predicate weighs
+    [([11], [(9,)], [(0,)], {}), ([11], [(1,)], [(-1,)], {})], SUM, (0,), 3, ((0, 5),)
+))
+def test_adaptive_refuses_the_box_exactly_where_the_enumeration_does(spec):
+    problem = _build_box_model(spec)
+    refusal = _box_refusal(problem)
+    if refusal is not None:
+        bi, c, side, values = refusal
+        event(f"refused: {side} the box")
+        with pytest.raises(ModelError, match=(
+            rf"^block {bi} reaches -?\d+ on contribution coordinate {c}, {side}"
+        )) as caught:
+            AdaptivePricer(problem)
+        assert int(str(caught.value).split()[3]) in values
+        return
+    event("accepted")
+    exact = driver.solve(problem, driver.DriverConfig(pricer="exact"))
+    adaptive = driver.solve(problem, driver.DriverConfig(pricer="adaptive"))
+    assert (adaptive.status, adaptive.lp_value) == (exact.status, exact.lp_value)
 
 
 # ---------------------------------------------------------------------------
