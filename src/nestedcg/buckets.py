@@ -187,8 +187,13 @@ class Partition:
                 raise BucketError(
                     f"block {bi}: bucket volumes sum to {vol}, box has {full_volume}"
                 )
+            # buckets are filed by lower corner: once one starts past a's
+            # first-coordinate end, so do all after it
             for i, a in enumerate(bs):
-                for b in bs[i + 1:]:
+                for j in range(i + 1, len(bs)):
+                    b = bs[j]
+                    if b.lo[0] > a.hi[0]:
+                        break
                     if all(
                         al <= bh_ and bl_ <= ah
                         for al, ah, bl_, bh_ in zip(a.lo, a.hi, b.lo, b.hi)

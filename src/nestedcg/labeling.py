@@ -7,8 +7,8 @@ Two searches share one count-based retention core (:func:`_insert`):
   block, and the items' contribution vectors aggregate per coordinate by
   sum or max.  The pricers run it with bucket lower corners (optimistic
   bound), with representatives (pessimistic bound) and over Pareto-kept
-  subpaths (enumerative benchmark); :func:`through_values` runs the same
-  pass forward and over the reversed block list for the merge criterion.
+  subpaths (enumerative benchmark); :func:`through_values` runs it once
+  per item, with the item's layer pinned to it, for the merge criterion.
 * :func:`elementary_rcspp` -- elementary resource-constrained search over
   one block of a nested problem under a list of contribution boxes: the
   bucket fill.
@@ -20,12 +20,13 @@ deltas, flat contribution deltas, sorted adjacency);
 once, as data for the enumerative pricer (:class:`SubpathTable`), and
 filters it per ban set.
 
-The layered search keeps up to ``top_k`` mutually non-dominated labels
-per item -- a label is only discarded once at least ``top_k`` stored
-labels dominate it (smaller-or-equal rcost and vector) -- which makes
-its result list a prefix of the fully enumerated, rcost-sorted solution
-list.  The bucket fill needs one cheapest subpath per box, so it keeps
-the Pareto labels (``top_k`` = 1).
+The layered search keeps, per item, every label that fewer than
+``top_k`` stored labels dominate.  A label dominates another when every
+completion of it sorts before the same completion of the other by
+(rcost, vector, items); the sink sorts the last layer's labels in that
+order, so the result list is a prefix of the fully enumerated, sorted
+solution list.  The bucket fill needs one cheapest subpath per box, so
+it keeps the Pareto labels (``top_k`` = 1).
 
 Bucket fill.  :func:`elementary_rcspp` answers every bucket box of one
 block with a single search: it prunes with the union of their upper
@@ -144,6 +145,7 @@ def _layer_rules(aggs, checks, prune):
         def combine(x, y):
             return tuple([op(a, b) for op, a, b in zip(ops, x, y)])
     coords = range(len(aggs))
+    sums = [i for i, op in enumerate(ops) if op is add]
 
     def dominates(a: _Label, b: _Label) -> bool:
         if a.rcost > b.rcost:
@@ -152,38 +154,17 @@ def _layer_rules(aggs, checks, prune):
         for i in coords:
             if x[i] > y[i]:
                 return False
-        return True
+        if a.rcost < b.rcost:
+            return True
+        for i in sums:
+            if x[i] < y[i]:
+                return True
+        # the two can complete to paths equal in rcost and vector (a MAX
+        # coordinate may catch up), which the sink orders by items
+        return a.sequence() < b.sequence()
 
     partial = [check for check, flag in zip(checks, prune) if flag]
     return combine, dominates, _within(checks), _within(partial)
-
-
-def _forward(layers, rules, top_k):
-    """Label stores of every item, one list of stores per layer.
-
-    A first-layer label takes its item's vector as it is; a later label
-    extends a stored label of the previous layer by one item.  Labels are
-    offered in a fixed order -- the previous layer's items in list order,
-    each item's labels in store order, the new layer's items in list
-    order -- so ties between equal labels always resolve the same way.
-    """
-    combine, dominates, _, partial_ok = rules
-    stores = [[
-        [_Label(item, rcost, tuple(vec))] if partial_ok(vec) else []
-        for item, rcost, vec in layers[0]
-    ]]
-    for layer in layers[1:]:
-        new = [[] for _ in layer]
-        for store in stores[-1]:
-            for lab in store:
-                rcost, res = lab.rcost, lab.res
-                for (item, step, vec), target in zip(layer, new):
-                    ext = combine(res, vec)
-                    if partial_ok(ext):
-                        _insert(target, _Label(item, rcost + step, ext, pred=lab),
-                                dominates, top_k)
-        stores.append(new)
-    return stores
 
 
 def label_search(layers, aggs, checks, prune=(), top_k: int = 1):
@@ -197,59 +178,47 @@ def label_search(layers, aggs, checks, prune=(), top_k: int = 1):
     marks also prune partial paths (only sound when the weighted value
     cannot decrease as blocks are added).
 
-    Returns :class:`SearchResult` objects sorted by (rcost, vector,
-    items); the rcost sequence is a prefix of the sorted rcosts of all
-    feasible paths.
+    A first-layer label takes its item's vector as it is; a later label
+    extends a stored label of the previous layer by one item.  Returns
+    :class:`SearchResult` objects for the first ``top_k`` feasible paths
+    in (rcost, vector, items) order, so a smaller ``top_k`` returns a
+    prefix of a larger one's list.
     """
     if top_k < 1:
         raise LabelingError("top_k must be positive")
-    rules = _layer_rules(aggs, checks, prune)
-    _, dominates, admits, _ = rules
-    sink = []
-    for store in _forward(layers, rules, top_k)[-1]:
-        for lab in store:
-            if admits(lab.res):
-                _insert(sink, lab, dominates, top_k)
+    combine, dominates, admits, partial_ok = _layer_rules(aggs, checks, prune)
+    stores = [
+        [_Label(item, rcost, tuple(vec))] if partial_ok(vec) else []
+        for item, rcost, vec in layers[0]
+    ]
+    for layer in layers[1:]:
+        new = [[] for _ in layer]
+        for store in stores:
+            for lab in store:
+                rcost, res = lab.rcost, lab.res
+                for (item, step, vec), target in zip(layer, new):
+                    ext = combine(res, vec)
+                    if partial_ok(ext):
+                        _insert(target, _Label(item, rcost + step, ext, pred=lab),
+                                dominates, top_k)
+        stores = new
+    sink = [lab for store in stores for lab in store if admits(lab.res)]
     sink.sort(key=lambda l: (l.rcost, l.res, l.sequence()))
     return [SearchResult(lab.sequence(), lab.rcost, lab.res) for lab in sink[:top_k]]
 
 
 def through_values(layers, aggs, checks, prune=()):
     """Smallest rcost of a feasible path through each item, one list per
-    layer (``math.inf`` where no feasible path passes the item).
-
-    An item's labels from the forward pass are joined with the labels
-    that a pass over the reversed layers keeps at the next layer's items;
-    Pareto dominance on both sides loses no minimum, since extending a
-    dominating label keeps it dominating.
-    """
-    rules = _layer_rules(aggs, checks, prune)
-    combine, _, admits, _ = rules
-    fwd = _forward(layers, rules, 1)
-    bwd = _forward(layers[::-1], rules, 1)[::-1]
+    layer (``math.inf`` where no feasible path passes the item): the
+    cheapest :func:`label_search` result with the item's layer pinned to
+    that item."""
     out = []
-    for bi, stores in enumerate(fwd):
-        tails = None
-        if bi + 1 < len(layers):
-            tails = sorted(
-                ((lab.rcost, lab.res) for store in bwd[bi + 1] for lab in store),
-                key=lambda t: t[0],
-            )
+    for bi, layer in enumerate(layers):
         values = []
-        for store in stores:
-            best = math.inf
-            for lab in store:
-                if tails is None:
-                    if lab.rcost < best and admits(lab.res):
-                        best = lab.rcost
-                    continue
-                for rcost, res in tails:
-                    total = lab.rcost + rcost
-                    if total >= best:
-                        break
-                    if admits(combine(lab.res, res)):
-                        best = total
-            values.append(best)
+        for item in layer:
+            pinned = [*layers[:bi], [item], *layers[bi + 1:]]
+            best = label_search(pinned, aggs, checks, prune)
+            values.append(best[0].rcost if best else math.inf)
         out.append(values)
     return out
 

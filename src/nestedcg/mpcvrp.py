@@ -27,7 +27,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -429,18 +429,7 @@ def generate_instance(
             f"mpcvrp-n{n}-t{days}-k{vehicles}"
             f"-d{float(derivation.delta):g}-s{seed}"
         )
-    return MpcvrpInstance(
-        days=days,
-        vehicles=vehicles,
-        capacity=capacity,
-        depot=depot,
-        customers=cust,
-        demands=dem,
-        day_of=day_of,
-        distance_cap=cap,
-        derivation=derivation,
-        name=name,
-    )
+    return replace(probe, distance_cap=cap, derivation=derivation, name=name)
 
 
 # ---------------------------------------------------------------------------

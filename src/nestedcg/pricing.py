@@ -230,13 +230,23 @@ class AdaptivePricer:
             live.append(bs)
         return live, None
 
-    def _assemble(self, results, denom, exclude):
-        """Columns from representative paths.  A representative stays the
-        same until its bucket refines, so without ``exclude`` the master
-        would see the same column offered over and over."""
-        return _assemble(
+    def _pessimistic(self, live, rcost_of, scaled, exclude):
+        """(results, columns) of the pessimistic search over the ``live``
+        buckets at their representatives' vectors, priced by ``rcost_of``.
+        A representative stays the same until its bucket refines, so
+        without ``exclude`` the master would see the same column offered
+        over and over."""
+        tick = time.perf_counter()
+        results = label_search(
+            _layers(live, lambda b: b.rep.vector, rcost_of, scaled.convexity),
+            *self.rules, top_k=COLUMNS_PER_CALL,
+        )
+        self.timers["pessimistic"] += time.perf_counter() - tick
+        self.totals["pessimistic_runs"] += 1
+        return results, _assemble(
             self.problem, results,
-            lambda buckets: tuple(b.rep.subpath for b in buckets), denom, exclude,
+            lambda buckets: tuple(b.rep.subpath for b in buckets), scaled.denom,
+            exclude,
         )
 
     # -- merge criterion ------------------------------------------------------
@@ -249,7 +259,8 @@ class AdaptivePricer:
         and the cheaper representative, so its best through-value equals
         the lower bucket's plus the representative discount.  Through-values
         are exact: the cheapest feasible optimistic path through each live
-        bucket (``labeling.through_values``).  Pairs of empty buckets merge
+        bucket, an optimistic search with the bucket's block pinned to it
+        (``labeling.through_values``).  Pairs of empty buckets merge
         unconditionally.
         """
         layers = _layers(live, lambda b: b.lo, lambda b: b.rep.rcost,
@@ -285,22 +296,11 @@ class AdaptivePricer:
         if cfg.reuse:
             live, _ = self._live()
             if live is not None:
-                stale_rc = {}
-                for bs in live:
-                    for b in bs:
-                        sp = b.rep.subpath
-                        stale_rc[b] = sp.cost * denom - sum(
-                            scaled.value(k) for k in sp.nodes
-                        )
-                tick = time.perf_counter()
-                results = label_search(
-                    _layers(live, lambda b: b.rep.vector, stale_rc.__getitem__,
-                            scaled.convexity),
-                    *self.rules, top_k=COLUMNS_PER_CALL,
-                )
-                self.timers["pessimistic"] += time.perf_counter() - tick
-                self.totals["pessimistic_runs"] += 1
-                columns = self._assemble(results, denom, exclude)
+                def stale_rc(bucket):
+                    sp = bucket.rep.subpath
+                    return sp.cost * denom - sum(scaled.value(k) for k in sp.nodes)
+
+                _, columns = self._pessimistic(live, stale_rc, scaled, exclude)
                 if columns:
                     self.totals["reuse_hits"] += 1
                     stats["reuse_hit"] = True
@@ -353,15 +353,8 @@ class AdaptivePricer:
                 )
                 break
 
-            tick = time.perf_counter()
-            pes = label_search(
-                _layers(live, lambda b: b.rep.vector, lambda b: b.rep.rcost,
-                        scaled.convexity),
-                *self.rules, top_k=COLUMNS_PER_CALL,
-            )
-            self.timers["pessimistic"] += time.perf_counter() - tick
-            self.totals["pessimistic_runs"] += 1
-            columns = self._assemble(pes, denom, exclude)
+            pes, columns = self._pessimistic(live, lambda b: b.rep.rcost, scaled,
+                                             exclude)
             closed = bool(pes) and pes[0].rcost == opt_val
             if (columns and cfg.until == "column") or closed:
                 outcome = PricingOutcome(

@@ -1,6 +1,8 @@
 """Partition geometry and bucket state: tiling, refinement, merging,
 invalidation, and representative computation against brute force."""
 
+import time
+
 import pytest
 
 from nestedcg import synth
@@ -92,6 +94,22 @@ def test_validate_rejects_gaps_overlaps_and_misfiled_buckets():
         Partition(problem, [[Bucket(1, (0,), (9,), 0)]])
     with pytest.raises(BucketError, match="escapes"):
         Partition(problem, [[Bucket(0, (0,), (12,), 0)]])
+
+
+def test_validate_scales_to_many_buckets_and_still_finds_overlaps():
+    # buckets are scanned in lower-corner order and a scan stops at the
+    # first bucket past the current one's first-coordinate end
+    start = time.perf_counter()
+    part = Partition.initial(_line_problem(span=19_999), 1)
+    assert len(part.buckets(0)) == 20_000
+    assert time.perf_counter() - start < 10
+    with pytest.raises(BucketError, match="overlap"):
+        # (0, 1) lies between the two buckets that share (1, 0)
+        Partition(_line_problem(span=1, dim=2), [[
+            Bucket(0, (0, 0), (1, 0), 0),
+            Bucket(0, (0, 1), (0, 1), 1),
+            Bucket(0, (1, 0), (1, 0), 2),
+        ]])
 
 
 def test_midpoint_refinement_halves_and_keeps_the_representative():

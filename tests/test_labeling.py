@@ -106,6 +106,23 @@ def _aggregate(aggs, vectors):
     return tuple(out)
 
 
+def test_label_search_top_k_results_are_prefixes():
+    # ("a", "z") and ("b", "y") tie on rcost and vector; the item sequence
+    # decides, whatever top_k is
+    layers = [[("a", 0, (1, 0)), ("b", 0, (0, 1))],
+              [("y", 0, (1, 0)), ("z", 0, (0, 1))]]
+    rules = ((SUM, SUM), (((1, 0), 1), ((0, 1), 1)))
+    assert label_search(layers, *rules, top_k=1)[0].nodes == ("a", "z")
+    for top_k in range(1, 4):
+        shorter = label_search(layers, *rules, top_k=top_k)
+        longer = label_search(layers, *rules, top_k=top_k + 1)
+        assert longer[: len(shorter)] == shorter, top_k
+    # under MAX a smaller partial vector can still tie: ("b", "y") stays
+    # below ("a", "y") until "z" lifts both to 5
+    layers = [[("a", 0, (2,)), ("b", 0, (1,))], [("y", 0, (0,))], [("z", 0, (5,))]]
+    assert label_search(layers, (MAX,), ())[0].nodes == ("a", "y", "z")
+
+
 def test_layered_search_matches_brute_force():
     for seed in range(300):
         rng = random.Random(seed)
@@ -118,12 +135,10 @@ def test_layered_search_matches_brute_force():
                               tuple(item for item, _, _ in combo)))
         paths.sort()
         for top_k in range(1, 5):
+            # the first top_k paths in (rcost, vector, items) order, so each
+            # top_k result is a prefix of the top_k + 1 result
             got = label_search(layers, aggs, checks, prune, top_k)
-            assert len(got) == min(top_k, len(paths)), seed
-            assert [r.rcost for r in got] == [p[0] for p in paths[: len(got)]], seed
-            assert all((r.rcost, r.resources, r.nodes) in paths for r in got), seed
-            if got:
-                assert (got[0].rcost, got[0].resources) == paths[0][:2], seed
+            assert [(r.rcost, r.resources, r.nodes) for r in got] == paths[:top_k], seed
         through = through_values(layers, aggs, checks, prune)
         for li, (layer, values) in enumerate(zip(layers, through)):
             for (item, _, _), value in zip(layer, values):
