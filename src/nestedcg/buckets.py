@@ -283,26 +283,16 @@ class Partition:
     def adjacent_pairs(self, block):
         """Ordered (lower, upper) bucket pairs whose boxes share a facet:
         identical on every coordinate except one, where the upper box
-        starts right after the lower one ends."""
+        starts right after the lower one ends.  Lower corners are unique
+        within a block (the boxes are disjoint), so each bucket's upper
+        neighbours are looked up by theirs."""
         bs = self.per_block[block]
+        by_lo = {b.lo: b for b in bs}
         pairs = []
         for a in bs:
-            for b in bs:
-                if a is b:
-                    continue
-                diff = None
-                ok = True
-                for c, (al, ah, bl, bh) in enumerate(
-                    zip(a.lo, a.hi, b.lo, b.hi)
-                ):
-                    if al == bl and ah == bh:
-                        continue
-                    if bl == ah + 1 and diff is None:
-                        diff = c
-                    else:
-                        ok = False
-                        break
-                if ok and diff is not None:
+            for c, top in enumerate(a.hi):
+                b = by_lo.get((*a.lo[:c], top + 1, *a.lo[c + 1:]))
+                if b is not None and (*b.hi[:c], top, *b.hi[c + 1:]) == a.hi:
                     pairs.append((a, b))
         pairs.sort(key=lambda p: (p[0].lo, p[1].lo))
         return pairs
@@ -317,7 +307,7 @@ class Partition:
         disjoint and cover the union, so that *is* the union's minimum.
         """
         done = set()
-        merges = 0
+        merged_buckets = []
         for lower, upper in self.adjacent_pairs(block):
             if lower.serial in done or upper.serial in done:
                 continue
@@ -341,15 +331,16 @@ class Partition:
                 best = min(reps, key=lambda r: (r.rcost, r.subpath.nodes))
                 merged.status = COMPUTED
                 merged.rep = best
-            bs = self.per_block[block]
-            bs.remove(lower)
-            bs.remove(upper)
-            bs.append(merged)
-            bs.sort(key=lambda b: b.lo)
             done.add(lower.serial)
             done.add(upper.serial)
-            merges += 1
-        return merges
+            merged_buckets.append(merged)
+        if merged_buckets:
+            bs = self.per_block[block]
+            bs[:] = sorted(
+                [b for b in bs if b.serial not in done] + merged_buckets,
+                key=lambda b: b.lo,
+            )
+        return len(merged_buckets)
 
 
 def compute_representative(problem, buckets, duals, banned=frozenset()):

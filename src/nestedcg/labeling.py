@@ -20,13 +20,16 @@ deltas, flat contribution deltas, sorted adjacency);
 once, as data for the enumerative pricer (:class:`SubpathTable`), and
 filters it per ban set.
 
-The layered search keeps, per item, every label that fewer than
-``top_k`` stored labels dominate.  A label dominates another when every
-completion of it sorts before the same completion of the other by
-(rcost, vector, items); the sink sorts the last layer's labels in that
-order, so the result list is a prefix of the fully enumerated, sorted
-solution list.  The bucket fill needs one cheapest subpath per box, so
-it keeps the Pareto labels (``top_k`` = 1).
+The layered search stores labels only for the layers that a later
+layer extends: per item, every label that fewer than ``top_k`` stored
+labels dominate.  A label dominates another when every completion of it
+sorts before the same completion of the other by (rcost, vector, items).
+Dominance prunes partial paths, so the last layer has none: each stored
+label of the layer before it is extended by each last-layer item
+straight into one bounded selection of the first ``top_k`` admitted
+paths in that order.  The result list is therefore a prefix of the fully
+enumerated, sorted solution list.  The bucket fill needs one cheapest
+subpath per box, so it keeps the Pareto labels (``top_k`` = 1).
 
 Bucket fill.  :func:`elementary_rcspp` answers every bucket box of one
 block with a single search: it prunes with the union of their upper
@@ -43,10 +46,10 @@ All arithmetic is integer: callers pass duals through
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from .model import SUM, Subpath, as_scaled
 
@@ -179,7 +182,9 @@ def label_search(layers, aggs, checks, prune=(), top_k: int = 1):
     cannot decrease as blocks are added).
 
     A first-layer label takes its item's vector as it is; a later label
-    extends a stored label of the previous layer by one item.  Returns
+    extends a stored label of the previous layer by one item.  Only the
+    layers that a later layer extends store and dominate labels; the last
+    layer's paths go straight to :func:`_select`.  Returns
     :class:`SearchResult` objects for the first ``top_k`` feasible paths
     in (rcost, vector, items) order, so a smaller ``top_k`` returns a
     prefix of a larger one's list.
@@ -187,11 +192,17 @@ def label_search(layers, aggs, checks, prune=(), top_k: int = 1):
     if top_k < 1:
         raise LabelingError("top_k must be positive")
     combine, dominates, admits, partial_ok = _layer_rules(aggs, checks, prune)
+    *inner, last = layers
+    if not inner:
+        # a one-layer path is its item: extend the empty path, whose
+        # vector is the identity of every aggregator
+        empty = tuple(0 if agg == SUM else -math.inf for agg in aggs)
+        return _select([(0, empty, None)], last, combine, admits, top_k)
     stores = [
         [_Label(item, rcost, tuple(vec))] if partial_ok(vec) else []
-        for item, rcost, vec in layers[0]
+        for item, rcost, vec in inner[0]
     ]
-    for layer in layers[1:]:
+    for layer in inner[1:]:
         new = [[] for _ in layer]
         for store in stores:
             for lab in store:
@@ -202,9 +213,47 @@ def label_search(layers, aggs, checks, prune=(), top_k: int = 1):
                         _insert(target, _Label(item, rcost + step, ext, pred=lab),
                                 dominates, top_k)
         stores = new
-    sink = [lab for store in stores for lab in store if admits(lab.res)]
-    sink.sort(key=lambda l: (l.rcost, l.res, l.sequence()))
-    return [SearchResult(lab.sequence(), lab.rcost, lab.res) for lab in sink[:top_k]]
+    heads = [(lab.rcost, lab.res, lab) for store in stores for lab in store]
+    return _select(heads, last, combine, admits, top_k)
+
+
+def _select(heads, layer, combine, admits, top_k):
+    """The first ``top_k`` admitted paths in (rcost, vector, items) order
+    among the (rcost, vector, label or None) ``heads`` each extended by
+    each item of ``layer``.
+
+    Heads go in rcost order and items in step order, so a row stops at
+    the first candidate whose rcost sorts after the current top_k-th
+    path's, and the search stops at the first row that starts there.  A
+    candidate's vector is built only when its rcost can still sort
+    first, and its items only when its (rcost, vector) can.  Keys meet
+    with ``<`` alone: items need define nothing else."""
+    steps = sorted(layer, key=itemgetter(1))
+    if not steps:
+        return []
+    heads.sort(key=itemgetter(0))
+    lowest = steps[0][1]
+    best = []           # (rcost, vector, items) in order, at most top_k
+    cut = math.inf      # the top_k-th rcost, once there are top_k
+    for base, res, lab in heads:
+        if base + lowest > cut:
+            break
+        prefix = None
+        for item, step, vec in steps:
+            rcost = base + step
+            if rcost > cut:
+                break
+            ext = combine(res, vec)
+            if not admits(ext) or (rcost == cut and best[-1][1] < ext):
+                continue
+            if prefix is None:
+                prefix = () if lab is None else lab.sequence()
+            insort(best, (rcost, ext, (*prefix, item)))
+            if len(best) > top_k:
+                best.pop()
+            if len(best) == top_k:
+                cut = best[-1][0]
+    return [SearchResult(items, rcost, ext) for rcost, ext, items in best]
 
 
 def through_values(layers, aggs, checks, prune=()):
@@ -578,14 +627,16 @@ def elementary_rcspp(
     Each node's labels are stored under their whole contribution vector
     and the values of the subpath resources whose lower windows can bind
     (``BlockView.sub_le``); labels with one key compare on reduced cost,
-    visited set and the other subpath resources.  So a label only meets
-    labels that end in the same boxes, and a dominating label reaches
-    every completion of the dominated one at the same vector and no
-    higher reduced cost.  Labels are pruned above the union's upper ends;
-    a label above one box's upper end on a monotone coordinate, and its
-    descendants, never meet a label that can end in that box, so those
-    meet the same checks in the same FIFO order as in the box's own
-    search.  Each completed subpath goes to the box holding its vector.
+    visited set and the other subpath resources, and on a reduced-cost tie
+    on node sequence.  So a label only meets labels that end in the same
+    boxes, and a dominating label reaches every completion of the
+    dominated one at the same vector and no higher reduced cost (on a
+    tie, at a smaller node sequence).  Labels are pruned above the
+    union's upper ends; a label above one box's upper end on a monotone
+    coordinate, and its descendants, never meet a label that can end in
+    that box, so those meet the same checks in the same FIFO order as in
+    the box's own search.  Each completed subpath goes to the box holding
+    its vector.
 
     Returns one entry per box: the (Subpath, scaled_rcost) pair that
     sorts first by (reduced cost, contribution vector, node sequence), or
@@ -637,7 +688,9 @@ def elementary_rcspp(
         for j in le_subs:
             if x[j] > y[j]:
                 return False
-        return True
+        # on a tie in rcost and vector the boxes' answers go by node
+        # sequence, and a completion keeps the order of its prefixes
+        return a.rcost < b.rcost or a.res != b.res or a.sequence() < b.sequence()
 
     store = [{} for _ in view.elements]   # node -> key -> labels
     queue = deque()

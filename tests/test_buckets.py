@@ -1,6 +1,7 @@
 """Partition geometry and bucket state: tiling, refinement, merging,
 invalidation, and representative computation against brute force."""
 
+import random
 import time
 
 import pytest
@@ -232,6 +233,53 @@ def test_merge_respects_the_callback():
         b.rep = _rep((1,), 1, b.lo)
     assert part.merge_pass(0, lambda a, b: False) == 0
     assert len(part.buckets(0)) == 2
+
+
+def _all_pairs(bs):
+    """Adjacent pairs by definition, over every ordered pair of buckets."""
+    pairs = []
+    for a in bs:
+        for b in bs:
+            diff = [c for c, (al, ah, bl, bh) in enumerate(zip(a.lo, a.hi, b.lo, b.hi))
+                    if (al, ah) != (bl, bh)]
+            if len(diff) == 1 and b.lo[diff[0]] == a.hi[diff[0]] + 1:
+                pairs.append((a, b))
+    return sorted(pairs, key=lambda p: (p[0].lo, p[1].lo))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_adjacent_pairs_match_the_all_pairs_definition(dim):
+    rng = random.Random(dim)
+    for _ in range(20):
+        part = Partition.initial(_line_problem(span=20, dim=dim), rng.randint(3, 8))
+        for _ in range(rng.randint(0, 15)):
+            bucket = rng.choice([b for b in part.buckets(0) if b.lo != b.hi])
+            strategy = rng.choice(("midpoint", "representative"))
+            if strategy == "representative":
+                vec = tuple(rng.randint(lo, hi) for lo, hi in bucket.box)
+                bucket.status, bucket.rep = COMPUTED, _rep((1,), 0, vec)
+            part.refine_bucket(bucket, strategy)
+        part.validate()
+        assert part.adjacent_pairs(0) == _all_pairs(part.buckets(0))
+        for b in part.buckets(0):
+            b.status = rng.choice((EMPTY, COMPUTED))
+            b.rep = _rep((1,), rng.randint(0, 3), b.lo) if b.status == COMPUTED else None
+        part.merge_pass(0, lambda lower, upper: rng.random() < 0.5)
+        part.validate()
+        assert part.adjacent_pairs(0) == _all_pairs(part.buckets(0))
+
+
+def test_merge_pass_scales_to_many_buckets():
+    # upper neighbours are looked up by lower corner, and the block's list
+    # is rebuilt once per pass
+    part = Partition.initial(_line_problem(span=19_999), 1)
+    for b in part.buckets(0):
+        b.status = EMPTY
+    start = time.perf_counter()
+    assert part.merge_pass(0, lambda a, b: pytest.fail("asked")) == 10_000
+    assert time.perf_counter() - start < 10
+    part.validate()
+    assert [b.lo for b in part.buckets(0)] == [(x,) for x in range(0, 20_000, 2)]
 
 
 def test_invalidate_drops_reps_using_banned_elements():

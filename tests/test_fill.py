@@ -17,6 +17,7 @@ from nestedcg.buckets import (
     Representative,
 )
 from nestedcg.labeling import elementary_rcspp
+from nestedcg.model import SUM, Arc, Block, Boundary, Duals, NestedProblem, PathResource
 from nestedcg.pricing import AdaptivePricer, PricingConfig
 
 
@@ -66,11 +67,11 @@ def _stale(pricer, banned):
 
 
 def _oracle_best(problem, bucket, scaled, banned):
-    """(rcost, contributions) of the cheapest enumerated subpath in the
-    bucket's box, or None when the box holds none."""
+    """(rcost, contributions, nodes) of the enumerated subpath in the
+    bucket's box that sorts first, or None when the box holds none."""
     return min((
         (sp.cost * scaled.denom - sum(scaled.value(k) for k in sp.nodes),
-         sp.contributions)
+         sp.contributions, sp.nodes)
         for sp in synth.enumerate_block_subpaths(problem, bucket.block, banned)
         if bucket.contains(sp.contributions)
     ), default=None)
@@ -106,7 +107,7 @@ def _fill_and_compare(problem, pricer, scaled, banned):
             assert b.status == COMPUTED
             sp = b.rep.subpath
             assert (sp.nodes, sp.cost, sp.contributions, b.rep.rcost) == expected
-            assert (b.rep.rcost, sp.contributions) == oracle
+            assert (b.rep.rcost, sp.contributions, sp.nodes) == oracle
     searches = pricer.totals["fill_searches"] - searches
     assert sorted(searched) == sorted(fresh_blocks), "one search per stale block"
     assert searches == len(searched)
@@ -148,6 +149,24 @@ def test_shared_fill_matches_per_bucket_search(family):
                 pricer.partition.merge_pass(bi, lambda lo, up: rng.random() < 0.5)
             pricer.partition.validate()
     assert searches < filled, "no two buckets ever shared a search"
+
+
+def test_a_tie_in_rcost_and_vector_goes_to_the_smaller_node_sequence():
+    # (0, 1) and (1,) both cost 1 net of the dual and contribute (5,);
+    # (1,) reaches element 1 first, yet (0, 1) sorts first
+    block = Block(
+        elements=(0, 1),
+        arcs={(0, 1): Arc()},
+        entry={0: Boundary(cost=2, path_deltas=((5,),)),
+               1: Boundary(cost=1, path_deltas=((5,),))},
+        exit={0: Boundary(cost=5)},
+    )
+    problem = NestedProblem(
+        [block],
+        path_resources=[PathResource(dim=1, agg=SUM, a=(1,), b=100, box=((0, 100),))],
+    )
+    found, rcost = elementary_rcspp(problem, 0, Duals({0: 1}), boxes=[((0, 100),)])[0]
+    assert (rcost, found.contributions, found.nodes) == (1, (5,), (0, 1))
 
 
 @pytest.mark.parametrize("build", [lambda: _span(1), lambda: mpcvrp.build_nested(

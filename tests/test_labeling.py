@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from nestedcg import mpcvrp, synth
+from nestedcg import labeling, mpcvrp, synth
 from nestedcg.labeling import (
     BlockView,
     block_view,
@@ -123,10 +123,28 @@ def test_label_search_top_k_results_are_prefixes():
     assert label_search(layers, (MAX,), ())[0].nodes == ("a", "y", "z")
 
 
+class _Token:
+    """An item that defines only ``<``, as buckets do."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        self.key = key
+
+    def __lt__(self, other):
+        return self.key < other.key
+
+    def __repr__(self):
+        return f"_Token({self.key!r})"
+
+
 def test_layered_search_matches_brute_force():
     for seed in range(300):
         rng = random.Random(seed)
         layers, aggs, checks, prune = _random_layers(rng)
+        if seed % 2:
+            layers = [[(_Token(item), rc, vec) for item, rc, vec in layer]
+                      for layer in layers]
         paths = []
         for combo in itertools.product(*layers):
             vec = _aggregate(aggs, [v for _, _, v in combo])
@@ -134,7 +152,7 @@ def test_layered_search_matches_brute_force():
                 paths.append((sum(rc for _, rc, _ in combo), vec,
                               tuple(item for item, _, _ in combo)))
         paths.sort()
-        for top_k in range(1, 5):
+        for top_k in range(1, 7):
             # the first top_k paths in (rcost, vector, items) order, so each
             # top_k result is a prefix of the top_k + 1 result
             got = label_search(layers, aggs, checks, prune, top_k)
@@ -144,6 +162,26 @@ def test_layered_search_matches_brute_force():
             for (item, _, _), value in zip(layer, values):
                 want = min((p[0] for p in paths if p[2][li] == item), default=math.inf)
                 assert value == want, (seed, item)
+
+
+def test_the_last_layer_selects_without_stores(monkeypatch):
+    # dominance prunes partial paths, so only a layer that a later layer
+    # extends stores labels; the last one goes straight to the selection
+    calls = []
+    insert = labeling._insert
+
+    def counted(*args):
+        calls.append(args)
+        return insert(*args)
+
+    monkeypatch.setattr(labeling, "_insert", counted)
+    layers = [[("a", 0, (1,)), ("b", 1, (0,))], [("y", 0, (2,)), ("z", 2, (0,))]]
+    for top_k in (1, 3):
+        out = label_search(layers, (SUM,), (((1,), 2),), (True,), top_k)
+        assert [r.nodes for r in out] == [("b", "y"), ("a", "z"), ("b", "z")][:top_k]
+    assert calls == []
+    label_search([*layers, [("w", 0, (0,))]], (SUM,), ())
+    assert len(calls) == 4, "the middle layer stores its labels"
 
 
 def test_dominance_eq_mode_protects_lower_bounded_coordinates():
