@@ -16,6 +16,7 @@ coordinate space (``problem.total_coords`` entries).
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import product
 
@@ -241,7 +242,11 @@ class Partition:
         inherits it -- the minimum over a subset containing the argmin is
         the same argmin.
         """
-        if bucket not in self.per_block[bucket.block]:
+        # lower corners are unique within a block and the list is sorted
+        # by them, so the bucket can only sit at its corner's index
+        bs = self.per_block[bucket.block]
+        at = bisect_left(bs, bucket.lo, key=lambda b: b.lo)
+        if at == len(bs) or bs[at] is not bucket:
             raise BucketError("bucket is not part of this partition")
         if all(l == h for l, h in zip(bucket.lo, bucket.hi)):
             raise BucketError(f"bucket {bucket.serial} is a single point")
@@ -272,10 +277,9 @@ class Partition:
                 child.rep = bucket.rep
             children.append(child)
 
-        bs = self.per_block[bucket.block]
-        bs.remove(bucket)
-        bs.extend(children)
-        bs.sort(key=lambda b: b.lo)
+        bs.pop(at)
+        for child in children:
+            insort(bs, child, key=lambda b: b.lo)
         return children
 
     # -- merging ------------------------------------------------------------
@@ -348,11 +352,15 @@ def compute_representative(problem, buckets, duals, banned=frozenset()):
 
     ``buckets`` lists buckets of one block; a single label search fills
     them all, and each bucket's representative is returned (None for an
-    EMPTY one).  The shared search prunes with the union of the boxes'
-    upper ends, stores labels under their whole contribution vector and
-    sends each completed subpath to the box holding its vector, which
-    yields for every bucket exactly the representative its own search
-    would (see ``labeling.elementary_rcspp``).
+    EMPTY one).  The shared search stores labels under their whole
+    contribution vector and sends each completed subpath to the box
+    holding its vector, which yields for every bucket exactly the
+    representative its own search would.  It drops a label whose vector
+    plus its node's least completion (``BlockView.least_completion``) is
+    above the union of the boxes' upper ends: every completion adds at
+    least that much, so the label ends in no box, and the labels that
+    share its key, the only ones it meets, are dropped with it (see
+    ``labeling.elementary_rcspp``).
 
     Marks a bucket EMPTY -- permanently -- when its box holds no feasible
     subpath contribution vector at all; EMPTY buckets are not searched.

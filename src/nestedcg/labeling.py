@@ -32,11 +32,15 @@ enumerated, sorted solution list.  The bucket fill needs one cheapest
 subpath per box, so it keeps the Pareto labels (``top_k`` = 1).
 
 Bucket fill.  :func:`elementary_rcspp` answers every bucket box of one
-block with a single search: it prunes with the union of their upper
-ends and sends each completed subpath to the box that holds it.  Each
-node's labels are stored under their whole contribution vector, so a
-label only ever meets labels that end in the same boxes, and every box
-gets exactly the result of its own search (the argument is in the
+block with a single search and sends each completed subpath to the box
+that holds it.  Each node's labels are stored under their whole
+contribution vector, so a label only ever meets labels that end in the
+same boxes, and every box gets exactly the result of its own search.
+A label is dropped when its vector plus the least that any completion
+from its node can add (:meth:`BlockView.least_completion`, a
+dual-independent bound cached on the view) is above the union's upper
+end: no extension of it can end in a box, and the labels it could meet
+share its vector and are dropped with it (the argument is in the
 function's docstring).
 
 All arithmetic is integer: callers pass duals through
@@ -49,7 +53,7 @@ import math
 from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
-from operator import add, itemgetter, mul
+from operator import add, gt, itemgetter, mul
 
 from .model import SUM, Subpath, as_scaled
 
@@ -295,15 +299,17 @@ class BlockView:
         self.n_coords = problem.total_coords
 
         subs = problem.block_subs[block_index]
-        self.sub_resources = subs
         self.n_sub = len(subs)
         floor = tuple(problem.subpath_resources[ri].floor_at_lower for ri in subs)
-        # per element: one (floor_at_lower, lo, hi) triple per subpath resource
+
+        def window(ri, v):
+            lo, hi = problem.subpath_resources[ri].window(v)
+            return (-math.inf if lo is None else lo, math.inf if hi is None else hi)
+
+        # per element: one (floor_at_lower, lo, hi) triple per subpath
+        # resource, an open end as -inf or inf
         self.sub_checks = [
-            tuple(
-                (fl, *problem.subpath_resources[ri].window(v))
-                for fl, ri in zip(floor, subs)
-            )
+            tuple((fl, *window(ri, v)) for fl, ri in zip(floor, subs))
             for v in block.elements
         ]
 
@@ -347,45 +353,21 @@ class BlockView:
             for t, cost, _, _ in outs:
                 self._step_costs[(u + 1) * m + t] = cost + self.exit[t][0] - self.exit[u][0]
 
-        self.coord_monotone = self._coord_monotone()
-        self.sub_le = self._sub_le_safe()
+        legs = self.entry + self.exit + [arc[1:] for outs in self.arcs_out for arc in outs]
+        self.coord_monotone = tuple(
+            all(coords[c] >= 0 for _, _, coords in legs) for c in range(self.n_coords)
+        )
+        # smaller-is-better dominance is sound on a subpath resource when
+        # its lower window bounds can never bind
+        highest = [max((row[j][1] for row in self.sub_checks), default=-math.inf)
+                   for j in range(self.n_sub)]
+        self.sub_le = tuple(
+            fl or low == -math.inf or (low <= 0 and all(sub[j] >= 0 for _, sub, _ in legs))
+            for j, (fl, low) in enumerate(zip(floor, highest))
+        )
         self._min_achievable = {}
+        self._least = None
         self._tables = {}         # block-local banned mask -> SubpathTable
-
-    def _coord_monotone(self):
-        mono = [True] * self.n_coords
-        rows = self.entry + self.exit
-        rows += [(c, s, f) for outs in self.arcs_out for (_, c, s, f) in outs]
-        for _, _, coords in rows:
-            for c, d in enumerate(coords):
-                if d < 0:
-                    mono[c] = False
-        return tuple(mono)
-
-    def _sub_le_safe(self):
-        """Smaller-is-better dominance is sound per subpath resource when
-        its lower window bounds can never bind."""
-        out = []
-        for j, ri in enumerate(self.sub_resources):
-            res = self.problem.subpath_resources[ri]
-            if res.floor_at_lower:
-                out.append(True)
-                continue
-            lowers = [w[0] for w in (res.window(v) for v in self.elements)]
-            finite = [lo for lo in lowers if lo is not None]
-            if not finite:
-                out.append(True)
-                continue
-            deltas_nonneg = True
-            for cost, sub, _ in self.entry + self.exit:
-                if sub[j] < 0:
-                    deltas_nonneg = False
-            for outs in self.arcs_out:
-                for _, _, sub, _ in outs:
-                    if sub[j] < 0:
-                        deltas_nonneg = False
-            out.append(deltas_nonneg and all(lo <= 0 for lo in finite))
-        return tuple(out)
 
     def min_achievable(self, coord: int) -> int | None:
         """Smallest contribution value on one coordinate over all feasible
@@ -399,6 +381,30 @@ class BlockView:
             # when minimizing a coordinate the reported rcost is its value
             self._min_achievable[coord] = None if found is None else found[1]
         return self._min_achievable[coord]
+
+    def least_completion(self) -> list:
+        """Per local element v, the least amount on each monotone
+        coordinate that any completion from v (zero or more arcs, then the
+        exit leg) adds; -inf on the other coordinates.  It ignores
+        elementarity, subpath windows and bans, so it is a lower bound
+        under every ban set.  Dual-independent: shortest paths to the exit
+        legs (Bellman-Ford, each arc relaxed from its head back to its
+        tail), on first use."""
+        if self._least is None:
+            least = [
+                tuple(d if mono else -math.inf for d, mono in zip(flat, self.coord_monotone))
+                for _, _, flat in self.exit
+            ]
+            changed = True
+            while changed:
+                changed = False
+                for u, outs in enumerate(self.arcs_out):
+                    for t, _, _, flat in outs:
+                        via = tuple(map(min, least[u], map(add, flat, least[t])))
+                        if via != least[u]:
+                            least[u], changed = via, True
+            self._least = least
+        return self._least
 
     def _mask(self, banned) -> int:
         mask = 0
@@ -547,11 +553,11 @@ def _extend_sub(checks, values, deltas):
     out = []
     for val, d, (floor, lo, hi) in zip(values, deltas, checks):
         val += d
-        if lo is not None and val < lo:
+        if val < lo:
             if not floor:
                 return None
             val = lo
-        if hi is not None and val > hi:
+        if val > hi:
             return None
         out.append(val)
     return tuple(out)
@@ -631,12 +637,24 @@ def elementary_rcspp(
     on node sequence.  So a label only meets labels that end in the same
     boxes, and a dominating label reaches every completion of the
     dominated one at the same vector and no higher reduced cost (on a
-    tie, at a smaller node sequence).  Labels are pruned above the
-    union's upper ends; a label above one box's upper end on a monotone
-    coordinate, and its descendants, never meet a label that can end in
-    that box, so those meet the same checks in the same FIFO order as in
-    the box's own search.  Each completed subpath goes to the box holding
-    its vector.
+    tie, at a smaller node sequence).  Each completed subpath goes to the
+    box holding its vector.
+
+    A label is dropped, at entry and on extension, when its vector plus
+    its node's least completion (``BlockView.least_completion``) is above
+    the union's upper end on a monotone coordinate.  This changes no
+    answer:
+
+    * every completion from node v adds at least ``least[v]``, and
+      ``least[u] <= delta(u, t) + least[t]``, so neither the label nor
+      any extension of it can end in a box;
+    * a label shares its key (node, vector, binding subpath resources)
+      with every label it could dominate or be dominated by, so those
+      are dropped too, and the labels that survive meet the same checks
+      in the same FIFO order as before; a ``("coord", c)`` search runs
+      over unbounded boxes, so nothing is dropped there;
+    * each box's answer is the unique first subpath in (reduced cost,
+      vector, node sequence) order.
 
     Returns one entry per box: the (Subpath, scaled_rcost) pair that
     sorts first by (reduced cost, contribution vector, node sequence), or
@@ -658,24 +676,33 @@ def elementary_rcspp(
     le_coords = range(n) if minimize_coord is not None else ()
     eq_subs = [j for j, le in enumerate(view.sub_le) if not le]
     le_subs = [j for j, le in enumerate(view.sub_le) if le]
-    # (coordinate, union upper bound) pairs that prune partial labels
-    caps = []
+    # the union's upper end on each monotone coordinate every box bounds,
+    # and per node the most a label there may hold: that end less the
+    # node's least completion
+    top = [math.inf] * n
     for c in range(n):
         his = [box[c][1] for box in boxes]
         if view.coord_monotone[c] and None not in his:
-            caps.append((c, max(his)))
+            top[c] = max(his)
+    limits = [
+        tuple([hi - low for hi, low in zip(top, least)])
+        for least in view.least_completion()
+    ]
     locate = _box_locator(boxes)
 
     banned_local = {view.local[k] for k in banned if k in view.local}
     gain = [duals.value(k) for k in view.elements]
+    sub_checks = view.sub_checks
     arcs = [
         [
-            (t, 1 << t, cost, cost * denom - gain[t], sub_d, coord_d)
+            (t, 1 << t, cost, cost * denom - gain[t], sub_d, coord_d,
+             sub_checks[t], limits[t])
             for t, cost, sub_d, coord_d in outs
             if t not in banned_local
         ]
         for outs in view.arcs_out
     ]
+    exits = [(cost, cost * denom, coord_d) for cost, _, coord_d in view.exit]
 
     def dominates(a, b):
         if a.rcost > b.rcost or a.visited & ~b.visited:
@@ -692,74 +719,56 @@ def elementary_rcspp(
         # sequence, and a completion keeps the order of its prefixes
         return a.rcost < b.rcost or a.res != b.res or a.sequence() < b.sequence()
 
-    store = [{} for _ in view.elements]   # node -> key -> labels
+    store = {}                            # (node, key) -> labels
     queue = deque()
     kept = [None] * len(boxes)            # per box: the best candidate
 
     def offer(lab):
         """Insert a new label; on success queue and complete it."""
-        key = (lab.res if minimize_coord is None else (), *[lab.sub[j] for j in eq_subs])
-        labels = store[lab.node].get(key)
+        key = (lab.node, lab.res if minimize_coord is None else (),
+               *[lab.sub[j] for j in eq_subs])
+        labels = store.get(key)
         if labels is None:
-            labels = store[lab.node][key] = []
-        if not _insert(labels, lab, dominates, 1):
+            store[key] = [lab]
+        elif not _insert(labels, lab, dominates, 1):
             return
         queue.append(lab)
-        cost, _, coord_d = view.exit[lab.node]
+        cost, scaled, coord_d = exits[lab.node]
         contribs = tuple(map(add, lab.res, coord_d))
         i = locate(contribs)
         if i < 0:
             return
-        if minimize_coord is None:
-            rcost = lab.rcost + cost * denom
-        else:
-            rcost = contribs[minimize_coord]
+        rcost = lab.rcost + scaled if minimize_coord is None else contribs[minimize_coord]
         if kept[i] is None or _precedes(rcost, contribs, lab, kept[i]):
             kept[i] = (rcost, contribs, lab, lab.cost + cost)
 
-    def too_high(contribs):
-        """Whether a label is above the union's upper ends."""
-        for c, hi in caps:
-            if contribs[c] > hi:
-                return True
-        return False
-
-    for local in range(len(view.elements)):
-        if local in banned_local:
+    start = (0,) * view.n_sub
+    for local, (cost, sub_d, contribs) in enumerate(view.entry):
+        if local in banned_local or any(map(gt, contribs, limits[local])):
             continue
-        cost, sub_d, contribs = view.entry[local]
-        values = _extend_sub(view.sub_checks[local], (0,) * view.n_sub, sub_d)
-        if values is None or too_high(contribs):
+        values = _extend_sub(sub_checks[local], start, sub_d)
+        if values is None:
             continue
-        if minimize_coord is None:
-            rcost = cost * denom - gain[local]
-        else:
-            rcost = contribs[minimize_coord]
-        offer(_Label(local, rcost, contribs, visited=1 << local, cost=cost, sub=values))
+        rcost = (cost * denom - gain[local] if minimize_coord is None
+                 else contribs[minimize_coord])
+        offer(_Label(local, rcost, contribs, 1 << local, None, cost, values))
 
-    sub_checks = view.sub_checks
     while queue:
         lab = queue.popleft()
         if not lab.alive:
             continue
         visited, res, sub = lab.visited, lab.res, lab.sub
-        for target, bit, cost, step, sub_d, coord_d in arcs[lab.node]:
+        for target, bit, cost, step, sub_d, coord_d, checks, limit in arcs[lab.node]:
             if visited & bit:
                 continue
-            values = _extend_sub(sub_checks[target], sub, sub_d)
+            contribs = tuple(map(add, res, coord_d))
+            if any(map(gt, contribs, limit)):
+                continue
+            values = _extend_sub(checks, sub, sub_d)
             if values is None:
                 continue
-            contribs = tuple(map(add, res, coord_d))
-            if too_high(contribs):
-                continue
-            if minimize_coord is None:
-                rcost = lab.rcost + step
-            else:
-                rcost = contribs[minimize_coord]
-            offer(_Label(
-                target, rcost, contribs, visited=visited | bit,
-                pred=lab, cost=lab.cost + cost, sub=values,
-            ))
+            rcost = lab.rcost + step if minimize_coord is None else contribs[minimize_coord]
+            offer(_Label(target, rcost, contribs, visited | bit, lab, lab.cost + cost, values))
 
     out = []
     for best in kept:

@@ -174,6 +174,21 @@ def test_refinement_errors():
         part.refine_bucket(point, "midpoint")
 
 
+def test_refinement_scales_to_many_buckets():
+    # the bucket is found by bisection on its lower corner and its
+    # children are inserted in place, so the block's list is never re-sorted
+    part = Partition.initial(_line_problem(span=19_999), 2)
+    assert len(part.buckets(0)) == 10_000
+    start = time.perf_counter()
+    for b in list(part.buckets(0)):
+        part.refine_bucket(b, "midpoint")
+    assert time.perf_counter() - start < 10
+    part.validate()
+    bs = part.buckets(0)
+    assert bs == sorted(bs, key=lambda b: b.lo)
+    assert [b.lo for b in bs] == [(x,) for x in range(20_000)]
+
+
 def test_adjacent_pairs_share_exactly_one_facet():
     part = Partition.initial(_line_problem(span=9, dim=2), 5)
     pairs = part.adjacent_pairs(0)

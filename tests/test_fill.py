@@ -5,10 +5,11 @@ the cheapest in-box subpath of the exhaustive enumeration."""
 import json
 import random
 from fractions import Fraction
+from operator import add, le
 
 import pytest
 
-from nestedcg import buckets, driver, mpcvrp, pricing, synth
+from nestedcg import buckets, driver, labeling, mpcvrp, pricing, synth
 from nestedcg.buckets import (
     COMPUTED,
     EMPTY,
@@ -167,6 +168,37 @@ def test_a_tie_in_rcost_and_vector_goes_to_the_smaller_node_sequence():
     )
     found, rcost = elementary_rcspp(problem, 0, Duals({0: 1}), boxes=[((0, 100),)])[0]
     assert (rcost, found.contributions, found.nodes) == (1, (5,), (0, 1))
+
+
+def test_the_fill_creates_no_label_beyond_the_completion_bound(monkeypatch):
+    problem = mpcvrp.build_nested(mpcvrp.generate_instance(
+        n=6, days=2, vehicles=3, delta=Fraction(9, 10), seed=1
+    ))
+    scaled = synth.random_duals(problem, 1).scaled()
+    view = labeling.block_view(problem, 0)
+    least = view.least_completion()
+    assert all(view.coord_monotone)
+    # the quarter-width boxes without the top one, filled together
+    group, ref = (Partition.initial(problem, _quarter(problem)).buckets(0)[:-1]
+                  for _ in range(2))
+    top = [max(b.hi[c] for b in group) for c in range(problem.total_coords)]
+    created = []
+
+    class Recorded(labeling._Label):
+        __slots__ = ()
+
+        def __init__(self, node, rcost, res, *args, **kwargs):
+            super().__init__(node, rcost, res, *args, **kwargs)
+            created.append((node, res))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(labeling, "_Label", Recorded)
+        got = buckets.compute_representative(problem, group, scaled)
+    assert created
+    for node, res in created:
+        assert all(map(le, map(add, res, least[node]), top)), (node, res)
+    assert got == _reference_fill(problem, ref, scaled)
+    assert any(got)
 
 
 @pytest.mark.parametrize("build", [lambda: _span(1), lambda: mpcvrp.build_nested(

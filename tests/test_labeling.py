@@ -4,6 +4,7 @@ against exhaustive enumeration."""
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -351,6 +352,57 @@ def test_block_enumeration_matches_the_oracle(family):
                 blocks += 1
             banned |= {rng.choice(problem.elements)}
     assert blocks
+
+
+def _flat(item, n_coords):
+    return tuple(itertools.chain(*item.path_deltas)) or (0,) * n_coords
+
+
+def _least_walks(block, n_coords):
+    """Per element, the least over the simple paths from it to an exit of
+    the sum of their arc and exit deltas, by exhaustive search."""
+    out = {}
+
+    def walk(v, visited, vec):
+        best = tuple(map(sum, zip(vec, _flat(block.exit_at(v), n_coords))))
+        for (u, t), arc in block.arcs.items():
+            if u == v and t not in visited:
+                deeper = walk(t, visited | {t},
+                              tuple(map(sum, zip(vec, _flat(arc, n_coords)))))
+                best = tuple(map(min, best, deeper))
+        return best
+
+    for v in block.elements:
+        out[v] = walk(v, {v}, (0,) * n_coords)
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_least_completion_is_a_lower_bound(family):
+    # it need not equal the exit leg: rounded routing distances break the
+    # triangle inequality, so a detour can add less than a direct exit
+    checked = 0
+    for seed in (1, 2, 3):
+        problem = FAMILIES[family](seed)
+        n = problem.total_coords
+        for bi, block in enumerate(problem.blocks):
+            view = block_view(problem, bi)
+            least = view.least_completion()
+            walks = _least_walks(block, n)
+            for i, v in enumerate(block.elements):
+                for c, mono in enumerate(view.coord_monotone):
+                    # with non-negative deltas a shortest walk is simple
+                    assert least[i][c] == (walks[v][c] if mono else -math.inf)
+            for sp in synth.enumerate_block_subpaths(problem, bi):
+                vec = _flat(block.entry_at(sp.nodes[0]), n)
+                for k, v in enumerate(sp.nodes):
+                    if k:
+                        arc = block.arcs[sp.nodes[k - 1], v]
+                        vec = tuple(map(sum, zip(vec, _flat(arc, n))))
+                    rest = [x - y for x, y in zip(sp.contributions, vec)]
+                    assert all(map(operator.ge, rest, least[view.local[v]])), (sp, v)
+                    checked += 1
+    assert checked
 
 
 def test_block_is_searched_once_across_ban_sets(monkeypatch):
