@@ -16,9 +16,12 @@ Two searches share one count-based retention core (:func:`_insert`):
 Both the fill and the enumerative pricer work on :class:`BlockView`, the
 one compiled form of a block (local element indices, padded subpath
 deltas, flat contribution deltas, sorted adjacency);
-:meth:`BlockView.table` enumerates every feasible subpath of a block
-once, as data for the enumerative pricer (:class:`SubpathTable`), and
-filters it per ban set.
+:meth:`BlockView.table` enumerates every subpath of a block that can lie
+on a feasible path once, as data for the enumerative pricer
+(:class:`SubpathTable`), and filters it per ban set.  The enumeration
+stops a subpath as soon as it and every extension of it end above what
+the path predicates leave the block (:meth:`BlockView.headroom`, with
+every block at the least an entry leg plus a least completion add).
 
 The layered search stores labels only for the layers that a later
 layer extends: per item, every label that fewer than ``top_k`` stored
@@ -406,6 +409,30 @@ class BlockView:
             self._least = least
         return self._least
 
+    def limits(self, top) -> list:
+        """Per local element v, the most a subpath's contributions may
+        hold on arrival at v (exit leg not yet added) for some completion
+        from v to end at most at ``top``: ``top`` less v's least
+        completion, inf wherever either is open."""
+        return [tuple([hi - low for hi, low in zip(top, least)])
+                for least in self.least_completion()]
+
+    def headroom(self) -> tuple:
+        """Per coordinate, the most a subpath's contributions can hold and
+        still lie on a path that passes the predicates
+        (``NestedProblem.headroom``), inf where nothing caps.  Each
+        block's low is the least that an entry leg plus that element's
+        least completion add, so it holds under any duals and any bans."""
+        problem = self.problem
+        lows = []
+        for bi in range(len(problem.blocks)):
+            view = block_view(problem, bi)
+            starts = [tuple(map(add, flat, least))
+                      for (_, _, flat), least in zip(view.entry, view.least_completion())]
+            lows.append(tuple(map(min, zip(*starts))))
+        tops = problem.headroom(lows)
+        return (math.inf,) * self.n_coords if tops is None else tops[self.index]
+
     def _mask(self, banned) -> int:
         mask = 0
         for k in banned:
@@ -414,10 +441,11 @@ class BlockView:
         return mask
 
     def table(self, banned=frozenset()) -> "SubpathTable":
-        """Every feasible elementary subpath of the block that avoids
-        ``banned``, as a :class:`SubpathTable` in (contribution vector,
-        node sequence) order.  Dual-independent, so cached per
-        block-local ban set.
+        """Every elementary subpath of the block that can lie on a
+        feasible path and avoids ``banned``, as a :class:`SubpathTable`
+        in (contribution vector, node sequence) order; it may hold some
+        that cannot (see :meth:`_enumerate`).  Dual-independent, so
+        cached per block-local ban set.
 
         The block is searched once, without bans; a ban set filters that
         table by element mask.  This is exact: a ban removes elements and
@@ -442,11 +470,24 @@ class BlockView:
         ])
 
     def _enumerate(self) -> "SubpathTable":
-        """Depth-first search over every feasible elementary subpath."""
+        """Depth-first search over every elementary subpath that can lie
+        on a feasible path.
+
+        A state is dropped when its contributions exceed its element's
+        :meth:`limits` under the block's :meth:`headroom`: the subpath
+        and each extension of it end above the headroom, so no path that
+        holds them passes the predicates.  A subpath that ends above it
+        from a state within the limits stays in the table.  A dropped
+        subpath dominates only subpaths with vectors at least as large,
+        which cannot lie on a feasible path either, and every kept
+        subpath's prefixes are kept."""
         elements, sub_checks = self.elements, self.sub_checks
         m = len(elements)
+        limits = self.limits(self.headroom())
         stack = []
         for v, (cost, sub_d, flat) in enumerate(self.entry):
+            if any(map(gt, flat, limits[v])):
+                continue
             values = _extend_sub(sub_checks[v], (0,) * self.n_sub, sub_d)
             if values is not None:
                 stack.append((v, (elements[v],), 1 << v, values, cost, flat, -1, v))
@@ -460,11 +501,13 @@ class BlockView:
             for t, arc_cost, sub_d, arc_flat in self.arcs_out[u]:
                 if visited >> t & 1:
                     continue
+                ext = tuple(map(add, flat, arc_flat))
+                if any(map(gt, ext, limits[t])):
+                    continue
                 nxt = _extend_sub(sub_checks[t], values, sub_d)
                 if nxt is not None:
                     stack.append((t, nodes + (elements[t],), visited | 1 << t, nxt,
-                                  cost + arc_cost, tuple(map(add, flat, arc_flat)),
-                                  row, (u + 1) * m + t))
+                                  cost + arc_cost, ext, row, (u + 1) * m + t))
         if not found:
             return SubpathTable()
         # (vector, nodes) pairs are distinct, so the sort never looks further
@@ -484,9 +527,10 @@ class BlockView:
 
 
 class SubpathTable:
-    """A block's feasible subpaths in (contribution vector, node sequence)
-    order, with each one's ``vectors`` (its contributions) and ``masks``
-    (its local elements as a bit set) beside it.
+    """Every subpath of a block that can lie on a feasible path, in
+    (contribution vector, node sequence) order, with each one's
+    ``vectors`` (its contributions) and ``masks`` (its local elements as
+    a bit set) beside it.
 
     Every prefix of a subpath is a subpath too, so the table also lists
     its rows in search order, each after its prefix: row ``order[i]``
@@ -684,10 +728,7 @@ def elementary_rcspp(
         his = [box[c][1] for box in boxes]
         if view.coord_monotone[c] and None not in his:
             top[c] = max(his)
-    limits = [
-        tuple([hi - low for hi, low in zip(top, least)])
-        for least in view.least_completion()
-    ]
+    limits = view.limits(top)
     locate = _box_locator(boxes)
 
     banned_local = {view.local[k] for k in banned if k in view.local}

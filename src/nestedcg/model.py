@@ -38,7 +38,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from operator import mul
 from typing import Mapping
 
@@ -414,6 +414,40 @@ class NestedProblem:
     def contribution_box(self) -> tuple[tuple[int, int], ...]:
         """Per-coordinate (lo, hi) over the concatenated coordinate space."""
         return self._box
+
+    def headroom(self, lows):
+        """Per block and coordinate, the most a block's contribution can
+        hold and still lie on a path that passes every predicate; None
+        when no path can pass.
+
+        ``lows[b][c]`` is at most every contribution of block b on
+        coordinate c: -inf where nothing is known, inf for a block
+        without subpaths.  With every block at its low the predicates
+        leave a coordinate ``rise`` of headroom (inf where no predicate
+        with a finite slack weighs it); a block may hold up to that above
+        its own low under ``SUM`` and above the largest low under ``MAX``.
+        Above that, the weights being nonnegative and the other blocks
+        adding at least their lows, the path fails the predicate that set
+        the rise.  A zero weight never multiplies a low, so nothing here
+        is nan."""
+        if any(inf in low for low in lows):
+            return None
+        least = [sum(col) if agg == SUM else max(col)
+                 for agg, col in zip(self.aggs, zip(*lows))]
+        slack = [bound - sum(w * x for w, x in zip(weights, least) if w)
+                 for weights, bound in self.predicates]
+        if any(s < 0 for s in slack):
+            return None
+        rise = [
+            min((s // weights[c] for (weights, _), s in zip(self.predicates, slack)
+                 if weights[c] and s != inf), default=inf)
+            for c in range(self.total_coords)
+        ]
+        return [
+            tuple(inf if r == inf else r + (own if agg == SUM else most)
+                  for r, own, agg, most in zip(rise, low, self.aggs, least))
+            for low in lows
+        ]
 
 
 # ---------------------------------------------------------------------------

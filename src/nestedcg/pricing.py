@@ -25,8 +25,8 @@ its child's lower corner, pinning a previously unpinned contribution
 vector, so a block never sees more splits than it has distinct feasible
 contribution vectors.
 
-The enumerative pricer is the benchmark: enumerate every feasible
-subpath per block once, as a dual-independent table
+The enumerative pricer is the benchmark: enumerate every subpath that
+can lie on a feasible path per block once, as a dual-independent table
 (``labeling.BlockView.table``; searched once per block, filtered per
 block-local ban set), keep the per-block Pareto front under the current
 duals, and run the same layered search over individual subpaths.  Its
@@ -42,11 +42,11 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import le, mul
+from operator import le
 
 from .buckets import COMPUTED, EMPTY, FRESH, Partition, compute_representative
 from .labeling import block_view, elementary_rcspp, label_search, through_values
-from .model import SUM, ModelError, as_scaled, check_path_feasible
+from .model import ModelError, as_scaled, check_path_feasible
 
 
 # path searches return at most this many columns per pricing call
@@ -72,7 +72,7 @@ class PricingOutcome:
     optimistic: Fraction | None          # lower bound on min reduced cost (millicost)
     pessimistic: Fraction | None         # best path reduced cost seen (millicost)
     infeasible: bool = False             # no feasible path exists under current bans
-    infeasible_block: int | None = None  # a block with no feasible subpath, if that's why
+    infeasible_block: int | None = None  # a block no feasible path can pass, if that's why
     stats: dict = field(default_factory=dict)
 
 
@@ -162,44 +162,37 @@ class AdaptivePricer:
         box, or above it where a feasible path may hold the subpath: no
         bucket holds either, so the pricer would miss the paths through it.
 
-        With every block at its least the predicates leave a coordinate
-        ``rise`` of headroom (infinite where no predicate weighs it) above
-        the block's least under ``SUM`` and above the largest least under
-        ``MAX``, up to ``top``.  One dual-independent fill per (coordinate,
-        box upper end, top) window looks for a subpath above the end and at
-        most at ``top``; fill labels are keyed by their whole vector, so the
-        answer is exact.  Return the windows checked, per block.
+        With every block at its least (``BlockView.min_achievable``) the
+        predicates leave each block a ``top`` per coordinate
+        (``NestedProblem.headroom``).  One dual-independent fill per
+        (coordinate, box upper end, top) window with ``top`` above the end
+        looks for a subpath above the end and at most at ``top``; fill
+        labels are keyed by their whole vector, so the answer is exact.
+        Return the windows checked, per block.
         """
         problem = self.problem
         box = problem.contribution_box()
-        mins = []
+        mins = []       # inf for a block without subpaths
         for bi in range(len(problem.blocks)):
             view = block_view(problem, bi)
-            mins.append([view.min_achievable(c) for c in range(len(box))])
+            mins.append([math.inf if low is None else low
+                         for low in map(view.min_achievable, range(len(box)))])
             for c, ((lo, _), low) in enumerate(zip(box, mins[-1])):
-                if low is not None and low < lo:
+                if low < lo:
                     raise ModelError(
                         f"block {bi} reaches {low} on contribution coordinate {c}, "
                         f"below the box's lower end {lo}"
                     )
-        if any(None in low for low in mins):
-            return [()] * len(mins)     # a block without subpaths: no paths
-        least = [sum(col) if agg == SUM else max(col)
-                 for agg, col in zip(problem.aggs, zip(*mins))]
-        slack = [(weights, bound - sum(map(mul, weights, least)))
-                 for weights, bound in problem.predicates]
-        if any(s < 0 for _, s in slack):
-            return [()] * len(mins)     # not even the least path is feasible
-        rise = [min((s // w[c] for w, s in slack if w[c]), default=math.inf)
-                for c in range(len(box))]
+        tops = problem.headroom(mins)
+        if tops is None:
+            return [()] * len(mins)     # no path can pass the predicates
         windows = []
-        for bi, low in enumerate(mins):
+        for bi, top in enumerate(tops):
             found = []
-            for c, (_, hi) in enumerate(box):
-                top = rise[c] + (low[c] if problem.aggs[c] == SUM else least[c])
-                if top > hi:
+            for c, ((_, hi), most) in enumerate(zip(box, top)):
+                if most > hi:
                     window = [(None, None)] * len(box)
-                    window[c] = (hi + 1, None if top == math.inf else top)
+                    window[c] = (hi + 1, None if most == math.inf else most)
                     hit = elementary_rcspp(problem, bi, boxes=[window])[0]
                     if hit is not None:
                         raise ModelError(
@@ -207,7 +200,7 @@ class AdaptivePricer:
                             f"contribution coordinate {c}, above the box's upper "
                             f"end {hi}, where a feasible path may hold a subpath"
                         )
-                    found.append((c, hi, top))
+                    found.append((c, hi, most))
             windows.append(tuple(found))
         return windows
 
@@ -408,15 +401,19 @@ class AdaptivePricer:
 
 
 class ExactPricer:
-    """Benchmark pricer: full per-block enumeration, per-call Pareto
-    filter under the duals, then the same layered path search.  The bound
-    it reports is the exact minimum reduced cost (swapping any subpath
-    for one that dominates it keeps a path feasible and no dearer, so the
-    Pareto front always contains an optimal path's subpaths).
+    """Benchmark pricer: per-block enumeration of every subpath that can
+    lie on a feasible path, per-call Pareto filter under the duals, then
+    the same layered path search.  The bound it reports is the exact
+    minimum reduced cost (swapping any subpath for one that dominates it
+    keeps a path feasible and no dearer, so the Pareto front always
+    contains an optimal path's subpaths).
 
     Each block's subpaths come from its dual-independent table
     (``labeling.BlockView.table``), already in (contribution vector,
-    node sequence) order.  A call only prices them and keeps the front:
+    node sequence) order.  A subpath left out of it lies on no feasible
+    path and dominates only subpaths that lie on none, so the front
+    keeps every subpath a feasible path can use, in the same order.  A
+    call only prices the table and keeps the front:
 
     * reduced costs take one addition per subpath.  Every prefix of a
       subpath is in the table, so a subpath's rcost is its prefix's plus
