@@ -347,20 +347,20 @@ class Partition:
         return len(merged_buckets)
 
 
-def compute_representative(problem, buckets, duals, banned=frozenset()):
+def compute_representative(problem, buckets, duals, banned=frozenset(), tally=None):
     """(Re)compute representatives under the given scaled duals.
 
-    ``buckets`` lists buckets of one block; a single label search fills
-    them all, and each bucket's representative is returned (None for an
-    EMPTY one).  The shared search stores labels under their whole
-    contribution vector and sends each completed subpath to the box
-    holding its vector, which yields for every bucket exactly the
-    representative its own search would.  It drops a label whose vector
-    plus its node's least completion (``BlockView.least_completion``) is
-    above the union of the boxes' upper ends: every completion adds at
-    least that much, so the label ends in no box, and the labels that
-    share its key, the only ones it meets, are dropped with it (see
-    ``labeling.elementary_rcspp``).
+    ``buckets`` lists buckets of one block; a single depth-first search
+    fills them all, and each bucket's representative is returned (None
+    for an EMPTY one).  The shared search sends each completed subpath to
+    the box holding its vector and keeps, per box, the first by (reduced
+    cost, vector, node sequence), which is exactly the representative the
+    bucket's own search would find.  It drops a state whose vector plus
+    its node's least completion (``BlockView.least_completion``) is above
+    the union of the boxes' upper ends: every completion adds at least
+    that much, so the state ends in no box (see
+    ``labeling.elementary_rcspp``, which also adds the states it expands
+    to ``tally["fill_labels"]`` when ``tally`` is given).
 
     Marks a bucket EMPTY -- permanently -- when its box holds no feasible
     subpath contribution vector at all; EMPTY buckets are not searched.
@@ -379,6 +379,7 @@ def compute_representative(problem, buckets, duals, banned=frozenset()):
             duals,
             boxes=[b.box for b in live],
             banned=banned,
+            tally=tally,
         )
         for bucket, found in zip(live, results):
             if found is not None:

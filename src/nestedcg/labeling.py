@@ -1,17 +1,16 @@
-"""Label-setting search engines and the compiled block they run on.
+"""Path search engines and the compiled block they run on.
 
-Two searches share one count-based retention core (:func:`_insert`):
-
-* :func:`label_search` -- a layer-by-layer search over per-block item
-  lists: every path takes one item (a bucket or a subpath) from each
-  block, and the items' contribution vectors aggregate per coordinate by
-  sum or max.  The pricers run it with bucket lower corners (optimistic
-  bound), with representatives (pessimistic bound) and over Pareto-kept
-  subpaths (enumerative benchmark); :func:`through_values` runs it once
-  per item, with the item's layer pinned to it, for the merge criterion.
-* :func:`elementary_rcspp` -- elementary resource-constrained search over
-  one block of a nested problem under a list of contribution boxes: the
-  bucket fill.
+* :func:`label_search` -- a layer-by-layer label-setting search over
+  per-block item lists: every path takes one item (a bucket or a subpath)
+  from each block, and the items' contribution vectors aggregate per
+  coordinate by sum or max.  The pricers run it with bucket lower corners
+  (optimistic bound), with representatives (pessimistic bound) and over
+  Pareto-kept subpaths (enumerative benchmark); :func:`through_values`
+  runs it once per item, with the item's layer pinned to it, for the
+  merge criterion.
+* :func:`elementary_rcspp` -- a depth-first search over the elementary
+  subpaths of one block of a nested problem under a list of contribution
+  boxes: the bucket fill.
 
 Both the fill and the enumerative pricer work on :class:`BlockView`, the
 one compiled form of a block (local element indices, padded subpath
@@ -25,26 +24,25 @@ every block at the least an entry leg plus a least completion add).
 
 The layered search stores labels only for the layers that a later
 layer extends: per item, every label that fewer than ``top_k`` stored
-labels dominate.  A label dominates another when every completion of it
-sorts before the same completion of the other by (rcost, vector, items).
-Dominance prunes partial paths, so the last layer has none: each stored
-label of the layer before it is extended by each last-layer item
-straight into one bounded selection of the first ``top_k`` admitted
-paths in that order.  The result list is therefore a prefix of the fully
-enumerated, sorted solution list.  The bucket fill needs one cheapest
-subpath per box, so it keeps the Pareto labels (``top_k`` = 1).
+labels dominate (:func:`_insert`).  A label dominates another when every
+completion of it sorts before the same completion of the other by
+(rcost, vector, items).  Dominance prunes partial paths, so the last
+layer has none: each stored label of the layer before it is extended by
+each last-layer item straight into one bounded selection of the first
+``top_k`` admitted paths in that order.  The result list is therefore a
+prefix of the fully enumerated, sorted solution list.
 
 Bucket fill.  :func:`elementary_rcspp` answers every bucket box of one
 block with a single search and sends each completed subpath to the box
-that holds it.  Each node's labels are stored under their whole
-contribution vector, so a label only ever meets labels that end in the
-same boxes, and every box gets exactly the result of its own search.
-A label is dropped when its vector plus the least that any completion
-from its node can add (:meth:`BlockView.least_completion`, a
-dual-independent bound cached on the view) is above the union's upper
-end: no extension of it can end in a box, and the labels it could meet
-share its vector and are dropped with it (the argument is in the
-function's docstring).
+that holds it, where it is kept when it sorts first by (reduced cost,
+vector, node sequence); so every box gets exactly the result of its own
+search.  It keeps no label store: a label could only dominate labels
+with its own vector (two vectors may end in different boxes), and such
+labels are too rare for a store to pay for its keys.  A state is
+dropped when its vector plus the least that any completion from its node
+can add (:meth:`BlockView.least_completion`, a dual-independent bound
+cached on the view) is above the union's upper end: no extension of it
+can end in a box.
 
 All arithmetic is integer: callers pass duals through
 ``model.Duals.scaled()`` so reduced costs stay exact.
@@ -54,7 +52,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right, insort
-from collections import deque
 from dataclasses import dataclass
 from operator import add, gt, itemgetter, mul
 
@@ -73,17 +70,14 @@ class SearchResult:
 
 
 class _Label:
-    __slots__ = ("node", "rcost", "res", "visited", "pred", "alive", "cost", "sub")
+    __slots__ = ("node", "rcost", "res", "pred", "alive")
 
-    def __init__(self, node, rcost, res, visited=0, pred=None, cost=0, sub=()):
+    def __init__(self, node, rcost, res, pred=None):
         self.node = node
         self.rcost = rcost
         self.res = res
-        self.visited = visited
         self.pred = pred
         self.alive = True
-        self.cost = cost      # unscaled cost, tracked by the rcspp engine
-        self.sub = sub        # subpath-resource values, rcspp only
 
     def sequence(self):
         out = []
@@ -359,14 +353,6 @@ class BlockView:
         legs = self.entry + self.exit + [arc[1:] for outs in self.arcs_out for arc in outs]
         self.coord_monotone = tuple(
             all(coords[c] >= 0 for _, _, coords in legs) for c in range(self.n_coords)
-        )
-        # smaller-is-better dominance is sound on a subpath resource when
-        # its lower window bounds can never bind
-        highest = [max((row[j][1] for row in self.sub_checks), default=-math.inf)
-                   for j in range(self.n_sub)]
-        self.sub_le = tuple(
-            fl or low == -math.inf or (low <= 0 and all(sub[j] >= 0 for _, sub, _ in legs))
-            for j, (fl, low) in enumerate(zip(floor, highest))
         )
         self._min_achievable = {}
         self._least = None
@@ -644,16 +630,6 @@ def _box_locator(boxes):
     return locate
 
 
-def _precedes(rcost, contribs, lab, entry) -> bool:
-    """Whether a candidate sorts before a kept ``entry`` by (rcost,
-    contribs, node sequence); sequences are built only to break ties."""
-    if rcost != entry[0]:
-        return rcost < entry[0]
-    if contribs != entry[1]:
-        return contribs < entry[1]
-    return lab.sequence() < entry[2].sequence()
-
-
 def elementary_rcspp(
     problem,
     block_index: int,
@@ -662,6 +638,7 @@ def elementary_rcspp(
     boxes,
     banned=frozenset(),
     objective="rcost",
+    tally=None,
 ):
     """The cheapest elementary subpath of one block under per-element
     duals, for each of a list of contribution boxes.
@@ -671,64 +648,50 @@ def elementary_rcspp(
     space; None leaves an end open), and a single search answers them
     all.  ``banned`` elements are skipped entirely.
     ``objective`` is "rcost" or ("coord", c) to minimize one contribution
-    coordinate instead (``BlockView.min_achievable``), which compares
-    coordinates smaller-or-equal.
+    coordinate instead (``BlockView.min_achievable``).  When ``tally`` is
+    a dict, its ``"fill_labels"`` entry gains the number of states the
+    search expands.
 
-    Each node's labels are stored under their whole contribution vector
-    and the values of the subpath resources whose lower windows can bind
-    (``BlockView.sub_le``); labels with one key compare on reduced cost,
-    visited set and the other subpath resources, and on a reduced-cost tie
-    on node sequence.  So a label only meets labels that end in the same
-    boxes, and a dominating label reaches every completion of the
-    dominated one at the same vector and no higher reduced cost (on a
-    tie, at a smaller node sequence).  Each completed subpath goes to the
-    box holding its vector.
+    The search is depth first and keeps no label store.  Each state
+    carries its node sequence, and each completed subpath goes to the box
+    holding its vector, where it replaces the box's answer when it sorts
+    before it by (objective, vector, node sequence).  So every box gets
+    the unique first subpath in that order, whatever order the states are
+    visited in.
 
-    A label is dropped, at entry and on extension, when its vector plus
-    its node's least completion (``BlockView.least_completion``) is above
-    the union's upper end on a monotone coordinate.  This changes no
-    answer:
+    A state is dropped, at entry and on extension, when its vector is
+    above its node's ``BlockView.limits`` under the union's upper end on
+    the monotone coordinates that every box bounds.  Every completion from
+    node v adds at least v's least completion, and ``least[u] <=
+    delta(u, t) + least[t]``, so neither the state nor any extension of
+    it can end in a box.  A ``("coord", c)`` search, once every box has an
+    answer, also lowers the limits on c to the worst answer's value less
+    each node's least completion: a state dropped by that ends strictly
+    above every answer, so ties are still searched.
 
-    * every completion from node v adds at least ``least[v]``, and
-      ``least[u] <= delta(u, t) + least[t]``, so neither the label nor
-      any extension of it can end in a box;
-    * a label shares its key (node, vector, binding subpath resources)
-      with every label it could dominate or be dominated by, so those
-      are dropped too, and the labels that survive meet the same checks
-      in the same FIFO order as before; a ``("coord", c)`` search runs
-      over unbounded boxes, so nothing is dropped there;
-    * each box's answer is the unique first subpath in (reduced cost,
-      vector, node sequence) order.
-
-    Returns one entry per box: the (Subpath, scaled_rcost) pair that
-    sorts first by (reduced cost, contribution vector, node sequence), or
-    None when no feasible subpath lies in the box; the scale is
-    ``duals.denom``.
+    Returns one entry per box: the (Subpath, value) pair that sorts first,
+    value being the scaled reduced cost (the scale is ``duals.denom``) or
+    the coordinate's value, or None when no feasible subpath lies in the
+    box.
     """
     view = block_view(problem, block_index)
     boxes = [tuple(box) for box in boxes]
     duals = as_scaled(duals)
     denom = duals.denom
 
-    minimize_coord = None
+    coord = None
     if objective != "rcost":
-        kind, minimize_coord = objective
+        kind, coord = objective
         if kind != "coord":
             raise LabelingError(f"unknown objective {objective!r}")
 
     n = view.n_coords
-    le_coords = range(n) if minimize_coord is not None else ()
-    eq_subs = [j for j, le in enumerate(view.sub_le) if not le]
-    le_subs = [j for j, le in enumerate(view.sub_le) if le]
-    # the union's upper end on each monotone coordinate every box bounds,
-    # and per node the most a label there may hold: that end less the
-    # node's least completion
     top = [math.inf] * n
     for c in range(n):
         his = [box[c][1] for box in boxes]
         if view.coord_monotone[c] and None not in his:
             top[c] = max(his)
-    limits = view.limits(top)
+    limits = [list(limit) for limit in view.limits(top)]
     locate = _box_locator(boxes)
 
     banned_local = {view.local[k] for k in banned if k in view.local}
@@ -745,77 +708,53 @@ def elementary_rcspp(
     ]
     exits = [(cost, cost * denom, coord_d) for cost, _, coord_d in view.exit]
 
-    def dominates(a, b):
-        if a.rcost > b.rcost or a.visited & ~b.visited:
-            return False
-        x, y = a.res, b.res
-        for c in le_coords:
-            if x[c] > y[c]:
-                return False
-        x, y = a.sub, b.sub
-        for j in le_subs:
-            if x[j] > y[j]:
-                return False
-        # on a tie in rcost and vector the boxes' answers go by node
-        # sequence, and a completion keeps the order of its prefixes
-        return a.rcost < b.rcost or a.res != b.res or a.sequence() < b.sequence()
-
-    store = {}                            # (node, key) -> labels
-    queue = deque()
-    kept = [None] * len(boxes)            # per box: the best candidate
-
-    def offer(lab):
-        """Insert a new label; on success queue and complete it."""
-        key = (lab.node, lab.res if minimize_coord is None else (),
-               *[lab.sub[j] for j in eq_subs])
-        labels = store.get(key)
-        if labels is None:
-            store[key] = [lab]
-        elif not _insert(labels, lab, dominates, 1):
-            return
-        queue.append(lab)
-        cost, scaled, coord_d = exits[lab.node]
-        contribs = tuple(map(add, lab.res, coord_d))
-        i = locate(contribs)
-        if i < 0:
-            return
-        rcost = lab.rcost + scaled if minimize_coord is None else contribs[minimize_coord]
-        if kept[i] is None or _precedes(rcost, contribs, lab, kept[i]):
-            kept[i] = (rcost, contribs, lab, lab.cost + cost)
-
+    # a state: (node, local node sequence, visited, rcost, cost, vector
+    # on arrival, subpath-resource values)
+    stack = []
     start = (0,) * view.n_sub
     for local, (cost, sub_d, contribs) in enumerate(view.entry):
         if local in banned_local or any(map(gt, contribs, limits[local])):
             continue
         values = _extend_sub(sub_checks[local], start, sub_d)
-        if values is None:
-            continue
-        rcost = (cost * denom - gain[local] if minimize_coord is None
-                 else contribs[minimize_coord])
-        offer(_Label(local, rcost, contribs, 1 << local, None, cost, values))
-
-    while queue:
-        lab = queue.popleft()
-        if not lab.alive:
-            continue
-        visited, res, sub = lab.visited, lab.res, lab.sub
-        for target, bit, cost, step, sub_d, coord_d, checks, limit in arcs[lab.node]:
+        if values is not None:
+            stack.append((local, (local,), 1 << local, cost * denom - gain[local],
+                          cost, contribs, values))
+    kept = [None] * len(boxes)      # per box: (value, vector, nodes, cost)
+    expanded = 0
+    while stack:
+        node, nodes, visited, rcost, cost, res, sub = stack.pop()
+        expanded += 1
+        exit_cost, scaled, exit_d = exits[node]
+        contribs = tuple(map(add, res, exit_d))
+        i = locate(contribs)
+        if i >= 0:
+            value = rcost + scaled if coord is None else contribs[coord]
+            best = kept[i]
+            if best is None or value < best[0] or value == best[0] and (
+                    contribs < best[1] or contribs == best[1] and nodes < best[2]):
+                kept[i] = (value, contribs, nodes, cost + exit_cost)
+                if coord is not None and None not in kept:
+                    cut = max(entry[0] for entry in kept)
+                    for limit, least in zip(limits, view.least_completion()):
+                        limit[coord] = min(limit[coord], cut - least[coord])
+        for target, bit, arc_cost, step, sub_d, coord_d, checks, limit in arcs[node]:
             if visited & bit:
                 continue
-            contribs = tuple(map(add, res, coord_d))
-            if any(map(gt, contribs, limit)):
+            ext = tuple(map(add, res, coord_d))
+            if any(map(gt, ext, limit)):
                 continue
             values = _extend_sub(checks, sub, sub_d)
-            if values is None:
-                continue
-            rcost = lab.rcost + step if minimize_coord is None else contribs[minimize_coord]
-            offer(_Label(target, rcost, contribs, visited | bit, lab, lab.cost + cost, values))
+            if values is not None:
+                stack.append((target, nodes + (target,), visited | bit, rcost + step,
+                              cost + arc_cost, ext, values))
 
-    out = []
-    for best in kept:
-        if best is not None:
-            rcost, contribs, lab, total_cost = best
-            nodes = tuple(view.elements[i] for i in lab.sequence())
-            best = (Subpath(block_index, nodes, total_cost, contribs), rcost)
-        out.append(best)
-    return out
+    if tally is not None:
+        tally["fill_labels"] += expanded
+    elements = view.elements
+    return [
+        None if best is None else (
+            Subpath(block_index, tuple([elements[i] for i in best[2]]), best[3], best[1]),
+            best[0],
+        )
+        for best in kept
+    ]

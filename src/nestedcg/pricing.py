@@ -2,9 +2,10 @@
 
 The adaptive pricer runs a sandwich loop per call.  Representatives give
 every bucket a cheapest-member subpath.  The fill that computes them runs
-one label search per block over all of its stale buckets, not one per
-bucket; labels meet only labels with their own contribution vector, so
-the shared search yields each bucket exactly the representative its own
+one depth-first search per block over all of its stale buckets, not one
+per bucket; each completed subpath goes to the box that holds it, where
+the first by (reduced cost, vector, node sequence) is kept, so the shared
+search yields each bucket exactly the representative its own
 box-restricted search would (see ``labeling.elementary_rcspp``).  A
 layered search over buckets then prices whole paths twice:
 
@@ -72,7 +73,6 @@ class PricingOutcome:
     optimistic: Fraction | None          # lower bound on min reduced cost (millicost)
     pessimistic: Fraction | None         # best path reduced cost seen (millicost)
     infeasible: bool = False             # no feasible path exists under current bans
-    infeasible_block: int | None = None  # a block no feasible path can pass, if that's why
     stats: dict = field(default_factory=dict)
 
 
@@ -133,6 +133,7 @@ class AdaptivePricer:
         self.totals = {
             "rep_computations": 0,
             "fill_searches": 0,
+            "fill_labels": 0,
             "refinements": 0,
             "merges": 0,
             "reuse_hits": 0,
@@ -166,8 +167,9 @@ class AdaptivePricer:
         predicates leave each block a ``top`` per coordinate
         (``NestedProblem.headroom``).  One dual-independent fill per
         (coordinate, box upper end, top) window with ``top`` above the end
-        looks for a subpath above the end and at most at ``top``; fill
-        labels are keyed by their whole vector, so the answer is exact.
+        looks for a subpath above the end and at most at ``top``; the
+        fill searches every subpath that can end in the window, so the
+        answer is exact.
         Return the windows checked, per block.
         """
         problem = self.problem
@@ -209,19 +211,20 @@ class AdaptivePricer:
         for bi in range(len(self.problem.blocks)):
             fresh = [b for b in self.partition.buckets(bi) if b.status == FRESH]
             if fresh:
-                compute_representative(self.problem, fresh, scaled, banned)
+                compute_representative(self.problem, fresh, scaled, banned,
+                                       tally=self.totals)
                 self.totals["rep_computations"] += len(fresh)
                 self.totals["fill_searches"] += 1
 
     def _live(self):
-        """Non-empty buckets per block, or the index of a dead block."""
+        """Non-empty buckets per block, or None when a block has none."""
         live = []
         for bi in range(len(self.problem.blocks)):
             bs = [b for b in self.partition.buckets(bi) if b.status == COMPUTED]
             if not bs:
-                return None, bi
+                return None
             live.append(bs)
-        return live, None
+        return live
 
     def _pessimistic(self, live, rcost_of, scaled, exclude):
         """(results, columns) of the pessimistic search over the ``live``
@@ -287,7 +290,7 @@ class AdaptivePricer:
         stats = {"refinements": 0, "merges": 0, "reuse_hit": False}
 
         if cfg.reuse:
-            live, _ = self._live()
+            live = self._live()
             if live is not None:
                 def stale_rc(bucket):
                     sp = bucket.rep.subpath
@@ -316,12 +319,9 @@ class AdaptivePricer:
             tick = time.perf_counter()
             self._compute_fresh(scaled, banned)
             self.timers["fill"] += time.perf_counter() - tick
-            live, dead = self._live()
+            live = self._live()
             if live is None:
-                outcome = PricingOutcome(
-                    [], None, None, infeasible=True, infeasible_block=dead,
-                    stats=stats,
-                )
+                outcome = PricingOutcome([], None, None, infeasible=True, stats=stats)
                 break
 
             tick = time.perf_counter()
@@ -374,7 +374,7 @@ class AdaptivePricer:
                 stats["refinements"] += 1
 
         if cfg.merge and not outcome.infeasible:
-            live, _ = self._live()
+            live = self._live()
             if live is not None:
                 tick = time.perf_counter()
                 n = self._merge_blocks(live, scaled)
@@ -453,10 +453,8 @@ class ExactPricer:
             table = view.table(banned)
             self.timers["enumerate"] += time.perf_counter() - tick
             if not table:
-                return PricingOutcome(
-                    [], None, None, infeasible=True, infeasible_block=bi,
-                    stats=self._snapshot(),
-                )
+                return PricingOutcome([], None, None, infeasible=True,
+                                      stats=self._snapshot())
             self.totals["enumerated"] += len(table)
             tick = time.perf_counter()
             front = _front(view, table, scaled)

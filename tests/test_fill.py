@@ -5,9 +5,11 @@ the cheapest in-box subpath of the exhaustive enumeration."""
 import json
 import random
 from fractions import Fraction
-from operator import add, le
+from operator import le, sub
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from nestedcg import buckets, driver, labeling, mpcvrp, pricing, synth
 from nestedcg.buckets import (
@@ -18,16 +20,26 @@ from nestedcg.buckets import (
     Representative,
 )
 from nestedcg.labeling import elementary_rcspp
-from nestedcg.model import SUM, Arc, Block, Boundary, Duals, NestedProblem, PathResource
+from nestedcg.model import (
+    SUM,
+    Arc,
+    Block,
+    Boundary,
+    Duals,
+    NestedProblem,
+    PathResource,
+    SubpathResource,
+)
 from nestedcg.pricing import AdaptivePricer, PricingConfig
 
 
-def _reference_fill(problem, group, duals, banned=frozenset()):
+def _reference_fill(problem, group, duals, banned=frozenset(), tally=None):
     """Per-bucket fill: one box-restricted search for every bucket."""
     for b in group:
         if b.status == EMPTY:
             continue
-        found = elementary_rcspp(problem, b.block, duals, boxes=[b.box], banned=banned)[0]
+        found = elementary_rcspp(problem, b.block, duals, boxes=[b.box], banned=banned,
+                                 tally=tally)[0]
         if found is not None:
             b.status, b.rep = COMPUTED, Representative(*found)
         else:
@@ -170,35 +182,160 @@ def test_a_tie_in_rcost_and_vector_goes_to_the_smaller_node_sequence():
     assert (rcost, found.contributions, found.nodes) == (1, (5,), (0, 1))
 
 
-def test_the_fill_creates_no_label_beyond_the_completion_bound(monkeypatch):
+def test_the_fill_creates_no_label_beyond_the_completion_bound():
     problem = mpcvrp.build_nested(mpcvrp.generate_instance(
         n=6, days=2, vehicles=3, delta=Fraction(9, 10), seed=1
     ))
     scaled = synth.random_duals(problem, 1).scaled()
     view = labeling.block_view(problem, 0)
-    least = view.least_completion()
     assert all(view.coord_monotone)
     # the quarter-width boxes without the top one, filled together
     group, ref = (Partition.initial(problem, _quarter(problem)).buckets(0)[:-1]
                   for _ in range(2))
     top = [max(b.hi[c] for b in group) for c in range(problem.total_coords)]
-    created = []
+    tally = {"fill_labels": 0}
+    got = buckets.compute_representative(problem, group, scaled, tally=tally)
 
-    class Recorded(labeling._Label):
-        __slots__ = ()
+    # the fill's states are the subpaths whose every prefix, on arrival at
+    # its last element (exit leg not yet added), is within that element's
+    # limit
+    arrivals = {
+        sp.nodes: tuple(map(sub, sp.contributions, view.exit[view.local[sp.nodes[-1]]][2]))
+        for sp in synth.enumerate_block_subpaths(problem, 0)
+    }
 
-        def __init__(self, node, rcost, res, *args, **kwargs):
-            super().__init__(node, rcost, res, *args, **kwargs)
-            created.append((node, res))
+    def states(top):
+        limits = view.limits(top)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(labeling, "_Label", Recorded)
-        got = buckets.compute_representative(problem, group, scaled)
-    assert created
-    for node, res in created:
-        assert all(map(le, map(add, res, least[node]), top)), (node, res)
+        def within(nodes):
+            return all(map(le, arrivals[nodes], limits[view.local[nodes[-1]]]))
+
+        return sum(all(within(nodes[:j]) for j in range(1, len(nodes) + 1))
+                   for nodes in arrivals)
+
+    assert 0 < states(top) < len(arrivals)
+    assert tally["fill_labels"] == states(top)
     assert got == _reference_fill(problem, ref, scaled)
     assert any(got)
+
+    # a top one below where some state's least completion ends: a limit
+    # one looser would expand that state too
+    least = view.least_completion()
+    ends = [vec[0] + least[view.local[nodes[-1]]][0] for nodes, vec in arrivals.items()]
+    tight = [min(end for end in ends if end > top[0]) - 1, *top[1:]]
+    assert states(tight) < states([tight[0] + 1, *tight[1:]])
+    tally = {"fill_labels": 0}
+    elementary_rcspp(problem, 0, scaled, boxes=[[(0, hi) for hi in tight]], tally=tally)
+    assert tally["fill_labels"] == states(tight)
+
+
+@st.composite
+def _fill_models(draw):
+    """(problem, duals, bans, boxes): one block of 1-4 elements with 1-2
+    contribution coordinates whose deltas, in half the draws, may be
+    negative, 0-2 subpath
+    resources, each floored or not, with deltas and windows that can bind
+    from below, and 1-3 disjoint boxes, split on the first coordinate."""
+    n = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, 2))
+    n_sub = draw(st.integers(0, 2))
+    ids = tuple(range(1, n + 1))
+    ints = st.integers
+    falls = draw(st.booleans())     # else every coordinate is monotone
+
+    def leg(kind, lo, hi):
+        return kind(cost=draw(ints(0, 6)),
+                    sub_deltas=tuple(draw(ints(-2, 3)) for _ in range(n_sub)),
+                    path_deltas=(tuple(draw(ints(lo if falls else 0, hi))
+                                       for _ in range(dim)),))
+
+    pairs = [(u, v) for u in ids for v in ids if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    block = Block(
+        elements=ids,
+        arcs={pair: leg(Arc, -3, 4) for pair in sorted(arcs)},
+        entry={k: leg(Boundary, -2, 4) for k in ids},
+        exit={k: leg(Boundary, -2, 3) for k in ids},
+    )
+    window = st.tuples(st.one_of(st.none(), ints(-2, 4)), st.one_of(st.none(), ints(0, 8)))
+    subs = [SubpathResource(block=0, windows={k: draw(window) for k in ids},
+                            floor_at_lower=draw(st.booleans()))
+            for _ in range(n_sub)]
+    problem = NestedProblem([block], subs, [PathResource(
+        dim=dim, agg=SUM, a=(0,) * dim, b=0, box=((-20, 20),) * dim)])
+    duals = Duals({k: Fraction(draw(ints(-2, 8)), draw(ints(1, 2))) for k in ids})
+    banned = frozenset(draw(st.lists(st.sampled_from(ids), max_size=2)))
+    k = draw(ints(1, 3))
+    cuts = sorted(draw(st.lists(ints(-6, 14), min_size=2 * k, max_size=2 * k, unique=True)))
+    firsts = [[cuts[2 * i], cuts[2 * i + 1]] for i in range(k)]
+    if draw(st.booleans()):
+        firsts[0][0] = None
+    if draw(st.booleans()):
+        firsts[-1][1] = None
+    rest = st.tuples(st.one_of(st.none(), ints(-4, 4)), st.one_of(st.none(), ints(4, 12)))
+    boxes = [(tuple(first), *(draw(rest) for _ in range(dim - 1))) for first in firsts]
+    return problem, duals, banned, boxes
+
+
+def _in_box(vec, box):
+    return all((lo is None or lo <= x) and (hi is None or x <= hi)
+               for x, (lo, hi) in zip(vec, box))
+
+
+def _tie_at_the_cut():
+    """(2,) and (1, 2) both reach 2, the least, and (1, 2) sorts first;
+    a coordinate search finds (2,) first, so only a strict cut keeps the
+    extension of (1,), which holds 2 on arrival at 2."""
+    block = Block(
+        elements=(1, 2),
+        arcs={(1, 2): Arc(path_deltas=((0,),))},
+        entry={1: Boundary(path_deltas=((2,),)), 2: Boundary(path_deltas=((2,),))},
+        exit={1: Boundary(path_deltas=((5,),))},
+    )
+    problem = NestedProblem([block], path_resources=[PathResource(
+        dim=1, agg=SUM, a=(0,), b=0, box=((-20, 20),))])
+    return problem, Duals({}), frozenset(), [((None, None),)]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_fill_models())
+@example(_tie_at_the_cut())
+def test_the_fill_answers_every_box_as_the_enumeration_does(model):
+    problem, duals, banned, boxes = model
+    view = labeling.block_view(problem, 0)
+    scaled = duals.scaled()
+    event(f"{len(boxes)} boxes")
+    for res in problem.subpath_resources:
+        bound = any(lo is not None for lo, _ in res.windows.values())
+        event(f"{'floored' if res.floor_at_lower else 'hard'} subpath resource, "
+              f"{'a lower window' if bound else 'open below'}")
+    if banned:
+        event("bans")
+    if not all(view.coord_monotone):
+        event("a coordinate that can fall")
+    every = synth.enumerate_block_subpaths(problem, 0, banned)
+
+    def first(box, value):
+        """The enumerated subpath in ``box`` that sorts first by (value,
+        vector, nodes), as the fill reports it."""
+        best = min(((value(sp), sp.contributions, sp.nodes, sp)
+                    for sp in every if _in_box(sp.contributions, box)), default=None)
+        return None if best is None else (best[3], best[0])
+
+    def rcost(sp):
+        return sp.cost * scaled.denom - sum(map(scaled.value, sp.nodes))
+
+    found = elementary_rcspp(problem, 0, scaled, boxes=boxes, banned=banned)
+    for box, got in zip(boxes, found):
+        want = first(box, rcost)
+        event("box filled" if want else "box empty")
+        assert got == want
+    unbanned = synth.enumerate_block_subpaths(problem, 0)
+    for c in range(problem.total_coords):
+        found = elementary_rcspp(problem, 0, boxes=boxes, banned=banned, objective=("coord", c))
+        assert found == [first(box, lambda sp: sp.contributions[c]) for box in boxes]
+        assert view.min_achievable(c) == min(
+            (sp.contributions[c] for sp in unbanned), default=None)
 
 
 @pytest.mark.parametrize("build", [lambda: _span(1), lambda: mpcvrp.build_nested(
