@@ -1,10 +1,12 @@
 """Adaptive box partitions of the contribution space.
 
-Each block gets a partition of the problem's contribution box into
-axis-aligned integer boxes ("buckets").  A bucket caches the cheapest
-feasible subpath whose contribution vector lies in its box -- its
-*representative* -- or the fact that no such subpath exists, which is
-permanent: bans only ever grow, so an empty box stays empty.
+Each block gets a partition of its range -- the problem's contribution
+box, stretched where the block has a subpath outside it that a feasible
+path may use -- into axis-aligned integer boxes ("buckets").  A bucket
+caches the cheapest feasible subpath whose contribution vector lies in
+its box -- its *representative* -- or the fact that no such subpath
+exists, which is permanent: bans only ever grow, so an empty box stays
+empty.
 
 The module owns geometry and state (tiling, splitting, merging,
 invalidation).  What the bounds mean, and when a merge is admissible, is
@@ -16,11 +18,12 @@ coordinate space (``problem.total_coords`` entries).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import product
 
-from .labeling import elementary_rcspp
+from .labeling import block_view, elementary_rcspp
 from .model import ModelError
 
 FRESH = "fresh"
@@ -104,6 +107,9 @@ class Partition:
 
     def __init__(self, problem, per_block):
         self.problem = problem
+        box = problem.contribution_box()
+        # per block, the range its buckets tile (``BlockView.reach``)
+        self.ranges = [block_view(problem, bi).reach(box) for bi in range(len(per_block))]
         self.per_block = [sorted(bs, key=lambda b: b.lo) for bs in per_block]
         self._serial = max(
             (b.serial for bs in per_block for b in bs), default=-1
@@ -114,12 +120,14 @@ class Partition:
 
     @classmethod
     def initial(cls, problem, width):
-        """Tile the contribution box uniformly.
+        """Tile the contribution box uniformly, then give each block one
+        extension tile per side of an axis where its range
+        (``labeling.BlockView.reach``) stretches past the box.
 
         ``width`` is a positive integer (same for every coordinate) or a
         sequence with one width per concatenated coordinate.  Each
-        coordinate range splits into ``max(1, span // width)`` tiles, the
-        last one absorbing the remainder.
+        coordinate range of the box splits into ``max(1, span // width)``
+        tiles, the last one absorbing the remainder.
         """
         d = problem.total_coords
         if isinstance(width, int):
@@ -133,18 +141,20 @@ class Partition:
         box = problem.contribution_box()
         if any(w < 1 for w in widths):
             raise ModelError(f"bucket width {width} over box {box}: must be positive")
-        axes = [_tiles(lo, hi, w) for (lo, hi), w in zip(box, widths)]
-        count = 1
-        for ax in axes:
-            count *= len(ax)
-        if count > MAX_BUCKETS_PER_BLOCK:
-            raise ModelError(
-                f"bucket width {width} over box {box}: {count} buckets per block "
-                f"exceed the limit {MAX_BUCKETS_PER_BLOCK}; use a larger width"
-            )
         per_block = []
         serial = 0
         for bi in range(len(problem.blocks)):
+            axes = []
+            for (lo, hi), w, (low, high) in zip(box, widths,
+                                                block_view(problem, bi).reach(box)):
+                axes.append([(low, lo - 1)] * (low < lo) + _tiles(lo, hi, w)
+                            + [(hi + 1, high)] * (high > hi))
+            count = math.prod(map(len, axes))
+            if count > MAX_BUCKETS_PER_BLOCK:
+                raise ModelError(
+                    f"bucket width {width} over box {box}: {count} buckets per block "
+                    f"exceed the limit {MAX_BUCKETS_PER_BLOCK}; use a larger width"
+                )
             buckets = []
             for cell in product(*axes):
                 lo = tuple(c[0] for c in cell)
@@ -169,24 +179,21 @@ class Partition:
         return s
 
     def validate(self):
-        box = self.problem.contribution_box()
-        full_volume = 1
-        for lo, hi in box:
-            full_volume *= hi - lo + 1
-        for bi, bs in enumerate(self.per_block):
+        for bi, (bs, span) in enumerate(zip(self.per_block, self.ranges)):
             vol = 0
             for b in bs:
                 if b.block != bi:
                     raise BucketError(f"bucket {b.serial} filed under wrong block")
-                for (l, h), (bl, bh) in zip(zip(b.lo, b.hi), box):
+                for (l, h), (bl, bh) in zip(zip(b.lo, b.hi), span):
                     if not (bl <= l <= h <= bh):
                         raise BucketError(
-                            f"bucket {b.serial} box escapes the contribution box"
+                            f"bucket {b.serial} box escapes block {bi}'s range {span}"
                         )
                 vol += b.volume
+            full_volume = math.prod(hi - lo + 1 for lo, hi in span)
             if vol != full_volume:
                 raise BucketError(
-                    f"block {bi}: bucket volumes sum to {vol}, box has {full_volume}"
+                    f"block {bi}: bucket volumes sum to {vol}, its range has {full_volume}"
                 )
             # buckets are filed by lower corner: once one starts past a's
             # first-coordinate end, so do all after it
@@ -364,9 +371,9 @@ def compute_representative(problem, buckets, duals, banned=frozenset(), tally=No
 
     Marks a bucket EMPTY -- permanently -- when its box holds no feasible
     subpath contribution vector at all; EMPTY buckets are not searched.
-    A subpath outside every box is dropped: the pricer that owns the
-    partition refuses, when it is built, any problem where a feasible
-    path may hold such a subpath (``pricing.AdaptivePricer._check_box``).
+    A subpath outside every box is dropped: the partition tiles each
+    block's reach (``labeling.BlockView.reach``), so no feasible path
+    can use it.
     """
     group = list(buckets)
     if len({b.block for b in group}) > 1:

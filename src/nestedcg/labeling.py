@@ -21,6 +21,9 @@ on a feasible path once, as data for the enumerative pricer
 stops a subpath as soon as it and every extension of it end above what
 the path predicates leave the block (:meth:`BlockView.headroom`, with
 every block at the least an entry leg plus a least completion add).
+:meth:`BlockView.reach` stretches the contribution box, per block, over
+every subpath that a feasible path can use: the range that the bucket
+partition tiles.
 
 The layered search stores labels only for the layers that a later
 layer extends: per item, every label that fewer than ``top_k`` stored
@@ -354,22 +357,9 @@ class BlockView:
         self.coord_monotone = tuple(
             all(coords[c] >= 0 for _, _, coords in legs) for c in range(self.n_coords)
         )
-        self._min_achievable = {}
         self._least = None
+        self._reach = {}          # box -> reach
         self._tables = {}         # block-local banned mask -> SubpathTable
-
-    def min_achievable(self, coord: int) -> int | None:
-        """Smallest contribution value on one coordinate over all feasible
-        subpaths of the block; None when the block admits none at all."""
-        if coord not in self._min_achievable:
-            unbounded = ((None, None),) * self.n_coords
-            found = elementary_rcspp(
-                self.problem, self.index, boxes=[unbounded],
-                objective=("coord", coord),
-            )[0]
-            # when minimizing a coordinate the reported rcost is its value
-            self._min_achievable[coord] = None if found is None else found[1]
-        return self._min_achievable[coord]
 
     def least_completion(self) -> list:
         """Per local element v, the least amount on each monotone
@@ -418,6 +408,42 @@ class BlockView:
             lows.append(tuple(map(min, zip(*starts))))
         tops = problem.headroom(lows)
         return (math.inf,) * self.n_coords if tops is None else tops[self.index]
+
+    def reach(self, box) -> tuple:
+        """Per coordinate, ``box``'s (lo, hi), stretched on a side where
+        the block has a subpath outside it that a feasible path may use.
+
+        An elementary subpath of m elements takes at most m - 1 arcs, so
+        it holds at least ``least``: the least entry, m - 1 times the
+        least arc below 0, and the least exit; a usable one holds at most
+        ``most``, the same with the largest values, capped by
+        :meth:`headroom`.  lo becomes ``least`` when a zero-dual fill
+        finds a subpath below lo, and hi becomes ``most`` when one finds a
+        subpath in (hi, most].  Dual-independent, and bans only take
+        subpaths away; cached per box."""
+        if box not in self._reach:
+            m = len(self.elements)
+            tops = self.headroom()
+            arcs = [arc[3] for outs in self.arcs_out for arc in outs]
+            out = []
+            for c, (lo, hi) in enumerate(box):
+                entry = [flat[c] for _, _, flat in self.entry]
+                exit_ = [flat[c] for _, _, flat in self.exit]
+                steps = [0, *(flat[c] for flat in arcs)]
+                least = min(entry) + (m - 1) * min(steps) + min(exit_)
+                most = min(tops[c], max(entry) + (m - 1) * max(steps) + max(exit_))
+                if least < lo and self._finds(c, (None, lo - 1)):
+                    lo = least
+                if most > hi and self._finds(c, (hi + 1, most)):
+                    hi = most
+                out.append((lo, hi))
+            self._reach[box] = tuple(out)
+        return self._reach[box]
+
+    def _finds(self, c, window) -> bool:
+        """Whether some subpath lies in ``window`` on coordinate c."""
+        boxes = [[(None, None)] * c + [window] + [(None, None)] * (self.n_coords - c - 1)]
+        return elementary_rcspp(self.problem, self.index, boxes=boxes)[0] is not None
 
     def _mask(self, banned) -> int:
         mask = 0
@@ -637,7 +663,6 @@ def elementary_rcspp(
     *,
     boxes,
     banned=frozenset(),
-    objective="rcost",
     tally=None,
 ):
     """The cheapest elementary subpath of one block under per-element
@@ -646,16 +671,14 @@ def elementary_rcspp(
     ``boxes`` holds disjoint boxes; each restricts the final contribution
     vector to per-coordinate [lo, hi] ranges (concatenated coordinate
     space; None leaves an end open), and a single search answers them
-    all.  ``banned`` elements are skipped entirely.
-    ``objective`` is "rcost" or ("coord", c) to minimize one contribution
-    coordinate instead (``BlockView.min_achievable``).  When ``tally`` is
-    a dict, its ``"fill_labels"`` entry gains the number of states the
+    all.  ``banned`` elements are skipped entirely.  When ``tally`` is a
+    dict, its ``"fill_labels"`` entry gains the number of states the
     search expands.
 
     The search is depth first and keeps no label store.  Each state
     carries its node sequence, and each completed subpath goes to the box
     holding its vector, where it replaces the box's answer when it sorts
-    before it by (objective, vector, node sequence).  So every box gets
+    before it by (reduced cost, vector, node sequence).  So every box gets
     the unique first subpath in that order, whatever order the states are
     visited in.
 
@@ -664,26 +687,16 @@ def elementary_rcspp(
     the monotone coordinates that every box bounds.  Every completion from
     node v adds at least v's least completion, and ``least[u] <=
     delta(u, t) + least[t]``, so neither the state nor any extension of
-    it can end in a box.  A ``("coord", c)`` search, once every box has an
-    answer, also lowers the limits on c to the worst answer's value less
-    each node's least completion: a state dropped by that ends strictly
-    above every answer, so ties are still searched.
+    it can end in a box.
 
-    Returns one entry per box: the (Subpath, value) pair that sorts first,
-    value being the scaled reduced cost (the scale is ``duals.denom``) or
-    the coordinate's value, or None when no feasible subpath lies in the
-    box.
+    Returns one entry per box: the (Subpath, scaled reduced cost) pair
+    that sorts first (the scale is ``duals.denom``), or None when no
+    feasible subpath lies in the box.
     """
     view = block_view(problem, block_index)
     boxes = [tuple(box) for box in boxes]
     duals = as_scaled(duals)
     denom = duals.denom
-
-    coord = None
-    if objective != "rcost":
-        kind, coord = objective
-        if kind != "coord":
-            raise LabelingError(f"unknown objective {objective!r}")
 
     n = view.n_coords
     top = [math.inf] * n
@@ -691,7 +704,7 @@ def elementary_rcspp(
         his = [box[c][1] for box in boxes]
         if view.coord_monotone[c] and None not in his:
             top[c] = max(his)
-    limits = [list(limit) for limit in view.limits(top)]
+    limits = view.limits(top)
     locate = _box_locator(boxes)
 
     banned_local = {view.local[k] for k in banned if k in view.local}
@@ -719,7 +732,7 @@ def elementary_rcspp(
         if values is not None:
             stack.append((local, (local,), 1 << local, cost * denom - gain[local],
                           cost, contribs, values))
-    kept = [None] * len(boxes)      # per box: (value, vector, nodes, cost)
+    kept = [None] * len(boxes)      # per box: (rcost, vector, nodes, cost)
     expanded = 0
     while stack:
         node, nodes, visited, rcost, cost, res, sub = stack.pop()
@@ -728,15 +741,11 @@ def elementary_rcspp(
         contribs = tuple(map(add, res, exit_d))
         i = locate(contribs)
         if i >= 0:
-            value = rcost + scaled if coord is None else contribs[coord]
+            value = rcost + scaled
             best = kept[i]
             if best is None or value < best[0] or value == best[0] and (
                     contribs < best[1] or contribs == best[1] and nodes < best[2]):
                 kept[i] = (value, contribs, nodes, cost + exit_cost)
-                if coord is not None and None not in kept:
-                    cut = max(entry[0] for entry in kept)
-                    for limit, least in zip(limits, view.least_completion()):
-                        limit[coord] = min(limit[coord], cut - least[coord])
         for target, bit, arc_cost, step, sub_d, coord_d, checks, limit in arcs[node]:
             if visited & bit:
                 continue

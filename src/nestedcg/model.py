@@ -135,16 +135,11 @@ class PathResource:
     """Global d-dimensional resource with a linear sink predicate.
 
     ``agg`` is "sum" or "max" (componentwise).  ``box`` gives, per
-    coordinate, the integer range that per-block contributions can take;
-    it seeds the bucket partition and is not itself a feasibility
-    constraint.  The adaptive pricer sees only subpaths inside it, so
-    when it is built it raises a ModelError for a block that can reach
-    below ``lo`` (predicates are downward closed, so such a subpath is
-    always usable), or above ``hi`` where ``a . v <= b`` admits the
-    subpath with every other block and coordinate at the least it can
-    reach; one exact search per such coordinate and block decides this.
-    Any other subpath above ``hi`` is unusable (in the routing encoding
-    ``hi`` is the distance cap, and no search runs).
+    coordinate, the integer range that per-block contributions usually
+    take; it seeds the bucket partition and is not itself a feasibility
+    constraint.  A block with a subpath outside it that a path may use
+    gets one more bucket on that side (``labeling.BlockView.reach``); in
+    the routing encoding ``hi`` is the distance cap, and none does.
     """
 
     dim: int
@@ -421,17 +416,15 @@ class NestedProblem:
         when no path can pass.
 
         ``lows[b][c]`` is at most every contribution of block b on
-        coordinate c: -inf where nothing is known, inf for a block
-        without subpaths.  With every block at its low the predicates
-        leave a coordinate ``rise`` of headroom (inf where no predicate
-        with a finite slack weighs it); a block may hold up to that above
-        its own low under ``SUM`` and above the largest low under ``MAX``.
+        coordinate c, -inf where nothing is known.  With every block at
+        its low the predicates leave a coordinate ``rise`` of headroom
+        (inf where no predicate with a finite slack weighs it); a block
+        may hold up to that above its own low under ``SUM`` and above the
+        largest low under ``MAX``.
         Above that, the weights being nonnegative and the other blocks
         adding at least their lows, the path fails the predicate that set
         the rise.  A zero weight never multiplies a low, so nothing here
         is nan."""
-        if any(inf in low for low in lows):
-            return None
         least = [sum(col) if agg == SUM else max(col)
                  for agg, col in zip(self.aggs, zip(*lows))]
         slack = [bound - sum(w * x for w, x in zip(weights, least) if w)

@@ -9,11 +9,13 @@ search yields each bucket exactly the representative its own
 box-restricted search would (see ``labeling.elementary_rcspp``).  A
 layered search over buckets then prices whole paths twice:
 
-* *optimistic*: buckets contribute their box lower corner.  Lower corners
-  underestimate every member's contribution componentwise, predicates are
-  downward closed, and representatives underestimate member reduced
-  costs, so the value is a valid lower bound on the true minimum reduced
-  cost -- at any refinement stage.
+* *optimistic*: buckets contribute their box lower corner.  A block's
+  buckets tile its reach (``labeling.BlockView.reach``), which holds
+  every subpath a feasible path can use; lower corners underestimate
+  every member's contribution componentwise, predicates are downward
+  closed, and representatives underestimate member reduced costs, so
+  the value is a valid lower bound on the true minimum reduced cost --
+  at any refinement stage.
 * *pessimistic*: buckets contribute their representative's true vector.
   Any result is an actual feasible path built from representatives, hence
   an upper bound, and a usable column when negative.
@@ -46,8 +48,8 @@ from fractions import Fraction
 from operator import le
 
 from .buckets import COMPUTED, EMPTY, FRESH, Partition, compute_representative
-from .labeling import block_view, elementary_rcspp, label_search, through_values
-from .model import ModelError, as_scaled, check_path_feasible
+from .labeling import block_view, label_search, through_values
+from .model import as_scaled, check_path_feasible
 
 
 # path searches return at most this many columns per pricing call
@@ -126,7 +128,6 @@ class AdaptivePricer:
         if self.config.strategy not in ("representative", "midpoint"):
             raise PricingError(f"unknown strategy {self.config.strategy!r}")
         self.rules = problem.aggs, problem.predicates, problem.monotone
-        self._check_box()
         self.partition: Partition | None = None
         self.banned = frozenset()
         self.refines_per_block = [0] * len(problem.blocks)
@@ -157,54 +158,6 @@ class AdaptivePricer:
                 )
             self.partition.invalidate(banned - self.banned)
         self.banned = banned
-
-    def _check_box(self):
-        """Raise a ModelError when a block reaches below the contribution
-        box, or above it where a feasible path may hold the subpath: no
-        bucket holds either, so the pricer would miss the paths through it.
-
-        With every block at its least (``BlockView.min_achievable``) the
-        predicates leave each block a ``top`` per coordinate
-        (``NestedProblem.headroom``).  One dual-independent fill per
-        (coordinate, box upper end, top) window with ``top`` above the end
-        looks for a subpath above the end and at most at ``top``; the
-        fill searches every subpath that can end in the window, so the
-        answer is exact.
-        Return the windows checked, per block.
-        """
-        problem = self.problem
-        box = problem.contribution_box()
-        mins = []       # inf for a block without subpaths
-        for bi in range(len(problem.blocks)):
-            view = block_view(problem, bi)
-            mins.append([math.inf if low is None else low
-                         for low in map(view.min_achievable, range(len(box)))])
-            for c, ((lo, _), low) in enumerate(zip(box, mins[-1])):
-                if low < lo:
-                    raise ModelError(
-                        f"block {bi} reaches {low} on contribution coordinate {c}, "
-                        f"below the box's lower end {lo}"
-                    )
-        tops = problem.headroom(mins)
-        if tops is None:
-            return [()] * len(mins)     # no path can pass the predicates
-        windows = []
-        for bi, top in enumerate(tops):
-            found = []
-            for c, ((_, hi), most) in enumerate(zip(box, top)):
-                if most > hi:
-                    window = [(None, None)] * len(box)
-                    window[c] = (hi + 1, None if most == math.inf else most)
-                    hit = elementary_rcspp(problem, bi, boxes=[window])[0]
-                    if hit is not None:
-                        raise ModelError(
-                            f"block {bi} reaches {hit[0].contributions[c]} on "
-                            f"contribution coordinate {c}, above the box's upper "
-                            f"end {hi}, where a feasible path may hold a subpath"
-                        )
-                    found.append((c, hi, most))
-            windows.append(tuple(found))
-        return windows
 
     def _compute_fresh(self, scaled, banned):
         """Fill every stale bucket with one label search per block."""

@@ -11,6 +11,7 @@ from nestedcg.buckets import (
     COMPUTED,
     EMPTY,
     FRESH,
+    MAX_BUCKETS_PER_BLOCK,
     Bucket,
     BucketError,
     Partition,
@@ -66,8 +67,11 @@ def test_initial_per_coordinate_widths():
     part = Partition.initial(_line_problem(span=9, dim=2), (5, 3))
     boxes = {(b.lo, b.hi) for b in part.buckets(0)}
     assert ((0, 0), (4, 2)) in boxes
-    # ten values per axis: width 5 -> 2 tiles, width 3 -> 3 (last absorbs)
-    assert len(boxes) == 2 * 3
+    # ten values per axis: width 5 -> 2 tiles, width 3 -> 3 (last absorbs);
+    # the subpath (1, 2) holds (10, 10), above the box, and the headroom
+    # 18 admits it, so each axis gets the extension tile (10, 10)
+    assert ((10, 10), (10, 10)) in boxes
+    assert len(boxes) == (2 + 1) * (3 + 1)
 
 
 def test_initial_rejects_bad_widths():
@@ -95,6 +99,30 @@ def test_validate_rejects_gaps_overlaps_and_misfiled_buckets():
         Partition(problem, [[Bucket(1, (0,), (9,), 0)]])
     with pytest.raises(BucketError, match="escapes"):
         Partition(problem, [[Bucket(0, (0,), (12,), 0)]])
+
+
+def test_validate_holds_each_block_to_its_own_range():
+    # the subpath (1, 2) holds (10, 10), one past the box (0..9)² on each
+    # axis, so the block's range is (0..10)²
+    problem = _line_problem(span=9, dim=2)
+    part = Partition.initial(problem, 1)
+    assert part.ranges == [((0, 10), (0, 10))]
+    assert len(part.buckets(0)) == 11 * 11
+    Partition(problem, [[Bucket(0, (0, 0), (10, 10), 0)]])
+    with pytest.raises(BucketError, match="escapes block 0's range"):
+        Partition(problem, [[Bucket(0, (0, 0), (10, 11), 0)]])
+    with pytest.raises(BucketError, match="its range has 121"):
+        Partition(problem, [[Bucket(0, (0, 0), (9, 9), 0)]])
+
+
+def test_an_unextended_block_fits_every_width_the_box_admits():
+    # a block whose range is the box gets exactly the box's tiles, so the
+    # limit refuses only what the box's own count exceeds
+    part = Partition.initial(_line_problem(span=MAX_BUCKETS_PER_BLOCK - 1), 1)
+    assert part.ranges == [((0, MAX_BUCKETS_PER_BLOCK - 1),)]
+    assert len(part.buckets(0)) == MAX_BUCKETS_PER_BLOCK
+    with pytest.raises(ModelError, match=f"{MAX_BUCKETS_PER_BLOCK + 1} buckets per block"):
+        Partition.initial(_line_problem(span=MAX_BUCKETS_PER_BLOCK), 1)
 
 
 def test_validate_scales_to_many_buckets_and_still_finds_overlaps():
@@ -142,7 +170,11 @@ def test_representative_refinement_cuts_at_the_vector():
 def test_representative_refinement_falls_back_to_midpoint_on_corner():
     # vector already on the lower corner in coordinate 0: cut 0 at midpoint
     part = Partition.initial(_line_problem(span=9, dim=2), 10)
-    (bucket,) = part.buckets(0)
+    # the box, then an extension tile (10, 10) on each axis
+    assert {(b.lo, b.hi) for b in part.buckets(0)} == {
+        ((0, 0), (9, 9)), ((0, 10), (9, 10)), ((10, 0), (10, 9)), ((10, 10), (10, 10))
+    }
+    bucket = part.buckets(0)[0]
     bucket.status = COMPUTED
     bucket.rep = _rep((1,), 3, (0, 7))
     children = part.refine_bucket(bucket, "representative")
@@ -190,17 +222,19 @@ def test_refinement_scales_to_many_buckets():
 
 
 def test_adjacent_pairs_share_exactly_one_facet():
+    # three tiles per axis: two of width 5 and the extension tile (10, 10)
     part = Partition.initial(_line_problem(span=9, dim=2), 5)
     pairs = part.adjacent_pairs(0)
     as_boxes = [((a.lo, a.hi), (b.lo, b.hi)) for a, b in pairs]
     assert (((0, 0), (4, 4)), ((0, 5), (4, 9))) in as_boxes
     assert (((0, 0), (4, 4)), ((5, 0), (9, 4))) in as_boxes
+    assert (((5, 0), (9, 4)), ((10, 0), (10, 4))) in as_boxes
     # diagonals differ on two coordinates and never pair up
     assert all(
         not (a == ((0, 0), (4, 4)) and b == ((5, 5), (9, 9)))
         for a, b in as_boxes
     )
-    assert len(as_boxes) == 4
+    assert len(as_boxes) == 2 * 3 * 2
 
 
 def test_merge_pass_touches_each_bucket_once():
@@ -210,8 +244,10 @@ def test_merge_pass_touches_each_bucket_once():
         b.rep = _rep((1,), 1, b.lo)
     merges = part.merge_pass(0, lambda lower, upper: True)
     part.validate()
-    assert merges == 2
-    assert len(part.buckets(0)) == 2
+    # nine buckets (the box's four plus five extension tiles): a greedy
+    # sweep in lower-corner order pairs up eight of them
+    assert merges == 4
+    assert len(part.buckets(0)) == 9 - 4
 
 
 def test_merge_keeps_the_cheaper_representative():

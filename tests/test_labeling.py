@@ -305,17 +305,6 @@ def test_banned_elements_are_skipped():
     assert all(victim not in sp.nodes for sp in table.subpaths)
 
 
-def test_coordinate_objective_minimizes_that_coordinate():
-    for seed in (1, 5, 9):
-        problem = synth.random_tiny_instance(seed)
-        for block_index in range(len(problem.blocks)):
-            subs = synth.enumerate_block_subpaths(problem, block_index)
-            for coord in range(problem.total_coords):
-                want = min(sp.contributions[coord] for sp in subs)
-                view = block_view(problem, block_index)
-                assert view.min_achievable(coord) == want
-
-
 def _routing(n, seed):
     return mpcvrp.build_nested(mpcvrp.generate_instance(
         n=n, days=2, vehicles=2, delta=Fraction(1, 2), seed=seed
@@ -357,6 +346,20 @@ def test_block_enumeration_matches_the_oracle(family):
                 blocks += 1
             banned |= {rng.choice(problem.elements)}
     assert blocks
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_reach_is_the_box_on_every_generated_family(family):
+    # every subpath of these families that a feasible path can use lies
+    # in the box, so no block's tiling stretches past it
+    for seed in range(1, 6):
+        problem = FAMILIES[family](seed)
+        box = problem.contribution_box()
+        for bi in range(len(problem.blocks)):
+            assert block_view(problem, bi).reach(box) == box
+            if seed <= 2:
+                assert all(lo <= x <= hi for sp in usable_subpaths(problem, bi)
+                           for x, (lo, hi) in zip(sp.contributions, box))
 
 
 def _flat(item, n_coords):

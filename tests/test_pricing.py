@@ -6,7 +6,7 @@ import math
 import random
 from collections import defaultdict
 from fractions import Fraction
-from operator import le, mul
+from operator import le
 
 import pytest
 from helpers import reduced_cost, usable_subpaths
@@ -20,12 +20,12 @@ from nestedcg.model import (
     COVER,
     MAX,
     MILLI,
+    PARTITION,
     SUM,
     Arc,
     Block,
     Boundary,
     Duals,
-    ModelError,
     NestedProblem,
     PathResource,
     SubpathResource,
@@ -304,45 +304,59 @@ def test_adaptive_and_exact_agree_on_every_dual_vector():
             assert a.optimistic == e.optimistic
 
 
-def test_adaptive_rejects_a_box_that_blocks_undershoot():
-    # each block's one subpath contributes (1, -3), below the box's lower
-    # end on coordinate 1: usable (predicates are downward closed), but no
-    # bucket could hold it, so the adaptive pricer would miss every path
+def _tiled(problem, block, vector):
+    """Whether ``block``'s initial tiling has a bucket holding ``vector``."""
+    return any(b.contains(vector) for b in Partition.initial(problem, 250).buckets(block))
+
+
+def _undershoot_problem():
+    """Each block's one subpath contributes (1, -3), below the box's lower
+    end 0 on coordinate 1, and usable: predicates are downward closed."""
     def block(k):
         entry = Boundary(cost=11 * MILLI, path_deltas=((1, -3),))
         return Block(elements=(k,), entry={k: entry})
 
     resource = PathResource(dim=2, agg=SUM, a=(1, 1), b=100, box=((0, 5), (0, 5)))
-    problem = NestedProblem([block(1), block(2)], path_resources=[resource], sense=COVER)
-    exact = driver.solve(problem, driver.DriverConfig(pricer="exact"))
-    assert (exact.status, exact.lp_value) == ("optimal", 22 * MILLI)
-    with pytest.raises(ModelError, match=(
-        r"block 0 reaches -3 on contribution coordinate 1, "
-        r"below the box's lower end 0"
-    )):
-        driver.solve(problem, driver.DriverConfig(pricer="adaptive"))
+    return NestedProblem([block(1), block(2)], path_resources=[resource], sense=COVER)
 
 
-@pytest.mark.parametrize("exit_delta, value", [(0, 7), (-1, 6)])
-def test_adaptive_rejects_a_usable_subpath_above_the_box(exit_delta, value):
-    # each block's one subpath enters with contribution 7 and leaves with
-    # ``exit_delta``, above the box's upper end 5; with the other block at
-    # its least, value, a path holds values up to 100 - value, so no bucket
-    # may drop it.  The coordinate is monotone (exit 0) or not (exit -1)
+def _overshoot_above(exit_delta):
+    """Each block's one subpath enters with contribution 7 and leaves with
+    ``exit_delta``, above the box's upper end 5; with the other block at
+    its least, a path holds values up to 100 less that least."""
     def block(k):
         entry = Boundary(cost=11 * MILLI, path_deltas=((7,),))
         leave = Boundary(path_deltas=((exit_delta,),))
         return Block(elements=(k,), entry={k: entry}, exit={k: leave})
 
     resource = PathResource(dim=1, agg=SUM, a=(1,), b=100, box=((0, 5),))
-    problem = NestedProblem([block(1), block(2)], path_resources=[resource], sense=COVER)
+    return NestedProblem([block(1), block(2)], path_resources=[resource], sense=COVER)
+
+
+def _assert_pricers_agree(problem, lp_value):
     exact = driver.solve(problem, driver.DriverConfig(pricer="exact"))
-    assert (exact.status, exact.lp_value) == ("optimal", 22 * MILLI)
-    with pytest.raises(ModelError, match=(
-        rf"block 0 reaches {value} on contribution coordinate 0, "
-        r"above the box's upper end 5"
-    )):
-        AdaptivePricer(problem)
+    adaptive = driver.solve(problem, driver.DriverConfig(pricer="adaptive"))
+    assert (exact.status, exact.lp_value) == ("optimal", lp_value)
+    assert (adaptive.status, adaptive.lp_value) == (exact.status, exact.lp_value)
+
+
+def test_adaptive_rejects_a_box_that_blocks_undershoot():
+    # no bucket of the box holds (1, -3), so each block's tiling reaches
+    # down to it, and the adaptive pricer answers as exact does
+    problem = _undershoot_problem()
+    assert Partition.initial(problem, 250).ranges == [((0, 5), (-3, 5))] * 2
+    assert _tiled(problem, 0, (1, -3)) and _tiled(problem, 1, (1, -3))
+    _assert_pricers_agree(problem, 22 * MILLI)
+
+
+@pytest.mark.parametrize("exit_delta, value", [(0, 7), (-1, 6)])
+def test_adaptive_rejects_a_usable_subpath_above_the_box(exit_delta, value):
+    # the subpath holds ``value``, which a path may hold, so each block's
+    # tiling reaches up to it.  The coordinate is monotone (exit 0) or
+    # not (exit -1)
+    problem = _overshoot_above(exit_delta)
+    assert _tiled(problem, 0, (value,)) and _tiled(problem, 1, (value,))
+    _assert_pricers_agree(problem, 22 * MILLI)
 
 
 def _six_and_one(arc):
@@ -359,16 +373,10 @@ def _six_and_one(arc):
 def test_adaptive_rejects_a_usable_descendant_of_a_pruned_label():
     # (1, 2) contributes 6, above the box; a path holds it but not (1).  The
     # label at 1 is above the box, and its own completion 9 is unusable,
-    # but its descendant (1, 2) is not: no bucket holds it, so the pricer
-    # must raise
+    # but its descendant (1, 2) is not: the block's tiling reaches it
     problem = _six_and_one((1, 2))
-    exact = driver.solve(problem, driver.DriverConfig(pricer="exact"))
-    assert (exact.status, exact.lp_value) == ("optimal", 11 * MILLI)
-    with pytest.raises(ModelError, match=(
-        r"block 0 reaches 6 on contribution coordinate 0, "
-        r"above the box's upper end 5"
-    )):
-        AdaptivePricer(problem)
+    assert _tiled(problem, 0, (6,))
+    _assert_pricers_agree(problem, 11 * MILLI)
 
 
 def test_an_unusable_completion_above_the_box_is_not_refused():
@@ -376,17 +384,16 @@ def test_an_unusable_completion_above_the_box_is_not_refused():
     # in (5, 7], so nothing a path can use is above the box, and the
     # adaptive pricer must answer as exact does
     problem = _six_and_one((2, 1))
-    exact = driver.solve(problem, driver.DriverConfig(pricer="exact"))
-    adaptive = driver.solve(problem, driver.DriverConfig(pricer="adaptive"))
-    assert (exact.status, exact.lp_value) == ("optimal", 11 * MILLI)
-    assert (adaptive.status, adaptive.lp_value) == (exact.status, exact.lp_value)
+    assert Partition.initial(problem, 250).ranges == [((0, 5),)]
+    _assert_pricers_agree(problem, 11 * MILLI)
 
 
 @pytest.mark.parametrize("agg, b, usable", [
-    # block 0's one subpath contributes (0, 1), block 1's (1, 2); with both
-    # at that least, SUM leaves a coordinate b - 4 of headroom, so block 0
-    # may reach (b - 4, b - 3) and block 1 (b - 3, b - 2).  At the box's
-    # lower ends, (0, 1) for both, b = 8 would let coordinate 0 rise to 6
+    # block 0's least subpath contributes (0, 1), block 1's (1, 2); with
+    # both at that least, SUM leaves a coordinate b - 4 of headroom, so
+    # block 0 may reach (b - 4, b - 3) and block 1 (b - 3, b - 2).  At the
+    # box's lower ends, (0, 1) for both, b = 8 would let coordinate 0 rise
+    # to 6
     (SUM, 8, ((False, False), (False, False))),
     (SUM, 7, ((False, False), (False, False))),
     (SUM, 11, ((True, False), (True, True))),
@@ -397,16 +404,22 @@ def test_an_unusable_completion_above_the_box_is_not_refused():
     (MAX, 10, ((True, True), (True, True))),
 ])
 def test_above_box_usable_puts_everything_else_at_its_lower_end(agg, b, usable):
-    # "its lower end": the least each block can reach, not the box's
+    # "its lower end": the least each block can reach, not the box's.  Each
+    # block's other subpath holds (6, 9), one above the box on both
+    # coordinates, so a block's range stretches above the box exactly on
+    # the coordinates where its headroom passes the box's upper end
     def block(k, vec):
-        return Block(elements=(k,), entry={k: Boundary(path_deltas=(vec,))})
+        return Block(elements=(k, k + 10),
+                     entry={k: Boundary(path_deltas=(vec,)),
+                            k + 10: Boundary(path_deltas=((6, 9),))})
 
-    resource = PathResource(dim=2, agg=agg, a=(1, 1), b=b, box=((0, 5), (1, 8)))
+    box = ((0, 5), (1, 8))
+    resource = PathResource(dim=2, agg=agg, a=(1, 1), b=b, box=box)
     problem = NestedProblem([block(1, (0, 1)), block(2, (1, 2))],
                             path_resources=[resource])
-    windows = AdaptivePricer(problem)._check_box()
+    ranges = Partition.initial(problem, 250).ranges
     assert tuple(
-        tuple(any(w[0] == c for w in found) for c in range(2)) for found in windows
+        tuple(high > hi for (_, high), (_, hi) in zip(span, box)) for span in ranges
     ) == usable
 
 
@@ -423,32 +436,46 @@ def _overshoot_problem(b):
 
 
 def test_pricers_agree_where_the_bound_excludes_the_overshoot():
-    # with b = 5 no path can hold the 7
+    # with b = 5 no path can hold the 7, and the tiling stays in the box
     problem = _overshoot_problem(5)
-    assert AdaptivePricer(problem)._check_box() == [(), ()]
-    exact = driver.solve(problem, driver.DriverConfig(pricer="exact"))
-    adaptive = driver.solve(problem, driver.DriverConfig(pricer="adaptive"))
-    assert (exact.status, exact.lp_value) == ("optimal", 44 * MILLI)
-    assert (adaptive.status, adaptive.lp_value) == (exact.status, exact.lp_value)
+    assert Partition.initial(problem, 250).ranges == [((0, 5),)] * 2
+    _assert_pricers_agree(problem, 44 * MILLI)
 
 
 @pytest.mark.parametrize("b", [6, 7, 8])
 def test_overshoot_is_judged_with_the_other_blocks_at_their_least(b):
     # at b = 6 and 7 the 7 plus the other block's least 1 exceeds b, so
-    # the adaptive pricer may drop it; at b = 8 a path holds it
+    # the tiling may leave it out; at b = 8 a path holds it, and each
+    # block's tiling reaches it
     problem = _overshoot_problem(b)
-    exact = driver.solve(problem, driver.DriverConfig(pricer="exact"))
     if b < 8:
-        adaptive = driver.solve(problem, driver.DriverConfig(pricer="adaptive"))
-        assert (exact.status, exact.lp_value) == ("optimal", 44 * MILLI)
-        assert (adaptive.status, adaptive.lp_value) == (exact.status, exact.lp_value)
+        assert Partition.initial(problem, 250).ranges == [((0, 5),)] * 2
+        _assert_pricers_agree(problem, 44 * MILLI)
     else:
-        assert (exact.status, exact.lp_value) == ("optimal", Fraction(88 * MILLI, 3))
-        with pytest.raises(ModelError, match=(
-            r"block 0 reaches 7 on contribution coordinate 0, "
-            r"above the box's upper end 5"
-        )):
-            driver.solve(problem, driver.DriverConfig(pricer="adaptive"))
+        assert _tiled(problem, 0, (7,)) and _tiled(problem, 1, (7,))
+        _assert_pricers_agree(problem, Fraction(88 * MILLI, 3))
+
+
+@pytest.mark.parametrize("build, splits", [
+    (_undershoot_problem, False),
+    (lambda: _overshoot_above(0), False),
+    (lambda: _overshoot_above(-1), False),
+    (lambda: _six_and_one((1, 2)), False),
+    (lambda: _overshoot_problem(8), False),
+    # a path holds one 7 but not two, which the extension tiles' lower
+    # corners 6 admit: the closure must split them
+    (lambda: _overshoot_problem(12), True),
+], ids=["undershoot", "above", "above-falling", "descendant", "overshoot", "two-overshoots"])
+def test_extension_tiles_refine_and_certify_like_any_bucket(build, splits):
+    problem = build()
+    refined = 0
+    for seed in range(10):
+        duals = synth.random_duals(problem, seed)
+        oracle = synth.oracle_min_rcost(problem, duals)
+        out = AdaptivePricer(problem, PricingConfig(until="closure")).price(duals)
+        assert (out.optimistic, out.pessimistic) == (oracle[0], oracle[0])
+        refined += out.stats["refinements"]
+    assert bool(refined) == splits
 
 
 @st.composite
@@ -476,7 +503,7 @@ def _box_models(draw):
             draw(st.integers(0, 16)), box)
 
 
-def _build_box_model(spec):
+def _build_box_model(spec, sense=COVER, cardinality=None):
     blocks, agg, weights, b, box = spec
     built, first = [], 1
     for costs, entry_d, exit_d, arcs in blocks:
@@ -490,60 +517,8 @@ def _build_box_model(spec):
             exit={k: Boundary(path_deltas=(d,)) for k, d in zip(ids, exit_d)},
         ))
     resource = PathResource(dim=len(box), agg=agg, a=weights, b=b, box=box)
-    return NestedProblem(built, path_resources=[resource], sense=COVER)
-
-
-def _box_refusal(problem):
-    """(block, coordinate, side, values) of the refusal the adaptive pricer
-    must raise, from the exhaustive enumeration, or None: a block's least
-    below the box's lower end, else the values above the box's upper end
-    on the coordinate that a feasible path may hold with every other block
-    and coordinate at the least it can reach."""
-    (resource,) = problem.path_resources
-    vecs = [[s.contributions for s in synth.enumerate_block_subpaths(problem, bi)]
-            for bi in range(len(problem.blocks))]
-    mins = [[min(col) for col in zip(*vs)] for vs in vecs]
-    for bi, low in enumerate(mins):
-        for c, ((lo, _), least) in enumerate(zip(resource.box, low)):
-            if least < lo:
-                return bi, c, "below", {least}
-    fold = sum if resource.agg == SUM else max
-    for bi, vs in enumerate(vecs):
-        for c, (_, hi) in enumerate(resource.box):
-            usable = set()
-            for v in {v[c] for v in vs if v[c] > hi}:
-                at_least = [list(low) for low in mins]
-                at_least[bi][c] = v
-                path = [fold(col) for col in zip(*at_least)]
-                if sum(map(mul, resource.a, path)) <= resource.b:
-                    usable.add(v)
-            if usable:
-                return bi, c, "above", usable
-    return None
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_box_models())
-@example((
-    # a subpath at 9 above the box (0, 5) on a coordinate no predicate weighs
-    [([11], [(9,)], [(0,)], {}), ([11], [(1,)], [(-1,)], {})], SUM, (0,), 3, ((0, 5),)
-))
-def test_adaptive_refuses_the_box_exactly_where_the_enumeration_does(spec):
-    problem = _build_box_model(spec)
-    refusal = _box_refusal(problem)
-    if refusal is not None:
-        bi, c, side, values = refusal
-        event(f"refused: {side} the box")
-        with pytest.raises(ModelError, match=(
-            rf"^block {bi} reaches -?\d+ on contribution coordinate {c}, {side}"
-        )) as caught:
-            AdaptivePricer(problem)
-        assert int(str(caught.value).split()[3]) in values
-        return
-    event("accepted")
-    exact = driver.solve(problem, driver.DriverConfig(pricer="exact"))
-    adaptive = driver.solve(problem, driver.DriverConfig(pricer="adaptive"))
-    assert (adaptive.status, adaptive.lp_value) == (exact.status, exact.lp_value)
+    return NestedProblem(built, path_resources=[resource], sense=sense,
+                         cardinality=cardinality)
 
 
 @st.composite
@@ -570,15 +545,50 @@ def _cap_models(draw):
     return (blocks, agg, weights, draw(st.integers(b, 40)), box), dead
 
 
-def _build_cap_model(spec):
+def _build_cap_model(spec, sense=COVER, cardinality=None):
     model, dead = spec
-    problem = _build_box_model(model)
+    problem = _build_box_model(model, sense, cardinality)
     if dead is None:
         return problem
     # every start is 0, above a window that ends at -1
     closed = SubpathResource(
         block=dead, windows={k: (None, -1) for k in problem.blocks[dead].elements})
-    return NestedProblem(problem.blocks, [closed], problem.path_resources, sense=COVER)
+    return NestedProblem(problem.blocks, [closed], problem.path_resources, sense=sense,
+                         cardinality=cardinality)
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_box_models().map(lambda model: (model, None)), _cap_models()),
+       st.sampled_from([COVER, PARTITION]), st.sampled_from([None, 1, 2]))
+@example((
+    # a subpath at 9 above the box (0, 5) on a coordinate no predicate weighs
+    ([([11], [(9,)], [(0,)], {}), ([11], [(1,)], [(-1,)], {})], SUM, (0,), 3, ((0, 5),)),
+    None,
+), COVER, None)
+def test_adaptive_answers_every_box_model_as_exact_does(spec, sense, cardinality):
+    problem = _build_cap_model(spec, sense, cardinality)
+    box = problem.contribution_box()
+    part = Partition.initial(problem, PricingConfig().width)
+    for bi, span in enumerate(part.ranges):
+        # every subpath a feasible path can use lies in a bucket, and a
+        # block with no subpath outside the box keeps the box's tiling
+        for sp in usable_subpaths(problem, bi):
+            assert any(b.contains(sp.contributions) for b in part.buckets(bi))
+        if all(all(lo <= x <= hi for x, (lo, hi) in zip(sp.contributions, box))
+               for sp in synth.enumerate_block_subpaths(problem, bi)):
+            assert span == box
+    ends = [(low < lo, high > hi) for span in part.ranges
+            for (low, high), (lo, hi) in zip(span, box)]
+    sides = [side for side, *hits in zip(("below", "above"), *ends) if any(hits)]
+    event("extended " + " and ".join(sides) if sides else "not extended")
+    reports = [driver.solve(problem, driver.DriverConfig(pricer=pricer, dive=True))
+               for pricer in ("exact", "adaptive")]
+    exact, adaptive = reports
+    event(exact.status)
+    assert (adaptive.status, adaptive.lp_value) == (exact.status, exact.lp_value)
+    for report in reports:
+        if report.dive is not None and report.dive.status == "integral":
+            assert report.dive.ip_value >= report.lp_value
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
