@@ -25,13 +25,17 @@ every block at the least an entry leg plus a least completion add).
 every subpath that a feasible path can use: the range that the bucket
 partition tiles.
 
-The layered search stores labels only for the layers that a later
-layer extends: per item, every label that fewer than ``top_k`` stored
-labels dominate (:func:`_insert`).  A label dominates another when every
-completion of it sorts before the same completion of the other by
-(rcost, vector, items).  Dominance prunes partial paths, so the last
-layer has none: each stored label of the layer before it is extended by
-each last-layer item straight into one bounded selection of the first
+The layered search stores labels, plain (rcost, vector, items) tuples,
+only for the layers that a later layer extends: per item, every label
+that fewer than ``top_k`` labels stored before it dominate
+(:func:`_insert`); a stored label is never dropped.  A label dominates
+another when every completion of it sorts before the same completion of
+the other by (rcost, vector, items).  A dominator is a partial path on
+the same item, so it takes the same completions, and dominance is strict
+and transitive: a prefix of one of the first ``top_k`` paths never has
+``top_k`` dominators.  Dominance prunes partial paths, so the last layer
+has none: each stored label of the layer before it is extended by each
+last-layer item straight into one bounded selection of the first
 ``top_k`` admitted paths in that order.  The result list is therefore a
 prefix of the fully enumerated, sorted solution list.
 
@@ -72,55 +76,16 @@ class SearchResult:
     resources: tuple
 
 
-class _Label:
-    __slots__ = ("node", "rcost", "res", "pred", "alive")
-
-    def __init__(self, node, rcost, res, pred=None):
-        self.node = node
-        self.rcost = rcost
-        self.res = res
-        self.pred = pred
-        self.alive = True
-
-    def sequence(self):
-        out = []
-        lab = self
-        while lab is not None:
-            out.append(lab.node)
-            lab = lab.pred
-        out.reverse()
-        return tuple(out)
-
-
-def _insert(store: list, label: _Label, dominates, top_k) -> bool:
+def _insert(store: list, label: tuple, dominates, top_k) -> bool:
     """Count-based retention: keep ``label`` unless top_k stored labels
-    dominate it; afterwards drop stored labels that top_k others dominate."""
+    dominate it."""
     dominators = 0
     for other in store:
-        if other.alive and dominates(other, label):
+        if dominates(other, label):
             dominators += 1
             if dominators >= top_k:
                 return False
     store.append(label)
-    dropped = False
-    for other in store:
-        if other is label or not other.alive or not dominates(label, other):
-            continue
-        if top_k == 1:
-            # ``label`` itself is the one dominator needed
-            other.alive = False
-            dropped = True
-            continue
-        count = 0
-        for third in store:
-            if third is not other and third.alive and dominates(third, other):
-                count += 1
-                if count >= top_k:
-                    other.alive = False
-                    dropped = True
-                    break
-    if dropped:
-        store[:] = [lab for lab in store if lab.alive]
     return True
 
 
@@ -154,21 +119,21 @@ def _layer_rules(aggs, checks, prune):
     coords = range(len(aggs))
     sums = [i for i, op in enumerate(ops) if op is add]
 
-    def dominates(a: _Label, b: _Label) -> bool:
-        if a.rcost > b.rcost:
+    def dominates(a, b) -> bool:
+        if a[0] > b[0]:
             return False
-        x, y = a.res, b.res
+        x, y = a[1], b[1]
         for i in coords:
             if x[i] > y[i]:
                 return False
-        if a.rcost < b.rcost:
+        if a[0] < b[0]:
             return True
         for i in sums:
             if x[i] < y[i]:
                 return True
         # the two can complete to paths equal in rcost and vector (a MAX
         # coordinate may catch up), which the sink orders by items
-        return a.sequence() < b.sequence()
+        return a[2] < b[2]
 
     partial = [check for check, flag in zip(checks, prune) if flag]
     return combine, dominates, _within(checks), _within(partial)
@@ -201,30 +166,28 @@ def label_search(layers, aggs, checks, prune=(), top_k: int = 1):
         # a one-layer path is its item: extend the empty path, whose
         # vector is the identity of every aggregator
         empty = tuple(0 if agg == SUM else -math.inf for agg in aggs)
-        return _select([(0, empty, None)], last, combine, admits, top_k)
+        return _select([(0, empty, ())], last, combine, admits, top_k)
     stores = [
-        [_Label(item, rcost, tuple(vec))] if partial_ok(vec) else []
+        [(rcost, tuple(vec), (item,))] if partial_ok(vec) else []
         for item, rcost, vec in inner[0]
     ]
     for layer in inner[1:]:
         new = [[] for _ in layer]
         for store in stores:
-            for lab in store:
-                rcost, res = lab.rcost, lab.res
+            for rcost, res, items in store:
                 for (item, step, vec), target in zip(layer, new):
                     ext = combine(res, vec)
                     if partial_ok(ext):
-                        _insert(target, _Label(item, rcost + step, ext, pred=lab),
-                                dominates, top_k)
+                        _insert(target, (rcost + step, ext, (*items, item)), dominates, top_k)
         stores = new
-    heads = [(lab.rcost, lab.res, lab) for store in stores for lab in store]
+    heads = [lab for store in stores for lab in store]
     return _select(heads, last, combine, admits, top_k)
 
 
 def _select(heads, layer, combine, admits, top_k):
     """The first ``top_k`` admitted paths in (rcost, vector, items) order
-    among the (rcost, vector, label or None) ``heads`` each extended by
-    each item of ``layer``.
+    among the (rcost, vector, items) ``heads`` each extended by each item
+    of ``layer``.
 
     Heads go in rcost order and items in step order, so a row stops at
     the first candidate whose rcost sorts after the current top_k-th
@@ -239,10 +202,9 @@ def _select(heads, layer, combine, admits, top_k):
     lowest = steps[0][1]
     best = []           # (rcost, vector, items) in order, at most top_k
     cut = math.inf      # the top_k-th rcost, once there are top_k
-    for base, res, lab in heads:
+    for base, res, prefix in heads:
         if base + lowest > cut:
             break
-        prefix = None
         for item, step, vec in steps:
             rcost = base + step
             if rcost > cut:
@@ -250,8 +212,6 @@ def _select(heads, layer, combine, admits, top_k):
             ext = combine(res, vec)
             if not admits(ext) or (rcost == cut and best[-1][1] < ext):
                 continue
-            if prefix is None:
-                prefix = () if lab is None else lab.sequence()
             insort(best, (rcost, ext, (*prefix, item)))
             if len(best) > top_k:
                 best.pop()
@@ -284,8 +244,9 @@ def through_values(layers, aggs, checks, prune=()):
 class BlockView:
     """Precomputed arrays for labeling over one block.
 
-    Elements get local indices 0..m-1 (bit positions of the visited set,
-    a Python int, so any block size works), path-resource deltas are
+    Elements get local indices 0..m-1 in ascending order (bit positions
+    of the visited set, a Python int, so any block size works), so local
+    node sequences sort as the elements' do; path-resource deltas are
     flattened into the problem's concatenated coordinate space, and
     adjacency is sorted for determinism.
     """
@@ -294,8 +255,8 @@ class BlockView:
         block = problem.blocks[block_index]
         self.problem = problem
         self.index = block_index
-        self.elements = block.elements
-        self.local = {k: i for i, k in enumerate(block.elements)}
+        self.elements = elements = tuple(sorted(block.elements))
+        self.local = {k: i for i, k in enumerate(elements)}
         self.n_coords = problem.total_coords
 
         subs = problem.block_subs[block_index]
@@ -310,7 +271,7 @@ class BlockView:
         # resource, an open end as -inf or inf
         self.sub_checks = [
             tuple((fl, *window(ri, v)) for fl, ri in zip(floor, subs))
-            for v in block.elements
+            for v in elements
         ]
 
         def flat_coords(item):
@@ -330,14 +291,14 @@ class BlockView:
         self.entry = [
             (block.entry_at(v).cost, padded_sub(block.entry_at(v)),
              flat_coords(block.entry_at(v)))
-            for v in block.elements
+            for v in elements
         ]
         self.exit = [
             (block.exit_at(v).cost, padded_sub(block.exit_at(v)),
              flat_coords(block.exit_at(v)))
-            for v in block.elements
+            for v in elements
         ]
-        self.arcs_out = [[] for _ in block.elements]
+        self.arcs_out = [[] for _ in elements]
         for (u, v), arc in sorted(block.arcs.items()):
             self.arcs_out[self.local[u]].append(
                 (self.local[v], arc.cost, padded_sub(arc), flat_coords(arc))
@@ -345,7 +306,7 @@ class BlockView:
         # what a step adds to a subpath's cost, exit leg included: step t
         # starts a subpath at element t, step (u + 1) * m + t extends one
         # that ends at u to t (see ``SubpathTable``)
-        m = len(block.elements)
+        m = len(elements)
         self._step_costs = [0] * ((m + 1) * m)
         for t, (cost, _, _) in enumerate(self.entry):
             self._step_costs[t] = cost + self.exit[t][0]

@@ -231,11 +231,11 @@ def test_the_fill_creates_no_label_beyond_the_completion_bound():
 
 @st.composite
 def _fill_models(draw):
-    """(problem, duals, bans, boxes): one block of 1-4 elements with 1-2
-    contribution coordinates whose deltas, in half the draws, may be
-    negative, 0-2 subpath
-    resources, each floored or not, with deltas and windows that can bind
-    from below, and 1-3 disjoint boxes, split on the first coordinate."""
+    """(problem, duals, bans, boxes): one block of 1-4 elements, listed
+    in any order, with 1-2 contribution coordinates whose deltas, in half
+    the draws, may be negative, 0-2 subpath resources, each floored or
+    not, with deltas and windows that can bind from below, and 1-3
+    disjoint boxes, split on the first coordinate."""
     n = draw(st.integers(1, 4))
     dim = draw(st.integers(1, 2))
     n_sub = draw(st.integers(0, 2))
@@ -252,7 +252,7 @@ def _fill_models(draw):
     pairs = [(u, v) for u in ids for v in ids if u != v]
     arcs = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     block = Block(
-        elements=ids,
+        elements=draw(st.permutations(ids)),
         arcs={pair: leg(Arc, -3, 4) for pair in sorted(arcs)},
         entry={k: leg(Boundary, -2, 4) for k in ids},
         exit={k: leg(Boundary, -2, 3) for k in ids},
@@ -296,9 +296,19 @@ def _tie_broken_by_nodes():
     return problem, Duals({}), frozenset(), [((None, None),)]
 
 
+def _tie_in_an_unsorted_block():
+    """(1, 2) and (2, 1) tie on reduced cost and vector in a block listed
+    as (2, 1); the smaller node sequence, (1, 2), sorts first."""
+    block = Block(elements=(2, 1), arcs={(1, 2): Arc(), (2, 1): Arc()})
+    problem = NestedProblem([block], path_resources=[PathResource(
+        dim=1, agg=SUM, a=(0,), b=0, box=((-20, 20),))])
+    return problem, Duals({1: 1, 2: 1}), frozenset(), [((None, None),)]
+
+
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(_fill_models())
 @example(_tie_broken_by_nodes())
+@example(_tie_in_an_unsorted_block())
 def test_the_fill_answers_every_box_as_the_enumeration_does(model):
     problem, duals, banned, boxes = model
     view = labeling.block_view(problem, 0)
