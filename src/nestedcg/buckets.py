@@ -4,9 +4,14 @@ Each block gets a partition of its range -- the problem's contribution
 box, stretched where the block has a subpath outside it that a feasible
 path may use -- into axis-aligned integer boxes ("buckets").  A bucket
 caches the cheapest feasible subpath whose contribution vector lies in
-its box -- its *representative* -- or the fact that no such subpath
-exists, which is permanent: bans only ever grow, so an empty box stays
-empty.
+its box and within the block's headroom (what the path predicates leave
+the block, ``labeling.BlockView.headroom``) -- its *representative* --
+or the fact that no such subpath exists, which is permanent: bans only
+ever grow and the headroom depends on neither the duals nor the bans,
+so an empty box stays empty.  A
+subpath above the headroom lies on no feasible path, so every feasible
+path still takes each of its subpaths from a bucket whose lower corner
+and representative bound it from below.
 
 The module owns geometry and state (tiling, splitting, merging,
 invalidation).  What the bounds mean, and when a merge is admissible, is
@@ -359,32 +364,40 @@ def compute_representative(problem, buckets, duals, banned=frozenset(), tally=No
 
     ``buckets`` lists buckets of one block; a single depth-first search
     fills them all, and each bucket's representative is returned (None
-    for an EMPTY one).  The shared search sends each completed subpath to
-    the box holding its vector and keeps, per box, the first by (reduced
-    cost, vector, node sequence), which is exactly the representative the
-    bucket's own search would find.  It drops a state whose vector plus
-    its node's least completion (``BlockView.least_completion``) is above
-    the union of the boxes' upper ends: every completion adds at least
-    that much, so the state ends in no box (see
+    for an EMPTY one).  Each box is searched capped at the block's
+    headroom (``labeling.BlockView.headroom``): a subpath above it lies
+    on no feasible path, so a representative is the cheapest subpath in
+    its box that the headroom admits.  The shared search sends each
+    completed subpath to the capped box holding its vector and keeps,
+    per box, the first by (reduced cost, vector, node sequence), which
+    is exactly the representative the bucket's own search would find.
+    It drops a state whose vector plus its node's least completion
+    (``BlockView.least_completion``) is above the union of the capped
+    boxes' upper ends: every completion adds at least that much, so the
+    state ends in no box, and the walk stops at the headroom (see
     ``labeling.elementary_rcspp``, which also adds the states it expands
     to ``tally["fill_labels"]`` when ``tally`` is given).
 
-    Marks a bucket EMPTY -- permanently -- when its box holds no feasible
-    subpath contribution vector at all; EMPTY buckets are not searched.
-    A subpath outside every box is dropped: the partition tiles each
-    block's reach (``labeling.BlockView.reach``), so no feasible path
-    can use it.
+    Marks a bucket EMPTY -- permanently -- when its capped box holds no
+    feasible subpath contribution vector at all (a box whose lower end
+    lies above the headroom holds none); EMPTY buckets are not searched.
+    The headroom depends on neither the duals nor the bans, so the
+    marking stays true.  A subpath outside every box is dropped: the
+    partition tiles each block's reach (``labeling.BlockView.reach``),
+    so no feasible path can use it.
     """
     group = list(buckets)
     if len({b.block for b in group}) > 1:
         raise BucketError("buckets filled together must share a block")
     live = [b for b in group if b.status != EMPTY]
     if live:
+        tops = block_view(problem, live[0].block).headroom()
         results = elementary_rcspp(
             problem,
             live[0].block,
             duals,
-            boxes=[b.box for b in live],
+            boxes=[tuple((lo, min(hi, top)) for (lo, hi), top in zip(b.box, tops))
+                   for b in live],
             banned=banned,
             tally=tally,
         )

@@ -319,6 +319,7 @@ class BlockView:
             all(coords[c] >= 0 for _, _, coords in legs) for c in range(self.n_coords)
         )
         self._least = None
+        self._headroom = None
         self._reach = {}          # box -> reach
         self._tables = {}         # block-local banned mask -> SubpathTable
 
@@ -359,16 +360,19 @@ class BlockView:
         still lie on a path that passes the predicates
         (``NestedProblem.headroom``), inf where nothing caps.  Each
         block's low is the least that an entry leg plus that element's
-        least completion add, so it holds under any duals and any bans."""
-        problem = self.problem
-        lows = []
-        for bi in range(len(problem.blocks)):
-            view = block_view(problem, bi)
-            starts = [tuple(map(add, flat, least))
-                      for (_, _, flat), least in zip(view.entry, view.least_completion())]
-            lows.append(tuple(map(min, zip(*starts))))
-        tops = problem.headroom(lows)
-        return (math.inf,) * self.n_coords if tops is None else tops[self.index]
+        least completion add, so it holds under any duals and any bans;
+        cached on first use."""
+        if self._headroom is None:
+            problem = self.problem
+            lows = []
+            for bi in range(len(problem.blocks)):
+                view = block_view(problem, bi)
+                starts = [tuple(map(add, flat, least))
+                          for (_, _, flat), least in zip(view.entry, view.least_completion())]
+                lows.append(tuple(map(min, zip(*starts))))
+            tops = problem.headroom(lows)
+            self._headroom = (math.inf,) * self.n_coords if tops is None else tops[self.index]
+        return self._headroom
 
     def reach(self, box) -> tuple:
         """Per coordinate, ``box``'s (lo, hi), stretched on a side where

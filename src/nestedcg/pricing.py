@@ -11,11 +11,15 @@ layered search over buckets then prices whole paths twice:
 
 * *optimistic*: buckets contribute their box lower corner.  A block's
   buckets tile its reach (``labeling.BlockView.reach``), which holds
-  every subpath a feasible path can use; lower corners underestimate
-  every member's contribution componentwise, predicates are downward
-  closed, and representatives underestimate member reduced costs, so
-  the value is a valid lower bound on the true minimum reduced cost --
-  at any refinement stage.
+  every subpath a feasible path can use.  A representative is the
+  cheapest member the block's headroom (``BlockView.headroom``) admits;
+  a member above the headroom lies on no feasible path, so every
+  feasible path takes only admitted members.  Lower corners
+  underestimate every member's contribution componentwise, predicates
+  are downward closed, and representatives underestimate admitted
+  members' reduced costs, so the value is a valid lower bound on the
+  true minimum reduced cost -- at any refinement stage -- and the
+  pessimistic search loses no column.
 * *pessimistic*: buckets contribute their representative's true vector.
   Any result is an actual feasible path built from representatives, hence
   an upper bound, and a usable column when negative.
@@ -26,7 +30,7 @@ loop repeats; the sandwich closes in finitely many steps.  With the
 representative splitting strategy each split lands the representative on
 its child's lower corner, pinning a previously unpinned contribution
 vector, so a block never sees more splits than it has distinct feasible
-contribution vectors.
+contribution vectors within its headroom.
 
 The enumerative pricer is the benchmark: enumerate every subpath that
 can lie on a feasible path per block once, as a dual-independent table

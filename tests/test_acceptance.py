@@ -11,13 +11,14 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import le
 
 import pytest
 
 from nestedcg import driver, mpcvrp, synth
 from nestedcg.buckets import COMPUTED, Partition, compute_representative
 from nestedcg.cli import ExperimentSpec, run_experiment
-from nestedcg.labeling import label_search
+from nestedcg.labeling import block_view, label_search
 from nestedcg.model import check_path_feasible
 from nestedcg.pricing import AdaptivePricer, PricingConfig, _layers
 
@@ -304,10 +305,12 @@ def test_criterion_7_refinement_budget():
         )
         out = pricer.price(duals)
         assert not out.infeasible
+        # a split pins a vector the block's headroom admits
         budgets = [
             len({
                 sp.contributions
                 for sp in synth.enumerate_block_subpaths(problem, bi)
+                if all(map(le, sp.contributions, block_view(problem, bi).headroom()))
             })
             for bi in range(len(problem.blocks))
         ]

@@ -3,6 +3,7 @@ invalidation, and representative computation against brute force."""
 
 import random
 import time
+from operator import le
 
 import pytest
 
@@ -18,10 +19,15 @@ from nestedcg.buckets import (
     Representative,
     compute_representative,
 )
+from nestedcg.labeling import block_view
 from nestedcg.model import (
+    COVER,
+    MILLI,
     SUM,
     Arc,
     Block,
+    Boundary,
+    Duals,
     ModelError,
     NestedProblem,
     PathResource,
@@ -375,7 +381,10 @@ def test_representatives_match_enumeration(seed):
     widths = tuple(max(1, (hi - lo) // 3) for lo, hi in box)
     part = Partition.initial(problem, widths)
     for bi in range(len(problem.blocks)):
-        subs = synth.enumerate_block_subpaths(problem, bi)
+        # a representative comes only from subpaths the headroom admits
+        tops = block_view(problem, bi).headroom()
+        subs = [sp for sp in synth.enumerate_block_subpaths(problem, bi)
+                if all(map(le, sp.contributions, tops))]
         for bucket in part.buckets(bi):
             [rep] = compute_representative(problem, [bucket], duals)
             inside = []
@@ -391,6 +400,43 @@ def test_representatives_match_enumeration(seed):
                 assert bucket.status == COMPUTED
                 assert rep.rcost == min(inside)
                 assert bucket.contains(rep.vector)
+
+
+def _headroom_problem():
+    """Block 0's subpaths (1,), (2,) and (1, 2) contribute 2, 6 and 9; block
+    1's one subpath contributes 3, so a path passing sum <= 10 leaves block
+    0 a headroom of 7."""
+    first = Block(
+        elements=(1, 2),
+        arcs={(1, 2): Arc(cost=MILLI, path_deltas=((7,),))},
+        entry={1: Boundary(cost=MILLI, path_deltas=((1,),)),
+               2: Boundary(cost=MILLI, path_deltas=((5,),))},
+        exit={1: Boundary(path_deltas=((1,),)), 2: Boundary(path_deltas=((1,),))},
+    )
+    second = Block(elements=(3,), entry={3: Boundary(cost=MILLI, path_deltas=((3,),))})
+    return NestedProblem(
+        [first, second],
+        path_resources=[PathResource(dim=1, agg=SUM, a=(1,), b=10, box=((0, 10),))],
+        sense=COVER,
+    )
+
+
+def test_representatives_come_from_subpaths_the_headroom_admits():
+    problem = _headroom_problem()
+    assert block_view(problem, 0).headroom() == (7,)
+    duals = Duals({1: 5 * MILLI, 2: 5 * MILLI}).scaled()
+
+    # one tile holds every subpath; (1, 2) at 9 is the cheapest but lies on
+    # no feasible path, so (1,) wins its tie with (2,) on the vector
+    [bucket] = Partition.initial(problem, 11).buckets(0)
+    [rep] = compute_representative(problem, [bucket], duals)
+    assert (rep.subpath.nodes, rep.vector, rep.rcost) == ((1,), (2,), -4 * MILLI)
+
+    # a tile wholly above the headroom holds no usable subpath
+    tiles = Partition.initial(problem, 2).buckets(0)
+    compute_representative(problem, tiles, duals)
+    [top] = [b for b in tiles if b.lo == (8,)]
+    assert (top.hi, top.status, top.rep) == ((10,), EMPTY, None)
 
 
 def test_empty_is_permanent_across_recomputes():

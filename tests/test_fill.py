@@ -1,6 +1,7 @@
 """Shared bucket fill: one label search per block must give every bucket
 exactly the representative that its own box-restricted search gives, and
-the cheapest in-box subpath of the exhaustive enumeration."""
+the cheapest subpath of the exhaustive enumeration in its box capped at
+the block's headroom."""
 
 import json
 import random
@@ -33,13 +34,21 @@ from nestedcg.model import (
 from nestedcg.pricing import AdaptivePricer, PricingConfig
 
 
+def _capped(problem, bucket):
+    """The bucket's box capped at its block's headroom: a representative
+    comes only from subpaths the headroom admits."""
+    tops = labeling.block_view(problem, bucket.block).headroom()
+    return [(lo, min(hi, top)) for (lo, hi), top in zip(bucket.box, tops)]
+
+
 def _reference_fill(problem, group, duals, banned=frozenset(), tally=None):
-    """Per-bucket fill: one box-restricted search for every bucket."""
+    """Per-bucket fill: one search for every bucket, restricted to its
+    capped box."""
     for b in group:
         if b.status == EMPTY:
             continue
-        found = elementary_rcspp(problem, b.block, duals, boxes=[b.box], banned=banned,
-                                 tally=tally)[0]
+        found = elementary_rcspp(problem, b.block, duals, boxes=[_capped(problem, b)],
+                                 banned=banned, tally=tally)[0]
         if found is not None:
             b.status, b.rep = COMPUTED, Representative(*found)
         else:
@@ -81,12 +90,13 @@ def _stale(pricer, banned):
 
 def _oracle_best(problem, bucket, scaled, banned):
     """(rcost, contributions, nodes) of the enumerated subpath in the
-    bucket's box that sorts first, or None when the box holds none."""
+    bucket's capped box that sorts first, or None when it holds none."""
+    box = _capped(problem, bucket)
     return min((
         (sp.cost * scaled.denom - sum(scaled.value(k) for k in sp.nodes),
          sp.contributions, sp.nodes)
         for sp in synth.enumerate_block_subpaths(problem, bucket.block, banned)
-        if bucket.contains(sp.contributions)
+        if all(lo <= x <= hi for x, (lo, hi) in zip(sp.contributions, box))
     ), default=None)
 
 
@@ -96,7 +106,8 @@ def _fill_and_compare(problem, pricer, scaled, banned):
     buckets filled)."""
     want = {}
     for b in _stale(pricer, banned):
-        found = elementary_rcspp(problem, b.block, scaled, boxes=[b.box], banned=banned)[0]
+        found = elementary_rcspp(problem, b.block, scaled, boxes=[_capped(problem, b)],
+                                 banned=banned)[0]
         want[b] = None if found is None else (
             found[0].nodes, found[0].cost, found[0].contributions, found[1],
         )

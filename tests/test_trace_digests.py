@@ -38,18 +38,23 @@ CONFIGS = {
     "midpoint-merge": {"strategy": "midpoint", "merge": True},
 }
 
+# Capping each fill box at the block's headroom (``buckets.compute_representative``)
+# moved the adaptive, merge-reuse and midpoint-merge digests of tiny1, tiny2,
+# chain1 and mpcvrp-n4-t3: fewer fill states, and representatives only from
+# subpaths the headroom admits.  Each of the twelve kept its status, LP value,
+# dive and iteration count.
 DIGESTS = {
     "tiny1": {
         "exact": "a96e134cea46851ae62152659eb99fbc30f331ec16db8bab2e41630dc61d32c3",
-        "adaptive": "0c83cfabeae2e33b8a84b4d9859bdb202c5e5c726d4d23b6a6e6712f28d14208",
-        "merge-reuse": "dfbf30f79811f50997624aacd8be7cd4a893883ea387412e2c22bed7380e7562",
-        "midpoint-merge": "b1f70083d5feed729bbf3c210c04d0f6e43850c70ae9c2f6b5fdc9558646e57e",
+        "adaptive": "1acd8c63549dcc576e898a0ee3d2edd3667beb3fa99894682185939aee8a5a01",
+        "merge-reuse": "0c4f6ed4024cb2a7f328b413ba782ad4255d77346025373c06f49bdf99c77920",
+        "midpoint-merge": "48a32f92e2f5af848c95d66b8b7e0334bd59ccb068240c9d42f6ca2584ffa17f",
     },
     "tiny2": {
         "exact": "de183211dd86b38c8eb599b5930e2a6402cf9856b906a9273ea4ab217307b61b",
-        "adaptive": "888be25c001eebc5c23b01b47ae632f6f058184b2ee0bc715b673fc605f4d801",
-        "merge-reuse": "91fc5995bda560e052e7cb23834337aa4abc6106ef44f63e8f010ba5311607fe",
-        "midpoint-merge": "91fc5995bda560e052e7cb23834337aa4abc6106ef44f63e8f010ba5311607fe",
+        "adaptive": "2026de8dbc89bc4369412c6f8a6adde531dc4c3cc6e977f2d6fc28af03655eb0",
+        "merge-reuse": "2277e09c4d359b962988cd12404ebe2d56e270cab1b35ed07d1cbbff78aeeee7",
+        "midpoint-merge": "2277e09c4d359b962988cd12404ebe2d56e270cab1b35ed07d1cbbff78aeeee7",
     },
     "tiny3": {
         "exact": "2abc9606d261b1d36dd4d580d539b0244323e4d8c87802a478ca00e104ecdf41",
@@ -59,9 +64,9 @@ DIGESTS = {
     },
     "chain1": {
         "exact": "cfd6ee3a5b3be0ba7fed9a272ba5b90a4e7c1c8f71e7f09d758d56cc8669e906",
-        "adaptive": "356dedd302e36a98506e8dd8c3bff67716df6bd84835465137cea20e7b4e376f",
-        "merge-reuse": "cf21035548e0a9bc6a661d29e8c411883a0b00e840adcb249771f4414f83c664",
-        "midpoint-merge": "cf21035548e0a9bc6a661d29e8c411883a0b00e840adcb249771f4414f83c664",
+        "adaptive": "b0137ae03d46d1314544b855bdb56a52a30d0ea18e19a17b8caee6d2d8220824",
+        "merge-reuse": "dafb8d8ce2c51c087ad3826a7d5e9c347b462804fadf80b5ddd8a716db4f746e",
+        "midpoint-merge": "dafb8d8ce2c51c087ad3826a7d5e9c347b462804fadf80b5ddd8a716db4f746e",
     },
     "span1": {
         "exact": "32c45788af61190181c816952a9c65ec620e751ad09167b59be3f807cd8448b2",
@@ -77,9 +82,9 @@ DIGESTS = {
     },
     "mpcvrp-n4-t3": {
         "exact": "2ca52488fef17e96ed7c9633cde6fcf831774552a8822dad14cdf61435024e00",
-        "adaptive": "5161c745c042a1ef37487e982da3858041cb53a22ed99a468dd771065294f1fc",
-        "merge-reuse": "85688a628b120d6279d74d940b8d7d5da7f83f41af9727692a69d54c5ddaa923",
-        "midpoint-merge": "d1cab7c920846a34a8d2b12aee87a68db4f110a5b138b09d7273377ad1be22b2",
+        "adaptive": "31ef4a83391eca11ed40daa65334028c710f85cd00eaa8f27ad237884d89dabd",
+        "merge-reuse": "a7efc2be327c95103e9c045e6ca548d0b231f86c6d28ba057c0d2fe83f501312",
+        "midpoint-merge": "b4689db5e24a391ced9c4570c8ed94e05217ba5b39b050f592068b8907ba7c31",
     },
 }
 
