@@ -8,22 +8,23 @@
   Pareto-kept subpaths (enumerative benchmark); :func:`through_values`
   runs it once per item, with the item's layer pinned to it, for the
   merge criterion.
-* :func:`elementary_rcspp` -- a depth-first search over the elementary
-  subpaths of one block of a nested problem under a list of contribution
-  boxes: the bucket fill.
+* :meth:`BlockView.walk` -- the one depth-first search over the
+  elementary subpaths of a block, on :class:`BlockView`, the compiled
+  form of a block (local element indices, padded subpath deltas, flat
+  contribution deltas, sorted adjacency).  A state is dropped when its
+  vector plus the least that any completion from its node can add
+  (:meth:`BlockView.least_completion`, dual-independent and cached on
+  the view) is above a given top, so no extension of it ends below.
 
-Both the fill and the enumerative pricer work on :class:`BlockView`, the
-one compiled form of a block (local element indices, padded subpath
-deltas, flat contribution deltas, sorted adjacency);
-:meth:`BlockView.table` enumerates every subpath of a block that can lie
-on a feasible path once, as data for the enumerative pricer
-(:class:`SubpathTable`), and filters it per ban set.  The enumeration
-stops a subpath as soon as it and every extension of it end above what
-the path predicates leave the block (:meth:`BlockView.headroom`, with
-every block at the least an entry leg plus a least completion add).
-:meth:`BlockView.reach` stretches the contribution box, per block, over
-every subpath that a feasible path can use: the range that the bucket
-partition tiles.
+The walk runs with two weightings.  Weighed by cost under the top that
+the path predicates leave the block (:meth:`BlockView.headroom`), it
+lists once every subpath of a block that can lie on a feasible path, as
+data for the enumerative pricer (:meth:`BlockView.table`, a
+:class:`SubpathTable` filtered per ban set).  Weighed by scaled reduced
+cost under the union of a list of contribution boxes' upper ends, it is
+the bucket fill (:func:`elementary_rcspp`).  Unweighted, it tells
+:meth:`BlockView.reach` where the block's subpaths lie past a box: the
+range that the bucket partition tiles.
 
 The layered search stores labels, plain (rcost, vector, items) tuples,
 only for the layers that a later layer extends: per item, every label
@@ -40,16 +41,12 @@ last-layer item straight into one bounded selection of the first
 prefix of the fully enumerated, sorted solution list.
 
 Bucket fill.  :func:`elementary_rcspp` answers every bucket box of one
-block with a single search and sends each completed subpath to the box
-that holds it, where it is kept when it sorts first by (reduced cost,
-vector, node sequence); so every box gets exactly the result of its own
-search.  It keeps no label store: a label could only dominate labels
-with its own vector (two vectors may end in different boxes), and such
-labels are too rare for a store to pay for its keys.  A state is
-dropped when its vector plus the least that any completion from its node
-can add (:meth:`BlockView.least_completion`, a dual-independent bound
-cached on the view) is above the union's upper end: no extension of it
-can end in a box.
+block with a single walk and sends each subpath to the box that holds
+it, where it is kept when it sorts first by (reduced cost, vector, node
+sequence); so every box gets exactly the result of its own search.  It
+keeps no label store: a label could only dominate labels with its own
+vector (two vectors may end in different boxes), and such labels are too
+rare for a store to pay for its keys.
 
 All arithmetic is integer: callers pass duals through
 ``model.Duals.scaled()`` so reduced costs stay exact.
@@ -242,14 +239,11 @@ def through_values(layers, aggs, checks, prune=()):
 
 
 class BlockView:
-    """Precomputed arrays for labeling over one block.
-
-    Elements get local indices 0..m-1 in ascending order (bit positions
-    of the visited set, a Python int, so any block size works), so local
-    node sequences sort as the elements' do; path-resource deltas are
+    """Precomputed arrays for labeling over one block: elements get local
+    indices 0..m-1 in ascending order (bit positions of the visited set, a
+    Python int, so any block size works), path-resource deltas are
     flattened into the problem's concatenated coordinate space, and
-    adjacency is sorted for determinism.
-    """
+    adjacency is sorted for determinism."""
 
     def __init__(self, problem, block_index):
         block = problem.blocks[block_index]
@@ -274,35 +268,17 @@ class BlockView:
             for v in elements
         ]
 
-        def flat_coords(item):
-            if not item.path_deltas:
-                return (0,) * self.n_coords
-            out = []
-            for vec in item.path_deltas:
-                out.extend(vec)
-            return tuple(out)
+        def leg(item):
+            """(cost, padded subpath deltas, flat contribution deltas)."""
+            sub = tuple(item.sub_deltas)
+            flat = tuple([x for vec in item.path_deltas for x in vec])
+            return item.cost, sub + (0,) * (self.n_sub - len(sub)), flat or (0,) * self.n_coords
 
-        def padded_sub(item):
-            d = item.sub_deltas
-            if len(d) == self.n_sub:
-                return d
-            return d + (0,) * (self.n_sub - len(d))
-
-        self.entry = [
-            (block.entry_at(v).cost, padded_sub(block.entry_at(v)),
-             flat_coords(block.entry_at(v)))
-            for v in elements
-        ]
-        self.exit = [
-            (block.exit_at(v).cost, padded_sub(block.exit_at(v)),
-             flat_coords(block.exit_at(v)))
-            for v in elements
-        ]
+        self.entry = [leg(block.entry_at(v)) for v in elements]
+        self.exit = [leg(block.exit_at(v)) for v in elements]
         self.arcs_out = [[] for _ in elements]
         for (u, v), arc in sorted(block.arcs.items()):
-            self.arcs_out[self.local[u]].append(
-                (self.local[v], arc.cost, padded_sub(arc), flat_coords(arc))
-            )
+            self.arcs_out[self.local[u]].append((self.local[v], *leg(arc)))
         # what a step adds to a subpath's cost, exit leg included: step t
         # starts a subpath at element t, step (u + 1) * m + t extends one
         # that ends at u to t (see ``SubpathTable``)
@@ -374,6 +350,65 @@ class BlockView:
             self._headroom = (math.inf,) * self.n_coords if tops is None else tops[self.index]
         return self._headroom
 
+    def step_weights(self, duals) -> list:
+        """Per step (see :class:`SubpathTable`), what it adds to a
+        subpath's scaled reduced cost under scaled ``duals``, exit leg
+        included."""
+        m = len(self.elements)
+        gain = [duals.value(k) for k in self.elements]
+        return [cost * duals.denom - gain[step % m]
+                for step, cost in enumerate(self._step_costs)]
+
+    def walk(self, limits, weights, banned=0):
+        """Depth-first search over the elementary subpaths of the block
+        that visit no element of local mask ``banned``, yielding one state
+        per subpath: (last local element, node sequence, local visited
+        mask, value, contributions, subpath-resource values).  The value
+        sums ``weights`` over the subpath's steps (indexed as in
+        :class:`SubpathTable`); the contributions hold the exit leg.
+
+        A subpath that breaks a subpath-resource window is no state.  One
+        whose contributions on arrival at local element v are above
+        ``limits[v]`` (:meth:`limits`) is dropped with its extensions:
+        ``least[u] <= delta(u, t) + least[t]``, so they are above the
+        limits too.  Each state comes after its prefix, the last state
+        before it with one element fewer."""
+        elements = self.elements
+        m = len(elements)
+        exits = [flat for _, _, flat in self.exit]
+        caps = [tuple(map(add, limit, flat)) for limit, flat in zip(limits, exits)]
+        sub_checks = self.sub_checks
+        # per arc, its contributions less its tail's exit plus its head's
+        arcs = [
+            [(t, (elements[t],), 1 << t, weights[(u + 1) * m + t], sub_d,
+              tuple([a + b - c for a, b, c in zip(flat, exits[t], exits[u])]),
+              sub_checks[t], caps[t])
+             for t, _, sub_d, flat in outs if not banned >> t & 1]
+            for u, outs in enumerate(self.arcs_out)
+        ]
+        stack = []
+        start = (0,) * self.n_sub
+        for v, (_, sub_d, flat) in enumerate(self.entry):
+            vec = tuple(map(add, flat, exits[v]))
+            if banned >> v & 1 or any(map(gt, vec, caps[v])):
+                continue
+            sub = _extend_sub(sub_checks[v], start, sub_d)
+            if sub is not None:
+                stack.append((v, (elements[v],), 1 << v, weights[v], vec, sub))
+        while stack:
+            state = stack.pop()
+            yield state
+            u, nodes, visited, value, vec, sub = state
+            for t, node, bit, weight, sub_d, delta, checks, cap in arcs[u]:
+                if visited & bit:
+                    continue
+                ext = tuple(map(add, vec, delta))
+                if any(map(gt, ext, cap)):
+                    continue
+                nxt = _extend_sub(checks, sub, sub_d)
+                if nxt is not None:
+                    stack.append((t, nodes + node, visited | bit, value + weight, ext, nxt))
+
     def reach(self, box) -> tuple:
         """Per coordinate, ``box``'s (lo, hi), stretched on a side where
         the block has a subpath outside it that a feasible path may use.
@@ -382,10 +417,10 @@ class BlockView:
         it holds at least ``least``: the least entry, m - 1 times the
         least arc below 0, and the least exit; a usable one holds at most
         ``most``, the same with the largest values, capped by
-        :meth:`headroom`.  lo becomes ``least`` when a zero-dual fill
-        finds a subpath below lo, and hi becomes ``most`` when one finds a
-        subpath in (hi, most].  Dual-independent, and bans only take
-        subpaths away; cached per box."""
+        :meth:`headroom`.  lo becomes ``least`` when the block has a
+        subpath below lo, and hi becomes ``most`` when it has one in
+        (hi, most].  Dual-independent, and bans only take subpaths away;
+        cached per box."""
         if box not in self._reach:
             m = len(self.elements)
             tops = self.headroom()
@@ -397,18 +432,24 @@ class BlockView:
                 steps = [0, *(flat[c] for flat in arcs)]
                 least = min(entry) + (m - 1) * min(steps) + min(exit_)
                 most = min(tops[c], max(entry) + (m - 1) * max(steps) + max(exit_))
-                if least < lo and self._finds(c, (None, lo - 1)):
+                if least < lo and self._finds(c, -math.inf, lo - 1):
                     lo = least
-                if most > hi and self._finds(c, (hi + 1, most)):
+                if most > hi and self._finds(c, hi + 1, most):
                     hi = most
                 out.append((lo, hi))
             self._reach[box] = tuple(out)
         return self._reach[box]
 
-    def _finds(self, c, window) -> bool:
-        """Whether some subpath lies in ``window`` on coordinate c."""
-        boxes = [[(None, None)] * c + [window] + [(None, None)] * (self.n_coords - c - 1)]
-        return elementary_rcspp(self.problem, self.index, boxes=boxes)[0] is not None
+    def _finds(self, c, lo, hi) -> bool:
+        """Whether some subpath holds lo..hi on coordinate c: the first
+        one that :meth:`walk` yields there, walking no further than hi
+        allows."""
+        top = [math.inf] * self.n_coords
+        if self.coord_monotone[c]:
+            top[c] = hi
+        zeros = [0] * len(self._step_costs)
+        return any(lo <= vec[c] <= hi
+                   for _, _, _, _, vec, _ in self.walk(self.limits(top), zeros))
 
     def _mask(self, banned) -> int:
         mask = 0
@@ -435,56 +476,28 @@ class BlockView:
             self._tables[mask] = self._tables[0].without(mask)
         return self._tables[mask]
 
-    def reduced_costs(self, table, duals) -> list:
-        """Scaled reduced cost of every subpath of ``table``, one of this
-        block's tables, under scaled ``duals``: one addition per subpath,
-        to its prefix's value."""
-        m = len(self.elements)
-        gain = [duals.value(k) for k in self.elements]
-        return table.sums([
-            cost * duals.denom - gain[step % m]
-            for step, cost in enumerate(self._step_costs)
-        ])
-
     def _enumerate(self) -> "SubpathTable":
-        """Depth-first search over every elementary subpath that can lie
-        on a feasible path.
+        """Every subpath that :meth:`walk` yields under the
+        :meth:`limits` of the block's :meth:`headroom`, weighed by its
+        cost, exit leg included.
 
-        A state is dropped when its contributions exceed its element's
-        :meth:`limits` under the block's :meth:`headroom`: the subpath
-        and each extension of it end above the headroom, so no path that
-        holds them passes the predicates.  A subpath that ends above it
-        from a state within the limits stays in the table.  A dropped
-        subpath dominates only subpaths with vectors at least as large,
-        which cannot lie on a feasible path either, and every kept
-        subpath's prefixes are kept."""
-        elements, sub_checks = self.elements, self.sub_checks
-        m = len(elements)
-        limits = self.limits(self.headroom())
-        stack = []
-        for v, (cost, sub_d, flat) in enumerate(self.entry):
-            if any(map(gt, flat, limits[v])):
-                continue
-            values = _extend_sub(sub_checks[v], (0,) * self.n_sub, sub_d)
-            if values is not None:
-                stack.append((v, (elements[v],), 1 << v, values, cost, flat, -1, v))
+        A dropped subpath and each extension of it end above the
+        headroom, so no path that holds them passes the predicates; a
+        subpath that ends above it from a state within the limits stays
+        in the table.  A dropped subpath dominates only subpaths with
+        vectors at least as large, which cannot lie on a feasible path
+        either, and every kept subpath's prefixes are kept."""
+        m = len(self.elements)
         found = []          # (vector, nodes, cost, mask, prefix row, step)
-        while stack:
-            u, nodes, visited, values, cost, flat, prefix, step = stack.pop()
-            exit_cost, _, exit_flat = self.exit[u]
-            row = len(found)
-            found.append((tuple(map(add, flat, exit_flat)), nodes, cost + exit_cost,
-                          visited, prefix, step))
-            for t, arc_cost, sub_d, arc_flat in self.arcs_out[u]:
-                if visited >> t & 1:
-                    continue
-                ext = tuple(map(add, flat, arc_flat))
-                if any(map(gt, ext, limits[t])):
-                    continue
-                nxt = _extend_sub(sub_checks[t], values, sub_d)
-                if nxt is not None:
-                    stack.append((t, nodes + (elements[t],), visited | 1 << t, nxt,
-                                  cost + arc_cost, ext, row, (u + 1) * m + t))
+        # per depth (length - 1): the last row found at that depth, and
+        # (its last element + 1) * m, the base of the steps that extend it
+        last = [None] * m
+        for u, nodes, visited, cost, vec, _ in self.walk(
+                self.limits(self.headroom()), self._step_costs):
+            depth = len(nodes) - 1
+            prefix, step = last[depth - 1] if depth else (-1, 0)
+            last[depth] = (len(found), (u + 1) * m)
+            found.append((vec, nodes, cost, visited, prefix, step + u))
         if not found:
             return SubpathTable()
         # (vector, nodes) pairs are distinct, so the sort never looks further
@@ -640,19 +653,14 @@ def elementary_rcspp(
     dict, its ``"fill_labels"`` entry gains the number of states the
     search expands.
 
-    The search is depth first and keeps no label store.  Each state
-    carries its node sequence, and each completed subpath goes to the box
+    The search is :meth:`BlockView.walk`, weighed by scaled reduced
+    cost, under the limits of the union's upper end on the monotone
+    coordinates that every box bounds: a subpath it drops ends in no box.
+    It keeps no label store.  Each subpath it yields goes to the box
     holding its vector, where it replaces the box's answer when it sorts
     before it by (reduced cost, vector, node sequence).  So every box gets
     the unique first subpath in that order, whatever order the states are
     visited in.
-
-    A state is dropped, at entry and on extension, when its vector is
-    above its node's ``BlockView.limits`` under the union's upper end on
-    the monotone coordinates that every box bounds.  Every completion from
-    node v adds at least v's least completion, and ``least[u] <=
-    delta(u, t) + least[t]``, so neither the state nor any extension of
-    it can end in a box.
 
     Returns one entry per box: the (Subpath, scaled reduced cost) pair
     that sorts first (the scale is ``duals.denom``), or None when no
@@ -661,73 +669,33 @@ def elementary_rcspp(
     view = block_view(problem, block_index)
     boxes = [tuple(box) for box in boxes]
     duals = as_scaled(duals)
-    denom = duals.denom
 
-    n = view.n_coords
-    top = [math.inf] * n
-    for c in range(n):
+    top = [math.inf] * view.n_coords
+    for c in range(view.n_coords):
         his = [box[c][1] for box in boxes]
         if view.coord_monotone[c] and None not in his:
             top[c] = max(his)
-    limits = view.limits(top)
     locate = _box_locator(boxes)
 
-    banned_local = {view.local[k] for k in banned if k in view.local}
-    gain = [duals.value(k) for k in view.elements]
-    sub_checks = view.sub_checks
-    arcs = [
-        [
-            (t, 1 << t, cost, cost * denom - gain[t], sub_d, coord_d,
-             sub_checks[t], limits[t])
-            for t, cost, sub_d, coord_d in outs
-            if t not in banned_local
-        ]
-        for outs in view.arcs_out
-    ]
-    exits = [(cost, cost * denom, coord_d) for cost, _, coord_d in view.exit]
-
-    # a state: (node, local node sequence, visited, rcost, cost, vector
-    # on arrival, subpath-resource values)
-    stack = []
-    start = (0,) * view.n_sub
-    for local, (cost, sub_d, contribs) in enumerate(view.entry):
-        if local in banned_local or any(map(gt, contribs, limits[local])):
-            continue
-        values = _extend_sub(sub_checks[local], start, sub_d)
-        if values is not None:
-            stack.append((local, (local,), 1 << local, cost * denom - gain[local],
-                          cost, contribs, values))
-    kept = [None] * len(boxes)      # per box: (rcost, vector, nodes, cost)
+    kept = [None] * len(boxes)      # per box: (rcost, vector, nodes)
     expanded = 0
-    while stack:
-        node, nodes, visited, rcost, cost, res, sub = stack.pop()
+    for _, nodes, _, rcost, vec, _ in view.walk(
+            view.limits(top), view.step_weights(duals), view._mask(banned)):
         expanded += 1
-        exit_cost, scaled, exit_d = exits[node]
-        contribs = tuple(map(add, res, exit_d))
-        i = locate(contribs)
+        i = locate(vec)
         if i >= 0:
-            value = rcost + scaled
             best = kept[i]
-            if best is None or value < best[0] or value == best[0] and (
-                    contribs < best[1] or contribs == best[1] and nodes < best[2]):
-                kept[i] = (value, contribs, nodes, cost + exit_cost)
-        for target, bit, arc_cost, step, sub_d, coord_d, checks, limit in arcs[node]:
-            if visited & bit:
-                continue
-            ext = tuple(map(add, res, coord_d))
-            if any(map(gt, ext, limit)):
-                continue
-            values = _extend_sub(checks, sub, sub_d)
-            if values is not None:
-                stack.append((target, nodes + (target,), visited | bit, rcost + step,
-                              cost + arc_cost, ext, values))
+            if best is None or rcost < best[0] or rcost == best[0] and (
+                    vec < best[1] or vec == best[1] and nodes < best[2]):
+                kept[i] = (rcost, vec, nodes)
 
     if tally is not None:
         tally["fill_labels"] += expanded
-    elements = view.elements
+    # rcost = cost * denom - the nodes' duals, so the cost comes back exactly
     return [
         None if best is None else (
-            Subpath(block_index, tuple([elements[i] for i in best[2]]), best[3], best[1]),
+            Subpath(block_index, best[2],
+                    (best[0] + sum(map(duals.value, best[2]))) // duals.denom, best[1]),
             best[0],
         )
         for best in kept

@@ -454,7 +454,7 @@ def _front(view, table, scaled):
     """The Pareto front of ``table``, a ``labeling.SubpathTable`` of block
     ``view``, under scaled duals, as (scaled rcost, vector, subpath)
     triples in (rcost, vector, nodes) order."""
-    rcosts = view.reduced_costs(table, scaled)
+    rcosts = table.sums(view.step_weights(scaled))
     return [
         (rcosts[j], table.vectors[j], table.subpaths[j])
         for j in _pareto_keep(table.vectors, rcosts)

@@ -28,6 +28,7 @@ from nestedcg.model import (
     NestedProblem,
     PathResource,
     SubpathResource,
+    as_scaled,
 )
 from nestedcg.pricing import COLUMNS_PER_CALL
 
@@ -241,7 +242,7 @@ def test_blocks_past_31_elements_match_enumeration():
     table = view.table()
     got = sorted(
         (rc, sp.contributions, sp.nodes, sp.cost)
-        for sp, rc in zip(table.subpaths, view.reduced_costs(table, scaled))
+        for sp, rc in zip(table.subpaths, table.sums(view.step_weights(scaled)))
     )
     assert got == want
     # the search finds the first of them
@@ -443,6 +444,11 @@ def test_block_is_searched_once_across_ban_sets(monkeypatch):
             assert table.vectors == tuple(vec for vec, _ in keys)
             assert (usable_subpaths(problem, bi, banned) <= set(table.subpaths)
                     <= set(_oracle_subpaths(problem, bi, banned)))
+            # and it holds the rows of a walk under the ban mask
+            walked = view.walk(view.limits(view.headroom()),
+                               view.step_weights(as_scaled(None)), view._mask(banned))
+            assert (sorted((nodes, cost, vec) for _, nodes, _, cost, vec, _ in walked)
+                    == sorted((sp.nodes, sp.cost, sp.contributions) for sp in table.subpaths))
         banned |= {rng.choice(problem.elements)}
     assert sorted(calls) == list(range(len(problem.blocks)))
 
