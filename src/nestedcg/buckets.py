@@ -140,8 +140,9 @@ class Partition:
         else:
             widths = tuple(width)
             if len(widths) != d:
-                raise BucketError(
-                    f"expected {d} widths, got {len(widths)}"
+                raise ModelError(
+                    f"bucket widths {widths} for {d} contribution coordinates: "
+                    "need one width per coordinate"
                 )
         box = problem.contribution_box()
         if any(w < 1 for w in widths):

@@ -24,9 +24,9 @@ layered search over buckets then prices whole paths twice:
   Any result is an actual feasible path built from representatives, hence
   an upper bound, and a usable column when negative.
 
-While the optimistic value is negative but no negative pessimistic path
-exists, the buckets along the optimistic argmin path are split and the
-loop repeats; the sandwich closes in finitely many steps.  With the
+While the two bounds differ, the buckets along the optimistic argmin
+path are split and the loop repeats; the sandwich closes in finitely many
+steps, and the closed value is the exact minimum reduced cost.  With the
 representative splitting strategy each split lands the representative on
 its child's lower corner, pinning a previously unpinned contribution
 vector, so a block never sees more splits than it has distinct feasible
@@ -53,7 +53,7 @@ from operator import le
 
 from .buckets import COMPUTED, EMPTY, FRESH, Partition, compute_representative
 from .labeling import block_view, label_search, through_values
-from .model import as_scaled, check_path_feasible
+from .model import ModelError, as_scaled, check_path_feasible
 
 
 # path searches return at most this many columns per pricing call
@@ -70,14 +70,12 @@ class PricingConfig:
     strategy: str = "representative"     # bucket splitting: representative | midpoint
     merge: bool = False
     reuse: bool = False
-    until: str = "column"                # stop refining at first column, or "closure"
 
 
 @dataclass
 class PricingOutcome:
     columns: list                        # feasible Paths with negative reduced cost
-    optimistic: Fraction | None          # lower bound on min reduced cost (millicost)
-    pessimistic: Fraction | None         # best path reduced cost seen (millicost)
+    optimistic: Fraction | None          # min reduced cost (millicost), or None
     infeasible: bool = False             # no feasible path exists under current bans
     stats: dict = field(default_factory=dict)
 
@@ -130,11 +128,13 @@ class AdaptivePricer:
         self.problem = problem
         self.config = config or PricingConfig()
         if self.config.strategy not in ("representative", "midpoint"):
-            raise PricingError(f"unknown strategy {self.config.strategy!r}")
+            raise ModelError(
+                f"unknown bucket splitting strategy {self.config.strategy!r}: "
+                "expected 'representative' or 'midpoint'"
+            )
         self.rules = problem.aggs, problem.predicates, problem.monotone
         self.partition: Partition | None = None
         self.banned = frozenset()
-        self.refines_per_block = [0] * len(problem.blocks)
         self.totals = {
             "rep_computations": 0,
             "fill_searches": 0,
@@ -258,12 +258,7 @@ class AdaptivePricer:
                     self.totals["reuse_hits"] += 1
                     stats["reuse_hit"] = True
                     stats.update(self._snapshot())
-                    return PricingOutcome(
-                        columns=[p for _, p in columns],
-                        optimistic=None,
-                        pessimistic=min(rc for rc, _ in columns),
-                        stats=stats,
-                    )
+                    return PricingOutcome([p for _, p in columns], None, stats=stats)
 
         # representatives are per-duals quantities: everything computed on a
         # previous call is stale now (emptiness is not -- it never expires)
@@ -271,52 +266,28 @@ class AdaptivePricer:
             if bucket.status == COMPUTED:
                 bucket.status = FRESH
 
-        outcome = None
-        while outcome is None:
+        while True:
             tick = time.perf_counter()
             self._compute_fresh(scaled, banned)
             self.timers["fill"] += time.perf_counter() - tick
             live = self._live()
-            if live is None:
-                outcome = PricingOutcome([], None, None, infeasible=True, stats=stats)
-                break
-
-            tick = time.perf_counter()
-            opt = label_search(
-                _layers(live, lambda b: b.lo, lambda b: b.rep.rcost,
-                        scaled.convexity),
-                *self.rules,
-            )
-            self.timers["optimistic"] += time.perf_counter() - tick
-            self.totals["optimistic_runs"] += 1
+            opt = None
+            if live is not None:
+                tick = time.perf_counter()
+                opt = label_search(
+                    _layers(live, lambda b: b.lo, lambda b: b.rep.rcost,
+                            scaled.convexity),
+                    *self.rules,
+                )
+                self.timers["optimistic"] += time.perf_counter() - tick
+                self.totals["optimistic_runs"] += 1
             if not opt:
-                outcome = PricingOutcome(
-                    [], None, None, infeasible=True, stats=stats
-                )
-                break
-            opt_val = opt[0].rcost
-
-            if opt_val >= 0 and cfg.until != "closure":
-                # certificate: no path can price out
-                outcome = PricingOutcome(
-                    [], Fraction(opt_val, denom), None, stats=stats
-                )
-                break
+                stats.update(self._snapshot())
+                return PricingOutcome([], None, infeasible=True, stats=stats)
 
             pes, columns = self._pessimistic(live, lambda b: b.rep.rcost, scaled,
                                              exclude)
-            closed = bool(pes) and pes[0].rcost == opt_val
-            if (columns and cfg.until == "column") or closed:
-                outcome = PricingOutcome(
-                    columns=[p for _, p in columns],
-                    optimistic=Fraction(opt_val, denom),
-                    pessimistic=(
-                        Fraction(pes[0].rcost, denom)
-                        if closed
-                        else min((rc for rc, _ in columns), default=None)
-                    ),
-                    stats=stats,
-                )
+            if pes and pes[0].rcost == opt[0].rcost:
                 break
 
             targets = [b for b in opt[0].nodes if not b.pinned]
@@ -326,21 +297,18 @@ class AdaptivePricer:
                 )
             for bucket in targets:
                 self.partition.refine_bucket(bucket, cfg.strategy)
-                self.refines_per_block[bucket.block] += 1
                 self.totals["refinements"] += 1
                 stats["refinements"] += 1
 
-        if cfg.merge and not outcome.infeasible:
-            live = self._live()
-            if live is not None:
-                tick = time.perf_counter()
-                n = self._merge_blocks(live, scaled)
-                self.timers["merge"] += time.perf_counter() - tick
-                self.totals["merges"] += n
-                stats["merges"] = n
+        if cfg.merge:
+            tick = time.perf_counter()
+            n = self._merge_blocks(live, scaled)
+            self.timers["merge"] += time.perf_counter() - tick
+            self.totals["merges"] += n
+            stats["merges"] = n
         stats.update(self._snapshot())
-        outcome.stats = stats
-        return outcome
+        return PricingOutcome([p for _, p in columns], Fraction(opt[0].rcost, denom),
+                              stats=stats)
 
     def _snapshot(self):
         snap = dict(self.totals)
@@ -410,7 +378,7 @@ class ExactPricer:
             table = view.table(banned)
             self.timers["enumerate"] += time.perf_counter() - tick
             if not table:
-                return PricingOutcome([], None, None, infeasible=True,
+                return PricingOutcome([], None, infeasible=True,
                                       stats=self._snapshot())
             self.totals["enumerated"] += len(table)
             tick = time.perf_counter()
@@ -428,20 +396,15 @@ class ExactPricer:
         results = label_search(layers, *self.rules, top_k=COLUMNS_PER_CALL)
         self.timers["search"] += time.perf_counter() - tick
         if not results:
-            return PricingOutcome([], None, None, infeasible=True,
+            return PricingOutcome([], None, infeasible=True,
                                   stats=self._snapshot())
 
-        best = Fraction(results[0].rcost, denom)
         columns = [path for _, path in _assemble(
             self.problem, results, lambda items: tuple(kept[j][2] for j in items),
             denom, exclude,
         )]
-        return PricingOutcome(
-            columns=columns,
-            optimistic=best,
-            pessimistic=best if columns else None,
-            stats=self._snapshot(),
-        )
+        return PricingOutcome(columns, Fraction(results[0].rcost, denom),
+                              stats=self._snapshot())
 
     def _snapshot(self):
         snap = dict(self.totals)

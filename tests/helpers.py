@@ -1,10 +1,14 @@
 """Helpers shared by several test modules."""
 
 import itertools
+from collections import Counter
 from operator import le
+from unittest import mock
 
-from nestedcg import synth
+from nestedcg import driver, synth
+from nestedcg.buckets import Partition
 from nestedcg.model import Path, Subpath, check_path_feasible
+from nestedcg.pricing import AdaptivePricer, ExactPricer, PricingConfig
 
 
 def reduced_cost(obj, duals):
@@ -41,3 +45,46 @@ def usable_subpaths(problem, block_index, banned=frozenset()):
                for path in itertools.product(*choices)):
             out.add(sp)
     return out
+
+
+def quarter_width(problem):
+    """Bucket widths a quarter of the contribution box on every coordinate."""
+    return tuple(max(1, (hi - lo + 1) // 4) for lo, hi in problem.contribution_box())
+
+
+def count_refinements(monkeypatch):
+    """Split counts per block, filled in by every ``Partition.refine_bucket``
+    call made while ``monkeypatch`` is active."""
+    counts = Counter()
+    refine = Partition.refine_bucket
+
+    def counted(self, bucket, strategy):
+        counts[bucket.block] += 1
+        return refine(self, bucket, strategy)
+
+    monkeypatch.setattr(Partition, "refine_bucket", counted)
+    return counts
+
+
+def replay_exact_calls(problem):
+    """Solve ``problem`` with the exact pricer and dive on, recording every
+    pricing call's duals, bans and exclusions; then replay those calls in
+    order into one default adaptive pricer with quarter-box buckets.
+    Returns one ``((infeasible, optimistic) of exact, the same of
+    adaptive)`` pair per call."""
+    calls = []
+
+    class Recording(ExactPricer):
+        def price(self, duals, banned=frozenset(), exclude=frozenset()):
+            out = super().price(duals, banned, exclude)
+            calls.append((duals, banned, exclude, (out.infeasible, out.optimistic)))
+            return out
+
+    with mock.patch.object(driver, "ExactPricer", Recording):
+        driver.solve(problem, driver.DriverConfig(pricer="exact", dive=True))
+    adaptive = AdaptivePricer(problem, PricingConfig(width=quarter_width(problem)))
+    pairs = []
+    for duals, banned, exclude, exact in calls:
+        out = adaptive.price(duals, banned, exclude)
+        pairs.append((exact, (out.infeasible, out.optimistic)))
+    return pairs

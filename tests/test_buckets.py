@@ -85,7 +85,7 @@ def test_initial_rejects_bad_widths():
     problem = _line_problem()
     with pytest.raises(ModelError, match=r"width 0 over box \(\(0, 1000\),\)"):
         Partition.initial(problem, 0)
-    with pytest.raises(BucketError):
+    with pytest.raises(ModelError, match=r"widths \(250, 250\) for 1 contribution coordinates"):
         Partition.initial(problem, (250, 250))  # dim mismatch
     with pytest.raises(ModelError, match="width 1 over box .*90000 buckets"):
         Partition.initial(_line_problem(span=299, dim=2), 1)  # 90000 cells

@@ -9,11 +9,11 @@ from fractions import Fraction
 from operator import le
 
 import pytest
-from helpers import reduced_cost, usable_subpaths
+from helpers import count_refinements, reduced_cost, replay_exact_calls, usable_subpaths
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from nestedcg import driver, synth
+from nestedcg import driver, mpcvrp, synth
 from nestedcg.buckets import COMPUTED, Partition, compute_representative
 from nestedcg.labeling import BlockView, block_view, label_search
 from nestedcg.model import (
@@ -26,6 +26,7 @@ from nestedcg.model import (
     Block,
     Boundary,
     Duals,
+    ModelError,
     NestedProblem,
     PathResource,
     SubpathResource,
@@ -67,14 +68,18 @@ def _distinct_vectors(problem, block_index):
 def test_closure_equals_the_oracle(seed):
     problem, duals = _case(seed)
     oracle = synth.oracle_min_rcost(problem, duals)
-    pricer = AdaptivePricer(problem, PricingConfig(width=_rel_width(problem, 3), until="closure"))
+    pricer = AdaptivePricer(problem, PricingConfig(width=_rel_width(problem, 3)))
     out = pricer.price(duals)
     if oracle is None:
         assert out.infeasible
         return
     assert not out.infeasible
     assert out.optimistic == oracle[0]
-    assert out.pessimistic == oracle[0]
+    assert bool(out.columns) == (oracle[0] < 0)
+    for path in out.columns:
+        assert reduced_cost(path, duals) < 0
+    if oracle[0] < 0:
+        assert min(reduced_cost(p, duals) for p in out.columns) == oracle[0]
 
 
 @pytest.mark.parametrize("tiles", (1, 2, 7))
@@ -83,31 +88,14 @@ def test_closure_is_width_and_strategy_independent(tiles, strategy):
     for seed in (2, 5, 11):
         problem, duals = _case(seed)
         oracle = synth.oracle_min_rcost(problem, duals)
-        cfg = PricingConfig(
-            width=_rel_width(problem, tiles), strategy=strategy, until="closure"
-        )
+        cfg = PricingConfig(width=_rel_width(problem, tiles), strategy=strategy)
         out = AdaptivePricer(problem, cfg).price(duals)
         if oracle is None:
             assert out.infeasible
         else:
-            assert (out.optimistic, out.pessimistic) == (oracle[0], oracle[0])
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_column_mode_bounds_sandwich_the_oracle(seed):
-    problem, duals = _case(seed)
-    oracle = synth.oracle_min_rcost(problem, duals)
-    out = AdaptivePricer(
-        problem, PricingConfig(width=_rel_width(problem, 4))
-    ).price(duals)
-    if oracle is None:
-        assert out.infeasible
-        return
-    assert out.optimistic <= oracle[0]
-    if out.pessimistic is not None:
-        assert oracle[0] <= out.pessimistic
-    for path in out.columns:
-        assert reduced_cost(path, duals) < 0
+            assert out.optimistic == oracle[0]
+            if oracle[0] < 0:
+                assert min(reduced_cost(p, duals) for p in out.columns) == oracle[0]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -178,22 +166,22 @@ def test_refinement_is_monotone_under_frozen_duals(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_refinements_never_exceed_distinct_vectors(seed):
+def test_refinements_never_exceed_distinct_vectors(seed, monkeypatch):
     problem, duals = _case(seed)
-    cfg = PricingConfig(width=10**6, strategy="representative", until="closure")
-    pricer = AdaptivePricer(problem, cfg)
-    out = pricer.price(duals)
+    refines = count_refinements(monkeypatch)
+    cfg = PricingConfig(width=10**6, strategy="representative")
+    out = AdaptivePricer(problem, cfg).price(duals)
     if out.infeasible:
         pytest.skip("no feasible path for this seed")
     for bi in range(len(problem.blocks)):
-        assert pricer.refines_per_block[bi] <= len(_distinct_vectors(problem, bi))
+        assert refines[bi] <= len(_distinct_vectors(problem, bi))
 
 
 def test_merge_keeps_closure_exact_across_calls():
     merged_any = 0
     for seed in (1, 3, 6, 8, 12):
         problem = synth.random_tiny_instance(seed)
-        cfg = PricingConfig(width=_rel_width(problem, 2), until="closure", merge=True)
+        cfg = PricingConfig(width=_rel_width(problem, 2), merge=True)
         pricer = AdaptivePricer(problem, cfg)
         for round_ in range(3):
             duals = synth.random_duals(problem, seed * 31 + round_)
@@ -202,7 +190,9 @@ def test_merge_keeps_closure_exact_across_calls():
             if oracle is None:
                 assert out.infeasible
             else:
-                assert out.optimistic == oracle[0] == out.pessimistic
+                assert out.optimistic == oracle[0]
+                if oracle[0] < 0:
+                    assert min(reduced_cost(p, duals) for p in out.columns) == oracle[0]
         merged_any += pricer.totals["merges"]
     assert merged_any > 0, "the sweep should find at least one admissible merge"
 
@@ -237,9 +227,7 @@ def test_excluded_node_keys_are_not_offered_again():
     problem = synth.random_tiny_instance(5)
     duals = Duals({k: 10**6 for k in problem.elements})
     for pricer in (
-        AdaptivePricer(
-            problem, PricingConfig(width=_rel_width(problem, 2), until="closure")
-        ),
+        AdaptivePricer(problem, PricingConfig(width=_rel_width(problem, 2))),
         ExactPricer(problem),
     ):
         first = pricer.price(duals)
@@ -270,9 +258,7 @@ def test_shrinking_bans_are_an_error():
 
 def test_growing_bans_invalidate_in_place():
     problem = synth.random_tiny_instance(6)
-    pricer = AdaptivePricer(
-        problem, PricingConfig(width=_rel_width(problem, 2), until="closure")
-    )
+    pricer = AdaptivePricer(problem, PricingConfig(width=_rel_width(problem, 2)))
     duals = synth.random_duals(problem, 9)
     pricer.price(duals)
     kept = pricer.partition
@@ -288,15 +274,40 @@ def test_growing_bans_invalidate_in_place():
 
 def test_unknown_strategy_is_rejected():
     problem = synth.random_tiny_instance(1)
-    with pytest.raises(PricingError):
+    with pytest.raises(ModelError, match="'thirds'"):
         AdaptivePricer(problem, PricingConfig(strategy="thirds"))
+
+
+_REPLAYED = {
+    "tiny1": lambda: synth.random_tiny_instance(1),
+    "tiny2": lambda: synth.random_tiny_instance(2),
+    "tiny3": lambda: synth.random_tiny_instance(3),
+    "chain1": lambda: synth.random_chain_instance(1),
+    "chain2": lambda: synth.random_chain_instance(2),
+    "span1": lambda: synth.build_span_problem(synth.random_span_instance(1)),
+    "mpcvrp-n4-t2": lambda: mpcvrp.build_nested(mpcvrp.generate_instance(
+        n=4, days=2, vehicles=2, delta=Fraction(9, 10), seed=1)),
+    "mpcvrp-n4-t3": lambda: mpcvrp.build_nested(mpcvrp.generate_instance(
+        n=4, days=3, vehicles=2, delta=Fraction(1, 2), seed=1)),
+}
+
+
+@pytest.mark.parametrize("name", _REPLAYED)
+def test_adaptive_replays_an_exact_solve_call_for_call(name):
+    # every pricing call of an exact solve and its dive -- smoothed duals,
+    # growing bans, pooled columns excluded -- gives one adaptive pricer
+    # the same answer: closure makes both bounds the exact minimum
+    pairs = replay_exact_calls(_REPLAYED[name]())
+    assert pairs
+    for exact, adaptive in pairs:
+        assert adaptive == exact
 
 
 def test_adaptive_and_exact_agree_on_every_dual_vector():
     problem = synth.random_tiny_instance(7)
     for seed in range(20):
         duals = synth.random_duals(problem, seed)
-        cfg = PricingConfig(width=_rel_width(problem, 2), until="closure")
+        cfg = PricingConfig(width=_rel_width(problem, 2))
         a = AdaptivePricer(problem, cfg).price(duals)
         e = ExactPricer(problem).price(duals)
         assert a.infeasible == e.infeasible
@@ -472,8 +483,10 @@ def test_extension_tiles_refine_and_certify_like_any_bucket(build, splits):
     for seed in range(10):
         duals = synth.random_duals(problem, seed)
         oracle = synth.oracle_min_rcost(problem, duals)
-        out = AdaptivePricer(problem, PricingConfig(until="closure")).price(duals)
-        assert (out.optimistic, out.pessimistic) == (oracle[0], oracle[0])
+        out = AdaptivePricer(problem, PricingConfig()).price(duals)
+        assert out.optimistic == oracle[0]
+        if oracle[0] < 0:
+            assert min(reduced_cost(p, duals) for p in out.columns) == oracle[0]
         refined += out.stats["refinements"]
     assert bool(refined) == splits
 

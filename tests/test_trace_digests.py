@@ -9,6 +9,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from helpers import quarter_width
 
 from nestedcg import driver, mpcvrp, synth
 from nestedcg.pricing import PricingConfig
@@ -38,17 +39,17 @@ CONFIGS = {
     "midpoint-merge": {"strategy": "midpoint", "merge": True},
 }
 
-# Capping each fill box at the block's headroom (``buckets.compute_representative``)
-# moved the adaptive, merge-reuse and midpoint-merge digests of tiny1, tiny2,
-# chain1 and mpcvrp-n4-t3: fewer fill states, and representatives only from
-# subpaths the headroom admits.  Each of the twelve kept its status, LP value,
-# dive and iteration count.
+# Refining every pricing call until the sandwich closes (``AdaptivePricer.price``)
+# moved the adaptive, merge-reuse and midpoint-merge digests of tiny1, tiny3,
+# span1, mpcvrp-n4-t2 and mpcvrp-n4-t3: each call now reports the exact minimum
+# reduced cost, and its columns come from the closed partition.  Each of the
+# fifteen kept its status, LP value and dive; none took more iterations.
 DIGESTS = {
     "tiny1": {
         "exact": "a96e134cea46851ae62152659eb99fbc30f331ec16db8bab2e41630dc61d32c3",
-        "adaptive": "1acd8c63549dcc576e898a0ee3d2edd3667beb3fa99894682185939aee8a5a01",
-        "merge-reuse": "0c4f6ed4024cb2a7f328b413ba782ad4255d77346025373c06f49bdf99c77920",
-        "midpoint-merge": "48a32f92e2f5af848c95d66b8b7e0334bd59ccb068240c9d42f6ca2584ffa17f",
+        "adaptive": "ca0116f14b36a8650e123618530731b2531f57b0196cc679770d8aed5b145a71",
+        "merge-reuse": "752ec759d149809c827b1919494c39b8231f753e592a8cd14c181907c5b980bb",
+        "midpoint-merge": "56c10314b659a58a024ac63b67fc849c959e66813773542a3428a470a7f88a98",
     },
     "tiny2": {
         "exact": "de183211dd86b38c8eb599b5930e2a6402cf9856b906a9273ea4ab217307b61b",
@@ -58,9 +59,9 @@ DIGESTS = {
     },
     "tiny3": {
         "exact": "2abc9606d261b1d36dd4d580d539b0244323e4d8c87802a478ca00e104ecdf41",
-        "adaptive": "03132442b1aacd5d0e767e6c39a92e7cc1c504b2afb14e37aab9950c0552492a",
-        "merge-reuse": "c775624ab8253fcb13d25230ee21a60ab47ef5a80a284e33f5ed84486de1f310",
-        "midpoint-merge": "c3a84da69674a7971cd26c6ec0c3502230fda7759841d7eadf3416f9b54538c3",
+        "adaptive": "e4476b398e3719d806ab5857f5351484635eeb4bcb6946fe0878be2c00064b4f",
+        "merge-reuse": "095453b415d67a4439922c3de63b532bf291fc2ccb5ea6192b50bc340ac06a0a",
+        "midpoint-merge": "b84165ce8ed8ea96c84e347a1ff9e3e04ac5b746137c884f5a502d9fc1f5253a",
     },
     "chain1": {
         "exact": "cfd6ee3a5b3be0ba7fed9a272ba5b90a4e7c1c8f71e7f09d758d56cc8669e906",
@@ -70,21 +71,21 @@ DIGESTS = {
     },
     "span1": {
         "exact": "32c45788af61190181c816952a9c65ec620e751ad09167b59be3f807cd8448b2",
-        "adaptive": "37a9deb4e464d21e0a8015499c1e528f7cdf63a6ff2ca4f63e154debfc43cd42",
-        "merge-reuse": "15253c4cafa91d2a3489c421e56f51971a8e9efdd31cd63aadc3a919ae3293f3",
-        "midpoint-merge": "6055863e1e990e80413176c09eb1bd2588cb82bb7d5b3753f9e573281c341a23",
+        "adaptive": "bbccf67d9cf2a1edc2118911ac5b3c7153523991251124a23c03275eb971caf6",
+        "merge-reuse": "6763c58c3044a5c85efeacb14efbab488cd861ab63dce58f44c5c89ea3351c30",
+        "midpoint-merge": "9e5f8b8d1fd121593af296527c512fdf30fbea73d32055e9ea749ab07755af1e",
     },
     "mpcvrp-n4-t2": {
         "exact": "d69681b886bfbc550f49c6c104980144a2d29eba1d8f71cf17014a0dafe533fc",
-        "adaptive": "fdb1b9f4b8b03d4002251768dcd2f0c5909a99157889b40bb3f728c140b4ed90",
-        "merge-reuse": "bc43d26ca680004781af647c399e0587ea8933655e18bbf058d3a315262c3608",
-        "midpoint-merge": "f4a8edd8b1963ae8a49fc392297c0a55a9da41c4aa195be6de39d9456d52ac5d",
+        "adaptive": "f4dae52a82709dec9f51f41eb573131c2e7ceae6ac064cff7c5efd6f36585e7a",
+        "merge-reuse": "9d1deea4d1fc6c7dd2bf28a11674d40208124997c4a554b6c4bac457c6e87744",
+        "midpoint-merge": "8b1783f1d8840ed378838f63a9b7155c71f1973a2c265f88c29e4b45df52064e",
     },
     "mpcvrp-n4-t3": {
         "exact": "2ca52488fef17e96ed7c9633cde6fcf831774552a8822dad14cdf61435024e00",
-        "adaptive": "31ef4a83391eca11ed40daa65334028c710f85cd00eaa8f27ad237884d89dabd",
-        "merge-reuse": "a7efc2be327c95103e9c045e6ca548d0b231f86c6d28ba057c0d2fe83f501312",
-        "midpoint-merge": "b4689db5e24a391ced9c4570c8ed94e05217ba5b39b050f592068b8907ba7c31",
+        "adaptive": "a591a2a7d2ff0bbde0010fe26f223357e5ac71e70d2e32fb9b9ff4c1968a3f6d",
+        "merge-reuse": "6ec84b8562eba2503bab32e0b36e15a56100a82b509d50e621af9f808d4e7e55",
+        "midpoint-merge": "a1da7d0fa24de4452c3b5cfab96582a741ccb17e336ab946b91b1feffb06e3b9",
     },
 }
 
@@ -92,9 +93,10 @@ DIGESTS = {
 def _config(problem, options):
     if options is None:
         return driver.DriverConfig(pricer="exact", dive=True)
-    width = tuple(max(1, (hi - lo + 1) // 4) for lo, hi in problem.contribution_box())
     return driver.DriverConfig(
-        pricer="adaptive", pricing=PricingConfig(width=width, **options), dive=True
+        pricer="adaptive",
+        pricing=PricingConfig(width=quarter_width(problem), **options),
+        dive=True,
     )
 
 
