@@ -82,6 +82,29 @@ def test_closure_equals_the_oracle(seed):
         assert min(reduced_cost(p, duals) for p in out.columns) == oracle[0]
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_column_mode_bounds_sandwich_the_oracle(seed):
+    # The sandwich at four tiles: the optimistic bound and the cheapest
+    # returned column (the pessimistic side) both meet the oracle.
+    problem, duals = _case(seed)
+    oracle = synth.oracle_min_rcost(problem, duals)
+    out = AdaptivePricer(
+        problem, PricingConfig(width=_rel_width(problem, 4))
+    ).price(duals)
+    if oracle is None:
+        assert out.infeasible
+        return
+    assert out.optimistic <= oracle[0]
+    assert oracle[0] <= out.optimistic
+    for path in out.columns:
+        assert reduced_cost(path, duals) < 0
+    if oracle[0] < 0:
+        assert oracle[0] <= min(reduced_cost(p, duals) for p in out.columns)
+        assert min(reduced_cost(p, duals) for p in out.columns) <= oracle[0]
+    else:
+        assert not out.columns
+
+
 @pytest.mark.parametrize("tiles", (1, 2, 7))
 @pytest.mark.parametrize("strategy", ("representative", "midpoint"))
 def test_closure_is_width_and_strategy_independent(tiles, strategy):
