@@ -48,6 +48,17 @@ keeps no label store: a label could only dominate labels with its own
 vector (two vectors may end in different boxes), and such labels are too
 rare for a store to pay for its keys.
 
+Packed vectors.  The walk carries each contribution vector as one int
+(:class:`Packing`): coordinate c as x - low, in a field of
+w = (high - low).bit_length() bits under a guard bit, where (low, high)
+are the view's :attr:`BlockView.bounds`; coordinate 0 is highest, so int
+order is tuple order.  An extension is one addition, and with
+cap - low + 2**w per field (cap clamped into [low - 1, high]) vec <= cap
+on every coordinate exactly when ``(cap - vec) & guard == guard``, since
+no field borrows; box corners are tested alike.  Only what leaves the
+walk is unpacked: exact's table rows, each box's fill winner, and the
+coordinate that :meth:`BlockView.reach` probes.
+
 All arithmetic is integer: callers pass duals through
 ``model.Duals.scaled()`` so reduced costs stay exact.
 """
@@ -57,7 +68,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from operator import add, gt, itemgetter, mul
+from itertools import accumulate
+from operator import add, itemgetter, mul
 
 from .model import SUM, Subpath, as_scaled
 
@@ -238,6 +250,61 @@ def through_values(layers, aggs, checks, prune=()):
 # ---------------------------------------------------------------------------
 
 
+class Packing:
+    """Vectors within per-coordinate ``bounds`` as ints, laid out as the module docstring says."""
+
+    def __init__(self, bounds):
+        self.bounds = bounds
+        self.masks = [(1 << (hi - lo).bit_length()) - 1 for lo, hi in bounds]
+        self.shifts = [sum(mask.bit_length() + 1 for mask in self.masks[c + 1:])
+                       for c in range(len(bounds))]
+        self.guard = sum((mask + 1) << s for mask, s in zip(self.masks, self.shifts))
+        self.base = self.delta([lo for lo, _ in bounds])
+        self._boxes = {}          # box -> (lower, upper) corners
+
+    def delta(self, values) -> int:
+        """What adding ``values`` adds to a packed vector."""
+        return sum([x << s for x, s in zip(values, self.shifts)])
+
+    def pack(self, ends, above=0) -> int:
+        """``ends`` clamped into [low - 1 + above, high + above], packed."""
+        return self.delta([min(max(x, lo - 1 + above), hi + above)
+                           for x, (lo, hi) in zip(ends, self.bounds)]) - self.base
+
+    def unpack(self, p) -> tuple:
+        return tuple([(p >> s & mask) + lo
+                      for s, mask, (lo, _) in zip(self.shifts, self.masks, self.bounds)])
+
+    def box(self, box) -> tuple:
+        """(lower, upper) packed corners of (lo, hi) ranges, None open; cached."""
+        if box not in self._boxes:
+            self._boxes[box] = (
+                self.pack([-math.inf if lo is None else lo for lo, _ in box], 1),
+                self.pack([math.inf if hi is None else hi for _, hi in box]))
+        return self._boxes[box]
+
+    def locator(self, boxes):
+        """``locate(vec)``: the disjoint box holding packed ``vec``, or -1.
+        Boxes whose corners bracket vec as ints get the guard tests."""
+        g = self.guard
+        corners = [self.box(box) for box in boxes]
+        order = sorted(range(len(corners)), key=corners.__getitem__)
+        starts = [corners[i][0] for i in order]
+        reach = list(accumulate([corners[i][1] for i in order], max))
+        tests = [(i, corners[i][0] - g, corners[i][1] + g) for i in order]
+
+        def locate(vec):
+            k = bisect_right(starts, vec) - 1
+            while k >= 0 and reach[k] >= vec:
+                i, lo, hi = tests[k]
+                if (vec - lo) & (hi - vec) & g == g:
+                    return i
+                k -= 1
+            return -1
+
+        return locate
+
+
 class BlockView:
     """Precomputed arrays for labeling over one block: elements get local
     indices 0..m-1 in ascending order (bit positions of the visited set, a
@@ -290,10 +357,27 @@ class BlockView:
             for t, cost, _, _ in outs:
                 self._step_costs[(u + 1) * m + t] = cost + self.exit[t][0] - self.exit[u][0]
 
-        legs = self.entry + self.exit + [arc[1:] for outs in self.arcs_out for arc in outs]
-        self.coord_monotone = tuple(
-            all(coords[c] >= 0 for _, _, coords in legs) for c in range(self.n_coords)
-        )
+        # per coordinate, the (least, most) entry, exit and arc (0 included)
+        # deltas: whether none is below 0, and the (least, most) that an
+        # elementary subpath (entry, <= m - 1 arcs, exit) holds
+        arcs = [(0, (), (0,) * self.n_coords), *(a[1:] for outs in self.arcs_out for a in outs)]
+        spans = list(zip(*([(min(col), max(col)) for col in zip(*[flat for *_, flat in legs])]
+                           for legs in (self.entry, self.exit, arcs))))
+        self.coord_monotone = tuple(min(e[0], x[0], a[0]) >= 0 for e, x, a in spans)
+        self.bounds = tuple((e[0] + (m - 1) * a[0] + x[0], e[1] + (m - 1) * a[1] + x[1])
+                            for e, x, a in spans)
+        # the walk's packed start vectors and, per arc, its packed
+        # contributions less its tail's exit plus its head's
+        packing = self.packing = Packing(self.bounds)
+        exits = [packing.delta(flat) for _, _, flat in self.exit]
+        self._starts = [(v, (elements[v],), 1 << v, packing.delta(flat) + exits[v] - packing.base,
+                         sub_d) for v, (_, sub_d, flat) in enumerate(self.entry)]
+        self._arcs = [
+            [(t, (elements[t],), 1 << t, (u + 1) * m + t, sub_d,
+              packing.delta(flat) + exits[t] - exits[u], self.sub_checks[t])
+             for t, _, sub_d, flat in outs]
+            for u, outs in enumerate(self.arcs_out)
+        ]
         self._least = None
         self._headroom = None
         self._reach = {}          # box -> reach
@@ -363,8 +447,8 @@ class BlockView:
         """Depth-first search over the elementary subpaths of the block
         that visit no element of local mask ``banned``, yielding one state
         per subpath: (last local element, node sequence, local visited
-        mask, value, contributions, subpath-resource values).  The value
-        sums ``weights`` over the subpath's steps (indexed as in
+        mask, value, packed contributions, subpath-resource values).  The
+        value sums ``weights`` over the subpath's steps (indexed as in
         :class:`SubpathTable`); the contributions hold the exit leg.
 
         A subpath that breaks a subpath-resource window is no state.  One
@@ -373,28 +457,20 @@ class BlockView:
         ``least[u] <= delta(u, t) + least[t]``, so they are above the
         limits too.  Each state comes after its prefix, the last state
         before it with one element fewer."""
-        elements = self.elements
-        m = len(elements)
-        exits = [flat for _, _, flat in self.exit]
-        caps = [tuple(map(add, limit, flat)) for limit, flat in zip(limits, exits)]
-        sub_checks = self.sub_checks
-        # per arc, its contributions less its tail's exit plus its head's
-        arcs = [
-            [(t, (elements[t],), 1 << t, weights[(u + 1) * m + t], sub_d,
-              tuple([a + b - c for a, b, c in zip(flat, exits[t], exits[u])]),
-              sub_checks[t], caps[t])
-             for t, _, sub_d, flat in outs if not banned >> t & 1]
-            for u, outs in enumerate(self.arcs_out)
-        ]
+        guard = self.packing.guard
+        caps = [self.packing.pack(map(add, limit, flat)) + guard
+                for limit, (_, _, flat) in zip(limits, self.exit)]
+        arcs = [[(t, node, bit, weights[step], sub_d, delta, checks, caps[t])
+                 for t, node, bit, step, sub_d, delta, checks in outs if not banned & bit]
+                for outs in self._arcs]
         stack = []
         start = (0,) * self.n_sub
-        for v, (_, sub_d, flat) in enumerate(self.entry):
-            vec = tuple(map(add, flat, exits[v]))
-            if banned >> v & 1 or any(map(gt, vec, caps[v])):
+        for v, node, bit, vec, sub_d in self._starts:
+            if banned & bit or (caps[v] - vec) & guard != guard:
                 continue
-            sub = _extend_sub(sub_checks[v], start, sub_d)
+            sub = _extend_sub(self.sub_checks[v], start, sub_d)
             if sub is not None:
-                stack.append((v, (elements[v],), 1 << v, weights[v], vec, sub))
+                stack.append((v, node, bit, weights[v], vec, sub))
         while stack:
             state = stack.pop()
             yield state
@@ -402,8 +478,8 @@ class BlockView:
             for t, node, bit, weight, sub_d, delta, checks, cap in arcs[u]:
                 if visited & bit:
                     continue
-                ext = tuple(map(add, vec, delta))
-                if any(map(gt, ext, cap)):
+                ext = vec + delta
+                if (cap - ext) & guard != guard:
                     continue
                 nxt = _extend_sub(checks, sub, sub_d)
                 if nxt is not None:
@@ -413,25 +489,15 @@ class BlockView:
         """Per coordinate, ``box``'s (lo, hi), stretched on a side where
         the block has a subpath outside it that a feasible path may use.
 
-        An elementary subpath of m elements takes at most m - 1 arcs, so
-        it holds at least ``least``: the least entry, m - 1 times the
-        least arc below 0, and the least exit; a usable one holds at most
-        ``most``, the same with the largest values, capped by
-        :meth:`headroom`.  lo becomes ``least`` when the block has a
-        subpath below lo, and hi becomes ``most`` when it has one in
-        (hi, most].  Dual-independent, and bans only take subpaths away;
-        cached per box."""
+        lo becomes the least of :attr:`bounds` when the block has a
+        subpath below lo, and hi becomes their most, capped by
+        :meth:`headroom`, when it has one in (hi, most].  Dual-independent,
+        and bans only take subpaths away; cached per box."""
         if box not in self._reach:
-            m = len(self.elements)
             tops = self.headroom()
-            arcs = [arc[3] for outs in self.arcs_out for arc in outs]
             out = []
-            for c, (lo, hi) in enumerate(box):
-                entry = [flat[c] for _, _, flat in self.entry]
-                exit_ = [flat[c] for _, _, flat in self.exit]
-                steps = [0, *(flat[c] for flat in arcs)]
-                least = min(entry) + (m - 1) * min(steps) + min(exit_)
-                most = min(tops[c], max(entry) + (m - 1) * max(steps) + max(exit_))
+            for c, ((lo, hi), (least, most)) in enumerate(zip(box, self.bounds)):
+                most = min(tops[c], most)
                 if least < lo and self._finds(c, -math.inf, lo - 1):
                     lo = least
                 if most > hi and self._finds(c, hi + 1, most):
@@ -448,7 +514,7 @@ class BlockView:
         if self.coord_monotone[c]:
             top[c] = hi
         zeros = [0] * len(self._step_costs)
-        return any(lo <= vec[c] <= hi
+        return any(lo <= self.packing.unpack(vec)[c] <= hi
                    for _, _, _, _, vec, _ in self.walk(self.limits(top), zeros))
 
     def _mask(self, banned) -> int:
@@ -505,10 +571,11 @@ class BlockView:
         rank = [-1] * (len(found) + 1)  # search row -> table row; -1 stays -1
         for row, i in enumerate(ranked):
             rank[i] = row
-        vectors, nodes, costs, masks, prefixes, steps = zip(*found)
+        packed, nodes, costs, masks, prefixes, steps = zip(*found)
+        vectors = tuple([self.packing.unpack(packed[i]) for i in ranked])
         return SubpathTable(
-            tuple([Subpath(self.index, nodes[i], costs[i], vectors[i]) for i in ranked]),
-            tuple([vectors[i] for i in ranked]),
+            tuple([Subpath(self.index, nodes[i], costs[i], v) for i, v in zip(ranked, vectors)]),
+            vectors,
             tuple([masks[i] for i in ranked]),
             tuple(rank[:-1]),
             tuple([rank[p] for p in prefixes]),
@@ -597,43 +664,6 @@ def _extend_sub(checks, values, deltas):
     return tuple(out)
 
 
-def _box_locator(boxes):
-    """``locate(vec)``: index of the box holding contribution vector
-    ``vec``, or -1.  The boxes are disjoint; they are bisected on the
-    first coordinate, then the candidates whose first-coordinate range
-    can still reach the value are tested in full."""
-    if not boxes[0]:
-        return lambda vec: 0      # no coordinates: the one box holds ()
-
-    def lo0(i):
-        lo = boxes[i][0][0]
-        return -math.inf if lo is None else lo
-
-    order = sorted(range(len(boxes)), key=lo0)
-    starts = [lo0(i) for i in order]
-    reach = []                    # running max of first-coordinate upper ends
-    top = -math.inf
-    for i in order:
-        hi = boxes[i][0][1]
-        top = max(top, math.inf if hi is None else hi)
-        reach.append(top)
-
-    def locate(vec):
-        x = vec[0]
-        k = bisect_right(starts, x) - 1
-        while k >= 0 and reach[k] >= x:
-            i = order[k]
-            for val, (lo, hi) in zip(vec, boxes[i]):
-                if (lo is not None and val < lo) or (hi is not None and val > hi):
-                    break
-            else:
-                return i
-            k -= 1
-        return -1
-
-    return locate
-
-
 def elementary_rcspp(
     problem,
     block_index: int,
@@ -656,11 +686,10 @@ def elementary_rcspp(
     The search is :meth:`BlockView.walk`, weighed by scaled reduced
     cost, under the limits of the union's upper end on the monotone
     coordinates that every box bounds: a subpath it drops ends in no box.
-    It keeps no label store.  Each subpath it yields goes to the box
-    holding its vector, where it replaces the box's answer when it sorts
-    before it by (reduced cost, vector, node sequence).  So every box gets
-    the unique first subpath in that order, whatever order the states are
-    visited in.
+    Each subpath it yields goes to the box holding its packed vector
+    (:meth:`Packing.locator`), where it replaces the box's answer when it
+    sorts before it by (reduced cost, vector, node sequence), so every box
+    gets the first subpath in that order, whatever the visiting order.
 
     Returns one entry per box: the (Subpath, scaled reduced cost) pair
     that sorts first (the scale is ``duals.denom``), or None when no
@@ -675,7 +704,7 @@ def elementary_rcspp(
         his = [box[c][1] for box in boxes]
         if view.coord_monotone[c] and None not in his:
             top[c] = max(his)
-    locate = _box_locator(boxes)
+    locate = view.packing.locator(boxes)
 
     kept = [None] * len(boxes)      # per box: (rcost, vector, nodes)
     expanded = 0
@@ -695,7 +724,8 @@ def elementary_rcspp(
     return [
         None if best is None else (
             Subpath(block_index, best[2],
-                    (best[0] + sum(map(duals.value, best[2]))) // duals.denom, best[1]),
+                    (best[0] + sum(map(duals.value, best[2]))) // duals.denom,
+                    view.packing.unpack(best[1])),
             best[0],
         )
         for best in kept

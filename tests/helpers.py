@@ -47,6 +47,13 @@ def usable_subpaths(problem, block_index, banned=frozenset()):
     return out
 
 
+def in_box(vec, box):
+    """Whether ``vec`` lies in a box of (lo, hi) ranges, None leaving an
+    end open."""
+    return all((lo is None or lo <= x) and (hi is None or x <= hi)
+               for x, (lo, hi) in zip(vec, box))
+
+
 def quarter_width(problem):
     """Bucket widths a quarter of the contribution box on every coordinate."""
     return tuple(max(1, (hi - lo + 1) // 4) for lo, hi in problem.contribution_box())

@@ -9,6 +9,7 @@ from fractions import Fraction
 from operator import le, sub
 
 import pytest
+from helpers import in_box
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -288,11 +289,6 @@ def _fill_models(draw):
     return problem, duals, banned, boxes
 
 
-def _in_box(vec, box):
-    return all((lo is None or lo <= x) and (hi is None or x <= hi)
-               for x, (lo, hi) in zip(vec, box))
-
-
 def _tie_broken_by_nodes():
     """(2,) and (1, 2) tie on reduced cost and vector under zero duals;
     the search completes (2,) first, and (1, 2) must replace it."""
@@ -340,7 +336,7 @@ def test_the_fill_answers_every_box_as_the_enumeration_does(model):
         cost, vector, nodes), as the fill reports it."""
         best = min(((sp.cost * scaled.denom - sum(map(scaled.value, sp.nodes)),
                      sp.contributions, sp.nodes, sp)
-                    for sp in every if _in_box(sp.contributions, box)), default=None)
+                    for sp in every if in_box(sp.contributions, box)), default=None)
         return None if best is None else (best[3], best[0])
 
     found = elementary_rcspp(problem, 0, scaled, boxes=boxes, banned=banned)

@@ -9,11 +9,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import usable_subpaths
+from helpers import in_box, usable_subpaths
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nestedcg import labeling, mpcvrp, synth
 from nestedcg.labeling import (
     BlockView,
+    Packing,
     block_view,
     elementary_rcspp,
     label_search,
@@ -368,6 +371,66 @@ def test_reach_is_the_box_on_every_generated_family(family):
                            for x, (lo, hi) in zip(sp.contributions, box))
 
 
+@st.composite
+def _packings(draw):
+    """(bounds, vectors, caps, boxes): 0-3 coordinate ranges, some one
+    value wide, some below 0; 2-6 vectors inside them; caps and box ends
+    that lie below the low bound, inside, above the high bound, or are
+    open (an infinite cap, a None end); and 1-3 disjoint boxes, split on
+    one coordinate."""
+    ints = st.integers
+    bounds = []
+    for _ in range(draw(ints(0, 3))):
+        low = draw(ints(-40, 40))
+        bounds.append((low, low + draw(ints(0, 70))))
+    vectors = draw(st.lists(st.tuples(*(ints(lo, hi) for lo, hi in bounds)),
+                            min_size=2, max_size=6))
+
+    def end(lo, hi, open_end):
+        return st.one_of(ints(lo - 5, hi + 5), st.sampled_from((lo - 1, lo, hi, hi + 1)),
+                         st.just(open_end))
+
+    caps = draw(st.lists(st.tuples(*(end(lo, hi, math.inf) for lo, hi in bounds)),
+                         min_size=1, max_size=4))
+    ranges = [st.tuples(end(lo, hi, None), end(lo, hi, None)) for lo, hi in bounds]
+    if not bounds:
+        return bounds, vectors, caps, [()]
+    c = draw(ints(0, len(bounds) - 1))
+    lo, hi = bounds[c]
+    k = draw(ints(1, 3))
+    cuts = sorted(draw(st.lists(ints(lo - 5, hi + 5), min_size=2 * k, max_size=2 * k,
+                                unique=True)))
+    boxes = []
+    for i in range(k):
+        box = [draw(r) for r in ranges]
+        box[c] = (None if i == 0 and draw(st.booleans()) else cuts[2 * i],
+                  None if i == k - 1 and draw(st.booleans()) else cuts[2 * i + 1])
+        boxes.append(tuple(box))
+    return bounds, vectors, caps, boxes
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_packings())
+def test_packed_vectors_act_as_their_tuples(case):
+    bounds, vectors, caps, boxes = case
+    packing = Packing(tuple(bounds))
+    guard = packing.guard
+    locate = packing.locator(boxes)
+    for vec in vectors:
+        packed = packing.pack(vec)
+        assert packing.unpack(packed) == vec
+        for other in vectors:
+            # int order is tuple order, and a delta (below 0 too) is one addition
+            assert (packed < packing.pack(other)) == (vec < other)
+            assert (packed + packing.delta(map(operator.sub, other, vec))
+                    == packing.pack(other))
+        for cap in caps:
+            fits = (packing.pack(cap) + guard - packed) & guard == guard
+            assert fits == all(map(operator.le, vec, cap)), (vec, cap)
+        holders = [i for i, box in enumerate(boxes) if in_box(vec, box)]
+        assert locate(packed) == (holders[0] if holders else -1), (vec, boxes)
+
+
 def _flat(item, n_coords):
     return tuple(itertools.chain(*item.path_deltas)) or (0,) * n_coords
 
@@ -447,7 +510,8 @@ def test_block_is_searched_once_across_ban_sets(monkeypatch):
             # and it holds the rows of a walk under the ban mask
             walked = view.walk(view.limits(view.headroom()),
                                view.step_weights(as_scaled(None)), view._mask(banned))
-            assert (sorted((nodes, cost, vec) for _, nodes, _, cost, vec, _ in walked)
+            assert (sorted((nodes, cost, view.packing.unpack(vec))
+                           for _, nodes, _, cost, vec, _ in walked)
                     == sorted((sp.nodes, sp.cost, sp.contributions) for sp in table.subpaths))
         banned |= {rng.choice(problem.elements)}
     assert sorted(calls) == list(range(len(problem.blocks)))
