@@ -50,7 +50,6 @@ def _driver_config(args) -> driver.DriverConfig:
     return driver.DriverConfig(
         pricer=_pricer_name(args.pricer),
         pricing=pricing,
-        smoothing=not args.no_smoothing,
         dive=args.dive,
     )
 
@@ -328,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--midway", action="store_true", help="midpoint splits")
     ps.add_argument("--merge", action="store_true", help="merge buckets after pricing")
     ps.add_argument("--dive", action="store_true", help="dive for an integral solution")
-    ps.add_argument("--no-smoothing", action="store_true", help="disable dual smoothing")
     ps.add_argument("--trace", action="store_true", help="print per-iteration JSONL")
     ps.add_argument("--out", help="write the full report JSON here")
     ps.set_defaults(func=cmd_solve)

@@ -1,13 +1,13 @@
 """Column generation driver.
 
 Root solve: alternate exact restricted-master solves with pricing under
-(optionally smoothed) duals until the pricer certifies, under the pure
-master duals, that no path prices out below -EPS.  Smoothing follows
-Wentges: duals sent to the pricer are a convex mix of the incumbent
-center and the fresh master duals; a misprice shrinks the mix weight and
-falls back to the pure duals in the same iteration, and the center moves
-whenever the Lagrangian bound improves.  All values stay rational from
-end to end -- reports carry exact Fractions plus float renderings.
+smoothed duals until the pricer certifies, under the pure master duals,
+that no path prices out below -EPS.  Smoothing follows Wentges with his
+fixed weight: the pricer sees the midpoint of the incumbent center and
+the fresh master duals; a misprice falls back to the pure duals in the
+same iteration, and the center moves whenever the Lagrangian bound
+improves.  All values stay rational from end to end -- reports carry
+exact Fractions plus float renderings.
 
 Diving: once the root LP is optimal, repeatedly fix the most fractional
 column (plus every column above 3/5) to one, shrink the master, and
@@ -40,7 +40,6 @@ class DriverConfig:
     pricer: str = "adaptive"                  # "adaptive" | "exact"
     pricing: PricingConfig = field(default_factory=PricingConfig)
     max_iterations: int = 50_000
-    smoothing: bool = True
     dive: bool = False
 
 
@@ -60,7 +59,6 @@ class Trace:
     lp_value: Fraction | None
     columns_added: int
     optimistic: Fraction | None
-    alpha: Fraction
     misprice: bool
     pool_size: int
     stats: dict = field(default_factory=dict)
@@ -77,7 +75,6 @@ class Trace:
             "lp_value": num(self.lp_value),
             "columns_added": self.columns_added,
             "optimistic": num(self.optimistic),
-            "alpha": float(self.alpha),
             "misprice": self.misprice,
             "pool_size": self.pool_size,
             "pivots": self.pivots,
@@ -161,7 +158,7 @@ class _Counters:
         self.misprices = 0
 
 
-def _cg_loop(problem, config, rmp, pricer, smoother, counters, traces, phase):
+def _cg_loop(problem, rmp, pricer, smoother, counters, traces, phase):
     """Run column generation to optimality of the current (residual)
     master.  Returns (status, final RmpSolution or None, best bound)."""
     banned = rmp.banned
@@ -188,24 +185,20 @@ def _cg_loop(problem, config, rmp, pricer, smoother, counters, traces, phase):
         it = counters.iteration
         sol = rmp.solve(it)
         if sol.status == "unbounded":
-            traces.append(Trace(it, phase, sol.status, None, 0, None, smoother.alpha,
-                                False, len(rmp.pool), {}, rmp.last_pivots))
+            traces.append(Trace(it, phase, sol.status, None, 0, None, False,
+                                len(rmp.pool), {}, rmp.last_pivots))
             return "unbounded", sol, best_bound
         pure = sol.duals
-        used = smoother.smoothed(pure) if config.smoothing else pure
-        smoothed_call = config.smoothing and smoother.center is not None
+        smoothed_call = smoother.center is not None
         exclude = frozenset(rmp.by_key)
 
-        outcome, added = price(used)
+        outcome, added = price(smoother.smoothed(pure))
         # misprice: the smoothed duals found nothing new; ask again with
         # the pure duals before drawing any conclusion
         misprice = smoothed_call and not outcome.infeasible and added == 0
         if misprice:
             counters.misprices += 1
-            smoother.on_misprice()
             outcome, added = price(pure)
-        elif added:
-            smoother.on_success()
 
         status = None
         if outcome.infeasible:
@@ -221,8 +214,7 @@ def _cg_loop(problem, config, rmp, pricer, smoother, counters, traces, phase):
         counters.columns += added
         traces.append(Trace(
             it, phase, sol.status, sol.lp_value, added, outcome.optimistic,
-            smoother.alpha, misprice, len(rmp.pool), outcome.stats,
-            rmp.last_pivots,
+            misprice, len(rmp.pool), outcome.stats, rmp.last_pivots,
         ))
         if status is not None:
             return status, sol, best_bound
@@ -235,16 +227,12 @@ def _integral(sol) -> bool:
     return all(v.denominator == 1 for v in sol.primal.values())
 
 
-def _smoother(config):
-    return SmoothingState() if config.smoothing else SmoothingState(Fraction(0))
-
-
-def _dive(problem, config, rmp, pricer, counters, traces, root_sol):
+def _dive(problem, rmp, pricer, counters, traces, root_sol):
     """Fix columns of the optimal ``root_sol`` until the master is integral;
     ``dive_failed`` when a residual master is not optimal or the guard
     runs out."""
     sol = root_sol
-    smoother = _smoother(config)
+    smoother = SmoothingState()
     guard = len(problem.elements) + 5
     for _ in range(guard):
         if _integral(sol):
@@ -262,7 +250,7 @@ def _dive(problem, config, rmp, pricer, counters, traces, root_sol):
         for serial in chosen:
             rmp.fix_path(serial)
         status, sol, _ = _cg_loop(
-            problem, config, rmp, pricer, smoother, counters, traces, "dive"
+            problem, rmp, pricer, smoother, counters, traces, "dive"
         )
         if status != "optimal":
             break
@@ -276,18 +264,18 @@ def solve(problem, config: DriverConfig | None = None) -> RunReport:
     t0 = time.perf_counter()
     rmp = Rmp(problem)
     pricer = make_pricer(problem, config)
-    smoother = _smoother(config)
+    smoother = SmoothingState()
     counters = _Counters(config.max_iterations)
     traces = []
 
     status, sol, best_bound = _cg_loop(
-        problem, config, rmp, pricer, smoother, counters, traces, "root"
+        problem, rmp, pricer, smoother, counters, traces, "root"
     )
     lp_value = sol.lp_value if sol is not None and status == "optimal" else None
 
     dive_report = None
     if status == "optimal" and config.dive:
-        dive_report = _dive(problem, config, rmp, pricer, counters, traces, sol)
+        dive_report = _dive(problem, rmp, pricer, counters, traces, sol)
         if (
             dive_report.ip_value is not None
             and lp_value is not None

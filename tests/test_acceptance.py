@@ -20,7 +20,7 @@ from nestedcg import driver, mpcvrp, synth
 from nestedcg.buckets import COMPUTED, Partition, compute_representative
 from nestedcg.cli import ExperimentSpec, run_experiment
 from nestedcg.labeling import block_view, label_search
-from nestedcg.model import check_path_feasible
+from nestedcg.model import check_path_feasible, problem_from_json, problem_to_json
 from nestedcg.pricing import AdaptivePricer, PricingConfig, _layers
 
 REL_TOL = 1e-6
@@ -496,8 +496,11 @@ def _fingerprint(problem, config):
 
 
 def test_criterion_10_determinism():
+    """A rerun, and a rerun on the problem after a JSON round trip, give
+    the same report and the same ``trace_lines()``."""
     builders = (
         lambda: synth.random_tiny_instance(5),
+        lambda: synth.random_chain_instance(4),
         lambda: synth.build_span_problem(synth.random_span_instance(3)),
         lambda: mpcvrp.build_nested(
             mpcvrp.generate_instance(
@@ -511,6 +514,7 @@ def test_criterion_10_determinism():
             pricing=PricingConfig(width=_rel_width(p, 8), merge=True, reuse=True),
             dive=True,
         ),
+        lambda p: driver.DriverConfig(pricer="exact", dive=True),
     )
     for build in builders:
         for make_config in configs:
@@ -519,3 +523,5 @@ def test_criterion_10_determinism():
             second_problem = build()
             second = _fingerprint(second_problem, make_config(second_problem))
             assert first == second
+            loaded = problem_from_json(problem_to_json(build()))
+            assert _fingerprint(loaded, make_config(loaded)) == first

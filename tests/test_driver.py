@@ -80,12 +80,11 @@ def test_adaptive_and_exact_pricers_agree_exactly(seed):
         assert a.lp_value == e.lp_value  # Fraction equality, not approximate
 
 
-@pytest.mark.parametrize("smoothing", (False, True))
-def test_reruns_are_bit_identical(smoothing):
+def test_reruns_are_bit_identical():
     problem = synth.random_chain_instance(4)
 
     def run():
-        r = solve(problem, _config(problem, smoothing=smoothing))
+        r = solve(problem, _config(problem))
         return (
             r.status,
             r.lp_value,
@@ -227,13 +226,6 @@ def test_trace_pivots_sum_to_the_simplex_pivots(monkeypatch, pricer):
     rows = [json.loads(line) for line in report.trace_lines()]
     assert len(rows) == len(pivots)
     assert sum(row["pivots"] for row in rows) == sum(pivots) > 0
-
-
-def test_smoothing_off_never_misprices():
-    for seed in (1, 4, 6):
-        problem = synth.random_chain_instance(seed)
-        report = solve(problem, _config(problem, smoothing=False))
-        assert report.misprices == 0
 
 
 def test_report_serialization_round_trips():

@@ -251,31 +251,6 @@ def test_smoothing_mixes_toward_the_center():
     assert mixed.convexity == Fraction(2)
 
 
-def test_smoothing_weight_schedule():
-    state = SmoothingState()
-    assert state.alpha == Fraction(1, 2)
-    state.on_misprice()
-    assert state.alpha == Fraction(2, 5)
-    state.on_misprice()
-    assert state.alpha == Fraction(8, 25)
-    state.on_success()
-    assert state.alpha == Fraction(8, 25) + Fraction(1, 50)
-    for _ in range(200):
-        state.on_success()
-    assert state.alpha == Fraction(9, 10)  # hard cap
-    for _ in range(500):
-        state.on_misprice()
-        assert state.alpha.denominator <= 1000
-        assert 0 <= state.alpha < 1
-
-
-def test_zero_alpha_returns_pure_duals():
-    state = SmoothingState(alpha=Fraction(0))
-    state.recentre(Duals({1: Fraction(100)}))
-    pure = Duals({1: Fraction(1)})
-    assert state.smoothed(pure) is pure
-
-
 def write_mps(rmp: Rmp, name="master") -> str:
     """Serialize the current master as free-format MPS (minimization,
     millicost objective).  Useful for eyeballing a failing LP in an

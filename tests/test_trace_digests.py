@@ -39,53 +39,67 @@ CONFIGS = {
     "midpoint-merge": {"strategy": "midpoint", "merge": True},
 }
 
-# Refining every pricing call until the sandwich closes (``AdaptivePricer.price``)
-# moved the adaptive, merge-reuse and midpoint-merge digests of tiny1, tiny3,
-# span1, mpcvrp-n4-t2 and mpcvrp-n4-t3: each call now reports the exact minimum
-# reduced cost, and its columns come from the closed partition.  Each of the
-# fifteen kept its status, LP value and dive; none took more iterations.
+# Fixing the smoothing weight at 1/2 (Wentges) and dropping the trace's
+# ``alpha`` key moved all 28 digests.  Each cell kept its status, LP value
+# and dive (LP/dive in millicost; the same under all four configurations):
+#   tiny1: optimal, 140000/140000
+#   tiny2: optimal, 97000/97000
+#   tiny3: optimal, 165000/165000
+#   chain1: optimal, 52000/52000
+#   span1: optimal, 2505000/2505000
+#   mpcvrp-n4-t2: optimal, 5999000/5999000
+#   mpcvrp-n4-t3: infeasible, no LP, no dive
+# Iterations before -> after, for exact, adaptive, merge-reuse and
+# midpoint-merge in that order:
+#   tiny1: 8, 6, 9, 7 -> 9
+#   tiny2: 4, 6, 6, 6
+#   tiny3: 7, 6 -> 5, 7, 7
+#   chain1: 4, 6, 6, 6
+#   span1: 13, 13 -> 9, 19 -> 14, 13 -> 10
+#   mpcvrp-n4-t2: 5, 5, 6, 6
+#   mpcvrp-n4-t3: 13, 14 -> 13, 17 -> 18, 13 -> 12
 DIGESTS = {
     "tiny1": {
-        "exact": "a96e134cea46851ae62152659eb99fbc30f331ec16db8bab2e41630dc61d32c3",
-        "adaptive": "ca0116f14b36a8650e123618530731b2531f57b0196cc679770d8aed5b145a71",
-        "merge-reuse": "752ec759d149809c827b1919494c39b8231f753e592a8cd14c181907c5b980bb",
-        "midpoint-merge": "56c10314b659a58a024ac63b67fc849c959e66813773542a3428a470a7f88a98",
+        "exact": "72d7fd12501e596de697a54f337a2540a1e999139717772f5545ef0948da6765",
+        "adaptive": "3822c901f6a13ea8283065b234238c38e43c5081cff2b1b1698441507610eaca",
+        "merge-reuse": "e8f4d22a9a6cc53dc5529265f319712dc2703640063bcecc0ce34279755e5931",
+        "midpoint-merge": "3fdea7c7f93eee52b2b8ebbf4bfc849f33ccaf35e37b6c626efa4d9b996c9083",
     },
     "tiny2": {
-        "exact": "de183211dd86b38c8eb599b5930e2a6402cf9856b906a9273ea4ab217307b61b",
-        "adaptive": "2026de8dbc89bc4369412c6f8a6adde531dc4c3cc6e977f2d6fc28af03655eb0",
-        "merge-reuse": "2277e09c4d359b962988cd12404ebe2d56e270cab1b35ed07d1cbbff78aeeee7",
-        "midpoint-merge": "2277e09c4d359b962988cd12404ebe2d56e270cab1b35ed07d1cbbff78aeeee7",
+        "exact": "17df12d3dea5a5d462623fb09ee5aac108ad83a021e6d65cd9ff0ef1f2065a2d",
+        "adaptive": "de48c97f6825ef813c03116617f158a59d9a2cf1e213aca15e012e7895b1f92d",
+        "merge-reuse": "54df81b57bfe0033fd2fea6d3eec7f796a413cd9587720eebd89607d62a583aa",
+        "midpoint-merge": "54df81b57bfe0033fd2fea6d3eec7f796a413cd9587720eebd89607d62a583aa",
     },
     "tiny3": {
-        "exact": "2abc9606d261b1d36dd4d580d539b0244323e4d8c87802a478ca00e104ecdf41",
-        "adaptive": "e4476b398e3719d806ab5857f5351484635eeb4bcb6946fe0878be2c00064b4f",
-        "merge-reuse": "095453b415d67a4439922c3de63b532bf291fc2ccb5ea6192b50bc340ac06a0a",
-        "midpoint-merge": "b84165ce8ed8ea96c84e347a1ff9e3e04ac5b746137c884f5a502d9fc1f5253a",
+        "exact": "a29dd96242fee256c6ca560d378ba61ba2a12af929ff14a5c779cd6fee6f5262",
+        "adaptive": "89e3fc1f94abe2648b7af67e48dc22d127d821e57cee2c4b6cf65043456d614a",
+        "merge-reuse": "ff998b31d9375c72d6360fb05fc6274e8d7726bec104d3df75190a6adac35b12",
+        "midpoint-merge": "b91f2b3f694d908b501d86e7c5514ef2ebe79733e0fbced01ece77d6797e8072",
     },
     "chain1": {
-        "exact": "cfd6ee3a5b3be0ba7fed9a272ba5b90a4e7c1c8f71e7f09d758d56cc8669e906",
-        "adaptive": "b0137ae03d46d1314544b855bdb56a52a30d0ea18e19a17b8caee6d2d8220824",
-        "merge-reuse": "dafb8d8ce2c51c087ad3826a7d5e9c347b462804fadf80b5ddd8a716db4f746e",
-        "midpoint-merge": "dafb8d8ce2c51c087ad3826a7d5e9c347b462804fadf80b5ddd8a716db4f746e",
+        "exact": "072bbcfeec4f0c297dfc0d1272c4bc09caa2b0dc735f4a066440e3afd93feeca",
+        "adaptive": "7469bbad08734dacc25330e59993ad4e005ba6e49af303735568e1b079ddd72b",
+        "merge-reuse": "472a2fd5c4ca8ec2379872fc65d7542ad267c048aa9a24d2c648904d58f55566",
+        "midpoint-merge": "472a2fd5c4ca8ec2379872fc65d7542ad267c048aa9a24d2c648904d58f55566",
     },
     "span1": {
-        "exact": "32c45788af61190181c816952a9c65ec620e751ad09167b59be3f807cd8448b2",
-        "adaptive": "bbccf67d9cf2a1edc2118911ac5b3c7153523991251124a23c03275eb971caf6",
-        "merge-reuse": "6763c58c3044a5c85efeacb14efbab488cd861ab63dce58f44c5c89ea3351c30",
-        "midpoint-merge": "9e5f8b8d1fd121593af296527c512fdf30fbea73d32055e9ea749ab07755af1e",
+        "exact": "2e2e1ef840d754b34c18691a8b277da2e1bc670e0018d3d3c96c7745230c8dcb",
+        "adaptive": "adfdd1a64998db3ab26ff090e4e64d7bfc06b29224f5d6abdf3c550080ab2f88",
+        "merge-reuse": "72e63a4d969733239a8f23998329a357961e9d2787219646839c06c33035c1c6",
+        "midpoint-merge": "37fdced77ece0f9146487b03056763127d8977ab62993ef30647f06092cac0ad",
     },
     "mpcvrp-n4-t2": {
-        "exact": "d69681b886bfbc550f49c6c104980144a2d29eba1d8f71cf17014a0dafe533fc",
-        "adaptive": "f4dae52a82709dec9f51f41eb573131c2e7ceae6ac064cff7c5efd6f36585e7a",
-        "merge-reuse": "9d1deea4d1fc6c7dd2bf28a11674d40208124997c4a554b6c4bac457c6e87744",
-        "midpoint-merge": "8b1783f1d8840ed378838f63a9b7155c71f1973a2c265f88c29e4b45df52064e",
+        "exact": "2154192b92c61840c20f3ab252754980a5988b77d00b33a1fb1a6697a52cf7a0",
+        "adaptive": "83cefdc2c1db1e14e9a9d73e4d54b55627276c3ab96544755ef810c94bdb2214",
+        "merge-reuse": "c50bc256155a6cf2e22bff641f354cc0795cca1df47fe99e6d10dc5a9646b78b",
+        "midpoint-merge": "4c7987af9c90abf0d9808d420848987fe0a8fb5ea40b6300baca6696cf5f862f",
     },
     "mpcvrp-n4-t3": {
-        "exact": "2ca52488fef17e96ed7c9633cde6fcf831774552a8822dad14cdf61435024e00",
-        "adaptive": "a591a2a7d2ff0bbde0010fe26f223357e5ac71e70d2e32fb9b9ff4c1968a3f6d",
-        "merge-reuse": "6ec84b8562eba2503bab32e0b36e15a56100a82b509d50e621af9f808d4e7e55",
-        "midpoint-merge": "a1da7d0fa24de4452c3b5cfab96582a741ccb17e336ab946b91b1feffb06e3b9",
+        "exact": "e03ae3dffe9bbcce458cbb499cb6bd11579f3c9643edc8a176f489ebf7733cde",
+        "adaptive": "2bb4a61f2375b8707ba1d8ef5212c8a26f8f28b2eddd13983e574f2a30056f56",
+        "merge-reuse": "cfff26194c08670e82a26e0da59eb0909e4753ad56de5b45139ecfe08a887b23",
+        "midpoint-merge": "ea4f33547da1c84fc2eb3d3fb5856a2db92c3225643f846db07f297bd1983157",
     },
 }
 
