@@ -55,9 +55,15 @@ are the view's :attr:`BlockView.bounds`; coordinate 0 is highest, so int
 order is tuple order.  An extension is one addition, and with
 cap - low + 2**w per field (cap clamped into [low - 1, high]) vec <= cap
 on every coordinate exactly when ``(cap - vec) & guard == guard``, since
-no field borrows; box corners are tested alike.  Only what leaves the
-walk is unpacked: exact's table rows, each box's fill winner, and the
-coordinate that :meth:`BlockView.reach` probes.
+no field borrows; box corners are tested alike.  The subpath-resource
+values ride in a second int (:attr:`BlockView.sub_packing`), in fields
+that hold every value an entry delta or a floored lower end plus m - 1
+arc deltas can reach, and each extension tests its element's window as
+a box, ``(hi - s) & (s - lo) & guard == guard``.  Only when that fails
+on a view with a floored resource does a branch raise each floored
+value below its lower end to that end and test the upper ends again.
+Only what leaves the walk is unpacked: exact's table rows, each box's
+fill winner, and the coordinate that :meth:`BlockView.reach` probes.
 
 All arithmetic is integer: callers pass duals through
 ``model.Duals.scaled()`` so reduced costs stay exact.
@@ -320,20 +326,8 @@ class BlockView:
         self.local = {k: i for i, k in enumerate(elements)}
         self.n_coords = problem.total_coords
 
-        subs = problem.block_subs[block_index]
+        subs = [problem.subpath_resources[ri] for ri in problem.block_subs[block_index]]
         self.n_sub = len(subs)
-        floor = tuple(problem.subpath_resources[ri].floor_at_lower for ri in subs)
-
-        def window(ri, v):
-            lo, hi = problem.subpath_resources[ri].window(v)
-            return (-math.inf if lo is None else lo, math.inf if hi is None else hi)
-
-        # per element: one (floor_at_lower, lo, hi) triple per subpath
-        # resource, an open end as -inf or inf
-        self.sub_checks = [
-            tuple((fl, *window(ri, v)) for fl, ri in zip(floor, subs))
-            for v in elements
-        ]
 
         def leg(item):
             """(cost, padded subpath deltas, flat contribution deltas)."""
@@ -366,15 +360,35 @@ class BlockView:
         self.coord_monotone = tuple(min(e[0], x[0], a[0]) >= 0 for e, x, a in spans)
         self.bounds = tuple((e[0] + (m - 1) * a[0] + x[0], e[1] + (m - 1) * a[1] + x[1])
                             for e, x, a in spans)
-        # the walk's packed start vectors and, per arc, its packed
-        # contributions less its tail's exit plus its head's
+        # the subpath-resource values packed alike, in fields that hold
+        # every value a window test sees (an entry delta or a floored
+        # lower end, plus m - 1 arc deltas), and per element its window's
+        # packed ends, less and plus the guard
+        windows = [tuple(res.window(v) for res in subs) for v in elements]
+        sub_bounds = []
+        for j, res in enumerate(subs):
+            firsts = [sub[j] for _, sub, _ in self.entry] + [
+                w[j][0] for w in windows if res.floor_at_lower and w[j][0] is not None]
+            steps = [0, *(sub[j] for outs in self.arcs_out for _, _, sub, _ in outs)]
+            sub_bounds.append((min(firsts) + (m - 1) * min(steps),
+                               max(firsts) + (m - 1) * max(steps)))
+        subs_packed = self.sub_packing = Packing(sub_bounds)
+        g = subs_packed.guard
+        ends = [(lo - g, hi + g) for lo, hi in map(subs_packed.box, windows)]
+        # (guard bit, field mask) per floored resource; the hard ones' guard bits
+        self._lifts = [((mask + 1) << s, mask << s) for res, mask, s
+                       in zip(subs, subs_packed.masks, subs_packed.shifts) if res.floor_at_lower]
+        self._hard = g - sum(bit for bit, _ in self._lifts)
+        # the walk's packed starts and, per arc, its packed contributions
+        # less its tail's exit plus its head's, and its subpath deltas
         packing = self.packing = Packing(self.bounds)
         exits = [packing.delta(flat) for _, _, flat in self.exit]
         self._starts = [(v, (elements[v],), 1 << v, packing.delta(flat) + exits[v] - packing.base,
-                         sub_d) for v, (_, sub_d, flat) in enumerate(self.entry)]
+                         subs_packed.delta(sub_d) - subs_packed.base, *ends[v])
+                        for v, (_, sub_d, flat) in enumerate(self.entry)]
         self._arcs = [
-            [(t, (elements[t],), 1 << t, (u + 1) * m + t, sub_d,
-              packing.delta(flat) + exits[t] - exits[u], self.sub_checks[t])
+            [(t, (elements[t],), 1 << t, (u + 1) * m + t,
+              packing.delta(flat) + exits[t] - exits[u], subs_packed.delta(sub_d), *ends[t])
              for t, _, sub_d, flat in outs]
             for u, outs in enumerate(self.arcs_out)
         ]
@@ -447,43 +461,67 @@ class BlockView:
         """Depth-first search over the elementary subpaths of the block
         that visit no element of local mask ``banned``, yielding one state
         per subpath: (last local element, node sequence, local visited
-        mask, value, packed contributions, subpath-resource values).  The
-        value sums ``weights`` over the subpath's steps (indexed as in
-        :class:`SubpathTable`); the contributions hold the exit leg.
+        mask, value, packed contributions, packed subpath-resource
+        values).  The value sums ``weights`` over the subpath's steps
+        (indexed as in :class:`SubpathTable`); the contributions hold the
+        exit leg.
 
-        A subpath that breaks a subpath-resource window is no state.  One
-        whose contributions on arrival at local element v are above
-        ``limits[v]`` (:meth:`limits`) is dropped with its extensions:
-        ``least[u] <= delta(u, t) + least[t]``, so they are above the
-        limits too.  Each state comes after its prefix, the last state
-        before it with one element fewer."""
+        A subpath that breaks a subpath-resource window is no state: each
+        extension tests its element's packed window ends at once, and only
+        a failed test on a view with a floored resource takes the branch
+        that lifts (:meth:`_lift`).  One whose contributions on arrival at
+        local element v are above ``limits[v]`` (:meth:`limits`) is
+        dropped with its extensions: ``least[u] <= delta(u, t) +
+        least[t]``, so they are above the limits too.  Each state comes
+        after its prefix, the last state before it with one element
+        fewer."""
         guard = self.packing.guard
+        sguard = self.sub_packing.guard
+        lift = self._lift if self._lifts else None
         caps = [self.packing.pack(map(add, limit, flat)) + guard
                 for limit, (_, _, flat) in zip(limits, self.exit)]
-        arcs = [[(t, node, bit, weights[step], sub_d, delta, checks, caps[t])
-                 for t, node, bit, step, sub_d, delta, checks in outs if not banned & bit]
+        arcs = [[(t, node, bit, weights[step], delta, caps[t], sub_d, lo, hi)
+                 for t, node, bit, step, delta, sub_d, lo, hi in outs if not banned & bit]
                 for outs in self._arcs]
         stack = []
-        start = (0,) * self.n_sub
-        for v, node, bit, vec, sub_d in self._starts:
+        for v, node, bit, vec, sub, lo, hi in self._starts:
             if banned & bit or (caps[v] - vec) & guard != guard:
                 continue
-            sub = _extend_sub(self.sub_checks[v], start, sub_d)
+            if (hi - sub) & (sub - lo) & sguard != sguard:
+                sub = self._lift(sub, lo, hi)
             if sub is not None:
                 stack.append((v, node, bit, weights[v], vec, sub))
         while stack:
             state = stack.pop()
             yield state
             u, nodes, visited, value, vec, sub = state
-            for t, node, bit, weight, sub_d, delta, checks, cap in arcs[u]:
+            for t, node, bit, weight, delta, cap, sub_d, lo, hi in arcs[u]:
                 if visited & bit:
                     continue
                 ext = vec + delta
                 if (cap - ext) & guard != guard:
                     continue
-                nxt = _extend_sub(checks, sub, sub_d)
-                if nxt is not None:
-                    stack.append((t, nodes + node, visited | bit, value + weight, ext, nxt))
+                s = sub + sub_d
+                if (hi - s) & (s - lo) & sguard != sguard and (
+                        lift is None or (s := lift(s, lo, hi)) is None):
+                    continue
+                stack.append((t, nodes + node, visited | bit, value + weight, ext, s))
+
+    def _lift(self, s, lo, hi):
+        """Packed subpath-resource values ``s`` that failed the window
+        test of packed ends ``lo`` and ``hi`` in :meth:`walk`, with each
+        floored value below its lower end raised to that end; None when a
+        hard value is below its lower end or a value is above its upper
+        end.  A floored lower end lies within the field, so the lifted
+        value keeps extending without a borrow."""
+        guard = self.sub_packing.guard
+        below = ~(s - lo) & guard
+        if below & self._hard:
+            return None
+        for bit, mask in self._lifts:
+            if below & bit:
+                s += ((lo + guard) & mask) - (s & mask)
+        return s if (hi - s) & guard == guard else None
 
     def reach(self, box) -> tuple:
         """Per coordinate, ``box``'s (lo, hi), stretched on a side where
@@ -645,23 +683,6 @@ def block_view(problem, block_index) -> BlockView:
     if block_index not in views:
         views[block_index] = BlockView(problem, block_index)
     return views[block_index]
-
-
-def _extend_sub(checks, values, deltas):
-    """Subpath-resource values after adding ``deltas`` on arrival at an
-    element with window ``checks``; None when a window is violated.
-    Floored resources are lifted to a binding lower bound instead."""
-    out = []
-    for val, d, (floor, lo, hi) in zip(values, deltas, checks):
-        val += d
-        if val < lo:
-            if not floor:
-                return None
-            val = lo
-        if val > hi:
-            return None
-        out.append(val)
-    return tuple(out)
 
 
 def elementary_rcspp(

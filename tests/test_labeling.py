@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 from helpers import in_box, usable_subpaths
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from nestedcg import labeling, mpcvrp, synth
@@ -429,6 +429,82 @@ def test_packed_vectors_act_as_their_tuples(case):
             assert fits == all(map(operator.le, vec, cap)), (vec, cap)
         holders = [i for i, box in enumerate(boxes) if in_box(vec, box)]
         assert locate(packed) == (holders[0] if holders else -1), (vec, boxes)
+
+
+@st.composite
+def _window_models(draw):
+    """One block of 1-4 elements and 0-3 subpath resources, each floored
+    or hard, whose window ends may be open, may bind from below (a
+    floored lower end often above every entry delta) and may cross
+    (lo > hi), and whose entry and arc deltas may be below 0."""
+    ints = st.integers
+    n = draw(ints(1, 4))
+    n_sub = draw(ints(0, 3))
+    ids = tuple(range(1, n + 1))
+    deltas = st.tuples(*[ints(-3, 4)] * n_sub)
+    end = st.one_of(st.none(), ints(-6, 10))
+    pairs = [(u, v) for u in ids for v in ids if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    block = Block(
+        elements=ids,
+        arcs={pair: Arc(sub_deltas=draw(deltas)) for pair in sorted(arcs)},
+        entry={k: Boundary(sub_deltas=draw(deltas)) for k in ids},
+    )
+    subs = [SubpathResource(block=0, windows={k: draw(st.tuples(end, end)) for k in ids},
+                            floor_at_lower=draw(st.booleans()))
+            for _ in range(n_sub)]
+    return NestedProblem([block], subs, path_resources=[PathResource(
+        dim=1, agg=SUM, a=(0,), b=0, box=((0, 0),))])
+
+
+def _window_step(resources, values, deltas, node):
+    """The window rule on arrival at ``node``: add the deltas, raise a
+    floored value below its lower end to that end, then require every
+    value inside its window.  (values, whether one was raised), or None
+    when a value is outside its window."""
+    out, lifted = [], False
+    for res, val, d in zip(resources, values, deltas):
+        lo, hi = res.window(node)
+        val += d
+        if res.floor_at_lower and lo is not None and val < lo:
+            val, lifted = lo, True
+        if lo is not None and val < lo or hi is not None and val > hi:
+            return None
+        out.append(val)
+    return tuple(out), lifted
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_window_models())
+def test_packed_windows_act_as_the_window_rule(problem):
+    block, resources = problem.blocks[0], problem.subpath_resources
+    want = {}           # node sequence -> subpath-resource values
+
+    def extend(nodes, step):
+        if step is None:
+            return
+        want[nodes], lifted = step
+        if lifted:
+            event("a floored value raised")
+        for (u, t), arc in sorted(block.arcs.items()):
+            if u == nodes[-1] and t not in nodes:
+                extend((*nodes, t), _window_step(resources, want[nodes], arc.sub_deltas, t))
+
+    for k in block.elements:
+        extend((k,), _window_step(resources, (0,) * len(resources),
+                                  block.entry_at(k).sub_deltas, k))
+    for res in resources:
+        kind = "floored" if res.floor_at_lower else "hard"
+        ends = res.windows.values()
+        if any(lo is not None for lo, _ in ends):
+            event(f"{kind} window with a lower end")
+        if any(None not in (lo, hi) and lo > hi for lo, hi in ends):
+            event(f"{kind} window that is empty")
+    view = block_view(problem, 0)
+    got = {nodes: view.sub_packing.unpack(sub)
+           for _, nodes, _, _, _, sub in view.walk(view.limits([math.inf]), view._step_costs)}
+    event(f"{len(resources)} subpath resources")
+    assert got == want
 
 
 def _flat(item, n_coords):

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from collections import defaultdict
+from dataclasses import replace
 from fractions import Fraction
 from operator import le
 
@@ -564,7 +565,9 @@ def _cap_models(draw):
     coordinates, a bound up to 40, half the models with no exit leg
     below 0), plus what the exact pricer's caps must survive: maybe one
     arc delta made negative, so that a coordinate need not grow along a
-    subpath, and maybe one block that no subpath can start in."""
+    subpath, and maybe one block with a subpath resource: one that no
+    subpath can start under, or one whose windows, floored or hard, may
+    bind from below, with entry and arc deltas that may be below 0."""
     blocks, agg, _, b, box = draw(_box_models())
     weights = tuple(draw(st.sampled_from([1, 2, 1, 0])) for _ in box)
     if draw(st.booleans()):
@@ -577,19 +580,38 @@ def _cap_models(draw):
         vec = list(deltas[arc])
         vec[draw(st.integers(0, len(vec) - 1))] = draw(st.integers(-6, -1))
         blocks[bi] = (costs, entry_d, exit_d, {**deltas, arc: tuple(vec)})
-    dead = draw(st.sampled_from([None] * 3 + list(range(len(blocks)))))
-    return (blocks, agg, weights, draw(st.integers(b, 40)), box), dead
+    bi = draw(st.sampled_from([*range(len(blocks)), None]))
+    window = None       # (block, floored, per element (lo, hi), entry and arc deltas)
+    if bi is not None:
+        n, arcs = len(blocks[bi][0]), blocks[bi][3]
+        kind = draw(st.sampled_from(["floored", "hard", "closed"]))
+        if kind == "closed":
+            # every start is 0, above a window that ends at -1
+            window = (bi, False, [(None, -1)] * n, [0] * n, dict.fromkeys(arcs, 0))
+        else:
+            end = st.tuples(st.one_of(st.integers(-2, 6), st.none()),
+                            st.one_of(st.none(), st.integers(0, 9)))
+            window = (bi, kind == "floored", [draw(end) for _ in range(n)],
+                      [draw(st.integers(-2, 5)) for _ in range(n)],
+                      {arc: draw(st.integers(-3, 4)) for arc in arcs})
+    return (blocks, agg, weights, draw(st.integers(b, 40)), box), window
 
 
 def _build_cap_model(spec, sense=COVER, cardinality=None):
-    model, dead = spec
+    model, window = spec
     problem = _build_box_model(model, sense, cardinality)
-    if dead is None:
+    if window is None:
         return problem
-    # every start is 0, above a window that ends at -1
-    closed = SubpathResource(
-        block=dead, windows={k: (None, -1) for k in problem.blocks[dead].elements})
-    return NestedProblem(problem.blocks, [closed], problem.path_resources, sense=sense,
+    bi, floor, ends, entry_d, arc_d = window
+    blocks = list(problem.blocks)
+    block, ids = blocks[bi], blocks[bi].elements
+    blocks[bi] = replace(
+        block,
+        arcs={(ids[u], ids[v]): replace(block.arcs[ids[u], ids[v]], sub_deltas=(d,))
+              for (u, v), d in arc_d.items()},
+        entry={k: replace(block.entry[k], sub_deltas=(d,)) for k, d in zip(ids, entry_d)})
+    resource = SubpathResource(block=bi, windows=dict(zip(ids, ends)), floor_at_lower=floor)
+    return NestedProblem(blocks, [resource], problem.path_resources, sense=sense,
                          cardinality=cardinality)
 
 
@@ -617,6 +639,10 @@ def test_adaptive_answers_every_box_model_as_exact_does(spec, sense, cardinality
             for (low, high), (lo, hi) in zip(span, box)]
     sides = [side for side, *hits in zip(("below", "above"), *ends) if any(hits)]
     event("extended " + " and ".join(sides) if sides else "not extended")
+    for res in problem.subpath_resources:
+        lower = any(lo is not None for lo, _ in res.windows.values())
+        event(f"{'floored' if res.floor_at_lower else 'hard'} subpath resource, "
+              f"{'a lower window end' if lower else 'open below'}")
     reports = [driver.solve(problem, driver.DriverConfig(pricer=pricer, dive=True))
                for pricer in ("exact", "adaptive")]
     exact, adaptive = reports
