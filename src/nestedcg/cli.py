@@ -8,12 +8,12 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
 from . import driver, mpcvrp, synth
-from .model import MILLI, ModelError, problem_from_json
+from .model import MILLI, ModelError, _entry, problem_from_json
 from .pricing import PricingConfig
 
 PHASE_COLUMNS = ("Fill", "Pess.", "Opt.", "Merge")
@@ -138,23 +138,25 @@ class ExperimentSpec:
             self.widths and self.reuse and self.midway and self.merge
         ):
             raise ModelError("experiment grid must be nonempty")
-        if self.repetitions < 1:
-            raise ModelError("repetitions must be positive")
+        if not isinstance(self.repetitions, int) or self.repetitions < 1:
+            raise ModelError(f"repetitions must be a positive integer, not {self.repetitions!r}")
 
     @classmethod
-    def from_json(cls, data: dict) -> "ExperimentSpec":
-        known = {
-            "name", "instance", "pricer", "widths", "reuse", "midway",
-            "merge", "repetitions", "dive", "out_dir",
-        }
-        unknown = set(data) - known
+    def from_json(cls, data) -> "ExperimentSpec":
+        """A spec from its JSON object.  A malformed one raises a
+        ModelError that names the offending key."""
+        if not isinstance(data, dict):
+            raise ModelError("experiment spec: expected a JSON object")
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ModelError(f"unknown experiment keys: {sorted(unknown)}")
         spec = dict(data)
         for grid_key in ("widths", "reuse", "midway", "merge"):
             if grid_key in spec:
-                spec[grid_key] = tuple(spec[grid_key])
-        return cls(**spec)
+                with _entry(f"experiment key {grid_key!r}"):
+                    spec[grid_key] = tuple(spec[grid_key])
+        with _entry("experiment spec"):
+            return cls(**spec)
 
 
 def _build_problem(source: dict):

@@ -19,8 +19,9 @@
 The walk runs with two weightings.  Weighed by cost under the top that
 the path predicates leave the block (:meth:`BlockView.headroom`), it
 lists once every subpath of a block that can lie on a feasible path, as
-data for the enumerative pricer (:meth:`BlockView.table`, a
-:class:`SubpathTable` filtered per ban set).  Weighed by scaled reduced
+data for the enumerative pricer (:meth:`BlockView.table`, one cached
+:class:`SubpathTable` per block; each pricing call skips the rows that
+meet its ban mask).  Weighed by scaled reduced
 cost under the union of a list of contribution boxes' upper ends, it is
 the bucket fill (:func:`elementary_rcspp`).  Unweighted, it tells
 :meth:`BlockView.reach` where the block's subpaths lie past a box: the
@@ -395,7 +396,7 @@ class BlockView:
         self._least = None
         self._headroom = None
         self._reach = {}          # box -> reach
-        self._tables = {}         # block-local banned mask -> SubpathTable
+        self._table = None
 
     def least_completion(self) -> list:
         """Per local element v, the least amount on each monotone
@@ -562,23 +563,17 @@ class BlockView:
                 mask |= 1 << self.local[k]
         return mask
 
-    def table(self, banned=frozenset()) -> "SubpathTable":
+    def table(self) -> "SubpathTable":
         """Every elementary subpath of the block that can lie on a
-        feasible path and avoids ``banned``, as a :class:`SubpathTable`
-        in (contribution vector, node sequence) order; it may hold some
-        that cannot (see :meth:`_enumerate`).  Dual-independent, so
-        cached per block-local ban set.
-
-        The block is searched once, without bans; a ban set filters that
-        table by element mask.  This is exact: a ban removes elements and
-        never changes whether a subpath that avoids them is feasible, and
-        the filter keeps the order."""
-        mask = self._mask(banned)
-        if mask not in self._tables:
-            if 0 not in self._tables:
-                self._tables[0] = self._enumerate()
-            self._tables[mask] = self._tables[0].without(mask)
-        return self._tables[mask]
+        feasible path, as a :class:`SubpathTable` in (contribution
+        vector, node sequence) order; it may hold some that cannot (see
+        :meth:`_enumerate`).  Dual-independent, so searched once, without
+        bans, and cached.  A ban set only takes away the rows whose
+        element mask meets it (:meth:`_mask`): a ban removes elements and
+        never changes whether a subpath that avoids them is feasible."""
+        if self._table is None:
+            self._table = self._enumerate()
+        return self._table
 
     def _enumerate(self) -> "SubpathTable":
         """Every subpath that :meth:`walk` yields under the
@@ -625,7 +620,7 @@ class SubpathTable:
     """Every subpath of a block that can lie on a feasible path, in
     (contribution vector, node sequence) order, with each one's
     ``vectors`` (its contributions) and ``masks`` (its local elements as
-    a bit set) beside it.
+    a bit set) beside it; a block's one table serves every ban mask.
 
     Every prefix of a subpath is a subpath too, so the table also lists
     its rows in search order, each after its prefix: row ``order[i]``
@@ -648,26 +643,6 @@ class SubpathTable:
     def __len__(self):
         return len(self.subpaths)
 
-    def without(self, mask) -> "SubpathTable":
-        """The subpaths that visit no element of local ``mask``, in order.
-        A kept subpath's prefixes are kept too."""
-        if not mask:
-            return self
-        keep = [i for i, m in enumerate(self.masks) if not m & mask]
-        new = [-1] * (len(self) + 1)    # old row -> new row; -1 stays -1
-        for row, i in enumerate(keep):
-            new[i] = row
-        search = [
-            (new[i], new[p], step)
-            for i, p, step in zip(self.order, self.parents, self.steps)
-            if new[i] >= 0
-        ]
-        return SubpathTable(
-            *(tuple([column[i] for i in keep])
-              for column in (self.subpaths, self.vectors, self.masks)),
-            *zip(*search),
-        )
-
     def sums(self, values) -> list:
         """Per row, the sum of ``values[s]`` over the steps s of its
         subpath."""
@@ -688,7 +663,7 @@ def block_view(problem, block_index) -> BlockView:
 def elementary_rcspp(
     problem,
     block_index: int,
-    duals=None,
+    duals,
     *,
     boxes,
     banned=frozenset(),

@@ -233,9 +233,7 @@ class ScaledDuals:
 
 
 def as_scaled(duals) -> ScaledDuals:
-    """``Duals`` scaled, ``ScaledDuals`` as they are, None as all zero."""
-    if duals is None:
-        return ScaledDuals({}, 0, 1)
+    """``Duals`` scaled, ``ScaledDuals`` as they are."""
     return duals.scaled() if isinstance(duals, Duals) else duals
 
 

@@ -34,9 +34,9 @@ contribution vectors within its headroom.
 
 The enumerative pricer is the benchmark: enumerate every subpath that
 can lie on a feasible path per block once, as a dual-independent table
-(``labeling.BlockView.table``; searched once per block, filtered per
-block-local ban set), keep the per-block Pareto front under the current
-duals, and run the same layered search over individual subpaths.  Its
+(``labeling.BlockView.table``, searched once per block), keep the Pareto
+front of each block's rows that avoid the call's bans under its duals,
+and run the same layered search over individual subpaths.  Its
 bound is exact by construction.  Per call, the work is linear in the
 table when the problem has at most one contribution coordinate (one
 addition per subpath for its reduced cost, one pass for the front; see
@@ -375,15 +375,15 @@ class ExactPricer:
         for bi in range(len(self.problem.blocks)):
             tick = time.perf_counter()
             view = block_view(self.problem, bi)
-            table = view.table(banned)
+            table = view.table()
             self.timers["enumerate"] += time.perf_counter() - tick
-            if not table:
-                return PricingOutcome([], None, infeasible=True,
-                                      stats=self._snapshot())
             self.totals["enumerated"] += len(table)
             tick = time.perf_counter()
-            front = _front(view, table, scaled)
+            front = _front(view, table, scaled, view._mask(banned))
             self.timers["front"] += time.perf_counter() - tick
+            if not front:
+                return PricingOutcome([], None, infeasible=True,
+                                      stats=self._snapshot())
             self.totals["kept"] += len(front)
             # items are indices into ``kept``: ints, so the search's
             # tie-break on item sequences stays well defined
@@ -413,15 +413,20 @@ class ExactPricer:
         return snap
 
 
-def _front(view, table, scaled):
-    """The Pareto front of ``table``, a ``labeling.SubpathTable`` of block
-    ``view``, under scaled duals, as (scaled rcost, vector, subpath)
-    triples in (rcost, vector, nodes) order."""
+def _front(view, table, scaled, banned):
+    """The Pareto front of the rows of ``table``, a
+    ``labeling.SubpathTable`` of block ``view``, that visit no element of
+    local mask ``banned``, under scaled duals, as (scaled rcost, vector,
+    subpath) triples in (rcost, vector, nodes) order.  A zero mask costs
+    no per-row test; a nonzero one lists the rows it leaves, in order."""
     rcosts = table.sums(view.step_weights(scaled))
-    return [
-        (rcosts[j], table.vectors[j], table.subpaths[j])
-        for j in _pareto_keep(table.vectors, rcosts)
-    ]
+    if banned:
+        rows = [j for j, mask in enumerate(table.masks) if not mask & banned]
+        keep = [rows[i] for i in _pareto_keep([table.vectors[j] for j in rows],
+                                               [rcosts[j] for j in rows])]
+    else:
+        keep = _pareto_keep(table.vectors, rcosts)
+    return [(rcosts[j], table.vectors[j], table.subpaths[j]) for j in keep]
 
 
 def _pareto_keep(vectors, rcosts):

@@ -405,3 +405,19 @@ def test_experiment_spec_with_unknown_key_exits_1(tmp_path, capsys):
     spec_path.write_text(json.dumps({"name": "x", "instance": {}, "bogus": 1}))
     assert main(["experiment", "--spec", str(spec_path)]) == 1
     assert "unknown experiment keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, problem", [
+    ({"name": "x", "instance": {"generator": "tiny"}, "widths": 5}, "'widths'"),
+    ({"name": "x"}, "'instance'"),
+    ({"name": "x", "instance": {"generator": "tiny"}, "repetitions": "3"}, "repetitions"),
+    ([1, 2], "expected a JSON object"),
+])
+def test_malformed_experiment_spec_exits_1_without_a_traceback(tmp_path, capsys, spec, problem):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["experiment", "--spec", str(spec_path)]) == 1
+    err = capsys.readouterr().err
+    # one line that names the problem, and nothing else
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert problem in err, err

@@ -28,10 +28,10 @@ from nestedcg.model import (
     Arc,
     Block,
     Boundary,
+    Duals,
     NestedProblem,
     PathResource,
     SubpathResource,
-    as_scaled,
 )
 from nestedcg.pricing import COLUMNS_PER_CALL
 
@@ -42,9 +42,11 @@ def _open(problem):
 
 
 def _by_nodes(view, banned=frozenset()):
-    """The subpaths of a block's table, sorted by node sequence as the
-    oracle enumeration lists them."""
-    return tuple(sorted(view.table(banned).subpaths, key=lambda sp: sp.nodes))
+    """The subpaths of a block's table that avoid ``banned``, sorted by
+    node sequence as the oracle enumeration lists them."""
+    table, mask = view.table(), view._mask(banned)
+    return tuple(sorted((sp for sp, m in zip(table.subpaths, table.masks) if not m & mask),
+                        key=lambda sp: sp.nodes))
 
 
 def _diamond():
@@ -212,7 +214,7 @@ def test_dominance_eq_mode_protects_lower_bounded_coordinates():
         [block],
         path_resources=[PathResource(dim=1, agg=SUM, a=(1,), b=100, box=((0, 100),))],
     )
-    hit = elementary_rcspp(problem, 0, boxes=[((7, 10),)])[0]
+    hit = elementary_rcspp(problem, 0, Duals({}), boxes=[((7, 10),)])[0]
     assert hit is not None, "the lower-bounded region is reachable"
     best, rcost = hit
     assert rcost == 2
@@ -306,12 +308,12 @@ def test_banned_elements_are_skipped():
     problem = synth.random_tiny_instance(2)
     block = problem.blocks[0]
     victim = block.elements[0]
-    hit = elementary_rcspp(problem, 0, boxes=[_open(problem)], banned={victim})[0]
+    hit = elementary_rcspp(problem, 0, Duals({}), boxes=[_open(problem)], banned={victim})[0]
     assert hit is not None, "other elements keep the block alive"
     assert victim not in hit[0].nodes
-    table = block_view(problem, 0).table({victim})
-    assert table, "other elements keep the block alive"
-    assert all(victim not in sp.nodes for sp in table.subpaths)
+    rows = _by_nodes(block_view(problem, 0), {victim})
+    assert rows, "other elements keep the block alive"
+    assert all(victim not in sp.nodes for sp in rows)
 
 
 def _routing(n, seed):
@@ -349,9 +351,9 @@ def test_block_enumeration_matches_the_oracle(family):
                 assert len(set(got)) == len(got)
                 assert (usable_subpaths(problem, bi, banned) <= set(got)
                         <= set(_oracle_subpaths(problem, bi, banned))), (seed, bi)
-                # the cache is keyed by the bans inside the block only
+                # the mask holds the bans inside the block only
                 outside = frozenset(problem.elements) - set(block.elements)
-                assert view.table(banned | outside) is view.table(banned)
+                assert view._mask(banned | outside) == view._mask(banned)
                 blocks += 1
             banned |= {rng.choice(problem.elements)}
     assert blocks
@@ -570,25 +572,27 @@ def test_block_is_searched_once_across_ban_sets(monkeypatch):
     problem = _routing(5, 2)
     rng = random.Random(2)
     banned = frozenset()
+    tables = [block_view(problem, bi).table() for bi in range(len(problem.blocks))]
+    for table in tables:
+        keys = [(sp.contributions, sp.nodes) for sp in table.subpaths]
+        assert keys == sorted(keys)
+        assert table.vectors == tuple(vec for vec, _ in keys)
     for _ in range(4):
         for bi in range(len(problem.blocks)):
             view = block_view(problem, bi)
-            table = view.table(banned)
-            # the filtered table keeps the order of the unbanned one
-            assert table.subpaths == tuple(
-                sp for sp in view.table().subpaths if banned.isdisjoint(sp.nodes)
-            )
-            keys = [(sp.contributions, sp.nodes) for sp in table.subpaths]
-            assert keys == sorted(keys)
-            assert table.vectors == tuple(vec for vec, _ in keys)
-            assert (usable_subpaths(problem, bi, banned) <= set(table.subpaths)
+            table = view.table()
+            assert table is tables[bi]
+            mask = view._mask(banned)
+            rows = [sp for sp, m in zip(table.subpaths, table.masks) if not m & mask]
+            assert rows == [sp for sp in table.subpaths if banned.isdisjoint(sp.nodes)]
+            assert (usable_subpaths(problem, bi, banned) <= set(rows)
                     <= set(_oracle_subpaths(problem, bi, banned)))
-            # and it holds the rows of a walk under the ban mask
+            # the rows outside the mask are those of a walk under it
             walked = view.walk(view.limits(view.headroom()),
-                               view.step_weights(as_scaled(None)), view._mask(banned))
+                               view.step_weights(Duals({}).scaled()), mask)
             assert (sorted((nodes, cost, view.packing.unpack(vec))
                            for _, nodes, _, cost, vec, _ in walked)
-                    == sorted((sp.nodes, sp.cost, sp.contributions) for sp in table.subpaths))
+                    == sorted((sp.nodes, sp.cost, sp.contributions) for sp in rows))
         banned |= {rng.choice(problem.elements)}
     assert sorted(calls) == list(range(len(problem.blocks)))
 

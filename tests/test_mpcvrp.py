@@ -17,7 +17,6 @@ from nestedcg.model import (
     SUM,
     Duals,
     ModelError,
-    as_scaled,
 )
 from nestedcg.mpcvrp import (
     MAX_DAY_SIZE,
@@ -57,7 +56,7 @@ def route_distance(instance: MpcvrpInstance, route) -> int:
     return legs + euclidean(instance.customers[route[-1]], instance.depot)
 
 
-def cheapest_route(problem, day, duals=None, *, window=None):
+def cheapest_route(problem, day, duals=Duals({}), *, window=None):
     """The least-reduced-cost route of one day as (Subpath, rcost),
     optionally within a distance window [lo, hi], by the block labeling
     search; the cardinality-row dual is charged at schedule assembly, not
@@ -251,7 +250,7 @@ def test_nested_subpaths_replay_route_distance():
     for day in range(inst.days):
         view = block_view(problem, day)
         table = view.table()
-        hits = list(zip(table.subpaths, table.sums(view.step_weights(as_scaled(None)))))
+        hits = list(zip(table.subpaths, table.sums(view.step_weights(Duals({}).scaled()))))
         assert len(hits) > 3
         for sp, rcost in hits + [cheapest_route(problem, day)]:
             dist = route_distance(inst, sp.nodes)

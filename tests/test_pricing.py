@@ -630,11 +630,19 @@ def test_adaptive_answers_every_box_model_as_exact_does(spec, sense, cardinality
     for bi, span in enumerate(part.ranges):
         # every subpath a feasible path can use lies in a bucket, and a
         # block with no subpath outside the box keeps the box's tiling
-        for sp in usable_subpaths(problem, bi):
+        usable = usable_subpaths(problem, bi)
+        for sp in usable:
             assert any(b.contains(sp.contributions) for b in part.buckets(bi))
         if all(all(lo <= x <= hi for x, (lo, hi) in zip(sp.contributions, box))
                for sp in synth.enumerate_block_subpaths(problem, bi)):
             assert span == box
+        # a side stretched past the box with no usable subpath beyond it:
+        # sound, but its tiles cost fills that find nothing a path can use
+        for c, ((low, high), (lo, hi)) in enumerate(zip(span, box)):
+            if low < lo and all(sp.contributions[c] >= lo for sp in usable):
+                event("extended below, no usable subpath below the box")
+            if high > hi and all(sp.contributions[c] <= hi for sp in usable):
+                event("extended above, no usable subpath above the box")
     ends = [(low < lo, high > hi) for span in part.ranges
             for (low, high), (lo, hi) in zip(span, box)]
     sides = [side for side, *hits in zip(("below", "above"), *ends) if any(hits)]
@@ -784,7 +792,7 @@ def test_front_matches_the_reference_keep(family, duals_kind):
         for _ in range(3):      # no bans, then growing ban sets
             for bi in range(len(problem.blocks)):
                 view = block_view(problem, bi)
-                got = _front(view, view.table(banned), scaled)
+                got = _front(view, view.table(), scaled, view._mask(banned))
                 # the table drops subpaths above the block's headroom, so
                 # a subpath above it that one of them dominated may enter
                 # the front; within the headroom the fronts agree
