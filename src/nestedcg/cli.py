@@ -140,6 +140,14 @@ class ExperimentSpec:
             raise ModelError("experiment grid must be nonempty")
         if not isinstance(self.repetitions, int) or self.repetitions < 1:
             raise ModelError(f"repetitions must be a positive integer, not {self.repetitions!r}")
+        for key, (kind, text) in {"name": (str, "a string"), "out_dir": (str, "a string"),
+                                  "instance": (dict, "an object"),
+                                  "dive": (bool, "true or false")}.items():
+            if not isinstance(getattr(self, key), kind):
+                raise ModelError(f"key {key!r} must be {text}, not {getattr(self, key)!r}")
+        for key in ("reuse", "midway", "merge"):
+            if not all(isinstance(x, bool) for x in getattr(self, key)):
+                raise ModelError(f"key {key!r} must list true or false, not {getattr(self, key)!r}")
 
     @classmethod
     def from_json(cls, data) -> "ExperimentSpec":

@@ -16,16 +16,14 @@
   (:meth:`BlockView.least_completion`, dual-independent and cached on
   the view) is above a given top, so no extension of it ends below.
 
-The walk runs with two weightings.  Weighed by cost under the top that
-the path predicates leave the block (:meth:`BlockView.headroom`), it
-lists once every subpath of a block that can lie on a feasible path, as
-data for the enumerative pricer (:meth:`BlockView.table`, one cached
-:class:`SubpathTable` per block; each pricing call skips the rows that
-meet its ban mask).  Weighed by scaled reduced
-cost under the union of a list of contribution boxes' upper ends, it is
-the bucket fill (:func:`elementary_rcspp`).  Unweighted, it tells
+Weighed by scaled reduced cost under the union of a list of
+contribution boxes' upper ends, the walk is the bucket fill
+(:func:`elementary_rcspp`).  Unweighted, it tells
 :meth:`BlockView.reach` where the block's subpaths lie past a box: the
-range that the bucket partition tiles.
+range that the bucket partition tiles.  A labeling pass over the same
+extensions lists each block's non-dominated subpaths once, with their
+prefixes, as data for the enumerative pricer (:meth:`BlockView.table`;
+each pricing call skips the rows that meet its ban mask).
 
 The layered search stores labels, plain (rcost, vector, items) tuples,
 only for the layers that a later layer extends: per item, every label
@@ -63,7 +61,7 @@ arc deltas can reach, and each extension tests its element's window as
 a box, ``(hi - s) & (s - lo) & guard == guard``.  Only when that fails
 on a view with a floored resource does a branch raise each floored
 value below its lower end to that end and test the upper ends again.
-Only what leaves the walk is unpacked: exact's table rows, each box's
+Only what leaves a search is unpacked: exact's table rows, each box's
 fill winner, and the coordinate that :meth:`BlockView.reach` probes.
 
 All arithmetic is integer: callers pass duals through
@@ -479,19 +477,7 @@ class BlockView:
         guard = self.packing.guard
         sguard = self.sub_packing.guard
         lift = self._lift if self._lifts else None
-        caps = [self.packing.pack(map(add, limit, flat)) + guard
-                for limit, (_, _, flat) in zip(limits, self.exit)]
-        arcs = [[(t, node, bit, weights[step], delta, caps[t], sub_d, lo, hi)
-                 for t, node, bit, step, delta, sub_d, lo, hi in outs if not banned & bit]
-                for outs in self._arcs]
-        stack = []
-        for v, node, bit, vec, sub, lo, hi in self._starts:
-            if banned & bit or (caps[v] - vec) & guard != guard:
-                continue
-            if (hi - sub) & (sub - lo) & sguard != sguard:
-                sub = self._lift(sub, lo, hi)
-            if sub is not None:
-                stack.append((v, node, bit, weights[v], vec, sub))
+        stack, arcs = self._prepare(limits, weights, banned)
         while stack:
             state = stack.pop()
             yield state
@@ -507,6 +493,27 @@ class BlockView:
                         lift is None or (s := lift(s, lo, hi)) is None):
                     continue
                 stack.append((t, nodes + node, visited | bit, value + weight, ext, s))
+
+    def _prepare(self, limits, weights, banned):
+        """The one-element states of :meth:`walk` that avoid ``banned``,
+        fit ``limits`` and pass their windows; and per local element, its
+        arcs outside ``banned`` as (head, node, bit, weight, delta, cap
+        plus guard, subpath delta, window ends), packed."""
+        guard, sguard = self.packing.guard, self.sub_packing.guard
+        caps = [self.packing.pack(map(add, limit, flat)) + guard
+                for limit, (_, _, flat) in zip(limits, self.exit)]
+        arcs = [[(t, node, bit, weights[step], delta, caps[t], sub_d, lo, hi)
+                 for t, node, bit, step, delta, sub_d, lo, hi in outs if not banned & bit]
+                for outs in self._arcs]
+        starts = []
+        for v, node, bit, vec, sub, lo, hi in self._starts:
+            if banned & bit or (caps[v] - vec) & guard != guard:
+                continue
+            if (hi - sub) & (sub - lo) & sguard != sguard:
+                sub = self._lift(sub, lo, hi)
+            if sub is not None:
+                starts.append((v, node, bit, weights[v], vec, sub))
+        return starts, arcs
 
     def _lift(self, s, lo, hi):
         """Packed subpath-resource values ``s`` that failed the window
@@ -564,39 +571,56 @@ class BlockView:
         return mask
 
     def table(self) -> "SubpathTable":
-        """Every elementary subpath of the block that can lie on a
-        feasible path, as a :class:`SubpathTable` in (contribution
-        vector, node sequence) order; it may hold some that cannot (see
-        :meth:`_enumerate`).  Dual-independent, so searched once, without
-        bans, and cached.  A ban set only takes away the rows whose
-        element mask meets it (:meth:`_mask`): a ban removes elements and
-        never changes whether a subpath that avoids them is feasible."""
+        """The block's non-dominated subpaths that can lie on a feasible
+        path, with their prefixes (:meth:`_enumerate`), as a
+        :class:`SubpathTable` in (contribution vector, node sequence)
+        order.  Dual-independent, so built once, without bans, and cached:
+        a ban set only takes away the rows whose element mask meets it
+        (:meth:`_mask`)."""
         if self._table is None:
             self._table = self._enumerate()
         return self._table
 
     def _enumerate(self) -> "SubpathTable":
-        """Every subpath that :meth:`walk` yields under the
-        :meth:`limits` of the block's :meth:`headroom`, weighed by its
-        cost, exit leg included.
-
-        A dropped subpath and each extension of it end above the
-        headroom, so no path that holds them passes the predicates; a
-        subpath that ends above it from a state within the limits stays
-        in the table.  A dropped subpath dominates only subpaths with
-        vectors at least as large, which cannot lie on a feasible path
-        either, and every kept subpath's prefixes are kept."""
-        m = len(self.elements)
+        """The subpaths that :meth:`walk` yields under the :meth:`limits`
+        of the block's :meth:`headroom`, weighed by cost, less those that
+        one with the same key dominates (:func:`_dominates`), by a
+        labeling pass one depth at a time.  The key is (last element,
+        visited mask, packed subpath-resource values), the values by
+        equality: under a hard lower window end a smaller value may fail
+        where a larger one passes.  Labels of one key take the same
+        extensions, duals are per element and a ban removes both or
+        neither, so a dropped subpath never enters a pricing call's front;
+        only survivors extend, so the table is prefix-closed."""
+        m, guard, sguard = len(self.elements), self.packing.guard, self.sub_packing.guard
+        lift = self._lift if self._lifts else None
+        starts, arcs = self._prepare(self.limits(self.headroom()), self._step_costs, 0)
         found = []          # (vector, nodes, cost, mask, prefix row, step)
-        # per depth (length - 1): the last row found at that depth, and
-        # (its last element + 1) * m, the base of the steps that extend it
-        last = [None] * m
-        for u, nodes, visited, cost, vec, _ in self.walk(
-                self.limits(self.headroom()), self._step_costs):
-            depth = len(nodes) - 1
-            prefix, step = last[depth - 1] if depth else (-1, 0)
-            last[depth] = (len(found), (u + 1) * m)
-            found.append((vec, nodes, cost, visited, prefix, step + u))
+        # one depth's labels: key -> [(cost, vector, nodes, prefix row, step)]
+        labels = {(v, bit, sub): [(cost, vec, node, -1, v)]
+                  for v, node, bit, cost, vec, sub in starts}
+        while labels:
+            depth, labels = labels, {}
+            for (u, visited, sub), mates in depth.items():
+                base = (u + 1) * m
+                for cost, vec, nodes, prefix, step in mates:
+                    row = len(found)
+                    found.append((vec, nodes, cost, visited, prefix, step))
+                    for t, node, bit, weight, delta, cap, sub_d, lo, hi in arcs[u]:
+                        if visited & bit:
+                            continue
+                        ext = vec + delta
+                        if (cap - ext) & guard != guard:
+                            continue
+                        s = sub + sub_d
+                        if (hi - s) & (s - lo) & sguard != sguard and (
+                                lift is None or (s := lift(s, lo, hi)) is None):
+                            continue
+                        label = (cost + weight, ext, nodes + node, row, base + t)
+                        others = labels.setdefault((t, visited | bit, s), [])
+                        if not any(_dominates(a, label, guard) for a in others):
+                            others[:] = [a for a in others if not _dominates(label, a, guard)]
+                            others.append(label)
         if not found:
             return SubpathTable()
         # (vector, nodes) pairs are distinct, so the sort never looks further
@@ -616,18 +640,24 @@ class BlockView:
         )
 
 
+def _dominates(a, b, guard) -> bool:
+    """Whether (cost, packed vector, nodes, ...) label ``a`` is no dearer
+    than ``b``, no larger on any coordinate and before it in that order."""
+    return a[0] <= b[0] and (b[1] + guard - a[1]) & guard == guard and a[:3] < b[:3]
+
+
 class SubpathTable:
-    """Every subpath of a block that can lie on a feasible path, in
+    """A block's non-dominated subpaths (:meth:`BlockView._enumerate`) in
     (contribution vector, node sequence) order, with each one's
     ``vectors`` (its contributions) and ``masks`` (its local elements as
     a bit set) beside it; a block's one table serves every ban mask.
 
-    Every prefix of a subpath is a subpath too, so the table also lists
-    its rows in search order, each after its prefix: row ``order[i]``
-    extends row ``parents[i]`` (-1 for none) by step ``steps[i]``, the
-    index of its last element (plus ``(u + 1) * m`` when it follows
-    local element u of a block of m elements).  A sum along subpaths then
-    takes one addition per row (:meth:`sums`)."""
+    Every prefix of a row is a row too, so the table also lists its rows
+    in search order, each after its prefix: row ``order[i]`` extends row
+    ``parents[i]`` (-1 for none) by step ``steps[i]``, the index of its
+    last element (plus ``(u + 1) * m`` when it follows local element u
+    of a block of m elements).  A sum along subpaths then takes one
+    addition per row (:meth:`sums`)."""
 
     __slots__ = ("subpaths", "vectors", "masks", "order", "parents", "steps")
 

@@ -450,9 +450,9 @@ def check_path_feasible(problem: NestedProblem, subpaths):
     """Assemble one subpath per block into a Path; None when the folded
     contribution vector fails a path predicate.
 
-    Subpaths are assumed individually feasible (as enumerated by
-    ``labeling.BlockView.table``); only the ordering and the
-    path-level predicates are checked here.
+    Subpaths are assumed individually feasible (as the block tables of
+    ``labeling.BlockView.table`` and the fill list them); only the
+    ordering and the path-level predicates are checked here.
     """
     subpaths = tuple(subpaths)
     if len(subpaths) != len(problem.blocks):

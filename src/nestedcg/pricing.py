@@ -32,12 +32,12 @@ its child's lower corner, pinning a previously unpinned contribution
 vector, so a block never sees more splits than it has distinct feasible
 contribution vectors within its headroom.
 
-The enumerative pricer is the benchmark: enumerate every subpath that
-can lie on a feasible path per block once, as a dual-independent table
-(``labeling.BlockView.table``, searched once per block), keep the Pareto
-front of each block's rows that avoid the call's bans under its duals,
-and run the same layered search over individual subpaths.  Its
-bound is exact by construction.  Per call, the work is linear in the
+The enumerative pricer is the benchmark: list each block's
+non-dominated subpaths once, as a dual-independent table
+(``labeling.BlockView.table``), keep the Pareto front of each block's
+rows that avoid the call's bans under its duals, and run the same
+layered search over individual subpaths.  Its bound is exact by
+construction.  Per call, the work is linear in the
 table when the problem has at most one contribution coordinate (one
 addition per subpath for its reduced cost, one pass for the front; see
 :class:`ExactPricer`).
@@ -326,19 +326,19 @@ class AdaptivePricer:
 
 
 class ExactPricer:
-    """Benchmark pricer: per-block enumeration of every subpath that can
-    lie on a feasible path, per-call Pareto filter under the duals, then
-    the same layered path search.  The bound it reports is the exact
-    minimum reduced cost (swapping any subpath for one that dominates it
-    keeps a path feasible and no dearer, so the Pareto front always
-    contains an optimal path's subpaths).
+    """Benchmark pricer: per-block enumeration of the non-dominated
+    subpaths that can lie on a feasible path, per-call Pareto filter
+    under the duals, then the same layered path search.  The bound it
+    reports is the exact minimum reduced cost (swapping any subpath for
+    one that dominates it keeps a path feasible and no dearer, so the
+    Pareto front always contains an optimal path's subpaths).
 
     Each block's subpaths come from its dual-independent table
     (``labeling.BlockView.table``), already in (contribution vector,
     node sequence) order.  A subpath left out of it lies on no feasible
-    path and dominates only subpaths that lie on none, so the front
-    keeps every subpath a feasible path can use, in the same order.  A
-    call only prices the table and keeps the front:
+    path, or a row with the same elements comes before it in the
+    front's order and dominates it, so the front is the full
+    enumeration's.  A call only prices the table and keeps the front:
 
     * reduced costs take one addition per subpath.  Every prefix of a
       subpath is in the table, so a subpath's rcost is its prefix's plus

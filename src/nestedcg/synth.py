@@ -57,10 +57,11 @@ def enumerate_block_subpaths(problem, block_index, banned=frozenset(), max_subpa
     """Every feasible elementary subpath of one block, by exhaustive DFS.
 
     Deliberately dominance-free: this is the reference the labeling and
-    bucket machinery is validated against, and the independent statement
-    of window semantics (``labeling.BlockView.table`` implements them
-    for the solver).  Contributions are flat vectors in the concatenated
-    coordinate space.
+    bucket machinery is validated against (``labeling.BlockView.table``
+    lists only each block's non-dominated subpaths and their prefixes),
+    and the independent statement of window semantics
+    (``labeling.BlockView.walk`` implements them for the solver).
+    Contributions are flat vectors in the concatenated coordinate space.
     """
     block = problem.blocks[block_index]
     subs = problem.block_subs[block_index]

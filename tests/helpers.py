@@ -1,7 +1,7 @@
 """Helpers shared by several test modules."""
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from operator import le
 from unittest import mock
 
@@ -45,6 +45,26 @@ def usable_subpaths(problem, block_index, banned=frozenset()):
                for path in itertools.product(*choices)):
             out.add(sp)
     return out
+
+
+def check_table(problem, block_index, rows, banned=frozenset()):
+    """Assert the contract of a block's subpath table on its ``rows``
+    that avoid ``banned``: every row is an oracle subpath, every prefix of
+    a row is a row, and every usable subpath has a row with the same
+    elements that is no dearer, no larger on any coordinate and, on a
+    full tie, not later by node sequence."""
+    rows = set(rows)
+    assert rows <= set(synth.enumerate_block_subpaths(problem, block_index, banned))
+    nodes = {sp.nodes for sp in rows}
+    assert all(sp.nodes[:-1] in nodes for sp in rows if len(sp.nodes) > 1)
+    mates = defaultdict(list)
+    for sp in rows:
+        mates[frozenset(sp.nodes)].append(sp)
+    for sp in usable_subpaths(problem, block_index, banned):
+        key = (sp.cost, sp.contributions, sp.nodes)
+        assert any(row.cost <= sp.cost and all(map(le, row.contributions, sp.contributions))
+                   and (row.cost, row.contributions, row.nodes) <= key
+                   for row in mates[frozenset(sp.nodes)]), sp
 
 
 def in_box(vec, box):

@@ -412,6 +412,13 @@ def test_experiment_spec_with_unknown_key_exits_1(tmp_path, capsys):
     ({"name": "x"}, "'instance'"),
     ({"name": "x", "instance": {"generator": "tiny"}, "repetitions": "3"}, "repetitions"),
     ([1, 2], "expected a JSON object"),
+    ({"name": "x", "instance": {"generator": "tiny"}, "out_dir": 5}, "'out_dir'"),
+    ({"name": ["x"], "instance": {"generator": "tiny"}}, "'name'"),
+    ({"name": "x", "instance": 5}, "'instance'"),
+    ({"name": "x", "instance": {"generator": "tiny"}, "dive": "yes"}, "'dive'"),
+    ({"name": "x", "instance": {"generator": "tiny"}, "reuse": ["no"]}, "'reuse'"),
+    ({"name": "x", "instance": {"generator": "tiny"}, "midway": [0]}, "'midway'"),
+    ({"name": "x", "instance": {"generator": "tiny"}, "merge": "no"}, "'merge'"),
 ])
 def test_malformed_experiment_spec_exits_1_without_a_traceback(tmp_path, capsys, spec, problem):
     spec_path = tmp_path / "spec.json"

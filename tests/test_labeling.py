@@ -6,10 +6,11 @@ import itertools
 import math
 import operator
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
-from helpers import in_box, usable_subpaths
+from helpers import check_table, in_box, usable_subpaths
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -337,8 +338,9 @@ def _oracle_subpaths(problem, block_index, banned):
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_block_enumeration_matches_the_oracle(family):
-    # the table holds every subpath that can lie on a feasible path, and
-    # only subpaths the oracle lists
+    # the table holds only subpaths the oracle lists, with their prefixes,
+    # and for every subpath that can lie on a feasible path one with the
+    # same elements that dominates it or is it
     blocks = 0
     for seed in (1, 2, 3):
         rng = random.Random(seed)
@@ -349,8 +351,7 @@ def test_block_enumeration_matches_the_oracle(family):
                 view = block_view(problem, bi)
                 got = _by_nodes(view, banned)
                 assert len(set(got)) == len(got)
-                assert (usable_subpaths(problem, bi, banned) <= set(got)
-                        <= set(_oracle_subpaths(problem, bi, banned))), (seed, bi)
+                check_table(problem, bi, got, banned)
                 # the mask holds the bans inside the block only
                 outside = frozenset(problem.elements) - set(block.elements)
                 assert view._mask(banned | outside) == view._mask(banned)
@@ -585,14 +586,20 @@ def test_block_is_searched_once_across_ban_sets(monkeypatch):
             mask = view._mask(banned)
             rows = [sp for sp, m in zip(table.subpaths, table.masks) if not m & mask]
             assert rows == [sp for sp in table.subpaths if banned.isdisjoint(sp.nodes)]
-            assert (usable_subpaths(problem, bi, banned) <= set(rows)
-                    <= set(_oracle_subpaths(problem, bi, banned)))
-            # the rows outside the mask are those of a walk under it
+            check_table(problem, bi, rows, banned)
+            # the rows outside the mask are the states of a walk under it
+            # that no state of the same (last element, elements, subpath
+            # values) dominates
             walked = view.walk(view.limits(view.headroom()),
                                view.step_weights(Duals({}).scaled()), mask)
-            assert (sorted((nodes, cost, view.packing.unpack(vec))
-                           for _, nodes, _, cost, vec, _ in walked)
-                    == sorted((sp.nodes, sp.cost, sp.contributions) for sp in rows))
+            keys = defaultdict(list)
+            for u, nodes, visited, cost, vec, sub in walked:
+                keys[u, visited, sub].append((cost, view.packing.unpack(vec), nodes))
+            kept = [(cost, vec, nodes) for labels in keys.values()
+                    for cost, vec, nodes in labels
+                    if not any(c <= cost and all(map(operator.le, v, vec))
+                               and (c, v, n) < (cost, vec, nodes) for c, v, n in labels)]
+            assert sorted(kept) == sorted((sp.cost, sp.contributions, sp.nodes) for sp in rows)
         banned |= {rng.choice(problem.elements)}
     assert sorted(calls) == list(range(len(problem.blocks)))
 

@@ -10,7 +10,13 @@ from fractions import Fraction
 from operator import le
 
 import pytest
-from helpers import count_refinements, reduced_cost, replay_exact_calls, usable_subpaths
+from helpers import (
+    check_table,
+    count_refinements,
+    reduced_cost,
+    replay_exact_calls,
+    usable_subpaths,
+)
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -673,9 +679,10 @@ def test_adaptive_answers_every_box_model_as_exact_does(spec, sense, cardinality
 def test_the_capped_tables_change_no_exact_answer(spec, seed):
     problem = _build_cap_model(spec)
     for bi in range(len(problem.blocks)):
-        table = set(block_view(problem, bi).table().subpaths)
-        assert usable_subpaths(problem, bi) <= table
-        if len(table) < len(synth.enumerate_block_subpaths(problem, bi)):
+        view = block_view(problem, bi)
+        check_table(problem, bi, view.table().subpaths)
+        if not all(all(map(le, sp.contributions, view.headroom()))
+                   for sp in synth.enumerate_block_subpaths(problem, bi)):
             event("capped")
     rng = random.Random(seed)
     calls = []
@@ -767,6 +774,14 @@ def _zero_coordinate_problem(seed):
     return NestedProblem([Block(elements=elements, arcs=arcs)], name="nocoords")
 
 
+def _duals(problem, kind, seed):
+    return {
+        "random": lambda: synth.random_duals(problem, seed + 500),
+        "zero": lambda: Duals({}),
+        "tying": lambda: _tying_duals(problem, seed),
+    }[kind]()
+
+
 KEEP_FAMILIES = {
     "tiny": synth.random_tiny_instance,
     "chain": synth.random_chain_instance,
@@ -781,12 +796,7 @@ def test_front_matches_the_reference_keep(family, duals_kind):
     blocks = 0
     for seed in range(1, 9):
         problem = KEEP_FAMILIES[family](seed)
-        duals = {
-            "random": lambda: synth.random_duals(problem, seed + 500),
-            "zero": lambda: Duals({}),
-            "tying": lambda: _tying_duals(problem, seed),
-        }[duals_kind]()
-        scaled = duals.scaled()
+        scaled = _duals(problem, duals_kind, seed).scaled()
         rng = random.Random(seed)
         banned = frozenset()
         for _ in range(3):      # no bans, then growing ban sets
@@ -804,6 +814,134 @@ def test_front_matches_the_reference_keep(family, duals_kind):
                 blocks += 1
             banned |= {rng.choice(problem.elements)}
     assert blocks
+
+
+def _walked_front(view, scaled, mask):
+    """The keep by definition over every subpath that a walk of ``view``
+    outside ``mask`` yields under the block's headroom: sort them by
+    (rcost, vector, nodes), keep each one no kept subpath dominates."""
+    walked = view.walk(view.limits(view.headroom()), view.step_weights(scaled), mask)
+    front = []
+    for rc, vec, nodes in sorted((rc, view.packing.unpack(vec), nodes)
+                                 for _, nodes, _, rc, vec, _ in walked):
+        if not any(rc2 <= rc and _within(v2, vec) for rc2, v2, _ in front):
+            front.append((rc, vec, nodes))
+    return front
+
+
+def _check_front_against_the_walk(problem, duals, seed):
+    scaled = duals.scaled()
+    rng = random.Random(seed)
+    banned = frozenset()
+    for _ in range(3):      # no bans, then growing ban sets
+        for bi in range(len(problem.blocks)):
+            view = block_view(problem, bi)
+            mask = view._mask(banned)
+            got = _front(view, view.table(), scaled, mask)
+            assert [(rc, vec, sp.nodes) for rc, vec, sp in got] == _walked_front(
+                view, scaled, mask), (bi, sorted(banned))
+            assert all(sp.cost * scaled.denom - sum(map(scaled.value, sp.nodes)) == rc
+                       for rc, _, sp in got)
+        banned |= {rng.choice(problem.elements)}
+
+
+WALK_FAMILIES = {
+    **KEEP_FAMILIES,
+    "mpcvrp": lambda seed: mpcvrp.build_nested(mpcvrp.generate_instance(
+        n=5, days=2, vehicles=2, delta=Fraction(1, 2), seed=seed)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(WALK_FAMILIES))
+@pytest.mark.parametrize("duals_kind", ("random", "zero", "tying"))
+def test_front_of_the_table_is_the_front_of_the_walk(family, duals_kind):
+    # the table keeps only non-dominated subpaths per (last element,
+    # elements, subpath values), and no dropped one reaches any front
+    for seed in range(1, 5):
+        problem = WALK_FAMILIES[family](seed)
+        _check_front_against_the_walk(problem, _duals(problem, duals_kind, seed), seed)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_cap_models(), st.sampled_from(["random", "zero", "tying"]), st.integers(0, 2**32))
+def test_front_of_a_capped_table_is_the_front_of_the_walk(spec, duals_kind, seed):
+    # headrooms that bind, arcs that shrink a coordinate, and subpath
+    # windows, hard or floored, that may bind from below
+    window = spec[1]
+    event("no window" if window is None else "floored" if window[1] else "hard")
+    problem = _build_cap_model(spec)
+    _check_front_against_the_walk(problem, _duals(problem, duals_kind, seed), seed)
+
+
+@st.composite
+def _walk_models(draw):
+    """One block of 2-5 elements whose costs and one or two contribution
+    coordinates take few values, so that labels of one key often tie in
+    full, and one subpath resource, hard or floored, whose windows may
+    bind from below and whose deltas may be below 0."""
+    ints = st.integers
+    n, dim = draw(ints(2, 5)), draw(ints(1, 2))
+    ids = tuple(range(1, n + 1))
+
+    def leg(kind):
+        return kind(cost=draw(ints(0, 2)), sub_deltas=(draw(ints(-2, 3)),),
+                    path_deltas=(draw(st.tuples(*[ints(0, 2)] * dim)),))
+
+    pairs = [(u, v) for u in ids for v in ids if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=n))
+    block = Block(elements=ids, arcs={pair: leg(Arc) for pair in sorted(arcs)},
+                  entry={k: leg(Boundary) for k in ids})
+    end = st.one_of(st.none(), ints(-2, 6))
+    resource = SubpathResource(block=0, windows={k: draw(st.tuples(end, end)) for k in ids},
+                               floor_at_lower=draw(st.booleans()))
+    return NestedProblem([block], [resource], path_resources=[PathResource(
+        dim=dim, agg=SUM, a=(1,) * dim, b=draw(ints(2, 16)), box=((0, 20),) * dim)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_walk_models(), st.sampled_from(["random", "zero", "tying"]), st.integers(0, 2**32))
+def test_front_of_a_windowed_table_is_the_front_of_the_walk(problem, duals_kind, seed):
+    # labels of one (last element, elements) whose subpath values differ,
+    # and labels of one key that tie on cost and vector
+    event("floored" if problem.subpath_resources[0].floor_at_lower else "hard")
+    _check_front_against_the_walk(problem, _duals(problem, duals_kind, seed), seed)
+
+
+def _tied_block():
+    """(1, 2, 3) costs 0 and holds 1, (2, 1, 3) costs 1 and holds 0: one
+    key, neither dominates, so the labeling extends (2, 1, 3) before
+    (1, 3, 2).  Their extensions to 4 tie in cost and vector."""
+    legs = {(1, 2): (0, 1), (2, 1): (1, 0), (2, 3): (0, 0), (1, 3): (0, 0),
+            (3, 2): (1, 0), (3, 4): (0, 0), (2, 4): (0, 0)}
+    block = Block(elements=(1, 2, 3, 4), arcs={
+        pair: Arc(cost=cost, path_deltas=((d,),)) for pair, (cost, d) in legs.items()})
+    return NestedProblem([block], path_resources=[
+        PathResource(dim=1, agg=SUM, a=(1,), b=10, box=((0, 5),))])
+
+
+def _hard_floor_block():
+    """(1, 2, 3) and (2, 1, 3) tie but for their subpath values, 0 and 1,
+    and only a value of at least 1 may reach 4."""
+    deltas = {(1, 2): 0, (2, 1): 1, (2, 3): 0, (1, 3): 0, (3, 4): 0}
+    block = Block(elements=(1, 2, 3, 4),
+                  arcs={pair: Arc(sub_deltas=(d,)) for pair, d in deltas.items()},
+                  entry={k: Boundary(sub_deltas=(0,)) for k in (1, 2, 3, 4)})
+    return NestedProblem([block], [SubpathResource(block=0, windows={4: (1, None)})],
+                         path_resources=[PathResource(dim=1, agg=SUM, a=(1,), b=10,
+                                                      box=((0, 5),))])
+
+
+@pytest.mark.parametrize("build, row", [(_tied_block, (1, 3, 2, 4)),
+                                        (_hard_floor_block, (2, 1, 3, 4))])
+def test_the_table_keeps_what_a_front_can_take(build, row):
+    # a full tie keeps the lesser node sequence, and subpath values key by
+    # equality: under the hard window at 4, a lesser value is no better
+    problem = build()
+    duals = Duals(dict.fromkeys(problem.elements, 10))
+    view = block_view(problem, 0)
+    front = _front(view, view.table(), duals.scaled(), 0)
+    assert row in [sp.nodes for _, _, sp in front]
+    _check_front_against_the_walk(problem, duals, 1)
 
 
 def test_pareto_keep_on_dense_ties():
