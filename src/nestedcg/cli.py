@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import driver, mpcvrp, synth
-from .model import MILLI, ModelError, _entry, problem_from_json
+from .model import MILLI, ModelError, _entry, _is_int, problem_from_json
 from .pricing import PricingConfig
 
 PHASE_COLUMNS = ("Fill", "Pess.", "Opt.", "Merge")
@@ -148,6 +148,14 @@ class ExperimentSpec:
         for key in ("reuse", "midway", "merge"):
             if not all(isinstance(x, bool) for x in getattr(self, key)):
                 raise ModelError(f"key {key!r} must list true or false, not {getattr(self, key)!r}")
+        for width in self.widths:
+            per_coord = width if isinstance(width, (list, tuple)) and width else (width,)
+            if not all(_is_int(w) and w > 0 for w in per_coord):
+                raise ModelError("key 'widths' must list positive integers or lists of them, "
+                                 f"not {self.widths!r}")
+        params = self.instance.get("params", {})
+        if not isinstance(params, dict):
+            raise ModelError(f"key 'instance.params' must be an object, not {params!r}")
 
     @classmethod
     def from_json(cls, data) -> "ExperimentSpec":

@@ -17,6 +17,13 @@ partitioning those elements also become banned for pricing; under
 covering, paths may still visit them for free.  The cardinality row's
 right-hand side shrinks by one per fixed path.
 
+Each pool entry carries its LP column (the sorted rows of its covered
+elements, then the cardinality row), built when the entry is added and
+rebuilt for the whole pool only when ``fix_path`` changes the rows; a
+column covering a satisfied element under partitioning is None and
+stays out of the LP.  A solve hands the cached columns to the simplex
+as they are.
+
 Dual smoothing (``SmoothingState``) sends the pricer the midpoint of the
 stability center and the fresh master duals: Wentges' fixed weight of 1/2.
 """
@@ -43,6 +50,7 @@ class PoolEntry:
     path: Path
     serial: int
     last_used: int      # last iteration it was added or sat in the basis
+    column: tuple | None    # LP column under the current rows
 
 
 @dataclass(frozen=True)
@@ -65,6 +73,7 @@ class Rmp:
         self.satisfied = set()
         self._basis = None
         self.last_pivots = 0            # simplex pivots of the latest solve
+        self._set_rows()
 
     # -- pool ----------------------------------------------------------------
 
@@ -76,7 +85,8 @@ class Rmp:
             if entry is not None:
                 entry.last_used = iteration
                 continue
-            entry = PoolEntry(path, self._next_serial, iteration)
+            entry = PoolEntry(path, self._next_serial, iteration,
+                              self._column(path))
             self._next_serial += 1
             self.pool.append(entry)
             self.by_key[key] = entry
@@ -138,24 +148,33 @@ class Rmp:
         self.fixed.append(path)
         self.satisfied.update(path.covered)
         self._basis = None
+        self._set_rows()
+        for e in self.pool:
+            e.column = self._column(e.path)
         return path
 
     # -- solving ---------------------------------------------------------------
 
-    def _active_rows(self):
-        return [k for k in self.problem.elements if k not in self.satisfied]
+    def _set_rows(self):
+        """Rows of the unsatisfied elements, then the cardinality row."""
+        self._rows = [k for k in self.problem.elements if k not in self.satisfied]
+        self._row_of = {k: i for i, k in enumerate(self._rows)}
+        self._card = () if self.problem.cardinality is None else ((len(self._rows), 1),)
 
-    def _usable(self, entry) -> bool:
-        if self.problem.sense == PARTITION and self.satisfied.intersection(
-            entry.path.covered
-        ):
-            return False
-        return True
+    def _column(self, path):
+        """``path``'s LP column under the current rows, or None when it
+        covers a satisfied element of a partitioning problem."""
+        covered = path.covered
+        if self.problem.sense == PARTITION and self.satisfied.intersection(covered):
+            return None
+        row_of = self._row_of
+        return tuple(
+            [(row_of[k], 1) for k in sorted(covered) if k in row_of]
+        ) + self._card
 
     def solve(self, iteration=0) -> RmpSolution:
         problem = self.problem
-        rows = self._active_rows()
-        row_of = {k: i for i, k in enumerate(rows)}
+        rows = self._rows
         card_row = None
         rhs = [1] * len(rows)
         senses = ["=" if problem.sense == PARTITION else ">="] * len(rows)
@@ -167,15 +186,9 @@ class Rmp:
             rhs.append(remaining)
             senses.append("=")
 
-        entries = [e for e in self.pool if self._usable(e)]
-        costs = []
-        columns = []
-        for e in entries:
-            coeffs = [(row_of[k], 1) for k in sorted(e.path.covered) if k in row_of]
-            if card_row is not None:
-                coeffs.append((card_row, 1))
-            costs.append(e.path.cost)
-            columns.append(tuple(coeffs))
+        entries = [e for e in self.pool if e.column is not None]
+        costs = [e.path.cost for e in entries]
+        columns = [e.column for e in entries]
 
         # the pool only grows between evictions and fixes, which drop the
         # basis, so the last factorization's columns keep their indices

@@ -215,11 +215,10 @@ class Duals:
         Returns duals multiplied by the lcm of all denominators, so label
         costs can be carried as plain ints and unscaled once at the end.
         """
-        denom = Fraction(self.convexity).denominator
-        for v in self.by_element.values():
-            denom = lcm(denom, Fraction(v).denominator)
-        lam = {k: int(v * denom) for k, v in self.by_element.items()}
-        return ScaledDuals(lam, int(self.convexity * denom), denom)
+        mu = self.convexity
+        denom = lcm(mu.denominator, *(v.denominator for v in self.by_element.values()))
+        lam = {k: v.numerator * (denom // v.denominator) for k, v in self.by_element.items()}
+        return ScaledDuals(lam, mu.numerator * (denom // mu.denominator), denom)
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ positive integer d with B^-1 = A/d (A = +-adj(B) and d = |det(B)|), and
 the basic values as the integer vector A.b.  The duals u/d and the value
 come back as Fractions over d.
 
-Pricing evaluates c_j.d - u.a_j with u = c_B.A: the true reduced cost
-times a positive factor, so Dantzig's argmin, Bland's first negative and
-the (ratio, basic index) ratio-test order are those of the rational
-method.  A pivot on row l with w = A.a_q and p = w_l > 0 is the
+Pricing evaluates R_j = c_j.d - u.a_j with u = c_B.A: the true reduced
+cost times a positive factor, so Dantzig's argmin, Bland's first
+negative and the (ratio, basic index) ratio-test order are those of the
+rational method.  A pivot on row l with w = A.a_q and p = w_l > 0 is the
 Edmonds / Bareiss update
 
     A'[l] = A[l],   A'[i] = (p.A[i] - w_i.A[l]) // d,   d' = p,
@@ -26,6 +26,19 @@ and the same for A.b.  The division is exact: A' is again +-adj of the
 new basis, whose determinant is +-p.  Entering columns are picked by
 Dantzig's rule, with Bland's rule taking over during long degenerate
 streaks so cycling cannot occur.
+
+The duals cost O(m) per pivot, not O(m^2): u = c_B.A is formed once per
+solve and then follows each pivot as
+
+    u' = (p.u + R_q.A[l]) // d,
+
+again an exact division, since u' = c_B'.A' is an integer vector (the
+revised simplex's dual update, Maros, *Computational Techniques of the
+Simplex Method*, 2003).  Pricing reads u without products where the
+column allows: an artificial prices as big_M.d - u_r, a surplus column
+as u_r, and a column whose coefficients are all 1 -- every column of
+the master -- as c.d less the sum of u over its rows, taken from the
+pass that checks the data are ints; other columns price as c.d - u.a.
 
 Warm starts.  ``LpResult.basis`` is a :class:`Basis` token holding the
 basic indices, the basic columns as they were factored, and A and d.  A
@@ -89,8 +102,15 @@ def solve_lp(costs, columns, rhs, senses, *, basis=None) -> LpResult:
     cols = [tuple(col) for col in columns]
     if len(cols) != len(costs):
         raise LpError("cost/column length mismatch")
-    kinds = {type(a) for col in cols for _, a in col}
-    kinds.update(map(type, costs), map(type, rhs))
+    # one pass over the coefficients checks their type and keeps, for each
+    # all-ones column, its rows (None for any other column)
+    kinds = set(map(type, costs))
+    kinds.update(map(type, rhs))
+    unit_rows = []
+    for col in cols:
+        rows, coeffs = zip(*col) if col else ((), ())
+        kinds.update(map(type, coeffs))
+        unit_rows.append(rows if coeffs.count(1) == len(coeffs) else None)
     if kinds - {int}:
         raise LpError("costs, coefficients and right-hand sides must be ints")
     if any(b < 0 for b in rhs):
@@ -137,19 +157,25 @@ def solve_lp(costs, columns, rhs, senses, *, basis=None) -> LpResult:
         duals = tuple(Fraction(v, det) for v in u)
         return LpResult(status, value, primal or {}, duals, token, pivots)
 
+    # u = c_B . A, so the reduced cost of j times det is c_j.det - u.a_j;
+    # computed once here, then updated with each pivot
+    c_b = [cost[j] for j in base]
+    u = [sum(map(mul, c_b, col)) for col in zip(*adj)]
     pivots = 0
     degen = 0
     while True:
         if pivots > pivot_limit:
             raise LpError(f"pivot limit {pivot_limit} exceeded")
-        # u = c_B . A, so the reduced cost of j times det is c_j.det - u.a_j
-        c_b = [cost[j] for j in base]
-        u = [sum(map(mul, c_b, col)) for col in zip(*adj)]
-
+        # artificials price as big_m.det - u_r, surplus columns as u_r and
+        # all-ones columns as c.det less the sum of u over their rows;
         # basic columns price to exactly 0, so they are never picked
-        reduced = [
-            c * det - sum([u[r] * a for r, a in col])
-            for c, col in zip(cost, column)
+        get = u.__getitem__
+        reduced = [big_m * det - v for v in u]
+        reduced += map(get, surplus_rows)
+        reduced += [
+            c * det - sum(map(get, rows)) if rows is not None
+            else c * det - sum([u[r] * a for r, a in col])
+            for c, rows, col in zip(costs, unit_rows, cols)
         ]
         best = min(reduced, default=0)
         if best >= 0:
@@ -190,9 +216,12 @@ def solve_lp(costs, columns, rhs, senses, *, basis=None) -> LpResult:
         degen = degen + 1 if x[leave] == 0 else 0
 
         # fraction-free pivot: every row but the pivot row is rescaled to
-        # the new determinant p, with an exact division by the old one
+        # the new determinant p, with an exact division by the old one;
+        # the duals follow as u' = (p.u + R_q.A[l]) / d
         p = w[leave]
         row_l, x_l = adj[leave], x[leave]
+        r_q = reduced[entering]
+        u = [(p * v + r_q * z) // det for v, z in zip(u, row_l)]
         for i in range(m):
             if i == leave:
                 continue

@@ -419,6 +419,11 @@ def test_experiment_spec_with_unknown_key_exits_1(tmp_path, capsys):
     ({"name": "x", "instance": {"generator": "tiny"}, "reuse": ["no"]}, "'reuse'"),
     ({"name": "x", "instance": {"generator": "tiny"}, "midway": [0]}, "'midway'"),
     ({"name": "x", "instance": {"generator": "tiny"}, "merge": "no"}, "'merge'"),
+    ({"name": "x", "instance": {"generator": "tiny"}, "widths": [0]}, "'widths'"),
+    ({"name": "x", "instance": {"generator": "tiny"}, "widths": ["a"]}, "'widths'"),
+    ({"name": "x", "instance": {"generator": "tiny"}, "widths": [[4, 0]]}, "'widths'"),
+    ({"name": "x", "instance": {"generator": "tiny"}, "widths": [[]]}, "'widths'"),
+    ({"name": "x", "instance": {"generator": "tiny", "params": "s"}}, "'instance.params'"),
 ])
 def test_malformed_experiment_spec_exits_1_without_a_traceback(tmp_path, capsys, spec, problem):
     spec_path = tmp_path / "spec.json"
@@ -428,3 +433,28 @@ def test_malformed_experiment_spec_exits_1_without_a_traceback(tmp_path, capsys,
     # one line that names the problem, and nothing else
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert problem in err, err
+
+
+@pytest.mark.parametrize("bad", [
+    {"widths": [0]},
+    {"widths": ["a"]},
+    {"instance": {"generator": "tiny", "params": "s"}},
+])
+def test_bad_widths_or_params_fail_before_any_cell_runs(tmp_path, capsys, bad):
+    out_dir = tmp_path / "out"
+    spec = {"name": "x", "instance": {"generator": "tiny", "params": {"seed": 5}},
+            "pricer": "adaptive", "widths": [100], "reuse": [False],
+            "midway": [False], "merge": [False], "out_dir": str(out_dir), **bad}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["experiment", "--spec", str(spec_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: "), captured.err
+    assert "cells" not in captured.out
+    assert not out_dir.exists()
+
+
+def test_spec_takes_per_coordinate_widths():
+    spec = ExperimentSpec.from_json(
+        {"name": "x", "instance": {"generator": "tiny"}, "widths": [5, [3, 4]]})
+    assert spec.widths == (5, [3, 4])

@@ -239,6 +239,53 @@ def test_solve_after_eviction_and_new_columns_stays_exact(monkeypatch):
     assert second.lp_value == 12
 
 
+def _chain_problem(sense, cardinality):
+    elements = (1, 2, 3, 4, 5)
+    arcs = {(u, v): Arc() for u in elements for v in elements if u < v}
+    return NestedProblem([Block(elements=elements, arcs=arcs)], sense=sense,
+                         cardinality=cardinality)
+
+
+def _by_key(rmp, sol):
+    """The solution with pool serials replaced by node keys."""
+    key = {e.serial: e.path.node_key for e in rmp.pool}
+    return (
+        sol.status,
+        sol.lp_value,
+        sol.duals,
+        {key[s]: v for s, v in sol.primal.items()},
+        tuple((key[s], v) for s, v in sol.fractional),
+    )
+
+
+@pytest.mark.parametrize("sense, cardinality", [
+    (COVER, None), (COVER, 3), (PARTITION, None), (PARTITION, 3),
+])
+def test_cached_columns_solve_as_a_fresh_master(monkeypatch, sense, cardinality):
+    problem = _chain_problem(sense, cardinality)
+    first = [(1,), (2,), (3, 4), (4, 5), (1, 2, 3), (2, 4)]
+    later = [(5,), (3,), (4,), (1, 4), (2, 3, 5), (1, 2, 3)]
+    paths = {nodes: _path(problem, nodes, 3 + 2 * len(nodes) + sum(nodes) % 4)
+             for nodes in first + later}
+    rmp = Rmp(problem)
+    rmp.add_columns([paths[n] for n in first], iteration=0)
+    rmp.solve(iteration=0)
+    rmp.fix_path(rmp.by_key[paths[(1, 2, 3)].node_key].serial)
+    rmp.add_columns([paths[n] for n in later], iteration=5)
+    _pool_limits(monkeypatch, floor=7, age=3)
+    assert rmp.manage_pool(iteration=9) == 4
+    got = rmp.solve(iteration=9)
+    assert got.status == "optimal"
+
+    fresh = Rmp(problem)
+    fresh.add_columns(e.path for e in rmp.pool)
+    for path in rmp.fixed:
+        fresh.fix_path(fresh.by_key[path.node_key].serial)
+    want = fresh.solve()
+    assert _by_key(rmp, got) == _by_key(fresh, want)
+    assert [e.column for e in rmp.pool] == [e.column for e in fresh.pool]
+
+
 def test_smoothing_mixes_toward_the_center():
     pure = Duals({1: Fraction(10), 2: Fraction(0)}, convexity=Fraction(4))
     state = SmoothingState()
@@ -256,7 +303,7 @@ def write_mps(rmp: Rmp, name="master") -> str:
     millicost objective).  Useful for eyeballing a failing LP in an
     external solver."""
     problem = rmp.problem
-    rows = rmp._active_rows()
+    rows = rmp._rows
     remaining = rmp.remaining_cardinality
     out = io.StringIO()
     out.write(f"NAME {name}\n")
@@ -269,7 +316,7 @@ def write_mps(rmp: Rmp, name="master") -> str:
         out.write(" E CARD\n")
     out.write("COLUMNS\n")
     for e in rmp.pool:
-        if not rmp._usable(e):
+        if e.column is None:
             continue
         col = f"X{e.serial}"
         out.write(f" {col} COST {e.path.cost}\n")

@@ -210,6 +210,17 @@ def test_duals_scaling_clears_denominators():
     assert scaled.value(99) == 0
 
 
+def test_duals_scaling_matches_fraction_arithmetic_on_mixed_values():
+    duals = Duals({1: 7, 2: Fraction(-5, 6), 3: Fraction(9, 4), 4: 0, 5: -3},
+                  convexity=Fraction(-7, 10))
+    scaled = duals.scaled()
+    assert scaled.denom == 60
+    assert scaled.by_element == {k: int(v * 60) for k, v in duals.by_element.items()}
+    assert scaled.convexity == -42
+    whole = Duals({1: 2, 2: -1}, convexity=3).scaled()
+    assert (whole.by_element, whole.convexity, whole.denom) == ({1: 2, 2: -1}, 3, 1)
+
+
 def test_monotonicity_flags(two_blocks):
     assert two_blocks.monotone == (True, True)
     block = Block(

@@ -449,3 +449,33 @@ def test_blands_rule_from_the_first_pivot_matches_dantzig_and_oracle(lp):
         bland = solve_lp(*lp)
     assert (bland.status, bland.value) == (dantzig.status, dantzig.value)
     _check_exact(bland, *lp)
+
+
+def _duals_from_token(token, costs, rhs, senses):
+    """c_B . adj for the basis the token holds, over solve_lp's internal
+    columns: a big-M artificial per row, a zero-cost surplus per covering
+    row, then the caller's columns."""
+    big_m = max(10 * max(map(abs, costs), default=0), 10**6)
+    cost = [big_m] * len(rhs) + [0] * senses.count(">=") + list(costs)
+    c_b = [cost[j] for j in token.base]
+    return [sum(c * row[r] for c, row in zip(c_b, token.adj)) for r in range(len(rhs))]
+
+
+@PROPERTY
+@given(
+    st.one_of(
+        _set_lps().map(lambda case: case[0]),
+        _integer_lps(),
+        # mixed columns: all-ones ones beside -1 and 2 coefficients
+        st.integers(0, 10**6).map(lambda s: _random_case(random.Random(s), 2)),
+    ),
+    st.data(),
+)
+def test_updated_duals_equal_c_b_times_the_tokens_adjugate(lp, data):
+    costs, columns, rhs, senses = lp
+    token = None
+    for k in _cuts(data, len(columns)):
+        step = (costs[:k], columns[:k], rhs, senses)
+        out = solve_lp(*step, basis=token)
+        token = out.basis
+        assert [y * token.det for y in out.duals] == _duals_from_token(token, costs[:k], rhs, senses)
