@@ -174,7 +174,7 @@ def _cg_loop(problem, rmp, pricer, smoother, counters, traces, phase):
             return outcome, 0
         added = rmp.add_columns(outcome.columns, it) if outcome.columns else 0
         if outcome.optimistic is not None:
-            bound = lagrangian_bound(problem, rmp, duals, outcome.optimistic)
+            bound = lagrangian_bound(rmp, duals, outcome.optimistic)
             if best_bound is None or bound > best_bound:
                 best_bound = bound
                 smoother.recentre(duals)

@@ -2,11 +2,12 @@
 
 One covering/partitioning row per element, an optional cardinality row
 (its dual is the convexity charge each path pays once), and a pool of
-path columns deduplicated by node sequence.  Every datum of the LP is an
-int -- path costs in millicost, coefficients of 1, right-hand sides of 1
-or the remaining cardinality -- as the bundled integer simplex requires,
-and solves are exact: the reported value is a Fraction in millicost,
-identical across pricer configurations that reach the same optimum.
+path columns deduplicated by node sequence.  Every column is 0/1, given
+to the bundled integer simplex as the tuple of its rows, and every cost
+and right-hand side is an int -- path costs in millicost, right-hand
+sides of 1 or the remaining cardinality -- so solves are exact: the
+reported value is a Fraction in millicost, identical across pricer
+configurations that reach the same optimum.
 
 Infeasibility is reported as a status.  The big-M artificials that keep
 intermediate masters solvable never leak into values: when artificials
@@ -19,10 +20,11 @@ right-hand side shrinks by one per fixed path.
 
 Each pool entry carries its LP column (the sorted rows of its covered
 elements, then the cardinality row), built when the entry is added and
-rebuilt for the whole pool only when ``fix_path`` changes the rows; a
-column covering a satisfied element under partitioning is None and
-stays out of the LP.  A solve hands the cached columns to the simplex
-as they are.
+rebuilt for the whole pool only when ``fix_path`` changes the rows, as
+are the right-hand sides and senses; a column covering a satisfied
+element under partitioning is None and stays out of the LP.  A solve
+hands the cached columns, right-hand sides and senses to the simplex as
+they are.
 
 Dual smoothing (``SmoothingState``) sends the pricer the midpoint of the
 stability center and the fresh master duals: Wentges' fixed weight of 1/2.
@@ -156,10 +158,19 @@ class Rmp:
     # -- solving ---------------------------------------------------------------
 
     def _set_rows(self):
-        """Rows of the unsatisfied elements, then the cardinality row."""
-        self._rows = [k for k in self.problem.elements if k not in self.satisfied]
-        self._row_of = {k: i for i, k in enumerate(self._rows)}
-        self._card = () if self.problem.cardinality is None else ((len(self._rows), 1),)
+        """Rows of the unsatisfied elements, then the cardinality row, with
+        their right-hand sides and senses."""
+        problem = self.problem
+        rows = self._rows = [k for k in problem.elements if k not in self.satisfied]
+        self._row_of = {k: i for i, k in enumerate(rows)}
+        self._rhs = [1] * len(rows)
+        self._senses = ["=" if problem.sense == PARTITION else ">="] * len(rows)
+        self._card = ()
+        remaining = self.remaining_cardinality
+        if remaining is not None:
+            self._card = (len(rows),)
+            self._rhs.append(remaining)
+            self._senses.append("=")
 
     def _column(self, path):
         """``path``'s LP column under the current rows, or None when it
@@ -168,24 +179,9 @@ class Rmp:
         if self.problem.sense == PARTITION and self.satisfied.intersection(covered):
             return None
         row_of = self._row_of
-        return tuple(
-            [(row_of[k], 1) for k in sorted(covered) if k in row_of]
-        ) + self._card
+        return tuple([row_of[k] for k in sorted(covered) if k in row_of]) + self._card
 
     def solve(self, iteration=0) -> RmpSolution:
-        problem = self.problem
-        rows = self._rows
-        card_row = None
-        rhs = [1] * len(rows)
-        senses = ["=" if problem.sense == PARTITION else ">="] * len(rows)
-        remaining = self.remaining_cardinality
-        if remaining is not None:
-            if remaining < 0:
-                raise MasterError("more fixed paths than the cardinality allows")
-            card_row = len(rows)
-            rhs.append(remaining)
-            senses.append("=")
-
         entries = [e for e in self.pool if e.column is not None]
         costs = [e.path.cost for e in entries]
         columns = [e.column for e in entries]
@@ -193,13 +189,13 @@ class Rmp:
         # the pool only grows between evictions and fixes, which drop the
         # basis, so the last factorization's columns keep their indices
         result: LpResult = solve_lp(
-            costs, columns, rhs, senses, basis=self._basis
+            costs, columns, self._rhs, self._senses, basis=self._basis
         )
         self._basis = result.basis
         self.last_pivots = result.pivots
 
-        by_element = {k: result.duals[i] for i, k in enumerate(rows)}
-        convexity = result.duals[card_row] if card_row is not None else Fraction(0)
+        by_element = dict(zip(self._rows, result.duals))
+        convexity = result.duals[-1] if self._card else Fraction(0)
         duals = Duals(by_element, convexity)
 
         primal = {}
@@ -250,17 +246,16 @@ class SmoothingState:
         self.center = duals
 
 
-def lagrangian_bound(problem, rmp: Rmp, duals: Duals, optimistic: Fraction):
+def lagrangian_bound(rmp: Rmp, duals: Duals, optimistic: Fraction):
     """Valid lower bound on the residual LP value from any correctly
     signed duals plus a lower bound on the pricing problem: the dual
     objective, plus the path-count multiplier times the negative part of
     the bound."""
-    rows = [k for k in problem.elements if k not in rmp.satisfied]
-    value = sum(duals.value(k) for k in rows)
+    value = sum(duals.value(k) for k in rmp._rows)
     remaining = rmp.remaining_cardinality
     if remaining is not None:
         value += remaining * duals.convexity
         multiplier = remaining
     else:
-        multiplier = len(rows)
+        multiplier = len(rmp._rows)
     return value + multiplier * min(Fraction(0), optimistic)

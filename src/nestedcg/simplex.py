@@ -1,14 +1,15 @@
 """Exact revised simplex in integer arithmetic.
 
 Purpose-built for restricted master problems: minimize c.x subject to
-rows that are either equalities or >= covering rows, x >= 0, with sparse
-column coefficients.  The returned objective value, primal solution and
-row duals are exact Fractions, so two solvers given the same column set
-must agree bit for bit.
+rows that are either equalities or >= covering rows, x >= 0, over 0/1
+columns, each given as the tuple of the rows where it has a 1 (a path
+column: its covered elements, then the cardinality row).  The returned
+objective value, primal solution and row duals are exact Fractions, so
+two solvers given the same column set must agree bit for bit.
 
-Representation.  Costs, coefficients and right-hand sides are Python
-ints (the master's data is: millicost costs, 0/1 coefficients and
-integer right-hand sides), and so is everything inside the pivot loop.
+Representation.  Costs and right-hand sides are Python ints (the
+master's are millicost costs and integer right-hand sides), and so is
+everything inside the pivot loop.
 The basis inverse is held fraction-free, as an integer matrix A and a
 positive integer d with B^-1 = A/d (A = +-adj(B) and d = |det(B)|), and
 the basic values as the integer vector A.b.  The duals u/d and the value
@@ -17,7 +18,8 @@ come back as Fractions over d.
 Pricing evaluates R_j = c_j.d - u.a_j with u = c_B.A: the true reduced
 cost times a positive factor, so Dantzig's argmin, Bland's first
 negative and the (ratio, basic index) ratio-test order are those of the
-rational method.  A pivot on row l with w = A.a_q and p = w_l > 0 is the
+rational method.  A pivot on row l with w = A.a_q (the sum of A's
+columns over the entering column's rows) and p = w_l > 0 is the
 Edmonds / Bareiss update
 
     A'[l] = A[l],   A'[i] = (p.A[i] - w_i.A[l]) // d,   d' = p,
@@ -34,18 +36,16 @@ solve and then follows each pivot as
 
 again an exact division, since u' = c_B'.A' is an integer vector (the
 revised simplex's dual update, Maros, *Computational Techniques of the
-Simplex Method*, 2003).  Pricing reads u without products where the
-column allows: an artificial prices as big_M.d - u_r, a surplus column
-as u_r, and a column whose coefficients are all 1 -- every column of
-the master -- as c.d less the sum of u over its rows, taken from the
-pass that checks the data are ints; other columns price as c.d - u.a.
+Simplex Method*, 2003).  Pricing reads u without products: a caller's
+column prices as c.d less the sum of u over its rows, an artificial as
+big_M.d - u_r, and a surplus column, the one column with a -1, as u_r.
 
 Warm starts.  ``LpResult.basis`` is a :class:`Basis` token holding the
-basic indices, the basic columns as they were factored, and A and d.  A
-later solve reuses A and d as they stand when the columns at those
-indices are unchanged -- the case when columns are only appended -- so a
-warm start never refactors; any other token starts cold from the
-all-artificial basis, B = I.
+basic indices, the basic columns as they were factored, A and d, and
+the surplus rows.  A later solve reuses A and d as they stand when the
+surplus rows and the columns at those indices are unchanged -- the case
+when columns are only appended -- so a warm start never refactors; any
+other token starts cold from the all-artificial basis, B = I.
 
 Feasibility comes from one big-M phase: each row carries an artificial
 column, and an artificial that stays basic at positive value at
@@ -70,13 +70,16 @@ class LpError(RuntimeError):
 @dataclass(frozen=True)
 class Basis:
     """Warm-start token: basic internal indices, the basic columns they
-    were factored from, and B^-1 = adj / det in integers (the rows of
-    ``adj`` are never mutated)."""
+    were factored from, B^-1 = adj / det in integers (the rows of ``adj``
+    are never mutated), and the surplus rows, which fix the internal
+    layout: a surplus column and a caller column over the same row are
+    the same tuple."""
 
     base: tuple
     columns: tuple
     adj: tuple
     det: int
+    surplus: tuple
 
 
 @dataclass(frozen=True)
@@ -90,44 +93,33 @@ class LpResult:
 
 
 def solve_lp(costs, columns, rhs, senses, *, basis=None) -> LpResult:
-    """Minimize ``costs . x`` s.t. the sparse system, x >= 0.
+    """Minimize ``costs . x`` s.t. the 0/1 system, x >= 0.
 
-    ``columns[j]`` is an iterable of (row, coeff) pairs; ``senses`` holds
-    "=" or ">=" per row, ``rhs`` must be nonnegative.  Costs,
-    coefficients and right-hand sides must be ints.  ``basis`` is the
+    ``columns[j]`` is the tuple of the rows where column j has a 1;
+    ``senses`` holds "=" or ">=" per row, ``rhs`` must be nonnegative.
+    Costs and right-hand sides must be ints.  ``basis`` is the
     ``LpResult.basis`` of a previous solve; it is used when its basic
-    columns are still the columns at the same indices.
+    columns are still the columns at the same indices, under the same
+    senses.
     """
     m = len(rhs)
     cols = [tuple(col) for col in columns]
     if len(cols) != len(costs):
         raise LpError("cost/column length mismatch")
-    # one pass over the coefficients checks their type and keeps, for each
-    # all-ones column, its rows (None for any other column)
-    kinds = set(map(type, costs))
-    kinds.update(map(type, rhs))
-    unit_rows = []
-    for col in cols:
-        rows, coeffs = zip(*col) if col else ((), ())
-        kinds.update(map(type, coeffs))
-        unit_rows.append(rows if coeffs.count(1) == len(coeffs) else None)
-    if kinds - {int}:
-        raise LpError("costs, coefficients and right-hand sides must be ints")
+    if {*map(type, costs), *map(type, rhs)} - {int}:
+        raise LpError("costs and right-hand sides must be ints")
     if any(b < 0 for b in rhs):
         raise LpError("rhs entries must be nonnegative")
     if any(s not in ("=", ">=") for s in senses):
         raise LpError("row senses must be '=' or '>='")
     big_m = max(10 * max(map(abs, costs), default=0), 10**6)
 
-    # internal columns: artificials, then surplus, then caller columns, so
-    # indices stay put as caller columns are appended between solves
-    surplus_rows = [r for r, s in enumerate(senses) if s == ">="]
+    # internal columns: artificials, then surplus (the only -1 entries),
+    # then caller columns, so indices stay put as caller columns are
+    # appended between solves
+    surplus_rows = tuple(r for r, s in enumerate(senses) if s == ">=")
     n_fixed = m + len(surplus_rows)
-    column = (
-        [((r, 1),) for r in range(m)]
-        + [((r, -1),) for r in surplus_rows]
-        + cols
-    )
+    column = [(r,) for r in range(m)] + [(r,) for r in surplus_rows] + cols
     cost = [big_m] * m + [0] * len(surplus_rows) + list(costs)
     n_total = len(column)
     pivot_limit = _PIVOT_ALLOWANCE + 50 * (m + n_total)
@@ -137,6 +129,7 @@ def solve_lp(costs, columns, rhs, senses, *, basis=None) -> LpResult:
     if (
         isinstance(basis, Basis)
         and len(basis.base) == m
+        and basis.surplus == surplus_rows
         and all(
             j < n_total and column[j] == c
             for j, c in zip(basis.base, basis.columns)
@@ -153,7 +146,8 @@ def solve_lp(costs, columns, rhs, senses, *, basis=None) -> LpResult:
 
     def result(status, u, value=None, primal=None):
         """The LpResult of the current basis, with duals u / det."""
-        token = Basis(tuple(base), tuple(column[j] for j in base), tuple(adj), det)
+        token = Basis(tuple(base), tuple(column[j] for j in base), tuple(adj),
+                      det, surplus_rows)
         duals = tuple(Fraction(v, det) for v in u)
         return LpResult(status, value, primal or {}, duals, token, pivots)
 
@@ -167,16 +161,12 @@ def solve_lp(costs, columns, rhs, senses, *, basis=None) -> LpResult:
         if pivots > pivot_limit:
             raise LpError(f"pivot limit {pivot_limit} exceeded")
         # artificials price as big_m.det - u_r, surplus columns as u_r and
-        # all-ones columns as c.det less the sum of u over their rows;
-        # basic columns price to exactly 0, so they are never picked
+        # caller columns as c.det less the sum of u over their rows; basic
+        # columns price to exactly 0, so they are never picked
         get = u.__getitem__
         reduced = [big_m * det - v for v in u]
         reduced += map(get, surplus_rows)
-        reduced += [
-            c * det - sum(map(get, rows)) if rows is not None
-            else c * det - sum([u[r] * a for r, a in col])
-            for c, rows, col in zip(costs, unit_rows, cols)
-        ]
+        reduced += [c * det - sum(map(get, col)) for c, col in zip(costs, cols)]
         best = min(reduced, default=0)
         if best >= 0:
             # optimal for the big-M program
@@ -197,10 +187,13 @@ def solve_lp(costs, columns, rhs, senses, *, basis=None) -> LpResult:
         else:
             entering = reduced.index(best)
 
-        # direction w = A a_q (B^-1 a_q times det) and ratio test: compare
-        # x_i / w_i across rows by cross-multiplying
+        # direction w = A a_q (B^-1 a_q times det), the sum of A's entries
+        # over the column's rows, negated for a surplus column; ratio
+        # test: compare x_i / w_i across rows by cross-multiplying
         col = column[entering]
-        w = [sum([row[r] * a for r, a in col]) for row in adj]
+        w = [sum([row[r] for r in col]) for row in adj]
+        if m <= entering < n_fixed:
+            w = [-v for v in w]
         leave = None
         for i in range(m):
             wi = w[i]

@@ -119,20 +119,20 @@ def test_lagrangian_bound_closes_at_optimal_duals():
     rmp.add_columns(paths.values())
     sol = rmp.solve()
     # zero pricing bound: the dual objective alone equals the LP value
-    assert lagrangian_bound(problem, rmp, sol.duals, Fraction(0)) == sol.lp_value
+    assert lagrangian_bound(rmp, sol.duals, Fraction(0)) == sol.lp_value
     # a negative pricing bound relaxes it by (paths remaining) x bound
-    low = lagrangian_bound(problem, rmp, sol.duals, Fraction(-3))
+    low = lagrangian_bound(rmp, sol.duals, Fraction(-3))
     assert low == sol.lp_value + 2 * Fraction(-3)
     # positive bounds never help beyond the dual objective
-    assert lagrangian_bound(problem, rmp, sol.duals, Fraction(5)) == sol.lp_value
+    assert lagrangian_bound(rmp, sol.duals, Fraction(5)) == sol.lp_value
 
 
 def test_lagrangian_bound_multiplier_without_cardinality():
     problem = _problem()
     rmp = Rmp(problem)
     duals = Duals({1: Fraction(2), 2: Fraction(1), 3: Fraction(4)})
-    assert lagrangian_bound(problem, rmp, duals, Fraction(-1)) == 7 - 3
-    assert lagrangian_bound(problem, rmp, duals, Fraction(1)) == 7
+    assert lagrangian_bound(rmp, duals, Fraction(-1)) == 7 - 3
+    assert lagrangian_bound(rmp, duals, Fraction(1)) == 7
 
 
 def test_fixing_a_path_shrinks_the_residual_problem():

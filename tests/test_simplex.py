@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -53,7 +53,7 @@ def _solve_support(entries, rhs):
 
 def _enum_oracle(costs, columns, rhs, senses):
     """(feasible, optimal value) by enumerating vertex supports."""
-    cols = [tuple(c) for c in columns]
+    cols = [tuple((r, 1) for r in c) for c in columns]
     full_costs = [Fraction(c) for c in costs]
     for r, s in enumerate(senses):
         if s == ">=":
@@ -76,14 +76,10 @@ def _enum_oracle(costs, columns, rhs, senses):
     return feasible, best
 
 
-def _scipy_value(costs, columns, rhs, senses, n):
+def _scipy_value(costs, columns, rhs, senses):
     a_eq, b_eq, a_ub, b_ub = [], [], [], []
     for r, s in enumerate(senses):
-        row = [0.0] * n
-        for col_index, col in enumerate(columns):
-            for rr, coeff in col:
-                if rr == r:
-                    row[col_index] += coeff
+        row = [float(r in col) for col in columns]
         if s == "=":
             a_eq.append(row)
             b_eq.append(float(rhs[r]))
@@ -109,16 +105,11 @@ def _random_case(rng, n_core_rows):
     n = rng.randint(m + 1, 7)
     columns, costs = [], []
     for _ in range(n):
-        entries = [
-            (r, rng.choice((1, 1, -1, 2)))
-            for r in range(m)
-            if rng.random() < 0.65
-        ]
-        columns.append(tuple(entries))
+        columns.append(tuple(r for r in range(m) if rng.random() < 0.65))
         costs.append(rng.randint(-4, 12))
     # bounding row sum(x) + slack = 50 rules unboundedness out entirely
-    columns = [col + ((m, 1),) for col in columns]
-    columns.append(((m, 1),))
+    columns = [col + (m,) for col in columns]
+    columns.append((m,))
     costs.append(0)
     senses.append("=")
     rhs.append(50)
@@ -138,7 +129,7 @@ def test_random_lps_match_enumeration_and_scipy(block):
         else:
             assert got.status == "optimal"
             assert got.value == best
-        ref = _scipy_value(costs, columns, rhs, senses, len(columns))
+        ref = _scipy_value(costs, columns, rhs, senses)
         if got.status == "optimal":
             assert ref.status == 0
             assert abs(float(got.value) - ref.fun) <= 1e-7 * (1 + abs(ref.fun))
@@ -150,7 +141,7 @@ def test_known_small_lp_with_exact_duals():
     # min 2x + 3y  s.t.  x + y = 4,  x >= 1  ->  x=4, y=0 is NOT dual-best:
     # picking x everywhere costs 8; mixing costs more, so value is 8
     costs = [2, 3]
-    columns = [((0, 1), (1, 1)), ((0, 1),)]
+    columns = [(0, 1), (0,)]
     out = solve_lp(costs, columns, [4, 1], ["=", ">="])
     assert out.status == "optimal"
     assert out.value == 8
@@ -159,7 +150,7 @@ def test_known_small_lp_with_exact_duals():
     y = out.duals
     assert sum(yy * b for yy, b in zip(y, [4, 1])) == out.value
     for cost, col in zip(costs, columns):
-        assert cost - sum(y[r] * c for r, c in col) >= 0
+        assert cost - sum(y[r] for r in col) >= 0
     assert y[1] >= 0  # covering-row dual is signed
 
 
@@ -175,7 +166,7 @@ def test_optimal_duals_are_dual_feasible_on_random_cases():
         y = out.duals
         assert sum(yy * Fraction(b) for yy, b in zip(y, rhs)) == out.value
         for cost, col in zip(costs, columns):
-            assert Fraction(cost) - sum(y[r] * c for r, c in col) >= 0
+            assert Fraction(cost) - sum(y[r] for r in col) >= 0
         for r, s in enumerate(senses):
             if s == ">=":
                 assert y[r] >= 0
@@ -183,8 +174,9 @@ def test_optimal_duals_are_dual_feasible_on_random_cases():
 
 
 def test_unbounded_detection():
-    # min -x1 with x1 - x2 = 0: the ray (t, t) drives the value down forever
-    out = solve_lp([-1, 0], [((0, 1),), ((0, -1),)], [0], ["="])
+    # min -x1 - x2 with x1 + x2 >= 1 and x2 = 1: the surplus of the
+    # covering row lets x1 grow, so the value falls forever
+    out = solve_lp([-1, -1], [(0,), (0, 1)], [1, 1], [">=", "="])
     assert out.status == "unbounded"
     assert out.value is None
 
@@ -193,7 +185,7 @@ def test_infeasible_system_is_reported_as_status():
     # x1 + x2 = 2 and (separately) x1 + x2 >= 5 with the same two columns
     out = solve_lp(
         [1, 1],
-        [((0, 1), (1, 1)), ((0, 1), (1, 1))],
+        [(0, 1), (0, 1)],
         [2, 5],
         ["=", ">="],
     )
@@ -216,9 +208,7 @@ def test_warm_start_agrees_with_cold_and_skips_pivoting_when_optimal():
 
         # extend the pool; warm and cold must land on the same exact value
         extra_costs = list(costs) + [rng.randint(-2, 6)]
-        extra_columns = list(columns) + [
-            ((0, 1), (len(rhs) - 1, 1)),
-        ]
+        extra_columns = list(columns) + [(0, len(rhs) - 1)]
         warm2 = solve_lp(extra_costs, extra_columns, rhs, senses, basis=cold.basis)
         cold2 = solve_lp(extra_costs, extra_columns, rhs, senses)
         assert warm2.status == cold2.status
@@ -228,7 +218,7 @@ def test_warm_start_agrees_with_cold_and_skips_pivoting_when_optimal():
 
 def test_garbage_warm_basis_falls_back_to_cold():
     costs = [2, 3]
-    columns = [((0, 1), (1, 1)), ((0, 1),)]
+    columns = [(0, 1), (0,)]
     for junk in ((), (0,), (99, 100), (0, 0)):
         out = solve_lp(costs, columns, [4, 1], ["=", ">="], basis=junk)
         assert out.status == "optimal" and out.value == 8
@@ -236,11 +226,11 @@ def test_garbage_warm_basis_falls_back_to_cold():
 
 def test_input_validation():
     with pytest.raises(LpError):
-        solve_lp([1], [((0, 1),)], [-1], ["="])
+        solve_lp([1], [(0,)], [-1], ["="])
     with pytest.raises(LpError):
-        solve_lp([1], [((0, 1),)], [1], ["<="])
+        solve_lp([1], [(0,)], [1], ["<="])
     with pytest.raises(LpError):
-        solve_lp([1, 2], [((0, 1),)], [1], ["="])
+        solve_lp([1, 2], [(0,)], [1], ["="])
 
 
 def test_pivot_limit_raises(monkeypatch):
@@ -253,34 +243,11 @@ def test_pivot_limit_raises(monkeypatch):
         solve_lp(costs, columns, rhs, senses)
 
 
-def test_degenerate_lp_terminates():
-    # Beale's cycling example in equality form (slack columns explicit),
-    # the costs and the two structural rows scaled by 100 to integers:
-    # both structural rows are tight at the all-slack start, so naive
-    # Dantzig pricing is prone to cycling here
-    costs = [0, 0, 0, -75, 15000, -2, 600]
-    columns = [
-        ((0, 100),),
-        ((1, 100),),
-        ((2, 1),),
-        ((0, 25), (1, 50)),
-        ((0, -6000), (1, -9000)),
-        ((0, -4), (1, -2), (2, 1)),
-        ((0, 900), (1, 300)),
-    ]
-    out = solve_lp(costs, columns, [0, 0, 1], ["=", "=", "="])
-    assert out.status == "optimal"
-    assert out.value == -5
-    feasible, best = _enum_oracle(costs, columns, [0, 0, 1], ["=", "=", "="])
-    assert feasible and out.value == best
-
-
 def test_non_integer_data_is_rejected():
     cases = [
-        ([Fraction(1, 3)], [((0, 1),)], [1]),
-        ([1], [((0, Fraction(1, 2)),)], [1]),
-        ([1], [((0, 1),)], [Fraction(21, 2)]),
-        ([1.0], [((0, 1),)], [1]),
+        ([Fraction(1, 3)], [(0,)], [1]),
+        ([1], [(0,)], [Fraction(21, 2)]),
+        ([1.0], [(0,)], [1]),
     ]
     for costs, columns, rhs in cases:
         with pytest.raises(LpError, match="must be ints"):
@@ -288,7 +255,7 @@ def test_non_integer_data_is_rejected():
 
 
 def test_result_is_a_frozen_record():
-    out = solve_lp([1], [((0, 1),)], [2], ["="])
+    out = solve_lp([1], [(0,)], [2], ["="])
     assert isinstance(out, LpResult)
     with pytest.raises(AttributeError):
         out.status = "other"
@@ -314,17 +281,12 @@ def _check_exact(out, costs, columns, rhs, senses):
     assert out.value == best
     assert sum(Fraction(costs[j]) * v for j, v in out.primal.items()) == best
     for r, (b, s) in enumerate(zip(rhs, senses)):
-        lhs = sum(
-            Fraction(a) * out.primal.get(j, 0)
-            for j, col in enumerate(columns)
-            for row, a in col
-            if row == r
-        )
+        lhs = sum(out.primal.get(j, 0) for j, col in enumerate(columns) if r in col)
         assert lhs == b if s == "=" else lhs >= b
     y = out.duals
     assert sum(yy * Fraction(b) for yy, b in zip(y, rhs)) == out.value
     for cost, col in zip(costs, columns):
-        assert Fraction(cost) - sum(y[r] * a for r, a in col) >= 0
+        assert Fraction(cost) - sum(y[r] for r in col) >= 0
     for r, s in enumerate(senses):
         if s == ">=":
             assert y[r] >= 0
@@ -352,10 +314,10 @@ def _set_lps(draw, min_rows=1):
     m = draw(st.integers(min_rows, 3))
     sense = draw(st.sampled_from(("=", ">=")))
     card = draw(st.none() | st.integers(1, m))
-    tail = () if card is None else ((m, 1),)
+    tail = () if card is None else (m,)
     subsets = st.sets(st.integers(0, m - 1), min_size=1).map(sorted)
     columns = [
-        tuple((r, 1) for r in rows) + tail
+        tuple(rows) + tail
         for rows in draw(st.lists(subsets, min_size=1, max_size=7))
     ]
     costs = draw(st.lists(
@@ -368,15 +330,14 @@ def _set_lps(draw, min_rows=1):
 
 @st.composite
 def _integer_lps(draw):
-    """Rows of either sense with non-unit integer coefficients,
-    right-hand sides and costs."""
+    """Rows of either sense with non-unit integer right-hand sides and
+    costs."""
     m = draw(st.integers(1, 3))
-    coeff = st.sampled_from((2, 3, 4, 6, 9, 12))
     n = draw(st.integers(1, 6))
-    columns = []
-    for _ in range(n):
-        rows = draw(st.sets(st.integers(0, m - 1), min_size=1))
-        columns.append(tuple((r, draw(coeff)) for r in sorted(rows)))
+    columns = [
+        tuple(sorted(draw(st.sets(st.integers(0, m - 1), min_size=1))))
+        for _ in range(n)
+    ]
     costs = draw(st.lists(st.integers(0, 120), min_size=n, max_size=n))
     rhs = draw(st.lists(st.integers(1, 24), min_size=m, max_size=m))
     senses = draw(st.lists(st.sampled_from(("=", ">=")), min_size=m, max_size=m))
@@ -409,16 +370,16 @@ def test_token_is_not_reused_when_a_basic_column_changed(case, data):
     if not first.primal:
         return          # no caller column is basic at a positive value
     j = data.draw(st.sampled_from(sorted(first.primal)))
-    tail = tuple(e for e in columns[j] if e[0] >= m)
+    tail = tuple(r for r in columns[j] if r >= m)
     others = [
         rows
         for k in range(1, m + 1)
         for rows in combinations(range(m), k)
-        if tuple((r, 1) for r in rows) + tail != columns[j]
+        if rows + tail != columns[j]
     ]
     rows = data.draw(st.sampled_from(others))
     changed = list(columns)
-    changed[j] = tuple((r, 1) for r in rows) + tail
+    changed[j] = rows + tail
     again = solve_lp(costs, changed, rhs, senses, basis=first.basis)
     assert again == solve_lp(costs, changed, rhs, senses)
     _check_exact(again, costs, changed, rhs, senses)
@@ -436,6 +397,23 @@ def test_token_under_another_right_hand_side_matches_cold(lp, data):
     cold = solve_lp(costs, columns, other, senses)
     assert (again.status, again.value) == (cold.status, cold.value)
     _check_exact(again, costs, columns, other, senses)
+
+
+@PROPERTY
+@example((([2], [(0,)], [1], ["="]), 1))
+@given(_set_lps())
+def test_token_under_other_senses_starts_cold(case):
+    # flipping the element rows' sense adds or drops their surplus
+    # columns, so the caller's columns move to other internal indices;
+    # a surplus column is the same tuple as a caller column over the same
+    # row (in the example, x at index 1 under "=" is the surplus of row 0
+    # under ">="), so the token must not pass for a basis there
+    (costs, columns, rhs, senses), m = case
+    first = solve_lp(costs, columns, rhs, senses)
+    flipped = ["=" if s == ">=" else ">=" for s in senses[:m]] + senses[m:]
+    again = solve_lp(costs, columns, rhs, flipped, basis=first.basis)
+    assert again == solve_lp(costs, columns, rhs, flipped)
+    _check_exact(again, costs, columns, rhs, flipped)
 
 
 @PROPERTY
@@ -466,7 +444,7 @@ def _duals_from_token(token, costs, rhs, senses):
     st.one_of(
         _set_lps().map(lambda case: case[0]),
         _integer_lps(),
-        # mixed columns: all-ones ones beside -1 and 2 coefficients
+        # negative costs, a bounding row and a zero-cost slack column
         st.integers(0, 10**6).map(lambda s: _random_case(random.Random(s), 2)),
     ),
     st.data(),
