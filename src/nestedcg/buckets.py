@@ -377,7 +377,12 @@ def compute_representative(problem, buckets, duals, banned=frozenset(), tally=No
     boxes' upper ends: every completion adds at least that much, so the
     state ends in no box, and the walk stops at the headroom (see
     ``labeling.elementary_rcspp``, which also adds the states it expands
-    to ``tally["fill_labels"]`` when ``tally`` is given).
+    to ``tally["fill_labels"]`` when ``tally`` is given).  The walk's
+    setup is cached on the block's view per (that union's top, ban mask),
+    and each element's arcs are tried in descending slack (packed cap
+    less delta), so a state stops at the first arc whose slack is below
+    its packed vector; only the visiting order depends on this, never
+    the representatives.
 
     Marks a bucket EMPTY -- permanently -- when its capped box holds no
     feasible subpath contribution vector at all (a box whose lower end

@@ -41,11 +41,17 @@ prefix of the fully enumerated, sorted solution list.
 
 Bucket fill.  :func:`elementary_rcspp` answers every bucket box of one
 block with a single walk and sends each subpath to the box that holds
-it, where it is kept when it sorts first by (reduced cost, vector, node
-sequence); so every box gets exactly the result of its own search.  It
-keeps no label store: a label could only dominate labels with its own
-vector (two vectors may end in different boxes), and such labels are too
-rare for a store to pay for its keys.
+it (a bisect over the boxes' packed corners, :meth:`Packing.box_tables`,
+done inline), where it is kept when it sorts first by (reduced cost,
+vector, node sequence); so every box gets exactly the result of its own
+search, whatever order the walk visits.  It keeps no label store: a
+label could only dominate labels with its own vector (two vectors may
+end in different boxes), and such labels are too rare for a store to pay
+for its keys.  What the walk needs besides the duals, its compiled setup
+(:meth:`BlockView._prepare`: packed caps, start states, arc tuples that
+carry step indices), depends only on the limits' top and the ban mask,
+so it is built once per (top, ban mask) and cached on the view; a fill
+builds only the per-step weights of its duals.
 
 Packed vectors.  The walk carries each contribution vector as one int
 (:class:`Packing`): coordinate c as x - low, in a field of
@@ -54,11 +60,20 @@ are the view's :attr:`BlockView.bounds`; coordinate 0 is highest, so int
 order is tuple order.  An extension is one addition, and with
 cap - low + 2**w per field (cap clamped into [low - 1, high]) vec <= cap
 on every coordinate exactly when ``(cap - vec) & guard == guard``, since
-no field borrows; box corners are tested alike.  The subpath-resource
-values ride in a second int (:attr:`BlockView.sub_packing`), in fields
-that hold every value an entry delta or a floored lower end plus m - 1
-arc deltas can reach, and each extension tests its element's window as
-a box, ``(hi - s) & (s - lo) & guard == guard``.  Only when that fails
+no field borrows; box corners are tested alike.  The plain packed cap
+(cap - low per field, no guard) also orders: a vector within the cap on
+every field is within it as an int, each field's value being at most the
+cap's, even when a clamped field is low - 1 (-1 packed).  So a packed
+vector above the plain cap is above the cap on some coordinate; the walk
+sorts each element's arcs by slack, cap less delta, descending, and
+stops at the first arc whose slack is below the state's vector, since
+every later slack is smaller still.  With one coordinate the int test is
+the coordinate's, so the break leaves no extension above its cap.  The
+subpath-resource values ride in a second int
+(:attr:`BlockView.sub_packing`), in fields that hold every value an entry
+delta or a floored lower end plus m - 1 arc deltas can reach, and each
+extension tests its element's window as a box,
+``(hi - s) & (s - lo) & guard == guard``.  Only when that fails
 on a view with a floored resource does a branch raise each floored
 value below its lower end to that end and test the upper ends again.
 Only what leaves a search is unpacked: exact's table rows, each box's
@@ -288,26 +303,19 @@ class Packing:
                 self.pack([math.inf if hi is None else hi for _, hi in box]))
         return self._boxes[box]
 
-    def locator(self, boxes):
-        """``locate(vec)``: the disjoint box holding packed ``vec``, or -1.
-        Boxes whose corners bracket vec as ints get the guard tests."""
+    def box_tables(self, boxes):
+        """(starts, reach, tests) over disjoint ``boxes``, in their packed
+        lower corners' order: those corners, the running most of the upper
+        ones, and per box (index, lower corner less guard, upper corner plus
+        guard).  The box holding packed ``vec`` is among the boxes up to
+        ``bisect_right(starts, vec) - 1`` whose reach is at least vec, and
+        is the one that passes ``(vec - lo) & (hi - vec) & guard == guard``."""
         g = self.guard
         corners = [self.box(box) for box in boxes]
         order = sorted(range(len(corners)), key=corners.__getitem__)
-        starts = [corners[i][0] for i in order]
-        reach = list(accumulate([corners[i][1] for i in order], max))
-        tests = [(i, corners[i][0] - g, corners[i][1] + g) for i in order]
-
-        def locate(vec):
-            k = bisect_right(starts, vec) - 1
-            while k >= 0 and reach[k] >= vec:
-                i, lo, hi = tests[k]
-                if (vec - lo) & (hi - vec) & g == g:
-                    return i
-                k -= 1
-            return -1
-
-        return locate
+        return ([corners[i][0] for i in order],
+                list(accumulate([corners[i][1] for i in order], max)),
+                [(i, corners[i][0] - g, corners[i][1] + g) for i in order])
 
 
 class BlockView:
@@ -394,6 +402,7 @@ class BlockView:
         self._least = None
         self._headroom = None
         self._reach = {}          # box -> reach
+        self._setups = {}         # (top, ban mask) -> the walk's setup
         self._table = None
 
     def least_completion(self) -> list:
@@ -456,7 +465,7 @@ class BlockView:
         return [cost * duals.denom - gain[step % m]
                 for step, cost in enumerate(self._step_costs)]
 
-    def walk(self, limits, weights, banned=0):
+    def walk(self, top, weights, banned=0):
         """Depth-first search over the elementary subpaths of the block
         that visit no element of local mask ``banned``, yielding one state
         per subpath: (last local element, node sequence, local visited
@@ -469,51 +478,75 @@ class BlockView:
         extension tests its element's packed window ends at once, and only
         a failed test on a view with a floored resource takes the branch
         that lifts (:meth:`_lift`).  One whose contributions on arrival at
-        local element v are above ``limits[v]`` (:meth:`limits`) is
+        local element v are above ``limits(top)[v]`` (:meth:`limits`) is
         dropped with its extensions: ``least[u] <= delta(u, t) +
         least[t]``, so they are above the limits too.  Each state comes
         after its prefix, the last state before it with one element
-        fewer."""
+        fewer.
+
+        The arcs come from :meth:`_prepare`, each element's in descending
+        packed slack, cap less delta, and a state stops at the first arc
+        whose slack is below its packed vector: that extension, and every
+        later one, is above its cap on some coordinate (see "Packed
+        vectors" in the module docstring).  On a view of at most one
+        coordinate a vector within the slack is within the cap, so only
+        views of more coordinates run the guard test."""
         guard = self.packing.guard
         sguard = self.sub_packing.guard
         lift = self._lift if self._lifts else None
-        stack, arcs = self._prepare(limits, weights, banned)
+        multi = self.n_coords > 1
+        starts, arcs = self._prepare(top, banned)
+        stack = [(v, node, bit, weights[v], vec, sub) for v, node, bit, vec, sub in starts]
         while stack:
             state = stack.pop()
             yield state
             u, nodes, visited, value, vec, sub = state
-            for t, node, bit, weight, delta, cap, sub_d, lo, hi in arcs[u]:
+            for slack, t, node, bit, step, delta, cap, sub_d, lo, hi in arcs[u]:
+                if vec > slack:
+                    break
                 if visited & bit:
                     continue
                 ext = vec + delta
-                if (cap - ext) & guard != guard:
+                if multi and (cap - ext) & guard != guard:
                     continue
                 s = sub + sub_d
                 if (hi - s) & (s - lo) & sguard != sguard and (
                         lift is None or (s := lift(s, lo, hi)) is None):
                     continue
-                stack.append((t, nodes + node, visited | bit, value + weight, ext, s))
+                stack.append((t, nodes + node, visited | bit, value + weights[step], ext, s))
 
-    def _prepare(self, limits, weights, banned):
-        """The one-element states of :meth:`walk` that avoid ``banned``,
-        fit ``limits`` and pass their windows; and per local element, its
-        arcs outside ``banned`` as (head, node, bit, weight, delta, cap
-        plus guard, subpath delta, window ends), packed."""
-        guard, sguard = self.packing.guard, self.sub_packing.guard
-        caps = [self.packing.pack(map(add, limit, flat)) + guard
-                for limit, (_, _, flat) in zip(limits, self.exit)]
-        arcs = [[(t, node, bit, weights[step], delta, caps[t], sub_d, lo, hi)
-                 for t, node, bit, step, delta, sub_d, lo, hi in outs if not banned & bit]
-                for outs in self._arcs]
-        starts = []
-        for v, node, bit, vec, sub, lo, hi in self._starts:
-            if banned & bit or (caps[v] - vec) & guard != guard:
-                continue
-            if (hi - sub) & (sub - lo) & sguard != sguard:
-                sub = self._lift(sub, lo, hi)
-            if sub is not None:
-                starts.append((v, node, bit, weights[v], vec, sub))
-        return starts, arcs
+    def _prepare(self, top, banned):
+        """The compiled setup of :meth:`walk` under ``top`` and ban mask
+        ``banned``: its one-element states that avoid ``banned``, fit
+        :meth:`limits` and pass their windows, as (element, node, bit,
+        packed vector, packed subpath values), each one's step index being
+        its element; and per local element, its arcs outside ``banned`` as
+        (slack, head, node, bit, step index, delta, cap plus guard,
+        subpath delta, window ends), packed, in descending slack, the
+        head's packed cap less the delta.  Neither holds a dual, so the
+        setup is cached on the view per (top, ban mask), and a call under
+        new duals builds only its :meth:`step_weights`."""
+        key = (tuple(top), banned)
+        setup = self._setups.get(key)
+        if setup is None:
+            guard, sguard = self.packing.guard, self.sub_packing.guard
+            caps = [self.packing.pack(map(add, limit, flat))
+                    for limit, (_, _, flat) in zip(self.limits(top), self.exit)]
+            arcs = [sorted([(caps[t] - delta, t, node, bit, step, delta, caps[t] + guard,
+                             sub_d, lo, hi)
+                            for t, node, bit, step, delta, sub_d, lo, hi in outs
+                            if not banned & bit], key=itemgetter(0), reverse=True)
+                    for outs in self._arcs]
+            starts = []
+            for v, node, bit, vec, sub, lo, hi in self._starts:
+                if banned & bit or (caps[v] + guard - vec) & guard != guard:
+                    continue
+                if (hi - sub) & (sub - lo) & sguard != sguard:
+                    sub = self._lift(sub, lo, hi)
+                if sub is not None:
+                    starts.append((v, node, bit, vec, sub))
+            setup = self._setups[key] = (starts, arcs)
+        return setup
 
     def _lift(self, s, lo, hi):
         """Packed subpath-resource values ``s`` that failed the window
@@ -561,7 +594,7 @@ class BlockView:
             top[c] = hi
         zeros = [0] * len(self._step_costs)
         return any(lo <= self.packing.unpack(vec)[c] <= hi
-                   for _, _, _, _, vec, _ in self.walk(self.limits(top), zeros))
+                   for _, _, _, _, vec, _ in self.walk(top, zeros))
 
     def _mask(self, banned) -> int:
         mask = 0
@@ -592,31 +625,34 @@ class BlockView:
         extensions, duals are per element and a ban removes both or
         neither, so a dropped subpath never enters a pricing call's front;
         only survivors extend, so the table is prefix-closed."""
-        m, guard, sguard = len(self.elements), self.packing.guard, self.sub_packing.guard
+        guard, sguard = self.packing.guard, self.sub_packing.guard
         lift = self._lift if self._lifts else None
-        starts, arcs = self._prepare(self.limits(self.headroom()), self._step_costs, 0)
+        multi = self.n_coords > 1
+        costs = self._step_costs
+        starts, arcs = self._prepare(self.headroom(), 0)
         found = []          # (vector, nodes, cost, mask, prefix row, step)
         # one depth's labels: key -> [(cost, vector, nodes, prefix row, step)]
-        labels = {(v, bit, sub): [(cost, vec, node, -1, v)]
-                  for v, node, bit, cost, vec, sub in starts}
+        labels = {(v, bit, sub): [(costs[v], vec, node, -1, v)]
+                  for v, node, bit, vec, sub in starts}
         while labels:
             depth, labels = labels, {}
             for (u, visited, sub), mates in depth.items():
-                base = (u + 1) * m
                 for cost, vec, nodes, prefix, step in mates:
                     row = len(found)
                     found.append((vec, nodes, cost, visited, prefix, step))
-                    for t, node, bit, weight, delta, cap, sub_d, lo, hi in arcs[u]:
+                    for slack, t, node, bit, arc_step, delta, cap, sub_d, lo, hi in arcs[u]:
+                        if vec > slack:
+                            break
                         if visited & bit:
                             continue
                         ext = vec + delta
-                        if (cap - ext) & guard != guard:
+                        if multi and (cap - ext) & guard != guard:
                             continue
                         s = sub + sub_d
                         if (hi - s) & (s - lo) & sguard != sguard and (
                                 lift is None or (s := lift(s, lo, hi)) is None):
                             continue
-                        label = (cost + weight, ext, nodes + node, row, base + t)
+                        label = (cost + costs[arc_step], ext, nodes + node, row, arc_step)
                         others = labels.setdefault((t, visited | bit, s), [])
                         if not any(_dominates(a, label, guard) for a in others):
                             others[:] = [a for a in others if not _dominates(label, a, guard)]
@@ -712,17 +748,23 @@ def elementary_rcspp(
     The search is :meth:`BlockView.walk`, weighed by scaled reduced
     cost, under the limits of the union's upper end on the monotone
     coordinates that every box bounds: a subpath it drops ends in no box.
-    Each subpath it yields goes to the box holding its packed vector
-    (:meth:`Packing.locator`), where it replaces the box's answer when it
-    sorts before it by (reduced cost, vector, node sequence), so every box
-    gets the first subpath in that order, whatever the visiting order.
+    Its setup is cached on the view per (that top, ban mask), so a call
+    builds only :meth:`BlockView.step_weights` of its duals.  Each
+    subpath it yields goes to the box holding its packed vector, found
+    inline by a bisect over :meth:`Packing.box_tables`, where it replaces
+    the box's answer when it sorts before it by (reduced cost, vector,
+    node sequence), so every box gets the first subpath in that order,
+    whatever the visiting order.
 
     Returns one entry per box: the (Subpath, scaled reduced cost) pair
     that sorts first (the scale is ``duals.denom``), or None when no
-    feasible subpath lies in the box.
+    feasible subpath lies in the box; an empty list, without a walk, for
+    no boxes.
     """
-    view = block_view(problem, block_index)
     boxes = [tuple(box) for box in boxes]
+    if not boxes:
+        return []
+    view = block_view(problem, block_index)
     duals = as_scaled(duals)
 
     top = [math.inf] * view.n_coords
@@ -730,19 +772,24 @@ def elementary_rcspp(
         his = [box[c][1] for box in boxes]
         if view.coord_monotone[c] and None not in his:
             top[c] = max(his)
-    locate = view.packing.locator(boxes)
+    starts, reach, tests = view.packing.box_tables(boxes)
+    g = view.packing.guard
 
     kept = [None] * len(boxes)      # per box: (rcost, vector, nodes)
     expanded = 0
     for _, nodes, _, rcost, vec, _ in view.walk(
-            view.limits(top), view.step_weights(duals), view._mask(banned)):
+            top, view.step_weights(duals), view._mask(banned)):
         expanded += 1
-        i = locate(vec)
-        if i >= 0:
-            best = kept[i]
-            if best is None or rcost < best[0] or rcost == best[0] and (
-                    vec < best[1] or vec == best[1] and nodes < best[2]):
-                kept[i] = (rcost, vec, nodes)
+        k = bisect_right(starts, vec) - 1
+        while k >= 0 and reach[k] >= vec:
+            i, lo, hi = tests[k]
+            if (vec - lo) & (hi - vec) & g == g:
+                best = kept[i]
+                if best is None or rcost < best[0] or rcost == best[0] and (
+                        vec < best[1] or vec == best[1] and nodes < best[2]):
+                    kept[i] = (rcost, vec, nodes)
+                break
+            k -= 1
 
     if tally is not None:
         tally["fill_labels"] += expanded

@@ -194,6 +194,14 @@ def test_a_tie_in_rcost_and_vector_goes_to_the_smaller_node_sequence():
     assert (rcost, found.contributions, found.nodes) == (1, (5,), (0, 1))
 
 
+def test_a_fill_over_no_boxes_walks_nothing(monkeypatch):
+    problem = _routing(4, 1)
+    monkeypatch.setattr(labeling.BlockView, "walk", None)
+    tally = {"fill_labels": 0}
+    assert elementary_rcspp(problem, 0, Duals({}), boxes=[], tally=tally) == []
+    assert tally == {"fill_labels": 0}
+
+
 def test_the_fill_creates_no_label_beyond_the_completion_bound():
     problem = mpcvrp.build_nested(mpcvrp.generate_instance(
         n=6, days=2, vehicles=3, delta=Fraction(9, 10), seed=1
@@ -247,8 +255,12 @@ def _fill_models(draw):
     in any order, with 1-2 contribution coordinates whose deltas, in half
     the draws, may be negative, 0-2 subpath resources, each floored or
     not, with deltas and windows that can bind from below, and 1-3
-    disjoint boxes, split on the first coordinate."""
-    n = draw(st.integers(1, 4))
+    disjoint boxes, split on the first coordinate.  In half the draws the
+    block has four elements and one leg for every arc, so orderings of
+    one element set that share their ends tie in reduced cost and vector,
+    and the node sequence alone decides between them."""
+    tied = draw(st.booleans())
+    n = 4 if tied else draw(st.integers(1, 4))
     dim = draw(st.integers(1, 2))
     n_sub = draw(st.integers(0, 2))
     ids = tuple(range(1, n + 1))
@@ -263,9 +275,10 @@ def _fill_models(draw):
 
     pairs = [(u, v) for u in ids for v in ids if u != v]
     arcs = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    shared = leg(Arc, -3, 4) if tied else None
     block = Block(
         elements=draw(st.permutations(ids)),
-        arcs={pair: leg(Arc, -3, 4) for pair in sorted(arcs)},
+        arcs={pair: shared if tied else leg(Arc, -3, 4) for pair in sorted(arcs)},
         entry={k: leg(Boundary, -2, 4) for k in ids},
         exit={k: leg(Boundary, -2, 3) for k in ids},
     )

@@ -6,6 +6,7 @@ import itertools
 import math
 import operator
 import random
+from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
 
@@ -390,7 +391,8 @@ def _packings(draw):
                             min_size=2, max_size=6))
 
     def end(lo, hi, open_end):
-        return st.one_of(ints(lo - 5, hi + 5), st.sampled_from((lo - 1, lo, hi, hi + 1)),
+        return st.one_of(ints(lo - 5, hi + 5),
+                         st.sampled_from((lo - 2, lo - 1, lo, hi, hi + 1, hi + 2)),
                          st.just(open_end))
 
     caps = draw(st.lists(st.tuples(*(end(lo, hi, math.inf) for lo, hi in bounds)),
@@ -418,7 +420,13 @@ def test_packed_vectors_act_as_their_tuples(case):
     bounds, vectors, caps, boxes = case
     packing = Packing(tuple(bounds))
     guard = packing.guard
-    locate = packing.locator(boxes)
+    starts, reach, tests = packing.box_tables(boxes)
+    for cap in caps:
+        for x, (lo, hi) in zip(cap, bounds):
+            if x < lo - 1:
+                event("a cap clamped up to low - 1")
+            if hi < x < math.inf:
+                event("a cap clamped down to high")
     for vec in vectors:
         packed = packing.pack(vec)
         assert packing.unpack(packed) == vec
@@ -430,8 +438,20 @@ def test_packed_vectors_act_as_their_tuples(case):
         for cap in caps:
             fits = (packing.pack(cap) + guard - packed) & guard == guard
             assert fits == all(map(operator.le, vec, cap)), (vec, cap)
+            # the walk's break: above the packed cap as an int is above it
+            # on some coordinate, and with one coordinate that is all
+            if packed > packing.pack(cap):
+                assert not fits, (vec, cap)
+            if len(bounds) <= 1:
+                assert fits == (packed <= packing.pack(cap)), (vec, cap)
+        # the guard test on a box's packed corners is membership, and the
+        # holder starts at or below vec and reaches it, where the fill looks
         holders = [i for i, box in enumerate(boxes) if in_box(vec, box)]
-        assert locate(packed) == (holders[0] if holders else -1), (vec, boxes)
+        inside = [(j, i) for j, (i, lo, hi) in enumerate(tests)
+                  if (packed - lo) & (hi - packed) & guard == guard]
+        assert [i for _, i in inside] == holders, (vec, boxes)
+        assert all(j < bisect_right(starts, packed) and reach[j] >= packed
+                   for j, _ in inside), (vec, boxes)
 
 
 @st.composite
@@ -505,7 +525,7 @@ def test_packed_windows_act_as_the_window_rule(problem):
             event(f"{kind} window that is empty")
     view = block_view(problem, 0)
     got = {nodes: view.sub_packing.unpack(sub)
-           for _, nodes, _, _, _, sub in view.walk(view.limits([math.inf]), view._step_costs)}
+           for _, nodes, _, _, _, sub in view.walk([math.inf], view._step_costs)}
     event(f"{len(resources)} subpath resources")
     assert got == want
 
@@ -590,7 +610,7 @@ def test_block_is_searched_once_across_ban_sets(monkeypatch):
             # the rows outside the mask are the states of a walk under it
             # that no state of the same (last element, elements, subpath
             # values) dominates
-            walked = view.walk(view.limits(view.headroom()),
+            walked = view.walk(view.headroom(),
                                view.step_weights(Duals({}).scaled()), mask)
             keys = defaultdict(list)
             for u, nodes, visited, cost, vec, sub in walked:

@@ -632,7 +632,19 @@ def _build_cap_model(spec, sense=COVER, cardinality=None):
 def test_adaptive_answers_every_box_model_as_exact_does(spec, sense, cardinality):
     problem = _build_cap_model(spec, sense, cardinality)
     box = problem.contribution_box()
-    part = Partition.initial(problem, PricingConfig().width)
+    finds = BlockView._finds
+    probes = []
+
+    def probe(view, c, lo, hi):
+        probes.append(finds(view, c, lo, hi))
+        return probes[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BlockView, "_finds", probe)
+        part = Partition.initial(problem, PricingConfig().width)
+    if False in probes:
+        # each a walk that found nothing outside the box
+        event("a reach probe found nothing")
     for bi, span in enumerate(part.ranges):
         # every subpath a feasible path can use lies in a bucket, and a
         # block with no subpath outside the box keeps the box's tiling
@@ -820,7 +832,7 @@ def _walked_front(view, scaled, mask):
     """The keep by definition over every subpath that a walk of ``view``
     outside ``mask`` yields under the block's headroom: sort them by
     (rcost, vector, nodes), keep each one no kept subpath dominates."""
-    walked = view.walk(view.limits(view.headroom()), view.step_weights(scaled), mask)
+    walked = view.walk(view.headroom(), view.step_weights(scaled), mask)
     front = []
     for rc, vec, nodes in sorted((rc, view.packing.unpack(vec), nodes)
                                  for _, nodes, _, rc, vec, _ in walked):
@@ -878,9 +890,14 @@ def _walk_models(draw):
     """One block of 2-5 elements whose costs and one or two contribution
     coordinates take few values, so that labels of one key often tie in
     full, and one subpath resource, hard or floored, whose windows may
-    bind from below and whose deltas may be below 0."""
+    bind from below and whose deltas may be below 0.  In half the draws
+    the block has 4-5 elements, every arc, all with one leg, and its own
+    exit leg for each element, so that orderings of a key's middle
+    elements tie in full and the exits' caps, not the element order,
+    decide which of them the labeling meets first."""
     ints = st.integers
-    n, dim = draw(ints(2, 5)), draw(ints(1, 2))
+    tied = draw(st.booleans())
+    n, dim = draw(ints(4, 5) if tied else ints(2, 5)), draw(ints(1, 2))
     ids = tuple(range(1, n + 1))
 
     def leg(kind):
@@ -888,9 +905,12 @@ def _walk_models(draw):
                     path_deltas=(draw(st.tuples(*[ints(0, 2)] * dim)),))
 
     pairs = [(u, v) for u in ids for v in ids if u != v]
-    arcs = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=n))
-    block = Block(elements=ids, arcs={pair: leg(Arc) for pair in sorted(arcs)},
-                  entry={k: leg(Boundary) for k in ids})
+    arcs = pairs if tied else draw(st.lists(st.sampled_from(pairs), unique=True, min_size=n))
+    shared = leg(Arc) if tied else None
+    block = Block(elements=ids,
+                  arcs={pair: shared if tied else leg(Arc) for pair in sorted(arcs)},
+                  entry={k: leg(Boundary) for k in ids},
+                  exit={k: leg(Boundary) for k in ids} if tied else {})
     end = st.one_of(st.none(), ints(-2, 6))
     resource = SubpathResource(block=0, windows={k: draw(st.tuples(end, end)) for k in ids},
                                floor_at_lower=draw(st.booleans()))
@@ -934,11 +954,12 @@ def test_front_of_a_windowed_table_is_the_front_of_the_walk(problem, duals_kind,
 
 
 def _tied_block():
-    """(1, 2, 3) costs 0 and holds 1, (2, 1, 3) costs 1 and holds 0: one
-    key, neither dominates, so the labeling extends (2, 1, 3) before
-    (1, 3, 2).  Their extensions to 4 tie in cost and vector."""
-    legs = {(1, 2): (0, 1), (2, 1): (1, 0), (2, 3): (0, 0), (1, 3): (0, 0),
-            (3, 2): (1, 0), (3, 4): (0, 0), (2, 4): (0, 0)}
+    """(1, 2, 3, 4) and (1, 3, 2, 4) both cost 0 and hold 1, one key.
+    The arc (1, 3) holds 0 and (1, 2) holds 1, so (1, 3) has the more
+    slack under the cap and the labeling extends (1, 3) first: it meets
+    (1, 3, 2, 4) first, and the lesser (1, 2, 3, 4) must replace it."""
+    legs = {(1, 2): (0, 1), (1, 3): (0, 0), (2, 3): (0, 0), (3, 2): (0, 1),
+            (2, 4): (0, 0), (3, 4): (0, 0)}
     block = Block(elements=(1, 2, 3, 4), arcs={
         pair: Arc(cost=cost, path_deltas=((d,),)) for pair, (cost, d) in legs.items()})
     return NestedProblem([block], path_resources=[
@@ -957,7 +978,7 @@ def _hard_floor_block():
                                                       box=((0, 5),))])
 
 
-@pytest.mark.parametrize("build, row", [(_tied_block, (1, 3, 2, 4)),
+@pytest.mark.parametrize("build, row", [(_tied_block, (1, 2, 3, 4)),
                                         (_hard_floor_block, (2, 1, 3, 4))])
 def test_the_table_keeps_what_a_front_can_take(build, row):
     # a full tie keeps the lesser node sequence, and subpath values key by
