@@ -6,8 +6,11 @@ that no path prices out below -EPS.  Smoothing follows Wentges with his
 fixed weight: the pricer sees the midpoint of the incumbent center and
 the fresh master duals; a misprice falls back to the pure duals in the
 same iteration, and the center moves whenever the Lagrangian bound
-improves.  All values stay rational from end to end -- reports carry
-exact Fractions plus float renderings.
+improves.  Duals travel from the master's simplex to the pricers as
+integers over one denominator (``model.ScaledDuals``); LP values, primal
+values, the pricers' bounds and the Lagrangian bound are exact Fractions,
+and reports carry them plus float renderings.  ``RunReport.master``
+holds the master's LP solve and pivot counts and its simplex seconds.
 
 Diving: once the root LP is optimal, repeatedly fix the most fractional
 column (plus every column above 3/5) to one, shrink the master, and
@@ -96,6 +99,15 @@ class DiveReport:
     gap: Fraction | None           # (ip - root lp) / root lp
 
 
+def _stats_dict(stats):
+    """``stats`` for JSON: seconds rounded, Fractions left out."""
+    return {
+        k: (round(v, 6) if isinstance(v, float) else v)
+        for k, v in stats.items()
+        if not isinstance(v, Fraction)
+    }
+
+
 @dataclass
 class RunReport:
     name: str
@@ -110,6 +122,7 @@ class RunReport:
     pricer_stats: dict = field(default_factory=dict)
     dive: DiveReport | None = None
     traces: list = field(default_factory=list)
+    master: dict = field(default_factory=dict)    # Rmp.stats
 
     def to_dict(self):
         def num(x):
@@ -125,11 +138,8 @@ class RunReport:
             "columns_generated": self.columns_generated,
             "misprices": self.misprices,
             "wall_time": round(self.wall_time, 4),
-            "pricer_stats": {
-                k: (round(v, 6) if isinstance(v, float) else v)
-                for k, v in self.pricer_stats.items()
-                if not isinstance(v, Fraction)
-            },
+            "pricer_stats": _stats_dict(self.pricer_stats),
+            "master": _stats_dict(self.master),
         }
         if self.dive is not None:
             out["dive"] = {
@@ -297,4 +307,5 @@ def solve(problem, config: DriverConfig | None = None) -> RunReport:
         pricer_stats=pricer._snapshot(),
         dive=dive_report,
         traces=traces,
+        master=dict(rmp.stats),
     )

@@ -79,8 +79,9 @@ value below its lower end to that end and test the upper ends again.
 Only what leaves a search is unpacked: exact's table rows, each box's
 fill winner, and the coordinate that :meth:`BlockView.reach` probes.
 
-All arithmetic is integer: callers pass duals through
-``model.Duals.scaled()`` so reduced costs stay exact.
+All arithmetic is integer: duals arrive as ``model.ScaledDuals``
+(rational ``model.Duals`` pass through ``as_scaled``), so reduced costs
+stay exact.
 """
 
 from __future__ import annotations
@@ -624,7 +625,13 @@ class BlockView:
         where a larger one passes.  Labels of one key take the same
         extensions, duals are per element and a ban removes both or
         neither, so a dropped subpath never enters a pricing call's front;
-        only survivors extend, so the table is prefix-closed."""
+        only survivors extend, so the table is prefix-closed.
+
+        The rows that no row with the same element mask dominates are the
+        table's ``candidates``.  Two such rows differ in reduced cost by
+        their cost difference under any duals, and a ban removes both or
+        neither, so a dominated row never enters a front either; it stays
+        a row only as a prefix of others."""
         guard, sguard = self.packing.guard, self.sub_packing.guard
         lift = self._lift if self._lifts else None
         multi = self.n_coords > 1
@@ -665,6 +672,20 @@ class BlockView:
         for row, i in enumerate(ranked):
             rank[i] = row
         packed, nodes, costs, masks, prefixes, steps = zip(*found)
+        # per element mask, in (cost, vector, nodes) order: a row is a
+        # candidate unless an earlier candidate dominates it, which an
+        # earlier row does when its vector is no larger (_dominates)
+        by_mask = {}
+        for i in ranked:
+            by_mask.setdefault(masks[i], []).append(i)
+        candidates = []
+        for mates in by_mask.values():
+            front = []
+            for _, vec, _, i in sorted([(costs[i], packed[i], nodes[i], i) for i in mates]):
+                if all((vec + guard - v) & guard != guard for v in front):
+                    front.append(vec)
+                    candidates.append(rank[i])
+        candidates.sort()
         vectors = tuple([self.packing.unpack(packed[i]) for i in ranked])
         return SubpathTable(
             tuple([Subpath(self.index, nodes[i], costs[i], v) for i, v in zip(ranked, vectors)]),
@@ -673,6 +694,7 @@ class BlockView:
             tuple(rank[:-1]),
             tuple([rank[p] for p in prefixes]),
             steps,
+            tuple(candidates),
         )
 
 
@@ -687,6 +709,8 @@ class SubpathTable:
     (contribution vector, node sequence) order, with each one's
     ``vectors`` (its contributions) and ``masks`` (its local elements as
     a bit set) beside it; a block's one table serves every ban mask.
+    ``candidates`` lists, in table order, the rows that can enter a
+    pricing call's front: those no row of the same mask dominates.
 
     Every prefix of a row is a row too, so the table also lists its rows
     in search order, each after its prefix: row ``order[i]`` extends row
@@ -695,16 +719,18 @@ class SubpathTable:
     of a block of m elements).  A sum along subpaths then takes one
     addition per row (:meth:`sums`)."""
 
-    __slots__ = ("subpaths", "vectors", "masks", "order", "parents", "steps")
+    __slots__ = ("subpaths", "vectors", "masks", "order", "parents", "steps",
+                 "candidates")
 
     def __init__(self, subpaths=(), vectors=(), masks=(),
-                 order=(), parents=(), steps=()):
+                 order=(), parents=(), steps=(), candidates=()):
         self.subpaths = subpaths
         self.vectors = vectors
         self.masks = masks
         self.order = order
         self.parents = parents
         self.steps = steps
+        self.candidates = candidates
 
     def __len__(self):
         return len(self.subpaths)

@@ -7,7 +7,10 @@ to the bundled integer simplex as the tuple of its rows, and every cost
 and right-hand side is an int -- path costs in millicost, right-hand
 sides of 1 or the remaining cardinality -- so solves are exact: the
 reported value is a Fraction in millicost, identical across pricer
-configurations that reach the same optimum.
+configurations that reach the same optimum.  The duals stay integers:
+the simplex returns them over the basis determinant, and a solve reduces
+them to lowest terms as :class:`model.ScaledDuals`, the form the
+smoothing, the Lagrangian bound and the pricers all read.
 
 Infeasibility is reported as a status.  The big-M artificials that keep
 intermediate masters solvable never leak into values: when artificials
@@ -28,14 +31,18 @@ they are.
 
 Dual smoothing (``SmoothingState``) sends the pricer the midpoint of the
 stability center and the fresh master duals: Wentges' fixed weight of 1/2.
+
+``Rmp.stats`` counts the master's LP solves and pivots and sums the
+seconds spent in the simplex, for the run report.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import PARTITION, Duals, Path
+from .model import PARTITION, Path, ScaledDuals
 from .simplex import LpResult, solve_lp
 
 POOL_PERIOD = 5
@@ -59,7 +66,7 @@ class PoolEntry:
 class RmpSolution:
     status: str                      # "optimal" | "infeasible" | "unbounded"
     lp_value: Fraction | None        # residual LP value, excludes fixed paths
-    duals: Duals                     # per-element duals + convexity charge
+    duals: ScaledDuals               # per-element duals + convexity charge
     primal: dict                     # pool serial -> Fraction, nonzero only
     fractional: tuple                # (serial, Fraction) pairs with 0 < v < 1
 
@@ -75,6 +82,8 @@ class Rmp:
         self.satisfied = set()
         self._basis = None
         self.last_pivots = 0            # simplex pivots of the latest solve
+        # LP solves, their pivots and the seconds spent in the simplex
+        self.stats = {"lp_solves": 0, "pivots": 0, "time_lp": 0.0}
         self._set_rows()
 
     # -- pool ----------------------------------------------------------------
@@ -188,15 +197,21 @@ class Rmp:
 
         # the pool only grows between evictions and fixes, which drop the
         # basis, so the last factorization's columns keep their indices
+        tick = time.perf_counter()
         result: LpResult = solve_lp(
             costs, columns, self._rhs, self._senses, basis=self._basis
         )
+        stats = self.stats
+        stats["time_lp"] += time.perf_counter() - tick
+        stats["lp_solves"] += 1
+        stats["pivots"] += result.pivots
         self._basis = result.basis
         self.last_pivots = result.pivots
 
-        by_element = dict(zip(self._rows, result.duals))
-        convexity = result.duals[-1] if self._card else Fraction(0)
-        duals = Duals(by_element, convexity)
+        u = result.duals
+        duals = ScaledDuals.lowest_terms(
+            dict(zip(self._rows, u)), u[-1] if self._card else 0, result.basis.det
+        )
 
         primal = {}
         fractional = []
@@ -228,34 +243,46 @@ class SmoothingState:
 
     The pricer sees ``(center + pure) / 2``, where the center is whatever
     duals last improved the Lagrangian bound; until one has, it sees the
-    pure duals.  On the ``desk`` corpus the smoothed trajectory is what
-    dives ``tiny15`` (adaptive) to 146000 and ``chain12`` (exact) to
-    157000: with the pure duals alone they dive to 173000 and 178000.
+    pure duals.  Both are :class:`model.ScaledDuals`, so the midpoint of
+    c / d_c and p / d_p is (c.d_p + p.d_c) / (2.d_c.d_p), in lowest terms.
+    On the ``desk`` corpus the smoothed trajectory is what dives
+    ``tiny15`` (adaptive) to 146000 and ``chain12`` (exact) to 157000:
+    with the pure duals alone they dive to 173000 and 178000.
     """
 
-    center: Duals | None = None
+    center: ScaledDuals | None = None
 
-    def smoothed(self, pure: Duals) -> Duals:
-        if self.center is None:
+    def smoothed(self, pure: ScaledDuals) -> ScaledDuals:
+        center = self.center
+        if center is None:
             return pure
-        keys = set(pure.by_element) | set(self.center.by_element)
-        mixed = {k: (self.center.value(k) + pure.value(k)) / 2 for k in keys}
-        return Duals(mixed, (self.center.convexity + pure.convexity) / 2)
+        dc, dp = center.denom, pure.denom
+        mixed = {k: v * dc for k, v in pure.by_element.items()}
+        for k, v in center.by_element.items():
+            mixed[k] = mixed.get(k, 0) + v * dp
+        return ScaledDuals.lowest_terms(
+            mixed, center.convexity * dp + pure.convexity * dc, 2 * dc * dp
+        )
 
-    def recentre(self, duals: Duals):
+    def recentre(self, duals: ScaledDuals):
         self.center = duals
 
 
-def lagrangian_bound(rmp: Rmp, duals: Duals, optimistic: Fraction):
+def lagrangian_bound(rmp: Rmp, duals: ScaledDuals, optimistic: Fraction):
     """Valid lower bound on the residual LP value from any correctly
     signed duals plus a lower bound on the pricing problem: the dual
     objective, plus the path-count multiplier times the negative part of
-    the bound."""
-    value = sum(duals.value(k) for k in rmp._rows)
+    the bound.  The dual objective is summed over the integer numerators,
+    so the bound is the one Fraction built here."""
+    value = sum(map(duals.value, rmp._rows))
     remaining = rmp.remaining_cardinality
     if remaining is not None:
         value += remaining * duals.convexity
         multiplier = remaining
     else:
         multiplier = len(rmp._rows)
-    return value + multiplier * min(Fraction(0), optimistic)
+    low = min(0, optimistic)
+    return Fraction(
+        value * low.denominator + multiplier * low.numerator * duals.denom,
+        duals.denom * low.denominator,
+    )

@@ -38,7 +38,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf, lcm
+from math import gcd, inf, lcm
 from operator import mul
 from typing import Mapping
 
@@ -197,7 +197,10 @@ class Path:
 
 @dataclass(frozen=True)
 class Duals:
-    """Element duals plus the optional cardinality-row dual.
+    """Element duals plus the optional cardinality-row dual, as rationals:
+    the public input form, for callers that price under duals of their
+    own (``synth``'s oracles, a pricer called directly).  The master
+    hands the pricers :class:`ScaledDuals`.
 
     The cardinality (convexity) dual is charged exactly once per path, on
     the source side, never at subpath level.
@@ -223,12 +226,30 @@ class Duals:
 
 @dataclass(frozen=True)
 class ScaledDuals:
+    """Duals as integers over one positive denominator: element k's dual
+    is ``by_element[k] / denom``, the convexity dual ``convexity / denom``.
+    The one dual form on the column-generation path, from the master's
+    simplex through smoothing and the Lagrangian bound to the pricers,
+    which carry reduced costs as ints scaled by ``denom``."""
+
     by_element: Mapping
     convexity: int
     denom: int
 
     def value(self, k) -> int:
         return self.by_element.get(k, 0)
+
+    @classmethod
+    def lowest_terms(cls, by_element, convexity, denom) -> "ScaledDuals":
+        """The duals ``v / denom`` (``denom`` > 0) over their least common
+        denominator: every value divided by the gcd of ``denom`` and all
+        numerators, the convexity one included.  The lcm of the reduced
+        denominators of the v / denom is denom over that gcd, so this is
+        ``Duals.scaled()`` of the same rationals, int for int."""
+        g = gcd(denom, convexity, *by_element.values())
+        if g == 1:
+            return cls(by_element, convexity, denom)
+        return cls({k: v // g for k, v in by_element.items()}, convexity // g, denom // g)
 
 
 def as_scaled(duals) -> ScaledDuals:

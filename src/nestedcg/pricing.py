@@ -91,10 +91,10 @@ def _layers(items_per_block, vec_of, rcost_of, convexity):
     return layers
 
 
-def _assemble(problem, results, chain_of, denom, exclude):
-    """(rcost, Path) for every negative-rcost search result, skipping node
-    keys the caller already holds.  ``chain_of`` maps a result's items to
-    its subpaths."""
+def _assemble(problem, results, chain_of, exclude):
+    """The Path of every negative-rcost search result, skipping node keys
+    the caller already holds.  ``chain_of`` maps a result's items to its
+    subpaths."""
     columns = []
     for res in results:
         if res.rcost >= 0:
@@ -104,7 +104,7 @@ def _assemble(problem, results, chain_of, denom, exclude):
             raise PricingError("a priced path fails the path predicates")
         if path.node_key in exclude:
             continue
-        columns.append((Fraction(res.rcost, denom), path))
+        columns.append(path)
     return columns
 
 
@@ -198,8 +198,7 @@ class AdaptivePricer:
         self.totals["pessimistic_runs"] += 1
         return results, _assemble(
             self.problem, results,
-            lambda buckets: tuple(b.rep.subpath for b in buckets), scaled.denom,
-            exclude,
+            lambda buckets: tuple(b.rep.subpath for b in buckets), exclude,
         )
 
     # -- merge criterion ------------------------------------------------------
@@ -258,7 +257,7 @@ class AdaptivePricer:
                     self.totals["reuse_hits"] += 1
                     stats["reuse_hit"] = True
                     stats.update(self._snapshot())
-                    return PricingOutcome([p for _, p in columns], None, stats=stats)
+                    return PricingOutcome(columns, None, stats=stats)
 
         # representatives are per-duals quantities: everything computed on a
         # previous call is stale now (emptiness is not -- it never expires)
@@ -307,8 +306,7 @@ class AdaptivePricer:
             self.totals["merges"] += n
             stats["merges"] = n
         stats.update(self._snapshot())
-        return PricingOutcome([p for _, p in columns], Fraction(opt[0].rcost, denom),
-                              stats=stats)
+        return PricingOutcome(columns, Fraction(opt[0].rcost, denom), stats=stats)
 
     def _snapshot(self):
         snap = dict(self.totals)
@@ -338,7 +336,9 @@ class ExactPricer:
     node sequence) order.  A subpath left out of it lies on no feasible
     path, or a row with the same elements comes before it in the
     front's order and dominates it, so the front is the full
-    enumeration's.  A call only prices the table and keeps the front:
+    enumeration's.  For the same reason the front pass scans only the
+    table's ``candidates``, the rows no row of their own element mask
+    dominates.  A call only prices the table and keeps the front:
 
     * reduced costs take one addition per subpath.  Every prefix of a
       subpath is in the table, so a subpath's rcost is its prefix's plus
@@ -367,7 +367,6 @@ class ExactPricer:
 
     def price(self, duals, banned=frozenset(), exclude=frozenset()) -> PricingOutcome:
         scaled = as_scaled(duals)
-        denom = scaled.denom
         self.totals["calls"] += 1
 
         kept = []                   # (rcost, vector, subpath), block after block
@@ -399,11 +398,11 @@ class ExactPricer:
             return PricingOutcome([], None, infeasible=True,
                                   stats=self._snapshot())
 
-        columns = [path for _, path in _assemble(
+        columns = _assemble(
             self.problem, results, lambda items: tuple(kept[j][2] for j in items),
-            denom, exclude,
-        )]
-        return PricingOutcome(columns, Fraction(results[0].rcost, denom),
+            exclude,
+        )
+        return PricingOutcome(columns, Fraction(results[0].rcost, scaled.denom),
                               stats=self._snapshot())
 
     def _snapshot(self):
@@ -417,28 +416,31 @@ def _front(view, table, scaled, banned):
     """The Pareto front of the rows of ``table``, a
     ``labeling.SubpathTable`` of block ``view``, that visit no element of
     local mask ``banned``, under scaled duals, as (scaled rcost, vector,
-    subpath) triples in (rcost, vector, nodes) order.  A zero mask costs
-    no per-row test; a nonzero one lists the rows it leaves, in order."""
+    subpath) triples in (rcost, vector, nodes) order.  Every row is
+    priced, since rows extend their prefixes, but only the table's
+    ``candidates`` are scanned, and of those, under a nonzero mask, the
+    ones that avoid it."""
     rcosts = table.sums(view.step_weights(scaled))
+    rows = table.candidates
     if banned:
-        rows = [j for j, mask in enumerate(table.masks) if not mask & banned]
-        keep = [rows[i] for i in _pareto_keep([table.vectors[j] for j in rows],
-                                               [rcosts[j] for j in rows])]
-    else:
-        keep = _pareto_keep(table.vectors, rcosts)
-    return [(rcosts[j], table.vectors[j], table.subpaths[j]) for j in keep]
+        masks = table.masks
+        rows = [j for j in rows if not masks[j] & banned]
+    vectors = table.vectors
+    return [(rcosts[j], vectors[j], table.subpaths[j])
+            for j in _pareto_keep(vectors, rcosts, rows)]
 
 
-def _pareto_keep(vectors, rcosts):
-    """Indices of the Pareto front of (rcost, vector) pairs listed in
-    (vector, node sequence) order, in (rcost, vector, nodes) order; see
-    :class:`ExactPricer`."""
-    if not vectors:
+def _pareto_keep(vectors, rcosts, rows):
+    """The Pareto front of the (rcost, vector) pairs at indices ``rows``,
+    listed in (vector, node sequence) order, as indices in (rcost, vector,
+    nodes) order; see :class:`ExactPricer`."""
+    if not rows:
         return []
-    if len(vectors[0]) <= 1:
+    if len(vectors[rows[0]]) <= 1:
         lows = []                   # strict prefix minima of the rcosts
         floor = math.inf
-        for j, rc in enumerate(rcosts):
+        for j in rows:
+            rc = rcosts[j]
             if rc < floor:
                 lows.append(j)
                 floor = rc
@@ -448,7 +450,7 @@ def _pareto_keep(vectors, rcosts):
         return out
     out = []
     skyline = []
-    for j in sorted(range(len(rcosts)), key=rcosts.__getitem__):
+    for j in sorted(rows, key=rcosts.__getitem__):
         vec = vectors[j]
         if not any(all(map(le, v, vec)) for v in skyline):
             skyline.append(vec)

@@ -4,16 +4,19 @@ Purpose-built for restricted master problems: minimize c.x subject to
 rows that are either equalities or >= covering rows, x >= 0, over 0/1
 columns, each given as the tuple of the rows where it has a 1 (a path
 column: its covered elements, then the cardinality row).  The returned
-objective value, primal solution and row duals are exact Fractions, so
-two solvers given the same column set must agree bit for bit.
+objective value and primal solution are exact Fractions and the row
+duals exact integers over the basis determinant, so two solvers given
+the same column set must agree bit for bit.
 
 Representation.  Costs and right-hand sides are Python ints (the
 master's are millicost costs and integer right-hand sides), and so is
 everything inside the pivot loop.
 The basis inverse is held fraction-free, as an integer matrix A and a
 positive integer d with B^-1 = A/d (A = +-adj(B) and d = |det(B)|), and
-the basic values as the integer vector A.b.  The duals u/d and the value
-come back as Fractions over d.
+the basic values as the integer vector A.b.  The value comes back as a
+Fraction over d, and the duals as the integers u, with y = u/d
+(``LpResult.duals`` over ``LpResult.basis.det``): the master reduces them
+to lowest terms itself and never builds a Fraction per row.
 
 Pricing evaluates R_j = c_j.d - u.a_j with u = c_B.A: the true reduced
 cost times a positive factor, so Dantzig's argmin, Bland's first
@@ -45,7 +48,11 @@ basic indices, the basic columns as they were factored, A and d, and
 the surplus rows.  A later solve reuses A and d as they stand when the
 surplus rows and the columns at those indices are unchanged -- the case
 when columns are only appended -- so a warm start never refactors; any
-other token starts cold from the all-artificial basis, B = I.
+other token starts cold from the all-artificial basis, B = I.  The
+token also carries x = A.b and u = c_B.A with the right-hand side and
+the basic costs (big-M at a basic artificial) they were formed under;
+a warm start reuses each when its inputs are equal and redoes its
+O(m^2) product otherwise.
 
 Feasibility comes from one big-M phase: each row carries an artificial
 column, and an artificial that stays basic at positive value at
@@ -73,13 +80,18 @@ class Basis:
     were factored from, B^-1 = adj / det in integers (the rows of ``adj``
     are never mutated), and the surplus rows, which fix the internal
     layout: a surplus column and a caller column over the same row are
-    the same tuple."""
+    the same tuple.  ``x`` = adj.rhs and ``u`` = costs.adj, with the
+    ``rhs`` and basic ``costs`` (big-M included) they were formed under."""
 
     base: tuple
     columns: tuple
     adj: tuple
     det: int
     surplus: tuple
+    rhs: tuple
+    costs: tuple
+    x: tuple
+    u: tuple
 
 
 @dataclass(frozen=True)
@@ -87,7 +99,7 @@ class LpResult:
     status: str                 # "optimal" | "infeasible" | "unbounded"
     value: Fraction | None
     primal: dict                # caller column index -> Fraction (nonzeros)
-    duals: tuple                # one Fraction per row
+    duals: tuple                # one int per row, the dual times basis.det
     basis: Basis                # warm-start token for a later solve
     pivots: int = 0
 
@@ -100,8 +112,9 @@ def solve_lp(costs, columns, rhs, senses, *, basis=None) -> LpResult:
     Costs and right-hand sides must be ints.  ``basis`` is the
     ``LpResult.basis`` of a previous solve; it is used when its basic
     columns are still the columns at the same indices, under the same
-    senses.
+    senses.  Row r's dual is ``duals[r] / basis.det`` of the result.
     """
+    rhs = tuple(rhs)
     m = len(rhs)
     cols = [tuple(col) for col in columns]
     if len(cols) != len(costs):
@@ -136,25 +149,35 @@ def solve_lp(costs, columns, rhs, senses, *, basis=None) -> LpResult:
         )
     ):
         base, adj, det = list(basis.base), list(basis.adj), basis.det
-        x = [sum(map(mul, row, rhs)) for row in adj]
-        if any(v < 0 for v in x):
-            base = None         # primal infeasible for this right-hand side
+        if basis.rhs == rhs:
+            x = list(basis.x)
+        else:
+            x = [sum(map(mul, row, rhs)) for row in adj]
+            if any(v < 0 for v in x):
+                base = None     # primal infeasible for this right-hand side
     if base is None:            # the artificials, B = I
+        basis = None
         base, det = list(range(m)), 1
         adj = [[int(r == i) for i in range(m)] for r in range(m)]
         x = list(rhs)
 
-    def result(status, u, value=None, primal=None):
-        """The LpResult of the current basis, with duals u / det."""
-        token = Basis(tuple(base), tuple(column[j] for j in base), tuple(adj),
-                      det, surplus_rows)
-        duals = tuple(Fraction(v, det) for v in u)
-        return LpResult(status, value, primal or {}, duals, token, pivots)
-
     # u = c_B . A, so the reduced cost of j times det is c_j.det - u.a_j;
-    # computed once here, then updated with each pivot
-    c_b = [cost[j] for j in base]
-    u = [sum(map(mul, c_b, col)) for col in zip(*adj)]
+    # formed once here, unless the token's was formed under the same basic
+    # costs, then updated with each pivot
+    c_b = tuple([cost[j] for j in base])
+    if basis is not None and basis.costs == c_b:
+        u = list(basis.u)
+    else:
+        u = [sum(map(mul, c_b, col)) for col in zip(*adj)]
+
+    def result(status, u, value=None, primal=None):
+        """The LpResult of the current basis, with duals u (over det)."""
+        u = tuple(u)
+        token = Basis(tuple(base), tuple(column[j] for j in base), tuple(adj),
+                      det, surplus_rows, rhs, tuple([cost[j] for j in base]),
+                      tuple(x), u)
+        return LpResult(status, value, primal or {}, u, token, pivots)
+
     pivots = 0
     degen = 0
     while True:

@@ -228,6 +228,20 @@ def test_trace_pivots_sum_to_the_simplex_pivots(monkeypatch, pricer):
     assert sum(row["pivots"] for row in rows) == sum(pivots) > 0
 
 
+@pytest.mark.parametrize("pricer", ("exact", "adaptive"))
+def test_the_report_counts_and_times_the_master(pricer):
+    problem = synth.random_chain_instance(6)
+    report = solve(problem, _config(problem, pricer=pricer, dive=True))
+    stats = report.master
+    assert stats["lp_solves"] == len(report.traces)
+    assert stats["pivots"] == sum(t.pivots for t in report.traces) > 0
+    assert 0 < stats["time_lp"] < report.wall_time
+    data = json.loads(report.to_json())["master"]
+    assert data == {**stats, "time_lp": round(stats["time_lp"], 6)}
+    # wall times stay out of the trace (criterion 10)
+    assert all("time_lp" not in line for line in report.trace_lines())
+
+
 def test_report_serialization_round_trips():
     problem = synth.random_chain_instance(5)
     report = solve(problem, _config(problem, dive=True))

@@ -5,6 +5,8 @@ import io
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nestedcg import master
 from nestedcg.master import (
@@ -21,6 +23,7 @@ from nestedcg.model import (
     Duals,
     NestedProblem,
     Path,
+    ScaledDuals,
     Subpath,
     check_path_feasible,
 )
@@ -72,13 +75,14 @@ def test_cover_lp_value_and_duals():
     assert sol.lp_value == 12
     # strong duality over the three covering rows
     duals = sol.duals
-    assert sum(duals.value(k) for k in (1, 2, 3)) == 12
+    y = {k: Fraction(duals.value(k), duals.denom) for k in (1, 2, 3)}
+    assert sum(y.values()) == 12
     assert duals.convexity == 0
     for path in paths.values():
-        charged = sum(duals.value(k) for k in path.covered)
+        charged = sum(y[k] for k in path.covered)
         assert path.cost - charged >= 0
     for k in (1, 2, 3):
-        assert duals.value(k) >= 0  # covering rows carry signed duals
+        assert y[k] >= 0  # covering rows carry signed duals
     # the optimal cover is integral here: one path at value one
     assert sol.fractional == ()
     (serial,) = sol.primal
@@ -103,8 +107,9 @@ def test_partition_with_cardinality_goes_fractional():
     for serial, value in sol.fractional:
         assert 0 < value < 1
         assert sol.primal[serial] == value
-    # the convexity dual exists (equality row, sign-free)
-    assert isinstance(sol.duals.convexity, Fraction) or sol.duals.convexity == 0
+    # the convexity dual exists (equality row, sign-free), an int over
+    # the duals' positive denominator
+    assert isinstance(sol.duals.convexity, int) and sol.duals.denom > 0
 
 
 def test_lagrangian_bound_closes_at_optimal_duals():
@@ -130,9 +135,10 @@ def test_lagrangian_bound_closes_at_optimal_duals():
 def test_lagrangian_bound_multiplier_without_cardinality():
     problem = _problem()
     rmp = Rmp(problem)
-    duals = Duals({1: Fraction(2), 2: Fraction(1), 3: Fraction(4)})
+    duals = ScaledDuals({1: 4, 2: 2, 3: 8}, 0, 2)   # 2, 1 and 4
     assert lagrangian_bound(rmp, duals, Fraction(-1)) == 7 - 3
     assert lagrangian_bound(rmp, duals, Fraction(1)) == 7
+    assert lagrangian_bound(rmp, duals, Fraction(-1, 3)) == 7 - 1
 
 
 def test_fixing_a_path_shrinks_the_residual_problem():
@@ -287,15 +293,113 @@ def test_cached_columns_solve_as_a_fresh_master(monkeypatch, sense, cardinality)
 
 
 def test_smoothing_mixes_toward_the_center():
-    pure = Duals({1: Fraction(10), 2: Fraction(0)}, convexity=Fraction(4))
+    pure = ScaledDuals({1: 10, 2: 0}, 4, 1)
     state = SmoothingState()
     assert state.smoothed(pure) is pure  # no center yet
-    state.recentre(Duals({1: Fraction(2), 3: Fraction(6)}, convexity=Fraction(0)))
+    state.recentre(ScaledDuals({1: 6, 3: 18}, 0, 3))      # 2 and 6
     mixed = state.smoothed(pure)
-    assert mixed.value(1) == Fraction(6)   # (2 + 10) / 2
-    assert mixed.value(2) == Fraction(0)   # (0 + 0) / 2
-    assert mixed.value(3) == Fraction(3)   # (6 + 0) / 2
-    assert mixed.convexity == Fraction(2)
+    # (2 + 10) / 2, (0 + 0) / 2, (6 + 0) / 2 and (0 + 4) / 2, over the
+    # least common denominator, 1
+    assert mixed == ScaledDuals({1: 6, 2: 0, 3: 3}, 2, 1)
+    state.recentre(ScaledDuals({1: 1}, 0, 2))             # 1/2
+    assert state.smoothed(pure) == ScaledDuals({1: 21, 2: 0}, 8, 4)
+
+
+# ---------------------------------------------------------------------------
+# the integer dual path against a rational reference
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _master_chains(draw):
+    """A one-block master in the shapes of ``tests/test_simplex.py``'s
+    ``_set_lps`` and ``_integer_lps``: 1-3 element rows under one sense,
+    sometimes a cardinality row (right-hand side 1 to the row count),
+    and path columns over element subsets, at costs up to 30 or up to
+    120, added in growing chunks.  Returns the master's problem and the
+    chunks as (nodes, cost) lists."""
+    m = draw(st.integers(1, 3))
+    sense = draw(st.sampled_from((COVER, PARTITION)))
+    cardinality = draw(st.none() | st.integers(1, m))
+    top = draw(st.sampled_from((30, 120)))
+    nodes = st.sets(st.integers(1, m), min_size=1).map(lambda s: tuple(sorted(s)))
+    columns = draw(st.lists(st.tuples(nodes, st.integers(0, top)), min_size=1, max_size=8))
+    if m == 3 and draw(st.booleans()):
+        # the pairs of three elements: the LP's vertex at 1/2 on each,
+        # a basis of determinant 2
+        pairs = [((1, 2),), ((2, 3),), ((1, 3),)]
+        columns[:0] = [pair + (draw(st.integers(0, top // 3)),) for pair in pairs]
+    cuts = sorted(draw(st.sets(st.integers(1, len(columns)), max_size=3)) | {len(columns)})
+    elements = tuple(range(1, m + 1))
+    arcs = {(u, v): Arc() for u in elements for v in elements if u < v}
+    problem = NestedProblem([Block(elements=elements, arcs=arcs)], sense=sense,
+                            cardinality=cardinality)
+    return problem, [columns[i:j] for i, j in zip([0] + cuts, cuts)]
+
+
+def _rational(rmp, result):
+    """The rational duals of an ``LpResult`` of ``rmp``: Fraction(u, det)
+    per row, the last one the convexity dual under a cardinality row."""
+    y = [Fraction(u, result.basis.det) for u in result.duals]
+    convexity = y[-1] if rmp.remaining_cardinality is not None else Fraction(0)
+    return Duals(dict(zip(rmp._rows, y)), convexity)
+
+
+def _rational_bound(rmp, duals, optimistic):
+    remaining = rmp.remaining_cardinality
+    value = sum(duals.value(k) for k in rmp._rows)
+    if remaining is None:
+        return value + len(rmp._rows) * min(Fraction(0), optimistic)
+    return value + remaining * (duals.convexity + min(Fraction(0), optimistic))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_master_chains(), st.data())
+def test_integer_duals_match_the_rational_path(chain, data):
+    problem, chunks = chain
+    results = []
+    solve_lp = master.solve_lp
+
+    def recording(*args, **kwargs):
+        results.append(solve_lp(*args, **kwargs))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(master, "solve_lp", recording)
+        _check_integer_path(problem, chunks, results, data)
+
+
+def _check_integer_path(problem, chunks, results, data):
+    rmp = Rmp(problem)
+    smoother = SmoothingState()
+    center = None               # the smoother's center as rationals
+    draw = data.draw
+    for it, chunk in enumerate(chunks):
+        rmp.add_columns([_path(problem, nodes, cost) for nodes, cost in chunk], it)
+        sol = rmp.solve(it)
+        pure = _rational(rmp, results[-1])
+        assert sol.duals == pure.scaled()
+        if sol.status == "optimal":
+            assert _rational_bound(rmp, pure, Fraction(0)) == sol.lp_value
+        if draw(st.booleans()):
+            # a center of a caller's own, over any denominators
+            def drawn():
+                return Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 12)))
+
+            center = Duals({k: drawn() for k in rmp._rows},
+                           drawn() if rmp.remaining_cardinality is not None else 0)
+            smoother.recentre(center.scaled())
+        if center is not None:
+            keys = set(center.by_element) | set(pure.by_element)
+            mid = Duals({k: (center.value(k) + pure.value(k)) / 2 for k in keys},
+                        (center.convexity + pure.convexity) / 2)
+            assert smoother.smoothed(sol.duals) == mid.scaled()
+        optimistic = Fraction(draw(st.integers(-90, 20)), draw(st.integers(1, 7)))
+        assert lagrangian_bound(rmp, sol.duals, optimistic) == _rational_bound(
+            rmp, pure, optimistic)
+        if draw(st.booleans()):
+            smoother.recentre(sol.duals)
+            center = pure
 
 
 def write_mps(rmp: Rmp, name="master") -> str:

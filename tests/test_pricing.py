@@ -1012,7 +1012,16 @@ def test_pareto_keep_on_dense_ties():
                     all(x <= y for x, y in zip(vectors[i], vectors[j])) for i in want
                 ):
                     want.append(j)
-            assert _pareto_keep(vectors, rcosts) == want, (vectors, rcosts)
+            assert _pareto_keep(vectors, rcosts, range(n)) == want, (vectors, rcosts)
+            # over a subset of the indices, the front of that subset
+            rows = [j for j in range(n) if rng.random() < 0.6]
+            want = []
+            for j in sorted(rows, key=lambda j: (rcosts[j], vectors[j], j)):
+                if not any(
+                    all(x <= y for x, y in zip(vectors[i], vectors[j])) for i in want
+                ):
+                    want.append(j)
+            assert _pareto_keep(vectors, rcosts, rows) == want, (vectors, rcosts, rows)
 
 
 def test_exact_pricer_reports_phase_times_outside_the_trace():

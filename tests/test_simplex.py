@@ -2,12 +2,13 @@
 HiGHS, plus warm-start token soundness and degeneracy behaviour."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -116,6 +117,12 @@ def _random_case(rng, n_core_rows):
     return costs, columns, rhs, senses
 
 
+def _duals(out):
+    """The row duals of an ``LpResult``: its integers over the basis
+    determinant."""
+    return [Fraction(y, out.basis.det) for y in out.duals]
+
+
 @pytest.mark.parametrize("block", range(8))
 def test_random_lps_match_enumeration_and_scipy(block):
     rng = random.Random(4000 + block)
@@ -147,7 +154,7 @@ def test_known_small_lp_with_exact_duals():
     assert out.value == 8
     assert out.primal == {0: Fraction(4)}
     # dual feasibility and strong duality, exactly
-    y = out.duals
+    y = _duals(out)
     assert sum(yy * b for yy, b in zip(y, [4, 1])) == out.value
     for cost, col in zip(costs, columns):
         assert cost - sum(y[r] for r in col) >= 0
@@ -163,7 +170,7 @@ def test_optimal_duals_are_dual_feasible_on_random_cases():
         if out.status != "optimal":
             continue
         checked += 1
-        y = out.duals
+        y = _duals(out)
         assert sum(yy * Fraction(b) for yy, b in zip(y, rhs)) == out.value
         for cost, col in zip(costs, columns):
             assert Fraction(cost) - sum(y[r] for r in col) >= 0
@@ -283,7 +290,7 @@ def _check_exact(out, costs, columns, rhs, senses):
     for r, (b, s) in enumerate(zip(rhs, senses)):
         lhs = sum(out.primal.get(j, 0) for j, col in enumerate(columns) if r in col)
         assert lhs == b if s == "=" else lhs >= b
-    y = out.duals
+    y = _duals(out)
     assert sum(yy * Fraction(b) for yy, b in zip(y, rhs)) == out.value
     for cost, col in zip(costs, columns):
         assert Fraction(cost) - sum(y[r] for r in col) >= 0
@@ -456,4 +463,47 @@ def test_updated_duals_equal_c_b_times_the_tokens_adjugate(lp, data):
         step = (costs[:k], columns[:k], rhs, senses)
         out = solve_lp(*step, basis=token)
         token = out.basis
-        assert [y * token.det for y in out.duals] == _duals_from_token(token, costs[:k], rhs, senses)
+        assert list(out.duals) == _duals_from_token(token, costs[:k], rhs, senses)
+
+
+def _stripped(token):
+    """``token`` without the x = A.b and u = c_B.A it carries: a warm
+    start from it must form both again."""
+    return replace(token, rhs=None, costs=None, x=(), u=())
+
+
+def _outcome(out):
+    return (out.status, out.value, out.primal, out.duals, out.pivots,
+            out.basis.base, out.basis.det)
+
+
+@PROPERTY
+@given(st.one_of(_set_lps().map(lambda case: case[0]), _integer_lps()), st.data())
+def test_carried_x_and_u_give_what_forming_them_again_gives(lp, data):
+    # a chain of warm solves, each step changing the LP: a column whose
+    # cost raises big-M (an artificial left basic then has another cost),
+    # a plain column, the cost of a basic column, or the right-hand side
+    costs, columns, rhs, senses = (list(part) for part in lp)
+    m = len(rhs)
+    n_fixed = m + senses.count(">=")
+    token = solve_lp(costs, columns, rhs, senses).basis
+    for _ in range(data.draw(st.integers(1, 4))):
+        change = data.draw(st.sampled_from(("big-M", "append", "cost", "rhs")))
+        event(change)
+        if change in ("big-M", "append"):
+            rows = data.draw(st.sets(st.integers(0, m - 1), min_size=1))
+            top = (10**5 + 1, 10**6) if change == "big-M" else (0, 120)
+            columns.append(tuple(sorted(rows)))
+            costs.append(data.draw(st.integers(*top)))
+        elif change == "cost":
+            basic = [j - n_fixed for j in token.base if j >= n_fixed] or range(len(costs))
+            costs[data.draw(st.sampled_from(sorted(basic)))] = data.draw(st.integers(0, 120))
+        else:
+            rhs = data.draw(st.lists(st.integers(0, 24), min_size=m, max_size=m))
+        if any(j < m for j in token.base):
+            event("an artificial is basic in the token")
+        carried = solve_lp(costs, columns, rhs, senses, basis=token)
+        again = solve_lp(costs, columns, rhs, senses, basis=_stripped(token))
+        assert _outcome(carried) == _outcome(again)
+        _check_exact(carried, costs, columns, rhs, senses)
+        token = carried.basis
