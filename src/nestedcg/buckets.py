@@ -228,10 +228,6 @@ class Partition:
                 fresh += 1
         return {"total": total, "empty": empty, "computed": computed, "fresh": fresh}
 
-    def fill(self) -> float:
-        c = self.counts()
-        return (c["computed"] + c["fresh"]) / c["total"] if c["total"] else 0.0
-
     def invalidate(self, banned):
         """Drop representatives that use newly banned elements.  Emptiness
         is left alone: a box empty under fewer bans stays empty."""

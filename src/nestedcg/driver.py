@@ -184,7 +184,9 @@ def _cg_loop(problem, rmp, pricer, smoother, counters, traces, phase):
             return outcome, 0
         added = rmp.add_columns(outcome.columns, it) if outcome.columns else 0
         if outcome.optimistic is not None:
+            tick = time.perf_counter()
             bound = lagrangian_bound(rmp, duals, outcome.optimistic)
+            rmp.stats["time_bound"] += time.perf_counter() - tick
             if best_bound is None or bound > best_bound:
                 best_bound = bound
                 smoother.recentre(duals)

@@ -25,9 +25,9 @@ extensions lists each block's non-dominated subpaths once, with their
 prefixes, as data for the enumerative pricer (:meth:`BlockView.table`;
 each pricing call skips the rows that meet its ban mask).
 
-The layered search stores labels, plain (rcost, vector, items) tuples,
-only for the layers that a later layer extends: per item, every label
-that fewer than ``top_k`` labels stored before it dominate
+The layered search stores labels, plain (rcost, vector, items, packed
+load) tuples, only for the layers that a later layer extends: per item,
+every label that fewer than ``top_k`` labels stored before it dominate
 (:func:`_insert`); a stored label is never dropped.  A label dominates
 another when every completion of it sorts before the same completion of
 the other by (rcost, vector, items).  A dominator is a partial path on
@@ -37,7 +37,21 @@ and transitive: a prefix of one of the first ``top_k`` paths never has
 has none: each stored label of the layer before it is extended by each
 last-layer item straight into one bounded selection of the first
 ``top_k`` admitted paths in that order.  The result list is therefore a
-prefix of the fully enumerated, sorted solution list.
+prefix of the fully enumerated, sorted solution list.  Most extensions
+fail a check, so a check whose nonzero weights fall only on ``SUM``
+coordinates (an additive one: a path's weighted value is the sum of its
+items', their loads) is met before the extension's vector is built.  Each
+item carries its loads on every additive check packed into one int, in
+fields as :class:`Packing` lays them out, and each label the sum of its
+items' (:func:`_load_packing`); an extension passes them all when
+``(room - held - load) & guard == guard``, room packing each bound plus
+its field's guard bit, fields wide enough that no prefix of a path
+borrows from the next.  Only an extension that passes builds its vector,
+for the other checks (those on a ``MAX`` coordinate) and for the
+selection; in the inner layers only the checks that prune take part, the
+partial guard holding their bits.  The rules (combine, dominance, the
+split of the checks) are built once per (aggs, checks, prune)
+(:func:`_layer_rules`).
 
 Bucket fill.  :func:`elementary_rcspp` answers every bucket box of one
 block with a single walk and sends each subpath to the box that holds
@@ -89,7 +103,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import lru_cache
+from itertools import accumulate, chain, repeat, zip_longest
 from operator import add, itemgetter, mul
 
 from .model import SUM, Subpath, as_scaled
@@ -136,9 +151,18 @@ def _within(checks):
     return ok
 
 
+@lru_cache(maxsize=32)
 def _layer_rules(aggs, checks, prune):
-    """(combine, dominates, admits, partial_ok) for flat vectors whose
-    coordinates aggregate by ``aggs`` (``SUM`` or ``MAX``)."""
+    """(combine, dominates, additive, rest, partial_rest) for flat vectors
+    whose coordinates aggregate by ``aggs`` (``SUM`` or ``MAX``), built
+    once per (aggs, checks, prune).
+
+    A check is additive when its nonzero weights fall only on ``SUM``
+    coordinates: a path's weighted value is then the sum of its items'
+    values, their loads.  ``additive`` lists those checks as (weights,
+    bound, whether ``prune`` marks it); ``rest`` tests the other checks
+    on a path's vector and ``partial_rest`` those of them that ``prune``
+    marks on a partial path's, each None when there are none."""
     ops = [add if agg == SUM else max for agg in aggs]
     if all(op is add for op in ops):
         def combine(x, y):
@@ -165,8 +189,49 @@ def _layer_rules(aggs, checks, prune):
         # coordinate may catch up), which the sink orders by items
         return a[2] < b[2]
 
-    partial = [check for check, flag in zip(checks, prune) if flag]
-    return combine, dominates, _within(checks), _within(partial)
+    additive, rest, partial = [], [], []
+    for (weights, bound), flag in zip(checks, chain(prune, repeat(False))):
+        if all(w == 0 or op is add for w, op in zip(weights, ops)):
+            additive.append((weights, bound, flag))
+        else:
+            rest.append((weights, bound))
+            if flag:
+                partial.append((weights, bound))
+    return (combine, dominates, tuple(additive),
+            _within(rest) if rest else None, _within(partial) if partial else None)
+
+
+def _load_packing(layers, additive):
+    """(weights, room, guard, partial guard) that pack loads on the
+    ``additive`` checks of :func:`_layer_rules` over ``layers``.
+
+    An item's packed load, ``sum(map(mul, weights, vec))`` of its vector,
+    holds its load on every additive check in one int, laid out as
+    :class:`Packing` lays out a vector: check j's load in a field of w_j
+    bits under a guard bit.  ``room`` packs each bound b_j plus 2**w_j.
+    A label carries the sum of its items' packed loads, and an item
+    extends a head within check j exactly when the guard bit of field j
+    is set in ``room`` less the head's and the item's packed loads: the
+    field holds b_j - P_j + 2**w_j, P_j the extension's load.  No prefix
+    of a path loads more, either way, than the number of layers times
+    the largest magnitude of a vector value times the sum of the
+    magnitudes of the check's weights, and 2**w_j exceeds that plus
+    |b_j|, so no field borrows or carries.  ``guard`` holds every check's guard bit and the
+    partial guard those of the checks that prune; with no additive check
+    every packed load and both guards are 0, and every item passes."""
+    vectors = map(itemgetter(2), chain.from_iterable(layers))
+    top = max(map(abs, chain.from_iterable(vectors)), default=0)
+    weights = ()
+    room = guard = partial = shift = 0
+    for ws, bound, prunes in additive:
+        bit = 1 << shift + (abs(bound) + len(layers) * top * sum(map(abs, ws))).bit_length()
+        room += (bound << shift) + bit
+        guard += bit
+        if prunes:
+            partial += bit
+        weights = [x + (w << shift) for x, w in zip_longest(weights, ws, fillvalue=0)]
+        shift = bit.bit_length()
+    return weights, room, guard, partial
 
 
 def label_search(layers, aggs, checks, prune=(), top_k: int = 1):
@@ -178,69 +243,85 @@ def label_search(layers, aggs, checks, prune=(), top_k: int = 1):
     (``aggs[c]``) of its items' values.  ``checks`` holds (weights, bound)
     predicates every path's vector must satisfy; those that ``prune``
     marks also prune partial paths (only sound when the weighted value
-    cannot decrease as blocks are added).
+    cannot decrease as blocks are added).  ``aggs``, ``checks`` and
+    ``prune`` are tuples, whose rules :func:`_layer_rules` builds once.
 
     A first-layer label takes its item's vector as it is; a later label
     extends a stored label of the previous layer by one item.  Only the
     layers that a later layer extends store and dominate labels; the last
-    layer's paths go straight to :func:`_select`.  Returns
-    :class:`SearchResult` objects for the first ``top_k`` feasible paths
-    in (rcost, vector, items) order, so a smaller ``top_k`` returns a
-    prefix of a larger one's list.
+    layer's paths go straight to :func:`_select`.  An extension meets the
+    additive checks on packed loads (:func:`_load_packing`) before its
+    vector is built.  Returns :class:`SearchResult` objects for the first
+    ``top_k`` feasible paths in (rcost, vector, items) order, so a
+    smaller ``top_k`` returns a prefix of a larger one's list.
     """
     if top_k < 1:
         raise LabelingError("top_k must be positive")
-    combine, dominates, admits, partial_ok = _layer_rules(aggs, checks, prune)
+    combine, dominates, additive, rest, partial_rest = _layer_rules(aggs, checks, prune)
+    weights, room, guard, partial = _load_packing(layers, additive)
     *inner, last = layers
+    # labels are (rcost, vector, items, packed load)
     if not inner:
         # a one-layer path is its item: extend the empty path, whose
         # vector is the identity of every aggregator
         empty = tuple(0 if agg == SUM else -math.inf for agg in aggs)
-        return _select([(0, empty, ())], last, combine, admits, top_k)
-    stores = [
-        [(rcost, tuple(vec), (item,))] if partial_ok(vec) else []
-        for item, rcost, vec in inner[0]
-    ]
+        return _select([(0, empty, (), 0)], last, weights, combine, room, guard, rest, top_k)
+    stores = []
+    for item, rcost, vec in inner[0]:
+        load = sum(map(mul, weights, vec))
+        ok = (room - load) & partial == partial and (partial_rest is None or partial_rest(vec))
+        stores.append([(rcost, tuple(vec), (item,), load)] if ok else [])
     for layer in inner[1:]:
+        loads = [sum(map(mul, weights, vec)) for _, _, vec in layer]
         new = [[] for _ in layer]
         for store in stores:
-            for rcost, res, items in store:
-                for (item, step, vec), target in zip(layer, new):
+            for rcost, res, items, held in store:
+                free = room - held
+                for (item, step, vec), load, target in zip(layer, loads, new):
+                    if (free - load) & partial != partial:
+                        continue
                     ext = combine(res, vec)
-                    if partial_ok(ext):
-                        _insert(target, (rcost + step, ext, (*items, item)), dominates, top_k)
+                    if partial_rest is None or partial_rest(ext):
+                        _insert(target, (rcost + step, ext, (*items, item), held + load),
+                                dominates, top_k)
         stores = new
     heads = [lab for store in stores for lab in store]
-    return _select(heads, last, combine, admits, top_k)
+    return _select(heads, last, weights, combine, room, guard, rest, top_k)
 
 
-def _select(heads, layer, combine, admits, top_k):
-    """The first ``top_k`` admitted paths in (rcost, vector, items) order
-    among the (rcost, vector, items) ``heads`` each extended by each item
-    of ``layer``.
+def _select(heads, layer, weights, combine, room, guard, rest, top_k):
+    """The first ``top_k`` paths that pass the checks in (rcost, vector,
+    items) order among the labels ``heads`` each extended by each item of
+    ``layer``, items and labels carrying loads packed by ``weights``
+    (:func:`_load_packing`).
 
     Heads go in rcost order and items in step order, so a row stops at
     the first candidate whose rcost sorts after the current top_k-th
     path's, and the search stops at the first row that starts there.  A
-    candidate's vector is built only when its rcost can still sort
-    first, and its items only when its (rcost, vector) can.  Keys meet
+    candidate whose rcost can still sort first meets the additive checks
+    on packed loads; its vector is built only when it passes them, and
+    its items only when its (rcost, vector) can sort first.  Keys meet
     with ``<`` alone: items need define nothing else."""
-    steps = sorted(layer, key=itemgetter(1))
+    steps = sorted([(item, step, vec, sum(map(mul, weights, vec))) for item, step, vec in layer],
+                   key=itemgetter(1))
     if not steps:
         return []
     heads.sort(key=itemgetter(0))
     lowest = steps[0][1]
     best = []           # (rcost, vector, items) in order, at most top_k
     cut = math.inf      # the top_k-th rcost, once there are top_k
-    for base, res, prefix in heads:
+    for base, res, prefix, held in heads:
         if base + lowest > cut:
             break
-        for item, step, vec in steps:
+        free = room - held
+        for item, step, vec, load in steps:
             rcost = base + step
             if rcost > cut:
                 break
+            if (free - load) & guard != guard:
+                continue
             ext = combine(res, vec)
-            if not admits(ext) or (rcost == cut and best[-1][1] < ext):
+            if rest is not None and not rest(ext) or (rcost == cut and best[-1][1] < ext):
                 continue
             insort(best, (rcost, ext, (*prefix, item)))
             if len(best) > top_k:

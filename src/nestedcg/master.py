@@ -33,7 +33,8 @@ Dual smoothing (``SmoothingState``) sends the pricer the midpoint of the
 stability center and the fresh master duals: Wentges' fixed weight of 1/2.
 
 ``Rmp.stats`` counts the master's LP solves and pivots and sums the
-seconds spent in the simplex, for the run report.
+seconds spent in the simplex and, as the driver times it, in
+:func:`lagrangian_bound`, for the run report.
 """
 
 from __future__ import annotations
@@ -82,8 +83,9 @@ class Rmp:
         self.satisfied = set()
         self._basis = None
         self.last_pivots = 0            # simplex pivots of the latest solve
-        # LP solves, their pivots and the seconds spent in the simplex
-        self.stats = {"lp_solves": 0, "pivots": 0, "time_lp": 0.0}
+        # LP solves, their pivots and the seconds spent in the simplex and,
+        # timed by the driver, in the Lagrangian bound
+        self.stats = {"lp_solves": 0, "pivots": 0, "time_lp": 0.0, "time_bound": 0.0}
         self._set_rows()
 
     # -- pool ----------------------------------------------------------------

@@ -313,8 +313,11 @@ class AdaptivePricer:
         for phase, secs in self.timers.items():
             snap[f"time_{phase}"] = secs
         if self.partition is not None:
-            snap.update(self.partition.counts())
-            snap["fill"] = self.partition.fill()
+            counts = self.partition.counts()
+            snap.update(counts)
+            # the share of buckets not known to be empty
+            snap["fill"] = ((counts["computed"] + counts["fresh"]) / counts["total"]
+                            if counts["total"] else 0.0)
         return snap
 
 

@@ -236,10 +236,14 @@ def test_the_report_counts_and_times_the_master(pricer):
     assert stats["lp_solves"] == len(report.traces)
     assert stats["pivots"] == sum(t.pivots for t in report.traces) > 0
     assert 0 < stats["time_lp"] < report.wall_time
+    assert 0 < stats["time_bound"] < report.wall_time
+    assert stats["time_lp"] + stats["time_bound"] < report.wall_time
     data = json.loads(report.to_json())["master"]
-    assert data == {**stats, "time_lp": round(stats["time_lp"], 6)}
+    assert data == {**stats, "time_lp": round(stats["time_lp"], 6),
+                    "time_bound": round(stats["time_bound"], 6)}
     # wall times stay out of the trace (criterion 10)
-    assert all("time_lp" not in line for line in report.trace_lines())
+    assert all("time_lp" not in line and "time_bound" not in line
+               for line in report.trace_lines())
 
 
 def test_report_serialization_round_trips():

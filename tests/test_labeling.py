@@ -87,10 +87,14 @@ def test_label_search_max_and_set_ops():
 
 def _random_layers(rng):
     """Small random layers, aggregators, predicates and sound prune flags.
-    ``MAX`` coordinates and unpruned ``SUM`` coordinates may go negative;
-    in half the draws reduced costs are small, so partial paths tie.  A
+    ``MAX`` coordinates and unpruned ``SUM`` coordinates may go negative,
+    so a check on such a ``SUM`` coordinate may see negative loads; in
+    half the draws reduced costs are small, so partial paths tie.  A
     layer lists its items out of their sort order, so labels reach a
-    store out of (rcost, vector, items) order."""
+    store out of (rcost, vector, items) order.  In some draws several
+    checks on ``SUM`` coordinates alone (additive ones) meet one on a
+    ``MAX`` coordinate, and in some every bound lies just above the least
+    that a path can weigh, so most cheap paths fail."""
     n = rng.randint(1, 3)
     aggs = tuple(rng.choice((SUM, MAX)) for _ in range(n))
     signed = [agg == MAX or rng.random() < 0.3 for agg in aggs]
@@ -103,13 +107,21 @@ def _random_layers(rng):
         ]
         for li in range(rng.randint(1, 5))
     ]
+    weights = [tuple(rng.randint(0, 2) for _ in aggs) for _ in range(rng.randint(0, 2))]
+    if SUM in aggs and MAX in aggs and rng.random() < 0.25:
+        weights += [tuple(rng.randint(0, 2) if agg == SUM else 0 for agg in aggs)
+                    for _ in range(rng.randint(2, 3))]
+        top = rng.choice([c for c, agg in enumerate(aggs) if agg == MAX])
+        weights.append(tuple(int(c == top) for c in range(n)))
+    # per coordinate, the least that a path can hold
+    floor = _aggregate(aggs, [[min(col) for col in zip(*[v for _, _, v in layer])]
+                              for layer in layers])
+    tight = rng.random() < 0.25
     checks, prune = [], []
-    for _ in range(rng.randint(0, 2)):
-        weights = tuple(rng.randint(0, 2) for _ in aggs)
-        checks.append((weights, rng.randint(-2, 12)))
-        sound = all(
-            w == 0 or agg == MAX or not s for w, agg, s in zip(weights, aggs, signed)
-        )
+    for ws in weights:
+        least = sum(w * x for w, x in zip(ws, floor))
+        checks.append((ws, least + rng.randint(0, 3) if tight else rng.randint(-2, 12)))
+        sound = all(w == 0 or agg == MAX or not s for w, agg, s in zip(ws, aggs, signed))
         prune.append(sound and rng.random() < 0.7)
     return layers, aggs, tuple(checks), tuple(prune)
 
@@ -153,30 +165,38 @@ class _Token:
         return f"_Token({self.key!r})"
 
 
+def _matches_brute_force(seed, tokens):
+    """Check :func:`label_search` at every ``top_k`` up to a pricing
+    call's and :func:`through_values` on draw ``seed`` of
+    :func:`_random_layers`, its items wrapped in ``_Token`` when
+    ``tokens``, against exhaustive enumeration of its paths."""
+    layers, aggs, checks, prune = _random_layers(random.Random(seed))
+    if tokens:
+        layers = [[(_Token(item), rc, vec) for item, rc, vec in layer]
+                  for layer in layers]
+    paths = []
+    for combo in itertools.product(*layers):
+        vec = _aggregate(aggs, [v for _, _, v in combo])
+        if all(sum(w * x for w, x in zip(ws, vec)) <= b for ws, b in checks):
+            paths.append((sum(rc for _, rc, _ in combo), vec,
+                          tuple(item for item, _, _ in combo)))
+    paths.sort()
+    for top_k in range(1, COLUMNS_PER_CALL + 1):
+        # the first top_k paths in (rcost, vector, items) order, so each
+        # top_k result is a prefix of the top_k + 1 result
+        got = label_search(layers, aggs, checks, prune, top_k)
+        assert [(r.rcost, r.resources, r.nodes) for r in got] == paths[:top_k], seed
+    through = through_values(layers, aggs, checks, prune)
+    for li, (layer, values) in enumerate(zip(layers, through)):
+        for (item, _, _), value in zip(layer, values):
+            want = min((p[0] for p in paths if p[2][li] == item), default=math.inf)
+            assert value == want, (seed, item)
+
+
 def test_layered_search_matches_brute_force():
+    # CI runs 20,000 draws, each with plain and with _Token items
     for seed in range(1000):
-        rng = random.Random(seed)
-        layers, aggs, checks, prune = _random_layers(rng)
-        if seed % 2:
-            layers = [[(_Token(item), rc, vec) for item, rc, vec in layer]
-                      for layer in layers]
-        paths = []
-        for combo in itertools.product(*layers):
-            vec = _aggregate(aggs, [v for _, _, v in combo])
-            if all(sum(w * x for w, x in zip(ws, vec)) <= b for ws, b in checks):
-                paths.append((sum(rc for _, rc, _ in combo), vec,
-                              tuple(item for item, _, _ in combo)))
-        paths.sort()
-        for top_k in range(1, COLUMNS_PER_CALL + 1):
-            # the first top_k paths in (rcost, vector, items) order, so each
-            # top_k result is a prefix of the top_k + 1 result
-            got = label_search(layers, aggs, checks, prune, top_k)
-            assert [(r.rcost, r.resources, r.nodes) for r in got] == paths[:top_k], seed
-        through = through_values(layers, aggs, checks, prune)
-        for li, (layer, values) in enumerate(zip(layers, through)):
-            for (item, _, _), value in zip(layer, values):
-                want = min((p[0] for p in paths if p[2][li] == item), default=math.inf)
-                assert value == want, (seed, item)
+        _matches_brute_force(seed, tokens=seed % 2)
 
 
 def test_the_last_layer_selects_without_stores(monkeypatch):
@@ -197,6 +217,36 @@ def test_the_last_layer_selects_without_stores(monkeypatch):
     assert calls == []
     label_search([*layers, [("w", 0, (0,))]], (SUM,), ())
     assert len(calls) == 4, "the middle layer stores its labels"
+
+
+def test_a_candidate_that_fails_an_additive_check_builds_nothing(monkeypatch):
+    # the last layer tests a candidate on its packed loads first: one that
+    # fails an additive check neither builds its path vector nor meets
+    # the check on a MAX coordinate, which only a built vector can take
+    built, tested = [], []
+    rules = labeling._layer_rules.__wrapped__
+
+    def counted(*key):
+        combine, dominates, additive, rest, partial_rest = rules(*key)
+
+        def counted_combine(res, vec):
+            built.append((res, vec))
+            return combine(res, vec)
+
+        def counted_rest(res):
+            tested.append(res)
+            return rest(res)
+
+        return counted_combine, dominates, additive, counted_rest, partial_rest
+
+    monkeypatch.setattr(labeling, "_layer_rules", counted)
+    # ("a", "y") is the cheapest path and loads 3 on the first check
+    layers = [[("a", 0, (1, 0)), ("b", 1, (0, 0))], [("y", 0, (2, 0)), ("z", 2, (0, 1))]]
+    checks = (((1, 0), 2), ((0, 1), 5))
+    out = label_search(layers, (SUM, MAX), checks, (True, True), top_k=3)
+    assert [r.nodes for r in out] == [("b", "y"), ("a", "z"), ("b", "z")]
+    assert built == [((1, 0), (0, 1)), ((0, 0), (2, 0)), ((0, 0), (0, 1))]
+    assert tested == [(1, 1), (2, 0), (0, 1)]
 
 
 def test_dominance_eq_mode_protects_lower_bounded_coordinates():
@@ -655,3 +705,4 @@ def test_block_enumeration_with_lower_windows(floor):
     if floor:
         want |= {(1,), (1, 2), (1, 2, 3), (2,), (2, 3), (2, 3, 1)}
     assert {sp.nodes for sp in got} == want
+
