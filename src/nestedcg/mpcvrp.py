@@ -17,12 +17,16 @@ The distance cap of a generated instance interpolates between two
 calibrated anchors: ``d_min``, the per-vehicle share of the summed
 optimal daily routing costs, and ``d_max``, the best max-workload
 assignment of those same optimal routes to vehicles.  Both anchors are
-computed exactly (dynamic programming over customer subsets), which is
-why the generator enforces a desk-scale limit on customers per day.
+computed exactly: Held-Karp over each day's capacity-feasible customer
+sets prices every possible route, and a split of the day into one route
+per vehicle is searched only over the customer sets the full day's
+split reaches.  Both still grow as 2^n in the customers per day, which
+is why the generator enforces a desk-scale limit on them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -30,6 +34,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
+from operator import add
 from pathlib import Path
 
 from .model import (
@@ -48,8 +53,9 @@ from .model import (
     _int,
 )
 
-# Exact calibration enumerates customer subsets per day; 2^14 masks is
-# the largest table we are willing to build before refusing.
+# Exact calibration prices every capacity-feasible customer set of a day,
+# up to 2^14 of them, and refuses a larger day.  The limit also fixes
+# which instances exist, so raising it is a change to the generator.
 MAX_DAY_SIZE = 14
 
 _INF = math.inf
@@ -181,9 +187,13 @@ def build_nested(instance: MpcvrpInstance) -> NestedProblem:
 def _route_costs(instance: MpcvrpInstance, day: int):
     """route_cost[mask] for one day: the length of the cheapest closed
     route over the day's customers in ``mask`` (local bit positions), or
-    inf when their demand exceeds capacity.  Held-Karp over the open-path
-    table dp[mask][j], the cheapest depot-start path visiting exactly
-    ``mask`` and ending at local j.
+    inf when their demand exceeds capacity.
+
+    Held-Karp over the capacity-feasible sets only, one set size at a
+    time: a set's row holds, for each local j, the length of the cheapest
+    depot-start path visiting exactly the set and ending at j.
+    Demands are at least 1, so a set over capacity has no feasible
+    superset, and a set grows only by the customers that still fit.
     """
     members = instance.day_members(day)
     m = len(members)
@@ -195,38 +205,38 @@ def _route_costs(instance: MpcvrpInstance, day: int):
     pts = [instance.customers[i] for i in members]
     dist = [[euclidean(a, b) for b in pts] for a in pts]
     leg = [euclidean(instance.depot, p) for p in pts]
-    load = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = (mask & -mask).bit_length() - 1
-        load[mask] = load[mask ^ (1 << low)] + instance.demands[members[low]]
-
-    dp = [[_INF] * m for _ in range(1 << m)]
-    for j in range(m):
-        dp[1 << j][j] = leg[j]
-    for mask in range(1, 1 << m):
-        row = dp[mask]
-        for j in range(m):
-            base = row[j]
-            if base == _INF or not mask & (1 << j):
-                continue
-            dj = dist[j]
-            for w in range(m):
-                if mask & (1 << w):
-                    continue
-                cand = base + dj[w]
-                if cand < dp[mask | (1 << w)][w]:
-                    dp[mask | (1 << w)][w] = cand
+    demand = [instance.demands[i] for i in members]
+    by_demand = sorted(range(m), key=demand.__getitem__)
 
     route_cost = [_INF] * (1 << m)
-    for mask in range(1, 1 << m):
-        if load[mask] > instance.capacity:
-            continue
-        row = dp[mask]
-        best = _INF
-        for j in range(m):
-            if mask & (1 << j) and row[j] + leg[j] < best:
-                best = row[j] + leg[j]
-        route_cost[mask] = best
+    # longer than any open path, it stands for "no path" in a row (int
+    # sums run faster than sums with a float inf)
+    longer = 1 + max(leg) + m * max(map(max, dist))
+    steps = [(j, 1 << j, dist[j]) for j in range(m)]
+    loads = {}
+    rows = {}
+    for j in range(m):
+        loads[1 << j] = demand[j]
+        rows[1 << j] = row = [longer] * m
+        row[j] = leg[j]
+    while rows:
+        grown = {}
+        for mask, row in rows.items():
+            route_cost[mask] = min(map(add, row, leg))
+            load = loads[mask]
+            room = instance.capacity - load
+            for w in by_demand:
+                if demand[w] > room:
+                    break
+                if not mask >> w & 1:
+                    grown[mask | 1 << w] = load + demand[w]
+        # every one-smaller subset of a grown set is feasible, so in rows
+        shorter, rows, loads = rows, {}, grown
+        for mask in grown:
+            rows[mask] = row = [longer] * m
+            for j, bit, hop in steps:
+                if mask & bit:
+                    row[j] = min(map(add, shorter[mask ^ bit], hop))
     return route_cost
 
 
@@ -236,6 +246,14 @@ def solve_day(instance: MpcvrpInstance, day: int):
 
     Returns (total_distance, route_lengths), one length per route.
     Raises ModelError when no such partition exists.
+
+    A split of a mask into r routes takes the route holding the mask's
+    lowest customer first (so every split is met once), then splits the
+    rest into r - 1.  Routes are tried in decreasing mask order and the
+    first strict minimum wins, which fixes the route lengths that
+    ``d_max`` reads when partitions tie.  Splits into r >= 2 routes are
+    evaluated only at the masks a split into r + 1 reads, starting from
+    the full mask; one route is ``route_cost`` itself.
     """
     k = instance.vehicles
     route_cost = _route_costs(instance, day)
@@ -244,26 +262,35 @@ def solve_day(instance: MpcvrpInstance, day: int):
     if k > m:
         raise ModelError(f"day {day}: {k} routes need at least {k} customers")
 
-    # part[r][mask]: cheapest split of mask into exactly r feasible routes.
-    # Submasks are forced to contain the mask's lowest bit so every split
-    # is enumerated once.
-    part = [[_INF] * (1 << m) for _ in range(k + 1)]
-    part[0][0] = 0
-    choice = [[0] * (1 << m) for _ in range(k + 1)]
-    for r in range(1, k + 1):
-        prev, cur, pick = part[r - 1], part[r], choice[r]
-        for mask in range(1, 1 << m):
-            low = mask & -mask
-            best, arg = _INF, 0
-            sub = mask
-            while sub:
-                if sub & low:
-                    cand = route_cost[sub] + prev[mask ^ sub]
-                    if cand < best:
-                        best, arg = cand, sub
-                sub = (sub - 1) & mask
-            cur[mask], pick[mask] = best, arg
-    if part[k][full] == _INF:
+    # split[r][mask]: (cost, first route) of mask's cheapest split into r
+    split = [{} for _ in range(k + 1)]
+
+    def cheapest(r, mask):
+        if r == 1:
+            return route_cost[mask], mask
+        hit = split[r].get(mask)
+        if hit is not None:
+            return hit
+        low = mask & -mask
+        others = mask ^ low
+        best, arg = _INF, 0
+        sub = others
+        while sub:
+            sub = (sub - 1) & others
+            route = sub | low
+            cost = route_cost[route]
+            if cost < best:  # not an infeasible route (inf), nor too long
+                if r == 2:
+                    cost += route_cost[mask ^ route]
+                else:
+                    cost += cheapest(r - 1, mask ^ route)[0]
+                if cost < best:
+                    best, arg = cost, route
+        split[r][mask] = best, arg
+        return best, arg
+
+    total, _ = cheapest(k, full)
+    if total == _INF:
         raise ModelError(
             f"day {day}: no partition into {k} capacity-feasible routes"
         )
@@ -271,10 +298,10 @@ def solve_day(instance: MpcvrpInstance, day: int):
     lengths = []
     mask = full
     for r in range(k, 0, -1):
-        sub = choice[r][mask]
-        lengths.append(route_cost[sub])
-        mask ^= sub
-    return int(part[k][full]), tuple(reversed(lengths))
+        route = cheapest(r, mask)[1]
+        lengths.append(route_cost[route])
+        mask ^= route
+    return total, tuple(reversed(lengths))
 
 
 def calibrate_caps(instance: MpcvrpInstance, delta, seed=None) -> CapDerivation:
@@ -318,7 +345,11 @@ def calibrate_caps(instance: MpcvrpInstance, delta, seed=None) -> CapDerivation:
 
 def parse_points(text: str):
     """Parse NODE_COORD_SECTION / DEMAND_SECTION data into aligned
-    (coords, demands) tuples ordered by 1-based node id."""
+    (coords, demands) tuples ordered by 1-based node id.
+
+    Every value must be an integer, though it may be written as one
+    (``12.0``); a fractional value or a node id given twice in a section
+    raises a ModelError that names the node."""
     coords = {}
     demands = {}
     section = None
@@ -329,10 +360,10 @@ def parse_points(text: str):
             continue
         upper = line.upper()
         if upper.startswith("NODE_COORD_SECTION"):
-            section = "coord"
+            section = "NODE_COORD_SECTION"
             continue
         if upper.startswith("DEMAND_SECTION"):
-            section = "demand"
+            section = "DEMAND_SECTION"
             continue
         if ":" in line and section is None:
             continue  # header key/value
@@ -340,29 +371,50 @@ def parse_points(text: str):
             section = None
             continue
         fields = line.split()
-        if section == "coord" and len(fields) == 3:
-            i, x, y = (int(float(f)) for f in fields)
-            coords[i] = (x, y)
-        elif section == "demand" and len(fields) == 2:
-            i, d = (int(float(f)) for f in fields)
-            demands[i] = d
+        if section == "NODE_COORD_SECTION" and len(fields) == 3:
+            table = coords
+        elif section == "DEMAND_SECTION" and len(fields) == 2:
+            table = demands
+        else:
+            continue
+        node = _whole(fields[0], fields[0])
+        if node in table:
+            raise ModelError(f"node {node}: listed twice in {section}")
+        table[node] = tuple(_whole(f, node) for f in fields[1:])
     if not coords:
         raise ModelError("no NODE_COORD_SECTION entries found")
     ids = sorted(coords)
     if ids != list(range(1, len(ids) + 1)):
         raise ModelError("node ids must be contiguous from 1")
     out_coords = tuple(coords[i] for i in ids)
-    out_demands = tuple(demands.get(i, 1) for i in ids)
+    out_demands = tuple(demands.get(i, (1,))[0] for i in ids)
     return out_coords, out_demands
 
 
+def _whole(field: str, node) -> int:
+    """A point-file value as an int; ``node`` names the line's node."""
+    try:
+        value = Fraction(field)
+    except ValueError:
+        value = None
+    if value is None or value.denominator != 1:
+        raise ModelError(f"node {node}: {field!r} is not an integer")
+    return int(value)
+
+
 def load_points(path=None):
-    """The bundled desk-scale point pool, or any file in the same format."""
+    """The bundled desk-scale point pool, parsed once per process, or any
+    file in the same format, read on every call."""
     if path is None:
-        text = resources.files("nestedcg").joinpath("data/points.txt").read_text()
-    else:
-        text = Path(path).read_text()
-    return parse_points(text)
+        return _bundled_points()
+    return parse_points(Path(path).read_text())
+
+
+@functools.cache
+def _bundled_points():
+    return parse_points(
+        resources.files("nestedcg").joinpath("data/points.txt").read_text()
+    )
 
 
 # ---------------------------------------------------------------------------

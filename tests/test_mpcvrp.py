@@ -1,15 +1,17 @@
 """Routing-family tests: instance validation, the nested encoding, the
-exact daily solver against brute force, cap calibration, generation, and
-serialization."""
+exact daily solver against brute force and the full subset DP, cap
+calibration, point pools, generation, and serialization."""
 
 import itertools
 import json
 import math
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
+from nestedcg import mpcvrp
 from nestedcg.labeling import block_view, elementary_rcspp
 from nestedcg.model import (
     MILLI,
@@ -22,6 +24,7 @@ from nestedcg.mpcvrp import (
     MAX_DAY_SIZE,
     CapDerivation,
     MpcvrpInstance,
+    _route_costs,
     build_nested,
     calibrate_caps,
     euclidean,
@@ -335,6 +338,179 @@ def test_solve_day_capacity_infeasible():
         solve_day(inst, 1)
 
 
+# ---------------------------------------------------------------------------
+# calibration against the full subset DP
+# ---------------------------------------------------------------------------
+
+
+def _subset_dp_route_costs(inst, day):
+    """route_cost[mask] as the full subset DP finds it: Held-Karp over
+    every mask of the day's customers, capacity read only at the end."""
+    members = inst.day_members(day)
+    m = len(members)
+    pts = [inst.customers[i] for i in members]
+    dist = [[euclidean(a, b) for b in pts] for a in pts]
+    leg = [euclidean(inst.depot, p) for p in pts]
+    load = [0] * (1 << m)
+    for mask in range(1, 1 << m):
+        low = (mask & -mask).bit_length() - 1
+        load[mask] = load[mask ^ (1 << low)] + inst.demands[members[low]]
+
+    dp = [[math.inf] * m for _ in range(1 << m)]
+    for j in range(m):
+        dp[1 << j][j] = leg[j]
+    for mask in range(1, 1 << m):
+        row = dp[mask]
+        for j in range(m):
+            base = row[j]
+            if base == math.inf or not mask & (1 << j):
+                continue
+            for w in range(m):
+                if mask & (1 << w):
+                    continue
+                cand = base + dist[j][w]
+                if cand < dp[mask | (1 << w)][w]:
+                    dp[mask | (1 << w)][w] = cand
+
+    route_cost = [math.inf] * (1 << m)
+    for mask in range(1, 1 << m):
+        if load[mask] > inst.capacity:
+            continue
+        route_cost[mask] = min(
+            dp[mask][j] + leg[j] for j in range(m) if mask & (1 << j)
+        )
+    return route_cost
+
+
+def _subset_dp_solve_day(inst, day):
+    """solve_day as the full subset DP finds it: the cheapest split of
+    every mask into every route count, submasks holding the mask's lowest
+    bit swept in decreasing order, the first strict minimum kept."""
+    k = inst.vehicles
+    route_cost = _subset_dp_route_costs(inst, day)
+    m = len(inst.day_members(day))
+    full = (1 << m) - 1
+    if k > m:
+        raise ModelError(f"day {day}: {k} routes need at least {k} customers")
+    part = [[math.inf] * (1 << m) for _ in range(k + 1)]
+    part[0][0] = 0
+    choice = [[0] * (1 << m) for _ in range(k + 1)]
+    for r in range(1, k + 1):
+        for mask in range(1, 1 << m):
+            low = mask & -mask
+            best, arg = math.inf, 0
+            sub = mask
+            while sub:
+                if sub & low:
+                    cand = route_cost[sub] + part[r - 1][mask ^ sub]
+                    if cand < best:
+                        best, arg = cand, sub
+                sub = (sub - 1) & mask
+            part[r][mask], choice[r][mask] = best, arg
+    if part[k][full] == math.inf:
+        raise ModelError(f"day {day}: no partition into {k} capacity-feasible routes")
+    lengths = []
+    mask = full
+    for r in range(k, 0, -1):
+        sub = choice[r][mask]
+        lengths.append(route_cost[sub])
+        mask ^= sub
+    return int(part[k][full]), tuple(reversed(lengths))
+
+
+def _outcome(call, *args):
+    """A call's result, or the message of the ModelError it raised."""
+    try:
+        return call(*args)
+    except ModelError as exc:
+        return f"ModelError: {exc}"
+
+
+def _pool_instance(n, days, vehicles, seed, capacity):
+    """n customers a day and a depot drawn with random_points, as the
+    generator draws them, with any fleet size (more vehicles than
+    customers included) and a capacity of None (the generator's rule), an
+    int, or "tight" (the largest demand)."""
+    coords, demands = random_points((n + 1) * days, seed)
+    dem = demands[: n * days]
+    if capacity is None:
+        worst = max(sum(dem[t * n:(t + 1) * n]) for t in range(days))
+        capacity = -(-worst // vehicles) + max(dem)
+    elif capacity == "tight":
+        capacity = max(dem)
+    return MpcvrpInstance(
+        days=days,
+        vehicles=vehicles,
+        capacity=max(capacity, max(dem)),
+        depot=coords[-1],
+        customers=coords[: n * days],
+        demands=dem,
+        day_of=tuple(i // n for i in range(n * days)),
+        distance_cap=1,
+    )
+
+
+_CAPACITIES = (None, "tight", 15, 25)
+
+
+def _reference_draws(n):
+    """The instances with n customers a day that the subset DP checks:
+    fleets of 1-4 over horizons of 1-3 days, capacities by turns."""
+    for vehicles in range(1, 5):
+        for seed in range(1, 5 if n < 9 else 3):
+            days = 1 + (n + vehicles + seed) % 3
+            capacity = _CAPACITIES[(n + seed + vehicles) % len(_CAPACITIES)]
+            yield _pool_instance(n, days, vehicles, 100 * n + seed, capacity)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_calibration_matches_subset_dp(n, monkeypatch):
+    """Route costs, daily splits and cap anchors are those of the full
+    subset DP, errors included."""
+    for inst in _reference_draws(n):
+        for day in range(inst.days):
+            assert _route_costs(inst, day) == _subset_dp_route_costs(inst, day)
+            assert _outcome(solve_day, inst, day) == _outcome(
+                _subset_dp_solve_day, inst, day), (inst.vehicles, day)
+        got = _outcome(calibrate_caps, inst, Fraction(1, 2), 7)
+        with monkeypatch.context() as patched:
+            patched.setattr(mpcvrp, "solve_day", _subset_dp_solve_day)
+            assert got == _outcome(calibrate_caps, inst, Fraction(1, 2), 7)
+
+
+def test_subset_dp_draws_cover_every_outcome():
+    """The draws hold solvable days, capacity-infeasible days and fleets
+    larger than a day, so the comparison above meets both errors."""
+    outcomes = [
+        str(_outcome(solve_day, inst, day))
+        for n in range(1, 12)
+        for inst in _reference_draws(n)
+        for day in range(inst.days)
+    ]
+    assert sum("no partition" in o for o in outcomes) >= 10
+    assert sum("need at least" in o for o in outcomes) >= 10
+    assert sum(not o.startswith("ModelError") for o in outcomes) >= 100
+
+
+def test_solve_day_tie_keeps_the_first_split():
+    """Three splits of one day into two routes tie at 42 in total: {C},
+    {A, B} at 10 + 32, and {A}, {B, C} or {B}, {A, C} at 20 + 22.  The
+    split that holds customer 0 (C) in the largest route mask comes
+    first, {B, C}, so d_max reads 22, not 32."""
+    inst = MpcvrpInstance(
+        days=1,
+        vehicles=2,
+        capacity=2,
+        depot=(0, 0),
+        customers=((0, 5), (6, 8), (-6, 8)),
+        demands=(1, 1, 1),
+        day_of=(0, 0, 0),
+        distance_cap=1,
+    )
+    assert solve_day(inst, 0) == _subset_dp_solve_day(inst, 0) == (42, (20, 22))
+    assert calibrate_caps(inst, 1).d_max == 22
+
+
 def test_day_size_guard():
     n = MAX_DAY_SIZE + 1
     inst = MpcvrpInstance(
@@ -448,6 +624,59 @@ def test_load_points_from_file(tmp_path):
     f.write_text(SAMPLE_POOL)
     coords, demands = load_points(f)
     assert coords == ((10, 20), (30, 40), (50, 60))
+
+
+def test_bundled_pool_parsed_once():
+    assert load_points() is load_points()
+
+
+def test_load_points_rereads_a_file(tmp_path):
+    f = tmp_path / "pool.txt"
+    f.write_text(SAMPLE_POOL)
+    assert load_points(f)[0][0] == (10, 20)
+    f.write_text(SAMPLE_POOL.replace("1 10 20", "1 11 21"))
+    assert load_points(f)[0][0] == (11, 21)
+
+
+def test_bundled_pool_values_are_its_integers():
+    """The bundled file's lines, split and read as ints, are the pool."""
+    text = resources.files("nestedcg").joinpath("data/points.txt").read_text()
+    rows = {"NODE_COORD_SECTION": {}, "DEMAND_SECTION": {}}
+    section = None
+    for line in text.splitlines():
+        if line.strip() in rows:
+            section = line.strip()
+        elif section and line.split() and line.split()[0].isdigit():
+            node, *values = map(int, line.split())
+            rows[section][node] = tuple(values)
+    coords, demands = load_points()
+    assert coords == tuple(rows["NODE_COORD_SECTION"][i] for i in range(1, len(coords) + 1))
+    assert demands == tuple(rows["DEMAND_SECTION"][i][0] for i in range(1, len(coords) + 1))
+
+
+@pytest.mark.parametrize("text, node", [
+    ("NODE_COORD_SECTION\n1 0 0\n2 1.7 2.9\nEOF\n", 2),
+    ("NODE_COORD_SECTION\n1 0 0\n2 1 1\nDEMAND_SECTION\n1 3\n2 2.5\nEOF\n", 2),
+    ("NODE_COORD_SECTION\n1 0 0\n1.5 1 1\nEOF\n", 1.5),
+    ("NODE_COORD_SECTION\n1 0 0\n2 x 1\nEOF\n", 2),
+])
+def test_parse_points_rejects_fractional_values(text, node):
+    with pytest.raises(ModelError, match=f"^node {node}: .* is not an integer"):
+        parse_points(text)
+
+
+@pytest.mark.parametrize("text, section", [
+    ("NODE_COORD_SECTION\n1 0 0\n2 1 1\n2 5 5\nEOF\n", "NODE_COORD_SECTION"),
+    ("NODE_COORD_SECTION\n1 0 0\n2 1 1\nDEMAND_SECTION\n2 3\n2 4\nEOF\n", "DEMAND_SECTION"),
+])
+def test_parse_points_rejects_repeated_node(text, section):
+    with pytest.raises(ModelError, match=f"^node 2: listed twice in {section}"):
+        parse_points(text)
+
+
+def test_parse_points_reads_integral_floats():
+    text = "NODE_COORD_SECTION\n1 12.0 -3.0\n2 1 1\nDEMAND_SECTION\n2 4.0\nEOF\n"
+    assert parse_points(text) == (((12, -3), (1, 1)), (1, 4))
 
 
 def test_random_points_distinct_and_deterministic():
