@@ -9,7 +9,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from pathlib import Path
 
 from . import driver, mpcvrp, synth
@@ -97,7 +96,7 @@ def cmd_generate(args) -> int:
         n=args.n,
         days=args.t,
         vehicles=args.k,
-        delta=Fraction(str(args.delta)),
+        delta=args.delta,
         seed=args.seed,
         capacity=args.capacity,
     )
@@ -179,10 +178,8 @@ def _build_problem(source: dict):
     if "file" in source:
         return _load_any(source["file"])
     gen = source.get("generator")
-    params = dict(source.get("params", {}))
+    params = source.get("params", {})
     if gen == "mpcvrp":
-        if "delta" in params:
-            params["delta"] = Fraction(str(params["delta"]))
         return mpcvrp.build_nested(mpcvrp.generate_instance(**params))
     if gen == "span":
         return synth.build_span_problem(synth.random_span_instance(**params))

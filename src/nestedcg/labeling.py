@@ -21,9 +21,10 @@ contribution boxes' upper ends, the walk is the bucket fill
 (:func:`elementary_rcspp`).  Unweighted, it tells
 :meth:`BlockView.reach` where the block's subpaths lie past a box: the
 range that the bucket partition tiles.  A labeling pass over the same
-extensions lists each block's non-dominated subpaths once, with their
-prefixes, as data for the enumerative pricer (:meth:`BlockView.table`;
-each pricing call skips the rows that meet its ban mask).
+extensions lists once, as data for the enumerative pricer, each block's
+subpaths that no subpath with the same elements dominates
+(:meth:`BlockView.table`; each pricing call skips the rows that meet its
+ban mask).
 
 The layered search stores labels, plain (rcost, vector, items, packed
 load) tuples, only for the layers that a later layer extends: per item,
@@ -429,9 +430,8 @@ class BlockView:
         self.arcs_out = [[] for _ in elements]
         for (u, v), arc in sorted(block.arcs.items()):
             self.arcs_out[self.local[u]].append((self.local[v], *leg(arc)))
-        # what a step adds to a subpath's cost, exit leg included: step t
-        # starts a subpath at element t, step (u + 1) * m + t extends one
-        # that ends at u to t (see ``SubpathTable``)
+        # what a step adds to a subpath's cost, exit leg included, per
+        # step index as step_weights lays them out
         m = len(elements)
         self._step_costs = [0] * ((m + 1) * m)
         for t, (cost, _, _) in enumerate(self.entry):
@@ -539,9 +539,10 @@ class BlockView:
         return self._headroom
 
     def step_weights(self, duals) -> list:
-        """Per step (see :class:`SubpathTable`), what it adds to a
-        subpath's scaled reduced cost under scaled ``duals``, exit leg
-        included."""
+        """Per step, what it adds to a subpath's scaled reduced cost under
+        scaled ``duals``, exit leg included.  In a block of m elements,
+        step t starts a subpath at local element t and step
+        (u + 1) * m + t extends one that ends at local element u to t."""
         m = len(self.elements)
         gain = [duals.value(k) for k in self.elements]
         return [cost * duals.denom - gain[step % m]
@@ -553,7 +554,7 @@ class BlockView:
         per subpath: (last local element, node sequence, local visited
         mask, value, packed contributions, packed subpath-resource
         values).  The value sums ``weights`` over the subpath's steps
-        (indexed as in :class:`SubpathTable`); the contributions hold the
+        (indexed as in :meth:`step_weights`); the contributions hold the
         exit leg.
 
         A subpath that breaks a subpath-resource window is no state: each
@@ -562,9 +563,7 @@ class BlockView:
         that lifts (:meth:`_lift`).  One whose contributions on arrival at
         local element v are above ``limits(top)[v]`` (:meth:`limits`) is
         dropped with its extensions: ``least[u] <= delta(u, t) +
-        least[t]``, so they are above the limits too.  Each state comes
-        after its prefix, the last state before it with one element
-        fewer.
+        least[t]``, so they are above the limits too.
 
         The arcs come from :meth:`_prepare`, each element's in descending
         packed slack, cap less delta, and a state stops at the first arc
@@ -686,49 +685,51 @@ class BlockView:
         return mask
 
     def table(self) -> "SubpathTable":
-        """The block's non-dominated subpaths that can lie on a feasible
-        path, with their prefixes (:meth:`_enumerate`), as a
-        :class:`SubpathTable` in (contribution vector, node sequence)
-        order.  Dual-independent, so built once, without bans, and cached:
-        a ban set only takes away the rows whose element mask meets it
-        (:meth:`_mask`)."""
+        """The block's subpaths that can enter a pricing call's front
+        (:meth:`_enumerate`), as a :class:`SubpathTable` in (contribution
+        vector, node sequence) order.  Dual-independent, so built once,
+        without bans, and cached: a ban set only takes away the rows whose
+        element mask meets it (:meth:`_mask`)."""
         if self._table is None:
             self._table = self._enumerate()
         return self._table
 
     def _enumerate(self) -> "SubpathTable":
-        """The subpaths that :meth:`walk` yields under the :meth:`limits`
-        of the block's :meth:`headroom`, weighed by cost, less those that
-        one with the same key dominates (:func:`_dominates`), by a
-        labeling pass one depth at a time.  The key is (last element,
+        """The subpaths that can enter a pricing call's front, as a
+        :class:`SubpathTable`.
+
+        A labeling pass one depth at a time weighs the subpaths that
+        :meth:`walk` yields under the :meth:`limits` of the block's
+        :meth:`headroom` by cost, and drops those that one with the same
+        key dominates (:func:`_dominates`).  The key is (last element,
         visited mask, packed subpath-resource values), the values by
         equality: under a hard lower window end a smaller value may fail
         where a larger one passes.  Labels of one key take the same
         extensions, duals are per element and a ban removes both or
-        neither, so a dropped subpath never enters a pricing call's front;
-        only survivors extend, so the table is prefix-closed.
+        neither, so a dropped subpath never enters a front; only
+        survivors extend, so every survivor's prefix is a survivor.
 
-        The rows that no row with the same element mask dominates are the
-        table's ``candidates``.  Two such rows differ in reduced cost by
-        their cost difference under any duals, and a ban removes both or
-        neither, so a dominated row never enters a front either; it stays
-        a row only as a prefix of others."""
+        The table keeps the survivors that no survivor with the same
+        element mask dominates.  Two such subpaths differ in reduced cost
+        by their cost difference under any duals, and a ban removes both
+        or neither, so a dropped one never enters a front either.  Every
+        mask that has a survivor keeps one, so a row's mask less its last
+        element, its prefix's mask, always has a row: the row's link in
+        the table's ``chain``."""
         guard, sguard = self.packing.guard, self.sub_packing.guard
         lift = self._lift if self._lifts else None
         multi = self.n_coords > 1
         costs = self._step_costs
         starts, arcs = self._prepare(self.headroom(), 0)
-        found = []          # (vector, nodes, cost, mask, prefix row, step)
-        # one depth's labels: key -> [(cost, vector, nodes, prefix row, step)]
-        labels = {(v, bit, sub): [(costs[v], vec, node, -1, v)]
-                  for v, node, bit, vec, sub in starts}
+        found = {}          # element mask -> [(cost, vector, nodes)]
+        # one depth's labels: key -> [(cost, vector, nodes)]
+        labels = {(v, bit, sub): [(costs[v], vec, node)] for v, node, bit, vec, sub in starts}
         while labels:
             depth, labels = labels, {}
             for (u, visited, sub), mates in depth.items():
-                for cost, vec, nodes, prefix, step in mates:
-                    row = len(found)
-                    found.append((vec, nodes, cost, visited, prefix, step))
-                    for slack, t, node, bit, arc_step, delta, cap, sub_d, lo, hi in arcs[u]:
+                found.setdefault(visited, []).extend(mates)
+                for cost, vec, nodes in mates:
+                    for slack, t, node, bit, step, delta, cap, sub_d, lo, hi in arcs[u]:
                         if vec > slack:
                             break
                         if visited & bit:
@@ -740,90 +741,82 @@ class BlockView:
                         if (hi - s) & (s - lo) & sguard != sguard and (
                                 lift is None or (s := lift(s, lo, hi)) is None):
                             continue
-                        label = (cost + costs[arc_step], ext, nodes + node, row, arc_step)
+                        label = (cost + costs[step], ext, nodes + node)
                         others = labels.setdefault((t, visited | bit, s), [])
                         if not any(_dominates(a, label, guard) for a in others):
                             others[:] = [a for a in others if not _dominates(label, a, guard)]
                             others.append(label)
-        if not found:
-            return SubpathTable()
-        # (vector, nodes) pairs are distinct, so the sort never looks further
-        ranked = sorted(range(len(found)), key=found.__getitem__)
-        rank = [-1] * (len(found) + 1)  # search row -> table row; -1 stays -1
-        for row, i in enumerate(ranked):
-            rank[i] = row
-        packed, nodes, costs, masks, prefixes, steps = zip(*found)
-        # per element mask, in (cost, vector, nodes) order: a row is a
-        # candidate unless an earlier candidate dominates it, which an
-        # earlier row does when its vector is no larger (_dominates)
-        by_mask = {}
-        for i in ranked:
-            by_mask.setdefault(masks[i], []).append(i)
-        candidates = []
-        for mates in by_mask.values():
+        # per element mask, in (cost, vector, nodes) order: a survivor is
+        # kept unless an earlier kept one dominates it, which an earlier
+        # one does when its vector is no larger (_dominates)
+        rows = []
+        for mask, mates in found.items():
             front = []
-            for _, vec, _, i in sorted([(costs[i], packed[i], nodes[i], i) for i in mates]):
+            for cost, vec, nodes in sorted(mates):
                 if all((vec + guard - v) & guard != guard for v in front):
                     front.append(vec)
-                    candidates.append(rank[i])
-        candidates.sort()
-        vectors = tuple([self.packing.unpack(packed[i]) for i in ranked])
+                    rows.append((vec, nodes, cost, mask))
+        # (vector, nodes) pairs are distinct, so the sort never looks further
+        rows.sort()
+        first = {}          # element mask -> its first row
+        for row, (_, _, _, mask) in enumerate(rows):
+            first.setdefault(mask, row)
+        chain = []
+        for row in sorted(range(len(rows)), key=lambda row: len(rows[row][1])):
+            nodes, mask = rows[row][1], rows[row][3]
+            t = self.local[nodes[-1]]
+            chain.append((row, first[mask ^ 1 << t] if len(nodes) > 1 else -1, t))
+        vectors = [self.packing.unpack(vec) for vec, _, _, _ in rows]
         return SubpathTable(
-            tuple([Subpath(self.index, nodes[i], costs[i], v) for i, v in zip(ranked, vectors)]),
-            vectors,
-            tuple([masks[i] for i in ranked]),
-            tuple(rank[:-1]),
-            tuple([rank[p] for p in prefixes]),
-            steps,
-            tuple(candidates),
+            tuple([Subpath(self.index, nodes, cost, v)
+                   for (_, nodes, cost, _), v in zip(rows, vectors)]),
+            tuple(vectors),
+            tuple([mask for _, _, _, mask in rows]),
+            tuple(chain),
         )
 
 
 def _dominates(a, b, guard) -> bool:
-    """Whether (cost, packed vector, nodes, ...) label ``a`` is no dearer
-    than ``b``, no larger on any coordinate and before it in that order."""
-    return a[0] <= b[0] and (b[1] + guard - a[1]) & guard == guard and a[:3] < b[:3]
+    """Whether (cost, packed vector, nodes) label ``a`` is no dearer than
+    ``b``, no larger on any coordinate and before it in that order."""
+    return a[0] <= b[0] and (b[1] + guard - a[1]) & guard == guard and a < b
 
 
 class SubpathTable:
-    """A block's non-dominated subpaths (:meth:`BlockView._enumerate`) in
-    (contribution vector, node sequence) order, with each one's
-    ``vectors`` (its contributions) and ``masks`` (its local elements as
-    a bit set) beside it; a block's one table serves every ban mask.
-    ``candidates`` lists, in table order, the rows that can enter a
-    pricing call's front: those no row of the same mask dominates.
+    """A block's subpaths that can enter a pricing call's front
+    (:meth:`BlockView._enumerate`) in (contribution vector, node
+    sequence) order, with each one's ``vectors`` (its contributions) and
+    ``masks`` (its local elements as a bit set) beside it; a block's one
+    table serves every ban mask.
 
-    Every prefix of a row is a row too, so the table also lists its rows
-    in search order, each after its prefix: row ``order[i]`` extends row
-    ``parents[i]`` (-1 for none) by step ``steps[i]``, the index of its
-    last element (plus ``(u + 1) * m`` when it follows local element u
-    of a block of m elements).  A sum along subpaths then takes one
-    addition per row (:meth:`sums`)."""
+    ``chain`` lists every row once, in order of subpath length, as (row,
+    link, element): ``element`` is the row's last local element and
+    ``link`` a row whose mask is the row's less that element (-1 for a
+    one-element row), so it comes earlier in the chain.  A row's dual sum
+    is then its link's plus one element's dual (:meth:`rcosts`)."""
 
-    __slots__ = ("subpaths", "vectors", "masks", "order", "parents", "steps",
-                 "candidates")
+    __slots__ = ("subpaths", "vectors", "masks", "chain")
 
-    def __init__(self, subpaths=(), vectors=(), masks=(),
-                 order=(), parents=(), steps=(), candidates=()):
+    def __init__(self, subpaths, vectors, masks, chain):
         self.subpaths = subpaths
         self.vectors = vectors
         self.masks = masks
-        self.order = order
-        self.parents = parents
-        self.steps = steps
-        self.candidates = candidates
+        self.chain = chain
 
     def __len__(self):
         return len(self.subpaths)
 
-    def sums(self, values) -> list:
-        """Per row, the sum of ``values[s]`` over the steps s of its
-        subpath."""
-        out = [0] * (len(self) + 1)
-        for i, p, step in zip(self.order, self.parents, self.steps):
-            out[i] = out[p] + values[step]
-        out.pop()
-        return out
+    def rcosts(self, duals, elements) -> list:
+        """Per row, its scaled reduced cost under scaled ``duals``, the
+        block's local elements being ``elements``: cost times the
+        denominator less the sum of its elements' duals, that sum taking
+        one addition per row along the chain."""
+        gain = [duals.value(k) for k in elements]
+        held = [0] * (len(self) + 1)        # held[-1] stays 0
+        for row, link, t in self.chain:
+            held[row] = held[link] + gain[t]
+        denom = duals.denom
+        return [sp.cost * denom - h for sp, h in zip(self.subpaths, held)]
 
 
 def block_view(problem, block_index) -> BlockView:

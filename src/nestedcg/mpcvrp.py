@@ -312,7 +312,17 @@ def calibrate_caps(instance: MpcvrpInstance, delta, seed=None) -> CapDerivation:
     them to vehicles so the largest per-vehicle total is smallest; with K
     routes per day that is an exact enumeration of per-day assignments
     (vehicles are interchangeable, so the first day is pinned).
+
+    ``delta`` is taken as ``Fraction(str(delta))`` unless it is a
+    Fraction, and checked before any day is solved: anything but a
+    finite number in [0, 1] raises a ``ModelError``.
     """
+    try:
+        value = delta if isinstance(delta, Fraction) else Fraction(str(delta))
+    except (ValueError, ZeroDivisionError):     # 'nan', 'inf', '1/0', ...
+        value = None
+    if value is None or not 0 <= value <= 1:
+        raise ModelError(f"delta must be a finite number in [0, 1], got {delta!r}")
     k = instance.vehicles
     day_routes = []
     total = 0
@@ -331,11 +341,7 @@ def calibrate_caps(instance: MpcvrpInstance, delta, seed=None) -> CapDerivation:
         worst = max(loads)
         if worst < best:
             best = worst
-    delta = delta if isinstance(delta, Fraction) else Fraction(str(delta))
-    d_min = Fraction(total, k)
-    if not 0 <= delta <= 1:
-        raise ModelError("delta must lie in [0, 1]")
-    return CapDerivation(d_min=d_min, d_max=int(best), delta=delta, seed=seed)
+    return CapDerivation(d_min=Fraction(total, k), d_max=int(best), delta=value, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,12 @@ its child's lower corner, pinning a previously unpinned contribution
 vector, so a block never sees more splits than it has distinct feasible
 contribution vectors within its headroom.
 
-The enumerative pricer is the benchmark: list each block's
-non-dominated subpaths once, as a dual-independent table
-(``labeling.BlockView.table``), keep the Pareto front of each block's
-rows that avoid the call's bans under its duals, and run the same
-layered search over individual subpaths.  Its bound is exact by
-construction.  Per call, the work is linear in the
+The enumerative pricer is the benchmark: list once, as a
+dual-independent table (``labeling.BlockView.table``), each block's
+subpaths that no subpath with the same elements dominates, keep the
+Pareto front of each block's rows that avoid the call's bans under its
+duals, and run the same layered search over individual subpaths.  Its
+bound is exact by construction.  Per call, the work is linear in the
 table when the problem has at most one contribution coordinate (one
 addition per subpath for its reduced cost, one pass for the front; see
 :class:`ExactPricer`).
@@ -339,14 +339,12 @@ class ExactPricer:
     node sequence) order.  A subpath left out of it lies on no feasible
     path, or a row with the same elements comes before it in the
     front's order and dominates it, so the front is the full
-    enumeration's.  For the same reason the front pass scans only the
-    table's ``candidates``, the rows no row of their own element mask
-    dominates.  A call only prices the table and keeps the front:
+    enumeration's.  A call only prices the table and keeps the front:
 
-    * reduced costs take one addition per subpath.  Every prefix of a
-      subpath is in the table, so a subpath's rcost is its prefix's plus
-      the scaled cost of its last step less the dual of the element it
-      reaches; those step values are listed once per call.
+    * reduced costs take one addition per subpath: its scaled cost less
+      its elements' dual sum, which is the sum of a row whose elements
+      are its own less its last one, plus that element's dual
+      (``SubpathTable.rcosts``).
     * the front comes out in (rcost, vector, nodes) order.  Taken in that
       order, a subpath is dominated exactly when some earlier subpath has
       a componentwise smaller-or-equal vector: an earlier dominated one
@@ -420,11 +418,10 @@ def _front(view, table, scaled, banned):
     ``labeling.SubpathTable`` of block ``view``, that visit no element of
     local mask ``banned``, under scaled duals, as (scaled rcost, vector,
     subpath) triples in (rcost, vector, nodes) order.  Every row is
-    priced, since rows extend their prefixes, but only the table's
-    ``candidates`` are scanned, and of those, under a nonzero mask, the
-    ones that avoid it."""
-    rcosts = table.sums(view.step_weights(scaled))
-    rows = table.candidates
+    priced; under a nonzero mask only the rows that avoid it are
+    scanned."""
+    rcosts = table.rcosts(scaled, view.elements)
+    rows = range(len(table))
     if banned:
         masks = table.masks
         rows = [j for j in rows if not masks[j] & banned]

@@ -58,7 +58,8 @@ def enumerate_block_subpaths(problem, block_index, banned=frozenset(), max_subpa
 
     Deliberately dominance-free: this is the reference the labeling and
     bucket machinery is validated against (``labeling.BlockView.table``
-    lists only each block's non-dominated subpaths and their prefixes),
+    lists only each block's subpaths that no subpath with the same
+    elements dominates),
     and the independent statement of window semantics
     (``labeling.BlockView.walk`` implements them for the solver).
     Contributions are flat vectors in the concatenated coordinate space.

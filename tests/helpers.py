@@ -49,22 +49,35 @@ def usable_subpaths(problem, block_index, banned=frozenset()):
 
 def check_table(problem, block_index, rows, banned=frozenset()):
     """Assert the contract of a block's subpath table on its ``rows``
-    that avoid ``banned``: every row is an oracle subpath, every prefix of
-    a row is a row, and every usable subpath has a row with the same
-    elements that is no dearer, no larger on any coordinate and, on a
-    full tie, not later by node sequence."""
+    that avoid ``banned``: every row is an oracle subpath, no row
+    dominates another with the same elements, every multi-element row's
+    elements less its last one are some row's elements, and every usable
+    subpath has a row with the same elements that is no dearer, no larger
+    on any coordinate and, on a full tie, not later by node sequence."""
     rows = set(rows)
     assert rows <= set(synth.enumerate_block_subpaths(problem, block_index, banned))
-    nodes = {sp.nodes for sp in rows}
-    assert all(sp.nodes[:-1] in nodes for sp in rows if len(sp.nodes) > 1)
     mates = defaultdict(list)
     for sp in rows:
         mates[frozenset(sp.nodes)].append(sp)
+    assert undominated(rows) == rows
+    assert all(frozenset(sp.nodes[:-1]) in mates for sp in rows if len(sp.nodes) > 1)
     for sp in usable_subpaths(problem, block_index, banned):
         key = (sp.cost, sp.contributions, sp.nodes)
         assert any(row.cost <= sp.cost and all(map(le, row.contributions, sp.contributions))
                    and (row.cost, row.contributions, row.nodes) <= key
                    for row in mates[frozenset(sp.nodes)]), sp
+
+
+def undominated(subpaths):
+    """The set of ``subpaths`` that no other of them with the same
+    elements dominates: no dearer, no larger on any coordinate and before
+    it by (cost, contributions, nodes)."""
+    mates = defaultdict(list)
+    for sp in subpaths:
+        mates[frozenset(sp.nodes)].append((sp.cost, sp.contributions, sp.nodes, sp))
+    return {sp for group in mates.values() for cost, vec, nodes, sp in group
+            if not any(c <= cost and all(map(le, v, vec)) and (c, v, n) < (cost, vec, nodes)
+                       for c, v, n, _ in group)}
 
 
 def in_box(vec, box):

@@ -80,6 +80,22 @@ def test_generate_propagates_model_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delta", ("nan", "inf"))
+def test_generate_rejects_a_delta_that_is_not_finite(tmp_path, capsys, delta):
+    rc = main(
+        [
+            "generate", "mpcvrp",
+            "--n", "4", "--t", "2", "--k", "2",
+            "--delta", delta, "--seed", "1",
+            "--out", str(tmp_path / "x.json"),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "delta" in err
+    assert not (tmp_path / "x.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------

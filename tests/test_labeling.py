@@ -11,7 +11,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 import pytest
-from helpers import check_table, in_box, usable_subpaths
+from helpers import check_table, in_box, undominated, usable_subpaths
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +33,7 @@ from nestedcg.model import (
     Duals,
     NestedProblem,
     PathResource,
+    Subpath,
     SubpathResource,
 )
 from nestedcg.pricing import COLUMNS_PER_CALL
@@ -295,18 +296,20 @@ def test_blocks_past_31_elements_match_enumeration():
          sp.contributions, sp.nodes, sp.cost)
         for sp in subpaths
     )
+    # the table holds the subpaths that no subpath with the same elements
+    # dominates, each priced as the oracle prices it
+    kept = {sp.nodes for sp in undominated(subpaths)}
     view = block_view(problem, 0)
     table = view.table()
     got = sorted(
         (rc, sp.contributions, sp.nodes, sp.cost)
-        for sp, rc in zip(table.subpaths, table.sums(view.step_weights(scaled)))
+        for sp, rc in zip(table.subpaths, table.rcosts(scaled, view.elements))
     )
-    assert got == want
-    # the search finds the first of them
+    assert got == [row for row in want if row[2] in kept]
+    # the search finds the first of them all
     sp, rc = elementary_rcspp(problem, 0, scaled, boxes=[_open(problem)])[0]
     assert (rc, sp.contributions, sp.nodes, sp.cost) == want[0]
-    # and the block enumeration holds the same subpaths
-    assert list(_by_nodes(view)) == subpaths
+    assert list(_by_nodes(view)) == [sp for sp in subpaths if sp.nodes in kept]
 
 
 def _brute_min(problem, block_index, scaled, box=None, banned=frozenset()):
@@ -389,9 +392,10 @@ def _oracle_subpaths(problem, block_index, banned):
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_block_enumeration_matches_the_oracle(family):
-    # the table holds only subpaths the oracle lists, with their prefixes,
-    # and for every subpath that can lie on a feasible path one with the
-    # same elements that dominates it or is it
+    # the table holds only subpaths the oracle lists, none that another
+    # with the same elements dominates, and for every subpath that can lie
+    # on a feasible path one with the same elements that dominates it or
+    # is it
     blocks = 0
     for seed in (1, 2, 3):
         rng = random.Random(seed)
@@ -659,17 +663,18 @@ def test_block_is_searched_once_across_ban_sets(monkeypatch):
             check_table(problem, bi, rows, banned)
             # the rows outside the mask are the states of a walk under it
             # that no state of the same (last element, elements, subpath
-            # values) dominates
+            # values) dominates, less those that one of them with the same
+            # elements dominates
             walked = view.walk(view.headroom(),
                                view.step_weights(Duals({}).scaled()), mask)
             keys = defaultdict(list)
             for u, nodes, visited, cost, vec, sub in walked:
                 keys[u, visited, sub].append((cost, view.packing.unpack(vec), nodes))
-            kept = [(cost, vec, nodes) for labels in keys.values()
+            kept = [Subpath(bi, nodes, cost, vec) for labels in keys.values()
                     for cost, vec, nodes in labels
                     if not any(c <= cost and all(map(operator.le, v, vec))
                                and (c, v, n) < (cost, vec, nodes) for c, v, n in labels)]
-            assert sorted(kept) == sorted((sp.cost, sp.contributions, sp.nodes) for sp in rows)
+            assert undominated(kept) == set(rows)
         banned |= {rng.choice(problem.elements)}
     assert sorted(calls) == list(range(len(problem.blocks)))
 
@@ -700,9 +705,14 @@ def test_block_enumeration_with_lower_windows(floor):
         path_resources=[PathResource(dim=1, agg=SUM, a=(1,), b=100, box=((0, 50),))],
     )
     got = _by_nodes(block_view(problem, 0))
-    assert got == _oracle_subpaths(problem, 0, frozenset())
+    oracle = _oracle_subpaths(problem, 0, frozenset())
+    kept = undominated(oracle)
+    assert got == tuple(sp for sp in oracle if sp in kept)
     want = {(3,), (3, 1), (3, 1, 2)}
     if floor:
-        want |= {(1,), (1, 2), (1, 2, 3), (2,), (2, 3), (2, 3, 1)}
+        # (1, 2, 3) and (2, 3, 1) are subpaths too, but (3, 1, 2), at cost
+        # 5 holding 5, dominates both
+        want |= {(1,), (1, 2), (2,), (2, 3)}
+        assert {(1, 2, 3), (2, 3, 1)} <= {sp.nodes for sp in oracle}
     assert {sp.nodes for sp in got} == want
 

@@ -253,7 +253,7 @@ def test_nested_subpaths_replay_route_distance():
     for day in range(inst.days):
         view = block_view(problem, day)
         table = view.table()
-        hits = list(zip(table.subpaths, table.sums(view.step_weights(Duals({}).scaled()))))
+        hits = list(zip(table.subpaths, table.rcosts(Duals({}).scaled(), view.elements)))
         assert len(hits) > 3
         for sp, rcost in hits + [cheapest_route(problem, day)]:
             dist = route_distance(inst, sp.nodes)
@@ -564,11 +564,17 @@ def test_calibrate_accepts_float_delta():
     assert der.delta == Fraction("0.3")
 
 
-def test_calibrate_rejects_delta_outside_unit_interval():
-    with pytest.raises(ModelError, match="delta"):
-        calibrate_caps(_instance(), Fraction(3, 2))
-    with pytest.raises(ModelError, match="delta"):
-        calibrate_caps(_instance(), -0.1)
+def test_calibrate_rejects_delta_outside_unit_interval(monkeypatch):
+    # and rejects it before any day is solved
+    inst = _instance()
+
+    def solve_day(*args):
+        raise AssertionError("a day was solved before delta was checked")
+
+    monkeypatch.setattr(mpcvrp, "solve_day", solve_day)
+    for delta in (Fraction(3, 2), -0.1, float("nan"), float("inf"), "x"):
+        with pytest.raises(ModelError, match="delta"):
+            calibrate_caps(inst, delta)
 
 
 def test_cap_interpolation_formula():
