@@ -700,32 +700,36 @@ class BlockView:
 
         A labeling pass one depth at a time weighs the subpaths that
         :meth:`walk` yields under the :meth:`limits` of the block's
-        :meth:`headroom` by cost, and drops those that one with the same
-        key dominates (:func:`_dominates`).  The key is (last element,
-        visited mask, packed subpath-resource values), the values by
-        equality: under a hard lower window end a smaller value may fail
-        where a larger one passes.  Labels of one key take the same
-        extensions, duals are per element and a ban removes both or
+        :meth:`headroom` by cost, and drops each that a label with the
+        same key dominates: one no dearer, no larger on any coordinate and
+        before it in (cost, vector, node sequence) order.  The key is
+        (last element, visited mask, packed subpath-resource values), the
+        values by equality: under a hard lower window end a smaller value
+        may fail where a larger one passes.  Labels of one key take the
+        same extensions, duals are per element and a ban removes both or
         neither, so a dropped subpath never enters a front; only
         survivors extend, so every survivor's prefix is a survivor.
 
         The table keeps the survivors that no survivor with the same
-        element mask dominates.  Two such subpaths differ in reduced cost
-        by their cost difference under any duals, and a ban removes both
-        or neither, so a dropped one never enters a front either.  Every
-        mask that has a survivor keeps one, so a row's mask less its last
-        element, its prefix's mask, always has a row: the row's link in
-        the table's ``chain``."""
+        element mask dominates, sifted as each depth ends: a mask's
+        survivors are all made at the depth of its size, so the pass holds
+        one depth's survivors at a time.  Two such subpaths differ in
+        reduced cost by their cost difference under any duals, and a ban
+        removes both or neither, so a dropped one never enters a front
+        either.  Every mask that has a survivor keeps one, so a row's mask
+        less its last element, its prefix's mask, always has a row: the
+        row's link in the table's ``chain``."""
         guard, sguard = self.packing.guard, self.sub_packing.guard
         lift = self._lift if self._lifts else None
         multi = self.n_coords > 1
         costs = self._step_costs
         starts, arcs = self._prepare(self.headroom(), 0)
-        found = {}          # element mask -> [(cost, vector, nodes)]
+        rows = []
         # one depth's labels: key -> [(cost, vector, nodes)]
         labels = {(v, bit, sub): [(costs[v], vec, node)] for v, node, bit, vec, sub in starts}
         while labels:
             depth, labels = labels, {}
+            found = {}      # element mask -> [(cost, vector, nodes)]
             for (u, visited, sub), mates in depth.items():
                 found.setdefault(visited, []).extend(mates)
                 for cost, vec, nodes in mates:
@@ -741,21 +745,28 @@ class BlockView:
                         if (hi - s) & (s - lo) & sguard != sguard and (
                                 lift is None or (s := lift(s, lo, hi)) is None):
                             continue
-                        label = (cost + costs[step], ext, nodes + node)
+                        c = cost + costs[step]
+                        label = (c, ext, nodes + node)
                         others = labels.setdefault((t, visited | bit, s), [])
-                        if not any(_dominates(a, label, guard) for a in others):
-                            others[:] = [a for a in others if not _dominates(label, a, guard)]
+                        # same-key dominance: no dearer, no larger on any
+                        # coordinate, and first in (cost, vector, nodes) order
+                        for a in others:
+                            if a[0] <= c and (ext + guard - a[1]) & guard == guard and a < label:
+                                break
+                        else:
+                            others[:] = [a for a in others if not (
+                                c <= a[0] and (a[1] + guard - ext) & guard == guard and label < a)]
                             others.append(label)
-        # per element mask, in (cost, vector, nodes) order: a survivor is
-        # kept unless an earlier kept one dominates it, which an earlier
-        # one does when its vector is no larger (_dominates)
-        rows = []
-        for mask, mates in found.items():
-            front = []
-            for cost, vec, nodes in sorted(mates):
-                if all((vec + guard - v) & guard != guard for v in front):
-                    front.append(vec)
-                    rows.append((vec, nodes, cost, mask))
+            # every label of a mask of this depth's size is made at this
+            # depth, so its masks are final: per mask, in (cost, vector,
+            # nodes) order, a survivor is kept unless an earlier kept one,
+            # whose cost is then no larger, has no larger vector
+            for mask, mates in found.items():
+                front = []
+                for cost, vec, nodes in sorted(mates):
+                    if all((vec + guard - v) & guard != guard for v in front):
+                        front.append(vec)
+                        rows.append((vec, nodes, cost, mask))
         # (vector, nodes) pairs are distinct, so the sort never looks further
         rows.sort()
         first = {}          # element mask -> its first row
@@ -774,12 +785,6 @@ class BlockView:
             tuple([mask for _, _, _, mask in rows]),
             tuple(chain),
         )
-
-
-def _dominates(a, b, guard) -> bool:
-    """Whether (cost, packed vector, nodes) label ``a`` is no dearer than
-    ``b``, no larger on any coordinate and before it in that order."""
-    return a[0] <= b[0] and (b[1] + guard - a[1]) & guard == guard and a < b
 
 
 class SubpathTable:

@@ -11,6 +11,12 @@ The generators produce two families of small nested instances:
   sum-aggregated weight resource, handy for shaking out pricing logic on
   one-dimensional partitions.
 
+Both calibrate their path cap from one enumeration of each block
+(:func:`enumerate_block_subpaths` on a probe problem whose cap binds
+nothing), and the *tiny* corpus builder checks its subpath counts on
+those same lists: block enumeration reads no path resource, so the
+probe's lists are the final problem's.
+
 The oracles enumerate -- no dominance, no buckets, no column generation --
 and exist solely to check the clever code paths: two independent
 minimum-reduced-cost enumerators, a full-enumeration LP oracle backed by
@@ -21,6 +27,7 @@ without either.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -36,11 +43,13 @@ from .model import (
     Block,
     Boundary,
     Duals,
+    ModelError,
     NestedProblem,
     Path,
     PathResource,
     Subpath,
     SubpathResource,
+    _is_int,
 )
 
 
@@ -252,10 +261,14 @@ def oracle_min_rcost_recursive(problem, duals: Duals, banned=frozenset(), guard=
 
 def enumerate_paths(problem, banned=frozenset(), guard=1_000_000):
     """All feasible paths as model.Path objects (guarded cross product)."""
-    per_block = [
+    return _paths(problem, [
         enumerate_block_subpaths(problem, bi, banned)
         for bi in range(len(problem.blocks))
-    ]
+    ], guard)
+
+
+def _paths(problem, per_block, guard):
+    """The feasible paths over per-block subpath lists ``per_block``."""
     if any(not subs for subs in per_block):
         return []
     if count_path_products([len(s) for s in per_block]) > guard:
@@ -463,33 +476,63 @@ def _pareto_min(states):
     return kept
 
 
-def _min_span_through(duty_lists, scenario, duty_vec):
-    """Exact minimum template span over combos forced through one duty.
+def _through_spans(duty_lists, scenario):
+    """Per distinct duty vector d of ``scenario``, its through-span: the
+    exact minimum template span over the combos that pick d there.
 
     duty_lists: per scenario, the list of (end, -start) duty vectors.
-    Componentwise-max aggregation admits a Pareto DP over partial maxima.
-    """
-    states = [duty_vec]
+    The other scenarios fold once into o, the Pareto set of their
+    componentwise maxima, and d's through-span is the least
+    ``sum(max(d, o))``: ``max(d, .)`` and ``sum`` are monotone, so a
+    dominated o never gives the least.  With no other scenario it is
+    ``sum(d)``."""
+    others = None
     for si, duties in enumerate(duty_lists):
-        if si == scenario:
-            continue
-        states = _pareto_min(
-            [tuple(max(a, b) for a, b in zip(s, d)) for s in states for d in duties]
-        )
-    return min(sum(s) for s in states)
+        if si != scenario:
+            others = _pareto_min(duties if others is None else [
+                tuple(map(max, o, d)) for o in others for d in duties])
+    if others is None:
+        return {d: sum(d) for d in duty_lists[scenario]}
+    return {d: min(sum(map(max, d, o)) for o in others)
+            for d in set(duty_lists[scenario])}
 
 
 def random_span_instance(seed, n_scenarios=None, tasks_range=(4, 10)) -> SpanInstance:
     """Seeded random span instance with the span cap calibrated so a
     moderate share of duty combinations is feasible yet every task stays
-    coverable by at least one feasible template."""
+    coverable by at least one feasible template.
+
+    The cap is a quantile of the spans of every duty combination, or of
+    20,000 sampled ones, raised so that each task has a duty through it
+    whose through-span (:func:`_through_spans`), the least span of a
+    template that picks that duty, fits.  Each scenario's duties are
+    enumerated once, and the calibration reads only those lists.
+
+    ``n_scenarios`` (drawn from 2..3 when None) must be at least 1 and
+    ``tasks_range`` a pair of integers 1 <= lo <= hi, or a ModelError
+    names the parameter."""
+    return _span_instance(seed, n_scenarios, tasks_range)[0]
+
+
+def _span_instance(seed, n_scenarios, tasks_range):
+    """:func:`random_span_instance` and, per scenario, its duties: the
+    block subpaths it calibrates from, the same in every span cap."""
+    if n_scenarios is not None and not (_is_int(n_scenarios) and n_scenarios >= 1):
+        raise ModelError(f"n_scenarios must be an integer >= 1, got {n_scenarios!r}")
+    try:
+        lo, hi = tasks_range
+    except (TypeError, ValueError):
+        lo = hi = None
+    if not (_is_int(lo) and _is_int(hi) and 1 <= lo <= hi):
+        raise ModelError(
+            f"tasks_range must be two integers 1 <= lo <= hi, got {tasks_range!r}")
     rng = random.Random(seed)
     if n_scenarios is None:
         n_scenarios = rng.randint(2, 3)
     horizon = 1440
     scenarios = []
     for _ in range(n_scenarios):
-        n_tasks = rng.randint(*tasks_range)
+        n_tasks = rng.randint(lo, hi)
         tasks = []
         for _ in range(n_tasks):
             dur = 5 * rng.randint(6, 48)            # 30 .. 240 minutes
@@ -509,26 +552,21 @@ def random_span_instance(seed, n_scenarios=None, tasks_range=(4, 10)) -> SpanIns
         name=f"span-{seed}",
     )
     problem = build_span_problem(probe)
-    duty_lists = [
-        [sp.contributions for sp in enumerate_block_subpaths(problem, bi)]
-        for bi in range(n_scenarios)
-    ]
+    duties = [enumerate_block_subpaths(problem, bi) for bi in range(n_scenarios)]
+    duty_lists = [[sp.contributions for sp in subs] for subs in duties]
 
     combos = itertools.product(*duty_lists)
     total = count_path_products([len(d) for d in duty_lists])
     if total > 20_000:
         sampler = random.Random(seed ^ 0x5EED)
         combos = (
-            tuple(duties[sampler.randrange(len(duties))] for duties in duty_lists)
-            for _ in range(20_000)
+            tuple(map(sampler.choice, duty_lists)) for _ in range(20_000)
         )
-    spans = sorted(
-        sum(max(d[c] for d in combo) for c in range(2)) for combo in combos
-    )
+    spans = sorted(sum(map(max, zip(*combo))) for combo in combos)
     span_cap = None
     for quantile in (0.5, 0.35, 0.65, 0.2, 0.8):
         cap = spans[min(len(spans) - 1, int(quantile * len(spans)))]
-        share = sum(1 for s in spans if s <= cap) / len(spans)
+        share = bisect.bisect_right(spans, cap) / len(spans)
         if 0.2 <= share <= 0.8:
             span_cap = cap
             break
@@ -536,16 +574,14 @@ def random_span_instance(seed, n_scenarios=None, tasks_range=(4, 10)) -> SpanIns
         span_cap = spans[len(spans) // 2]
 
     # every task must appear in at least one feasible template
-    for si, duties in enumerate(duty_lists):
-        block = problem.blocks[si]
-        for v in block.elements:
-            local = [
-                sp.contributions
-                for sp in enumerate_block_subpaths(problem, si)
-                if v in sp.nodes
-            ]
-            need = min(_min_span_through(duty_lists, si, d) for d in local)
-            span_cap = max(span_cap, need)
+    for si, subs in enumerate(duties):
+        through = _through_spans(duty_lists, si)
+        need = {}               # task -> least through-span of a duty through it
+        for sp in subs:
+            span = through[sp.contributions]
+            for v in sp.nodes:
+                need[v] = min(need.get(v, span), span)
+        span_cap = max(span_cap, max(need.values()))
 
     return SpanInstance(
         scenarios=tuple(scenarios),
@@ -553,7 +589,7 @@ def random_span_instance(seed, n_scenarios=None, tasks_range=(4, 10)) -> SpanIns
         duty_cap=duty_cap,
         span_cap=span_cap,
         name=f"span-{seed}",
-    )
+    ), duties
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +603,12 @@ def random_chain_instance(seed, n_blocks=None, elements_range=(2, 4)) -> NestedP
     Subpath length is limited by a stop-count window so tiny instances
     stay enumerable; the weight cap is calibrated like the span cap.
     """
+    return _chain_instance(seed, n_blocks, elements_range)[0]
+
+
+def _chain_instance(seed, n_blocks, elements_range):
+    """:func:`random_chain_instance` and, per block, the subpaths it
+    calibrates from, the same under every weight cap."""
     rng = random.Random(seed)
     if n_blocks is None:
         n_blocks = rng.randint(1, 3)
@@ -617,24 +659,21 @@ def random_chain_instance(seed, n_blocks=None, elements_range=(2, 4)) -> NestedP
         sense=COVER,
         name=f"chain-{seed}",
     )
-    per_block = [
-        [sp.contributions[0] for sp in enumerate_block_subpaths(probe, bi)]
-        for bi in range(n_blocks)
-    ]
+    per_block = [enumerate_block_subpaths(probe, bi) for bi in range(n_blocks)]
+    weights_of = [[sp.contributions[0] for sp in subs] for subs in per_block]
     weights = sorted(
-        sum(combo) for combo in itertools.product(*per_block)
+        sum(combo) for combo in itertools.product(*weights_of)
     )
     cap = weights[min(len(weights) - 1, int(0.6 * len(weights)))]
     # keep every element coverable: min total weight through each element
-    for bi in range(n_blocks):
-        others = sum(min(per_block[bj]) for bj in range(n_blocks) if bj != bi)
-        for v in probe.blocks[bi].elements:
-            own = min(
-                sp.contributions[0]
-                for sp in enumerate_block_subpaths(probe, bi)
-                if v in sp.nodes
-            )
-            cap = max(cap, own + others)
+    for bi, subs in enumerate(per_block):
+        others = sum(min(weights_of[bj]) for bj in range(n_blocks) if bj != bi)
+        own = {}                # element -> least weight of a subpath through it
+        for sp in subs:
+            w = sp.contributions[0]
+            for v in sp.nodes:
+                own[v] = min(own.get(v, w), w)
+        cap = max(cap, max(own.values()) + others)
     hi = max(weights[-1], cap)
 
     return NestedProblem(
@@ -645,27 +684,29 @@ def random_chain_instance(seed, n_blocks=None, elements_range=(2, 4)) -> NestedP
         ],
         sense=COVER,
         name=f"chain-{seed}",
-    )
+    ), per_block
 
 
 def random_tiny_instance(seed, max_subpaths_per_block=8):
     """Corpus builder for pricing-exactness checks: at most 3 blocks, at
     most ``max_subpaths_per_block`` feasible subpaths per block, at least
-    one feasible path.  Retries derived seeds until the shape fits."""
+    one feasible path.  Retries derived seeds until the shape fits, each
+    block's subpaths being those its generator calibrated from (block
+    enumeration reads no path resource).  ``max_subpaths_per_block``
+    below 1 fails with a ModelError."""
+    if not (_is_int(max_subpaths_per_block) and max_subpaths_per_block >= 1):
+        raise ModelError(
+            f"max_subpaths_per_block must be an integer >= 1, got {max_subpaths_per_block!r}")
     for attempt in range(200):
         s = seed * 1000 + attempt
         if s % 2 == 0:
-            problem = random_chain_instance(s, elements_range=(2, 3))
+            problem, per_block = _chain_instance(s, None, (2, 3))
         else:
-            inst = random_span_instance(s, tasks_range=(2, 4))
+            inst, per_block = _span_instance(s, None, (2, 4))
             problem = build_span_problem(inst)
-        counts = [
-            len(enumerate_block_subpaths(problem, bi))
-            for bi in range(len(problem.blocks))
-        ]
-        if any(c == 0 or c > max_subpaths_per_block for c in counts):
+        if any(not subs or len(subs) > max_subpaths_per_block for subs in per_block):
             continue
-        if not enumerate_paths(problem):
+        if not _paths(problem, per_block, 1_000_000):
             continue
         return problem
     raise RuntimeError(f"no tiny instance found for seed {seed}")

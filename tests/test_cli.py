@@ -358,6 +358,19 @@ def test_experiment_isolates_cell_failures(tmp_path):
     assert (out / "traces.jsonl").read_text() == ""
 
 
+@pytest.mark.parametrize("generator, params, name", [
+    ("span", {"seed": 1, "n_scenarios": 0}, "n_scenarios"),
+    ("span", {"seed": 1, "tasks_range": [0, 0]}, "tasks_range"),
+    ("tiny", {"seed": 1, "max_subpaths_per_block": 0}, "max_subpaths_per_block"),
+])
+def test_experiment_rows_name_a_bad_generator_parameter(tmp_path, generator, params, name):
+    rows, failures = run_experiment(_small_spec(
+        tmp_path, pricer="adaptive", instance={"generator": generator, "params": params}))
+    assert failures == len(rows) == 2
+    for row in rows:
+        assert row["error"].startswith(f"ModelError: {name} must be"), row["error"]
+
+
 def test_experiment_unknown_source_fails_cells(tmp_path):
     rows, failures = run_experiment(
         _small_spec(tmp_path, pricer="adaptive", instance={"generator": "sat"})

@@ -1,6 +1,9 @@
 """Generators and oracles: span encoding semantics, oracle cross-checks,
 guard behaviour, and generator invariants the solver tests rely on."""
 
+import hashlib
+import json
+
 import pytest
 
 from nestedcg import synth
@@ -11,9 +14,11 @@ from nestedcg.model import (
     Arc,
     Block,
     Boundary,
+    ModelError,
     NestedProblem,
     PathResource,
     SubpathResource,
+    problem_to_json,
 )
 from nestedcg.synth import (
     OracleGuard,
@@ -237,3 +242,71 @@ def test_contribution_boxes_enclose_every_feasible_contribution():
                 for sp in enumerate_block_subpaths(problem, bi):
                     for (lo, hi), v in zip(box, sp.contributions):
                         assert lo <= v <= hi
+
+
+def _min_span_through(duty_lists, scenario, duty_vec):
+    """Reference through-span: the exact minimum template span over combos
+    forced through one duty, by a Pareto DP over partial componentwise
+    maxima that starts from the duty and folds in one scenario at a time.
+
+    duty_lists: per scenario, the list of (end, -start) duty vectors."""
+    states = [duty_vec]
+    for si, duties in enumerate(duty_lists):
+        if si == scenario:
+            continue
+        states = synth._pareto_min(
+            [tuple(max(a, b) for a, b in zip(s, d)) for s in states for d in duties]
+        )
+    return min(sum(s) for s in states)
+
+
+@pytest.mark.parametrize("seed", range(1, 41))
+def test_through_spans_match_the_pareto_dp(seed):
+    _, duties = synth._span_instance(seed, None, (4, 10))
+    duty_lists = [[sp.contributions for sp in subs] for subs in duties]
+    for si, vectors in enumerate(duty_lists):
+        through = synth._through_spans(duty_lists, si)
+        assert set(through) == set(vectors)
+        for d in vectors:
+            assert through[d] == _min_span_through(duty_lists, si, d)
+
+
+def test_generated_instances_are_pinned():
+    # problem_to_json with sorted keys over tiny 1-30, chain 1-12, span
+    # 1-8 and the one-scenario and one-task span shapes, folded into one
+    # sha256, so any change to a draw or a cap calibration fails here
+    def span(seed, **params):
+        return build_span_problem(random_span_instance(seed, **params))
+
+    problems = (
+        [random_tiny_instance(seed) for seed in range(1, 31)]
+        + [random_chain_instance(seed) for seed in range(1, 13)]
+        + [span(seed) for seed in range(1, 9)]
+        + [span(1, n_scenarios=1), span(1, tasks_range=(1, 1))]
+    )
+    digest = hashlib.sha256()
+    for problem in problems:
+        digest.update(json.dumps(problem_to_json(problem), sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "09bf9a7f4b9916426084df5bc7978db025595c9876751fde7827c48fd87016dd"
+    )
+
+
+@pytest.mark.parametrize("params, name", [
+    ({"n_scenarios": 0}, "n_scenarios"),
+    ({"n_scenarios": -1}, "n_scenarios"),
+    ({"n_scenarios": 1.5}, "n_scenarios"),
+    ({"tasks_range": (0, 0)}, "tasks_range"),
+    ({"tasks_range": (3, 2)}, "tasks_range"),
+    ({"tasks_range": (2,)}, "tasks_range"),
+    ({"tasks_range": 4}, "tasks_range"),
+])
+def test_bad_span_parameters_fail_with_a_model_error(params, name):
+    with pytest.raises(ModelError, match=f"^{name} must be"):
+        random_span_instance(1, **params)
+
+
+@pytest.mark.parametrize("bad", (0, -3, 2.0))
+def test_bad_tiny_subpath_bound_fails_with_a_model_error(bad):
+    with pytest.raises(ModelError, match="^max_subpaths_per_block must be"):
+        random_tiny_instance(1, max_subpaths_per_block=bad)
