@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
-from .labeling import block_view, elementary_rcspp
+from .labeling import Representative, block_view, elementary_rcspp
 from .model import ModelError
 
 FRESH = "fresh"
@@ -42,19 +42,6 @@ class BucketError(ValueError):
     """Inconsistent partition state or oversize tiling."""
 
 
-@dataclass(frozen=True)
-class Representative:
-    """Cheapest subpath in a bucket under some duals; ``rcost`` is scaled
-    by the denominator of the duals it was computed with."""
-
-    subpath: object
-    rcost: int
-
-    @property
-    def vector(self):
-        return self.subpath.contributions
-
-
 @dataclass(eq=False)  # identity semantics: buckets are stateful, unique objects
 class Bucket:
     block: int
@@ -63,6 +50,9 @@ class Bucket:
     serial: int
     status: str = FRESH
     rep: Representative | None = None
+    # its box capped at the block's headroom, as the fill reads it
+    # (``labeling.BlockView.fill_box``), from its first fill on
+    corners: tuple | None = field(default=None, repr=False)
 
     def __lt__(self, other):
         # deterministic orderings (search tie-breaks) sort buckets by
@@ -234,7 +224,7 @@ class Partition:
         banned = set(banned)
         for b in self.all_buckets():
             if b.status == COMPUTED and b.rep is not None:
-                if banned.intersection(b.rep.subpath.nodes):
+                if banned.intersection(b.rep.nodes):
                     b.status = FRESH
                     b.rep = None
 
@@ -341,7 +331,7 @@ class Partition:
                 reps = [
                     b.rep for b in (lower, upper) if b.status == COMPUTED
                 ]
-                best = min(reps, key=lambda r: (r.rcost, r.subpath.nodes))
+                best = min(reps, key=lambda r: (r.rcost, r.nodes))
                 merged.status = COMPUTED
                 merged.rep = best
             done.add(lower.serial)
@@ -356,29 +346,33 @@ class Partition:
         return len(merged_buckets)
 
 
-def compute_representative(problem, buckets, duals, banned=frozenset(), tally=None):
+def compute_representative(problem, buckets, duals, banned=frozenset(), tally=None,
+                           weights=None):
     """(Re)compute representatives under the given scaled duals.
 
     ``buckets`` lists buckets of one block; a single depth-first search
-    fills them all, and each bucket's representative is returned (None
-    for an EMPTY one).  Each box is searched capped at the block's
-    headroom (``labeling.BlockView.headroom``): a subpath above it lies
-    on no feasible path, so a representative is the cheapest subpath in
-    its box that the headroom admits.  The shared search sends each
-    completed subpath to the capped box holding its vector and keeps,
-    per box, the first by (reduced cost, vector, node sequence), which
-    is exactly the representative the bucket's own search would find.
-    It drops a state whose vector plus its node's least completion
-    (``BlockView.least_completion``) is above the union of the capped
-    boxes' upper ends: every completion adds at least that much, so the
-    state ends in no box, and the walk stops at the headroom (see
-    ``labeling.elementary_rcspp``, which also adds the states it expands
-    to ``tally["fill_labels"]`` when ``tally`` is given).  The walk's
-    setup is cached on the block's view per (that union's top, ban mask),
-    and each element's arcs are tried in descending slack (packed cap
-    less delta), so a state stops at the first arc whose slack is below
-    its packed vector; only the visiting order depends on this, never
-    the representatives.
+    (``labeling.elementary_rcspp``) fills them all, and each bucket's
+    representative is returned (None for an EMPTY one).  Each box is
+    searched capped at the block's headroom
+    (``labeling.BlockView.headroom``): a subpath above it lies on no
+    feasible path, so a representative is the cheapest subpath in its box
+    that the headroom admits.  A bucket packs that capped box, as the
+    fill reads it, on its first fill and keeps it (``Bucket.corners``): a
+    box never changes.  The shared search sends each completed subpath to
+    the capped box holding its vector and keeps, per box, the first by
+    (reduced cost, vector, node sequence), which is exactly the
+    representative the bucket's own search would find.  It drops a state
+    whose vector plus its node's least completion
+    (``BlockView.least_completion``) is above the capped boxes' most upper
+    end: every completion adds at least that much, so the state ends in
+    no box.  ``weights`` are the duals' ``BlockView.step_weights``, which
+    the adaptive pricer builds once per block and pricing call; the fill
+    builds them when they are not given.  When ``tally`` is given, its
+    ``"fill_labels"`` gains the states the search expands.
+
+    A representative holds the fill's winner (reduced cost, vector, node
+    sequence), and builds its ``Subpath`` only when one is read
+    (``labeling.Representative``).
 
     Marks a bucket EMPTY -- permanently -- when its capped box holds no
     feasible subpath contribution vector at all (a box whose lower end
@@ -393,21 +387,20 @@ def compute_representative(problem, buckets, duals, banned=frozenset(), tally=No
         raise BucketError("buckets filled together must share a block")
     live = [b for b in group if b.status != EMPTY]
     if live:
-        tops = block_view(problem, live[0].block).headroom()
-        results = elementary_rcspp(
+        view = block_view(problem, live[0].block)
+        for b in live:
+            if b.corners is None:
+                b.corners = view.fill_box(tuple(zip(b.lo, map(min, b.hi, view.headroom()))))
+        found = elementary_rcspp(
             problem,
             live[0].block,
             duals,
-            boxes=[tuple((lo, min(hi, top)) for (lo, hi), top in zip(b.box, tops))
-                   for b in live],
+            boxes=[b.corners for b in live],
             banned=banned,
             tally=tally,
+            weights=weights,
         )
-        for bucket, found in zip(live, results):
-            if found is not None:
-                bucket.status = COMPUTED
-                bucket.rep = Representative(*found)
-            else:
-                bucket.status = EMPTY
-                bucket.rep = None
+        for bucket, rep in zip(live, found):
+            bucket.status = EMPTY if rep is None else COMPUTED
+            bucket.rep = rep
     return [b.rep for b in group]

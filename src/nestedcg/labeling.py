@@ -8,16 +8,17 @@
   Pareto-kept subpaths (enumerative benchmark); :func:`through_values`
   runs it once per item, with the item's layer pinned to it, for the
   merge criterion.
-* :meth:`BlockView.walk` -- the one depth-first search over the
-  elementary subpaths of a block, on :class:`BlockView`, the compiled
-  form of a block (local element indices, padded subpath deltas, flat
-  contribution deltas, sorted adjacency).  A state is dropped when its
+* :meth:`BlockView.walk` -- the depth-first search over the elementary
+  subpaths of a block (the fill runs its loop inline), on
+  :class:`BlockView`, the compiled form of a block (local element
+  indices, padded subpath deltas, flat contribution deltas, sorted
+  adjacency).  A state is dropped when its
   vector plus the least that any completion from its node can add
   (:meth:`BlockView.least_completion`, dual-independent and cached on
   the view) is above a given top, so no extension of it ends below.
 
-Weighed by scaled reduced cost under the union of a list of
-contribution boxes' upper ends, the walk is the bucket fill
+Weighed by scaled reduced cost under the most upper end of a list of
+contribution boxes, the walk's loop, run inline, is the bucket fill
 (:func:`elementary_rcspp`).  Unweighted, it tells
 :meth:`BlockView.reach` where the block's subpaths lie past a box: the
 range that the bucket partition tiles.  A labeling pass over the same
@@ -55,18 +56,24 @@ split of the checks) are built once per (aggs, checks, prune)
 (:func:`_layer_rules`).
 
 Bucket fill.  :func:`elementary_rcspp` answers every bucket box of one
-block with a single walk and sends each subpath to the box that holds
-it (a bisect over the boxes' packed corners, :meth:`Packing.box_tables`,
-done inline), where it is kept when it sorts first by (reduced cost,
-vector, node sequence); so every box gets exactly the result of its own
-search, whatever order the walk visits.  It keeps no label store: a
-label could only dominate labels with its own vector (two vectors may
-end in different boxes), and such labels are too rare for a store to pay
-for its keys.  What the walk needs besides the duals, its compiled setup
+block with a single search, the walk's loop inline: it pops a state,
+sends it to the box that holds it (a bisect over the boxes' packed
+corners, :meth:`Packing.box_tables`), where it is kept when it sorts
+first by (reduced cost, vector, node sequence), and pushes its
+extensions; so every box gets exactly the result of its own search,
+whatever order the loop visits.  It keeps no label store: a label could
+only dominate labels with its own vector (two vectors may end in
+different boxes), and such labels are too rare for a store to pay for
+its keys.  A fill pays for its walk and little else.  Each box comes
+packed (:meth:`BlockView.fill_box`): a bucket packs its capped box once,
+on its first fill, and keeps it.  The per-step weights of the duals
+(:meth:`BlockView.step_weights`) come from the caller, which builds them
+once per block and pricing call.  The walk's compiled setup
 (:meth:`BlockView._prepare`: packed caps, start states, arc tuples that
-carry step indices), depends only on the limits' top and the ban mask,
-so it is built once per (top, ban mask) and cached on the view; a fill
-builds only the per-step weights of its duals.
+carry step indices) depends only on the limits' top and the ban mask; the
+view keeps the setups whose (top, ban mask) recurs.  And each box's
+winner stays a raw (reduced cost, vector, nodes) triple in a
+:class:`Representative`, whose ``Subpath`` is built only when read.
 
 Packed vectors.  The walk carries each contribution vector as one int
 (:class:`Packing`): coordinate c as x - low, in a field of
@@ -75,11 +82,13 @@ are the view's :attr:`BlockView.bounds`; coordinate 0 is highest, so int
 order is tuple order.  An extension is one addition, and with
 cap - low + 2**w per field (cap clamped into [low - 1, high]) vec <= cap
 on every coordinate exactly when ``(cap - vec) & guard == guard``, since
-no field borrows; box corners are tested alike.  The plain packed cap
-(cap - low per field, no guard) also orders: a vector within the cap on
-every field is within it as an int, each field's value being at most the
-cap's, even when a clamped field is low - 1 (-1 packed).  So a packed
-vector above the plain cap is above the cap on some coordinate; the walk
+no field borrows; box corners (:meth:`Packing.corners`, packed once per
+bucket and once per distinct subpath-resource window of a view) are
+tested alike.  The plain packed cap (cap - low per field, no guard) also
+orders: a vector within the cap on every field is within it as an int,
+each field's value being at most the cap's, even when a clamped field is
+low - 1 (-1 packed).  So a packed vector above the plain cap is above
+the cap on some coordinate; the walk
 sorts each element's arcs by slack, cap less delta, descending, and
 stops at the first arc whose slack is below the state's vector, since
 every later slack is smaller still.  With one coordinate the int test is
@@ -103,7 +112,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, chain, repeat, zip_longest
 from operator import add, itemgetter, mul
@@ -124,10 +133,12 @@ class SearchResult:
 
 def _insert(store: list, label: tuple, dominates, top_k) -> bool:
     """Count-based retention: keep ``label`` unless top_k stored labels
-    dominate it."""
+    dominate it.  A stored label dearer than ``label`` dominates it never,
+    so it is passed over without the call."""
     dominators = 0
+    rcost = label[0]
     for other in store:
-        if dominates(other, label):
+        if other[0] <= rcost and dominates(other, label):
             dominators += 1
             if dominators >= top_k:
                 return False
@@ -363,7 +374,6 @@ class Packing:
                        for c in range(len(bounds))]
         self.guard = sum((mask + 1) << s for mask, s in zip(self.masks, self.shifts))
         self.base = self.delta([lo for lo, _ in bounds])
-        self._boxes = {}          # box -> (lower, upper) corners
 
     def delta(self, values) -> int:
         """What adding ``values`` adds to a packed vector."""
@@ -371,34 +381,31 @@ class Packing:
 
     def pack(self, ends, above=0) -> int:
         """``ends`` clamped into [low - 1 + above, high + above], packed."""
-        return self.delta([min(max(x, lo - 1 + above), hi + above)
-                           for x, (lo, hi) in zip(ends, self.bounds)]) - self.base
+        return sum([min(max(x - lo, above - 1), hi - lo + above) << s
+                    for x, (lo, hi), s in zip(ends, self.bounds, self.shifts)])
 
     def unpack(self, p) -> tuple:
         return tuple([(p >> s & mask) + lo
                       for s, mask, (lo, _) in zip(self.shifts, self.masks, self.bounds)])
 
-    def box(self, box) -> tuple:
-        """(lower, upper) packed corners of (lo, hi) ranges, None open; cached."""
-        if box not in self._boxes:
-            self._boxes[box] = (
-                self.pack([-math.inf if lo is None else lo for lo, _ in box], 1),
+    def corners(self, box) -> tuple:
+        """(lower, upper) packed corners of (lo, hi) ranges, None open."""
+        return (self.pack([-math.inf if lo is None else lo for lo, _ in box], 1),
                 self.pack([math.inf if hi is None else hi for _, hi in box]))
-        return self._boxes[box]
 
     def box_tables(self, boxes):
-        """(starts, reach, tests) over disjoint ``boxes``, in their packed
-        lower corners' order: those corners, the running most of the upper
-        ones, and per box (index, lower corner less guard, upper corner plus
-        guard).  The box holding packed ``vec`` is among the boxes up to
-        ``bisect_right(starts, vec) - 1`` whose reach is at least vec, and
-        is the one that passes ``(vec - lo) & (hi - vec) & guard == guard``."""
+        """(starts, reach, tests) over disjoint boxes given by their packed
+        (lower, upper) corners first, in the lower corners' order: those
+        corners, the running most of the upper ones, and per box (index,
+        lower corner less guard, upper corner plus guard).  The box holding
+        packed ``vec`` is among the boxes up to ``bisect_right(starts, vec)
+        - 1`` whose reach is at least vec, and is the one that passes
+        ``(vec - lo) & (hi - vec) & guard == guard``."""
         g = self.guard
-        corners = [self.box(box) for box in boxes]
-        order = sorted(range(len(corners)), key=corners.__getitem__)
-        return ([corners[i][0] for i in order],
-                list(accumulate([corners[i][1] for i in order], max)),
-                [(i, corners[i][0] - g, corners[i][1] + g) for i in order])
+        order = sorted(range(len(boxes)), key=boxes.__getitem__)
+        return ([boxes[i][0] for i in order],
+                list(accumulate([boxes[i][1] for i in order], max)),
+                [(i, boxes[i][0] - g, boxes[i][1] + g) for i in order])
 
 
 class BlockView:
@@ -463,7 +470,8 @@ class BlockView:
                                max(firsts) + (m - 1) * max(steps)))
         subs_packed = self.sub_packing = Packing(sub_bounds)
         g = subs_packed.guard
-        ends = [(lo - g, hi + g) for lo, hi in map(subs_packed.box, windows)]
+        packed = {w: subs_packed.corners(w) for w in set(windows)}    # often shared
+        ends = [(lo - g, hi + g) for lo, hi in map(packed.__getitem__, windows)]
         # (guard bit, field mask) per floored resource; the hard ones' guard bits
         self._lifts = [((mask + 1) << s, mask << s) for res, mask, s
                        in zip(subs, subs_packed.masks, subs_packed.shifts) if res.floor_at_lower]
@@ -484,7 +492,7 @@ class BlockView:
         self._least = None
         self._headroom = None
         self._reach = {}          # box -> reach
-        self._setups = {}         # (top, ban mask) -> the walk's setup
+        self._setups = {}         # (top, ban mask) -> the walk's setup, None until it recurs
         self._table = None
 
     def least_completion(self) -> list:
@@ -542,11 +550,21 @@ class BlockView:
         """Per step, what it adds to a subpath's scaled reduced cost under
         scaled ``duals``, exit leg included.  In a block of m elements,
         step t starts a subpath at local element t and step
-        (u + 1) * m + t extends one that ends at local element u to t."""
+        (u + 1) * m + t extends one that ends at local element u to t.
+        The adaptive pricer builds them once per block and pricing call,
+        and every fill of the call reads them."""
         m = len(self.elements)
         gain = [duals.value(k) for k in self.elements]
         return [cost * duals.denom - gain[step % m]
                 for step, cost in enumerate(self._step_costs)]
+
+    def fill_box(self, box) -> tuple:
+        """What the fill (:func:`elementary_rcspp`) reads of ``box``, (lo,
+        hi) ranges with None open: (packed lower corner, packed upper
+        corner, upper ends with open ones inf).  A bucket keeps its
+        capped box's from its first fill on."""
+        return (*self.packing.corners(box),
+                tuple([math.inf if hi is None else hi for _, hi in box]))
 
     def walk(self, top, weights, banned=0):
         """Depth-first search over the elementary subpaths of the block
@@ -555,7 +573,8 @@ class BlockView:
         mask, value, packed contributions, packed subpath-resource
         values).  The value sums ``weights`` over the subpath's steps
         (indexed as in :meth:`step_weights`); the contributions hold the
-        exit leg.
+        exit leg.  :meth:`reach` probes with it, stopping at the first
+        subpath it wants; the fill runs the same loop inline.
 
         A subpath that breaks a subpath-resource window is no state: each
         extension tests its element's packed window ends at once, and only
@@ -604,9 +623,12 @@ class BlockView:
         its element; and per local element, its arcs outside ``banned`` as
         (slack, head, node, bit, step index, delta, cap plus guard,
         subpath delta, window ends), packed, in descending slack, the
-        head's packed cap less the delta.  Neither holds a dual, so the
-        setup is cached on the view per (top, ban mask), and a call under
-        new duals builds only its :meth:`step_weights`."""
+        head's packed cap less the delta.  Neither holds a dual, so a
+        setup can serve every call under its (top, ban mask).  Most are
+        asked for once: a refinement round's fill has a top of its own.
+        So the view notes a key when it is first asked for and keeps the
+        setup from the second time on, when it has shown that it recurs
+        (in practice the top of a block's whole live partition)."""
         key = (tuple(top), banned)
         setup = self._setups.get(key)
         if setup is None:
@@ -626,7 +648,8 @@ class BlockView:
                     sub = self._lift(sub, lo, hi)
                 if sub is not None:
                     starts.append((v, node, bit, vec, sub))
-            setup = self._setups[key] = (starts, arcs)
+            setup = (starts, arcs)
+            self._setups[key] = setup if key in self._setups else None
         return setup
 
     def _lift(self, s, lo, hi):
@@ -831,6 +854,42 @@ def block_view(problem, block_index) -> BlockView:
     return views[block_index]
 
 
+@dataclass(eq=False, slots=True)
+class Representative:
+    """The subpath of a box that sorts first by (scaled reduced cost,
+    contribution vector, node sequence) under some scaled duals, as the
+    fill (:func:`elementary_rcspp`) found it: ``rcost``, scaled by
+    ``duals.denom``, ``vector`` and ``nodes``.
+
+    Its :class:`~nestedcg.model.Subpath` is built on first read of
+    :attr:`subpath`: most representatives only price optimistic and
+    pessimistic searches, and only a column, a merge or a reuse round
+    needs the subpath itself.  Two are equal when their subpaths and
+    reduced costs are."""
+
+    rcost: int
+    vector: tuple
+    nodes: tuple
+    block: int
+    duals: object = field(repr=False)
+    _subpath: Subpath | None = field(default=None, init=False, repr=False)
+
+    @property
+    def subpath(self) -> Subpath:
+        """rcost = cost * denom - the nodes' duals, so the cost comes back
+        exactly."""
+        if self._subpath is None:
+            duals = self.duals
+            cost = (self.rcost + sum(map(duals.value, self.nodes))) // duals.denom
+            self._subpath = Subpath(self.block, self.nodes, cost, self.vector)
+        return self._subpath
+
+    def __eq__(self, other):
+        if not isinstance(other, Representative):
+            return NotImplemented
+        return (self.rcost, self.subpath) == (other.rcost, other.subpath)
+
+
 def elementary_rcspp(
     problem,
     block_index: int,
@@ -839,72 +898,80 @@ def elementary_rcspp(
     boxes,
     banned=frozenset(),
     tally=None,
+    weights=None,
 ):
     """The cheapest elementary subpath of one block under per-element
     duals, for each of a list of contribution boxes.
 
-    ``boxes`` holds disjoint boxes; each restricts the final contribution
-    vector to per-coordinate [lo, hi] ranges (concatenated coordinate
-    space; None leaves an end open), and a single search answers them
-    all.  ``banned`` elements are skipped entirely.  When ``tally`` is a
-    dict, its ``"fill_labels"`` entry gains the number of states the
-    search expands.
+    ``boxes`` holds disjoint boxes, each as :meth:`BlockView.fill_box`
+    gives it (packed corners and upper ends), and a single search answers
+    them all.  ``banned`` elements are skipped entirely.  ``weights`` are
+    the duals' :meth:`BlockView.step_weights`, built here when not given.
+    When ``tally`` is a dict, its ``"fill_labels"`` entry gains the number
+    of states the search expands.
 
-    The search is :meth:`BlockView.walk`, weighed by scaled reduced
-    cost, under the limits of the union's upper end on the monotone
-    coordinates that every box bounds: a subpath it drops ends in no box.
-    Its setup is cached on the view per (that top, ban mask), so a call
-    builds only :meth:`BlockView.step_weights` of its duals.  Each
-    subpath it yields goes to the box holding its packed vector, found
-    inline by a bisect over :meth:`Packing.box_tables`, where it replaces
-    the box's answer when it sorts before it by (reduced cost, vector,
-    node sequence), so every box gets the first subpath in that order,
-    whatever the visiting order.
+    The search is the loop of :meth:`BlockView.walk`, run inline: pop a
+    state, send it to its box, push its extensions.  It runs weighed by
+    scaled reduced cost, under the limits of the boxes' most upper end on
+    each monotone coordinate (inf elsewhere), so a subpath it drops ends
+    in no box; its setup comes from :meth:`BlockView._prepare`.  A state
+    goes to the box holding its packed vector, found by a bisect over
+    :meth:`Packing.box_tables`, where it replaces the box's answer when it
+    sorts before it by (reduced cost, vector, node sequence), so every box
+    gets the first subpath in that order, whatever the visiting order.
 
-    Returns one entry per box: the (Subpath, scaled reduced cost) pair
-    that sorts first (the scale is ``duals.denom``), or None when no
-    feasible subpath lies in the box; an empty list, without a walk, for
-    no boxes.
+    Returns one entry per box: the :class:`Representative` that sorts
+    first, or None when no feasible subpath lies in the box; an empty
+    list, without a walk, for no boxes.
     """
-    boxes = [tuple(box) for box in boxes]
     if not boxes:
         return []
     view = block_view(problem, block_index)
     duals = as_scaled(duals)
-
-    top = [math.inf] * view.n_coords
-    for c in range(view.n_coords):
-        his = [box[c][1] for box in boxes]
-        if view.coord_monotone[c] and None not in his:
-            top[c] = max(his)
+    if weights is None:
+        weights = view.step_weights(duals)
+    top = [max(his) if mono else math.inf
+           for his, mono in zip(zip(*[box[2] for box in boxes]), view.coord_monotone)]
     starts, reach, tests = view.packing.box_tables(boxes)
-    g = view.packing.guard
+    guard = view.packing.guard
+    sguard = view.sub_packing.guard
+    lift = view._lift if view._lifts else None
+    multi = view.n_coords > 1
+    states, arcs = view._prepare(top, view._mask(banned))
 
     kept = [None] * len(boxes)      # per box: (rcost, vector, nodes)
-    expanded = 0
-    for _, nodes, _, rcost, vec, _ in view.walk(
-            top, view.step_weights(duals), view._mask(banned)):
-        expanded += 1
+    stack = [(v, node, bit, weights[v], vec, sub) for v, node, bit, vec, sub in states]
+    expanded = len(stack)
+    while stack:
+        u, nodes, visited, rcost, vec, sub = stack.pop()
         k = bisect_right(starts, vec) - 1
         while k >= 0 and reach[k] >= vec:
-            i, lo, hi = tests[k]
-            if (vec - lo) & (hi - vec) & g == g:
+            i, lower, upper = tests[k]
+            if (vec - lower) & (upper - vec) & guard == guard:
                 best = kept[i]
                 if best is None or rcost < best[0] or rcost == best[0] and (
                         vec < best[1] or vec == best[1] and nodes < best[2]):
                     kept[i] = (rcost, vec, nodes)
                 break
             k -= 1
+        for slack, t, node, bit, step, delta, cap, sub_d, lo, hi in arcs[u]:
+            if vec > slack:
+                break
+            if visited & bit:
+                continue
+            ext = vec + delta
+            if multi and (cap - ext) & guard != guard:
+                continue
+            s = sub + sub_d
+            if (hi - s) & (s - lo) & sguard != sguard and (
+                    lift is None or (s := lift(s, lo, hi)) is None):
+                continue
+            stack.append((t, nodes + node, visited | bit, rcost + weights[step], ext, s))
+            expanded += 1
 
     if tally is not None:
         tally["fill_labels"] += expanded
-    # rcost = cost * denom - the nodes' duals, so the cost comes back exactly
-    return [
-        None if best is None else (
-            Subpath(block_index, best[2],
-                    (best[0] + sum(map(duals.value, best[2]))) // duals.denom,
-                    view.packing.unpack(best[1])),
-            best[0],
-        )
-        for best in kept
-    ]
+    unpack = view.packing.unpack
+    return [None if best is None else
+            Representative(best[0], unpack(best[1]), best[2], block_index, duals)
+            for best in kept]

@@ -6,8 +6,12 @@ one depth-first search per block over all of its stale buckets, not one
 per bucket; each completed subpath goes to the box that holds it, where
 the first by (reduced cost, vector, node sequence) is kept, so the shared
 search yields each bucket exactly the representative its own
-box-restricted search would (see ``labeling.elementary_rcspp``).  A
-layered search over buckets then prices whole paths twice:
+box-restricted search would (see ``labeling.elementary_rcspp``).  A fill
+pays for its walk and little else: each bucket packs its capped box on
+its first fill and keeps it, each block's step weights are built once
+per call and serve every round of its sandwich, and a representative
+builds its ``Subpath`` only when a column, a merge or a reuse round reads
+it.  A layered search over buckets then prices whole paths twice:
 
 * *optimistic*: buckets contribute their box lower corner.  A block's
   buckets tile its reach (``labeling.BlockView.reach``), which holds
@@ -163,13 +167,15 @@ class AdaptivePricer:
             self.partition.invalidate(banned - self.banned)
         self.banned = banned
 
-    def _compute_fresh(self, scaled, banned):
-        """Fill every stale bucket with one label search per block."""
+    def _compute_fresh(self, scaled, banned, weights):
+        """Fill every stale bucket with one label search per block, block
+        ``bi`` weighed by ``weights[bi]``, its ``step_weights`` of
+        ``scaled``."""
         for bi in range(len(self.problem.blocks)):
             fresh = [b for b in self.partition.buckets(bi) if b.status == FRESH]
             if fresh:
                 compute_representative(self.problem, fresh, scaled, banned,
-                                       tally=self.totals)
+                                       tally=self.totals, weights=weights[bi])
                 self.totals["rep_computations"] += len(fresh)
                 self.totals["fill_searches"] += 1
 
@@ -265,9 +271,14 @@ class AdaptivePricer:
             if bucket.status == COMPUTED:
                 bucket.status = FRESH
 
+        # every fill of this call weighs its block's steps alike
+        tick = time.perf_counter()
+        weights = [block_view(self.problem, bi).step_weights(scaled)
+                   for bi in range(len(self.problem.blocks))]
+        self.timers["fill"] += time.perf_counter() - tick
         while True:
             tick = time.perf_counter()
-            self._compute_fresh(scaled, banned)
+            self._compute_fresh(scaled, banned, weights)
             self.timers["fill"] += time.perf_counter() - tick
             live = self._live()
             opt = None

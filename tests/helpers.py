@@ -7,6 +7,7 @@ from unittest import mock
 
 from nestedcg import driver, synth
 from nestedcg.buckets import Partition
+from nestedcg.labeling import block_view, elementary_rcspp
 from nestedcg.model import Path, Subpath, check_path_feasible
 from nestedcg.pricing import AdaptivePricer, ExactPricer, PricingConfig
 
@@ -78,6 +79,16 @@ def undominated(subpaths):
     return {sp for group in mates.values() for cost, vec, nodes, sp in group
             if not any(c <= cost and all(map(le, v, vec)) and (c, v, n) < (cost, vec, nodes)
                        for c, v, n, _ in group)}
+
+
+def fill_boxes(problem, block_index, duals, boxes, **kwargs):
+    """``labeling.elementary_rcspp`` over plain boxes, (lo, hi) per
+    coordinate with None open: per box, its winner as a (Subpath, scaled
+    reduced cost) pair, or None."""
+    view = block_view(problem, block_index)
+    found = elementary_rcspp(problem, block_index, duals,
+                             boxes=[view.fill_box(tuple(box)) for box in boxes], **kwargs)
+    return [None if rep is None else (rep.subpath, rep.rcost) for rep in found]
 
 
 def in_box(vec, box):

@@ -31,7 +31,6 @@ from nestedcg.model import (
     ModelError,
     NestedProblem,
     PathResource,
-    Subpath,
 )
 
 
@@ -55,7 +54,7 @@ def _line_problem(span=1000, dim=1):
 
 
 def _rep(nodes, rcost, vector):
-    return Representative(Subpath(0, nodes, 0, vector), rcost)
+    return Representative(rcost, vector, nodes, 0, Duals({}).scaled())
 
 
 def test_initial_tiling_last_tile_absorbs_remainder():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from nestedcg import driver, master, synth
+from nestedcg import driver, master, mpcvrp, synth
 from nestedcg.driver import (
     DriverConfig,
     DriverError,
@@ -302,3 +302,34 @@ def test_pool_management_keeps_the_run_exact(monkeypatch):
     assert any(b < a for a, b in zip(sizes, sizes[1:])), "no eviction happened"
     assert report.status == oracle.status == "optimal"
     assert _close(report.lp_value, oracle.value)
+
+
+# The routing cells of the desk corpus (instance set 1) whose master is
+# infeasible, as (n, days, vehicles, delta, seed)
+DESK_INFEASIBLE_ROUTING = [
+    (4, 2, 2, Fraction(1, 10), 1), (4, 2, 2, Fraction(1, 10), 2),
+    (4, 2, 2, Fraction(1, 2), 1), (4, 2, 2, Fraction(1, 2), 2),
+    (4, 3, 2, Fraction(1, 10), 1), (4, 3, 2, Fraction(1, 10), 2),
+    (4, 3, 2, Fraction(1, 2), 1), (4, 3, 2, Fraction(9, 10), 1),
+    (5, 2, 2, Fraction(1, 10), 1), (5, 2, 2, Fraction(1, 10), 2),
+    (5, 2, 2, Fraction(1, 2), 1), (5, 2, 2, Fraction(1, 2), 2),
+    (5, 2, 2, Fraction(9, 10), 1), (5, 2, 2, Fraction(9, 10), 2),
+    (6, 2, 3, Fraction(1, 10), 1), (6, 2, 3, Fraction(1, 10), 2),
+    (6, 2, 3, Fraction(1, 2), 1),
+]
+
+
+@pytest.mark.parametrize("pricer", ["exact", "adaptive"])
+@pytest.mark.parametrize("cell", DESK_INFEASIBLE_ROUTING,
+                         ids=lambda c: "n{}-t{}-k{}-d{}-s{}".format(*c))
+def test_desk_infeasible_verdicts_do_not_depend_on_big_m(cell, pricer):
+    # a feasible master would cost at most K paths of the dearest cost:
+    # LB <= z_bigM <= z_LP <= K * c_max.  A best Lagrangian bound above
+    # that proves the LP infeasible whatever the big-M constant
+    n, days, vehicles, delta, seed = cell
+    problem = mpcvrp.build_nested(mpcvrp.generate_instance(
+        n=n, days=days, vehicles=vehicles, delta=delta, seed=seed))
+    report = solve(problem, _config(problem, pricer=pricer, dive=True))
+    assert report.status == "infeasible"
+    dearest = max(p.cost for p in synth.enumerate_paths(problem))
+    assert report.bound > problem.cardinality * dearest

@@ -3,13 +3,14 @@ exactly the representative that its own box-restricted search gives, and
 the cheapest subpath of the exhaustive enumeration in its box capped at
 the block's headroom."""
 
+import copy
 import json
 import random
 from fractions import Fraction
 from operator import le, sub
 
 import pytest
-from helpers import in_box
+from helpers import fill_boxes, in_box
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,6 @@ from nestedcg.buckets import (
     EMPTY,
     FRESH,
     Partition,
-    Representative,
 )
 from nestedcg.labeling import elementary_rcspp
 from nestedcg.model import (
@@ -42,18 +42,18 @@ def _capped(problem, bucket):
     return [(lo, min(hi, top)) for (lo, hi), top in zip(bucket.box, tops)]
 
 
-def _reference_fill(problem, group, duals, banned=frozenset(), tally=None):
+def _reference_fill(problem, group, duals, banned=frozenset(), tally=None, weights=None):
     """Per-bucket fill: one search for every bucket, restricted to its
-    capped box."""
+    capped box, packed here from the box itself; each search builds its
+    own step weights, whatever ``weights`` the pricer passes."""
+    view = labeling.block_view(problem, group[0].block) if group else None
     for b in group:
         if b.status == EMPTY:
             continue
-        found = elementary_rcspp(problem, b.block, duals, boxes=[_capped(problem, b)],
+        b.rep = elementary_rcspp(problem, b.block, duals,
+                                 boxes=[view.fill_box(tuple(_capped(problem, b)))],
                                  banned=banned, tally=tally)[0]
-        if found is not None:
-            b.status, b.rep = COMPUTED, Representative(*found)
-        else:
-            b.status, b.rep = EMPTY, None
+        b.status = EMPTY if b.rep is None else COMPUTED
     return [b.rep for b in group]
 
 
@@ -107,8 +107,8 @@ def _fill_and_compare(problem, pricer, scaled, banned):
     buckets filled)."""
     want = {}
     for b in _stale(pricer, banned):
-        found = elementary_rcspp(problem, b.block, scaled, boxes=[_capped(problem, b)],
-                                 banned=banned)[0]
+        found = fill_boxes(problem, b.block, scaled, boxes=[_capped(problem, b)],
+                           banned=banned)[0]
         want[b] = None if found is None else (
             found[0].nodes, found[0].cost, found[0].contributions, found[1],
         )
@@ -122,7 +122,9 @@ def _fill_and_compare(problem, pricer, scaled, banned):
     searches = pricer.totals["fill_searches"]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(buckets, "elementary_rcspp", search)
-        pricer._compute_fresh(scaled, banned)
+        pricer._compute_fresh(scaled, banned, [
+            labeling.block_view(problem, bi).step_weights(scaled)
+            for bi in range(len(problem.blocks))])
     for b, expected in want.items():
         oracle = _oracle_best(problem, b, scaled, banned)
         if expected is None:
@@ -190,7 +192,7 @@ def test_a_tie_in_rcost_and_vector_goes_to_the_smaller_node_sequence():
         [block],
         path_resources=[PathResource(dim=1, agg=SUM, a=(1,), b=100, box=((0, 100),))],
     )
-    found, rcost = elementary_rcspp(problem, 0, Duals({0: 1}), boxes=[((0, 100),)])[0]
+    found, rcost = fill_boxes(problem, 0, Duals({0: 1}), boxes=[((0, 100),)])[0]
     assert (rcost, found.contributions, found.nodes) == (1, (5,), (0, 1))
 
 
@@ -245,7 +247,7 @@ def test_the_fill_creates_no_label_beyond_the_completion_bound():
     tight = [min(end for end in ends if end > top[0]) - 1, *top[1:]]
     assert states(tight) < states([tight[0] + 1, *tight[1:]])
     tally = {"fill_labels": 0}
-    elementary_rcspp(problem, 0, scaled, boxes=[[(0, hi) for hi in tight]], tally=tally)
+    fill_boxes(problem, 0, scaled, boxes=[[(0, hi) for hi in tight]], tally=tally)
     assert tally["fill_labels"] == states(tight)
 
 
@@ -352,7 +354,7 @@ def test_the_fill_answers_every_box_as_the_enumeration_does(model):
                     for sp in every if in_box(sp.contributions, box)), default=None)
         return None if best is None else (best[3], best[0])
 
-    found = elementary_rcspp(problem, 0, scaled, boxes=boxes, banned=banned)
+    found = fill_boxes(problem, 0, scaled, boxes=boxes, banned=banned)
     for box, got in zip(boxes, found):
         want = first(box)
         event("box filled" if want else "box empty")
@@ -392,3 +394,70 @@ def test_fill_counters_are_in_every_adaptive_trace_row():
         assert not [key for key in row if key.startswith("time_")]
     stats = report.pricer_stats
     assert 0 < stats["fill_searches"] < stats["rep_computations"]
+
+
+def test_a_ladder_solve_pays_per_call_only_for_what_it_reads(monkeypatch):
+    # mpcvrp n=6 T=2 K=3 delta=9/10 seed 1, a ladder cell, quarter-box
+    # buckets: every pricing call, a misprice's re-pricing included, weighs
+    # each block's steps once; a representative builds its Subpath only
+    # when a column reads it; and every fill still gives the per-bucket
+    # fill's representatives
+    problem = mpcvrp.build_nested(mpcvrp.generate_instance(
+        n=6, days=2, vehicles=3, delta=Fraction(9, 10), seed=1
+    ))
+    weighed = []
+    step_weights = labeling.BlockView.step_weights
+
+    def counted(view, duals):
+        weighed.append(view.index)
+        return step_weights(view, duals)
+
+    per_call = []               # step_weights calls per pricing call
+    price = AdaptivePricer.price
+
+    def counted_price(self, *args, **kwargs):
+        before = len(weighed)
+        outcome = price(self, *args, **kwargs)
+        per_call.append(sorted(weighed[before:]))
+        return outcome
+
+    made = []                   # every representative the pricer's fills made
+    compute = pricing.compute_representative
+
+    def compared(problem, group, duals, banned=frozenset(), tally=None, weights=None):
+        copies = [copy.copy(b) for b in group]
+        got = compute(problem, group, duals, banned, tally=tally, weights=weights)
+        mark = len(weighed)     # the reference weighs its own searches
+        want = _reference_fill(problem, copies, duals, banned)
+        del weighed[mark:]
+
+        def raw(reps):
+            return [None if r is None else (r.block, r.nodes, r.rcost, r.vector, r.duals)
+                    for r in reps]
+
+        assert raw(got) == raw(want)
+        made.extend(r for r in got if r is not None)
+        return got
+
+    read = set()                # ids of the representatives a column read
+    assemble = pricing._assemble
+
+    def recording(problem, results, chain_of, exclude):
+        def chain(buckets):
+            read.update(id(b.rep) for b in buckets)
+            return chain_of(buckets)
+        return assemble(problem, results, chain, exclude)
+
+    monkeypatch.setattr(labeling.BlockView, "step_weights", counted)
+    monkeypatch.setattr(AdaptivePricer, "price", counted_price)
+    monkeypatch.setattr(pricing, "compute_representative", compared)
+    monkeypatch.setattr(pricing, "_assemble", recording)
+    report = driver.solve(problem, driver.DriverConfig(
+        pricer="adaptive", pricing=PricingConfig(width=_quarter(problem)), dive=True))
+
+    assert report.status == "optimal" and report.misprices > 0
+    assert len(per_call) == report.iterations + report.misprices
+    assert per_call == [list(range(len(problem.blocks)))] * len(per_call)
+    built = [r for r in made if r._subpath is not None]
+    assert built and len(built) < len(made)
+    assert all(id(r) in read for r in built)

@@ -11,7 +11,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 import pytest
-from helpers import check_table, in_box, undominated, usable_subpaths
+from helpers import check_table, fill_boxes, in_box, undominated, usable_subpaths
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +20,6 @@ from nestedcg.labeling import (
     BlockView,
     Packing,
     block_view,
-    elementary_rcspp,
     label_search,
     through_values,
 )
@@ -267,7 +266,7 @@ def test_dominance_eq_mode_protects_lower_bounded_coordinates():
         [block],
         path_resources=[PathResource(dim=1, agg=SUM, a=(1,), b=100, box=((0, 100),))],
     )
-    hit = elementary_rcspp(problem, 0, Duals({}), boxes=[((7, 10),)])[0]
+    hit = fill_boxes(problem, 0, Duals({}), boxes=[((7, 10),)])[0]
     assert hit is not None, "the lower-bounded region is reachable"
     best, rcost = hit
     assert rcost == 2
@@ -307,7 +306,7 @@ def test_blocks_past_31_elements_match_enumeration():
     )
     assert got == [row for row in want if row[2] in kept]
     # the search finds the first of them all
-    sp, rc = elementary_rcspp(problem, 0, scaled, boxes=[_open(problem)])[0]
+    sp, rc = fill_boxes(problem, 0, scaled, boxes=[_open(problem)])[0]
     assert (rc, sp.contributions, sp.nodes, sp.cost) == want[0]
     assert list(_by_nodes(view)) == [sp for sp in subpaths if sp.nodes in kept]
 
@@ -332,7 +331,7 @@ def test_elementary_search_matches_enumeration(seed):
     duals = synth.random_duals(problem, seed + 100)
     scaled = duals.scaled()
     for block_index in range(len(problem.blocks)):
-        got = elementary_rcspp(problem, block_index, duals, boxes=[_open(problem)])[0]
+        got = fill_boxes(problem, block_index, duals, boxes=[_open(problem)])[0]
         want = _brute_min(problem, block_index, scaled)
         if want is None:
             assert got is None
@@ -349,7 +348,7 @@ def test_box_restricted_search_matches_enumeration(seed):
     # halve each coordinate range to make the box genuinely binding
     box = tuple((lo, lo + (hi - lo) // 2) for lo, hi in full)
     for block_index in range(len(problem.blocks)):
-        got = elementary_rcspp(problem, block_index, duals, boxes=[box])[0]
+        got = fill_boxes(problem, block_index, duals, boxes=[box])[0]
         want = _brute_min(problem, block_index, scaled, box=box)
         if want is None:
             assert got is None
@@ -363,7 +362,7 @@ def test_banned_elements_are_skipped():
     problem = synth.random_tiny_instance(2)
     block = problem.blocks[0]
     victim = block.elements[0]
-    hit = elementary_rcspp(problem, 0, Duals({}), boxes=[_open(problem)], banned={victim})[0]
+    hit = fill_boxes(problem, 0, Duals({}), boxes=[_open(problem)], banned={victim})[0]
     assert hit is not None, "other elements keep the block alive"
     assert victim not in hit[0].nodes
     rows = _by_nodes(block_view(problem, 0), {victim})
@@ -474,7 +473,7 @@ def test_packed_vectors_act_as_their_tuples(case):
     bounds, vectors, caps, boxes = case
     packing = Packing(tuple(bounds))
     guard = packing.guard
-    starts, reach, tests = packing.box_tables(boxes)
+    starts, reach, tests = packing.box_tables([packing.corners(box) for box in boxes])
     for cap in caps:
         for x, (lo, hi) in zip(cap, bounds):
             if x < lo - 1:

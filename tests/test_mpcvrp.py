@@ -10,9 +10,10 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from helpers import fill_boxes
 
 from nestedcg import mpcvrp
-from nestedcg.labeling import block_view, elementary_rcspp
+from nestedcg.labeling import block_view
 from nestedcg.model import (
     MILLI,
     PARTITION,
@@ -65,7 +66,7 @@ def cheapest_route(problem, day, duals=Duals({}), *, window=None):
     search; the cardinality-row dual is charged at schedule assembly, not
     here."""
     box = (tuple(window) if window is not None else (None, None),)
-    return elementary_rcspp(problem, day, duals, boxes=[box])[0]
+    return fill_boxes(problem, day, duals, boxes=[box])[0]
 
 
 def _instance(**over):
