@@ -346,8 +346,7 @@ class Partition:
         return len(merged_buckets)
 
 
-def compute_representative(problem, buckets, duals, banned=frozenset(), tally=None,
-                           weights=None):
+def compute_representative(problem, buckets, duals, weights, banned=frozenset(), tally=None):
     """(Re)compute representatives under the given scaled duals.
 
     ``buckets`` lists buckets of one block; a single depth-first search
@@ -366,9 +365,9 @@ def compute_representative(problem, buckets, duals, banned=frozenset(), tally=No
     (``BlockView.least_completion``) is above the capped boxes' most upper
     end: every completion adds at least that much, so the state ends in
     no box.  ``weights`` are the duals' ``BlockView.step_weights``, which
-    the adaptive pricer builds once per block and pricing call; the fill
-    builds them when they are not given.  When ``tally`` is given, its
-    ``"fill_labels"`` gains the states the search expands.
+    the adaptive pricer builds once per block and pricing call.  When
+    ``tally`` is given, its ``"fill_labels"`` gains the states the search
+    expands.
 
     A representative holds the fill's winner (reduced cost, vector, node
     sequence), and builds its ``Subpath`` only when one is read
@@ -396,9 +395,9 @@ def compute_representative(problem, buckets, duals, banned=frozenset(), tally=No
             live[0].block,
             duals,
             boxes=[b.corners for b in live],
+            weights=weights,
             banned=banned,
             tally=tally,
-            weights=weights,
         )
         for bucket, rep in zip(live, found):
             bucket.status = EMPTY if rep is None else COMPUTED

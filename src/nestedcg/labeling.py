@@ -8,24 +8,23 @@
   Pareto-kept subpaths (enumerative benchmark); :func:`through_values`
   runs it once per item, with the item's layer pinned to it, for the
   merge criterion.
-* :meth:`BlockView.walk` -- the depth-first search over the elementary
-  subpaths of a block (the fill runs its loop inline), on
-  :class:`BlockView`, the compiled form of a block (local element
-  indices, padded subpath deltas, flat contribution deltas, sorted
-  adjacency).  A state is dropped when its
-  vector plus the least that any completion from its node can add
-  (:meth:`BlockView.least_completion`, dual-independent and cached on
-  the view) is above a given top, so no extension of it ends below.
+* :func:`elementary_rcspp` -- the bucket fill, the one depth-first search
+  over the elementary subpaths of a block, on :class:`BlockView`, the
+  compiled form of a block (local element indices, padded subpath
+  deltas, flat contribution deltas, sorted adjacency).  A state is
+  dropped when its vector plus the least that any completion from its
+  node can add (:meth:`BlockView.least_completion`, dual-independent and
+  cached on the view) is above a given top, so no extension of it ends
+  below.
 
 Weighed by scaled reduced cost under the most upper end of a list of
-contribution boxes, the walk's loop, run inline, is the bucket fill
-(:func:`elementary_rcspp`).  Unweighted, it tells
-:meth:`BlockView.reach` where the block's subpaths lie past a box: the
-range that the bucket partition tiles.  A labeling pass over the same
-extensions lists once, as data for the enumerative pricer, each block's
-subpaths that no subpath with the same elements dominates
-(:meth:`BlockView.table`; each pricing call skips the rows that meet its
-ban mask).
+contribution boxes, the search fills buckets.  Run over one box under
+zero duals, it tells :meth:`BlockView.reach` where the block's subpaths
+lie past a box: the range that the bucket partition tiles.  The one
+labeling pass, over the same extensions, lists once, as data for the
+enumerative pricer, each block's subpaths that no subpath with the same
+elements dominates (:meth:`BlockView.table`; each pricing call skips the
+rows that meet its ban mask).
 
 The layered search stores labels, plain (rcost, vector, items, packed
 load) tuples, only for the layers that a later layer extends: per item,
@@ -56,26 +55,26 @@ split of the checks) are built once per (aggs, checks, prune)
 (:func:`_layer_rules`).
 
 Bucket fill.  :func:`elementary_rcspp` answers every bucket box of one
-block with a single search, the walk's loop inline: it pops a state,
-sends it to the box that holds it (a bisect over the boxes' packed
-corners, :meth:`Packing.box_tables`), where it is kept when it sorts
+block with a single depth-first search: it pops a state, sends it to the
+box that holds it (a bisect over the boxes' packed corners,
+:meth:`Packing.box_tables`), where it is kept when it sorts
 first by (reduced cost, vector, node sequence), and pushes its
 extensions; so every box gets exactly the result of its own search,
 whatever order the loop visits.  It keeps no label store: a label could
 only dominate labels with its own vector (two vectors may end in
 different boxes), and such labels are too rare for a store to pay for
-its keys.  A fill pays for its walk and little else.  Each box comes
+its keys.  A fill pays for its search and little else.  Each box comes
 packed (:meth:`BlockView.fill_box`): a bucket packs its capped box once,
 on its first fill, and keeps it.  The per-step weights of the duals
 (:meth:`BlockView.step_weights`) come from the caller, which builds them
-once per block and pricing call.  The walk's compiled setup
+once per block and pricing call.  The search's compiled setup
 (:meth:`BlockView._prepare`: packed caps, start states, arc tuples that
 carry step indices) depends only on the limits' top and the ban mask; the
 view keeps the setups whose (top, ban mask) recurs.  And each box's
 winner stays a raw (reduced cost, vector, nodes) triple in a
 :class:`Representative`, whose ``Subpath`` is built only when read.
 
-Packed vectors.  The walk carries each contribution vector as one int
+Packed vectors.  The searches carry each contribution vector as one int
 (:class:`Packing`): coordinate c as x - low, in a field of
 w = (high - low).bit_length() bits under a guard bit, where (low, high)
 are the view's :attr:`BlockView.bounds`; coordinate 0 is highest, so int
@@ -88,9 +87,9 @@ tested alike.  The plain packed cap (cap - low per field, no guard) also
 orders: a vector within the cap on every field is within it as an int,
 each field's value being at most the cap's, even when a clamped field is
 low - 1 (-1 packed).  So a packed vector above the plain cap is above
-the cap on some coordinate; the walk
-sorts each element's arcs by slack, cap less delta, descending, and
-stops at the first arc whose slack is below the state's vector, since
+the cap on some coordinate; the searches
+sort each element's arcs by slack, cap less delta, descending, and
+stop at the first arc whose slack is below the state's vector, since
 every later slack is smaller still.  With one coordinate the int test is
 the coordinate's, so the break leaves no extension above its cap.  The
 subpath-resource values ride in a second int
@@ -100,12 +99,11 @@ extension tests its element's window as a box,
 ``(hi - s) & (s - lo) & guard == guard``.  Only when that fails
 on a view with a floored resource does a branch raise each floored
 value below its lower end to that end and test the upper ends again.
-Only what leaves a search is unpacked: exact's table rows, each box's
-fill winner, and the coordinate that :meth:`BlockView.reach` probes.
+Only what leaves a search is unpacked: exact's table rows and each
+box's fill winner.
 
-All arithmetic is integer: duals arrive as ``model.ScaledDuals``
-(rational ``model.Duals`` pass through ``as_scaled``), so reduced costs
-stay exact.
+All arithmetic is integer: duals arrive as ``model.ScaledDuals``, so
+reduced costs stay exact.
 """
 
 from __future__ import annotations
@@ -117,7 +115,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, repeat, zip_longest
 from operator import add, itemgetter, mul
 
-from .model import SUM, Subpath, as_scaled
+from .model import SUM, ScaledDuals, Subpath
 
 
 class LabelingError(ValueError):
@@ -476,7 +474,7 @@ class BlockView:
         self._lifts = [((mask + 1) << s, mask << s) for res, mask, s
                        in zip(subs, subs_packed.masks, subs_packed.shifts) if res.floor_at_lower]
         self._hard = g - sum(bit for bit, _ in self._lifts)
-        # the walk's packed starts and, per arc, its packed contributions
+        # the searches' packed starts and, per arc, its packed contributions
         # less its tail's exit plus its head's, and its subpath deltas
         packing = self.packing = Packing(self.bounds)
         exits = [packing.delta(flat) for _, _, flat in self.exit]
@@ -492,7 +490,7 @@ class BlockView:
         self._least = None
         self._headroom = None
         self._reach = {}          # box -> reach
-        self._setups = {}         # (top, ban mask) -> the walk's setup, None until it recurs
+        self._setups = {}         # (top, ban mask) -> a search's setup, None until it recurs
         self._table = None
 
     def least_completion(self) -> list:
@@ -566,57 +564,8 @@ class BlockView:
         return (*self.packing.corners(box),
                 tuple([math.inf if hi is None else hi for _, hi in box]))
 
-    def walk(self, top, weights, banned=0):
-        """Depth-first search over the elementary subpaths of the block
-        that visit no element of local mask ``banned``, yielding one state
-        per subpath: (last local element, node sequence, local visited
-        mask, value, packed contributions, packed subpath-resource
-        values).  The value sums ``weights`` over the subpath's steps
-        (indexed as in :meth:`step_weights`); the contributions hold the
-        exit leg.  :meth:`reach` probes with it, stopping at the first
-        subpath it wants; the fill runs the same loop inline.
-
-        A subpath that breaks a subpath-resource window is no state: each
-        extension tests its element's packed window ends at once, and only
-        a failed test on a view with a floored resource takes the branch
-        that lifts (:meth:`_lift`).  One whose contributions on arrival at
-        local element v are above ``limits(top)[v]`` (:meth:`limits`) is
-        dropped with its extensions: ``least[u] <= delta(u, t) +
-        least[t]``, so they are above the limits too.
-
-        The arcs come from :meth:`_prepare`, each element's in descending
-        packed slack, cap less delta, and a state stops at the first arc
-        whose slack is below its packed vector: that extension, and every
-        later one, is above its cap on some coordinate (see "Packed
-        vectors" in the module docstring).  On a view of at most one
-        coordinate a vector within the slack is within the cap, so only
-        views of more coordinates run the guard test."""
-        guard = self.packing.guard
-        sguard = self.sub_packing.guard
-        lift = self._lift if self._lifts else None
-        multi = self.n_coords > 1
-        starts, arcs = self._prepare(top, banned)
-        stack = [(v, node, bit, weights[v], vec, sub) for v, node, bit, vec, sub in starts]
-        while stack:
-            state = stack.pop()
-            yield state
-            u, nodes, visited, value, vec, sub = state
-            for slack, t, node, bit, step, delta, cap, sub_d, lo, hi in arcs[u]:
-                if vec > slack:
-                    break
-                if visited & bit:
-                    continue
-                ext = vec + delta
-                if multi and (cap - ext) & guard != guard:
-                    continue
-                s = sub + sub_d
-                if (hi - s) & (s - lo) & sguard != sguard and (
-                        lift is None or (s := lift(s, lo, hi)) is None):
-                    continue
-                stack.append((t, nodes + node, visited | bit, value + weights[step], ext, s))
-
     def _prepare(self, top, banned):
-        """The compiled setup of :meth:`walk` under ``top`` and ban mask
+        """The compiled setup of the searches under ``top`` and ban mask
         ``banned``: its one-element states that avoid ``banned``, fit
         :meth:`limits` and pass their windows, as (element, node, bit,
         packed vector, packed subpath values), each one's step index being
@@ -654,7 +603,7 @@ class BlockView:
 
     def _lift(self, s, lo, hi):
         """Packed subpath-resource values ``s`` that failed the window
-        test of packed ends ``lo`` and ``hi`` in :meth:`walk`, with each
+        test of packed ends ``lo`` and ``hi`` in a search, with each
         floored value below its lower end raised to that end; None when a
         hard value is below its lower end or a value is above its upper
         end.  A floored lower end lies within the field, so the lifted
@@ -681,7 +630,7 @@ class BlockView:
             out = []
             for c, ((lo, hi), (least, most)) in enumerate(zip(box, self.bounds)):
                 most = min(tops[c], most)
-                if least < lo and self._finds(c, -math.inf, lo - 1):
+                if least < lo and self._finds(c, None, lo - 1):
                     lo = least
                 if most > hi and self._finds(c, hi + 1, most):
                     hi = most
@@ -690,15 +639,14 @@ class BlockView:
         return self._reach[box]
 
     def _finds(self, c, lo, hi) -> bool:
-        """Whether some subpath holds lo..hi on coordinate c: the first
-        one that :meth:`walk` yields there, walking no further than hi
-        allows."""
-        top = [math.inf] * self.n_coords
-        if self.coord_monotone[c]:
-            top[c] = hi
-        zeros = [0] * len(self._step_costs)
-        return any(lo <= self.packing.unpack(vec)[c] <= hi
-                   for _, _, _, _, vec, _ in self.walk(top, zeros))
+        """Whether some subpath holds lo..hi on coordinate c (lo None
+        open): one fill (:func:`elementary_rcspp`) under zero duals over
+        that range, open on every other coordinate."""
+        box = [(None, None)] * self.n_coords
+        box[c] = (lo, hi)
+        [found] = elementary_rcspp(self.problem, self.index, ScaledDuals({}, 0, 1),
+                                   boxes=[self.fill_box(box)], weights=[0] * len(self._step_costs))
+        return found is not None
 
     def _mask(self, banned) -> int:
         mask = 0
@@ -722,7 +670,7 @@ class BlockView:
         :class:`SubpathTable`.
 
         A labeling pass one depth at a time weighs the subpaths that
-        :meth:`walk` yields under the :meth:`limits` of the block's
+        extend within the :meth:`limits` of the block's
         :meth:`headroom` by cost, and drops each that a label with the
         same key dominates: one no dearer, no larger on any coordinate and
         before it in (cost, vector, node sequence) order.  The key is
@@ -864,8 +812,7 @@ class Representative:
     Its :class:`~nestedcg.model.Subpath` is built on first read of
     :attr:`subpath`: most representatives only price optimistic and
     pessimistic searches, and only a column, a merge or a reuse round
-    needs the subpath itself.  Two are equal when their subpaths and
-    reduced costs are."""
+    needs the subpath itself."""
 
     rcost: int
     vector: tuple
@@ -884,11 +831,6 @@ class Representative:
             self._subpath = Subpath(self.block, self.nodes, cost, self.vector)
         return self._subpath
 
-    def __eq__(self, other):
-        if not isinstance(other, Representative):
-            return NotImplemented
-        return (self.rcost, self.subpath) == (other.rcost, other.subpath)
-
 
 def elementary_rcspp(
     problem,
@@ -896,9 +838,9 @@ def elementary_rcspp(
     duals,
     *,
     boxes,
+    weights,
     banned=frozenset(),
     tally=None,
-    weights=None,
 ):
     """The cheapest elementary subpath of one block under per-element
     duals, for each of a list of contribution boxes.
@@ -906,30 +848,33 @@ def elementary_rcspp(
     ``boxes`` holds disjoint boxes, each as :meth:`BlockView.fill_box`
     gives it (packed corners and upper ends), and a single search answers
     them all.  ``banned`` elements are skipped entirely.  ``weights`` are
-    the duals' :meth:`BlockView.step_weights`, built here when not given.
-    When ``tally`` is a dict, its ``"fill_labels"`` entry gains the number
-    of states the search expands.
+    the duals' :meth:`BlockView.step_weights`.  When ``tally`` is a dict,
+    its ``"fill_labels"`` entry gains the number of states the search
+    expands.
 
-    The search is the loop of :meth:`BlockView.walk`, run inline: pop a
-    state, send it to its box, push its extensions.  It runs weighed by
-    scaled reduced cost, under the limits of the boxes' most upper end on
-    each monotone coordinate (inf elsewhere), so a subpath it drops ends
-    in no box; its setup comes from :meth:`BlockView._prepare`.  A state
-    goes to the box holding its packed vector, found by a bisect over
-    :meth:`Packing.box_tables`, where it replaces the box's answer when it
-    sorts before it by (reduced cost, vector, node sequence), so every box
-    gets the first subpath in that order, whatever the visiting order.
+    The search pops a state, sends it to its box and pushes its
+    extensions.  It runs weighed by scaled reduced cost, under the
+    :meth:`BlockView.limits` of the boxes' most upper end on each monotone
+    coordinate (inf elsewhere), so a subpath it drops ends in no box; its
+    setup comes from :meth:`BlockView._prepare`, each element's arcs in
+    descending packed slack, and a state stops at the first arc whose
+    slack is below its vector (see "Packed vectors" in the module
+    docstring).  An extension that breaks its element's subpath-resource
+    window is no state; only a failed window test on a view with a
+    floored resource takes the branch that lifts (:meth:`BlockView._lift`).
+    A state goes to the box holding its packed vector, found by a bisect
+    over :meth:`Packing.box_tables`, where it replaces the box's answer
+    when it sorts before it by (reduced cost, vector, node sequence), so
+    every box gets the first subpath in that order, whatever the visiting
+    order.
 
     Returns one entry per box: the :class:`Representative` that sorts
     first, or None when no feasible subpath lies in the box; an empty
-    list, without a walk, for no boxes.
+    list, without a search, for no boxes.
     """
     if not boxes:
         return []
     view = block_view(problem, block_index)
-    duals = as_scaled(duals)
-    if weights is None:
-        weights = view.step_weights(duals)
     top = [max(his) if mono else math.inf
            for his, mono in zip(zip(*[box[2] for box in boxes]), view.coord_monotone)]
     starts, reach, tests = view.packing.box_tables(boxes)

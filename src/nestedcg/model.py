@@ -38,7 +38,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import gcd, inf
 from operator import mul
 from typing import Mapping
 
@@ -198,9 +198,8 @@ class Path:
 @dataclass(frozen=True)
 class Duals:
     """Element duals plus the optional cardinality-row dual, as rationals:
-    the public input form, for callers that price under duals of their
-    own (``synth``'s oracles, a pricer called directly).  The master
-    hands the pricers :class:`ScaledDuals`.
+    the input form of ``synth``'s oracles.  The master hands the pricers
+    :class:`ScaledDuals`, the only form they take.
 
     The cardinality (convexity) dual is charged exactly once per path, on
     the source side, never at subpath level.
@@ -211,17 +210,6 @@ class Duals:
 
     def value(self, k):
         return self.by_element.get(k, 0)
-
-    def scaled(self) -> "ScaledDuals":
-        """Integer-scaled copy for exact labeling arithmetic.
-
-        Returns duals multiplied by the lcm of all denominators, so label
-        costs can be carried as plain ints and unscaled once at the end.
-        """
-        mu = self.convexity
-        denom = lcm(mu.denominator, *(v.denominator for v in self.by_element.values()))
-        lam = {k: v.numerator * (denom // v.denominator) for k, v in self.by_element.items()}
-        return ScaledDuals(lam, mu.numerator * (denom // mu.denominator), denom)
 
 
 @dataclass(frozen=True)
@@ -244,17 +232,12 @@ class ScaledDuals:
         """The duals ``v / denom`` (``denom`` > 0) over their least common
         denominator: every value divided by the gcd of ``denom`` and all
         numerators, the convexity one included.  The lcm of the reduced
-        denominators of the v / denom is denom over that gcd, so this is
-        ``Duals.scaled()`` of the same rationals, int for int."""
+        denominators of the v / denom is denom over that gcd, so these are
+        the rationals scaled by the lcm of their denominators, int for int."""
         g = gcd(denom, convexity, *by_element.values())
         if g == 1:
             return cls(by_element, convexity, denom)
         return cls({k: v // g for k, v in by_element.items()}, convexity // g, denom // g)
-
-
-def as_scaled(duals) -> ScaledDuals:
-    """``Duals`` scaled, ``ScaledDuals`` as they are."""
-    return duals.scaled() if isinstance(duals, Duals) else duals
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ per bucket; each completed subpath goes to the box that holds it, where
 the first by (reduced cost, vector, node sequence) is kept, so the shared
 search yields each bucket exactly the representative its own
 box-restricted search would (see ``labeling.elementary_rcspp``).  A fill
-pays for its walk and little else: each bucket packs its capped box on
+pays for its search and little else: each bucket packs its capped box on
 its first fill and keeps it, each block's step weights are built once
 per call and serve every round of its sandwich, and a representative
 builds its ``Subpath`` only when a column, a merge or a reuse round reads
@@ -57,7 +57,7 @@ from operator import le
 
 from .buckets import COMPUTED, EMPTY, FRESH, Partition, compute_representative
 from .labeling import block_view, label_search, through_values
-from .model import ModelError, as_scaled, check_path_feasible
+from .model import ModelError, check_path_feasible
 
 
 # path searches return at most this many columns per pricing call
@@ -174,8 +174,8 @@ class AdaptivePricer:
         for bi in range(len(self.problem.blocks)):
             fresh = [b for b in self.partition.buckets(bi) if b.status == FRESH]
             if fresh:
-                compute_representative(self.problem, fresh, scaled, banned,
-                                       tally=self.totals, weights=weights[bi])
+                compute_representative(self.problem, fresh, scaled, weights[bi], banned,
+                                       tally=self.totals)
                 self.totals["rep_computations"] += len(fresh)
                 self.totals["fill_searches"] += 1
 
@@ -243,8 +243,7 @@ class AdaptivePricer:
 
     # -- main entry -----------------------------------------------------------
 
-    def price(self, duals, banned=frozenset(), exclude=frozenset()) -> PricingOutcome:
-        scaled = as_scaled(duals)
+    def price(self, scaled, banned=frozenset(), exclude=frozenset()) -> PricingOutcome:
         denom = scaled.denom
         cfg = self.config
         banned = frozenset(banned)
@@ -377,8 +376,7 @@ class ExactPricer:
         # wall time per phase, for reporting only
         self.timers = {"enumerate": 0.0, "front": 0.0, "search": 0.0}
 
-    def price(self, duals, banned=frozenset(), exclude=frozenset()) -> PricingOutcome:
-        scaled = as_scaled(duals)
+    def price(self, scaled, banned=frozenset(), exclude=frozenset()) -> PricingOutcome:
         self.totals["calls"] += 1
 
         kept = []                   # (rcost, vector, subpath), block after block

@@ -70,7 +70,7 @@ def enumerate_block_subpaths(problem, block_index, banned=frozenset(), max_subpa
     lists only each block's subpaths that no subpath with the same
     elements dominates),
     and the independent statement of window semantics
-    (``labeling.BlockView.walk`` implements them for the solver).
+    (``labeling.elementary_rcspp`` implements them for the solver).
     Contributions are flat vectors in the concatenated coordinate space.
     """
     block = problem.blocks[block_index]
@@ -228,7 +228,7 @@ def oracle_min_rcost_recursive(problem, duals: Duals, banned=frozenset(), guard=
     n = len(per_block)
     best = [None]
 
-    def walk(bi, agg, rcost, key):
+    def descend(bi, agg, rcost, key):
         if bi == n:
             if _admits(problem, agg):
                 entry = (rcost - duals.convexity, key)
@@ -248,14 +248,14 @@ def oracle_min_rcost_recursive(problem, duals: Duals, banned=frozenset(), guard=
                         else:
                             nxt[c] = max(nxt[c], flat[c])
                 nxt = tuple(nxt)
-            walk(
+            descend(
                 bi + 1,
                 nxt,
                 rcost + sp.cost - sum(duals.value(k) for k in sp.nodes),
                 key + (sp.nodes,),
             )
 
-    walk(0, None, 0, ())
+    descend(0, None, 0, ())
     return best[0]
 
 

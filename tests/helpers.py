@@ -2,14 +2,25 @@
 
 import itertools
 from collections import Counter, defaultdict
+from math import lcm
 from operator import le
 from unittest import mock
 
 from nestedcg import driver, synth
 from nestedcg.buckets import Partition
 from nestedcg.labeling import block_view, elementary_rcspp
-from nestedcg.model import Path, Subpath, check_path_feasible
+from nestedcg.model import Path, ScaledDuals, Subpath, check_path_feasible
 from nestedcg.pricing import AdaptivePricer, ExactPricer, PricingConfig
+
+
+def scaled(duals):
+    """Rational ``Duals`` as the ``ScaledDuals`` the pricers and the fill
+    take: every value times the lcm of all denominators, so reduced costs
+    are ints scaled by that lcm."""
+    mu = duals.convexity
+    denom = lcm(mu.denominator, *(v.denominator for v in duals.by_element.values()))
+    lam = {k: v.numerator * (denom // v.denominator) for k, v in duals.by_element.items()}
+    return ScaledDuals(lam, mu.numerator * (denom // mu.denominator), denom)
 
 
 def reduced_cost(obj, duals):
@@ -83,11 +94,12 @@ def undominated(subpaths):
 
 def fill_boxes(problem, block_index, duals, boxes, **kwargs):
     """``labeling.elementary_rcspp`` over plain boxes, (lo, hi) per
-    coordinate with None open: per box, its winner as a (Subpath, scaled
-    reduced cost) pair, or None."""
+    coordinate with None open, weighed by scaled ``duals``: per box, its
+    winner as a (Subpath, scaled reduced cost) pair, or None."""
     view = block_view(problem, block_index)
     found = elementary_rcspp(problem, block_index, duals,
-                             boxes=[view.fill_box(tuple(box)) for box in boxes], **kwargs)
+                             boxes=[view.fill_box(tuple(box)) for box in boxes],
+                             weights=view.step_weights(duals), **kwargs)
     return [None if rep is None else (rep.subpath, rep.rcost) for rep in found]
 
 

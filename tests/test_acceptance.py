@@ -14,7 +14,7 @@ from functools import lru_cache
 from operator import le
 
 import pytest
-from helpers import count_refinements, reduced_cost
+from helpers import count_refinements, reduced_cost, scaled
 
 from nestedcg import driver, mpcvrp, synth
 from nestedcg.buckets import COMPUTED, Partition, compute_representative
@@ -111,10 +111,11 @@ def _frozen_trajectory(problem, duals):
     """
     oracle = synth.oracle_min_rcost(problem, duals)
     assert oracle is not None, "corpus problems always admit a path"
-    scaled = duals.scaled()
+    duals = scaled(duals)
+    weights = [block_view(problem, bi).step_weights(duals) for bi in range(len(problem.blocks))]
     partition = Partition.initial(problem, 10**9)
     for bucket in partition.all_buckets():
-        compute_representative(problem, [bucket], scaled)
+        compute_representative(problem, [bucket], duals, weights[bucket.block])
 
     opts, pess = [], []
     for _ in range(500):
@@ -125,24 +126,24 @@ def _frozen_trajectory(problem, duals):
         assert all(live)
         opt = label_search(
             _layers(live, lambda b: b.lo, lambda b: b.rep.rcost,
-                    scaled.convexity),
+                    duals.convexity),
             problem.aggs, problem.predicates, problem.monotone,
         )
         pes = label_search(
             _layers(live, lambda b: b.rep.vector, lambda b: b.rep.rcost,
-                    scaled.convexity),
+                    duals.convexity),
             problem.aggs, problem.predicates, problem.monotone,
         )
         opts.append(opt[0].rcost)
         pess.append(pes[0].rcost if pes else None)
         if pes and opt[0].rcost == pes[0].rcost:
-            return opts, pess, oracle[0] * scaled.denom
+            return opts, pess, oracle[0] * duals.denom
         targets = [b for b in opt[0].nodes if not b.pinned]
         assert targets, "an open sandwich must leave something to refine"
         for bucket in targets:
             for child in partition.refine_bucket(bucket, "representative"):
                 if child.rep is None:
-                    compute_representative(problem, [child], scaled)
+                    compute_representative(problem, [child], duals, weights[child.block])
     pytest.fail("sandwich did not close within the step budget")
 
 
@@ -165,7 +166,7 @@ def test_criterion_1_pricing_exactness():
         oracle = synth.oracle_min_rcost(problem, duals)
         assert oracle is not None
         pricer = AdaptivePricer(problem, PricingConfig(width=_rel_width(problem, 3)))
-        out = pricer.price(duals)
+        out = pricer.price(scaled(duals))
         assert not out.infeasible
         assert out.optimistic == oracle[0]
         assert bool(out.columns) == (oracle[0] < 0)
@@ -303,7 +304,7 @@ def test_criterion_7_refinement_budget(monkeypatch):
         refines.clear()
         out = AdaptivePricer(
             problem, PricingConfig(width=10**9, strategy="representative")
-        ).price(duals)
+        ).price(scaled(duals))
         assert not out.infeasible
         # a split pins a vector the block's headroom admits
         budgets = [
@@ -448,7 +449,7 @@ def test_criterion_9_span_pricing_exactness_and_bounds():
             oracle = synth.oracle_min_rcost(problem, duals)
             assert oracle is not None, name
             pricer = AdaptivePricer(problem, PricingConfig(width=_rel_width(problem, 3)))
-            out = pricer.price(duals)
+            out = pricer.price(scaled(duals))
             assert not out.infeasible
             assert out.optimistic == oracle[0], name
             if oracle[0] < 0:

@@ -6,6 +6,7 @@ import time
 from operator import le
 
 import pytest
+from helpers import scaled
 
 from nestedcg import synth
 from nestedcg.buckets import (
@@ -31,6 +32,7 @@ from nestedcg.model import (
     ModelError,
     NestedProblem,
     PathResource,
+    ScaledDuals,
 )
 
 
@@ -54,7 +56,7 @@ def _line_problem(span=1000, dim=1):
 
 
 def _rep(nodes, rcost, vector):
-    return Representative(rcost, vector, nodes, 0, Duals({}).scaled())
+    return Representative(rcost, vector, nodes, 0, ScaledDuals({}, 0, 1))
 
 
 def test_initial_tiling_last_tile_absorbs_remainder():
@@ -375,7 +377,7 @@ def test_bucket_ordering_and_volume():
 @pytest.mark.parametrize("seed", range(1, 9))
 def test_representatives_match_enumeration(seed):
     problem = synth.random_tiny_instance(seed)
-    duals = synth.random_duals(problem, seed + 50).scaled()
+    duals = scaled(synth.random_duals(problem, seed + 50))
     box = problem.contribution_box()
     widths = tuple(max(1, (hi - lo) // 3) for lo, hi in box)
     part = Partition.initial(problem, widths)
@@ -384,8 +386,9 @@ def test_representatives_match_enumeration(seed):
         tops = block_view(problem, bi).headroom()
         subs = [sp for sp in synth.enumerate_block_subpaths(problem, bi)
                 if all(map(le, sp.contributions, tops))]
+        weights = block_view(problem, bi).step_weights(duals)
         for bucket in part.buckets(bi):
-            [rep] = compute_representative(problem, [bucket], duals)
+            [rep] = compute_representative(problem, [bucket], duals, weights)
             inside = []
             for sp in subs:
                 if bucket.contains(sp.contributions):
@@ -423,17 +426,18 @@ def _headroom_problem():
 def test_representatives_come_from_subpaths_the_headroom_admits():
     problem = _headroom_problem()
     assert block_view(problem, 0).headroom() == (7,)
-    duals = Duals({1: 5 * MILLI, 2: 5 * MILLI}).scaled()
+    duals = scaled(Duals({1: 5 * MILLI, 2: 5 * MILLI}))
+    weights = block_view(problem, 0).step_weights(duals)
 
     # one tile holds every subpath; (1, 2) at 9 is the cheapest but lies on
     # no feasible path, so (1,) wins its tie with (2,) on the vector
     [bucket] = Partition.initial(problem, 11).buckets(0)
-    [rep] = compute_representative(problem, [bucket], duals)
+    [rep] = compute_representative(problem, [bucket], duals, weights)
     assert (rep.subpath.nodes, rep.vector, rep.rcost) == ((1,), (2,), -4 * MILLI)
 
     # a tile wholly above the headroom holds no usable subpath
     tiles = Partition.initial(problem, 2).buckets(0)
-    compute_representative(problem, tiles, duals)
+    compute_representative(problem, tiles, duals, weights)
     [top] = [b for b in tiles if b.lo == (8,)]
     assert (top.hi, top.status, top.rep) == ((10,), EMPTY, None)
 
@@ -441,11 +445,12 @@ def test_representatives_come_from_subpaths_the_headroom_admits():
 def test_empty_is_permanent_across_recomputes():
     problem = _line_problem(span=1000)
     part = Partition.initial(problem, 250)
-    duals = synth.random_duals(problem, 3).scaled()
+    duals = scaled(synth.random_duals(problem, 3))
+    weights = block_view(problem, 0).step_weights(duals)
     # contributions reachable: () -> 0 for single nodes, 10 for the pair;
     # the (500, 749) tile can hold nothing
     bucket = next(b for b in part.buckets(0) if b.lo == (500,))
-    assert compute_representative(problem, [bucket], duals) == [None]
+    assert compute_representative(problem, [bucket], duals, weights) == [None]
     assert bucket.status == EMPTY
-    assert compute_representative(problem, [bucket], duals) == [None]
+    assert compute_representative(problem, [bucket], duals, weights) == [None]
     assert bucket.status == EMPTY

@@ -10,7 +10,7 @@ from fractions import Fraction
 from operator import le, sub
 
 import pytest
-from helpers import fill_boxes, in_box
+from helpers import fill_boxes, in_box, scaled
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -42,7 +42,7 @@ def _capped(problem, bucket):
     return [(lo, min(hi, top)) for (lo, hi), top in zip(bucket.box, tops)]
 
 
-def _reference_fill(problem, group, duals, banned=frozenset(), tally=None, weights=None):
+def _reference_fill(problem, group, duals, weights=None, banned=frozenset(), tally=None):
     """Per-bucket fill: one search for every bucket, restricted to its
     capped box, packed here from the box itself; each search builds its
     own step weights, whatever ``weights`` the pricer passes."""
@@ -52,9 +52,17 @@ def _reference_fill(problem, group, duals, banned=frozenset(), tally=None, weigh
             continue
         b.rep = elementary_rcspp(problem, b.block, duals,
                                  boxes=[view.fill_box(tuple(_capped(problem, b)))],
+                                 weights=view.step_weights(duals),
                                  banned=banned, tally=tally)[0]
         b.status = EMPTY if b.rep is None else COMPUTED
     return [b.rep for b in group]
+
+
+def _raw(reps):
+    """What a fill found, per box: each representative's block, nodes,
+    reduced cost, vector and duals, or None."""
+    return [None if r is None else (r.block, r.nodes, r.rcost, r.vector, r.duals)
+            for r in reps]
 
 
 def _quarter(problem):
@@ -158,8 +166,8 @@ def test_shared_fill_matches_per_bucket_search(family):
                         b.status = FRESH
                 if rng.random() < 0.5:
                     banned |= {rng.choice(problem.elements)}
-            scaled = synth.random_duals(problem, 100 * seed + round_).scaled()
-            s, f = _fill_and_compare(problem, pricer, scaled, banned)
+            duals = scaled(synth.random_duals(problem, 100 * seed + round_))
+            s, f = _fill_and_compare(problem, pricer, duals, banned)
             searches, filled = searches + s, filled + f
 
             # split some buckets both ways, fill the children, then merge
@@ -170,7 +178,7 @@ def test_shared_fill_matches_per_bucket_search(family):
                     pricer.partition.refine_bucket(b, "representative")
                 else:
                     pricer.partition.refine_bucket(b, "midpoint")
-            s, f = _fill_and_compare(problem, pricer, scaled, banned)
+            s, f = _fill_and_compare(problem, pricer, duals, banned)
             searches, filled = searches + s, filled + f
             for bi in range(len(problem.blocks)):
                 pricer.partition.merge_pass(bi, lambda lo, up: rng.random() < 0.5)
@@ -192,15 +200,16 @@ def test_a_tie_in_rcost_and_vector_goes_to_the_smaller_node_sequence():
         [block],
         path_resources=[PathResource(dim=1, agg=SUM, a=(1,), b=100, box=((0, 100),))],
     )
-    found, rcost = fill_boxes(problem, 0, Duals({0: 1}), boxes=[((0, 100),)])[0]
+    found, rcost = fill_boxes(problem, 0, scaled(Duals({0: 1})), boxes=[((0, 100),)])[0]
     assert (rcost, found.contributions, found.nodes) == (1, (5,), (0, 1))
 
 
 def test_a_fill_over_no_boxes_walks_nothing(monkeypatch):
     problem = _routing(4, 1)
-    monkeypatch.setattr(labeling.BlockView, "walk", None)
+    monkeypatch.setattr(labeling.BlockView, "_prepare", None)
     tally = {"fill_labels": 0}
-    assert elementary_rcspp(problem, 0, Duals({}), boxes=[], tally=tally) == []
+    assert elementary_rcspp(problem, 0, scaled(Duals({})), boxes=[], weights=[],
+                            tally=tally) == []
     assert tally == {"fill_labels": 0}
 
 
@@ -208,7 +217,7 @@ def test_the_fill_creates_no_label_beyond_the_completion_bound():
     problem = mpcvrp.build_nested(mpcvrp.generate_instance(
         n=6, days=2, vehicles=3, delta=Fraction(9, 10), seed=1
     ))
-    scaled = synth.random_duals(problem, 1).scaled()
+    duals = scaled(synth.random_duals(problem, 1))
     view = labeling.block_view(problem, 0)
     assert all(view.coord_monotone)
     # the quarter-width boxes without the top one, filled together
@@ -216,7 +225,8 @@ def test_the_fill_creates_no_label_beyond_the_completion_bound():
                   for _ in range(2))
     top = [max(b.hi[c] for b in group) for c in range(problem.total_coords)]
     tally = {"fill_labels": 0}
-    got = buckets.compute_representative(problem, group, scaled, tally=tally)
+    got = buckets.compute_representative(problem, group, duals, view.step_weights(duals),
+                                         tally=tally)
 
     # the fill's states are the subpaths whose every prefix, on arrival at
     # its last element (exit leg not yet added), is within that element's
@@ -237,7 +247,7 @@ def test_the_fill_creates_no_label_beyond_the_completion_bound():
 
     assert 0 < states(top) < len(arrivals)
     assert tally["fill_labels"] == states(top)
-    assert got == _reference_fill(problem, ref, scaled)
+    assert _raw(got) == _raw(_reference_fill(problem, ref, duals))
     assert any(got)
 
     # a top one below where some state's least completion ends: a limit
@@ -247,7 +257,7 @@ def test_the_fill_creates_no_label_beyond_the_completion_bound():
     tight = [min(end for end in ends if end > top[0]) - 1, *top[1:]]
     assert states(tight) < states([tight[0] + 1, *tight[1:]])
     tally = {"fill_labels": 0}
-    fill_boxes(problem, 0, scaled, boxes=[[(0, hi) for hi in tight]], tally=tally)
+    fill_boxes(problem, 0, duals, boxes=[[(0, hi) for hi in tight]], tally=tally)
     assert tally["fill_labels"] == states(tight)
 
 
@@ -334,7 +344,7 @@ def _tie_in_an_unsorted_block():
 def test_the_fill_answers_every_box_as_the_enumeration_does(model):
     problem, duals, banned, boxes = model
     view = labeling.block_view(problem, 0)
-    scaled = duals.scaled()
+    duals = scaled(duals)
     event(f"{len(boxes)} boxes")
     for res in problem.subpath_resources:
         bound = any(lo is not None for lo, _ in res.windows.values())
@@ -349,12 +359,12 @@ def test_the_fill_answers_every_box_as_the_enumeration_does(model):
     def first(box):
         """The enumerated subpath in ``box`` that sorts first by (reduced
         cost, vector, nodes), as the fill reports it."""
-        best = min(((sp.cost * scaled.denom - sum(map(scaled.value, sp.nodes)),
+        best = min(((sp.cost * duals.denom - sum(map(duals.value, sp.nodes)),
                      sp.contributions, sp.nodes, sp)
                     for sp in every if in_box(sp.contributions, box)), default=None)
         return None if best is None else (best[3], best[0])
 
-    found = fill_boxes(problem, 0, scaled, boxes=boxes, banned=banned)
+    found = fill_boxes(problem, 0, duals, boxes=boxes, banned=banned)
     for box, got in zip(boxes, found):
         want = first(box)
         event("box filled" if want else "box empty")
@@ -424,18 +434,13 @@ def test_a_ladder_solve_pays_per_call_only_for_what_it_reads(monkeypatch):
     made = []                   # every representative the pricer's fills made
     compute = pricing.compute_representative
 
-    def compared(problem, group, duals, banned=frozenset(), tally=None, weights=None):
+    def compared(problem, group, duals, weights, banned=frozenset(), tally=None):
         copies = [copy.copy(b) for b in group]
-        got = compute(problem, group, duals, banned, tally=tally, weights=weights)
+        got = compute(problem, group, duals, weights, banned, tally=tally)
         mark = len(weighed)     # the reference weighs its own searches
-        want = _reference_fill(problem, copies, duals, banned)
+        want = _reference_fill(problem, copies, duals, banned=banned)
         del weighed[mark:]
-
-        def raw(reps):
-            return [None if r is None else (r.block, r.nodes, r.rcost, r.vector, r.duals)
-                    for r in reps]
-
-        assert raw(got) == raw(want)
+        assert _raw(got) == _raw(want)
         made.extend(r for r in got if r is not None)
         return got
 

@@ -11,13 +11,14 @@ from collections import defaultdict
 from fractions import Fraction
 
 import pytest
-from helpers import check_table, fill_boxes, in_box, undominated, usable_subpaths
+from helpers import check_table, fill_boxes, in_box, scaled, undominated, usable_subpaths
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from nestedcg import labeling, mpcvrp, synth
 from nestedcg.labeling import (
     BlockView,
+    LabelingError,
     Packing,
     block_view,
     label_search,
@@ -32,7 +33,6 @@ from nestedcg.model import (
     Duals,
     NestedProblem,
     PathResource,
-    Subpath,
     SubpathResource,
 )
 from nestedcg.pricing import COLUMNS_PER_CALL
@@ -62,6 +62,11 @@ def test_label_search_picks_cheapest():
     assert out[0].nodes == ("b",)
     assert out[0].rcost == 1
     assert out[0].resources == (5,)
+
+
+def test_label_search_rejects_a_top_k_below_one():
+    with pytest.raises(LabelingError, match="top_k"):
+        label_search(_diamond(), (SUM,), (), top_k=0)
 
 
 def test_label_search_top_k_is_sorted_prefix():
@@ -266,7 +271,7 @@ def test_dominance_eq_mode_protects_lower_bounded_coordinates():
         [block],
         path_resources=[PathResource(dim=1, agg=SUM, a=(1,), b=100, box=((0, 100),))],
     )
-    hit = fill_boxes(problem, 0, Duals({}), boxes=[((7, 10),)])[0]
+    hit = fill_boxes(problem, 0, scaled(Duals({})), boxes=[((7, 10),)])[0]
     assert hit is not None, "the lower-bounded region is reachable"
     best, rcost = hit
     assert rcost == 2
@@ -287,11 +292,11 @@ def test_blocks_past_31_elements_match_enumeration():
         [block],
         path_resources=[PathResource(dim=1, agg=SUM, a=(1,), b=10**6, box=((0, 200),))],
     )
-    scaled = synth.random_duals(problem, 7).scaled()
+    duals = scaled(synth.random_duals(problem, 7))
     subpaths = synth.enumerate_block_subpaths(problem, 0)
     assert len(subpaths) == m * m
     want = sorted(
-        (sp.cost * scaled.denom - sum(scaled.value(k) for k in sp.nodes),
+        (sp.cost * duals.denom - sum(duals.value(k) for k in sp.nodes),
          sp.contributions, sp.nodes, sp.cost)
         for sp in subpaths
     )
@@ -302,16 +307,16 @@ def test_blocks_past_31_elements_match_enumeration():
     table = view.table()
     got = sorted(
         (rc, sp.contributions, sp.nodes, sp.cost)
-        for sp, rc in zip(table.subpaths, table.rcosts(scaled, view.elements))
+        for sp, rc in zip(table.subpaths, table.rcosts(duals, view.elements))
     )
     assert got == [row for row in want if row[2] in kept]
     # the search finds the first of them all
-    sp, rc = fill_boxes(problem, 0, scaled, boxes=[_open(problem)])[0]
+    sp, rc = fill_boxes(problem, 0, duals, boxes=[_open(problem)])[0]
     assert (rc, sp.contributions, sp.nodes, sp.cost) == want[0]
     assert list(_by_nodes(view)) == [sp for sp in subpaths if sp.nodes in kept]
 
 
-def _brute_min(problem, block_index, scaled, box=None, banned=frozenset()):
+def _brute_min(problem, block_index, duals, box=None, banned=frozenset()):
     """Reference: enumerate every feasible subpath, filter, take the min."""
     best = None
     for sp in synth.enumerate_block_subpaths(problem, block_index, banned):
@@ -319,7 +324,7 @@ def _brute_min(problem, block_index, scaled, box=None, banned=frozenset()):
             not lo <= v <= hi for (lo, hi), v in zip(box, sp.contributions)
         ):
             continue
-        rc = sp.cost * scaled.denom - sum(scaled.value(k) for k in sp.nodes)
+        rc = sp.cost * duals.denom - sum(duals.value(k) for k in sp.nodes)
         if best is None or rc < best:
             best = rc
     return best
@@ -328,11 +333,10 @@ def _brute_min(problem, block_index, scaled, box=None, banned=frozenset()):
 @pytest.mark.parametrize("seed", range(1, 11))
 def test_elementary_search_matches_enumeration(seed):
     problem = synth.random_tiny_instance(seed)
-    duals = synth.random_duals(problem, seed + 100)
-    scaled = duals.scaled()
+    duals = scaled(synth.random_duals(problem, seed + 100))
     for block_index in range(len(problem.blocks)):
         got = fill_boxes(problem, block_index, duals, boxes=[_open(problem)])[0]
-        want = _brute_min(problem, block_index, scaled)
+        want = _brute_min(problem, block_index, duals)
         if want is None:
             assert got is None
         else:
@@ -342,14 +346,13 @@ def test_elementary_search_matches_enumeration(seed):
 @pytest.mark.parametrize("seed", range(1, 11))
 def test_box_restricted_search_matches_enumeration(seed):
     problem = synth.random_tiny_instance(seed)
-    duals = synth.random_duals(problem, seed + 200)
-    scaled = duals.scaled()
+    duals = scaled(synth.random_duals(problem, seed + 200))
     full = problem.contribution_box()
     # halve each coordinate range to make the box genuinely binding
     box = tuple((lo, lo + (hi - lo) // 2) for lo, hi in full)
     for block_index in range(len(problem.blocks)):
         got = fill_boxes(problem, block_index, duals, boxes=[box])[0]
-        want = _brute_min(problem, block_index, scaled, box=box)
+        want = _brute_min(problem, block_index, duals, box=box)
         if want is None:
             assert got is None
         else:
@@ -362,7 +365,8 @@ def test_banned_elements_are_skipped():
     problem = synth.random_tiny_instance(2)
     block = problem.blocks[0]
     victim = block.elements[0]
-    hit = fill_boxes(problem, 0, Duals({}), boxes=[_open(problem)], banned={victim})[0]
+    hit = fill_boxes(problem, 0, scaled(Duals({})), boxes=[_open(problem)],
+                     banned={victim})[0]
     assert hit is not None, "other elements keep the block alive"
     assert victim not in hit[0].nodes
     rows = _by_nodes(block_view(problem, 0), {victim})
@@ -512,7 +516,9 @@ def _window_models(draw):
     """One block of 1-4 elements and 0-3 subpath resources, each floored
     or hard, whose window ends may be open, may bind from below (a
     floored lower end often above every entry delta) and may cross
-    (lo > hi), and whose entry and arc deltas may be below 0."""
+    (lo > hi), and whose entry and arc deltas may be below 0.  Each entry
+    and each arc contributes its own power of two, so every ordering of
+    the block's elements has a contribution of its own."""
     ints = st.integers
     n = draw(ints(1, 4))
     n_sub = draw(ints(0, 3))
@@ -523,14 +529,15 @@ def _window_models(draw):
     arcs = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     block = Block(
         elements=ids,
-        arcs={pair: Arc(sub_deltas=draw(deltas)) for pair in sorted(arcs)},
-        entry={k: Boundary(sub_deltas=draw(deltas)) for k in ids},
+        arcs={pair: Arc(sub_deltas=draw(deltas), path_deltas=((1 << n + i,),))
+              for i, pair in enumerate(sorted(arcs))},
+        entry={k: Boundary(sub_deltas=draw(deltas), path_deltas=((1 << k - 1,),)) for k in ids},
     )
     subs = [SubpathResource(block=0, windows={k: draw(st.tuples(end, end)) for k in ids},
                             floor_at_lower=draw(st.booleans()))
             for _ in range(n_sub)]
     return NestedProblem([block], subs, path_resources=[PathResource(
-        dim=1, agg=SUM, a=(0,), b=0, box=((0, 0),))])
+        dim=1, agg=SUM, a=(0,), b=0, box=((0, (1 << n + len(arcs)) - 1),))])
 
 
 def _window_step(resources, values, deltas, node):
@@ -550,11 +557,34 @@ def _window_step(resources, values, deltas, node):
     return tuple(out), lifted
 
 
+def _values(problem, block_index, nodes):
+    """The subpath-resource values of a subpath of the block, ``nodes``,
+    by the window rule, which it passes."""
+    block = problem.blocks[block_index]
+    resources = [problem.subpath_resources[ri] for ri in problem.block_subs[block_index]]
+
+    def deltas(item):
+        return (*item.sub_deltas, *(0,) * (len(resources) - len(item.sub_deltas)))
+
+    values = (0,) * len(resources)
+    for u, t in zip((None, *nodes), nodes):
+        item = block.entry_at(t) if u is None else block.arcs[u, t]
+        values, _ = _window_step(resources, values, deltas(item), t)
+    return values
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_window_models())
 def test_packed_windows_act_as_the_window_rule(problem):
     block, resources = problem.blocks[0], problem.subpath_resources
     want = {}           # node sequence -> subpath-resource values
+    orderings = {}      # contribution -> the one ordering that holds it
+
+    def order(nodes, vec):
+        orderings[vec] = nodes
+        for (u, t), arc in sorted(block.arcs.items()):
+            if u == nodes[-1] and t not in nodes:
+                order((*nodes, t), vec + arc.path_deltas[0][0])
 
     def extend(nodes, step):
         if step is None:
@@ -567,6 +597,7 @@ def test_packed_windows_act_as_the_window_rule(problem):
                 extend((*nodes, t), _window_step(resources, want[nodes], arc.sub_deltas, t))
 
     for k in block.elements:
+        order((k,), block.entry_at(k).path_deltas[0][0])
         extend((k,), _window_step(resources, (0,) * len(resources),
                                   block.entry_at(k).sub_deltas, k))
     for res in resources:
@@ -576,11 +607,11 @@ def test_packed_windows_act_as_the_window_rule(problem):
             event(f"{kind} window with a lower end")
         if any(None not in (lo, hi) and lo > hi for lo, hi in ends):
             event(f"{kind} window that is empty")
-    view = block_view(problem, 0)
-    got = {nodes: view.sub_packing.unpack(sub)
-           for _, nodes, _, _, _, sub in view.walk([math.inf], view._step_costs)}
+    # the fill over one box per ordering finds exactly the subpaths
+    found = fill_boxes(problem, 0, scaled(Duals({})), boxes=[((vec, vec),) for vec in orderings])
     event(f"{len(resources)} subpath resources")
-    assert got == want
+    assert [None if hit is None else hit[0].nodes for hit in found] == [
+        nodes if nodes in want else None for nodes in orderings.values()]
 
 
 def _flat(item, n_coords):
@@ -660,20 +691,22 @@ def test_block_is_searched_once_across_ban_sets(monkeypatch):
             rows = [sp for sp, m in zip(table.subpaths, table.masks) if not m & mask]
             assert rows == [sp for sp in table.subpaths if banned.isdisjoint(sp.nodes)]
             check_table(problem, bi, rows, banned)
-            # the rows outside the mask are the states of a walk under it
-            # that no state of the same (last element, elements, subpath
-            # values) dominates, less those that one of them with the same
-            # elements dominates
-            walked = view.walk(view.headroom(),
-                               view.step_weights(Duals({}).scaled()), mask)
+            # within the headroom, the rows outside the mask are the
+            # oracle's subpaths that no subpath of the same (last element,
+            # elements, subpath values) dominates, less those that one of
+            # them with the same elements dominates: a subpath that
+            # dominates one within the headroom is within it too
+            caps = view.headroom()
             keys = defaultdict(list)
-            for u, nodes, visited, cost, vec, sub in walked:
-                keys[u, visited, sub].append((cost, view.packing.unpack(vec), nodes))
-            kept = [Subpath(bi, nodes, cost, vec) for labels in keys.values()
-                    for cost, vec, nodes in labels
+            for sp in synth.enumerate_block_subpaths(problem, bi, banned):
+                if all(map(operator.le, sp.contributions, caps)):
+                    key = sp.nodes[-1], frozenset(sp.nodes), _values(problem, bi, sp.nodes)
+                    keys[key].append((sp.cost, sp.contributions, sp.nodes, sp))
+            kept = [sp for labels in keys.values() for cost, vec, nodes, sp in labels
                     if not any(c <= cost and all(map(operator.le, v, vec))
-                               and (c, v, n) < (cost, vec, nodes) for c, v, n in labels)]
-            assert undominated(kept) == set(rows)
+                               and (c, v, n) < (cost, vec, nodes) for c, v, n, _ in labels)]
+            assert undominated(kept) == {
+                sp for sp in rows if all(map(operator.le, sp.contributions, caps))}
         banned |= {rng.choice(problem.elements)}
     assert sorted(calls) == list(range(len(problem.blocks)))
 

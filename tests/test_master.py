@@ -5,6 +5,7 @@ import io
 from fractions import Fraction
 
 import pytest
+from helpers import scaled
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -378,7 +379,7 @@ def _check_integer_path(problem, chunks, results, data):
         rmp.add_columns([_path(problem, nodes, cost) for nodes, cost in chunk], it)
         sol = rmp.solve(it)
         pure = _rational(rmp, results[-1])
-        assert sol.duals == pure.scaled()
+        assert sol.duals == scaled(pure)
         if sol.status == "optimal":
             assert _rational_bound(rmp, pure, Fraction(0)) == sol.lp_value
         if draw(st.booleans()):
@@ -388,12 +389,12 @@ def _check_integer_path(problem, chunks, results, data):
 
             center = Duals({k: drawn() for k in rmp._rows},
                            drawn() if rmp.remaining_cardinality is not None else 0)
-            smoother.recentre(center.scaled())
+            smoother.recentre(scaled(center))
         if center is not None:
             keys = set(center.by_element) | set(pure.by_element)
             mid = Duals({k: (center.value(k) + pure.value(k)) / 2 for k in keys},
                         (center.convexity + pure.convexity) / 2)
-            assert smoother.smoothed(sol.duals) == mid.scaled()
+            assert smoother.smoothed(sol.duals) == scaled(mid)
         optimistic = Fraction(draw(st.integers(-90, 20)), draw(st.integers(1, 7)))
         assert lagrangian_bound(rmp, sol.duals, optimistic) == _rational_bound(
             rmp, pure, optimistic)

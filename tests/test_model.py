@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from helpers import reduced_cost
+from helpers import reduced_cost, scaled
 
 from nestedcg import synth
 from nestedcg.labeling import block_view
@@ -202,22 +202,21 @@ def test_reduced_cost_charges_convexity_on_paths_only(two_blocks):
 
 
 def test_duals_scaling_clears_denominators():
-    duals = Duals({1: Fraction(1, 3), 2: Fraction(1, 4)}, convexity=Fraction(1, 6))
-    scaled = duals.scaled()
-    assert scaled.denom == 12
-    assert scaled.by_element == {1: 4, 2: 3}
-    assert scaled.convexity == 2
-    assert scaled.value(99) == 0
+    duals = scaled(Duals({1: Fraction(1, 3), 2: Fraction(1, 4)}, convexity=Fraction(1, 6)))
+    assert duals.denom == 12
+    assert duals.by_element == {1: 4, 2: 3}
+    assert duals.convexity == 2
+    assert duals.value(99) == 0
 
 
 def test_duals_scaling_matches_fraction_arithmetic_on_mixed_values():
     duals = Duals({1: 7, 2: Fraction(-5, 6), 3: Fraction(9, 4), 4: 0, 5: -3},
                   convexity=Fraction(-7, 10))
-    scaled = duals.scaled()
-    assert scaled.denom == 60
-    assert scaled.by_element == {k: int(v * 60) for k, v in duals.by_element.items()}
-    assert scaled.convexity == -42
-    whole = Duals({1: 2, 2: -1}, convexity=3).scaled()
+    out = scaled(duals)
+    assert out.denom == 60
+    assert out.by_element == {k: int(v * 60) for k, v in duals.by_element.items()}
+    assert out.convexity == -42
+    whole = scaled(Duals({1: 2, 2: -1}, convexity=3))
     assert (whole.by_element, whole.convexity, whole.denom) == ({1: 2, 2: -1}, 3, 1)
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
-from helpers import fill_boxes
+from helpers import fill_boxes, scaled
 
 from nestedcg import mpcvrp
 from nestedcg.labeling import block_view
@@ -66,7 +66,7 @@ def cheapest_route(problem, day, duals=Duals({}), *, window=None):
     search; the cardinality-row dual is charged at schedule assembly, not
     here."""
     box = (tuple(window) if window is not None else (None, None),)
-    return fill_boxes(problem, day, duals, boxes=[box])[0]
+    return fill_boxes(problem, day, scaled(duals), boxes=[box])[0]
 
 
 def _instance(**over):
@@ -254,7 +254,7 @@ def test_nested_subpaths_replay_route_distance():
     for day in range(inst.days):
         view = block_view(problem, day)
         table = view.table()
-        hits = list(zip(table.subpaths, table.rcosts(Duals({}).scaled(), view.elements)))
+        hits = list(zip(table.subpaths, table.rcosts(scaled(Duals({})), view.elements)))
         assert len(hits) > 3
         for sp, rcost in hits + [cheapest_route(problem, day)]:
             dist = route_distance(inst, sp.nodes)

@@ -15,6 +15,7 @@ from helpers import (
     count_refinements,
     reduced_cost,
     replay_exact_calls,
+    scaled,
     usable_subpaths,
 )
 from hypothesis import event, example, given, settings
@@ -76,7 +77,7 @@ def test_closure_equals_the_oracle(seed):
     problem, duals = _case(seed)
     oracle = synth.oracle_min_rcost(problem, duals)
     pricer = AdaptivePricer(problem, PricingConfig(width=_rel_width(problem, 3)))
-    out = pricer.price(duals)
+    out = pricer.price(scaled(duals))
     if oracle is None:
         assert out.infeasible
         return
@@ -97,7 +98,7 @@ def test_column_mode_bounds_sandwich_the_oracle(seed):
     oracle = synth.oracle_min_rcost(problem, duals)
     out = AdaptivePricer(
         problem, PricingConfig(width=_rel_width(problem, 4))
-    ).price(duals)
+    ).price(scaled(duals))
     if oracle is None:
         assert out.infeasible
         return
@@ -119,7 +120,7 @@ def test_closure_is_width_and_strategy_independent(tiles, strategy):
         problem, duals = _case(seed)
         oracle = synth.oracle_min_rcost(problem, duals)
         cfg = PricingConfig(width=_rel_width(problem, tiles), strategy=strategy)
-        out = AdaptivePricer(problem, cfg).price(duals)
+        out = AdaptivePricer(problem, cfg).price(scaled(duals))
         if oracle is None:
             assert out.infeasible
         else:
@@ -136,7 +137,7 @@ def test_exact_pricer_reports_the_oracle_bound(seed):
     banned = frozenset()
     for _ in range(3):      # no bans, then growing ban sets
         oracle = synth.oracle_min_rcost(problem, duals, banned=banned)
-        out = pricer.price(duals, banned)
+        out = pricer.price(scaled(duals), banned)
         if oracle is None:
             assert out.infeasible
         else:
@@ -153,10 +154,11 @@ def test_refinement_is_monotone_under_frozen_duals(seed):
     oracle = synth.oracle_min_rcost(problem, duals)
     if oracle is None:
         pytest.skip("no feasible path for this seed")
-    scaled = duals.scaled()
+    duals = scaled(duals)
+    weights = [block_view(problem, bi).step_weights(duals) for bi in range(len(problem.blocks))]
     part = Partition.initial(problem, 10**9)  # one bucket per block to start
     for b in part.all_buckets():
-        compute_representative(problem, [b], scaled)
+        compute_representative(problem, [b], duals, weights[b.block])
 
     opts, pess = [], []
     for _ in range(200):
@@ -167,12 +169,12 @@ def test_refinement_is_monotone_under_frozen_duals(seed):
         assert all(live), "oracle found a path, so every block is alive"
         opt = label_search(
             _layers(live, lambda b: b.lo, lambda b: b.rep.rcost,
-                    scaled.convexity),
+                    duals.convexity),
             problem.aggs, problem.predicates, problem.monotone,
         )
         pes = label_search(
             _layers(live, lambda b: b.rep.vector, lambda b: b.rep.rcost,
-                    scaled.convexity),
+                    duals.convexity),
             problem.aggs, problem.predicates, problem.monotone,
         )
         opts.append(opt[0].rcost)
@@ -184,11 +186,11 @@ def test_refinement_is_monotone_under_frozen_duals(seed):
         for bucket in targets:
             for child in part.refine_bucket(bucket, "representative"):
                 if child.rep is None:
-                    compute_representative(problem, [child], scaled)
+                    compute_representative(problem, [child], duals, weights[child.block])
     else:
         pytest.fail("sandwich did not close")
 
-    scale = scaled.denom
+    scale = duals.denom
     assert all(a <= b for a, b in zip(opts, opts[1:]))
     assert all(a >= b for a, b in zip(pess, pess[1:]))
     assert all(o <= oracle[0] * scale <= p for o, p in zip(opts, pess))
@@ -200,7 +202,7 @@ def test_refinements_never_exceed_distinct_vectors(seed, monkeypatch):
     problem, duals = _case(seed)
     refines = count_refinements(monkeypatch)
     cfg = PricingConfig(width=10**6, strategy="representative")
-    out = AdaptivePricer(problem, cfg).price(duals)
+    out = AdaptivePricer(problem, cfg).price(scaled(duals))
     if out.infeasible:
         pytest.skip("no feasible path for this seed")
     for bi in range(len(problem.blocks)):
@@ -216,7 +218,7 @@ def test_merge_keeps_closure_exact_across_calls():
         for round_ in range(3):
             duals = synth.random_duals(problem, seed * 31 + round_)
             oracle = synth.oracle_min_rcost(problem, duals)
-            out = pricer.price(duals)
+            out = pricer.price(scaled(duals))
             if oracle is None:
                 assert out.infeasible
             else:
@@ -231,13 +233,13 @@ def test_reuse_serves_stale_columns_and_suppresses_the_bound():
     problem = synth.random_tiny_instance(3)
     pricer = AdaptivePricer(problem, PricingConfig(width=_rel_width(problem, 3), reuse=True))
     big = Duals({k: 10**9 for k in problem.elements})
-    first = pricer.price(big)
+    first = pricer.price(scaled(big))
     assert first.columns and pricer.totals["reuse_hits"] == 0
 
     # still wildly negative under slightly different duals: the stale
     # representatives alone must produce columns, with no bound claimed
     nudged = Duals({k: 10**9 - i for i, k in enumerate(problem.elements)})
-    second = pricer.price(nudged)
+    second = pricer.price(scaled(nudged))
     assert second.columns
     assert second.optimistic is None
     assert second.stats["reuse_hit"] is True
@@ -247,7 +249,7 @@ def test_reuse_serves_stale_columns_and_suppresses_the_bound():
 
     # nothing prices out under zero duals: reuse cannot serve, the full
     # sandwich runs and certifies with a real bound
-    third = pricer.price(Duals({}))
+    third = pricer.price(scaled(Duals({})))
     assert third.columns == []
     assert third.optimistic is not None and third.optimistic >= 0
     assert pricer.totals["reuse_hits"] == 1
@@ -260,17 +262,17 @@ def test_excluded_node_keys_are_not_offered_again():
         AdaptivePricer(problem, PricingConfig(width=_rel_width(problem, 2))),
         ExactPricer(problem),
     ):
-        first = pricer.price(duals)
+        first = pricer.price(scaled(duals))
         assert first.columns
         seen = {p.node_key for p in first.columns}
-        again = pricer.price(duals, exclude=frozenset(seen))
+        again = pricer.price(scaled(duals), exclude=frozenset(seen))
         assert all(p.node_key not in seen for p in again.columns)
 
 
 def test_banning_a_whole_block_reports_the_dead_block():
     problem = synth.random_tiny_instance(2)
     pricer = AdaptivePricer(problem, PricingConfig(width=_rel_width(problem, 2)))
-    out = pricer.price(Duals({}), banned=frozenset(problem.blocks[0].elements))
+    out = pricer.price(scaled(Duals({})), banned=frozenset(problem.blocks[0].elements))
     assert out.infeasible
     assert out.columns == [] and out.optimistic is None
 
@@ -281,19 +283,19 @@ def test_shrinking_bans_are_an_error():
     problem = synth.random_tiny_instance(4)
     pricer = AdaptivePricer(problem, PricingConfig(width=_rel_width(problem, 2)))
     victim = problem.blocks[0].elements[0]
-    pricer.price(synth.random_duals(problem, 1), banned=frozenset({victim}))
+    pricer.price(scaled(synth.random_duals(problem, 1)), banned=frozenset({victim}))
     with pytest.raises(PricingError, match="bans shrank"):
-        pricer.price(synth.random_duals(problem, 2))
+        pricer.price(scaled(synth.random_duals(problem, 2)))
 
 
 def test_growing_bans_invalidate_in_place():
     problem = synth.random_tiny_instance(6)
     pricer = AdaptivePricer(problem, PricingConfig(width=_rel_width(problem, 2)))
     duals = synth.random_duals(problem, 9)
-    pricer.price(duals)
+    pricer.price(scaled(duals))
     kept = pricer.partition
     victim = problem.blocks[0].elements[0]
-    out = pricer.price(duals, banned=frozenset({victim}))
+    out = pricer.price(scaled(duals), banned=frozenset({victim}))
     assert pricer.partition is kept
     oracle = synth.oracle_min_rcost(problem, duals, banned=frozenset({victim}))
     if oracle is None:
@@ -306,6 +308,8 @@ def test_unknown_strategy_is_rejected():
     problem = synth.random_tiny_instance(1)
     with pytest.raises(ModelError, match="'thirds'"):
         AdaptivePricer(problem, PricingConfig(strategy="thirds"))
+    with pytest.raises(ModelError, match="'x'"):
+        driver.solve(problem, driver.DriverConfig(pricing=PricingConfig(strategy="x")))
 
 
 _REPLAYED = {
@@ -338,8 +342,8 @@ def test_adaptive_and_exact_agree_on_every_dual_vector():
     for seed in range(20):
         duals = synth.random_duals(problem, seed)
         cfg = PricingConfig(width=_rel_width(problem, 2))
-        a = AdaptivePricer(problem, cfg).price(duals)
-        e = ExactPricer(problem).price(duals)
+        a = AdaptivePricer(problem, cfg).price(scaled(duals))
+        e = ExactPricer(problem).price(scaled(duals))
         assert a.infeasible == e.infeasible
         if not a.infeasible:
             assert a.optimistic == e.optimistic
@@ -513,7 +517,7 @@ def test_extension_tiles_refine_and_certify_like_any_bucket(build, splits):
     for seed in range(10):
         duals = synth.random_duals(problem, seed)
         oracle = synth.oracle_min_rcost(problem, duals)
-        out = AdaptivePricer(problem, PricingConfig()).price(duals)
+        out = AdaptivePricer(problem, PricingConfig()).price(scaled(duals))
         assert out.optimistic == oracle[0]
         if oracle[0] < 0:
             assert min(reduced_cost(p, duals) for p in out.columns) == oracle[0]
@@ -643,7 +647,7 @@ def test_adaptive_answers_every_box_model_as_exact_does(spec, sense, cardinality
         patch.setattr(BlockView, "_finds", probe)
         part = Partition.initial(problem, PricingConfig().width)
     if False in probes:
-        # each a walk that found nothing outside the box
+        # each a fill that found nothing outside the box
         event("a reach probe found nothing")
     for bi, span in enumerate(part.ranges):
         # every subpath a feasible path can use lies in a bucket, and a
@@ -679,6 +683,28 @@ def test_adaptive_answers_every_box_model_as_exact_does(spec, sense, cardinality
             assert report.dive.ip_value >= report.lp_value
 
 
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_box_models().map(lambda model: (model, None)), _cap_models()))
+def test_reach_stretches_a_side_exactly_where_the_oracle_has_a_subpath(spec):
+    # below the box down to the least bound, and above it up to the most
+    # bound capped by the headroom, each when and only when the oracle
+    # lists a subpath there
+    problem = _build_cap_model(spec)
+    box = problem.contribution_box()
+    for bi in range(len(problem.blocks)):
+        view = block_view(problem, bi)
+        vectors = [sp.contributions for sp in synth.enumerate_block_subpaths(problem, bi)]
+        tops = view.headroom()
+        for c, ((lo, hi), (least, most), got) in enumerate(
+                zip(box, view.bounds, view.reach(box))):
+            top = min(tops[c], most)
+            below = any(vec[c] < lo for vec in vectors)
+            above = any(hi < vec[c] <= top for vec in vectors)
+            assert got == (least if below else lo, top if above else hi), (bi, c)
+            if below or above:
+                event("a side stretched")
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_cap_models(), st.integers(0, 2**32))
 @example((
@@ -706,10 +732,10 @@ def test_the_capped_tables_change_no_exact_answer(spec, seed):
         # the same model with every table as the oracle lists it
         patch.setattr(BlockView, "headroom", lambda view: (math.inf,) * view.n_coords)
         full = ExactPricer(_build_cap_model(spec))
-        want = [full.price(duals, banned) for duals, banned in calls]
+        want = [full.price(scaled(duals), banned) for duals, banned in calls]
     capped = ExactPricer(problem)
     for (duals, banned), ref in zip(calls, want):
-        out = capped.price(duals, banned)
+        out = capped.price(scaled(duals), banned)
         event(f"infeasible: {out.infeasible}")
         assert (out.columns, out.optimistic, out.infeasible) == (
             ref.columns, ref.optimistic, ref.infeasible)
@@ -802,59 +828,35 @@ KEEP_FAMILIES = {
 }
 
 
+def _check_front_against_the_oracle(problem, duals, seed):
+    """Under ``duals``, with no bans and then with bans that grow by an
+    element drawn from ``seed``, every block's front is the reference
+    keep, each row priced as its subpath.  The table drops subpaths above
+    the block's headroom, so a subpath above it that one of them
+    dominated may enter the front; within the headroom the fronts agree."""
+    duals = scaled(duals)
+    rng = random.Random(seed)
+    banned = frozenset()
+    for _ in range(3):
+        for bi in range(len(problem.blocks)):
+            view = block_view(problem, bi)
+            got = _front(view, view.table(), duals, view._mask(banned))
+            caps = view.headroom()
+            want = _reference_front(problem, bi, duals, banned)
+            assert [row for row in got if _within(row[1], caps)] == [
+                row for row in want if _within(row[1], caps)
+            ], (seed, bi, sorted(banned))
+            assert all(sp.cost * duals.denom - sum(map(duals.value, sp.nodes)) == rc
+                       for rc, _, sp in got)
+        banned |= {rng.choice(problem.elements)}
+
+
 @pytest.mark.parametrize("family", sorted(KEEP_FAMILIES))
 @pytest.mark.parametrize("duals_kind", ("random", "zero", "tying"))
 def test_front_matches_the_reference_keep(family, duals_kind):
-    blocks = 0
     for seed in range(1, 9):
         problem = KEEP_FAMILIES[family](seed)
-        scaled = _duals(problem, duals_kind, seed).scaled()
-        rng = random.Random(seed)
-        banned = frozenset()
-        for _ in range(3):      # no bans, then growing ban sets
-            for bi in range(len(problem.blocks)):
-                view = block_view(problem, bi)
-                got = _front(view, view.table(), scaled, view._mask(banned))
-                # the table drops subpaths above the block's headroom, so
-                # a subpath above it that one of them dominated may enter
-                # the front; within the headroom the fronts agree
-                caps = view.headroom()
-                want = _reference_front(problem, bi, scaled, banned)
-                assert [row for row in got if _within(row[1], caps)] == [
-                    row for row in want if _within(row[1], caps)
-                ], (seed, bi, sorted(banned))
-                blocks += 1
-            banned |= {rng.choice(problem.elements)}
-    assert blocks
-
-
-def _walked_front(view, scaled, mask):
-    """The keep by definition over every subpath that a walk of ``view``
-    outside ``mask`` yields under the block's headroom: sort them by
-    (rcost, vector, nodes), keep each one no kept subpath dominates."""
-    walked = view.walk(view.headroom(), view.step_weights(scaled), mask)
-    front = []
-    for rc, vec, nodes in sorted((rc, view.packing.unpack(vec), nodes)
-                                 for _, nodes, _, rc, vec, _ in walked):
-        if not any(rc2 <= rc and _within(v2, vec) for rc2, v2, _ in front):
-            front.append((rc, vec, nodes))
-    return front
-
-
-def _check_front_against_the_walk(problem, duals, seed):
-    scaled = duals.scaled()
-    rng = random.Random(seed)
-    banned = frozenset()
-    for _ in range(3):      # no bans, then growing ban sets
-        for bi in range(len(problem.blocks)):
-            view = block_view(problem, bi)
-            mask = view._mask(banned)
-            got = _front(view, view.table(), scaled, mask)
-            assert [(rc, vec, sp.nodes) for rc, vec, sp in got] == _walked_front(
-                view, scaled, mask), (bi, sorted(banned))
-            assert all(sp.cost * scaled.denom - sum(map(scaled.value, sp.nodes)) == rc
-                       for rc, _, sp in got)
-        banned |= {rng.choice(problem.elements)}
+        _check_front_against_the_oracle(problem, _duals(problem, duals_kind, seed), seed)
 
 
 WALK_FAMILIES = {
@@ -871,7 +873,7 @@ def test_front_of_the_table_is_the_front_of_the_walk(family, duals_kind):
     # elements, subpath values), and no dropped one reaches any front
     for seed in range(1, 5):
         problem = WALK_FAMILIES[family](seed)
-        _check_front_against_the_walk(problem, _duals(problem, duals_kind, seed), seed)
+        _check_front_against_the_oracle(problem, _duals(problem, duals_kind, seed), seed)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -882,7 +884,7 @@ def test_front_of_a_capped_table_is_the_front_of_the_walk(spec, duals_kind, seed
     window = spec[1]
     event("no window" if window is None else "floored" if window[1] else "hard")
     problem = _build_cap_model(spec)
-    _check_front_against_the_walk(problem, _duals(problem, duals_kind, seed), seed)
+    _check_front_against_the_oracle(problem, _duals(problem, duals_kind, seed), seed)
 
 
 @st.composite
@@ -950,7 +952,7 @@ def test_front_of_a_windowed_table_is_the_front_of_the_walk(problem, duals_kind,
     # labels of one (last element, elements) whose subpath values differ,
     # and labels of one key that tie on cost and vector
     event("floored" if problem.subpath_resources[0].floor_at_lower else "hard")
-    _check_front_against_the_walk(problem, _duals(problem, duals_kind, seed), seed)
+    _check_front_against_the_oracle(problem, _duals(problem, duals_kind, seed), seed)
 
 
 def _tied_block():
@@ -986,9 +988,9 @@ def test_the_table_keeps_what_a_front_can_take(build, row):
     problem = build()
     duals = Duals(dict.fromkeys(problem.elements, 10))
     view = block_view(problem, 0)
-    front = _front(view, view.table(), duals.scaled(), 0)
+    front = _front(view, view.table(), scaled(duals), 0)
     assert row in [sp.nodes for _, _, sp in front]
-    _check_front_against_the_walk(problem, duals, 1)
+    _check_front_against_the_oracle(problem, duals, 1)
 
 
 def test_pareto_keep_on_dense_ties():
