@@ -3,7 +3,7 @@
 import itertools
 from collections import Counter, defaultdict
 from math import lcm
-from operator import le
+from operator import le, sub
 from unittest import mock
 
 from nestedcg import driver, synth
@@ -57,6 +57,23 @@ def usable_subpaths(problem, block_index, banned=frozenset()):
                for path in itertools.product(*choices)):
             out.add(sp)
     return out
+
+
+def limited_subpaths(problem, block_index, top, banned=frozenset()):
+    """The oracle's subpaths of one block that avoid ``banned`` and whose
+    every prefix, on arrival at its last element (exit leg not yet added),
+    is within that element's limit under ``top`` (``BlockView.limits``):
+    the states of a depth-first search of the block under ``top``, such
+    as the fill's.  Every prefix of an oracle subpath is one too."""
+    view = block_view(problem, block_index)
+    limits = view.limits(top)
+    subpaths = synth.enumerate_block_subpaths(problem, block_index, banned)
+    within = {}
+    for sp in subpaths:
+        v = view.local[sp.nodes[-1]]
+        within[sp.nodes] = all(map(le, map(sub, sp.contributions, view.exit[v][2]), limits[v]))
+    return [sp for sp in subpaths
+            if all(within[sp.nodes[:j]] for j in range(1, len(sp.nodes) + 1))]
 
 
 def check_table(problem, block_index, rows, banned=frozenset()):

@@ -7,10 +7,10 @@ import copy
 import json
 import random
 from fractions import Fraction
-from operator import le, sub
+from operator import sub
 
 import pytest
-from helpers import fill_boxes, in_box, scaled
+from helpers import fill_boxes, in_box, limited_subpaths, scaled
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -228,22 +228,15 @@ def test_the_fill_creates_no_label_beyond_the_completion_bound():
     got = buckets.compute_representative(problem, group, duals, view.step_weights(duals),
                                          tally=tally)
 
-    # the fill's states are the subpaths whose every prefix, on arrival at
-    # its last element (exit leg not yet added), is within that element's
-    # limit
+    # the fill's states are the subpaths whose every prefix is within
+    # its limits
     arrivals = {
         sp.nodes: tuple(map(sub, sp.contributions, view.exit[view.local[sp.nodes[-1]]][2]))
         for sp in synth.enumerate_block_subpaths(problem, 0)
     }
 
     def states(top):
-        limits = view.limits(top)
-
-        def within(nodes):
-            return all(map(le, arrivals[nodes], limits[view.local[nodes[-1]]]))
-
-        return sum(all(within(nodes[:j]) for j in range(1, len(nodes) + 1))
-                   for nodes in arrivals)
+        return len(limited_subpaths(problem, 0, top))
 
     assert 0 < states(top) < len(arrivals)
     assert tally["fill_labels"] == states(top)

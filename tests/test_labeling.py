@@ -11,7 +11,15 @@ from collections import defaultdict
 from fractions import Fraction
 
 import pytest
-from helpers import check_table, fill_boxes, in_box, scaled, undominated, usable_subpaths
+from helpers import (
+    check_table,
+    fill_boxes,
+    in_box,
+    limited_subpaths,
+    scaled,
+    undominated,
+    usable_subpaths,
+)
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -691,22 +699,18 @@ def test_block_is_searched_once_across_ban_sets(monkeypatch):
             rows = [sp for sp, m in zip(table.subpaths, table.masks) if not m & mask]
             assert rows == [sp for sp in table.subpaths if banned.isdisjoint(sp.nodes)]
             check_table(problem, bi, rows, banned)
-            # within the headroom, the rows outside the mask are the
-            # oracle's subpaths that no subpath of the same (last element,
+            # the rows outside the mask are the states of a search under
+            # the headroom that no state of the same (last element,
             # elements, subpath values) dominates, less those that one of
-            # them with the same elements dominates: a subpath that
-            # dominates one within the headroom is within it too
-            caps = view.headroom()
+            # them with the same elements dominates
             keys = defaultdict(list)
-            for sp in synth.enumerate_block_subpaths(problem, bi, banned):
-                if all(map(operator.le, sp.contributions, caps)):
-                    key = sp.nodes[-1], frozenset(sp.nodes), _values(problem, bi, sp.nodes)
-                    keys[key].append((sp.cost, sp.contributions, sp.nodes, sp))
+            for sp in limited_subpaths(problem, bi, view.headroom(), banned):
+                key = sp.nodes[-1], frozenset(sp.nodes), _values(problem, bi, sp.nodes)
+                keys[key].append((sp.cost, sp.contributions, sp.nodes, sp))
             kept = [sp for labels in keys.values() for cost, vec, nodes, sp in labels
                     if not any(c <= cost and all(map(operator.le, v, vec))
                                and (c, v, n) < (cost, vec, nodes) for c, v, n, _ in labels)]
-            assert undominated(kept) == {
-                sp for sp in rows if all(map(operator.le, sp.contributions, caps))}
+            assert undominated(kept) == set(rows)
         banned |= {rng.choice(problem.elements)}
     assert sorted(calls) == list(range(len(problem.blocks)))
 
