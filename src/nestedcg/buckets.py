@@ -2,23 +2,16 @@
 
 Each block gets a partition of its range -- the problem's contribution
 box, stretched where the block has a subpath outside it that a feasible
-path may use -- into axis-aligned integer boxes ("buckets").  A bucket
-caches the cheapest feasible subpath whose contribution vector lies in
-its box and within the block's headroom (what the path predicates leave
-the block, ``labeling.BlockView.headroom``) -- its *representative* --
-or the fact that no such subpath exists, which is permanent: bans only
-ever grow and the headroom depends on neither the duals nor the bans,
-so an empty box stays empty.  A
-subpath above the headroom lies on no feasible path, so every feasible
-path still takes each of its subpaths from a bucket whose lower corner
-and representative bound it from below.
+path may use (``labeling.BlockView.reach``) -- into axis-aligned integer
+boxes ("buckets").  A bucket caches its *representative*, the cheapest
+subpath in its box within the block's headroom, or the fact that it has
+none, which is permanent (:func:`compute_representative`).
 
 The module owns geometry and state (tiling, splitting, merging,
 invalidation).  What the bounds mean, and when a merge is admissible, is
-the pricer's business; merge passes take a callback.
-
-Contribution vectors are handled flat, in the problem's concatenated
-coordinate space (``problem.total_coords`` entries).
+the pricer's business; merge passes take a callback.  Contribution
+vectors are flat, in the problem's concatenated coordinate space
+(``problem.total_coords`` entries).
 """
 
 from __future__ import annotations
@@ -29,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .labeling import Representative, block_view, elementary_rcspp
-from .model import ModelError
+from .model import ModelError, _is_int
 
 FRESH = "fresh"
 COMPUTED = "computed"
@@ -60,10 +53,6 @@ class Bucket:
         return (self.block, self.lo, self.hi, self.serial) < (
             other.block, other.lo, other.hi, other.serial
         )
-
-    @property
-    def box(self):
-        return tuple(zip(self.lo, self.hi))
 
     @property
     def volume(self):
@@ -120,20 +109,22 @@ class Partition:
         (``labeling.BlockView.reach``) stretches past the box.
 
         ``width`` is a positive integer (same for every coordinate) or a
-        sequence with one width per concatenated coordinate.  Each
-        coordinate range of the box splits into ``max(1, span // width)``
-        tiles, the last one absorbing the remainder.
+        tuple or list with one per concatenated coordinate; anything else
+        raises a ModelError that names it.  Each coordinate range of the
+        box splits into ``max(1, span // width)`` tiles, the last one
+        absorbing the remainder.
         """
         d = problem.total_coords
-        if isinstance(width, int):
-            widths = (width,) * d
-        else:
-            widths = tuple(width)
-            if len(widths) != d:
-                raise ModelError(
-                    f"bucket widths {widths} for {d} contribution coordinates: "
-                    "need one width per coordinate"
-                )
+        widths = (width,) * d if _is_int(width) else width
+        if not isinstance(widths, (tuple, list)) or not all(map(_is_int, widths)):
+            raise ModelError(f"bucket width {width!r}: must be a positive integer "
+                             "or a list of them, one per contribution coordinate")
+        widths = tuple(widths)
+        if len(widths) != d:
+            raise ModelError(
+                f"bucket widths {widths} for {d} contribution coordinates: "
+                "need one width per coordinate"
+            )
         box = problem.contribution_box()
         if any(w < 1 for w in widths):
             raise ModelError(f"bucket width {width} over box {box}: must be positive")
@@ -347,43 +338,19 @@ class Partition:
 
 
 def compute_representative(problem, buckets, duals, weights, banned=frozenset(), tally=None):
-    """(Re)compute representatives under the given scaled duals.
+    """(Re)compute the representatives of ``buckets``, all of one block,
+    under scaled duals with step weights ``weights``, by one fill
+    (``labeling.elementary_rcspp``); returns them, None for an EMPTY
+    bucket.
 
-    ``buckets`` lists buckets of one block; a single depth-first search
-    (``labeling.elementary_rcspp``) fills them all, and each bucket's
-    representative is returned (None for an EMPTY one).  Each box is
-    searched capped at the block's headroom
-    (``labeling.BlockView.headroom``): a subpath above it lies on no
-    feasible path, so a representative is the cheapest subpath in its box
-    that the headroom admits.  A bucket packs that capped box, as the
-    fill reads it, on its first fill and keeps it (``Bucket.corners``): a
-    box never changes.  The shared search sends each completed subpath to
-    the capped box holding its vector and keeps, per box, the first by
-    (reduced cost, vector, node sequence), which is exactly the
-    representative the bucket's own search would find.  It drops a state
-    whose vector plus its node's least completion
-    (``BlockView.least_completion``) is above the capped boxes' most upper
-    end: every completion adds at least that much, so the state ends in
-    no box.  ``weights`` are the duals' ``BlockView.step_weights``, which
-    the adaptive pricer builds once per block and pricing call.  When
-    ``tally`` is given, its ``"fill_labels"`` gains the states the search
-    expands.
-
-    A representative holds the fill's winner (reduced cost, vector, node
-    sequence), and builds its ``Subpath`` only when one is read
-    (``labeling.Representative``).
-
-    Marks a bucket EMPTY -- permanently -- when its capped box holds no
-    feasible subpath contribution vector at all (a box whose lower end
-    lies above the headroom holds none); EMPTY buckets are not searched.
-    The headroom depends on neither the duals nor the bans, so the
-    marking stays true.  A subpath outside every box is dropped: the
-    partition tiles each block's reach (``labeling.BlockView.reach``),
-    so no feasible path can use it.
+    Each box is filled capped at the block's headroom
+    (``labeling.BlockView.headroom``), which a bucket packs on its first
+    fill and keeps (``Bucket.corners``).  A bucket whose capped box holds
+    no subpath is marked EMPTY for good: the headroom depends on neither
+    the duals nor the bans.  ``tally``, when given, gains the fill's
+    states in ``"fill_labels"``.
     """
     group = list(buckets)
-    if len({b.block for b in group}) > 1:
-        raise BucketError("buckets filled together must share a block")
     live = [b for b in group if b.status != EMPTY]
     if live:
         view = block_view(problem, live[0].block)

@@ -9,6 +9,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, fields
+from itertools import product
 from pathlib import Path
 
 from . import driver, mpcvrp, synth
@@ -31,24 +32,16 @@ def _load_any(path):
     raise ModelError(f"{path}: neither a nested problem nor a routing instance")
 
 
-def _pricer_name(name: str) -> str:
-    if name in ("adaptive", "exact"):
-        return name
-    if name == "enumerative":
-        return "exact"
-    raise ModelError(f"unknown pricer {name!r}")
+def _pricing(width, reuse, midway, merge) -> PricingConfig:
+    """The adaptive pricer's knobs as the CLI and experiment grids name them."""
+    return PricingConfig(width=width, strategy="midpoint" if midway else "representative",
+                         merge=merge, reuse=reuse)
 
 
 def _driver_config(args) -> driver.DriverConfig:
-    pricing = PricingConfig(
-        width=args.width,
-        strategy="midpoint" if args.midway else "representative",
-        merge=args.merge,
-        reuse=args.reuse,
-    )
     return driver.DriverConfig(
-        pricer=_pricer_name(args.pricer),
-        pricing=pricing,
+        pricer="exact" if args.pricer == "enumerative" else args.pricer,
+        pricing=_pricing(args.width, args.reuse, args.midway, args.merge),
         dive=args.dive,
     )
 
@@ -191,26 +184,19 @@ def _build_problem(source: dict):
 
 
 def _grid_cells(spec: ExperimentSpec):
-    """(label, pricer, pricing-config) triples, enumerative benchmark last."""
+    """(label, pricer, pricing config, CSV columns) per cell, the
+    enumerative benchmark last; the columns name the pricer and its knobs."""
     cells = []
     if spec.pricer in ("adaptive", "both"):
-        for width in spec.widths:
-            for reuse in spec.reuse:
-                for midway in spec.midway:
-                    for merge in spec.merge:
-                        label = (
-                            f"adaptive-w{width}"
-                            f"-reuse{int(reuse)}-mid{int(midway)}-merge{int(merge)}"
-                        )
-                        cfg = PricingConfig(
-                            width=width,
-                            strategy="midpoint" if midway else "representative",
-                            merge=merge,
-                            reuse=reuse,
-                        )
-                        cells.append((label, "adaptive", cfg))
+        for width, reuse, midway, merge in product(spec.widths, spec.reuse, spec.midway,
+                                                   spec.merge):
+            label = f"adaptive-w{width}-reuse{int(reuse)}-mid{int(midway)}-merge{int(merge)}"
+            columns = {"pricer": "adaptive", "width": width, "reuse": int(reuse),
+                       "midway": int(midway), "merge": int(merge)}
+            cells.append((label, "adaptive", _pricing(width, reuse, midway, merge), columns))
     if spec.pricer in ("enumerative", "both"):
-        cells.append(("enumerative", "exact", PricingConfig()))
+        columns = {"pricer": "enumerative", "width": "", "reuse": "", "midway": "", "merge": ""}
+        cells.append(("enumerative", "exact", PricingConfig(), columns))
     return cells
 
 
@@ -241,20 +227,8 @@ def run_experiment(spec: ExperimentSpec):
     trace_path = out_dir / "traces.jsonl"
     with trace_path.open("w") as traces:
         for rep in range(spec.repetitions):
-            for label, pricer, pricing in cells:
-                row = {
-                    "config": label,
-                    "pricer": "enumerative" if pricer == "exact" else pricer,
-                    "width": pricing.width if pricer == "adaptive" else "",
-                    "reuse": int(pricing.reuse) if pricer == "adaptive" else "",
-                    "midway": (
-                        int(pricing.strategy == "midpoint")
-                        if pricer == "adaptive"
-                        else ""
-                    ),
-                    "merge": int(pricing.merge) if pricer == "adaptive" else "",
-                    "repetition": rep,
-                }
+            for label, pricer, pricing, columns in cells:
+                row = {"config": label, **columns, "repetition": rep}
                 try:
                     problem = _build_problem(spec.instance)
                     config = driver.DriverConfig(

@@ -9,8 +9,7 @@ same iteration, and the center moves whenever the Lagrangian bound
 improves.  Duals travel from the master's simplex to the pricers as
 integers over one denominator (``model.ScaledDuals``); LP values, primal
 values, the pricers' bounds and the Lagrangian bound are exact Fractions,
-and reports carry them plus float renderings.  ``RunReport.master``
-holds the master's LP solve and pivot counts and its simplex seconds.
+and reports carry them plus float renderings.
 
 Diving: once the root LP is optimal, repeatedly fix the most fractional
 column (plus every column above 3/5) to one, shrink the master, and
@@ -36,6 +35,11 @@ EPS = Fraction(1, 10**6)
 
 class DriverError(RuntimeError):
     pass
+
+
+def _num(x):
+    """``x`` as a float for JSON, None left as it is."""
+    return None if x is None else float(x)
 
 
 @dataclass
@@ -68,16 +72,13 @@ class Trace:
     pivots: int = 0               # simplex pivots of this iteration's solve
 
     def to_dict(self):
-        def num(x):
-            return None if x is None else float(x)
-
         row = {
             "iteration": self.iteration,
             "phase": self.phase,
             "rmp_status": self.rmp_status,
-            "lp_value": num(self.lp_value),
+            "lp_value": _num(self.lp_value),
             "columns_added": self.columns_added,
-            "optimistic": num(self.optimistic),
+            "optimistic": _num(self.optimistic),
             "misprice": self.misprice,
             "pool_size": self.pool_size,
             "pivots": self.pivots,
@@ -125,15 +126,12 @@ class RunReport:
     master: dict = field(default_factory=dict)    # Rmp.stats
 
     def to_dict(self):
-        def num(x):
-            return None if x is None else float(x)
-
         out = {
             "name": self.name,
             "status": self.status,
-            "lp_value": num(self.lp_value),
+            "lp_value": _num(self.lp_value),
             "lp_value_exact": None if self.lp_value is None else str(self.lp_value),
-            "bound": num(self.bound),
+            "bound": _num(self.bound),
             "iterations": self.iterations,
             "columns_generated": self.columns_generated,
             "misprices": self.misprices,
@@ -144,12 +142,12 @@ class RunReport:
         if self.dive is not None:
             out["dive"] = {
                 "status": self.dive.status,
-                "ip_value": num(self.dive.ip_value),
+                "ip_value": _num(self.dive.ip_value),
                 "ip_value_exact": (
                     None if self.dive.ip_value is None else str(self.dive.ip_value)
                 ),
                 "n_fixed": self.dive.n_fixed,
-                "gap": num(self.dive.gap),
+                "gap": _num(self.dive.gap),
             }
         return out
 
@@ -189,7 +187,7 @@ def _cg_loop(problem, rmp, pricer, smoother, counters, traces, phase):
             rmp.stats["time_bound"] += time.perf_counter() - tick
             if best_bound is None or bound > best_bound:
                 best_bound = bound
-                smoother.recentre(duals)
+                smoother.center = duals
         return outcome, added
 
     while counters.iteration < counters.limit:

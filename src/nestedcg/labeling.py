@@ -1,21 +1,14 @@
 """Path search engines and the compiled block they run on.
 
-* :func:`label_search` -- a layer-by-layer label-setting search over
-  per-block item lists: every path takes one item (a bucket or a subpath)
-  from each block, and the items' contribution vectors aggregate per
-  coordinate by sum or max.  The pricers run it with bucket lower corners
-  (optimistic bound), with representatives (pessimistic bound) and over
-  Pareto-kept subpaths (enumerative benchmark); :func:`through_values`
-  runs it once per item, with the item's layer pinned to it, for the
-  merge criterion.
+* :func:`label_search` -- a layer-by-layer label-setting search for
+  paths that take one item (a bucket or a subpath) from each block.  The
+  pricers run it with bucket lower corners (optimistic bound), with
+  representatives (pessimistic bound) and over Pareto-kept subpaths
+  (enumerative benchmark); :func:`through_values` pins one item at a
+  time for the merge criterion.
 * :func:`elementary_rcspp` -- the bucket fill, the one depth-first search
   over the elementary subpaths of a block, on :class:`BlockView`, the
-  compiled form of a block (local element indices, padded subpath
-  deltas, flat contribution deltas, sorted adjacency).  A state is
-  dropped when its vector plus the least that any completion from its
-  node can add (:meth:`BlockView.least_completion`, dual-independent and
-  cached on the view) is above a given top, so no extension of it ends
-  below.
+  compiled form of a block.
 
 Weighed by scaled reduced cost under the most upper end of a list of
 contribution boxes, the search fills buckets.  Run over one box under
@@ -25,82 +18,6 @@ labeling pass, over the same extensions, lists once, as data for the
 enumerative pricer, each block's subpaths that no subpath with the same
 elements dominates (:meth:`BlockView.table`; each pricing call skips the
 rows that meet its ban mask).
-
-The layered search stores labels, plain (rcost, vector, items, packed
-load) tuples, only for the layers that a later layer extends: per item,
-every label that fewer than ``top_k`` labels stored before it dominate
-(:func:`_insert`); a stored label is never dropped.  A label dominates
-another when every completion of it sorts before the same completion of
-the other by (rcost, vector, items).  A dominator is a partial path on
-the same item, so it takes the same completions, and dominance is strict
-and transitive: a prefix of one of the first ``top_k`` paths never has
-``top_k`` dominators.  Dominance prunes partial paths, so the last layer
-has none: each stored label of the layer before it is extended by each
-last-layer item straight into one bounded selection of the first
-``top_k`` admitted paths in that order.  The result list is therefore a
-prefix of the fully enumerated, sorted solution list.  Most extensions
-fail a check, so a check whose nonzero weights fall only on ``SUM``
-coordinates (an additive one: a path's weighted value is the sum of its
-items', their loads) is met before the extension's vector is built.  Each
-item carries its loads on every additive check packed into one int, in
-fields as :class:`Packing` lays them out, and each label the sum of its
-items' (:func:`_load_packing`); an extension passes them all when
-``(room - held - load) & guard == guard``, room packing each bound plus
-its field's guard bit, fields wide enough that no prefix of a path
-borrows from the next.  Only an extension that passes builds its vector,
-for the other checks (those on a ``MAX`` coordinate) and for the
-selection; in the inner layers only the checks that prune take part, the
-partial guard holding their bits.  The rules (combine, dominance, the
-split of the checks) are built once per (aggs, checks, prune)
-(:func:`_layer_rules`).
-
-Bucket fill.  :func:`elementary_rcspp` answers every bucket box of one
-block with a single depth-first search: it pops a state, sends it to the
-box that holds it (a bisect over the boxes' packed corners,
-:meth:`Packing.box_tables`), where it is kept when it sorts
-first by (reduced cost, vector, node sequence), and pushes its
-extensions; so every box gets exactly the result of its own search,
-whatever order the loop visits.  It keeps no label store: a label could
-only dominate labels with its own vector (two vectors may end in
-different boxes), and such labels are too rare for a store to pay for
-its keys.  A fill pays for its search and little else.  Each box comes
-packed (:meth:`BlockView.fill_box`): a bucket packs its capped box once,
-on its first fill, and keeps it.  The per-step weights of the duals
-(:meth:`BlockView.step_weights`) come from the caller, which builds them
-once per block and pricing call.  The search's compiled setup
-(:meth:`BlockView._prepare`: packed caps, start states, arc tuples that
-carry step indices) depends only on the limits' top and the ban mask; the
-view keeps the setups whose (top, ban mask) recurs.  And each box's
-winner stays a raw (reduced cost, vector, nodes) triple in a
-:class:`Representative`, whose ``Subpath`` is built only when read.
-
-Packed vectors.  The searches carry each contribution vector as one int
-(:class:`Packing`): coordinate c as x - low, in a field of
-w = (high - low).bit_length() bits under a guard bit, where (low, high)
-are the view's :attr:`BlockView.bounds`; coordinate 0 is highest, so int
-order is tuple order.  An extension is one addition, and with
-cap - low + 2**w per field (cap clamped into [low - 1, high]) vec <= cap
-on every coordinate exactly when ``(cap - vec) & guard == guard``, since
-no field borrows; box corners (:meth:`Packing.corners`, packed once per
-bucket and once per distinct subpath-resource window of a view) are
-tested alike.  The plain packed cap (cap - low per field, no guard) also
-orders: a vector within the cap on every field is within it as an int,
-each field's value being at most the cap's, even when a clamped field is
-low - 1 (-1 packed).  So a packed vector above the plain cap is above
-the cap on some coordinate; the searches
-sort each element's arcs by slack, cap less delta, descending, and
-stop at the first arc whose slack is below the state's vector, since
-every later slack is smaller still.  With one coordinate the int test is
-the coordinate's, so the break leaves no extension above its cap.  The
-subpath-resource values ride in a second int
-(:attr:`BlockView.sub_packing`), in fields that hold every value an entry
-delta or a floored lower end plus m - 1 arc deltas can reach, and each
-extension tests its element's window as a box,
-``(hi - s) & (s - lo) & guard == guard``.  Only when that fails
-on a view with a floored resource does a branch raise each floored
-value below its lower end to that end and test the upper ends again.
-Only what leaves a search is unpacked: exact's table rows and each
-box's fill winner.
 
 All arithmetic is integer: duals arrive as ``model.ScaledDuals``, so
 reduced costs stay exact.
@@ -167,6 +84,12 @@ def _layer_rules(aggs, checks, prune):
     whose coordinates aggregate by ``aggs`` (``SUM`` or ``MAX``), built
     once per (aggs, checks, prune).
 
+    ``dominates(a, b)``, asked only of a label ``a`` no dearer than
+    ``b`` on the same item, holds when every completion of ``a`` sorts
+    before the same completion of ``b`` by (rcost, vector, items).  It is
+    strict and transitive, so a prefix of one of the first ``top_k``
+    paths never has ``top_k`` dominators.
+
     A check is additive when its nonzero weights fall only on ``SUM``
     coordinates: a path's weighted value is then the sum of its items'
     values, their loads.  ``additive`` lists those checks as (weights,
@@ -184,8 +107,6 @@ def _layer_rules(aggs, checks, prune):
     sums = [i for i, op in enumerate(ops) if op is add]
 
     def dominates(a, b) -> bool:
-        if a[0] > b[0]:
-            return False
         x, y = a[1], b[1]
         for i in coords:
             if x[i] > y[i]:
@@ -363,7 +284,18 @@ def through_values(layers, aggs, checks, prune=()):
 
 
 class Packing:
-    """Vectors within per-coordinate ``bounds`` as ints, laid out as the module docstring says."""
+    """Vectors within per-coordinate ``bounds`` as ints.
+
+    Coordinate c is held as x - low in a field of (high - low).bit_length()
+    bits under a guard bit, coordinate 0 highest, so int order is tuple
+    order and an extension is one addition.  With cap - low + 2**w per
+    field (cap clamped into [low - 1, high]), vec <= cap on every
+    coordinate exactly when ``(cap - vec) & guard == guard``: no field
+    borrows.  A vector within the plain packed cap (no guard) on every
+    field is within it as an int, so the searches sort each element's
+    arcs by slack, cap less delta, descending, and stop at the first
+    whose slack is below the state's vector.  With one coordinate the int
+    test is the coordinate's."""
 
     def __init__(self, bounds):
         self.bounds = bounds
@@ -852,21 +784,14 @@ def elementary_rcspp(
     its ``"fill_labels"`` entry gains the number of states the search
     expands.
 
-    The search pops a state, sends it to its box and pushes its
-    extensions.  It runs weighed by scaled reduced cost, under the
-    :meth:`BlockView.limits` of the boxes' most upper end on each monotone
-    coordinate (inf elsewhere), so a subpath it drops ends in no box; its
-    setup comes from :meth:`BlockView._prepare`, each element's arcs in
-    descending packed slack, and a state stops at the first arc whose
-    slack is below its vector (see "Packed vectors" in the module
-    docstring).  An extension that breaks its element's subpath-resource
-    window is no state; only a failed window test on a view with a
-    floored resource takes the branch that lifts (:meth:`BlockView._lift`).
-    A state goes to the box holding its packed vector, found by a bisect
-    over :meth:`Packing.box_tables`, where it replaces the box's answer
-    when it sorts before it by (reduced cost, vector, node sequence), so
-    every box gets the first subpath in that order, whatever the visiting
-    order.
+    The search runs under the :meth:`BlockView.limits` of the boxes'
+    most upper end on each monotone coordinate (inf elsewhere), so a
+    state it drops ends in no box; its setup comes from
+    :meth:`BlockView._prepare`.  A state goes to the box holding its
+    packed vector (a bisect over :meth:`Packing.box_tables`), where it
+    replaces the box's answer when it sorts before it by (reduced cost,
+    vector, node sequence), so every box gets the first subpath in that
+    order, whatever the visiting order.
 
     Returns one entry per box: the :class:`Representative` that sorts
     first, or None when no feasible subpath lies in the box; an empty

@@ -28,13 +28,6 @@ are the right-hand sides and senses; a column covering a satisfied
 element under partitioning is None and stays out of the LP.  A solve
 hands the cached columns, right-hand sides and senses to the simplex as
 they are.
-
-Dual smoothing (``SmoothingState``) sends the pricer the midpoint of the
-stability center and the fresh master duals: Wentges' fixed weight of 1/2.
-
-``Rmp.stats`` counts the master's LP solves and pivots and sums the
-seconds spent in the simplex and, as the driver times it, in
-:func:`lagrangian_bound`, for the run report.
 """
 
 from __future__ import annotations
@@ -265,9 +258,6 @@ class SmoothingState:
         return ScaledDuals.lowest_terms(
             mixed, center.convexity * dp + pure.convexity * dc, 2 * dc * dp
         )
-
-    def recentre(self, duals: ScaledDuals):
-        self.center = duals
 
 
 def lagrangian_bound(rmp: Rmp, duals: ScaledDuals, optimistic: Fraction):

@@ -14,14 +14,10 @@ those integers in millicost units so that bucket coordinates stay small
 while LP arithmetic stays exact.
 
 The distance cap of a generated instance interpolates between two
-calibrated anchors: ``d_min``, the per-vehicle share of the summed
-optimal daily routing costs, and ``d_max``, the best max-workload
-assignment of those same optimal routes to vehicles.  Both anchors are
-computed exactly: Held-Karp over each day's capacity-feasible customer
-sets prices every possible route, and a split of the day into one route
-per vehicle is searched only over the customer sets the full day's
-split reaches.  Both still grow as 2^n in the customers per day, which
-is why the generator enforces a desk-scale limit on them.
+calibrated anchors, ``d_min`` and ``d_max`` (:func:`calibrate_caps`).
+Both are exact, by Held-Karp over each day's capacity-feasible customer
+sets, and grow as 2^n in the customers per day, which is why the
+generator enforces a desk-scale limit on them.
 """
 
 from __future__ import annotations
@@ -51,6 +47,7 @@ from .model import (
     _bound,
     _entry,
     _int,
+    _is_int,
 )
 
 # Exact calibration prices every capacity-feasible customer set of a day,
@@ -446,8 +443,12 @@ def generate_instance(
     given, the capacity is set just high enough that every day provably
     splits into ``vehicles`` feasible routes while single-route days stay
     excluded.  The distance cap interpolates the calibration anchors:
-    floor(d_min + delta * (d_max - d_min)).
+    floor(d_min + delta * (d_max - d_min)).  ``n``, ``days`` and
+    ``vehicles`` must be positive integers.
     """
+    for key, value in (("n", n), ("days", days), ("vehicles", vehicles)):
+        if not _is_int(value) or value < 1:
+            raise ModelError(f"{key} must be a positive integer, not {value!r}")
     if n < vehicles:
         raise ModelError("need at least as many customers per day as vehicles")
     coords, demands = points if points is not None else load_points()

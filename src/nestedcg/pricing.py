@@ -1,17 +1,9 @@
 """Path pricers over bucket graphs.
 
 The adaptive pricer runs a sandwich loop per call.  Representatives give
-every bucket a cheapest-member subpath.  The fill that computes them runs
-one depth-first search per block over all of its stale buckets, not one
-per bucket; each completed subpath goes to the box that holds it, where
-the first by (reduced cost, vector, node sequence) is kept, so the shared
-search yields each bucket exactly the representative its own
-box-restricted search would (see ``labeling.elementary_rcspp``).  A fill
-pays for its search and little else: each bucket packs its capped box on
-its first fill and keeps it, each block's step weights are built once
-per call and serve every round of its sandwich, and a representative
-builds its ``Subpath`` only when a column, a merge or a reuse round reads
-it.  A layered search over buckets then prices whole paths twice:
+every bucket a cheapest-member subpath, one fill per block over all of
+its stale buckets (``buckets.compute_representative``).  A layered search
+over buckets then prices whole paths twice:
 
 * *optimistic*: buckets contribute their box lower corner.  A block's
   buckets tile its reach (``labeling.BlockView.reach``), which holds
@@ -36,15 +28,8 @@ its child's lower corner, pinning a previously unpinned contribution
 vector, so a block never sees more splits than it has distinct feasible
 contribution vectors within its headroom.
 
-The enumerative pricer is the benchmark: list once, as a
-dual-independent table (``labeling.BlockView.table``), each block's
-subpaths that no subpath with the same elements dominates, keep the
-Pareto front of each block's rows that avoid the call's bans under its
-duals, and run the same layered search over individual subpaths.  Its
-bound is exact by construction.  Per call, the work is linear in the
-table when the problem has at most one contribution coordinate (one
-addition per subpath for its reduced cost, one pass for the front; see
-:class:`ExactPricer`).
+The enumerative pricer (:class:`ExactPricer`) is the benchmark: the
+same layered search over each block's Pareto front of subpaths.
 """
 
 from __future__ import annotations
@@ -248,7 +233,8 @@ class AdaptivePricer:
         cfg = self.config
         banned = frozenset(banned)
         self._ensure_partition(banned)
-        stats = {"refinements": 0, "merges": 0, "reuse_hit": False}
+        # the totals that every return adds are running counts for the solve
+        stats = {"reuse_hit": False}
 
         if cfg.reuse:
             live = self._live()
@@ -307,14 +293,11 @@ class AdaptivePricer:
             for bucket in targets:
                 self.partition.refine_bucket(bucket, cfg.strategy)
                 self.totals["refinements"] += 1
-                stats["refinements"] += 1
 
         if cfg.merge:
             tick = time.perf_counter()
-            n = self._merge_blocks(live, scaled)
+            self.totals["merges"] += self._merge_blocks(live, scaled)
             self.timers["merge"] += time.perf_counter() - tick
-            self.totals["merges"] += n
-            stats["merges"] = n
         stats.update(self._snapshot())
         return PricingOutcome(columns, Fraction(opt[0].rcost, denom), stats=stats)
 

@@ -43,16 +43,13 @@ Simplex Method*, 2003).  Pricing reads u without products: a caller's
 column prices as c.d less the sum of u over its rows, an artificial as
 big_M.d - u_r, and a surplus column, the one column with a -1, as u_r.
 
-Warm starts.  ``LpResult.basis`` is a :class:`Basis` token holding the
-basic indices, the basic columns as they were factored, A and d, and
-the surplus rows.  A later solve reuses A and d as they stand when the
-surplus rows and the columns at those indices are unchanged -- the case
-when columns are only appended -- so a warm start never refactors; any
-other token starts cold from the all-artificial basis, B = I.  The
-token also carries x = A.b and u = c_B.A with the right-hand side and
-the basic costs (big-M at a basic artificial) they were formed under;
-a warm start reuses each when its inputs are equal and redoes its
-O(m^2) product otherwise.
+Warm starts.  ``LpResult.basis`` is a :class:`Basis` token.  A later
+solve reuses its A, d and x = A.b as they stand when the surplus rows,
+the right-hand side and the columns at its basic indices are unchanged
+-- the case when columns are only appended -- so a warm start never
+refactors; any other token starts cold from the all-artificial basis,
+B = I.  It reuses the token's u = c_B.A when the basic costs are
+unchanged too, and redoes that O(m^2) product otherwise.
 
 Feasibility comes from one big-M phase: each row carries an artificial
 column, and an artificial that stays basic at positive value at
@@ -112,7 +109,7 @@ def solve_lp(costs, columns, rhs, senses, *, basis=None) -> LpResult:
     Costs and right-hand sides must be ints.  ``basis`` is the
     ``LpResult.basis`` of a previous solve; it is used when its basic
     columns are still the columns at the same indices, under the same
-    senses.  Row r's dual is ``duals[r] / basis.det`` of the result.
+    senses and right-hand side.  Row r's dual is ``duals[r] / basis.det`` of the result.
     """
     rhs = tuple(rhs)
     m = len(rhs)
@@ -138,24 +135,18 @@ def solve_lp(costs, columns, rhs, senses, *, basis=None) -> LpResult:
     pivot_limit = _PIVOT_ALLOWANCE + 50 * (m + n_total)
 
     # -- initial basis -----------------------------------------------------
-    base = None
     if (
         isinstance(basis, Basis)
         and len(basis.base) == m
         and basis.surplus == surplus_rows
+        and basis.rhs == rhs
         and all(
             j < n_total and column[j] == c
             for j, c in zip(basis.base, basis.columns)
         )
     ):
-        base, adj, det = list(basis.base), list(basis.adj), basis.det
-        if basis.rhs == rhs:
-            x = list(basis.x)
-        else:
-            x = [sum(map(mul, row, rhs)) for row in adj]
-            if any(v < 0 for v in x):
-                base = None     # primal infeasible for this right-hand side
-    if base is None:            # the artificials, B = I
+        base, adj, det, x = list(basis.base), list(basis.adj), basis.det, list(basis.x)
+    else:                       # the artificials, B = I
         basis = None
         base, det = list(range(m)), 1
         adj = [[int(r == i) for i in range(m)] for r in range(m)]

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -172,11 +173,14 @@ def _admits(problem, agg):
     return True
 
 
-def count_path_products(per_block_counts):
-    total = 1
-    for n in per_block_counts:
-        total *= n
-    return total
+def _crossable(per_block, guard) -> bool:
+    """Whether every block has a subpath in ``per_block``; OracleGuard
+    when their cross product exceeds ``guard``."""
+    if any(not subs for subs in per_block):
+        return False
+    if math.prod(map(len, per_block)) > guard:
+        raise OracleGuard("path cross product exceeds the oracle guard")
+    return True
 
 
 def oracle_min_rcost(problem, duals: Duals, banned=frozenset(), guard=1_000_000):
@@ -189,10 +193,8 @@ def oracle_min_rcost(problem, duals: Duals, banned=frozenset(), guard=1_000_000)
         enumerate_block_subpaths(problem, bi, banned)
         for bi in range(len(problem.blocks))
     ]
-    if any(not subs for subs in per_block):
+    if not _crossable(per_block, guard):
         return None
-    if count_path_products([len(s) for s in per_block]) > guard:
-        raise OracleGuard("path cross product exceeds the oracle guard")
 
     priced = [
         [
@@ -220,10 +222,8 @@ def oracle_min_rcost_recursive(problem, duals: Duals, banned=frozenset(), guard=
         enumerate_block_subpaths(problem, bi, banned)
         for bi in range(len(problem.blocks))
     ]
-    if any(not subs for subs in per_block):
+    if not _crossable(per_block, guard):
         return None
-    if count_path_products([len(s) for s in per_block]) > guard:
-        raise OracleGuard("path cross product exceeds the oracle guard")
 
     n = len(per_block)
     best = [None]
@@ -269,10 +269,8 @@ def enumerate_paths(problem, banned=frozenset(), guard=1_000_000):
 
 def _paths(problem, per_block, guard):
     """The feasible paths over per-block subpath lists ``per_block``."""
-    if any(not subs for subs in per_block):
+    if not _crossable(per_block, guard):
         return []
-    if count_path_products([len(s) for s in per_block]) > guard:
-        raise OracleGuard("path cross product exceeds the oracle guard")
     paths = []
     for combo in itertools.product(*per_block):
         agg = _aggregate(problem, [sp.contributions for sp in combo])
@@ -556,8 +554,7 @@ def _span_instance(seed, n_scenarios, tasks_range):
     duty_lists = [[sp.contributions for sp in subs] for subs in duties]
 
     combos = itertools.product(*duty_lists)
-    total = count_path_products([len(d) for d in duty_lists])
-    if total > 20_000:
+    if math.prod(map(len, duty_lists)) > 20_000:
         sampler = random.Random(seed ^ 0x5EED)
         combos = (
             tuple(map(sampler.choice, duty_lists)) for _ in range(20_000)

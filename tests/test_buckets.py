@@ -2,13 +2,14 @@
 invalidation, and representative computation against brute force."""
 
 import random
+import re
 import time
 from operator import le
 
 import pytest
 from helpers import scaled
 
-from nestedcg import synth
+from nestedcg import driver, synth
 from nestedcg.buckets import (
     COMPUTED,
     EMPTY,
@@ -34,6 +35,7 @@ from nestedcg.model import (
     PathResource,
     ScaledDuals,
 )
+from nestedcg.pricing import PricingConfig
 
 
 def _line_problem(span=1000, dim=1):
@@ -90,6 +92,19 @@ def test_initial_rejects_bad_widths():
         Partition.initial(problem, (250, 250))  # dim mismatch
     with pytest.raises(ModelError, match="width 1 over box .*90000 buckets"):
         Partition.initial(_line_problem(span=299, dim=2), 1)  # 90000 cells
+
+
+def test_widths_that_are_not_positive_integers_fail_as_input():
+    # a width is an int >= 1 that is not a bool, or a tuple or list of
+    # such ints, one per coordinate; the solve names any other width
+    problem = _line_problem(span=20)
+    for width in (2.5, (3.0,), "5", None, True, [False], (2, 3)):
+        config = driver.DriverConfig(pricing=PricingConfig(width=width))
+        with pytest.raises(ModelError, match=re.escape(repr(width))):
+            driver.solve(problem, config)
+    for width in (5, (5,), [5]):
+        report = driver.solve(problem, driver.DriverConfig(pricing=PricingConfig(width=width)))
+        assert report.status == "optimal"
 
 
 def test_validate_rejects_gaps_overlaps_and_misfiled_buckets():
@@ -314,7 +329,7 @@ def test_adjacent_pairs_match_the_all_pairs_definition(dim):
             bucket = rng.choice([b for b in part.buckets(0) if b.lo != b.hi])
             strategy = rng.choice(("midpoint", "representative"))
             if strategy == "representative":
-                vec = tuple(rng.randint(lo, hi) for lo, hi in bucket.box)
+                vec = tuple(rng.randint(lo, hi) for lo, hi in zip(bucket.lo, bucket.hi))
                 bucket.status, bucket.rep = COMPUTED, _rep((1,), 0, vec)
             part.refine_bucket(bucket, strategy)
         part.validate()

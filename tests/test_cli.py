@@ -80,6 +80,19 @@ def test_generate_propagates_model_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, name", (("--n", "n"), ("--t", "days"), ("--k", "vehicles")))
+def test_generate_rejects_a_count_below_one(tmp_path, capsys, flag, name):
+    # zero days or vehicles crashed the draw; each count now fails as input
+    args = {"--n": "4", "--t": "2", "--k": "2", flag: "0"}
+    rc = main(["generate", "mpcvrp", *(x for kv in args.items() for x in kv),
+               "--delta", "0.5", "--seed", "1", "--out", str(tmp_path / "x.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be a positive integer, not 0")
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("delta", ("nan", "inf"))
 def test_generate_rejects_a_delta_that_is_not_finite(tmp_path, capsys, delta):
     rc = main(
@@ -208,10 +221,11 @@ def test_solve_rejects_unusable_bucket_widths(tmp_path, capsys):
 
 def test_solve_unrecognized_shape(tmp_path, capsys):
     path = tmp_path / "odd.json"
-    path.write_text(json.dumps({"foo": 1}))
-    rc = main(["solve", "--instance", str(path)])
-    assert rc == 1
-    assert "neither" in capsys.readouterr().err
+    for document, message in (({"foo": 1}, "neither"), ([1, 2], "expected a JSON object")):
+        path.write_text(json.dumps(document))
+        rc = main(["solve", "--instance", str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
 
 def test_unknown_pricer_rejected_by_parser(tmp_path):

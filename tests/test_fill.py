@@ -39,7 +39,7 @@ def _capped(problem, bucket):
     """The bucket's box capped at its block's headroom: a representative
     comes only from subpaths the headroom admits."""
     tops = labeling.block_view(problem, bucket.block).headroom()
-    return [(lo, min(hi, top)) for (lo, hi), top in zip(bucket.box, tops)]
+    return [(lo, min(hi, top)) for (lo, hi), top in zip(zip(bucket.lo, bucket.hi), tops)]
 
 
 def _reference_fill(problem, group, duals, weights=None, banned=frozenset(), tally=None):

@@ -262,10 +262,10 @@ def test_a_candidate_that_fails_an_additive_check_builds_nothing(monkeypatch):
     assert tested == [(1, 1), (2, 0), (0, 1)]
 
 
-def test_dominance_eq_mode_protects_lower_bounded_coordinates():
+def test_fill_keeps_a_dearer_ordering_that_meets_a_box_lower_end():
     # two orders of the same element set reach the end with different
-    # contributions; only the more expensive one satisfies the box lower
-    # bound, so plain cheapest-and-smallest dominance would lose the answer
+    # contributions; only the dearer one meets the box's lower end, so a
+    # fill that let the cheaper, smaller one dominate it would lose it
     block = Block(
         elements=(1, 2, 3),
         arcs={

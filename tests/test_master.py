@@ -297,12 +297,12 @@ def test_smoothing_mixes_toward_the_center():
     pure = ScaledDuals({1: 10, 2: 0}, 4, 1)
     state = SmoothingState()
     assert state.smoothed(pure) is pure  # no center yet
-    state.recentre(ScaledDuals({1: 6, 3: 18}, 0, 3))      # 2 and 6
+    state.center = ScaledDuals({1: 6, 3: 18}, 0, 3)       # 2 and 6
     mixed = state.smoothed(pure)
     # (2 + 10) / 2, (0 + 0) / 2, (6 + 0) / 2 and (0 + 4) / 2, over the
     # least common denominator, 1
     assert mixed == ScaledDuals({1: 6, 2: 0, 3: 3}, 2, 1)
-    state.recentre(ScaledDuals({1: 1}, 0, 2))             # 1/2
+    state.center = ScaledDuals({1: 1}, 0, 2)              # 1/2
     assert state.smoothed(pure) == ScaledDuals({1: 21, 2: 0}, 8, 4)
 
 
@@ -389,7 +389,7 @@ def _check_integer_path(problem, chunks, results, data):
 
             center = Duals({k: drawn() for k in rmp._rows},
                            drawn() if rmp.remaining_cardinality is not None else 0)
-            smoother.recentre(scaled(center))
+            smoother.center = scaled(center)
         if center is not None:
             keys = set(center.by_element) | set(pure.by_element)
             mid = Duals({k: (center.value(k) + pure.value(k)) / 2 for k in keys},
@@ -399,7 +399,7 @@ def _check_integer_path(problem, chunks, results, data):
         assert lagrangian_bound(rmp, sol.duals, optimistic) == _rational_bound(
             rmp, pure, optimistic)
         if draw(st.booleans()):
-            smoother.recentre(sol.duals)
+            smoother.center = sol.duals
             center = pure
 
 

@@ -246,6 +246,8 @@ def test_validation_rejects_malformed_problems(two_blocks):
         NestedProblem([Block(elements=(1,), arcs={(1, 2): Arc()})])
     with pytest.raises(ModelError):
         NestedProblem([Block(elements=(1, 2), arcs={(1, 1): Arc()})])
+    with pytest.raises(ModelError, match="^boundary data for 2 outside block 0$"):
+        NestedProblem([Block(elements=(1,), exit={2: Boundary()})])
     with pytest.raises(ModelError):
         NestedProblem([blk], sense="maximize")
     with pytest.raises(ModelError):
@@ -302,6 +304,11 @@ def test_validation_checks_delta_shapes():
         NestedProblem(
             [Block(elements=(1,), entry={1: Boundary(sub_deltas=(1, 2))})],
             [SubpathResource(block=0)],
+        )
+    with pytest.raises(ModelError, match="^block 0: expected 1 path-delta vectors$"):
+        NestedProblem(
+            [Block(elements=(1,), entry={1: Boundary(path_deltas=((1,), (2,)))})],
+            path_resources=[PathResource(dim=1, agg=SUM, a=(1,), b=9, box=((0, 9),))],
         )
     with pytest.raises(ModelError):
         NestedProblem(
@@ -364,6 +371,8 @@ def _set(path, value):
      r"problem: expected an integer, got 1\.5"),
     (lambda d: d.pop("blocks"),
      r"problem: missing key 'blocks'"),
+    (_set(("blocks", 0, "arcs", 0, 3), [3, 2]),
+     r"blocks\[0\]\.arcs\[0\]: expected 3 deltas, got 2"),
 ])
 def test_json_rejects_malformed_documents(two_blocks, edit, message):
     data = problem_to_json(two_blocks)

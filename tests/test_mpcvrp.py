@@ -608,6 +608,14 @@ def test_parse_points_sections():
     assert demands == (4, 7, 1)  # missing entries default to 1
 
 
+def test_parse_points_skips_other_sections_and_malformed_lines():
+    # a depot section's entries, a coordinate line with a fourth field and
+    # a demand line without a value are not read
+    text = ("NAME : x\nNODE_COORD_SECTION\n1 0 0\n2 1 1 7\n2 1 1\n"
+            "DEPOT_SECTION\n1 5 5\n-1\nDEMAND_SECTION\n1 3\n2\nEOF\n")
+    assert parse_points(text) == (((0, 0), (1, 1)), (3, 1))
+
+
 def test_parse_points_requires_coords():
     with pytest.raises(ModelError, match="NODE_COORD_SECTION"):
         parse_points("DEMAND_SECTION\n1 5\nEOF\n")
@@ -720,6 +728,16 @@ def test_generate_instance_default_capacity():
         sum(inst.demands[i] for i in inst.day_members(t)) for t in range(2)
     )
     assert inst.capacity == -(-worst // 2) + max(inst.demands)
+
+
+def test_generate_instance_rejects_counts_that_are_not_positive_integers():
+    # each is checked before any draw: zero days raised an IndexError,
+    # zero vehicles a ZeroDivisionError and a negative n a ValueError
+    base = {"n": 4, "days": 2, "vehicles": 2}
+    for key, value in (("days", 0), ("vehicles", 0), ("n", -1), ("n", 0),
+                       ("days", 2.0), ("vehicles", True), ("n", "4")):
+        with pytest.raises(ModelError, match=f"^{key} must be a positive integer, not {value!r}$"):
+            generate_instance(**{**base, key: value}, delta=0.5, seed=1)
 
 
 def test_generate_instance_deterministic():

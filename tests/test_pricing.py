@@ -386,7 +386,7 @@ def _assert_pricers_agree(problem, lp_value):
     assert (adaptive.status, adaptive.lp_value) == (exact.status, exact.lp_value)
 
 
-def test_adaptive_rejects_a_box_that_blocks_undershoot():
+def test_tiling_reaches_down_to_a_subpath_below_the_box():
     # no bucket of the box holds (1, -3), so each block's tiling reaches
     # down to it, and the adaptive pricer answers as exact does
     problem = _undershoot_problem()
@@ -396,7 +396,7 @@ def test_adaptive_rejects_a_box_that_blocks_undershoot():
 
 
 @pytest.mark.parametrize("exit_delta, value", [(0, 7), (-1, 6)])
-def test_adaptive_rejects_a_usable_subpath_above_the_box(exit_delta, value):
+def test_tiling_reaches_up_to_a_usable_subpath_above_the_box(exit_delta, value):
     # the subpath holds ``value``, which a path may hold, so each block's
     # tiling reaches up to it.  The coordinate is monotone (exit 0) or
     # not (exit -1)
@@ -416,7 +416,7 @@ def _six_and_one(arc):
     return NestedProblem([block], path_resources=[resource], sense=COVER)
 
 
-def test_adaptive_rejects_a_usable_descendant_of_a_pruned_label():
+def test_tiling_reaches_a_usable_descendant_of_a_label_above_the_box():
     # (1, 2) contributes 6, above the box; a path holds it but not (1).  The
     # label at 1 is above the box, and its own completion 9 is unusable,
     # but its descendant (1, 2) is not: the block's tiling reaches it
@@ -814,11 +814,13 @@ def _duals(problem, kind, seed):
     }[kind]()
 
 
-KEEP_FAMILIES = {
+ORACLE_FAMILIES = {
     "tiny": synth.random_tiny_instance,
     "chain": synth.random_chain_instance,
     "span": lambda seed: synth.build_span_problem(synth.random_span_instance(seed)),
     "nocoords": _zero_coordinate_problem,
+    "mpcvrp": lambda seed: mpcvrp.build_nested(mpcvrp.generate_instance(
+        n=5, days=2, vehicles=2, delta=Fraction(1, 2), seed=seed)),
 }
 
 
@@ -840,37 +842,30 @@ def _check_front_against_the_oracle(problem, duals, seed):
         banned |= {rng.choice(problem.elements)}
 
 
-@pytest.mark.parametrize("family", sorted(KEEP_FAMILIES))
+@pytest.mark.parametrize("family", sorted(set(ORACLE_FAMILIES) - {"mpcvrp"}))
 @pytest.mark.parametrize("duals_kind", ("random", "zero", "tying"))
 def test_front_matches_the_reference_keep(family, duals_kind):
     # seeds 1-4 run in test_front_of_the_table_is_the_front_of_the_walk
     for seed in range(5, 9):
-        problem = KEEP_FAMILIES[family](seed)
+        problem = ORACLE_FAMILIES[family](seed)
         _check_front_against_the_oracle(problem, _duals(problem, duals_kind, seed), seed)
 
 
-WALK_FAMILIES = {
-    **KEEP_FAMILIES,
-    "mpcvrp": lambda seed: mpcvrp.build_nested(mpcvrp.generate_instance(
-        n=5, days=2, vehicles=2, delta=Fraction(1, 2), seed=seed)),
-}
-
-
-@pytest.mark.parametrize("family", sorted(WALK_FAMILIES))
+@pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
 @pytest.mark.parametrize("duals_kind", ("random", "zero", "tying"))
 def test_front_of_the_table_is_the_front_of_the_walk(family, duals_kind):
-    # the walk's states are those of a depth-first search under the
-    # block's headroom (limited_subpaths); the table keeps only
-    # non-dominated ones per (last element, elements, subpath values), and
-    # no dropped one reaches any front
+    # the walk is the oracle's depth-first search under the block's
+    # headroom (limited_subpaths); the table keeps only non-dominated
+    # states per (last element, elements, subpath values), and no dropped
+    # one reaches any front
     for seed in range(1, 5):
-        problem = WALK_FAMILIES[family](seed)
+        problem = ORACLE_FAMILIES[family](seed)
         _check_front_against_the_oracle(problem, _duals(problem, duals_kind, seed), seed)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_cap_models(), st.sampled_from(["random", "zero", "tying"]), st.integers(0, 2**32))
-def test_front_of_a_capped_table_is_the_front_of_the_walk(spec, duals_kind, seed):
+def test_front_of_a_capped_table_matches_the_oracle(spec, duals_kind, seed):
     # headrooms that bind, arcs that shrink a coordinate, and subpath
     # windows, hard or floored, that may bind from below
     window = spec[1]
@@ -880,7 +875,7 @@ def test_front_of_a_capped_table_is_the_front_of_the_walk(spec, duals_kind, seed
 
 
 @st.composite
-def _walk_models(draw):
+def _oracle_models(draw):
     """One block of 2-5 elements whose costs and one or two contribution
     coordinates take few values, so that labels of one key often tie in
     full, and one subpath resource, hard or floored, whose windows may
@@ -926,7 +921,7 @@ def _hard_window_block(arcs, window):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_walk_models(), st.sampled_from(["random", "zero", "tying"]), st.integers(0, 2**32))
+@given(_oracle_models(), st.sampled_from(["random", "zero", "tying"]), st.integers(0, 2**32))
 # two orderings of one element set reach one last element with subpath
 # values a and b > a, and only b passes the window past it: a table whose
 # labels key subpath values by <= drops b.  Random one-block models of 3-6
@@ -940,7 +935,7 @@ def _hard_window_block(arcs, window):
 @example(_hard_window_block({(1, 2): (2, 2), (1, 5): (0, 0), (2, 3): (0, 0), (2, 5): (0, 0),
                              (3, 4): (0, 0), (5, 2): (0, 0), (5, 3): (0, 3)}, (4, 4)),
          "random", 945)
-def test_front_of_a_windowed_table_is_the_front_of_the_walk(problem, duals_kind, seed):
+def test_front_of_a_windowed_table_matches_the_oracle(problem, duals_kind, seed):
     # labels of one (last element, elements) whose subpath values differ,
     # and labels of one key that tie on cost and vector
     event("floored" if problem.subpath_resources[0].floor_at_lower else "hard")

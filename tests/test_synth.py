@@ -3,6 +3,7 @@ guard behaviour, and generator invariants the solver tests rely on."""
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -24,7 +25,6 @@ from nestedcg.synth import (
     OracleGuard,
     SpanInstance,
     build_span_problem,
-    count_path_products,
     enumerate_block_subpaths,
     enumerate_paths,
     oracle_ip,
@@ -175,11 +175,8 @@ def test_subpath_enumeration_guard():
 
 def test_path_product_guard():
     problem = random_tiny_instance(1)
-    n_paths = count_path_products(
-        [
-            len(enumerate_block_subpaths(problem, bi))
-            for bi in range(len(problem.blocks))
-        ]
+    n_paths = math.prod(
+        len(enumerate_block_subpaths(problem, bi)) for bi in range(len(problem.blocks))
     )
     if n_paths <= 2:
         pytest.skip("instance too small to trip the guard")
