@@ -297,8 +297,9 @@ class Partition:
         ``can_merge(lower, upper)`` decides admissibility for pairs with
         at least one non-empty side; two empty buckets always merge.  A
         bucket takes part in at most one merge per pass.  The merged
-        bucket keeps the cheaper representative -- bucket subpath sets are
-        disjoint and cover the union, so that *is* the union's minimum.
+        bucket keeps the representative that sorts first by (rcost, vector,
+        nodes), as the fill orders them -- bucket subpath sets are disjoint
+        and cover the union, so that *is* the union's minimum.
         """
         done = set()
         merged_buckets = []
@@ -322,7 +323,7 @@ class Partition:
                 reps = [
                     b.rep for b in (lower, upper) if b.status == COMPUTED
                 ]
-                best = min(reps, key=lambda r: (r.rcost, r.nodes))
+                best = min(reps, key=lambda r: (r.rcost, r.vector, r.nodes))
                 merged.status = COMPUTED
                 merged.rep = best
             done.add(lower.serial)

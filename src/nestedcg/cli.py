@@ -83,6 +83,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    for flag in ("n", "t", "k"):
+        if (value := getattr(args, flag)) < 1:
+            raise ModelError(f"--{flag} must be a positive integer, not {value}")
     points = mpcvrp.load_points(args.points) if args.points else None
     instance = mpcvrp.generate_instance(
         points,

@@ -14,10 +14,11 @@ Weighed by scaled reduced cost under the most upper end of a list of
 contribution boxes, the search fills buckets.  Run over one box under
 zero duals, it tells :meth:`BlockView.reach` where the block's subpaths
 lie past a box: the range that the bucket partition tiles.  The one
-labeling pass, over the same extensions, lists once, as data for the
-enumerative pricer, each block's subpaths that no subpath with the same
-elements dominates (:meth:`BlockView.table`; each pricing call skips the
-rows that meet its ban mask).
+labeling pass, over the same extensions, lists once each block's
+subpaths that no subpath with the same elements dominates
+(:meth:`BlockView.table`), and :meth:`BlockView.front` keeps the Pareto
+front of those that avoid a pricing call's bans for the enumerative
+pricer.
 
 All arithmetic is integer: duals arrive as ``model.ScaledDuals``, so
 reduced costs stay exact.
@@ -597,6 +598,25 @@ class BlockView:
             self._table = self._enumerate()
         return self._table
 
+    def front(self, scaled, banned) -> list:
+        """The Pareto front of the :meth:`table` rows that visit no
+        element of ``banned`` under scaled duals ``scaled``, as (scaled
+        rcost, vector, subpath) triples in (rcost, vector, nodes) order.
+
+        A subpath left out of the table lies on no feasible path, or a row
+        with the same elements comes before it in that order and dominates
+        it, so the front is the full enumeration's.  Every row is priced,
+        one addition each (:meth:`SubpathTable.rcosts`), and
+        :func:`_pareto_keep` scans the rows that avoid the bans."""
+        table = self.table()
+        rcosts = table.rcosts(scaled, self.elements)
+        rows = range(len(table))
+        if mask := self._mask(banned):
+            rows = [j for j in rows if not table.masks[j] & mask]
+        subpaths = table.subpaths
+        return [(rcosts[j], subpaths[j].contributions, subpaths[j])
+                for j in _pareto_keep(self.packing, table.packed, rcosts, rows)]
+
     def _enumerate(self) -> "SubpathTable":
         """The subpaths that can enter a pricing call's front, as a
         :class:`SubpathTable`.
@@ -619,9 +639,9 @@ class BlockView:
         one depth's survivors at a time.  Two such subpaths differ in
         reduced cost by their cost difference under any duals, and a ban
         removes both or neither, so a dropped one never enters a front
-        either.  Every mask that has a survivor keeps one, so a row's mask
-        less its last element, its prefix's mask, always has a row: the
-        row's link in the table's ``chain``."""
+        either (:func:`_skyline`).  Every mask that has a survivor keeps
+        one, so a row's mask less its last element, its prefix's mask,
+        always has a row: the row's link in the table's ``chain``."""
         guard, sguard = self.packing.guard, self.sub_packing.guard
         lift = self._lift if self._lifts else None
         multi = self.n_coords > 1
@@ -665,11 +685,8 @@ class BlockView:
             # nodes) order, a survivor is kept unless an earlier kept one,
             # whose cost is then no larger, has no larger vector
             for mask, mates in found.items():
-                front = []
-                for cost, vec, nodes in sorted(mates):
-                    if all((vec + guard - v) & guard != guard for v in front):
-                        front.append(vec)
-                        rows.append((vec, nodes, cost, mask))
+                rows += [(vec, nodes, cost, mask)
+                         for cost, vec, nodes in _skyline(sorted(mates), itemgetter(1), guard)]
         # (vector, nodes) pairs are distinct, so the sort never looks further
         rows.sort()
         first = {}          # element mask -> its first row
@@ -680,22 +697,67 @@ class BlockView:
             nodes, mask = rows[row][1], rows[row][3]
             t = self.local[nodes[-1]]
             chain.append((row, first[mask ^ 1 << t] if len(nodes) > 1 else -1, t))
-        vectors = [self.packing.unpack(vec) for vec, _, _, _ in rows]
         return SubpathTable(
-            tuple([Subpath(self.index, nodes, cost, v)
-                   for (_, nodes, cost, _), v in zip(rows, vectors)]),
-            tuple(vectors),
+            tuple([Subpath(self.index, nodes, cost, self.packing.unpack(vec))
+                   for vec, nodes, cost, _ in rows]),
+            tuple([vec for vec, _, _, _ in rows]),
             tuple([mask for _, _, _, mask in rows]),
             tuple(chain),
         )
 
 
+def _skyline(items, vector, guard) -> list:
+    """The ``items``, taken in order, that no earlier kept item's packed
+    ``vector(item)`` is at most on every field of, ``guard`` holding each
+    field's guard bit (:class:`Packing`)."""
+    front, kept = [], []
+    for item in items:
+        vec = vector(item)
+        if all((vec + guard - v) & guard != guard for v in front):
+            front.append(vec)
+            kept.append(item)
+    return kept
+
+
+def _pareto_keep(packing, packed, rcosts, rows) -> list:
+    """The Pareto front of the (rcost, vector) pairs at indices ``rows``,
+    listed in (vector, node sequence) order, their vectors ``packed`` by
+    ``packing``, as indices in (rcost, vector, nodes) order.  Taken in
+    that order, a pair is dominated exactly when some earlier pair has a
+    componentwise smaller-or-equal vector: an earlier dominated one would
+    have its own dominator earlier still.
+
+    With at most one coordinate, a pair is kept when it is the first
+    cheapest of its run of equal vectors and strictly cheaper than every
+    smaller vector.  In ``rows`` order those are the strict prefix minima
+    of the rcosts that the next prefix minimum does not share a vector
+    with: one pass, no sort.  The kept rcosts fall as the vectors rise, so
+    the reversed list is in order.  With more, a stable sort by rcost
+    alone gives (rcost, vector, nodes) order, and :func:`_skyline` keeps
+    each pair no kept one dominates."""
+    if not rows:
+        return []
+    if len(packing.bounds) > 1:
+        return _skyline(sorted(rows, key=rcosts.__getitem__), packed.__getitem__, packing.guard)
+    lows = []                   # strict prefix minima of the rcosts
+    floor = math.inf
+    for j in rows:
+        rc = rcosts[j]
+        if rc < floor:
+            lows.append(j)
+            floor = rc
+    out = [j for j, nxt in zip(lows, lows[1:]) if packed[j] != packed[nxt]]
+    out.append(lows[-1])
+    out.reverse()
+    return out
+
+
 class SubpathTable:
     """A block's subpaths that can enter a pricing call's front
     (:meth:`BlockView._enumerate`) in (contribution vector, node
-    sequence) order, with each one's ``vectors`` (its contributions) and
-    ``masks`` (its local elements as a bit set) beside it; a block's one
-    table serves every ban mask.
+    sequence) order, with each one's ``packed`` contributions
+    (:attr:`BlockView.packing`) and ``masks`` (its local elements as a bit
+    set) beside it; a block's one table serves every ban mask.
 
     ``chain`` lists every row once, in order of subpath length, as (row,
     link, element): ``element`` is the row's last local element and
@@ -703,11 +765,11 @@ class SubpathTable:
     one-element row), so it comes earlier in the chain.  A row's dual sum
     is then its link's plus one element's dual (:meth:`rcosts`)."""
 
-    __slots__ = ("subpaths", "vectors", "masks", "chain")
+    __slots__ = ("subpaths", "packed", "masks", "chain")
 
-    def __init__(self, subpaths, vectors, masks, chain):
+    def __init__(self, subpaths, packed, masks, chain):
         self.subpaths = subpaths
-        self.vectors = vectors
+        self.packed = packed
         self.masks = masks
         self.chain = chain
 

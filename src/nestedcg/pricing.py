@@ -38,7 +38,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import le
 
 from .buckets import COMPUTED, EMPTY, FRESH, Partition, compute_representative
 from .labeling import block_view, label_search, through_values
@@ -328,29 +327,8 @@ class ExactPricer:
     Pareto front always contains an optimal path's subpaths).
 
     Each block's subpaths come from its dual-independent table
-    (``labeling.BlockView.table``), already in (contribution vector,
-    node sequence) order.  A subpath left out of it lies on no feasible
-    path, or a row with the same elements comes before it in the
-    front's order and dominates it, so the front is the full
-    enumeration's.  A call only prices the table and keeps the front:
-
-    * reduced costs take one addition per subpath: its scaled cost less
-      its elements' dual sum, which is the sum of a row whose elements
-      are its own less its last one, plus that element's dual
-      (``SubpathTable.rcosts``).
-    * the front comes out in (rcost, vector, nodes) order.  Taken in that
-      order, a subpath is dominated exactly when some earlier subpath has
-      a componentwise smaller-or-equal vector: an earlier dominated one
-      would have its own dominator earlier still.
-    * with at most one coordinate, a subpath is kept when it is the first
-      cheapest of its run of equal vectors and strictly cheaper than
-      every smaller vector.  In table order those are the strict prefix
-      minima of the rcosts that the next prefix minimum does not share a
-      vector with: one pass, no sort.  The kept rcosts fall as the
-      vectors rise, so the reversed list is in order.
-    * with more, a stable sort by rcost alone gives (rcost, vector,
-      nodes) order, and each subpath is tested against the kept ones.
-    """
+    (``labeling.BlockView.table``), built once; a call only keeps each
+    block's front of it (``BlockView.front``)."""
 
     def __init__(self, problem):
         self.problem = problem
@@ -367,11 +345,10 @@ class ExactPricer:
         for bi in range(len(self.problem.blocks)):
             tick = time.perf_counter()
             view = block_view(self.problem, bi)
-            table = view.table()
+            self.totals["enumerated"] += len(view.table())
             self.timers["enumerate"] += time.perf_counter() - tick
-            self.totals["enumerated"] += len(table)
             tick = time.perf_counter()
-            front = _front(view, table, scaled, view._mask(banned))
+            front = view.front(scaled, banned)
             self.timers["front"] += time.perf_counter() - tick
             if not front:
                 return PricingOutcome([], None, infeasible=True,
@@ -404,47 +381,3 @@ class ExactPricer:
             snap[f"time_{phase}"] = secs
         return snap
 
-
-def _front(view, table, scaled, banned):
-    """The Pareto front of the rows of ``table``, a
-    ``labeling.SubpathTable`` of block ``view``, that visit no element of
-    local mask ``banned``, under scaled duals, as (scaled rcost, vector,
-    subpath) triples in (rcost, vector, nodes) order.  Every row is
-    priced; under a nonzero mask only the rows that avoid it are
-    scanned."""
-    rcosts = table.rcosts(scaled, view.elements)
-    rows = range(len(table))
-    if banned:
-        masks = table.masks
-        rows = [j for j in rows if not masks[j] & banned]
-    vectors = table.vectors
-    return [(rcosts[j], vectors[j], table.subpaths[j])
-            for j in _pareto_keep(vectors, rcosts, rows)]
-
-
-def _pareto_keep(vectors, rcosts, rows):
-    """The Pareto front of the (rcost, vector) pairs at indices ``rows``,
-    listed in (vector, node sequence) order, as indices in (rcost, vector,
-    nodes) order; see :class:`ExactPricer`."""
-    if not rows:
-        return []
-    if len(vectors[rows[0]]) <= 1:
-        lows = []                   # strict prefix minima of the rcosts
-        floor = math.inf
-        for j in rows:
-            rc = rcosts[j]
-            if rc < floor:
-                lows.append(j)
-                floor = rc
-        out = [j for j, nxt in zip(lows, lows[1:]) if vectors[j] != vectors[nxt]]
-        out.append(lows[-1])
-        out.reverse()
-        return out
-    out = []
-    skyline = []
-    for j in sorted(rows, key=rcosts.__getitem__):
-        vec = vectors[j]
-        if not any(all(map(le, v, vec)) for v in skyline):
-            skyline.append(vec)
-            out.append(j)
-    return out

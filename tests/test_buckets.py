@@ -273,16 +273,21 @@ def test_merge_pass_touches_each_bucket_once():
 
 
 def test_merge_keeps_the_cheaper_representative():
-    part = Partition.initial(_line_problem(span=9), 5)
-    low, high = part.buckets(0)
-    low.status = COMPUTED
-    low.rep = _rep((1, 2), 5, (2,))
-    high.status = COMPUTED
-    high.rep = _rep((2,), 3, (7,))
-    assert part.merge_pass(0, lambda a, b: True) == 1
-    (merged,) = part.buckets(0)
-    assert merged.rep.rcost == 3
-    assert (merged.lo, merged.hi) == ((0,), (9,))
+    # (rcost, vector, nodes) below and above, and the nodes kept: a tie on
+    # rcost goes to the lesser vector, as the fill orders them, not to the
+    # lesser node sequence
+    for below, above, kept in (((5, (2,), (1, 2)), (3, (7,), (2,)), (2,)),
+                               ((3, (3,), (9,)), (3, (7,), (1,)), (9,))):
+        part = Partition.initial(_line_problem(span=9), 5)
+        low, high = part.buckets(0)
+        for bucket, (rcost, vector, nodes) in ((low, below), (high, above)):
+            bucket.status = COMPUTED
+            bucket.rep = _rep(nodes, rcost, vector)
+        assert part.merge_pass(0, lambda a, b: True) == 1
+        (merged,) = part.buckets(0)
+        assert merged.rep.rcost == 3
+        assert merged.rep.nodes == kept
+        assert (merged.lo, merged.hi) == ((0,), (9,))
 
 
 def test_two_empty_buckets_merge_unconditionally():

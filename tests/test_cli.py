@@ -82,15 +82,19 @@ def test_generate_propagates_model_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, name", (("--n", "n"), ("--t", "days"), ("--k", "vehicles")))
 def test_generate_rejects_a_count_below_one(tmp_path, capsys, flag, name):
-    # zero days or vehicles crashed the draw; each count now fails as input
+    # zero days or vehicles crashed the draw; each count now fails as
+    # input, the CLI naming the flag and the generator its parameter
     args = {"--n": "4", "--t": "2", "--k": "2", flag: "0"}
     rc = main(["generate", "mpcvrp", *(x for kv in args.items() for x in kv),
                "--delta", "0.5", "--seed", "1", "--out", str(tmp_path / "x.json")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {name} must be a positive integer, not 0")
+    assert err.startswith(f"error: {flag} must be a positive integer, not 0")
     assert "Traceback" not in err
     assert not (tmp_path / "x.json").exists()
+    with pytest.raises(ModelError, match=f"^{name} must be a positive integer, not 0"):
+        mpcvrp.generate_instance(**{"n": 4, "days": 2, "vehicles": 2, name: 0},
+                                 delta=Fraction(1, 2), seed=1)
 
 
 @pytest.mark.parametrize("delta", ("nan", "inf"))

@@ -686,10 +686,11 @@ def test_block_is_searched_once_across_ban_sets(monkeypatch):
     rng = random.Random(2)
     banned = frozenset()
     tables = [block_view(problem, bi).table() for bi in range(len(problem.blocks))]
-    for table in tables:
+    for bi, table in enumerate(tables):
         keys = [(sp.contributions, sp.nodes) for sp in table.subpaths]
         assert keys == sorted(keys)
-        assert table.vectors == tuple(vec for vec, _ in keys)
+        unpack = block_view(problem, bi).packing.unpack
+        assert tuple(map(unpack, table.packed)) == tuple(vec for vec, _ in keys)
     for _ in range(4):
         for bi in range(len(problem.blocks)):
             view = block_view(problem, bi)

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from nestedcg import driver, mpcvrp, synth
 from nestedcg.buckets import COMPUTED, Partition, compute_representative
-from nestedcg.labeling import BlockView, block_view, label_search
+from nestedcg.labeling import BlockView, Packing, _pareto_keep, block_view, label_search
 from nestedcg.model import (
     COVER,
     MAX,
@@ -45,9 +45,7 @@ from nestedcg.pricing import (
     ExactPricer,
     PricingConfig,
     PricingError,
-    _front,
     _layers,
-    _pareto_keep,
 )
 
 SEEDS = range(1, 13)
@@ -835,7 +833,7 @@ def _check_front_against_the_oracle(problem, duals, seed):
     for _ in range(3):
         for bi in range(len(problem.blocks)):
             view = block_view(problem, bi)
-            got = _front(view, view.table(), duals, view._mask(banned))
+            got = view.front(duals, banned)
             want = _reference_front(limited_subpaths(problem, bi, view.headroom(), banned),
                                     duals)
             assert got == want, (seed, bi, sorted(banned))
@@ -975,7 +973,7 @@ def test_the_table_keeps_what_a_front_can_take(build, row):
     problem = build()
     duals = Duals(dict.fromkeys(problem.elements, 10))
     view = block_view(problem, 0)
-    front = _front(view, view.table(), scaled(duals), 0)
+    front = view.front(scaled(duals), frozenset())
     assert row in [sp.nodes for _, _, sp in front]
     _check_front_against_the_oracle(problem, duals, 1)
 
@@ -985,6 +983,7 @@ def test_pareto_keep_on_dense_ties():
     # rcosts that tie across vectors are all common
     rng = random.Random(3)
     for dims in (0, 1, 2, 3):
+        packing = Packing(((0, 3),) * dims)
         for _ in range(300):
             n = rng.randint(0, 12)
             rows = sorted(
@@ -992,6 +991,7 @@ def test_pareto_keep_on_dense_ties():
                 for j in range(n)
             )
             vectors = [vec for vec, _, _ in rows]
+            packed = [packing.pack(vec) for vec in vectors]
             rcosts = [rc for _, _, rc in rows]
             # reference: (rcost, vector, position) order, kept unless an
             # earlier kept entry is componentwise no larger
@@ -1001,7 +1001,7 @@ def test_pareto_keep_on_dense_ties():
                     all(x <= y for x, y in zip(vectors[i], vectors[j])) for i in want
                 ):
                     want.append(j)
-            assert _pareto_keep(vectors, rcosts, range(n)) == want, (vectors, rcosts)
+            assert _pareto_keep(packing, packed, rcosts, range(n)) == want, (vectors, rcosts)
             # over a subset of the indices, the front of that subset
             rows = [j for j in range(n) if rng.random() < 0.6]
             want = []
@@ -1010,7 +1010,7 @@ def test_pareto_keep_on_dense_ties():
                     all(x <= y for x, y in zip(vectors[i], vectors[j])) for i in want
                 ):
                     want.append(j)
-            assert _pareto_keep(vectors, rcosts, rows) == want, (vectors, rcosts, rows)
+            assert _pareto_keep(packing, packed, rcosts, rows) == want, (vectors, rcosts, rows)
 
 
 def test_exact_pricer_reports_phase_times_outside_the_trace():

@@ -479,11 +479,12 @@ def _outcome(out):
 
 @PROPERTY
 @given(st.one_of(_set_lps().map(lambda case: case[0]), _integer_lps()), st.data())
-def test_carried_x_and_u_give_what_forming_them_again_gives(lp, data):
+def test_carried_u_gives_what_forming_it_again_gives(lp, data):
     # a chain of warm solves, each step changing the LP: a column whose
     # cost raises big-M (an artificial left basic then has another cost),
     # a plain column, the cost of a basic column, or the right-hand side
-    # (which starts both solves cold)
+    # (a token serves only under its own right-hand side, so that step
+    # starts both solves cold)
     costs, columns, rhs, senses = (list(part) for part in lp)
     m = len(rhs)
     n_fixed = m + senses.count(">=")
